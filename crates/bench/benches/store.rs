@@ -1,10 +1,10 @@
 //! Criterion bench: snapshot encode/decode throughput — how fast datasets
-//! and precomputed rank caches persist (the Section 6.2 precomputation
+//! and precomputed rank vectors persist (the Section 6.2 precomputation
 //! pipeline's I/O side).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use orex_datagen::{generate_dblp, DblpConfig, TextConfig};
-use orex_store::{decode_graph, encode_graph, RankCache};
+use orex_store::{decode_graph, encode_graph, PrecomputedRanks};
 use std::hint::black_box;
 
 fn bench_store(c: &mut Criterion) {
@@ -41,18 +41,22 @@ fn bench_store(c: &mut Criterion) {
     group.finish();
 
     let n = dataset.graph.node_count();
-    let mut cache = RankCache::new(n);
+    let mut ranks = PrecomputedRanks::new(0, n, 0.85, 0.002);
     let vec: Vec<f64> = (0..n).map(|i| 1.0 / (i + 1) as f64).collect();
-    for key in ["data", "query", "mining", "index", "graph", "stream"] {
-        cache.insert(key, &vec);
+    for term in ["data", "query", "mining", "index", "graph", "stream"] {
+        ranks.insert(term, 1.0, &vec);
     }
-    let encoded = cache.encode();
-    let mut group = c.benchmark_group("rank_cache");
+    let encoded = ranks.encode();
+    let mut group = c.benchmark_group("precomputed_ranks");
     group.sample_size(20);
     group.throughput(Throughput::Bytes(encoded.len() as u64));
-    group.bench_function("encode", |b| b.iter(|| black_box(cache.encode()).len()));
+    group.bench_function("encode", |b| b.iter(|| black_box(ranks.encode()).len()));
     group.bench_function("decode", |b| {
-        b.iter(|| RankCache::decode(black_box(encoded.clone())).unwrap().len())
+        b.iter(|| {
+            PrecomputedRanks::decode(black_box(encoded.clone()))
+                .unwrap()
+                .len()
+        })
     });
     group.finish();
 }

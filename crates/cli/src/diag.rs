@@ -14,11 +14,10 @@
 //! orex top --addr 127.0.0.1:7474 --interval-ms 1000
 //! ```
 
-use orex_server::sparkline;
+use orex_server::{sparkline, HttpClient};
 use orex_telemetry::ProfileSnapshot;
 use std::fmt::Write as _;
 use std::io::{Read as _, Write};
-use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::subcommands::SUBCOMMAND_HELP;
@@ -32,40 +31,23 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-/// One HTTP/1.1 GET over a fresh connection (the server closes per
-/// request). Returns `(status, body)`.
-fn http_get(addr: &str, path: &str) -> Result<(u16, String), String> {
-    let sock = addr
-        .to_socket_addrs()
-        .map_err(|e| format!("resolving {addr}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("resolving {addr}: no usable address"))?;
-    let mut stream = TcpStream::connect_timeout(&sock, Duration::from_secs(5))
-        .map_err(|e| format!("connecting {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .and_then(|()| stream.set_write_timeout(Some(Duration::from_secs(30))))
-        .map_err(|e| format!("{addr}: {e}"))?;
-    stream
-        .write_all(
-            format!("GET {path} HTTP/1.1\r\nHost: orex\r\nConnection: close\r\n\r\n").as_bytes(),
-        )
-        .map_err(|e| format!("{addr}: sending request: {e}"))?;
-    let mut raw = Vec::new();
-    stream
-        .read_to_end(&mut raw)
-        .map_err(|e| format!("{addr}: reading response: {e}"))?;
-    let text = String::from_utf8_lossy(&raw);
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("{addr}: malformed HTTP response"))?;
-    let body = text
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Ok((status, body))
+/// `GET path` on `client`: the body of a `200`, or the message to
+/// print when there is none.
+fn fetch(client: &HttpClient, path: &str) -> Result<String, String> {
+    let addr = client.addr();
+    match client.get(path) {
+        Ok(reply) => {
+            let body = String::from_utf8_lossy(&reply.body);
+            if reply.status == 200 {
+                Ok(body.into_owned())
+            } else {
+                Err(format!("{addr} answered {}: {}", reply.status, body.trim()))
+            }
+        }
+        Err(e) => Err(format!(
+            "fetching {path} from {addr}: {e}\n\n{SUBCOMMAND_HELP}"
+        )),
+    }
 }
 
 /// Renders the top-`n` hot spans of a snapshot as an aligned table.
@@ -160,14 +142,11 @@ pub fn run_profile(
         }
         None => {
             let addr = flag_value(args, "--addr").unwrap_or_else(|| DEFAULT_ADDR.into());
-            match http_get(&addr, &format!("/profile?seconds={seconds}&format=folded")) {
-                Ok((200, body)) => body,
-                Ok((status, body)) => {
-                    writeln!(err, "profile: {addr} answered {status}: {}", body.trim())?;
-                    return Ok(1);
-                }
+            let path = format!("/profile?seconds={seconds}&format=folded");
+            match fetch(&HttpClient::new(addr), &path) {
+                Ok(body) => body,
                 Err(msg) => {
-                    writeln!(err, "profile: {msg}\n\n{SUBCOMMAND_HELP}")?;
+                    writeln!(err, "profile: {msg}")?;
                     return Ok(1);
                 }
             }
@@ -446,21 +425,19 @@ pub fn run_top(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> std
     };
     let once = args.iter().any(|a| a == "--once");
 
+    // One keep-alive connection serves every refresh.
+    let client = HttpClient::new(addr.clone());
     loop {
-        let doc = match http_get(&addr, "/debug/status?format=json") {
-            Ok((200, body)) => match serde_json::from_str(&body) {
+        let doc = match fetch(&client, "/debug/status?format=json") {
+            Ok(body) => match serde_json::from_str(&body) {
                 Ok(v) => v,
                 Err(e) => {
                     writeln!(err, "top: {addr} sent unparseable status JSON: {e}")?;
                     return Ok(1);
                 }
             },
-            Ok((status, body)) => {
-                writeln!(err, "top: {addr} answered {status}: {}", body.trim())?;
-                return Ok(1);
-            }
             Err(msg) => {
-                writeln!(err, "top: {msg}\n\n{SUBCOMMAND_HELP}")?;
+                writeln!(err, "top: {msg}")?;
                 return Ok(1);
             }
         };

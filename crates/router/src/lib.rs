@@ -18,10 +18,12 @@
 //!   `--base-port`..., health-probe them, eject/readmit from the ring,
 //!   relaunch crashes with capped backoff, and fan SIGTERM out so
 //!   drains cascade.
-//! - **Proxy** ([`proxy`]): HTTP/1.1 keep-alive front end that forwards
-//!   queries (retrying once on an alternate healthy worker when the
-//!   owner is unreachable or saturated), and serves fleet-wide
-//!   aggregated `/metrics`, `/logs`, and `/debug/status`.
+//! - **Proxy** ([`proxy`]): the route function behind the shared
+//!   [`orex_server::frontend`] — the same accept loop, connection loop
+//!   and request envelope a worker runs on. It forwards queries
+//!   (retrying once on an alternate healthy worker when the owner is
+//!   unreachable or saturated), and serves fleet-wide aggregated
+//!   `/metrics`, `/logs`, and `/debug/status`.
 
 #![warn(missing_docs)]
 
@@ -33,17 +35,12 @@ pub use fleet::{Fleet, Worker, WorkerSource};
 pub use proxy::RouterContext;
 pub use ring::HashRing;
 
-use orex_server::http::{read_request, ParseError};
-use orex_server::{signal_shutdown_requested, Response};
-use std::io::{self, BufReader, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use orex_server::frontend::{self, Limits, Surface};
+use orex_server::ShutdownHandle;
+use std::io;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Read-timeout slice between requests on a kept-alive connection; the
-/// loop wakes this often to observe the drain flag.
-const CONN_POLL: Duration = Duration::from_millis(100);
 
 /// Router front-end configuration.
 #[derive(Clone, Debug)]
@@ -76,59 +73,12 @@ impl Default for RouterConfig {
     }
 }
 
-/// Signals a running [`Router`] to stop accepting and drain.
-#[derive(Clone)]
-pub struct RouterShutdown {
-    stop: Arc<AtomicBool>,
-}
-
-impl RouterShutdown {
-    /// Requests shutdown; [`Router::run`] drains and returns.
-    pub fn shutdown(&self) {
-        // ORDERING: Release pairs with the accept loop's Acquire load;
-        // the flag is the only communicated state.
-        self.stop.store(true, Ordering::Release);
-    }
-}
-
-/// Tracks live connections so drain can wait for zero without joining
-/// individual threads.
-struct ConnGauge {
-    live: Mutex<usize>,
-    zero: Condvar,
-}
-
-impl ConnGauge {
-    fn adjust(&self, delta: isize) {
-        let mut live = self.live.lock().unwrap_or_else(PoisonError::into_inner);
-        *live = live.saturating_add_signed(delta);
-        if *live == 0 {
-            self.zero.notify_all();
-        }
-    }
-
-    fn wait_zero(&self, deadline: Instant) {
-        let mut live = self.live.lock().unwrap_or_else(PoisonError::into_inner);
-        while *live > 0 {
-            let now = Instant::now();
-            if now >= deadline {
-                return;
-            }
-            let (guard, _) = self
-                .zero
-                .wait_timeout(live, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            live = guard;
-        }
-    }
-}
-
 /// A bound, not-yet-running router; call [`Router::run`] to serve.
 pub struct Router {
     listener: TcpListener,
     fleet: Arc<Fleet>,
     config: RouterConfig,
-    stop: Arc<AtomicBool>,
+    stop: ShutdownHandle,
 }
 
 impl Router {
@@ -140,7 +90,7 @@ impl Router {
             listener,
             fleet,
             config,
-            stop: Arc::new(AtomicBool::new(false)),
+            stop: ShutdownHandle::default(),
         })
     }
 
@@ -150,10 +100,8 @@ impl Router {
     }
 
     /// A handle that stops this router from another thread.
-    pub fn shutdown_handle(&self) -> RouterShutdown {
-        RouterShutdown {
-            stop: Arc::clone(&self.stop),
-        }
+    pub fn shutdown_handle(&self) -> ShutdownHandle {
+        self.stop.clone()
     }
 
     /// The fleet this router fronts.
@@ -161,158 +109,45 @@ impl Router {
         &self.fleet
     }
 
-    /// Serves until shutdown is requested (via [`RouterShutdown`] or an
-    /// installed signal handler), then drains: stop accepting, wait for
-    /// open connections to finish, and cascade the shutdown to the
-    /// fleet (SIGTERM to every spawned worker, bounded wait).
+    /// Serves until shutdown is requested (via [`ShutdownHandle`] or an
+    /// installed signal handler), then drains: stop accepting, let open
+    /// connections finish their in-flight response, and cascade the
+    /// shutdown to the fleet (SIGTERM to every spawned worker, bounded
+    /// wait).
     pub fn run(self) -> io::Result<()> {
-        let ctx = Arc::new(RouterContext::new(
+        let ctx = RouterContext::new(
             Arc::clone(&self.fleet),
             Instant::now(),
             self.local_addr()
                 .map(|a| a.to_string())
                 .unwrap_or_else(|_| self.config.addr.clone()),
-        ));
-        let gauge = Arc::new(ConnGauge {
-            live: Mutex::new(0),
-            zero: Condvar::new(),
-        });
-        let draining = Arc::new(AtomicBool::new(false));
-
-        // ORDERING: Acquire pairs with RouterShutdown's Release store.
-        while !self.stop.load(Ordering::Acquire) && !signal_shutdown_requested() {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let over_cap = {
-                        let live = gauge.live.lock().unwrap_or_else(PoisonError::into_inner);
-                        *live >= self.config.max_connections
-                    };
-                    if over_cap {
-                        refuse_overloaded(stream);
-                        continue;
-                    }
-                    gauge.adjust(1);
-                    let ctx = Arc::clone(&ctx);
-                    let gauge2 = Arc::clone(&gauge);
-                    let draining = Arc::clone(&draining);
-                    let config = self.config.clone();
-                    let spawned = std::thread::Builder::new()
-                        .name("orex-router-conn".into())
-                        .spawn(move || {
-                            connection_loop(stream, &ctx, &config, &draining);
-                            gauge2.adjust(-1);
-                        });
-                    if spawned.is_err() {
-                        gauge.adjust(-1); // thread never ran; undo
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    // orex::allow(ORX005): the listener is nonblocking
-                    // so this accept loop must pace its own polling to
-                    // keep observing the stop flags; 2ms bounds
-                    // shutdown latency without burning a core.
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-
-        // Drain: no new connections; open ones observe the flag within
-        // one CONN_POLL and close after their in-flight response.
-        // ORDERING: Release pairs with the connection loops' Acquire.
-        draining.store(true, Ordering::Release);
-        gauge.wait_zero(Instant::now() + Duration::from_secs(10));
+        );
+        // A proxied request spends its time waiting on a worker, so it
+        // runs on its connection's thread and the connection cap is the
+        // router's only concurrency gate. The router has no
+        // per-connection request limit and no slow-request threshold.
+        let limits = Limits {
+            max_connections: self.config.max_connections,
+            handlers: None,
+            max_body_bytes: self.config.max_body_bytes,
+            io_timeout: self.config.io_timeout,
+            keepalive_idle: self.config.keepalive_idle,
+            keepalive_requests: u64::MAX,
+            slow_request: Duration::MAX,
+        };
+        let served = frontend::serve(
+            &self.listener,
+            &Surface::ROUTER,
+            &limits,
+            &self.stop,
+            &ctx.traces,
+            |request, _fields| proxy::route(request, &ctx),
+        );
         self.fleet.shutdown();
+        served?;
         orex_telemetry::global()
             .counter("router.clean_shutdowns")
             .incr();
         Ok(())
-    }
-}
-
-/// Inline 503 for connections over the cap, written on the accept
-/// thread; mirrors the worker server's overload behaviour.
-fn refuse_overloaded(mut stream: TcpStream) {
-    orex_telemetry::global()
-        .counter("router.overload_503")
-        .incr();
-    let response = Response::error(503, "router at connection capacity, retry shortly")
-        .with_header("Retry-After", "1");
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let _ = response.write_to(&mut stream, false);
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(20)));
-    let mut sink = [0u8; 4096];
-    for _ in 0..16 {
-        match Read::read(&mut stream, &mut sink) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-    }
-}
-
-/// One dedicated thread per client connection: serve keep-alive
-/// requests until the client closes, the idle window lapses, a protocol
-/// error occurs, or the router drains.
-fn connection_loop(
-    stream: TcpStream,
-    ctx: &RouterContext,
-    config: &RouterConfig,
-    draining: &AtomicBool,
-) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = stream;
-    let mut reader = BufReader::new(read_half);
-    let _ = writer.set_write_timeout(Some(config.io_timeout));
-    let _ = writer.set_read_timeout(Some(CONN_POLL));
-    let mut served = 0u64;
-    let mut waiting_since = Instant::now();
-    loop {
-        // ORDERING: Acquire pairs with the drain flag's Release store.
-        if draining.load(Ordering::Acquire) {
-            return;
-        }
-        match read_request(&mut reader, config.max_body_bytes) {
-            Ok(request) => {
-                let keep_alive = request.keep_alive();
-                let response = proxy::handle(&request, ctx);
-                if response.write_to(&mut writer, keep_alive).is_err() || !keep_alive {
-                    return;
-                }
-                served += 1;
-                waiting_since = Instant::now();
-            }
-            Err(ParseError::Idle) => {
-                let budget = if served == 0 {
-                    config.io_timeout
-                } else {
-                    config.keepalive_idle
-                };
-                if waiting_since.elapsed() >= budget {
-                    if served == 0 {
-                        let _ = Response::error(408, "timed out waiting for a request")
-                            .write_to(&mut writer, false);
-                    }
-                    return;
-                }
-            }
-            Err(ParseError::ConnectionClosed) => return,
-            Err(ParseError::Malformed(why)) => {
-                let _ = Response::error(400, why).write_to(&mut writer, false);
-                return;
-            }
-            Err(ParseError::BodyTooLarge(limit)) => {
-                let _ = Response::error(413, &format!("body exceeds {limit} bytes"))
-                    .write_to(&mut writer, false);
-                return;
-            }
-            Err(ParseError::Io(_)) => {
-                let _ = Response::error(408, "request read failed").write_to(&mut writer, false);
-                return;
-            }
-        }
     }
 }

@@ -19,6 +19,7 @@
 //! every worker's into one per-process-lane Chrome export.
 
 use crate::fleet::{Fleet, Worker};
+use orex_server::frontend::unrouted;
 use orex_server::{ClientResponse, Request, Response, TraceArchive};
 use orex_telemetry::export::{parse_wire, to_chrome_trace_stitched, to_wire, ProcessLane};
 use orex_telemetry::TraceContext;
@@ -131,81 +132,29 @@ impl RetroTraces {
     }
 }
 
-/// Dispatches one request to its handler. Every response is accounted
-/// under `router.*` telemetry and one `router.access` log record.
-///
-/// Every request runs inside a `router.request` span: the fleet's
-/// ingress root when the client sent no `X-Orex-Trace`, or a
-/// remote-parent root continuing the client's trace (whose flags byte
-/// then carries the client's sampling decision). The access log is
-/// emitted inside the span so it carries the fleet-shared trace id, and
-/// the `router.request_us` histogram exemplar points at the same trace.
-pub fn handle(request: &Request, ctx: &RouterContext) -> Response {
-    let telemetry = orex_telemetry::global();
-    telemetry.counter("router.requests").incr();
-    let start = Instant::now();
-    let tracer = orex_telemetry::tracer();
-    let context = request
-        .header(TraceContext::HEADER)
-        .and_then(TraceContext::parse);
-    let response = {
-        let mut span = tracer.span_with_context("router.request", context);
-        if span.is_recording() {
-            span.attr_str("method", &request.method);
-            span.attr_str("path", &request.path);
+/// The router's route function: dispatches one request to its handler.
+/// It runs inside the shared front end's request envelope, so the
+/// `router.request` span is open here — proxied hops parent under it
+/// and every log record carries the fleet-shared trace id.
+pub fn route(request: &Request, ctx: &RouterContext) -> Response {
+    let (segments, query) = request.target();
+    match (request.method.as_str(), segments.as_slice()) {
+        ("GET", ["healthz"]) => handle_healthz(ctx),
+        ("POST", ["query"]) => handle_query(request, ctx),
+        ("GET", ["explain", sid, node]) => {
+            handle_session(ctx, "GET", sid, |local| format!("/explain/{local}/{node}"))
         }
-        let sampled_trace = if span.is_sampled() {
-            span.trace_id().map(|t| t.0)
-        } else {
-            None
-        };
-        let (path, query) = match request.path.split_once('?') {
-            Some((p, q)) => (p, Some(q)),
-            None => (request.path.as_str(), None),
-        };
-        let segments: Vec<&str> = path.trim_matches('/').split('/').collect();
-        let response = match (request.method.as_str(), segments.as_slice()) {
-            ("GET", ["healthz"]) => handle_healthz(ctx),
-            ("POST", ["query"]) => handle_query(request, ctx),
-            ("GET", ["explain", sid, node]) => {
-                handle_session(ctx, "GET", sid, |local| format!("/explain/{local}/{node}"))
-            }
-            ("POST", ["feedback", sid]) => {
-                handle_session_with_body(ctx, sid, &request.body, |local| {
-                    format!("/feedback/{local}")
-                })
-            }
-            ("GET", ["datasets"]) => proxy_any(ctx, "/datasets"),
-            ("GET", ["metrics"]) => handle_metrics(ctx),
-            ("GET", ["logs"]) => handle_logs(ctx, query),
-            ("GET", ["trace", id]) => handle_trace(ctx, id),
-            ("GET", ["profile"]) => proxy_any(ctx, &request.path),
-            ("GET", ["debug", "status"]) => handle_status(ctx, query),
-            (
-                "GET" | "POST",
-                ["query" | "explain" | "feedback" | "datasets" | "metrics" | "logs" | "trace"
-                | "profile" | "healthz", ..],
-            ) => Response::error(405, "method not allowed for this route"),
-            _ => Response::error(404, "no such route"),
-        };
-        let elapsed = start.elapsed();
-        telemetry
-            .histogram("router.request_us")
-            .record_with_exemplar(elapsed.as_micros() as f64, sampled_trace);
-        telemetry
-            .counter(&format!("router.responses_{}xx", response.status / 100))
-            .incr();
-        orex_telemetry::logger()
-            .info("router.access", "request")
-            .field_str("method", &request.method)
-            .field_str("path", &request.path)
-            .field_u64("status", u64::from(response.status))
-            .field_u64("latency_us", elapsed.as_micros() as u64)
-            .emit();
-        response
-    };
-    ctx.traces.absorb(tracer.drain());
-    response
+        ("POST", ["feedback", sid]) => handle_session_with_body(ctx, sid, &request.body, |local| {
+            format!("/feedback/{local}")
+        }),
+        ("GET", ["datasets"]) => proxy_any(ctx, "/datasets"),
+        ("GET", ["metrics"]) => handle_metrics(ctx),
+        ("GET", ["logs"]) => handle_logs(ctx, query),
+        ("GET", ["trace", id]) => handle_trace(ctx, id),
+        ("GET", ["profile"]) => proxy_any(ctx, &request.path),
+        ("GET", ["debug", "status"]) => handle_status(ctx, query),
+        (method, segments) => unrouted(method, segments),
+    }
 }
 
 /// One traced proxied hop: a child span of the enclosing
@@ -536,10 +485,11 @@ fn relabel_series(line: &str, worker: usize, out: &mut String) {
 /// `GET /logs`: fans the query out to every healthy worker and stamps
 /// each NDJSON record with its `"worker"` index. Parameter errors from
 /// a worker (400) pass through so validation behaves like one server.
-fn handle_logs(ctx: &RouterContext, query: Option<&str>) -> Response {
-    let path = match query {
-        Some(q) => format!("/logs?{q}"),
-        None => "/logs".to_string(),
+fn handle_logs(ctx: &RouterContext, query: &str) -> Response {
+    let path = if query.is_empty() {
+        "/logs".to_string()
+    } else {
+        format!("/logs?{query}")
     };
     let mut out = String::new();
     let mut served_any = false;
@@ -585,8 +535,8 @@ fn handle_trace(ctx: &RouterContext, id: &str) -> Response {
     let Ok(trace_id) = id.parse::<u64>() else {
         return Response::error(400, "trace id must be an integer");
     };
-    // The router's own spans may still sit in the tracer ring (this
-    // very request is absorbed only after `handle` returns).
+    // The router's own spans may still sit in the tracer ring (the
+    // front end absorbs a request's spans only after it is routed).
     ctx.traces.absorb(orex_telemetry::tracer().drain());
     let mut lanes = Vec::new();
     if let Some(spans) = ctx.traces.get(trace_id) {
@@ -635,14 +585,11 @@ fn handle_trace(ctx: &RouterContext, id: &str) -> Response {
 
 /// `GET /debug/status`: the fleet view `orex top` renders — a router
 /// summary plus one row per worker with its own status doc inlined.
-fn handle_status(ctx: &RouterContext, query: Option<&str>) -> Response {
-    let format = match query {
-        None => "json",
-        Some("format=json") => "json",
-        Some(other) => {
-            return Response::error(400, &format!("unknown parameters: {other:?}"));
-        }
-    };
+fn handle_status(ctx: &RouterContext, query: &str) -> Response {
+    // Only JSON exists; anything else asked for is a client error.
+    if !matches!(query, "" | "format=json") {
+        return Response::error(400, &format!("unknown parameters: {query:?}"));
+    }
     let snapshot = orex_telemetry::global().snapshot();
     let counter = |name: &str| snapshot.counters.get(name).copied().unwrap_or(0);
     let workers: Vec<Value> = ctx
@@ -672,7 +619,6 @@ fn handle_status(ctx: &RouterContext, query: Option<&str>) -> Response {
         }),
         "workers": Value::Array(workers),
     });
-    let _ = format; // only JSON exists; the match gates unknown params
     Response::json(200, serde_json::to_string(&doc).unwrap_or_default())
 }
 

@@ -7,7 +7,7 @@
 //! them in order off one shared [`BufReader`] and writes responses in
 //! the same order. Every limit is explicit — header section size,
 //! header count, body size — so a hostile peer can at worst waste one
-//! worker's read timeout, never its memory.
+//! connection thread's read timeout, never its memory.
 
 use std::io::{BufRead, BufReader, Read, Write};
 
@@ -44,6 +44,13 @@ impl Request {
     /// The body as UTF-8 text, if valid.
     pub fn body_str(&self) -> Option<&str> {
         std::str::from_utf8(&self.body).ok()
+    }
+
+    /// The request target split for routing: the non-empty path
+    /// segments and the raw query string (`""` when there is none).
+    pub fn target(&self) -> (Vec<&str>, &str) {
+        let (path, query) = self.path.split_once('?').unwrap_or((&self.path, ""));
+        (path.split('/').filter(|s| !s.is_empty()).collect(), query)
     }
 
     /// Whether the connection should stay open after this request:
@@ -84,7 +91,7 @@ impl From<std::io::Error> for ParseError {
 }
 
 /// True for the error kinds a socket read timeout surfaces as.
-fn is_timeout(e: &std::io::Error) -> bool {
+pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),
         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut

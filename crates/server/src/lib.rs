@@ -5,13 +5,17 @@
 //! subgraphs, marks relevant objects, and the system reformulates and
 //! re-ranks (Sections 5–6). This crate serves that loop over HTTP/1.1
 //! from a shared [`ObjectRankSystem`](orex_core::ObjectRankSystem) —
-//! dependency-free, on `std::net` with a fixed worker thread pool.
+//! dependency-free, on `std::net`.
 //!
-//! Since PR 8 one process serves *many* datasets through a
-//! [`SystemRegistry`] (`POST /query` takes a `dataset` field; sessions
-//! remember their owning dataset), connections are persistent HTTP/1.1
-//! keep-alive with pipelining support, and a pooled [`HttpClient`] is
-//! shared by the `orex-router` proxy hop and the loadgen harness.
+//! One process serves *many* datasets through a [`SystemRegistry`]
+//! (`POST /query` takes a `dataset` field; sessions remember their
+//! owning dataset). The transport is the [`frontend`] module, the one
+//! HTTP front end this server and the `orex-router` proxy both run on:
+//! a thread per persistent HTTP/1.1 connection (keep-alive, pipelining)
+//! under a connection cap, handlers on [`ServerConfig::threads`]
+//! dedicated threads, and one request envelope of trace, metrics and
+//! access log. A pooled [`HttpClient`] is shared by the router's proxy
+//! hop, the loadgen harness and the CLI.
 //!
 //! ## Endpoints
 //!
@@ -43,9 +47,9 @@
 pub mod cache;
 pub mod client;
 pub mod error;
+pub mod frontend;
 pub mod http;
 pub mod logs;
-pub mod pool;
 pub mod ranks;
 pub mod registry;
 pub mod server;
@@ -56,14 +60,12 @@ pub mod traces;
 pub use cache::ResultCache;
 pub use client::{ClientResponse, HttpClient};
 pub use error::ServerError;
+pub use frontend::{install_signal_handlers, ShutdownHandle};
 pub use http::{Request, Response};
 pub use logs::LogArchive;
-pub use pool::{PoolHandle, ThreadPool};
 pub use ranks::{rates_fingerprint, CombineOutcome, RankStore};
 pub use registry::{DatasetService, DatasetSpec, SystemRegistry};
-pub use server::{
-    install_signal_handlers, signal_shutdown_requested, Server, ServerConfig, ShutdownHandle,
-};
+pub use server::{Server, ServerConfig};
 pub use sessions::SessionTable;
 pub use status::{sparkline, Occupancy, StatusBoard};
 pub use traces::TraceArchive;

@@ -1,25 +1,15 @@
-//! The HTTP server proper: accept loop, routing, and handlers.
+//! The worker server: configuration, routing, and handlers.
 //!
-//! One fixed worker pool serves persistent HTTP/1.1 connections: a
-//! worker reads requests off a connection (pipelined requests drain in
-//! order from one shared buffer), writes responses, and after a burst —
-//! or a quiet gap — *parks* the connection by resubmitting it to the
-//! pool, so a handful of workers round-robin fairly across many more
-//! keep-alive connections. Each request is wrapped in a
-//! `server.request` trace span and a `server.request_us` histogram
-//! sample. The accept loop polls a nonblocking listener so it can
-//! observe the shutdown flag (set programmatically or by
-//! SIGINT/SIGTERM); on shutdown it stops accepting, closes parked
-//! connections, and joins the pool, draining in-flight requests.
-//!
-//! Connections above `max_connections` are refused immediately with
-//! `503` + `Retry-After` instead of queueing unboundedly — the router
-//! retries those on an alternate worker.
+//! The transport — accept loop, connection cap, keep-alive connection
+//! loop, drain, and the per-request envelope of trace, metrics and
+//! access log — is [`crate::frontend`], shared with the router. This
+//! module binds the listener, owns the state handlers work against,
+//! and supplies the route function.
 
 use crate::error::ServerError;
-use crate::http::{read_request, ParseError, Request, Response};
+use crate::frontend::{self, AccessFields, Limits, ShutdownHandle, Surface};
+use crate::http::{Request, Response};
 use crate::logs::LogArchive;
-use crate::pool::{PoolHandle, ThreadPool};
 use crate::ranks::CombineOutcome;
 use crate::registry::{DatasetService, SystemRegistry};
 use crate::sessions::SessionTable;
@@ -30,22 +20,11 @@ use orex_graph::NodeId;
 use orex_ir::{Query, QueryVector};
 use orex_telemetry::Level;
 use serde_json::Value;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
-
-/// Between-request poll window on a kept-alive connection: how long a
-/// worker waits for the next request before parking the connection back
-/// on the queue. Short enough that workers rotate across connections,
-/// long enough to catch back-to-back requests without a reschedule.
-const KEEPALIVE_POLL: Duration = Duration::from_millis(25);
-/// Requests served on one connection in a single scheduling pass before
-/// the worker parks it — bounds how long one chatty connection can
-/// monopolize a worker while others wait.
-const KEEPALIVE_BURST: u64 = 32;
+use std::time::Duration;
 
 /// Tuning knobs for [`Server::bind`].
 #[derive(Clone, Debug)]
@@ -53,7 +32,9 @@ pub struct ServerConfig {
     /// Listen address, e.g. `127.0.0.1:7474`. Port 0 picks an ephemeral
     /// port (see [`Server::local_addr`]).
     pub addr: String,
-    /// Worker threads.
+    /// Handler threads: parsed requests queue for one of this many
+    /// threads, so that many handlers run at once however many
+    /// connections are open.
     pub threads: usize,
     /// LRU result-cache capacity (distinct normalized queries), per
     /// dataset.
@@ -64,8 +45,9 @@ pub struct ServerConfig {
     pub max_sessions: usize,
     /// Per-request body limit in bytes.
     pub max_body_bytes: usize,
-    /// Socket read/write timeout for the first request of a connection
-    /// and for mid-request reads.
+    /// Socket timeout: how long a connection's first request may take
+    /// to start arriving, and the bound on reading the rest of any
+    /// request and on writing its response.
     pub io_timeout: Duration,
     /// Traces retained for `GET /trace/<id>`.
     pub max_traces: usize,
@@ -127,112 +109,21 @@ impl Default for ServerConfig {
     }
 }
 
-/// Everything a handler needs, shared across workers.
+/// Everything a handler needs, shared across connection threads.
 struct ServerState {
     registry: SystemRegistry,
     sessions: SessionTable,
     traces: TraceArchive,
     logs: LogArchive,
     status: StatusBoard,
-    max_body_bytes: usize,
-    slow_request: Duration,
-    io_timeout: Duration,
-    keepalive_requests: u64,
-    keepalive_idle: Duration,
-    /// Live accepted connections (queued or being served); the accept
-    /// loop refuses connections past `max_connections`.
-    live_connections: AtomicUsize,
-    max_connections: usize,
-    /// Set when the accept loop exits: parked connections close instead
-    /// of waiting for more requests, so the pool can drain.
-    draining: AtomicBool,
-}
-
-/// Per-request serving-path outcomes surfaced in the access log and the
-/// query response.
-#[derive(Default)]
-struct QueryFlags {
-    /// `Some(true)` when the result cache satisfied the query.
-    cache_hit: Option<bool>,
-    /// `Some(true)` when precomputed vectors were combined; `Some(false)`
-    /// when a precomputed store was consulted but a live iteration ran.
-    precompute_hit: Option<bool>,
-    /// Dataset the request addressed (even when unknown — the access
-    /// log carries what the client asked for).
-    dataset: Option<String>,
-}
-
-/// Signals a running [`Server`] to stop accepting and drain.
-#[derive(Clone)]
-pub struct ShutdownHandle {
-    stop: Arc<AtomicBool>,
-}
-
-impl ShutdownHandle {
-    /// Requests shutdown; `Server::run` returns after draining.
-    pub fn shutdown(&self) {
-        // Release pairs with the accept loop's Acquire load: everything
-        // the requester did before asking for shutdown is visible to the
-        // drain path. SeqCst would buy nothing — there is no multi-flag
-        // total order to preserve here.
-        self.stop.store(true, Ordering::Release);
-    }
-
-    /// True once shutdown has been requested.
-    pub fn is_shutdown(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
-    }
-}
-
-/// Set by the process signal handler; observed by every running server.
-static SIGNAL_STOP: AtomicBool = AtomicBool::new(false);
-
-/// True once a SIGINT/SIGTERM handler installed by
-/// [`install_signal_handlers`] has fired. Non-server accept loops (the
-/// router) poll this to join the same graceful-drain protocol.
-pub fn signal_shutdown_requested() -> bool {
-    // ORDERING: Acquire pairs with the handler's Release store; the
-    // flag itself is the only communicated state.
-    SIGNAL_STOP.load(Ordering::Acquire)
-}
-
-/// Installs SIGINT/SIGTERM handlers that request graceful shutdown of
-/// every running server in the process. Safe to call more than once.
-/// No-op on non-Unix platforms.
-pub fn install_signal_handlers() {
-    #[cfg(unix)]
-    {
-        // Async-signal-safety: the handler only stores to an AtomicBool.
-        extern "C" fn on_signal(_sig: i32) {
-            // ORDERING: the flag is the only communication — nothing is
-            // published under it, and a signal handler must not need a
-            // full fence anyway; Release pairs with the accept loop's
-            // Acquire for ordinary flag visibility.
-            SIGNAL_STOP.store(true, Ordering::Release);
-        }
-        extern "C" {
-            fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-        }
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        // SAFETY: `signal(2)` is async-signal-safe to install at any
-        // time; the handler is an `extern "C" fn` that only performs an
-        // atomic store (itself async-signal-safe, no allocation, no
-        // locks). Replacing a previously installed handler is the
-        // documented idempotent behaviour this function promises.
-        unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
-        }
-    }
 }
 
 /// A bound, not-yet-running server; call [`Server::run`] to serve.
 pub struct Server {
     listener: TcpListener,
-    state: Arc<ServerState>,
+    state: ServerState,
     config: ServerConfig,
-    stop: Arc<AtomicBool>,
+    stop: ShutdownHandle,
 }
 
 impl Server {
@@ -260,26 +151,18 @@ impl Server {
     pub fn bind_registry(registry: SystemRegistry, config: ServerConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
-        let state = Arc::new(ServerState {
+        let state = ServerState {
             registry,
             sessions: SessionTable::new(config.session_ttl, config.max_sessions),
             traces: TraceArchive::new(config.max_traces),
             logs: LogArchive::new(config.max_logs),
             status: StatusBoard::new(),
-            max_body_bytes: config.max_body_bytes,
-            slow_request: config.slow_request,
-            io_timeout: config.io_timeout,
-            keepalive_requests: config.keepalive_requests.max(1),
-            keepalive_idle: config.keepalive_idle,
-            live_connections: AtomicUsize::new(0),
-            max_connections: config.max_connections,
-            draining: AtomicBool::new(false),
-        });
+        };
         Ok(Self {
             listener,
             state,
             config,
-            stop: Arc::new(AtomicBool::new(false)),
+            stop: ShutdownHandle::default(),
         })
     }
 
@@ -299,411 +182,78 @@ impl Server {
 
     /// A handle that stops this server from another thread.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle {
-            stop: Arc::clone(&self.stop),
-        }
+        self.stop.clone()
     }
 
     /// Serves until shutdown is requested (via [`ShutdownHandle`] or an
     /// installed signal handler), then drains in-flight requests and
     /// returns.
     pub fn run(self) -> io::Result<()> {
-        let mut pool = ThreadPool::new(self.config.threads)?;
-        let telemetry = orex_telemetry::global();
+        let Self {
+            listener,
+            state,
+            config,
+            stop,
+        } = self;
         // Continuous profiling: sample every thread's span stack so
         // `GET /profile` always has recent history.
-        if self.config.profile_hz > 0 {
-            orex_telemetry::profiler_at(self.config.profile_hz).start();
+        if config.profile_hz > 0 {
+            orex_telemetry::profiler_at(config.profile_hz).start();
         }
+        let limits = Limits {
+            max_connections: config.max_connections,
+            handlers: Some(config.threads),
+            max_body_bytes: config.max_body_bytes,
+            io_timeout: config.io_timeout,
+            keepalive_idle: config.keepalive_idle,
+            keepalive_requests: config.keepalive_requests.max(1),
+            slow_request: config.slow_request,
+        };
         // Background status collector: snapshots metrics into the status
         // board's history ring and keeps SLO burn rates (and the
         // `orex_slo_*` gauges on /metrics) current even when nobody polls
         // /debug/status. Paced by a condvar so shutdown can interrupt a
         // sleep (ORX005: no bare thread::sleep in this crate).
-        let collector_stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let collector_handle = {
-            let state = Arc::clone(&self.state);
-            let stop = Arc::clone(&collector_stop);
-            let interval = self.config.status_interval;
-            std::thread::Builder::new()
+        let collector_stop = (Mutex::new(false), Condvar::new());
+        let served = std::thread::scope(|scope| {
+            // Best effort: without the thread, status is still
+            // collected on demand by `/debug/status`.
+            let _ = std::thread::Builder::new()
                 .name("orex-status".into())
-                .spawn(move || {
-                    let (lock, cv) = &*stop;
+                .spawn_scoped(scope, || {
+                    let (lock, cv) = &collector_stop;
                     loop {
                         state.status.collect();
                         let guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
                         let (guard, _timeout) = cv
-                            .wait_timeout(guard, interval)
+                            .wait_timeout(guard, config.status_interval)
                             .unwrap_or_else(PoisonError::into_inner);
                         if *guard {
                             return;
                         }
                     }
-                })
-                .ok()
-        };
-        let handle = pool.handle();
-        // Acquire pairs with the Release stores in `shutdown()` and the
-        // signal handler; SeqCst's total order across the two flags is
-        // unnecessary (either one stopping is sufficient and they never
-        // coordinate with each other).
-        while !self.stop.load(Ordering::Acquire) && !SIGNAL_STOP.load(Ordering::Acquire) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    telemetry.counter("server.connections").incr();
-                    // ORDERING: occupancy gate, not a synchronization
-                    // point — Relaxed suffices; an off-by-a-few race at
-                    // the cap only shifts which connection sees the 503.
-                    let live = self.state.live_connections.load(Ordering::Relaxed);
-                    if live >= self.state.max_connections {
-                        refuse_overloaded(stream, &self.state, self.config.io_timeout);
-                        continue;
-                    }
-                    // ORDERING: same occupancy gate as the load
-                    // above; Relaxed suffices.
-                    self.state.live_connections.fetch_add(1, Ordering::Relaxed);
-                    let state = Arc::clone(&self.state);
-                    let guard = ConnGuard {
-                        state: Arc::clone(&self.state),
-                    };
-                    let io_timeout = self.config.io_timeout;
-                    // A failed try_clone or a closed pool drops `conn`
-                    // (and its guard, undoing the count) right here.
-                    if let Ok(conn) = Conn::new(stream, io_timeout, guard) {
-                        if let Some(h) = handle.clone() {
-                            let h2 = h.clone();
-                            let _ = h.submit(move || connection_pass(conn, state, h2));
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    // orex::allow(ORX005): the listener is nonblocking so
-                    // this accept loop must pace its own polling to keep
-                    // observing the stop flags; 2ms bounds shutdown
-                    // latency without burning a core.
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        // Stop accepting. Parked connections observe the drain flag and
-        // close instead of resubmitting; drop our queue handle so the
-        // pool's channel can actually close, then drain queued +
-        // in-flight requests.
-        self.state.draining.store(true, Ordering::Release);
-        drop(handle);
-        pool.join();
-        // Close the backfill queues after the drain (drained requests
-        // may still enqueue) and wait for the builders to finish.
-        self.state.registry.shutdown();
-        {
-            let (lock, cv) = &*collector_stop;
+                });
+            let served = frontend::serve(
+                &listener,
+                &Surface::SERVER,
+                &limits,
+                &stop,
+                &state.traces,
+                |request, fields| route(request, &state, fields),
+            );
+            // Close the backfill queues after the drain (drained requests
+            // may still enqueue) and wait for the builders to finish.
+            state.registry.shutdown();
+            let (lock, cv) = &collector_stop;
             *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
             cv.notify_all();
-        }
-        if let Some(handle) = collector_handle {
-            let _ = handle.join();
-        }
-        telemetry.counter("server.clean_shutdowns").incr();
+            served
+        });
+        served?;
+        orex_telemetry::global()
+            .counter("server.clean_shutdowns")
+            .incr();
         Ok(())
-    }
-}
-
-/// Decrements the live-connection count when a connection ends, on
-/// every exit path (including handler panics unwinding the worker).
-struct ConnGuard {
-    state: Arc<ServerState>,
-}
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        // ORDERING: occupancy statistic, pairs with the accept loop's
-        // Relaxed load; no data is published under this counter.
-        self.state.live_connections.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// One live client connection with its buffered reader (which owns any
-/// already-received pipelined requests) and serving statistics.
-struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    served: u64,
-    idle_since: Instant,
-    /// Held for the connection's lifetime; dropping the `Conn` on any
-    /// path releases its slot under the connection cap.
-    _guard: ConnGuard,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, io_timeout: Duration, guard: ConnGuard) -> io::Result<Self> {
-        let _ = stream.set_read_timeout(Some(io_timeout));
-        let _ = stream.set_write_timeout(Some(io_timeout));
-        let writer = stream.try_clone()?;
-        Ok(Self {
-            reader: BufReader::new(stream),
-            writer,
-            served: 0,
-            idle_since: Instant::now(),
-            _guard: guard,
-        })
-    }
-}
-
-/// Answers an over-cap connection with `503` + `Retry-After` without
-/// occupying a worker. The write happens on the accept-loop thread but
-/// is one small buffer under a write timeout.
-fn refuse_overloaded(mut stream: TcpStream, state: &ServerState, io_timeout: Duration) {
-    let _ = stream.set_write_timeout(Some(io_timeout));
-    orex_telemetry::global()
-        .counter("server.overload_503")
-        .incr();
-    let response = Response::error(503, "server at connection capacity, retry shortly")
-        .with_header("Retry-After", "1");
-    access_log(
-        state,
-        None,
-        &response,
-        &QueryFlags::default(),
-        Duration::ZERO,
-    );
-    let _ = response.write_to(&mut stream, false);
-    // Unread request bytes at close time force an RST that can destroy
-    // the 503 in flight; send our FIN, then drain what the client
-    // already wrote (bounded, short timeout) so the close is graceful.
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(20)));
-    let mut sink = [0u8; 4096];
-    for _ in 0..16 {
-        match io::Read::read(&mut stream, &mut sink) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-    }
-}
-
-/// One scheduling pass over a parked connection: serve the requests
-/// that arrive promptly (pipelined requests drain back-to-back), then
-/// either park the connection again (quiet gap, burst cap) or close it
-/// (client close, protocol error, idle/lifetime limits, drain).
-fn connection_pass(mut conn: Conn, state: Arc<ServerState>, handle: PoolHandle) {
-    let telemetry = orex_telemetry::global();
-    let mut served_this_pass = 0u64;
-    loop {
-        // Acquire pairs with the drain flag's Release store: parked
-        // connections must stop resubmitting once the accept loop exits
-        // or pool.join() would never observe an empty queue.
-        if state.draining.load(Ordering::Acquire) {
-            return; // drop closes the connection
-        }
-        let first = conn.served == 0;
-        // The first request gets the full io timeout (a fresh client
-        // may pause between connect and send, as before keep-alive);
-        // later requests poll briefly so the worker can rotate to other
-        // parked connections during quiet gaps.
-        let _ = conn.writer.set_read_timeout(Some(if first {
-            state.io_timeout
-        } else {
-            KEEPALIVE_POLL
-        }));
-        let start = Instant::now();
-        let request = match read_request(&mut conn.reader, state.max_body_bytes) {
-            Ok(request) => request,
-            Err(ParseError::ConnectionClosed) => return,
-            Err(ParseError::Idle) if !first => {
-                if conn.idle_since.elapsed() >= state.keepalive_idle {
-                    telemetry.counter("server.keepalive_idle_closed").incr();
-                    return;
-                }
-                // Park: some other worker (or this one, later) resumes
-                // the connection; buffered bytes travel with the reader.
-                let state2 = Arc::clone(&state);
-                let handle2 = handle.clone();
-                if !handle.submit(move || connection_pass(conn, state2, handle2)) {
-                    // Pool shut down while parking; the moved conn's
-                    // guard decrements on drop.
-                }
-                return;
-            }
-            Err(ParseError::Idle) | Err(ParseError::Io(_)) => {
-                telemetry.counter("server.request_timeouts").incr();
-                let response = Response::error(408, "timed out reading request");
-                access_log(
-                    &state,
-                    None,
-                    &response,
-                    &QueryFlags::default(),
-                    start.elapsed(),
-                );
-                finish_response(&mut conn, &response, false, start, None);
-                return;
-            }
-            Err(ParseError::BodyTooLarge(_)) => {
-                telemetry.counter("server.requests").incr();
-                let response = Response::error(413, "request body exceeds limit");
-                access_log(
-                    &state,
-                    None,
-                    &response,
-                    &QueryFlags::default(),
-                    start.elapsed(),
-                );
-                finish_response(&mut conn, &response, false, start, None);
-                return;
-            }
-            Err(ParseError::Malformed(why)) => {
-                telemetry.counter("server.requests").incr();
-                let response = Response::error(400, why);
-                access_log(
-                    &state,
-                    None,
-                    &response,
-                    &QueryFlags::default(),
-                    start.elapsed(),
-                );
-                finish_response(&mut conn, &response, false, start, None);
-                return;
-            }
-        };
-
-        telemetry.counter("server.requests").incr();
-        if conn.served > 0 {
-            // A second (or later) request on one connection is the
-            // keep-alive win the transport layer exists for.
-            telemetry.counter("server.keepalive_reuses").incr();
-        }
-        let keep_alive = request.keep_alive() && conn.served + 1 < state.keepalive_requests;
-        let (response, sampled_trace) = handle_request(&request, &state, start);
-        finish_response(&mut conn, &response, keep_alive, start, sampled_trace);
-        conn.served += 1;
-        conn.idle_since = Instant::now();
-        if !keep_alive {
-            return;
-        }
-        served_this_pass += 1;
-        if served_this_pass >= KEEPALIVE_BURST {
-            // Burst cap: park so other connections get a worker.
-            let state2 = Arc::clone(&state);
-            let handle2 = handle.clone();
-            let _ = handle.submit(move || connection_pass(conn, state2, handle2));
-            return;
-        }
-    }
-}
-
-/// Routes one parsed request and produces its response plus the sampled
-/// trace id (for histogram exemplars), emitting the access log inside
-/// the request span.
-///
-/// A request carrying `X-Orex-Trace` joins the caller's trace instead
-/// of minting one: the request span becomes a remote-parent root and
-/// the propagated flags byte overrides the local sampling draw — the
-/// ingress edge of the fleet decides, every hop behind it obeys.
-fn handle_request(
-    request: &Request,
-    state: &Arc<ServerState>,
-    start: Instant,
-) -> (Response, Option<u64>) {
-    let tracer = orex_telemetry::tracer();
-    let context = request
-        .header(orex_telemetry::TraceContext::HEADER)
-        .and_then(orex_telemetry::TraceContext::parse);
-    // Root span of this request's trace; handler spans nest under it.
-    // Dropped before the ring is drained below so the archive sees the
-    // complete trace.
-    let (response, sampled_trace) = {
-        let mut span = tracer.span_with_context("server.request", context);
-        if span.is_recording() {
-            span.attr_str("method", &request.method);
-            span.attr_str("path", &request.path);
-        }
-        let trace_id = span.trace_id().map(|t| t.0);
-        // Only sampled traces reach the archive, so only those make
-        // honest exemplars — an unsampled id would 404 on
-        // `GET /trace/<id>`.
-        let sampled_trace = if span.is_sampled() { trace_id } else { None };
-        let mut flags = QueryFlags::default();
-        let response = route(request, state, trace_id, &mut flags);
-        // Emitted while the span is still open, so the record is
-        // stamped with this request's trace/span ids.
-        access_log(state, Some(request), &response, &flags, start.elapsed());
-        (response, sampled_trace)
-    };
-    state.traces.absorb(tracer.drain());
-    // Slow-trace promotions ride back to the ingress edge on the
-    // response so the router can retro-fetch sibling spans fleet-wide
-    // before they evict.
-    let promoted = tracer.take_promoted();
-    let response = if promoted.is_empty() {
-        response
-    } else {
-        let ids: Vec<String> = promoted.iter().map(u64::to_string).collect();
-        response.with_header("X-Orex-Promoted", ids.join(","))
-    };
-    (response, sampled_trace)
-}
-
-/// Writes the response and records the request metrics.
-fn finish_response(
-    conn: &mut Conn,
-    response: &Response,
-    keep_alive: bool,
-    start: Instant,
-    sampled_trace: Option<u64>,
-) {
-    let telemetry = orex_telemetry::global();
-    telemetry
-        .histogram("server.request_us")
-        .record_with_exemplar(start.elapsed().as_micros() as f64, sampled_trace);
-    telemetry
-        .counter(&format!("server.responses_{}xx", response.status / 100))
-        .incr();
-    let _ = response.write_to(&mut conn.writer, keep_alive);
-}
-
-/// Emits the one `server.access` record every response gets — method,
-/// path, status, body bytes, latency, dataset, cache and precompute
-/// hit/miss — plus a `server.slow` WARN when the request crossed the
-/// slow threshold. Called inside the request span when one exists, so
-/// the records carry the request's trace/span ids; unparseable requests
-/// (4xx before routing) log with `-` placeholders and no trace.
-fn access_log(
-    state: &ServerState,
-    request: Option<&Request>,
-    response: &Response,
-    flags: &QueryFlags,
-    elapsed: Duration,
-) {
-    let log = orex_telemetry::logger();
-    let method = request.map_or("-", |r| r.method.as_str());
-    let path = request.map_or("-", |r| r.path.as_str());
-    let latency_us = elapsed.as_micros() as u64;
-    let mut record = log
-        .info("server.access", "request")
-        .field_str("method", method)
-        .field_str("path", path)
-        .field_u64("status", u64::from(response.status))
-        .field_u64("bytes", response.body.len() as u64)
-        .field_u64("latency_us", latency_us);
-    if let Some(dataset) = &flags.dataset {
-        record = record.field_str("dataset", dataset);
-    }
-    if let Some(hit) = flags.cache_hit {
-        record = record.field_bool("cache_hit", hit);
-    }
-    if let Some(hit) = flags.precompute_hit {
-        record = record.field_bool("precompute_hit", hit);
-    }
-    record.emit();
-    if elapsed >= state.slow_request {
-        log.warn("server.slow", "slow request")
-            .field_str("method", method)
-            .field_str("path", path)
-            .field_u64("status", u64::from(response.status))
-            .field_u64("latency_us", latency_us)
-            .field_u64("threshold_us", state.slow_request.as_micros() as u64)
-            .emit();
     }
 }
 
@@ -727,21 +277,8 @@ fn respond(endpoint: &str, result: Result<Response, ServerError>) -> Response {
     })
 }
 
-fn route(
-    request: &Request,
-    state: &ServerState,
-    trace_id: Option<u64>,
-    flags: &mut QueryFlags,
-) -> Response {
-    let path = request.path.as_str();
-    // Only /logs interprets the query string, but strip it before
-    // segmenting so `/logs?level=...` routes like `/logs`.
-    let (path, query) = path.split_once('?').unwrap_or((path, ""));
-    let segments: Vec<&str> = path
-        .trim_matches('/')
-        .split('/')
-        .filter(|s| !s.is_empty())
-        .collect();
+fn route(request: &Request, state: &ServerState, fields: &mut AccessFields) -> Response {
+    let (segments, query) = request.target();
     match (request.method.as_str(), segments.as_slice()) {
         // The clock header carries this process's tracer time so an
         // ingress probe can estimate cross-process clock offsets for
@@ -754,28 +291,19 @@ fn route(
             let _span = orex_telemetry::global().span("server.metrics_us");
             Response::text(200, orex_telemetry::global().snapshot().to_prometheus())
         }
-        ("POST", ["query"]) => respond("query", handle_query(request, state, trace_id, flags)),
+        ("POST", ["query"]) => respond("query", handle_query(request, state, fields)),
         ("GET", ["datasets"]) => respond("datasets", handle_datasets(state)),
         ("GET", ["explain", sid, node]) => {
-            respond("explain", handle_explain(state, sid, node, flags))
+            respond("explain", handle_explain(state, sid, node, fields))
         }
         ("POST", ["feedback", sid]) => {
-            respond("feedback", handle_feedback(request, state, sid, flags))
+            respond("feedback", handle_feedback(request, state, sid, fields))
         }
         ("GET", ["trace", id]) => respond("trace", handle_trace(state, id, query)),
         ("GET", ["logs"]) => respond("logs", handle_logs(state, query)),
         ("GET", ["profile"]) => respond("profile", handle_profile(query)),
         ("GET", ["debug", "status"]) => respond("status", handle_status(state, query)),
-        ("POST", ["query" | "feedback", ..])
-        | ("GET", ["explain" | "trace" | "logs" | "profile" | "debug" | "datasets", ..]) => {
-            Response::error(404, "no such route")
-        }
-        (
-            _,
-            ["healthz" | "metrics" | "query" | "explain" | "feedback" | "trace" | "logs" | "profile"
-            | "debug" | "datasets", ..],
-        ) => Response::error(405, "method not allowed"),
-        _ => Response::error(404, "no such route"),
+        (method, segments) => frontend::unrouted(method, segments),
     }
 }
 
@@ -840,8 +368,7 @@ fn handle_datasets(state: &ServerState) -> Result<Response, ServerError> {
 fn handle_query(
     request: &Request,
     state: &ServerState,
-    trace_id: Option<u64>,
-    flags: &mut QueryFlags,
+    flags: &mut AccessFields,
 ) -> Result<Response, ServerError> {
     let body = body_object(request)?;
     let Some(query_text) = body.get("query").and_then(Value::as_str) else {
@@ -903,6 +430,10 @@ fn handle_query(
         },
     };
     flags.cache_hit = Some(cached);
+    // The request's trace, so the client can ask `GET /trace/<id>` for it.
+    let trace_id = orex_telemetry::tracer()
+        .current_span()
+        .map(|(trace, _)| trace.0);
     let session = QuerySession::resume(system, snapshot.clone());
     let session_id = state.sessions.insert(&dataset_name, snapshot)?;
     let payload = serde_json::json!({
@@ -927,7 +458,7 @@ fn parse_id(raw: &str) -> Option<u64> {
 fn session_service(
     state: &ServerState,
     sid: u64,
-    flags: &mut QueryFlags,
+    flags: &mut AccessFields,
 ) -> Result<Option<(Arc<DatasetService>, SessionSnapshot)>, ServerError> {
     let Some((dataset, snapshot)) = state.sessions.get(sid)? else {
         return Ok(None);
@@ -941,7 +472,7 @@ fn handle_explain(
     state: &ServerState,
     sid: &str,
     node: &str,
-    flags: &mut QueryFlags,
+    flags: &mut AccessFields,
 ) -> Result<Response, ServerError> {
     let telemetry = orex_telemetry::global();
     let _span = telemetry.span("server.explain_us");
@@ -964,9 +495,7 @@ fn handle_explain(
         return Err(ServerError::BadRequest("node id out of range".into()));
     }
     let explanation = session.explain(target).map_err(|e| session_error(&e))?;
-    let summary = session
-        .explain_summary(target, 8)
-        .map_err(|e| session_error(&e))?;
+    let summary = orex_explain::summarize(&explanation, system.transfer(), system.graph(), 8);
     let meta_paths: Vec<Value> = summary
         .iter()
         .map(|m| {
@@ -998,7 +527,7 @@ fn handle_feedback(
     request: &Request,
     state: &ServerState,
     sid: &str,
-    flags: &mut QueryFlags,
+    flags: &mut AccessFields,
 ) -> Result<Response, ServerError> {
     let telemetry = orex_telemetry::global();
     let _span = telemetry.span("server.feedback_us");

@@ -1,9 +1,9 @@
 //! # orex-store — persistence substrate
 //!
 //! Binary snapshots of data graphs and trained rates vectors, and the
-//! precomputed rank-vector cache that Section 6.2 of the paper names as
-//! the scalability path for exploratory search over the large datasets
-//! ("precompute ObjectRank2 values as in \[BHP04\]"). All formats carry a
+//! precomputed single-keyword rank vectors that Section 6.2 of the paper
+//! names as the scalability path for exploratory search over the large
+//! datasets ("precompute ObjectRank2 values as in \[BHP04\]"). All formats carry a
 //! magic, a version and an FNV-1a checksum; loading re-validates graph
 //! conformance and rates validity, so persistence cannot bypass the
 //! invariants the in-memory builders enforce.
@@ -14,14 +14,12 @@
 mod codec;
 mod error;
 mod precompute;
-mod rank_cache;
 mod snapshot;
 mod text_format;
 
 pub use codec::{fnv1a, Reader, Writer, FORMAT_VERSION};
 pub use error::{Result, StoreError};
 pub use precompute::{term_base, PrecomputedRanks};
-pub use rank_cache::{RankCache, GLOBAL_KEY};
 pub use snapshot::{
     decode_graph, decode_rates, encode_graph, encode_rates, load_graph, load_rates, save_graph,
     save_rates,

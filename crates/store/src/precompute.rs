@@ -8,9 +8,8 @@
 //! base set decomposes as `s_Q = Σ_t c_t · s_t` the ranking is exactly
 //! `r_Q = Σ_t c_t · r_t` — no iteration at serving time.
 //!
-//! Unlike [`crate::RankCache`] (which composes an *approximate*
-//! warm-start seed), this store keeps the ingredient the exact
-//! combination needs: each term's **unit base mass** — the L1 weight of
+//! The store keeps the ingredient the exact combination needs beside
+//! each vector: the term's **unit base mass** — the L1 weight of
 //! its raw IR base-set scores at query weight 1.0. The live path builds
 //! `s_Q` by summing `query_factor(w_t) ·` (raw per-term scores) and
 //! normalizing, so the correct coefficients are

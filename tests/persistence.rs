@@ -6,7 +6,8 @@ use orex::datagen::{generate_dblp, DblpConfig, TextConfig};
 use orex::ir::Query;
 use orex::{ObjectRankSystem, QuerySession, SystemConfig};
 use orex_store::{
-    decode_graph, decode_rates, encode_graph, encode_rates, parse_text, to_text, RankCache,
+    decode_graph, decode_rates, encode_graph, encode_rates, fnv1a, parse_text, to_text,
+    PrecomputedRanks,
 };
 
 fn dataset() -> orex::datagen::Dataset {
@@ -83,10 +84,11 @@ fn trained_system_survives_snapshot_roundtrip() {
 }
 
 #[test]
-fn rank_cache_accelerates_fresh_system() {
+fn precomputed_ranks_answer_a_query_after_a_byte_roundtrip() {
     let d = dataset();
     let sys = ObjectRankSystem::new(d.graph, d.ground_truth, SystemConfig::default());
     let matrix = orex::authority::TransitionMatrix::new(sys.transfer(), sys.initial_rates());
+    let okapi = orex::ir::Okapi::default();
     let terms: Vec<String> = ["data", "queri", "graph"]
         .iter()
         .map(|s| s.to_string())
@@ -96,36 +98,28 @@ fn rank_cache_accelerates_fresh_system() {
         max_iterations: 500,
         ..sys.config().rank
     };
-    let cache = RankCache::precompute(
-        &matrix,
-        sys.index(),
-        &orex::ir::Okapi::default(),
-        &terms,
-        &params,
-    );
-    // Roundtrip the cache through bytes.
-    let cache = RankCache::decode(cache.encode()).unwrap();
+    let hash = fnv1a(&encode_graph(sys.graph()));
+    let built = PrecomputedRanks::build(&matrix, sys.index(), &okapi, &terms, &params, hash);
+    // Roundtrip the store through bytes: manifest and vectors survive.
+    let store = PrecomputedRanks::decode(built.encode()).unwrap();
+    assert_eq!(store.dataset_hash(), hash);
+    assert_eq!(store.node_count(), sys.graph().node_count());
+    assert_eq!(store.terms(), built.terms());
+
+    // A covered multi-keyword query is answered by linear combination,
+    // with no iteration, and agrees with a live run to convergence slack
+    // plus f32 storage rounding.
     let qv = orex::ir::QueryVector::initial(&Query::parse("data graph"), sys.index().analyzer());
-    let seed = cache.seed_for_query(&qv).unwrap();
-    let cold = orex::authority::object_rank2(
-        &matrix,
-        sys.index(),
-        &qv,
-        &orex::ir::Okapi::default(),
-        &params,
-        None,
-    )
-    .unwrap();
-    let warm = orex::authority::object_rank2(
-        &matrix,
-        sys.index(),
-        &qv,
-        &orex::ir::Okapi::default(),
-        &params,
-        Some(&seed),
-    )
-    .unwrap();
-    assert!(warm.iterations < cold.iterations);
+    assert!(store.covers(&qv, sys.index()));
+    let combined = store.combine(&qv, &okapi).unwrap();
+    let live =
+        orex::authority::object_rank2(&matrix, sys.index(), &qv, &okapi, &params, None).unwrap();
+    let diff: f64 = combined
+        .iter()
+        .zip(&live.scores)
+        .map(|(a, b)| (a - b).abs())
+        .sum();
+    assert!(diff < params.epsilon * 10.0 + 1e-4, "L1 diff {diff}");
 }
 
 #[test]
