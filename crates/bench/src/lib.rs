@@ -2,9 +2,9 @@
 //!
 //! One binary per table/figure of Section 6 (run with
 //! `cargo run -p orex-bench --release --bin <name> [-- --scale 1.0]`)
-//! plus Criterion micro-benchmarks for the timing kernels
-//! (`cargo bench -p orex-bench`). This library holds the shared plumbing:
-//! CLI parsing, dataset construction, query selection and result output.
+//! plus the serving benchmark under `src/bin/perf/`. This library holds
+//! the plumbing the figure binaries share: CLI parsing, dataset
+//! construction, query selection and result output.
 
 #![warn(missing_docs)]
 

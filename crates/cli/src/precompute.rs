@@ -179,8 +179,7 @@ pub fn run_precompute(
     writeln!(out, "manifest: {manifest_path}")?;
 
     // A full telemetry snapshot (counters + histograms from the batched
-    // kernel) in the layout `orex stats --snapshot/--diff` consumes, for
-    // the CI perf gate.
+    // kernel) in the layout `orex stats --snapshot` consumes.
     if let Some(path) = stats_path {
         if let Err(e) = std::fs::write(&path, orex_telemetry::global().snapshot().to_json_pretty())
         {

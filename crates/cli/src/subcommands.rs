@@ -3,11 +3,10 @@
 //! `orex trace "<query>"` runs one query end-to-end with tracing enabled
 //! and exports the collected span tree (Chrome trace-event JSON or folded
 //! stacks for flamegraph tooling). `orex stats` renders the telemetry
-//! snapshot (JSON or Prometheus text exposition) and, with `--diff`,
-//! compares it against one or more baseline snapshots for the CI perf
-//! gate. Both are plumbing around the `orex-telemetry` APIs; anything
-//! ranking-related goes through the ordinary [`QuerySession`] path so the
-//! traces reflect real production spans.
+//! snapshot (JSON or Prometheus text exposition). Both are plumbing
+//! around the `orex-telemetry` APIs; anything ranking-related goes
+//! through the ordinary [`QuerySession`] path so the traces reflect real
+//! production spans.
 
 use orex_core::{ObjectRankSystem, QuerySession, SystemConfig};
 use orex_datagen::Preset;
@@ -33,10 +32,7 @@ usage:
                              per router/worker that recorded spans for
                              that trace id
   orex stats [--format json|prom] [--snapshot FILE]
-             [--diff BASELINE.json]... [--threshold F] [--metrics a,b]
-                             dump telemetry; with --diff, compare against
-                             the median of the baselines and exit 1 on a
-                             regression above the threshold (default 0.2)
+                             dump telemetry, or re-render a saved snapshot
   orex serve [--addr A] [--preset NAME] [--scale F]
              [--dataset NAME=PRESET:SCALE[:PRECOMPUTE]]... [--eager]
              [--threads N]
@@ -122,16 +118,6 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Returns every value following any occurrence of `flag` (repeatable
-/// flags such as `--diff`).
-fn flag_values(args: &[String], flag: &str) -> Vec<String> {
-    args.iter()
-        .enumerate()
-        .filter(|(_, a)| *a == flag)
-        .filter_map(|(i, _)| args.get(i + 1).cloned())
-        .collect()
 }
 
 /// The positional arguments: everything not a flag or a flag's value.
@@ -297,9 +283,9 @@ fn run_trace_fleet(
     Ok(0)
 }
 
-/// `orex stats [--format json|prom] [--snapshot FILE] [--diff FILE]...
-/// [--threshold F] [--metrics a,b]` — dump or compare telemetry.
-/// Returns the process exit code (1 when a regression trips the gate).
+/// `orex stats [--format json|prom] [--snapshot FILE]` — dump the
+/// telemetry snapshot of this process, or re-render a saved one.
+/// Returns the process exit code.
 pub fn run_stats(
     args: &[String],
     out: &mut dyn Write,
@@ -310,17 +296,6 @@ pub fn run_stats(
         writeln!(err, "stats: unknown format '{format}' (json|prom)")?;
         return Ok(2);
     }
-    let threshold: f64 = match flag_value(args, "--threshold").map(|s| s.parse()) {
-        None => 0.2,
-        Some(Ok(v)) => v,
-        Some(Err(_)) => {
-            writeln!(err, "stats: --threshold expects a number")?;
-            return Ok(2);
-        }
-    };
-    let watched: Option<Vec<String>> =
-        flag_value(args, "--metrics").map(|s| s.split(',').map(|m| m.trim().to_string()).collect());
-
     let current = match flag_value(args, "--snapshot") {
         Some(path) => match load_snapshot(&path) {
             Ok(s) => s,
@@ -331,79 +306,11 @@ pub fn run_stats(
         },
         None => orex_telemetry::global().snapshot(),
     };
-
-    let baseline_paths = flag_values(args, "--diff");
-    if baseline_paths.is_empty() {
-        match format.as_str() {
-            "prom" => write!(out, "{}", current.to_prometheus())?,
-            _ => writeln!(out, "{}", current.to_json_pretty())?,
-        }
-        return Ok(0);
+    match format.as_str() {
+        "prom" => write!(out, "{}", current.to_prometheus())?,
+        _ => writeln!(out, "{}", current.to_json_pretty())?,
     }
-
-    let mut baselines = Vec::new();
-    for path in &baseline_paths {
-        match load_snapshot(path) {
-            Ok(s) => baselines.push(s),
-            Err(e) => {
-                writeln!(err, "stats: {e}")?;
-                return Ok(2);
-            }
-        }
-    }
-    let median = Snapshot::median(&baselines);
-    let diff = current.diff(&median);
-    let keep = |name: &str| watched.as_ref().is_none_or(|w| w.iter().any(|m| m == name));
-
-    writeln!(
-        out,
-        "comparing against the median of {} baseline(s), threshold {:.0}%:",
-        baselines.len(),
-        threshold * 100.0
-    )?;
-    let mut failed = false;
-    let mut shown = 0usize;
-    for d in &diff.deltas {
-        if !keep(&d.name) {
-            continue;
-        }
-        shown += 1;
-        // A zero (or absent-mean) baseline makes the relative delta
-        // +inf or NaN: the metric is effectively *new* in this run, and
-        // "infinitely regressed" would fail every first run that adds a
-        // metric. Report it without gating on it.
-        let comparable = d.relative.is_finite();
-        let regressed = comparable && d.relative > threshold;
-        failed |= regressed;
-        let rendered_delta = if comparable {
-            format!("{:>+8.1}%", d.relative * 100.0)
-        } else if d.relative.is_infinite() {
-            format!("{:>9}", "new")
-        } else {
-            format!("{:>9}", "n/a")
-        };
-        writeln!(
-            out,
-            "  {} {:<34} {:>12.3} -> {:>12.3}  {rendered_delta}{}",
-            if regressed { "FAIL" } else { "  ok" },
-            d.name,
-            d.baseline,
-            d.current,
-            if regressed { "  REGRESSION" } else { "" },
-        )?;
-    }
-    if shown == 0 {
-        writeln!(
-            out,
-            "  no overlapping metrics to compare{}",
-            if watched.is_some() {
-                " (check --metrics names)"
-            } else {
-                ""
-            }
-        )?;
-    }
-    Ok(if failed { 1 } else { 0 })
+    Ok(0)
 }
 
 /// Loads a telemetry [`Snapshot`] from a JSON file. Accepts both raw
@@ -419,7 +326,7 @@ pub fn load_snapshot(path: &str) -> Result<Snapshot, String> {
 /// Decodes the JSON layout produced by [`Snapshot::to_json_pretty`] (and
 /// mirrored by the bench harness) back into a [`Snapshot`]. Unknown keys
 /// are ignored; missing histogram fields default to zero so older
-/// artifacts without bucket arrays still diff.
+/// artifacts without bucket arrays still load.
 pub fn snapshot_from_json(v: &serde_json::Value) -> Result<Snapshot, String> {
     let obj = v.as_object().ok_or("snapshot is not a JSON object")?;
     let mut snapshot = Snapshot::default();
@@ -611,104 +518,21 @@ mod tests {
     }
 
     #[test]
-    fn stats_diff_gates_on_regression() {
-        let dir = std::env::temp_dir().join("orex-stats-diff-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let write = |name: &str, rank_us: f64| {
-            let path = dir.join(name);
-            std::fs::write(
-                &path,
-                format!(
-                    r#"{{"telemetry":{{"counters":{{}},"gauges":{{}},"histograms":{{
-                        "session.rank_us":{{"count":4,"sum":{s},"min":1.0,"max":{m},
-                        "mean":{m},"p50":{m},"p95":{m}}}}}}}}}"#,
-                    s = rank_us * 4.0,
-                    m = rank_us
-                ),
-            )
-            .unwrap();
-            path.display().to_string()
-        };
-        let b1 = write("b1.json", 100.0);
-        let b2 = write("b2.json", 110.0);
-        let b3 = write("b3.json", 120.0);
-        let slow = write("current.json", 200.0);
-        let fine = write("fine.json", 112.0);
-
-        // 200µs vs median 110µs: +81% > 20% → gate trips.
-        let (code, out) = run(|o, e| {
-            run_stats(
-                &args(&[
-                    "--snapshot",
-                    &slow,
-                    "--diff",
-                    &b1,
-                    "--diff",
-                    &b2,
-                    "--diff",
-                    &b3,
-                    "--metrics",
-                    "session.rank_us",
-                ]),
-                o,
-                e,
-            )
-        });
-        assert_eq!(code, 1, "{out}");
-        assert!(out.contains("REGRESSION"), "{out}");
-
-        // 112µs vs median 110µs: within threshold → pass.
-        let (code, out) = run(|o, e| {
-            run_stats(
-                &args(&[
-                    "--snapshot",
-                    &fine,
-                    "--diff",
-                    &b1,
-                    "--diff",
-                    &b2,
-                    "--diff",
-                    &b3,
-                    "--metrics",
-                    "session.rank_us",
-                ]),
-                o,
-                e,
-            )
-        });
-        assert_eq!(code, 0, "{out}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stats_diff_reports_zero_baseline_metrics_as_new_without_gating() {
-        let dir = std::env::temp_dir().join("orex-stats-newmetric-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let write = |name: &str, body: &str| {
-            let path = dir.join(name);
-            std::fs::write(&path, body).unwrap();
-            path.display().to_string()
-        };
-        // The baseline recorded the counter as zero (e.g. the metric was
-        // introduced after the baseline was captured); the current run
-        // has it non-zero. The relative delta is +inf — it must render
-        // as "new" and must NOT trip the regression gate.
-        let baseline = write(
-            "baseline.json",
-            r#"{"counters":{"server.requests":0},"gauges":{},"histograms":{}}"#,
-        );
-        let current = write(
-            "current.json",
-            r#"{"counters":{"server.requests":41},"gauges":{},"histograms":{}}"#,
-        );
+    fn stats_snapshot_rerenders_a_bench_artifact() {
+        let path = std::env::temp_dir().join("orex-stats-snapshot-test.json");
+        std::fs::write(
+            &path,
+            r#"{"telemetry":{"counters":{"server.requests":41},"gauges":{},"histograms":{}}}"#,
+        )
+        .unwrap();
+        let file = path.display().to_string();
         let (code, out) =
-            run(|o, e| run_stats(&args(&["--snapshot", &current, "--diff", &baseline]), o, e));
-        assert_eq!(code, 0, "new metrics must not fail the gate: {out}");
-        assert!(out.contains("new"), "{out}");
-        assert!(!out.contains("REGRESSION"), "{out}");
-        assert!(!out.contains("inf"), "{out}");
-        assert!(!out.contains("NaN"), "{out}");
-        let _ = std::fs::remove_dir_all(&dir);
+            run(|o, e| run_stats(&args(&["--snapshot", &file, "--format", "prom"]), o, e));
+        assert_eq!(code, 0, "{out}");
+        assert!(out.contains("orex_server_requests 41"), "{out}");
+        let (code, _) = run(|o, e| run_stats(&args(&["--snapshot", "/nonexistent"]), o, e));
+        assert_eq!(code, 2);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -203,15 +203,13 @@ impl<'s> QuerySession<'s> {
             rank_converged: result.converged,
             ..StepStats::default()
         };
-        // Reclaim the weights from the matrix by recomputing once — the
-        // matrix borrowed them; sessions keep their own copy for
-        // explanation calls.
-        let weights = system.transfer().weights(&rates);
         Ok(Self {
             system,
             query: qv,
             rates,
-            weights,
+            // Copied out only now, after the iteration's scratch is
+            // gone, so the second |E| vector never adds to the peak.
+            weights: matrix.edge_weights().to_vec(),
             scores: result.scores,
             history: vec![stats],
         })

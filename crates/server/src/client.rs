@@ -1,8 +1,8 @@
 //! A pooled keep-alive HTTP/1.1 client.
 //!
-//! The router's proxy hop and the loadgen traffic model both talk to
-//! orex servers over many small requests; paying a TCP connect per
-//! request would dominate their latency. This client keeps finished
+//! The router's proxy hop and `orex top` both talk to orex servers
+//! over many small requests; paying a TCP connect per request would
+//! dominate their latency. This client keeps finished
 //! connections in a per-target idle pool and reuses them for later
 //! requests, counting connects vs. requests so callers can assert a
 //! reuse ratio. A reused connection that fails mid-request (the server

@@ -15,7 +15,7 @@
 //! under a connection cap, handlers on [`ServerConfig::threads`]
 //! dedicated threads, and one request envelope of trace, metrics and
 //! access log. A pooled [`HttpClient`] is shared by the router's proxy
-//! hop, the loadgen harness and the CLI.
+//! hop and the CLI.
 //!
 //! ## Endpoints
 //!

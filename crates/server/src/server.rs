@@ -489,11 +489,11 @@ fn handle_explain(
         return Err(ServerError::NotFound("no such session (expired?)".into()));
     };
     let system = service.system();
-    let session = QuerySession::resume(system, snapshot);
-    let target = NodeId::new(node);
     if node as usize >= system.graph().node_count() {
         return Err(ServerError::BadRequest("node id out of range".into()));
     }
+    let session = QuerySession::resume(system, snapshot);
+    let target = NodeId::new(node);
     let explanation = session.explain(target).map_err(|e| session_error(&e))?;
     let summary = orex_explain::summarize(&explanation, system.transfer(), system.graph(), 8);
     let meta_paths: Vec<Value> = summary
@@ -562,12 +562,9 @@ fn handle_feedback(
     // feedback round, store the advanced state back.
     let mut session = QuerySession::resume(system, snapshot);
     let stats = session.feedback(&objects).map_err(|e| session_error(&e))?;
-    let advanced = session.snapshot();
-    if !state.sessions.update(sid, advanced.clone())? {
-        // Session expired mid-round; re-insert so the client's id error
-        // on the *next* call, not this one, stays consistent.
-        state.sessions.insert(service.name(), advanced)?;
-    }
+    // A session that expired mid-round is not revived: this response
+    // still answers, and the next call on `sid` gets the 404.
+    state.sessions.update(sid, session.snapshot())?;
     let payload = serde_json::json!({
         "session": sid,
         "round": session.round() as u64,

@@ -99,8 +99,8 @@ impl SessionTable {
     }
 
     /// Replaces the snapshot for `id` (after a feedback round). Returns
-    /// false if the session vanished (expired/evicted) in the meantime —
-    /// the caller re-inserts in that case.
+    /// false if the session vanished (expired/evicted) in the meantime;
+    /// it is not revived, so the next call on `id` is a 404.
     pub fn update(&self, id: u64, snapshot: SessionSnapshot) -> Result<bool, ServerError> {
         let mut entries = self.locked()?;
         Ok(match entries.get_mut(&id) {

@@ -474,6 +474,8 @@ fn concurrent_clients_see_no_server_errors() {
     let (_, keyword) = fixture();
     let server = TestServer::spawn_default();
     let addr = server.addr;
+    // The logger ring is process-global; only this test's records count.
+    let _ = orex_telemetry::logger().drain();
 
     let statuses: Vec<u16> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..64)
@@ -496,6 +498,29 @@ fn concurrent_clients_see_no_server_errors() {
     for status in statuses {
         assert!(status < 500, "no server errors under concurrency");
         assert_ne!(status, 0, "no dropped connections");
+    }
+
+    // The operator surfaces agree with the status codes: nothing logged
+    // at ERROR, and no SLO burning after clean traffic.
+    let errors = get(addr, "/logs?level=error");
+    assert_eq!(errors.status, 200);
+    assert_eq!(errors.body.trim(), "", "ERROR records under clean load");
+    let board = get(addr, "/debug/status?format=json");
+    assert_eq!(board.status, 200, "{}", board.body);
+    assert_no_slo_burning(&board.json());
+}
+
+/// Every SLO on a `/debug/status?format=json` document is present and
+/// not burning.
+fn assert_no_slo_burning(doc: &Value) {
+    let slos = doc.get("slos").and_then(Value::as_array).unwrap();
+    assert!(!slos.is_empty());
+    for s in slos {
+        assert_eq!(
+            s.get("burning").and_then(Value::as_bool),
+            Some(false),
+            "clean traffic must not burn: {s:?}"
+        );
     }
 }
 
@@ -857,15 +882,7 @@ fn debug_status_serves_red_rows_occupancy_and_slos() {
     }
     let occupancy = doc.get("occupancy").expect("occupancy");
     assert!(occupancy.get("sessions").and_then(Value::as_u64).unwrap() >= 1);
-    let slos = doc.get("slos").and_then(Value::as_array).unwrap();
-    assert!(!slos.is_empty());
-    for s in slos {
-        assert_eq!(
-            s.get("burning").and_then(Value::as_bool),
-            Some(false),
-            "clean traffic must not burn: {s:?}"
-        );
-    }
+    assert_no_slo_burning(&doc);
     assert!(doc.get("uptime_s").and_then(Value::as_f64).unwrap() >= 0.0);
 
     // SLO gauges surface on /metrics as orex_slo_* series.
@@ -991,7 +1008,7 @@ fn request_histogram_exemplars_resolve_to_served_traces() {
 }
 
 /// POST with an `X-Orex-Trace` header attached — the cross-process
-/// propagation path a router (or loadgen) exercises.
+/// propagation path a router exercises.
 fn post_traced(addr: SocketAddr, path: &str, body: &str, context: &str) -> Reply {
     raw(
         addr,

@@ -767,161 +767,10 @@ pub struct Snapshot {
     pub histograms: BTreeMap<String, HistogramSummary>,
 }
 
-/// One metric's change between a baseline and a current snapshot; see
-/// [`Snapshot::diff`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct MetricDelta {
-    /// Metric name.
-    pub name: String,
-    /// `"counter"`, `"gauge"`, or `"histogram_mean"` — what was compared.
-    pub kind: &'static str,
-    /// Baseline value (counter value, gauge value, or histogram mean).
-    pub baseline: f64,
-    /// Current value on the same scale as `baseline`.
-    pub current: f64,
-    /// `(current - baseline) / baseline`; `+Inf` when the baseline is 0
-    /// and the current value is not.
-    pub relative: f64,
-}
-
-/// Per-metric relative deltas between two snapshots; see
-/// [`Snapshot::diff`]. Only metrics present in both snapshots appear.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SnapshotDiff {
-    /// Deltas, name-sorted.
-    pub deltas: Vec<MetricDelta>,
-}
-
-impl SnapshotDiff {
-    /// Looks up one metric's delta by name.
-    pub fn get(&self, name: &str) -> Option<&MetricDelta> {
-        self.deltas.iter().find(|d| d.name == name)
-    }
-
-    /// Deltas whose relative increase exceeds `threshold` (e.g. `0.2`
-    /// flags >20% regressions). Timings and counters both regress
-    /// upward, so only positive deltas count.
-    pub fn regressions(&self, threshold: f64) -> Vec<&MetricDelta> {
-        self.deltas
-            .iter()
-            .filter(|d| d.relative > threshold)
-            .collect()
-    }
-}
-
 impl Snapshot {
     /// True when no metric has been recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Compares this snapshot against a baseline, producing one relative
-    /// delta per metric present in both: counters and gauges by value,
-    /// histograms by mean (`sum / count`) so sample-count differences
-    /// between runs don't masquerade as timing changes.
-    pub fn diff(&self, baseline: &Snapshot) -> SnapshotDiff {
-        fn delta(name: &str, kind: &'static str, baseline: f64, current: f64) -> MetricDelta {
-            let relative = if baseline == 0.0 {
-                if current == 0.0 {
-                    0.0
-                } else {
-                    f64::INFINITY
-                }
-            } else {
-                (current - baseline) / baseline
-            };
-            MetricDelta {
-                name: name.to_string(),
-                kind,
-                baseline,
-                current,
-                relative,
-            }
-        }
-        let mut deltas = Vec::new();
-        for (name, cur) in &self.counters {
-            if let Some(base) = baseline.counters.get(name) {
-                deltas.push(delta(name, "counter", *base as f64, *cur as f64));
-            }
-        }
-        for (name, cur) in &self.gauges {
-            if let Some(base) = baseline.gauges.get(name) {
-                deltas.push(delta(name, "gauge", *base, *cur));
-            }
-        }
-        for (name, cur) in &self.histograms {
-            if let Some(base) = baseline.histograms.get(name) {
-                deltas.push(delta(name, "histogram_mean", base.mean, cur.mean));
-            }
-        }
-        deltas.sort_by(|a, b| a.name.cmp(&b.name));
-        SnapshotDiff { deltas }
-    }
-
-    /// Element-wise median across snapshots — the robust baseline for CI
-    /// regression gates. A metric appears in the result if any input has
-    /// it; each field takes the median of the values that are present.
-    pub fn median(snapshots: &[Snapshot]) -> Snapshot {
-        fn median_u64(mut v: Vec<u64>) -> u64 {
-            v.sort_unstable();
-            v[v.len() / 2]
-        }
-        fn median_f64(mut v: Vec<f64>) -> f64 {
-            v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            v[v.len() / 2]
-        }
-        let mut out = Snapshot::default();
-        let mut counter_names: Vec<&String> =
-            snapshots.iter().flat_map(|s| s.counters.keys()).collect();
-        counter_names.sort();
-        counter_names.dedup();
-        for name in counter_names {
-            let vals: Vec<u64> = snapshots
-                .iter()
-                .filter_map(|s| s.counters.get(name).copied())
-                .collect();
-            out.counters.insert(name.clone(), median_u64(vals));
-        }
-        let mut gauge_names: Vec<&String> =
-            snapshots.iter().flat_map(|s| s.gauges.keys()).collect();
-        gauge_names.sort();
-        gauge_names.dedup();
-        for name in gauge_names {
-            let vals: Vec<f64> = snapshots
-                .iter()
-                .filter_map(|s| s.gauges.get(name).copied())
-                .collect();
-            out.gauges.insert(name.clone(), median_f64(vals));
-        }
-        let mut hist_names: Vec<&String> =
-            snapshots.iter().flat_map(|s| s.histograms.keys()).collect();
-        hist_names.sort();
-        hist_names.dedup();
-        for name in hist_names {
-            let hs: Vec<&HistogramSummary> = snapshots
-                .iter()
-                .filter_map(|s| s.histograms.get(name))
-                .collect();
-            let field =
-                |f: fn(&HistogramSummary) -> f64| median_f64(hs.iter().map(|h| f(h)).collect());
-            let summary = HistogramSummary {
-                count: median_u64(hs.iter().map(|h| h.count).collect()),
-                sum: field(|h| h.sum),
-                min: field(|h| h.min),
-                max: field(|h| h.max),
-                mean: field(|h| h.mean),
-                p50: field(|h| h.p50),
-                p95: field(|h| h.p95),
-                buckets: std::array::from_fn(|i| {
-                    median_u64(hs.iter().map(|h| h.buckets[i]).collect())
-                }),
-                // Exemplars are point-in-time trace links, meaningless to
-                // median across runs.
-                exemplars: [None; BUCKETS],
-            };
-            out.histograms.insert(name.clone(), summary);
-        }
-        out
     }
 
     /// Renders the snapshot in Prometheus text exposition format.
@@ -1405,45 +1254,6 @@ mod tests {
         // visible and the metric re-registered.
         c.add(1);
         assert!(r.snapshot().counters["contended.ops"] >= 1);
-    }
-
-    #[test]
-    fn snapshot_diff_reports_relative_deltas() {
-        let base = Recorder::new();
-        base.counter("c").add(10);
-        base.histogram("h.us").record(100.0);
-        let cur = Recorder::new();
-        cur.counter("c").add(15);
-        cur.histogram("h.us").record(130.0);
-        cur.counter("only.current").incr();
-        let diff = cur.snapshot().diff(&base.snapshot());
-        let c = diff.get("c").unwrap();
-        assert_eq!(c.kind, "counter");
-        assert!((c.relative - 0.5).abs() < 1e-12, "{}", c.relative);
-        let h = diff.get("h.us").unwrap();
-        assert_eq!(h.kind, "histogram_mean");
-        assert!((h.relative - 0.3).abs() < 1e-12, "{}", h.relative);
-        assert!(diff.get("only.current").is_none(), "unmatched metrics skip");
-        assert_eq!(diff.regressions(0.4).len(), 1);
-        assert_eq!(diff.regressions(0.4)[0].name, "c");
-        assert_eq!(diff.regressions(0.6).len(), 0);
-    }
-
-    #[test]
-    fn snapshot_median_is_per_metric() {
-        let snaps: Vec<Snapshot> = [5u64, 50, 7]
-            .iter()
-            .map(|&v| {
-                let r = Recorder::new();
-                r.counter("c").add(v);
-                r.histogram("h").record(v as f64);
-                r.snapshot()
-            })
-            .collect();
-        let med = Snapshot::median(&snaps);
-        assert_eq!(med.counters["c"], 7);
-        assert_eq!(med.histograms["h"].mean, 7.0);
-        assert_eq!(med.histograms["h"].count, 1);
     }
 
     #[test]

@@ -243,7 +243,7 @@ impl SloTracker {
     }
 }
 
-/// The serving SLOs the status board and loadgen gate on: availability
+/// The serving SLOs the status board reports on: availability
 /// per endpoint (non-5xx responses) and latency for the request path.
 /// Latency thresholds sit on power-of-two bucket bounds (2^18 µs ≈
 /// 262 ms) because the histogram only resolves bucket edges.
