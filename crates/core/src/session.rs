@@ -14,6 +14,7 @@ use orex_explain::{ExplainError, Explanation};
 use orex_graph::{NodeId, TransferRates};
 use orex_ir::{Query, QueryVector};
 use orex_reformulate::{reformulate, ReformulateParams};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A ranked result with its display name.
@@ -86,12 +87,52 @@ impl From<ExplainError> for SessionError {
     }
 }
 
-/// A captured session state (see [`QuerySession::snapshot`]).
+/// One converged score vector with the memoised head of its ranking.
+///
+/// Built once per ranking and never edited: the session, its snapshots
+/// and every clone of them share one instance, and a feedback round
+/// installs a fresh one. That is what lets a server hand the same
+/// |V|-sized vector to its result cache, its session table and any
+/// number of concurrent requests without copying it.
+#[derive(Debug)]
+struct RankedScores {
+    values: Vec<f64>,
+    /// `(k, top_k(values, k, 0.0))` for the largest `k` asked for so far.
+    top: Mutex<(usize, Vec<Ranked>)>,
+}
+
+impl RankedScores {
+    fn new(values: Vec<f64>) -> Arc<Self> {
+        Arc::new(Self {
+            values,
+            top: Mutex::new((0, Vec::new())),
+        })
+    }
+
+    /// `top_k(values, k, 0.0)`, scanning `values` only when `k` exceeds
+    /// what the memo can answer. `top_k` orders by (score descending,
+    /// node ascending), a total order, so the list for `k` is a prefix
+    /// of the list for any larger `k`; a memoised list shorter than the
+    /// `k` it was computed for holds every positive score and answers
+    /// every `k`.
+    fn top_k(&self, k: usize) -> Vec<Ranked> {
+        // The memo is replaced whole, so a poisoned lock still guards a
+        // consistent pair.
+        let mut memo = self.top.lock().unwrap_or_else(PoisonError::into_inner);
+        if k > memo.0 && memo.1.len() == memo.0 {
+            *memo = (k, top_k(&self.values, k, 0.0));
+        }
+        memo.1[..k.min(memo.1.len())].to_vec()
+    }
+}
+
+/// A captured session state (see [`QuerySession::snapshot`]). Cloning
+/// one shares its score vector rather than copying it.
 #[derive(Clone, Debug)]
 pub struct SessionSnapshot {
     query: QueryVector,
     rates: TransferRates,
-    scores: Vec<f64>,
+    scores: Arc<RankedScores>,
     history: Vec<StepStats>,
 }
 
@@ -108,14 +149,14 @@ impl SessionSnapshot {
         Self {
             query,
             rates,
-            scores,
+            scores: RankedScores::new(scores),
             history: vec![StepStats::default()],
         }
     }
 
     /// The score vector captured in this snapshot.
     pub fn scores(&self) -> &[f64] {
-        &self.scores
+        &self.scores.values
     }
 
     /// The query vector captured in this snapshot.
@@ -134,10 +175,12 @@ pub struct QuerySession<'s> {
     system: &'s ObjectRankSystem,
     query: QueryVector,
     rates: TransferRates,
-    /// Per-transfer-edge alpha weights for `rates`.
-    weights: Vec<f64>,
-    /// Converged ObjectRank2 scores of the current query.
-    scores: Vec<f64>,
+    /// Per-transfer-edge alpha weights for `rates`, derived on the first
+    /// explanation that needs them (see [`Self::weights`]).
+    weights: OnceLock<Vec<f64>>,
+    /// Converged ObjectRank2 scores of the current query, shared with
+    /// every snapshot taken of them.
+    scores: Arc<RankedScores>,
     /// Stats per step: index 0 is the initial query.
     history: Vec<StepStats>,
 }
@@ -149,7 +192,10 @@ impl<'s> QuerySession<'s> {
     }
 
     /// Executes the initial query with explicit starting rates (used by
-    /// the training experiments, which initialize all rates to 0.3).
+    /// the training experiments, which initialize all rates to 0.3). The
+    /// edge weights derived for the ranking go into its transition matrix
+    /// and are dropped with it; the session derives its own only if an
+    /// explanation is asked for.
     pub fn start_with(
         system: &'s ObjectRankSystem,
         query: &Query,
@@ -207,10 +253,8 @@ impl<'s> QuerySession<'s> {
             system,
             query: qv,
             rates,
-            // Copied out only now, after the iteration's scratch is
-            // gone, so the second |E| vector never adds to the peak.
-            weights: matrix.edge_weights().to_vec(),
-            scores: result.scores,
+            weights: OnceLock::new(),
+            scores: RankedScores::new(result.scores),
             history: vec![stats],
         })
     }
@@ -222,24 +266,24 @@ impl<'s> QuerySession<'s> {
     /// outlive any single borrow of the system: keep the [`SessionSnapshot`]
     /// (plain owned data, `Send`) between requests and resume it against
     /// the shared system when the next request arrives. The converged
-    /// scores come straight from the snapshot, so resuming costs one
-    /// weight recomputation, not a power iteration.
+    /// scores are shared with the snapshot and the edge weights wait for
+    /// the first explanation, so resuming is O(1): reading a top-k off a
+    /// resumed session never touches |V| or |E|.
     ///
     /// # Panics
     /// Panics if the snapshot comes from a different graph (score
     /// dimension mismatch).
     pub fn resume(system: &'s ObjectRankSystem, snapshot: SessionSnapshot) -> Self {
         assert_eq!(
-            snapshot.scores.len(),
+            snapshot.scores.values.len(),
             system.graph().node_count(),
             "snapshot belongs to a different graph"
         );
-        let weights = system.transfer().weights(&snapshot.rates);
         Self {
             system,
             query: snapshot.query,
             rates: snapshot.rates,
-            weights,
+            weights: OnceLock::new(),
             scores: snapshot.scores,
             history: snapshot.history,
         }
@@ -266,7 +310,15 @@ impl<'s> QuerySession<'s> {
     /// The converged score vector.
     #[inline]
     pub fn scores(&self) -> &[f64] {
-        &self.scores
+        &self.scores.values
+    }
+
+    /// The per-transfer-edge alpha weights of the current rates
+    /// (Equation 1) — |E| work, paid once per session state and only by
+    /// a session that explains.
+    fn weights(&self) -> &[f64] {
+        self.weights
+            .get_or_init(|| self.system.transfer().weights(&self.rates))
     }
 
     /// Per-step statistics; index 0 is the initial query, subsequent
@@ -284,12 +336,15 @@ impl<'s> QuerySession<'s> {
 
     /// Captures the session's full state — query vector, rates, scores,
     /// history — so a later [`Self::restore`] can undo feedback rounds
-    /// (users change their minds about what was relevant).
+    /// (users change their minds about what was relevant). The snapshot
+    /// shares the session's score vector (and its memoised top-k); a
+    /// later feedback round gives the session a new vector and leaves
+    /// the snapshot's untouched.
     pub fn snapshot(&self) -> SessionSnapshot {
         SessionSnapshot {
             query: self.query.clone(),
             rates: self.rates.clone(),
-            scores: self.scores.clone(),
+            scores: Arc::clone(&self.scores),
             history: self.history.clone(),
         }
     }
@@ -301,11 +356,11 @@ impl<'s> QuerySession<'s> {
     /// dimension mismatch).
     pub fn restore(&mut self, snapshot: SessionSnapshot) {
         assert_eq!(
-            snapshot.scores.len(),
+            snapshot.scores.values.len(),
             self.system.graph().node_count(),
             "snapshot belongs to a different graph"
         );
-        self.weights = self.system.transfer().weights(&snapshot.rates);
+        self.weights = OnceLock::new();
         self.query = snapshot.query;
         self.rates = snapshot.rates;
         self.scores = snapshot.scores;
@@ -314,7 +369,8 @@ impl<'s> QuerySession<'s> {
 
     /// The top-`k` results, best first.
     pub fn top_k(&self, k: usize) -> Vec<ResultObject> {
-        top_k(&self.scores, k, 0.0)
+        self.scores
+            .top_k(k)
             .into_iter()
             .map(|Ranked { node, score }| {
                 let node = NodeId::new(node);
@@ -333,8 +389,8 @@ impl<'s> QuerySession<'s> {
         let base = self.current_base_set()?;
         Ok(Explanation::explain(
             self.system.transfer(),
-            &self.weights,
-            &self.scores,
+            self.weights(),
+            &self.scores.values,
             &base,
             target,
             &self.system.config().explain,
@@ -405,8 +461,8 @@ impl<'s> QuerySession<'s> {
         for &obj in objects {
             let e = Explanation::explain(
                 self.system.transfer(),
-                &self.weights,
-                &self.scores,
+                self.weights(),
+                &self.scores.values,
                 &base,
                 obj,
                 &self.system.config().explain,
@@ -433,8 +489,7 @@ impl<'s> QuerySession<'s> {
 
         // Stage 4: re-execute with warm start from the previous scores.
         let new_weights = self.system.transfer().weights(&outcome.rates);
-        let matrix =
-            TransitionMatrix::from_edge_weights(self.system.transfer(), new_weights.clone());
+        let matrix = TransitionMatrix::from_edge_weights(self.system.transfer(), new_weights);
         let t = Instant::now();
         let rank_span = telemetry.span("session.rank_us");
         let mut rank_tspan = tracer.span("session.rank");
@@ -444,7 +499,7 @@ impl<'s> QuerySession<'s> {
             &outcome.query,
             &self.system.config().okapi,
             &self.system.config().rank,
-            Some(&self.scores),
+            Some(&self.scores.values),
         )?;
         if rank_tspan.is_recording() {
             rank_tspan.attr_u64("iterations", result.iterations as u64);
@@ -473,8 +528,10 @@ impl<'s> QuerySession<'s> {
 
         self.query = outcome.query;
         self.rates = outcome.rates;
-        self.weights = new_weights;
-        self.scores = result.scores;
+        // Always a fresh vector and a fresh memo: snapshots taken before
+        // this round keep the scores and top-k they captured.
+        self.weights = OnceLock::new();
+        self.scores = RankedScores::new(result.scores);
         self.history.push(stats);
         Ok(stats)
     }
@@ -658,9 +715,96 @@ mod tests {
     fn resume_rejects_foreign_snapshots() {
         let sys = system();
         let session = QuerySession::start(&sys, &Query::parse("data")).unwrap();
-        let mut snapshot = session.snapshot();
-        snapshot.scores.pop();
+        let mut short_scores = session.scores().to_vec();
+        short_scores.pop();
+        let snapshot = SessionSnapshot::from_parts(
+            session.query_vector().clone(),
+            session.rates().clone(),
+            short_scores,
+        );
         let _ = QuerySession::resume(&sys, snapshot);
+    }
+
+    #[test]
+    fn snapshot_clone_and_resume_share_the_score_vector() {
+        let sys = system();
+        let session = QuerySession::start(&sys, &Query::parse("data")).unwrap();
+        let storage = session.scores().as_ptr();
+        let snapshot = session.snapshot();
+        assert_eq!(snapshot.scores().as_ptr(), storage);
+        let copy = snapshot.clone();
+        assert_eq!(copy.scores().as_ptr(), storage);
+        let resumed = QuerySession::resume(&sys, copy);
+        assert_eq!(resumed.scores().as_ptr(), storage);
+        assert_eq!(resumed.snapshot().scores().as_ptr(), storage);
+    }
+
+    #[test]
+    fn feedback_leaves_earlier_snapshots_untouched() {
+        let sys = system();
+        let mut session = QuerySession::start(&sys, &Query::parse("data")).unwrap();
+        let before = session.snapshot();
+        let storage = before.scores().as_ptr();
+        let scores: Vec<u64> = before.scores().iter().map(|s| s.to_bits()).collect();
+        // Asked for before the round, so the memo the snapshot shares is
+        // populated when feedback runs.
+        let top = session.scores.top_k(10);
+        session.feedback(&[NodeId::new(top[0].node)]).unwrap();
+
+        assert_ne!(session.scores().as_ptr(), storage, "a fresh vector");
+        assert_eq!(before.scores().as_ptr(), storage);
+        let after: Vec<u64> = before.scores().iter().map(|s| s.to_bits()).collect();
+        assert_eq!(scores, after);
+        assert_eq!(before.scores.top_k(10), top);
+        // The advanced session ranks its own vector, not the old memo.
+        assert_eq!(session.scores.top_k(10), top_k(session.scores(), 10, 0.0));
+    }
+
+    /// Clones of one snapshot resumed on several threads rank off one
+    /// memo; whichever `k` wins the race to fill or widen it, every
+    /// reader gets the direct answer for the `k` it asked for.
+    #[test]
+    fn concurrent_readers_of_one_memo_agree_with_direct_top_k() {
+        let sys = system();
+        let snapshot = QuerySession::start(&sys, &Query::parse("data"))
+            .unwrap()
+            .snapshot();
+        let gate = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for thread in 0..4usize {
+                let (gate, snapshot) = (&gate, snapshot.clone());
+                scope.spawn(move || {
+                    gate.wait();
+                    for round in 0..50 {
+                        let k = (thread * 7 + round * 3) % 40;
+                        assert_eq!(
+                            snapshot.scores.top_k(k),
+                            top_k(snapshot.scores(), k, 0.0),
+                            "k = {k}"
+                        );
+                    }
+                });
+            }
+        });
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Whatever order `k`s arrive in — growing, shrinking, beyond the
+        /// number of positive scores — the memoised answer is exactly the
+        /// direct one, on vectors full of ties and zeros.
+        #[test]
+        fn memoised_top_k_equals_direct_top_k(
+            levels in proptest::collection::vec(0u8..5, 0..40),
+            ks in proptest::collection::vec(0usize..50, 1..12),
+        ) {
+            let values: Vec<f64> = levels.iter().map(|&l| f64::from(l) * 0.125).collect();
+            let shared = RankedScores::new(values.clone());
+            for k in ks {
+                proptest::prop_assert_eq!(shared.top_k(k), top_k(&values, k, 0.0));
+            }
+        }
     }
 
     #[test]

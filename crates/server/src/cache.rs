@@ -4,8 +4,11 @@
 //! their weights — so "Data  Mining" and "mining data" share an entry.
 //! A hit returns the converged [`SessionSnapshot`] of the original
 //! execution; the handler resumes it into a fresh session, skipping the
-//! power iteration entirely. Hits and misses land in the telemetry
-//! counters `server.cache_hits` / `server.cache_misses`.
+//! power iteration entirely. A snapshot shares its score vector and
+//! memoised top-k with its clones, so `get` and `put` move a pointer
+//! under the lock, not |V| scores, and every hit on one entry ranks off
+//! the same memo. Hits and misses land in the telemetry counters
+//! `server.cache_hits` / `server.cache_misses`.
 
 use crate::error::ServerError;
 use orex_core::SessionSnapshot;
@@ -154,8 +157,16 @@ mod tests {
         let (snap, qv) = snapshot();
         let key = ResultCache::key(&qv);
         assert!(cache.get(&key).unwrap().is_none());
+        let storage = snap.scores().as_ptr();
         cache.put(key.clone(), snap).unwrap();
-        assert!(cache.get(&key).unwrap().is_some());
+        for _ in 0..2 {
+            let hit = cache.get(&key).unwrap().expect("cached");
+            assert_eq!(
+                hit.scores().as_ptr(),
+                storage,
+                "every hit shares the stored score vector"
+            );
+        }
         assert_eq!(cache.len(), 1);
     }
 

@@ -234,14 +234,13 @@ impl HttpClient {
             );
         }
         head.push_str("\r\n");
-        {
-            let stream = conn.reader.get_mut();
-            stream.write_all(head.as_bytes())?;
-            if let Some(body) = body {
-                stream.write_all(body)?;
-            }
-            stream.flush()?;
-        }
+        // One write, so the request is one segment and one wake-up of
+        // the server's `read_request`.
+        let mut wire = head.into_bytes();
+        wire.extend_from_slice(body.unwrap_or_default());
+        let stream = conn.reader.get_mut();
+        stream.write_all(&wire)?;
+        stream.flush()?;
         let (response, keep_alive) = read_response(&mut conn.reader)?;
         if keep_alive {
             self.park(conn);

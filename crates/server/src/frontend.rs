@@ -378,6 +378,7 @@ where
             None,
         );
         let _ = stream.set_write_timeout(Some(self.limits.io_timeout));
+        let _ = stream.set_nodelay(true);
         let _ = response.write_to(&mut stream, false);
         // Unread request bytes at close time force an RST that can destroy
         // the 503 in flight; send our FIN, then drain what the client
@@ -400,6 +401,9 @@ where
     fn connection_loop(&self, stream: TcpStream, jobs: Option<Sender<Job>>) {
         let limits = self.limits;
         let _ = stream.set_write_timeout(Some(limits.io_timeout));
+        // A response is one complete write; holding it back for more
+        // bytes to coalesce with only adds the peer's delayed-ACK timer.
+        let _ = stream.set_nodelay(true);
         let Ok(read_half) = stream.try_clone() else {
             return;
         };
@@ -659,6 +663,18 @@ mod tests {
     use std::io::Write;
     use std::sync::Barrier;
 
+    fn limits(handlers: usize) -> Limits {
+        Limits {
+            max_connections: 16,
+            handlers: Some(handlers),
+            max_body_bytes: 1024,
+            io_timeout: Duration::from_secs(10),
+            keepalive_idle: Duration::from_secs(10),
+            keepalive_requests: 100,
+            slow_request: Duration::MAX,
+        }
+    }
+
     #[test]
     fn unrouted_tells_wrong_method_from_unknown_path() {
         assert_eq!(unrouted("PUT", &["query"]).status, 405);
@@ -677,15 +693,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
         let addr = listener.local_addr().unwrap();
-        let limits = Limits {
-            max_connections: 16,
-            handlers: Some(2),
-            max_body_bytes: 1024,
-            io_timeout: Duration::from_secs(10),
-            keepalive_idle: Duration::from_secs(10),
-            keepalive_requests: 100,
-            slow_request: Duration::MAX,
-        };
+        let limits = limits(2);
         let stop = ShutdownHandle::default();
         let traces = TraceArchive::new(4);
         let running = AtomicUsize::new(0);
@@ -722,5 +730,43 @@ mod tests {
             server.join().unwrap().unwrap();
         });
         assert_eq!(high_water.load(Ordering::SeqCst), 2);
+    }
+
+    /// Head and body written separately on a socket without
+    /// `TCP_NODELAY` stall every response after a connection's first by
+    /// the client's delayed-ACK timer (~40 ms on Linux); the median of
+    /// 20 kept-alive round trips sits on that timer or far below it.
+    #[test]
+    fn kept_alive_responses_do_not_wait_for_a_delayed_ack() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let limits = limits(1);
+        let stop = ShutdownHandle::default();
+        let traces = TraceArchive::new(4);
+        let route = |_: &Request, _: &mut AccessFields| Response::json(200, r#"{"ok":true}"#);
+        let mut round_trips = std::thread::scope(|scope| {
+            let server =
+                scope.spawn(|| serve(&listener, &Surface::SERVER, &limits, &stop, &traces, route));
+            let client = crate::client::HttpClient::new(addr.to_string());
+            let round_trips: Vec<Duration> = (0..20)
+                .map(|_| {
+                    let sent = Instant::now();
+                    let reply = client.get("/x").unwrap();
+                    assert_eq!(reply.body_str(), Some(r#"{"ok":true}"#));
+                    sent.elapsed()
+                })
+                .collect();
+            assert_eq!(client.connects(), 1, "all on one kept-alive connection");
+            stop.shutdown();
+            server.join().unwrap().unwrap();
+            round_trips
+        });
+        round_trips.sort();
+        let median = round_trips[round_trips.len() / 2];
+        assert!(
+            median < Duration::from_millis(20),
+            "median round trip {median:?}, all {round_trips:?}"
+        );
     }
 }

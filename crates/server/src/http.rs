@@ -262,7 +262,10 @@ impl Response {
 
     /// Writes the full response to `stream`. `keep_alive` selects the
     /// `Connection:` header; the `Content-Length` is always declared so
-    /// a keep-alive peer knows where the body ends.
+    /// a keep-alive peer knows where the body ends. Head and body leave
+    /// in one `write_all`: written separately, the body is a second
+    /// small segment that Nagle's algorithm holds until the peer's
+    /// delayed ACK of the first — a fixed ~40 ms on every response.
     pub fn write_to<S: Write>(&self, stream: &mut S, keep_alive: bool) -> std::io::Result<()> {
         use std::fmt::Write as _;
         let mut head = format!(
@@ -280,8 +283,9 @@ impl Response {
         } else {
             "Connection: close\r\n\r\n"
         });
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(&self.body)?;
+        let mut wire = head.into_bytes();
+        wire.extend_from_slice(&self.body);
+        stream.write_all(&wire)?;
         stream.flush()
     }
 }
@@ -406,6 +410,43 @@ mod tests {
         assert!(s.contains("X-Orex-Log-Cursor: 17\r\n"), "{s}");
         let head = s.split("\r\n\r\n").next().unwrap();
         assert!(head.ends_with("Connection: close"), "{head}");
+    }
+
+    /// Counts `write` calls; accepts everything it is given.
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn response_leaves_in_one_write() {
+        let mut out = CountingWriter {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        Response::json(200, r#"{"results":[1,2,3]}"#)
+            .with_header("X-Orex-Promoted", "7,9")
+            .with_header("Retry-After", "1")
+            .write_to(&mut out, true)
+            .unwrap();
+        assert_eq!(out.writes, 1, "head and body must share one segment");
+        let expected =
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 19\r\n\
+                        X-Orex-Promoted: 7,9\r\nRetry-After: 1\r\nConnection: keep-alive\r\n\r\n\
+                        {\"results\":[1,2,3]}";
+        assert_eq!(String::from_utf8(out.bytes).unwrap(), expected);
     }
 
     #[test]

@@ -33,11 +33,17 @@
 //! | `GET /debug/status` | operator dashboard (HTML, or `?format=json`) with RED rows, occupancy, SLO burn rates |
 //!
 //! Sessions are stored as [`SessionSnapshot`](orex_core::SessionSnapshot)s
-//! (owned data) in a TTL + LRU table and resumed per request; results of
-//! identical normalized queries come from an LRU cache that skips the
-//! power iteration entirely. Requests carry read/write timeouts, a body
-//! limit, `server.*` telemetry, and a per-request trace; SIGTERM/ctrl-c
-//! (or a [`ShutdownHandle`]) drains in-flight requests before exit.
+//! in a TTL + LRU table and resumed per request; results of identical
+//! normalized queries come from an LRU cache that skips the power
+//! iteration entirely. A snapshot's score vector and memoised top-k are
+//! shared between the cache entry, the session-table entries and the
+//! sessions resumed from them, so a cache hit costs O(k) — no |V|-sized
+//! copy, no |E|-sized weight derivation, no rescan — and a feedback
+//! round installs a fresh vector instead of editing a shared one. Every
+//! response leaves in one write on a `TCP_NODELAY` socket. Requests
+//! carry read/write timeouts, a body limit, `server.*` telemetry, and a
+//! per-request trace; SIGTERM/ctrl-c (or a [`ShutdownHandle`]) drains
+//! in-flight requests before exit.
 //! Every response — including parse failures and 5xx errors — emits one
 //! structured access-log record (`server.access`) stamped with the
 //! request's trace id, served back by `GET /logs`.

@@ -2,11 +2,13 @@
 //!
 //! `QuerySession` borrows the system, so live sessions can't cross
 //! request boundaries. Instead the table stores each session as a
-//! [`SessionSnapshot`] — plain owned data — and handlers resume it
-//! against the shared system via `QuerySession::resume`, which costs a
-//! weight recomputation rather than a power iteration. Entries expire
-//! after a TTL of disuse and the table holds at most `max_entries`
-//! sessions, evicting least-recently-used first.
+//! [`SessionSnapshot`] — owned, `Send` data — and handlers resume it
+//! against the shared system via `QuerySession::resume`, which is O(1):
+//! the snapshot's score vector is shared, not copied, so `insert`, `get`
+//! and `update` move a pointer while they hold the table's lock, and
+//! edge weights are derived only by a request that explains. Entries
+//! expire after a TTL of disuse and the table holds at most
+//! `max_entries` sessions, evicting least-recently-used first.
 
 use crate::error::ServerError;
 use orex_core::SessionSnapshot;
@@ -167,8 +169,13 @@ mod tests {
         let table = SessionTable::new(Duration::from_secs(60), 8);
         let snap = snapshot();
         let id = table.insert("dblp", snap.clone()).unwrap();
-        let (dataset, _) = table.get(id).unwrap().expect("session present");
+        let (dataset, stored) = table.get(id).unwrap().expect("session present");
         assert_eq!(&*dataset, "dblp", "entry remembers its owning dataset");
+        assert_eq!(
+            stored.scores().as_ptr(),
+            snap.scores().as_ptr(),
+            "get shares the stored entry's score vector"
+        );
         assert!(table.update(id, snap).unwrap());
         assert_eq!(table.len(), 1);
         assert!(table.get(id + 999).unwrap().is_none());

@@ -366,6 +366,74 @@ fn server_feedback_matches_in_process_session() {
     );
 }
 
+/// The cache entry, the session-table entry and the resumed session
+/// share one score vector. A feedback round on the session must install
+/// a new one: the cached answer stays exactly what it was, and the
+/// session's own state is the reformulated one.
+#[test]
+fn feedback_on_a_session_leaves_the_cached_answer_untouched() {
+    let _guard = serial();
+    let (system, keyword) = fixture();
+    let server = TestServer::spawn_default();
+    let body = format!("{{\"query\": \"{keyword}\", \"k\": 10}}");
+
+    let first = post(server.addr, "/query", &body).json();
+    assert_eq!(first.get("cached").and_then(Value::as_bool), Some(false));
+    let session_id = first.get("session").and_then(Value::as_u64).unwrap();
+    let nodes = result_nodes(&first);
+    let picks = &nodes[..2.min(nodes.len())];
+    let picks_json: Vec<String> = picks.iter().map(u64::to_string).collect();
+    let advanced = post(
+        server.addr,
+        &format!("/feedback/{session_id}"),
+        &format!("{{\"objects\": [{}], \"k\": 10}}", picks_json.join(",")),
+    )
+    .json();
+    assert_eq!(advanced.get("round").and_then(Value::as_u64), Some(1));
+
+    let second = post(server.addr, "/query", &body).json();
+    assert_eq!(second.get("cached").and_then(Value::as_bool), Some(true));
+    assert_eq!(
+        first.get("results"),
+        second.get("results"),
+        "ids and scores of the cached answer survive the feedback round"
+    );
+
+    // The session itself moved on: its explanation is the one the
+    // reformulated in-process session gives, under the trained rates.
+    let mut local = QuerySession::start(&system, &Query::parse(&keyword)).unwrap();
+    let objects: Vec<orex_graph::NodeId> = picks
+        .iter()
+        .map(|&n| orex_graph::NodeId::new(n as u32))
+        .collect();
+    local.feedback(&objects).unwrap();
+    let target = result_nodes(&advanced)[0];
+    let expected = local
+        .explain(orex_graph::NodeId::new(target as u32))
+        .unwrap();
+    let served = get(server.addr, &format!("/explain/{session_id}/{target}")).json();
+    assert_eq!(
+        served.get("target_inflow").and_then(Value::as_f64),
+        Some(expected.target_inflow())
+    );
+    assert_eq!(
+        served.get("edges").and_then(Value::as_u64),
+        Some(expected.edge_count() as u64)
+    );
+    assert_eq!(
+        served.get("fixpoint_iterations").and_then(Value::as_u64),
+        Some(expected.iterations() as u64)
+    );
+    // ... while the session the cache hit opened still explains the
+    // same node from the unreformulated state.
+    let fresh_id = second.get("session").and_then(Value::as_u64).unwrap();
+    let fresh = get(server.addr, &format!("/explain/{fresh_id}/{target}")).json();
+    assert_ne!(
+        fresh.get("target_inflow").and_then(Value::as_f64),
+        served.get("target_inflow").and_then(Value::as_f64)
+    );
+}
+
 /// Transport-level rejections (malformed request lines, oversized
 /// bodies, the connection cap, unknown routes and methods) are covered
 /// once for server and router by `orex-router`'s
@@ -909,7 +977,9 @@ fn profile_endpoint_serves_folded_and_chrome_views() {
     let server = TestServer::spawn_default();
 
     // Work that opens spans while the sampler runs; keep it going long
-    // enough for the ~10ms sampling period to land a few ticks.
+    // enough for the ~10ms sampling period to land a few ticks. A cache
+    // hit is over in microseconds, so each pass also runs a feedback
+    // round (explain + reformulate + re-rank) on the session it opened.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     let mut folded = String::new();
     while std::time::Instant::now() < deadline {
@@ -919,6 +989,14 @@ fn profile_endpoint_serves_folded_and_chrome_views() {
             &format!("{{\"query\": \"{keyword}\"}}"),
         );
         assert_eq!(reply.status, 200);
+        let query = reply.json();
+        let session = query.get("session").and_then(Value::as_u64).unwrap();
+        let reply = post(
+            server.addr,
+            &format!("/feedback/{session}"),
+            &format!("{{\"objects\": [{}]}}", result_nodes(&query)[0]),
+        );
+        assert_eq!(reply.status, 200, "{}", reply.body);
         let profile = get(server.addr, "/profile?seconds=60");
         assert_eq!(profile.status, 200, "{}", profile.body);
         if !profile.body.trim().is_empty() {
