@@ -14,7 +14,6 @@ mod base_set;
 mod hits;
 mod objectrank;
 mod power;
-mod topics;
 mod topk;
 mod topk_iteration;
 
@@ -24,6 +23,5 @@ pub use objectrank::{
     global_object_rank, modified_object_rank, object_rank, object_rank2, page_rank, RankingError,
 };
 pub use power::{power_iteration, power_iteration_batch, RankParams, RankResult, TransitionMatrix};
-pub use topics::TopicRanks;
 pub use topk::{top_k, Ranked};
 pub use topk_iteration::{power_iteration_topk, TopKParams, TopKResult};

@@ -9,7 +9,7 @@
 //! are recorded so the Figures 14–17 experiments read them off directly.
 
 use crate::system::ObjectRankSystem;
-use orex_authority::{object_rank2, top_k, Ranked, RankingError, TransitionMatrix};
+use orex_authority::{object_rank2, top_k, BaseSet, Ranked, RankingError, TransitionMatrix};
 use orex_explain::{ExplainError, Explanation};
 use orex_graph::{NodeId, TransferRates};
 use orex_ir::{Query, QueryVector};
@@ -185,6 +185,45 @@ pub struct QuerySession<'s> {
     history: Vec<StepStats>,
 }
 
+/// Ranks `query` under `rates` from `warm_start`: the execution step of
+/// the initial query and of every feedback round. The edge weights
+/// derived for the ranking go into its transition matrix and are dropped
+/// with it. The returned stats carry the rank fields only.
+fn rank(
+    system: &ObjectRankSystem,
+    rates: &TransferRates,
+    query: &QueryVector,
+    warm_start: Option<&[f64]>,
+) -> Result<(Arc<RankedScores>, StepStats), SessionError> {
+    let telemetry = orex_telemetry::global();
+    let weights = system.transfer().weights(rates);
+    let matrix = TransitionMatrix::from_edge_weights(system.transfer(), weights);
+    let start = Instant::now();
+    let rank_span = telemetry.span("session.rank_us");
+    let mut rank_tspan = orex_telemetry::tracer().span("session.rank");
+    let result = object_rank2(
+        &matrix,
+        system.index(),
+        query,
+        &system.config().okapi,
+        &system.config().rank,
+        warm_start,
+    )?;
+    if rank_tspan.is_recording() {
+        rank_tspan.attr_u64("iterations", result.iterations as u64);
+        rank_tspan.attr_u64("converged", u64::from(result.converged));
+    }
+    drop(rank_tspan);
+    drop(rank_span);
+    let stats = StepStats {
+        rank_time: start.elapsed(),
+        rank_iterations: result.iterations,
+        rank_converged: result.converged,
+        ..StepStats::default()
+    };
+    Ok((RankedScores::new(result.scores), stats))
+}
+
 impl<'s> QuerySession<'s> {
     /// Executes the initial query with the system's initial rates.
     pub fn start(system: &'s ObjectRankSystem, query: &Query) -> Result<Self, SessionError> {
@@ -193,9 +232,8 @@ impl<'s> QuerySession<'s> {
 
     /// Executes the initial query with explicit starting rates (used by
     /// the training experiments, which initialize all rates to 0.3). The
-    /// edge weights derived for the ranking go into its transition matrix
-    /// and are dropped with it; the session derives its own only if an
-    /// explanation is asked for.
+    /// session derives its own edge weights only if an explanation is
+    /// asked for.
     pub fn start_with(
         system: &'s ObjectRankSystem,
         query: &Query,
@@ -224,37 +262,13 @@ impl<'s> QuerySession<'s> {
             drop(analysis);
             qv
         };
-        let weights = system.transfer().weights(&rates);
-        let matrix = TransitionMatrix::from_edge_weights(system.transfer(), weights);
-        let start = Instant::now();
-        let rank_span = telemetry.span("session.rank_us");
-        let mut rank_tspan = tracer.span("session.rank");
-        let result = object_rank2(
-            &matrix,
-            system.index(),
-            &qv,
-            &system.config().okapi,
-            &system.config().rank,
-            system.global_scores(),
-        )?;
-        if rank_tspan.is_recording() {
-            rank_tspan.attr_u64("iterations", result.iterations as u64);
-            rank_tspan.attr_u64("converged", u64::from(result.converged));
-        }
-        drop(rank_tspan);
-        drop(rank_span);
-        let stats = StepStats {
-            rank_time: start.elapsed(),
-            rank_iterations: result.iterations,
-            rank_converged: result.converged,
-            ..StepStats::default()
-        };
+        let (scores, stats) = rank(system, &rates, &qv, system.global_scores())?;
         Ok(Self {
             system,
             query: qv,
             rates,
             weights: OnceLock::new(),
-            scores: RankedScores::new(result.scores),
+            scores,
             history: vec![stats],
         })
     }
@@ -386,12 +400,17 @@ impl<'s> QuerySession<'s> {
 
     /// Explains why `target` received its current score (Section 4).
     pub fn explain(&self, target: NodeId) -> Result<Explanation, SessionError> {
-        let base = self.current_base_set()?;
+        self.explain_from(&self.current_base_set()?, target)
+    }
+
+    /// Explains `target` against the current rates and scores, given the
+    /// current query's base set.
+    fn explain_from(&self, base: &BaseSet, target: NodeId) -> Result<Explanation, SessionError> {
         Ok(Explanation::explain(
             self.system.transfer(),
             self.weights(),
             &self.scores.values,
-            &base,
+            base,
             target,
             &self.system.config().explain,
         )?)
@@ -414,10 +433,10 @@ impl<'s> QuerySession<'s> {
         ))
     }
 
-    fn current_base_set(&self) -> Result<orex_authority::BaseSet, SessionError> {
+    fn current_base_set(&self) -> Result<BaseSet, SessionError> {
         let _span = orex_telemetry::global().span("session.ir_lookup_us");
         let _tspan = orex_telemetry::tracer().span("session.ir_lookup");
-        orex_authority::BaseSet::weighted(
+        BaseSet::weighted(
             self.system
                 .index()
                 .base_set_scores(&self.query, &self.system.config().okapi),
@@ -459,14 +478,7 @@ impl<'s> QuerySession<'s> {
         let mut adjustment = Duration::ZERO;
         let mut fixpoint_iters = 0usize;
         for &obj in objects {
-            let e = Explanation::explain(
-                self.system.transfer(),
-                self.weights(),
-                &self.scores.values,
-                &base,
-                obj,
-                &self.system.config().explain,
-            )?;
+            let e = self.explain_from(&base, obj)?;
             construction += e.construction_time();
             adjustment += e.adjustment_time();
             fixpoint_iters += e.iterations();
@@ -488,33 +500,18 @@ impl<'s> QuerySession<'s> {
         let reformulate_time = t.elapsed();
 
         // Stage 4: re-execute with warm start from the previous scores.
-        let new_weights = self.system.transfer().weights(&outcome.rates);
-        let matrix = TransitionMatrix::from_edge_weights(self.system.transfer(), new_weights);
-        let t = Instant::now();
-        let rank_span = telemetry.span("session.rank_us");
-        let mut rank_tspan = tracer.span("session.rank");
-        let result = object_rank2(
-            &matrix,
-            self.system.index(),
+        let (scores, rank_stats) = rank(
+            self.system,
+            &outcome.rates,
             &outcome.query,
-            &self.system.config().okapi,
-            &self.system.config().rank,
             Some(&self.scores.values),
         )?;
-        if rank_tspan.is_recording() {
-            rank_tspan.attr_u64("iterations", result.iterations as u64);
-            rank_tspan.attr_u64("converged", u64::from(result.converged));
-        }
-        drop(rank_tspan);
-        drop(rank_span);
         let stats = StepStats {
-            rank_time: t.elapsed(),
-            rank_iterations: result.iterations,
-            rank_converged: result.converged,
             explain_construction_time: construction,
             explain_adjustment_time: adjustment,
             explain_iterations: fixpoint_iters as f64 / objects.len() as f64,
             reformulate_time,
+            ..rank_stats
         };
 
         orex_telemetry::logger()
@@ -522,8 +519,8 @@ impl<'s> QuerySession<'s> {
             .field_u64("round", self.history.len() as u64)
             .field_u64("objects", objects.len() as u64)
             .field_u64("expansion_terms", outcome.expansion_terms.len() as u64)
-            .field_u64("rank_iterations", result.iterations as u64)
-            .field_bool("rank_converged", result.converged)
+            .field_u64("rank_iterations", stats.rank_iterations as u64)
+            .field_bool("rank_converged", stats.rank_converged)
             .emit();
 
         self.query = outcome.query;
@@ -531,7 +528,7 @@ impl<'s> QuerySession<'s> {
         // Always a fresh vector and a fresh memo: snapshots taken before
         // this round keep the scores and top-k they captured.
         self.weights = OnceLock::new();
-        self.scores = RankedScores::new(result.scores);
+        self.scores = scores;
         self.history.push(stats);
         Ok(stats)
     }

@@ -10,6 +10,9 @@
 //! The explanation is both a user-facing artifact (rendered by
 //! [`to_dot`] / [`to_text`]) and the input structure of query
 //! reformulation (Section 5, crate `orex-reformulate`).
+//! Its strongest paths ([`top_paths`]) name the edge of every hop, so
+//! [`summarize`], [`to_text`] and Equation 13's pruned vote read the same
+//! hops.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -62,18 +62,14 @@ pub fn to_text(explanation: &Explanation, data: &DataGraph, max_paths: usize) ->
     }
     for (i, p) in paths.iter().enumerate() {
         let _ = writeln!(out, "  path {} (bottleneck {:.3e}):", i + 1, p.bottleneck);
-        for pair in p.nodes.windows(2) {
-            let flow = explanation
-                .out_edges(pair[0])
-                .filter(|e| e.target == pair[1])
-                .map(|e| e.adjusted_flow)
-                .fold(0.0, f64::max);
+        for &e in &p.edges {
+            let edge = &explanation.edges()[e];
             let _ = writeln!(
                 out,
                 "    {} --[{:.3e}]--> {}",
-                data.node_display(pair[0]),
-                flow,
-                data.node_display(pair[1]),
+                data.node_display(edge.source),
+                edge.adjusted_flow,
+                data.node_display(edge.target),
             );
         }
     }

@@ -24,8 +24,7 @@
 //!    edge is `Flow(vi -> vk) = h(v_k) · Flow_0(vi -> vk)` (Equation 7).
 
 use orex_authority::BaseSet;
-use orex_graph::{NodeId, TransferGraph};
-use std::collections::HashMap;
+use orex_graph::{Csr, NodeId, TransferGraph};
 use std::fmt;
 
 /// Parameters for explanation generation.
@@ -105,25 +104,40 @@ pub struct ExplainEdge {
     pub adjusted_flow: f64,
 }
 
+/// Adjacency over local node indices, with the index into
+/// `Explanation::edges` of every CSR slot. Within a node's row the slots
+/// are in ascending edge order.
+type Adjacency = (Csr, Vec<u32>);
+
+/// `(neighbour's local index, index into edges)` per slot of a row.
+fn row(adj: &Adjacency, local: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    adj.0
+        .neighbors(local)
+        .map(|(neighbour, slot)| (neighbour as usize, adj.1[slot] as usize))
+}
+
 /// The explaining subgraph `G_v^Q` of a target object.
+///
+/// Dense arrays throughout, no hash maps: a node's *local index* is its
+/// position in the ascending `node_ids` (found by binary search), every
+/// per-node array is indexed by it, and adjacency is CSR over it.
 #[derive(Clone, Debug)]
 pub struct Explanation {
     target: NodeId,
-    /// Global node ids, in local-index order.
+    /// Global node ids, ascending.
     node_ids: Vec<u32>,
-    /// Global id -> local index.
-    node_index: HashMap<u32, u32>,
     /// Per local node: BFS distance (edges) to the target.
     dist_to_target: Vec<u32>,
     /// Per local node: whether it is in the query base set.
     is_source: Vec<bool>,
     /// Per local node: reduction factor `h` (1.0 at the target).
     h: Vec<f64>,
+    /// In ascending transfer-edge order.
     edges: Vec<ExplainEdge>,
-    /// Per local node: indices into `edges` of outgoing edges.
-    out_adj: Vec<Vec<u32>>,
-    /// Per local node: indices into `edges` of incoming edges.
-    in_adj: Vec<Vec<u32>>,
+    /// Outgoing edges per local node.
+    out_adj: Adjacency,
+    /// Incoming edges per local node.
+    in_adj: Adjacency,
     /// Fixpoint iterations performed.
     iterations: usize,
     /// Whether the fixpoint met the threshold.
@@ -164,11 +178,10 @@ impl Explanation {
 
         // --- Construction stage, backward pass -------------------------
         // BFS from the target over *incoming* transfer edges, keeping only
-        // edges with positive alpha. dist[u] = hops from u to target.
-        // Dense per-node arrays (sentinel u32::MAX) instead of hash maps:
-        // on the paper's full-scale graphs (Table 1) radius-3 subgraphs of
-        // hub targets touch millions of edges, and hashing dominated the
-        // construction stage.
+        // edges with positive alpha. dist[u] = hops from u to target
+        // (sentinel u32::MAX): on the paper's full-scale graphs (Table 1)
+        // radius-3 subgraphs of hub targets touch millions of edges, and
+        // hashing dominated the construction stage.
         let n_global = graph.node_count();
         let mut dist = vec![u32::MAX; n_global];
         dist[target.index()] = 0;
@@ -245,12 +258,10 @@ impl Explanation {
             .collect();
         node_set.sort_unstable();
         node_set.dedup();
-        let node_index: HashMap<u32, u32> = node_set
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i as u32))
-            .collect();
         let n_local = node_set.len();
+        // Every id looked up below is in `node_set`, so the partition
+        // point is its position.
+        let local = |id: NodeId| node_set.partition_point(|&n| n < id.raw());
         let dist_to_target: Vec<u32> = node_set.iter().map(|&n| dist[n as usize]).collect();
         let is_source: Vec<bool> = node_set.iter().map(|&n| base.contains(n)).collect();
 
@@ -271,17 +282,17 @@ impl Explanation {
                 }
             })
             .collect();
-        let mut out_adj: Vec<Vec<u32>> = vec![Vec::new(); n_local];
-        let mut in_adj: Vec<Vec<u32>> = vec![Vec::new(); n_local];
-        // Local head index per edge: the fixpoint loop below runs per
-        // edge per iteration, so hash lookups there would dominate on
-        // dense subgraphs.
-        let mut edge_head_local: Vec<u32> = Vec::with_capacity(edges.len());
-        for (idx, e) in edges.iter().enumerate() {
-            out_adj[node_index[&e.source.raw()] as usize].push(idx as u32);
-            in_adj[node_index[&e.target.raw()] as usize].push(idx as u32);
-            edge_head_local.push(node_index[&e.target.raw()]);
+        // `Csr::from_edges` sorts stably, so each row lists its edges in
+        // ascending edge order.
+        let mut endpoints: Vec<(u32, u32)> = edges
+            .iter()
+            .map(|e| (local(e.source) as u32, local(e.target) as u32))
+            .collect();
+        let out_adj = Csr::from_edges(n_local, &endpoints);
+        for pair in &mut endpoints {
+            *pair = (pair.1, pair.0);
         }
+        let in_adj = Csr::from_edges(n_local, &endpoints);
 
         if construct_span.is_recording() {
             construct_span.attr_u64("subgraph_nodes", n_local as u64);
@@ -292,7 +303,7 @@ impl Explanation {
         let adjustment_start = std::time::Instant::now();
 
         // --- Flow adjustment stage: the Equation 10 fixpoint ------------
-        let target_local = node_index[&target.raw()] as usize;
+        let target_local = local(target);
         let mut h = vec![1.0f64; n_local];
         let mut h_new = vec![0.0f64; n_local];
         let mut iterations = 0;
@@ -307,8 +318,8 @@ impl Explanation {
                     continue;
                 }
                 let mut acc = 0.0;
-                for &eidx in &out_adj[k] {
-                    acc += h[edge_head_local[eidx as usize] as usize] * edges[eidx as usize].alpha;
+                for (head, e) in row(&out_adj, k) {
+                    acc += h[head] * edges[e].alpha;
                 }
                 h_new[k] = acc;
                 delta = delta.max((acc - h[k]).abs());
@@ -327,7 +338,8 @@ impl Explanation {
         // Equation 7: adjust every edge by the reduction factor of its
         // *head*; edges into the target keep their original flow
         // (h(target) = 1).
-        for (e, &head) in edges.iter_mut().zip(&edge_head_local) {
+        for (&head, &e) in out_adj.0.targets().iter().zip(&out_adj.1) {
+            let e = &mut edges[e as usize];
             e.adjusted_flow = h[head as usize] * e.original_flow;
         }
 
@@ -370,7 +382,6 @@ impl Explanation {
         Ok(Self {
             target,
             node_ids: node_set,
-            node_index,
             dist_to_target,
             is_source,
             h,
@@ -434,59 +445,66 @@ impl Explanation {
         self.node_ids.iter().map(|&n| NodeId::new(n))
     }
 
+    /// The local index of `node`, when it is part of the subgraph.
+    pub(crate) fn local(&self, node: NodeId) -> Option<usize> {
+        self.node_ids.binary_search(&node.raw()).ok()
+    }
+
+    /// Whether the node at a local index belongs to the query base set.
+    pub(crate) fn is_source_at(&self, local: usize) -> bool {
+        self.is_source[local]
+    }
+
+    /// `(head's local index, index into edges())` per outgoing edge of
+    /// the node at a local index, in ascending edge order.
+    pub(crate) fn out_local(&self, local: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        row(&self.out_adj, local)
+    }
+
     /// True if the node is part of the subgraph.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.node_index.contains_key(&node.raw())
+        self.local(node).is_some()
     }
 
     /// BFS distance (in edges) from `node` to the target, when present.
     pub fn distance(&self, node: NodeId) -> Option<usize> {
-        self.node_index
-            .get(&node.raw())
-            .map(|&i| self.dist_to_target[i as usize] as usize)
+        self.local(node).map(|i| self.dist_to_target[i] as usize)
     }
 
     /// True if `node` belongs to the query base set.
     pub fn is_source(&self, node: NodeId) -> bool {
-        self.node_index
-            .get(&node.raw())
-            .is_some_and(|&i| self.is_source[i as usize])
+        self.local(node).is_some_and(|i| self.is_source[i])
     }
 
     /// The reduction factor `h` of a node, when present.
     pub fn reduction_factor(&self, node: NodeId) -> Option<f64> {
-        self.node_index
-            .get(&node.raw())
-            .map(|&i| self.h[i as usize])
+        self.local(node).map(|i| self.h[i])
     }
 
-    /// All edges with their flows.
+    /// All edges with their flows, in ascending transfer-edge order.
     pub fn edges(&self) -> &[ExplainEdge] {
         &self.edges
     }
 
     /// Outgoing edges of `node` within the subgraph.
     pub fn out_edges(&self, node: NodeId) -> impl Iterator<Item = &ExplainEdge> + '_ {
-        self.node_index
-            .get(&node.raw())
-            .into_iter()
-            .flat_map(move |&i| {
-                self.out_adj[i as usize]
-                    .iter()
-                    .map(move |&e| &self.edges[e as usize])
-            })
+        self.incident(&self.out_adj, node)
     }
 
     /// Incoming edges of `node` within the subgraph.
     pub fn in_edges(&self, node: NodeId) -> impl Iterator<Item = &ExplainEdge> + '_ {
-        self.node_index
-            .get(&node.raw())
+        self.incident(&self.in_adj, node)
+    }
+
+    fn incident<'a>(
+        &'a self,
+        adj: &'a Adjacency,
+        node: NodeId,
+    ) -> impl Iterator<Item = &'a ExplainEdge> + 'a {
+        self.local(node)
             .into_iter()
-            .flat_map(move |&i| {
-                self.in_adj[i as usize]
-                    .iter()
-                    .map(move |&e| &self.edges[e as usize])
-            })
+            .flat_map(move |i| row(adj, i))
+            .map(move |(_, e)| &self.edges[e])
     }
 
     /// Sum of adjusted outgoing flows of a node — the `O(v_k)` of
@@ -509,10 +527,92 @@ impl Explanation {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use orex_authority::{power_iteration, RankParams, TransitionMatrix};
     use orex_graph::{DataGraph, DataGraphBuilder, SchemaGraph, TransferRates, TransferTypeId};
+    use proptest::prelude::*;
+
+    /// The arguments of [`random_explanation`] as one proptest strategy.
+    pub(crate) fn random_case() -> impl Strategy<Value = RandomCase> {
+        (
+            (2usize..10, 1usize..3),
+            proptest::collection::vec((0u32..64, 0u32..64, 0u8..3), 1..40),
+            proptest::collection::vec(0u32..64, 1..4),
+            (0u32..64, 0u8..2),
+        )
+    }
+
+    /// `((papers, authors), edge rolls, base-set rolls, (target roll,
+    /// rates roll))`.
+    pub(crate) type RandomCase = ((usize, usize), Vec<(u32, u32, u8)>, Vec<u32>, (u32, u8));
+
+    /// One explanation on a random schema-conformant graph, with the
+    /// graph's node count and the base set; `None` when the roll's target
+    /// is unreachable.
+    ///
+    /// Papers cite and extend papers — two edge types over one pair of
+    /// node types, so an ordered pair of papers can carry parallel edges
+    /// of different types, and a repeated roll adds parallel edges of one
+    /// type, whose flows are exactly equal — and papers have authors.
+    /// Every type transfers both ways, so cycles are everywhere. An even
+    /// rates roll gives `cites` and `extends` the same rates (equal flows
+    /// across types wherever the out-degrees agree); every fourth target
+    /// roll puts the target inside the base set.
+    pub(crate) fn random_explanation(
+        ((papers, authors), edge_rolls, base_rolls, (target_roll, rates_roll)): &RandomCase,
+    ) -> Option<(usize, BaseSet, Explanation)> {
+        let mut schema = SchemaGraph::new();
+        let p = schema.add_node_type("Paper").unwrap();
+        let a = schema.add_node_type("Author").unwrap();
+        let cites = schema.add_edge_type(p, p, "cites").unwrap();
+        let extends = schema.add_edge_type(p, p, "extends").unwrap();
+        let by = schema.add_edge_type(p, a, "by").unwrap();
+        let mut b = DataGraphBuilder::new(schema);
+        let paper: Vec<_> = (0..*papers)
+            .map(|_| b.add_node(p, vec![]).unwrap())
+            .collect();
+        let author: Vec<_> = (0..*authors)
+            .map(|_| b.add_node(a, vec![]).unwrap())
+            .collect();
+        for &(s, t, ty) in edge_rolls {
+            let s = paper[s as usize % papers];
+            match ty {
+                0 => b.add_edge(s, paper[t as usize % papers], cites),
+                1 => b.add_edge(s, paper[t as usize % papers], extends),
+                _ => b.add_edge(s, author[t as usize % authors], by),
+            }
+            .unwrap();
+        }
+        let g = b.freeze();
+        let mut rates = TransferRates::zero(g.schema());
+        let (cites_f, extends_f, cites_b, extends_b) = if rates_roll % 2 == 0 {
+            (0.25, 0.25, 0.1, 0.1)
+        } else {
+            (0.3, 0.15, 0.05, 0.15)
+        };
+        for (tt, rate) in [
+            (TransferTypeId::forward(cites), cites_f),
+            (TransferTypeId::forward(extends), extends_f),
+            (TransferTypeId::backward(cites), cites_b),
+            (TransferTypeId::backward(extends), extends_b),
+            (TransferTypeId::forward(by), 0.2),
+            (TransferTypeId::backward(by), 0.5),
+        ] {
+            rates.set(tt, rate).unwrap();
+        }
+        rates.validate(g.schema()).unwrap();
+        let n = g.node_count();
+        let base: Vec<u32> = base_rolls.iter().map(|&r| r % n as u32).collect();
+        let target = if target_roll % 4 == 0 {
+            base[0]
+        } else {
+            target_roll % n as u32
+        };
+        let (_, _, _, base, explanation) =
+            run(&g, &rates, &base, target, &ExplainParams::default());
+        Some((n, base, explanation.ok()?))
+    }
 
     /// Chain with a side branch:
     ///   s(0) -> a(1) -> t(2),  a(1) -> x(3)   [x outside any path to t]
@@ -749,5 +849,62 @@ mod tests {
         let expl = expl.unwrap();
         assert!(expl.is_source(NodeId::new(0)));
         assert!(!expl.is_source(NodeId::new(1)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Every lookup agrees with a naive scan of `nodes()` and
+        /// `edges()`, for ids inside the subgraph, outside it, and past
+        /// the end of the graph.
+        #[test]
+        fn lookups_agree_with_a_naive_scan(case in random_case()) {
+            let Some((n, base, expl)) = random_explanation(&case) else {
+                return Ok(());
+            };
+            let nodes: Vec<NodeId> = expl.nodes().collect();
+            prop_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "ascending, distinct");
+            prop_assert!(expl.edges().windows(2).all(|w| w[0].transfer_edge < w[1].transfer_edge));
+            // Backward BFS from the target over `edges()`.
+            let mut dist = vec![(expl.target(), 0usize)];
+            let mut next = 0;
+            while let Some(&(w, d)) = dist.get(next) {
+                next += 1;
+                for e in expl.edges().iter().filter(|e| e.target == w) {
+                    if dist.iter().all(|&(seen, _)| seen != e.source) {
+                        dist.push((e.source, d + 1));
+                    }
+                }
+            }
+            for id in (0..n as u32 + 3).chain([u32::MAX]) {
+                let node = NodeId::new(id);
+                let present = nodes.contains(&node);
+                prop_assert_eq!(expl.contains(node), present);
+                prop_assert_eq!(
+                    expl.distance(node),
+                    dist.iter().find(|&&(seen, _)| seen == node).map(|&(_, d)| d)
+                );
+                prop_assert_eq!(expl.distance(node).is_some(), present);
+                prop_assert_eq!(expl.is_source(node), present && base.contains(id));
+                prop_assert_eq!(expl.reduction_factor(node).is_some(), present);
+                let ids = |edges: Vec<&ExplainEdge>| -> Vec<usize> {
+                    edges.iter().map(|e| e.transfer_edge).collect()
+                };
+                prop_assert_eq!(
+                    ids(expl.out_edges(node).collect()),
+                    ids(expl.edges().iter().filter(|e| e.source == node).collect())
+                );
+                prop_assert_eq!(
+                    ids(expl.in_edges(node).collect()),
+                    ids(expl.edges().iter().filter(|e| e.target == node).collect())
+                );
+            }
+            // Equation 7 ties every edge's flows to its head's factor.
+            prop_assert_eq!(expl.reduction_factor(expl.target()), Some(1.0));
+            for e in expl.edges() {
+                let h = expl.reduction_factor(e.target).unwrap();
+                prop_assert_eq!((h * e.original_flow).to_bits(), e.adjusted_flow.to_bits());
+            }
+        }
     }
 }

@@ -81,12 +81,8 @@ fn signature_of(
     let schema = data.schema();
     let mut sig = String::new();
     sig.push_str(schema.node_label(data.node_type(*path.nodes.first()?)));
-    for pair in path.nodes.windows(2) {
-        // The strongest edge between the pair defines the hop's type.
-        let edge = explanation
-            .out_edges(pair[0])
-            .filter(|e| e.target == pair[1])
-            .max_by(|a, b| a.adjusted_flow.total_cmp(&b.adjusted_flow))?;
+    for &e in &path.edges {
+        let edge = &explanation.edges()[e];
         let tt = transfer.edge_transfer_type(edge.transfer_edge);
         let label = &schema.edge_type(tt.edge_type).label;
         match tt.direction {
@@ -101,7 +97,7 @@ fn signature_of(
                 sig.push_str("= ");
             }
         }
-        sig.push_str(schema.node_label(data.node_type(pair[1])));
+        sig.push_str(schema.node_label(data.node_type(edge.target)));
     }
     Some(sig)
 }

@@ -73,29 +73,23 @@ pub fn edge_type_flows(explanation: &Explanation, graph: &TransferGraph) -> Vec<
 /// Like [`edge_type_flows`], but measured only on the edges of the
 /// `k` strongest flow paths of the explanation (see
 /// [`StructureParams::top_paths`]). Parallel edges between the same node
-/// pair contribute their strongest representative, matching what the
-/// pruned display shows the user.
+/// pair contribute their strongest representative — the one the path
+/// names for the hop — matching what the pruned display shows the user.
 pub fn edge_type_flows_pruned(
     explanation: &Explanation,
     graph: &TransferGraph,
     k: usize,
 ) -> Vec<f64> {
     let mut flows = vec![0.0; graph.transfer_type_count()];
-    let mut counted: std::collections::HashSet<(u32, u32)> = Default::default();
+    let edges = explanation.edges();
+    let mut counted = vec![false; edges.len()];
     for path in orex_explain::top_paths(explanation, k) {
-        for pair in path.nodes.windows(2) {
-            if !counted.insert((pair[0].raw(), pair[1].raw())) {
+        for e in path.edges {
+            if std::mem::replace(&mut counted[e], true) {
                 continue; // shared prefix edges count once
             }
-            // Strongest edge between the pair.
-            if let Some(e) = explanation
-                .out_edges(pair[0])
-                .filter(|e| e.target == pair[1])
-                .max_by(|a, b| a.adjusted_flow.total_cmp(&b.adjusted_flow))
-            {
-                let tt = graph.edge_transfer_type(e.transfer_edge);
-                flows[tt.dense_index()] += e.adjusted_flow;
-            }
+            let tt = graph.edge_transfer_type(edges[e].transfer_edge);
+            flows[tt.dense_index()] += edges[e].adjusted_flow;
         }
     }
     flows
@@ -347,6 +341,69 @@ mod tests {
         assert!(
             cites_f > 2.0 * by_f,
             "after training, cites ({cites_f}) should dominate by ({by_f})"
+        );
+    }
+
+    #[test]
+    fn pruned_flows_count_shared_hops_once_and_parallel_pairs_by_their_strongest_edge() {
+        // s -> a, then a -> t twice in parallel (cites and extends) and
+        // the detour a -> b -> t. The two strongest paths are s a t and
+        // s a b t: they share the hop s -> a, and the first crosses the
+        // parallel pair.
+        let mut schema = SchemaGraph::new();
+        let p = schema.add_node_type("Paper").unwrap();
+        let cites = schema.add_edge_type(p, p, "cites").unwrap();
+        let extends = schema.add_edge_type(p, p, "extends").unwrap();
+        let mut bld = DataGraphBuilder::new(schema);
+        let [s, a, b, t] = [(); 4].map(|()| bld.add_node(p, vec![]).unwrap());
+        bld.add_edge(s, a, cites).unwrap();
+        bld.add_edge(a, t, extends).unwrap();
+        bld.add_edge(a, t, cites).unwrap();
+        bld.add_edge(a, b, cites).unwrap();
+        bld.add_edge(b, t, cites).unwrap();
+        let g = bld.freeze();
+        let mut rates = TransferRates::zero(g.schema());
+        rates.set(TransferTypeId::forward(cites), 0.5).unwrap();
+        rates.set(TransferTypeId::forward(extends), 0.2).unwrap();
+        let tg = TransferGraph::build(&g);
+        let weights = tg.weights(&rates);
+        let m = TransitionMatrix::new(&tg, &rates);
+        let base = BaseSet::uniform([s.raw()]).unwrap();
+        let rank = power_iteration(&m, &base, &RankParams::default(), None);
+        let expl = Explanation::explain(
+            &tg,
+            &weights,
+            &rank.scores,
+            &base,
+            t,
+            &ExplainParams::default(),
+        )
+        .unwrap();
+
+        let paths = orex_explain::top_paths(&expl, 8);
+        let nodes: Vec<&[NodeId]> = paths.iter().map(|p| &p.nodes[..]).collect();
+        assert_eq!(nodes, [&[s, a, t][..], &[s, a, b, t][..]]);
+
+        let flow = |src: NodeId, dst: NodeId, ty: EdgeTypeId| {
+            let mut matching = expl.edges().iter().filter(|e| {
+                (e.source, e.target) == (src, dst)
+                    && tg.edge_transfer_type(e.transfer_edge) == TransferTypeId::forward(ty)
+            });
+            let flow = matching.next().unwrap().adjusted_flow;
+            assert!(matching.next().is_none());
+            flow
+        };
+        // alpha(a -> t) is 0.25 by citation and 0.2 by extension.
+        assert!(flow(a, t, cites) > flow(a, t, extends));
+        let mut by_hand = vec![0.0; tg.transfer_type_count()];
+        by_hand[TransferTypeId::forward(cites).dense_index()] =
+            flow(s, a, cites) + flow(a, t, cites) + flow(a, b, cites) + flow(b, t, cites);
+        assert_eq!(edge_type_flows_pruned(&expl, &tg, 8), by_hand);
+        // The whole subgraph also hears the weaker parallel edge.
+        let whole = edge_type_flows(&expl, &tg);
+        assert_eq!(
+            whole[TransferTypeId::forward(extends).dense_index()],
+            flow(a, t, extends)
         );
     }
 }

@@ -407,18 +407,14 @@ impl SystemRegistry {
             .slots
             .iter()
             .map(|slot| {
-                let base = serde_json::json!({
+                let mut row = serde_json::json!({
                     "name": slot.spec.name.clone(),
                     "preset": slot.spec.preset.name(),
                     "scale": slot.spec.scale,
                     "default": slot.spec.name == self.default_name(),
                 });
-                match slot.service.get() {
+                let state = match slot.service.get() {
                     Some(Ok(svc)) => serde_json::json!({
-                        "name": slot.spec.name.clone(),
-                        "preset": slot.spec.preset.name(),
-                        "scale": slot.spec.scale,
-                        "default": slot.spec.name == self.default_name(),
                         "loaded": true,
                         "nodes": svc.system.graph().node_count() as u64,
                         "edges": svc.system.graph().edge_count() as u64,
@@ -429,22 +425,15 @@ impl SystemRegistry {
                         // ORDERING: statistics read, no synchronization role.
                         "queries": svc.queries.load(Ordering::Relaxed),
                     }),
-                    Some(Err(why)) => serde_json::json!({
-                        "name": slot.spec.name.clone(),
-                        "preset": slot.spec.preset.name(),
-                        "scale": slot.spec.scale,
-                        "default": slot.spec.name == self.default_name(),
-                        "loaded": false,
-                        "error": why,
-                    }),
-                    None => {
-                        let mut row = base;
-                        if let Some(obj) = row.as_object_mut() {
-                            obj.insert("loaded".into(), serde_json::Value::Bool(false));
-                        }
-                        row
+                    Some(Err(why)) => serde_json::json!({"loaded": false, "error": why}),
+                    None => serde_json::json!({"loaded": false}),
+                };
+                if let (Some(row), Some(state)) = (row.as_object_mut(), state.as_object()) {
+                    for (key, value) in state.iter() {
+                        row.insert(key.clone(), value.clone());
                     }
                 }
+                row
             })
             .collect();
         serde_json::json!({

@@ -454,6 +454,32 @@ fn parse_id(raw: &str) -> Option<u64> {
     raw.parse().ok()
 }
 
+/// The `key=value` pairs of a query string, in order. A key outside
+/// `expected` yields the handler's 400 in its place.
+fn query_params<'q>(
+    query: &'q str,
+    expected: &'static [&'static str],
+) -> impl Iterator<Item = Result<(&'q str, &'q str), ServerError>> + 'q {
+    query.split('&').filter(|p| !p.is_empty()).map(move |pair| {
+        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
+        if expected.contains(&key) {
+            Ok((key, value))
+        } else {
+            Err(ServerError::BadRequest(format!(
+                "unknown query parameter {key:?} (expected {})",
+                expected.join("|")
+            )))
+        }
+    })
+}
+
+/// Parses the value of query parameter `key` as an unsigned integer.
+fn unsigned<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, ServerError> {
+    value
+        .parse()
+        .map_err(|_| ServerError::BadRequest(format!("{key} must be an unsigned integer")))
+}
+
 /// Resolves a session id to its snapshot and owning dataset service.
 fn session_service(
     state: &ServerState,
@@ -523,6 +549,11 @@ fn handle_explain(
     ))
 }
 
+/// Most distinct objects one `/feedback` round accepts. Every object
+/// costs a full explanation on the handler's thread, so like the body
+/// size this bounds what one outside request can ask for.
+const MAX_FEEDBACK_OBJECTS: usize = 64;
+
 fn handle_feedback(
     request: &Request,
     state: &ServerState,
@@ -546,16 +577,25 @@ fn handle_feedback(
     };
     let system = service.system();
     let node_count = system.graph().node_count();
-    let mut objects = Vec::with_capacity(raw_objects.len());
+    // Equations 14/15 aggregate over a *set* of feedback objects: a
+    // repeated id votes once.
+    let mut objects: Vec<NodeId> = Vec::new();
     for v in raw_objects {
-        match v.as_u64() {
-            Some(raw) if (raw as usize) < node_count => objects.push(NodeId::new(raw as u32)),
+        let node = match v.as_u64() {
+            Some(raw) if (raw as usize) < node_count => NodeId::new(raw as u32),
             _ => {
                 return Err(ServerError::BadRequest(
                     "objects must be in-range node ids".into(),
                 ))
             }
+        };
+        if objects.contains(&node) {
+            continue;
         }
+        if objects.len() == MAX_FEEDBACK_OBJECTS {
+            return Err(ServerError::BadRequest("too many feedback objects".into()));
+        }
+        objects.push(node);
     }
     let k = requested_k(&body);
     // Warm-start reformulation: resume the stored state, run one
@@ -592,22 +632,14 @@ fn handle_trace(state: &ServerState, id: &str, query: &str) -> Result<Response, 
         ));
     };
     let mut wire = false;
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
-        match key {
-            "format" => match value {
-                "chrome" => wire = false,
-                "wire" => wire = true,
-                _ => {
-                    return Err(ServerError::BadRequest(
-                        "format must be chrome or wire".into(),
-                    ));
-                }
-            },
-            other => {
-                return Err(ServerError::BadRequest(format!(
-                    "unknown query parameter {other:?} (expected format)"
-                )));
+    for param in query_params(query, &["format"]) {
+        match param?.1 {
+            "chrome" => wire = false,
+            "wire" => wire = true,
+            _ => {
+                return Err(ServerError::BadRequest(
+                    "format must be chrome or wire".into(),
+                ));
             }
         }
     }
@@ -638,30 +670,14 @@ fn handle_logs(state: &ServerState, query: &str) -> Result<Response, ServerError
     let mut since = None;
     let mut limit = None;
     let mut trace = None;
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
+    for param in query_params(query, &["level", "since", "limit", "trace"]) {
+        let (key, value) = param?;
         match key {
             "level" => level = Some(value.parse::<Level>().map_err(ServerError::BadRequest)?),
-            "since" => {
-                since = Some(value.parse::<u64>().map_err(|_| {
-                    ServerError::BadRequest("since must be an unsigned integer".into())
-                })?);
-            }
-            "limit" => {
-                limit = Some(value.parse::<usize>().map_err(|_| {
-                    ServerError::BadRequest("limit must be an unsigned integer".into())
-                })?);
-            }
-            "trace" => {
-                trace = Some(value.parse::<u64>().map_err(|_| {
-                    ServerError::BadRequest("trace must be an unsigned integer".into())
-                })?);
-            }
-            other => {
-                return Err(ServerError::BadRequest(format!(
-                    "unknown query parameter {other:?} (expected level|since|limit|trace)"
-                )));
-            }
+            "since" => since = Some(unsigned(key, value)?),
+            "limit" => limit = Some(unsigned(key, value)?),
+            // "trace", the one expected key left.
+            _ => trace = Some(unsigned(key, value)?),
         }
     }
     // Records may still sit in the logger's ring (emitted by workers
@@ -697,27 +713,15 @@ fn handle_profile(query: &str) -> Result<Response, ServerError> {
     telemetry.counter("server.profile_requests").incr();
     let mut seconds = 0u64;
     let mut format = "folded";
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
-        match key {
-            "seconds" => {
-                seconds = value.parse::<u64>().map_err(|_| {
-                    ServerError::BadRequest("seconds must be an unsigned integer".into())
-                })?;
-            }
-            "format" => match value {
-                "folded" => format = "folded",
-                "chrome" => format = "chrome",
-                _ => {
-                    return Err(ServerError::BadRequest(
-                        "format must be folded or chrome".into(),
-                    ));
-                }
-            },
-            other => {
-                return Err(ServerError::BadRequest(format!(
-                    "unknown query parameter {other:?} (expected seconds|format)"
-                )));
+    for param in query_params(query, &["seconds", "format"]) {
+        match param? {
+            (key @ "seconds", value) => seconds = unsigned(key, value)?,
+            (_, "folded") => format = "folded",
+            (_, "chrome") => format = "chrome",
+            _ => {
+                return Err(ServerError::BadRequest(
+                    "format must be folded or chrome".into(),
+                ));
             }
         }
     }
@@ -742,22 +746,14 @@ fn handle_status(state: &ServerState, query: &str) -> Result<Response, ServerErr
     let _span = telemetry.span("server.status_us");
     telemetry.counter("server.status_requests").incr();
     let mut json = false;
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
-        match key {
-            "format" => match value {
-                "json" => json = true,
-                "html" => json = false,
-                _ => {
-                    return Err(ServerError::BadRequest(
-                        "format must be html or json".into(),
-                    ));
-                }
-            },
-            other => {
-                return Err(ServerError::BadRequest(format!(
-                    "unknown query parameter {other:?} (expected format)"
-                )));
+    for param in query_params(query, &["format"]) {
+        match param?.1 {
+            "json" => json = true,
+            "html" => json = false,
+            _ => {
+                return Err(ServerError::BadRequest(
+                    "format must be html or json".into(),
+                ));
             }
         }
     }

@@ -434,6 +434,82 @@ fn feedback_on_a_session_leaves_the_cached_answer_untouched() {
     );
 }
 
+/// Equations 14/15 aggregate over a *set* of feedback objects: naming
+/// one twice is naming it once. (A second object is what makes the
+/// repeat visible — alone, `[a,a]` doubles every vote and the
+/// normalisation steps cancel it.)
+#[test]
+fn repeated_feedback_object_votes_once() {
+    let _guard = serial();
+    let (_, keyword) = fixture();
+    let server = TestServer::spawn_default();
+    let body = format!("{{\"query\": \"{keyword}\", \"k\": 10}}");
+    let first = post(server.addr, "/query", &body).json();
+    let second = post(server.addr, "/query", &body).json();
+    let sessions = [&first, &second].map(|q| q.get("session").and_then(Value::as_u64).unwrap());
+    assert_ne!(sessions[0], sessions[1]);
+    let (a, b) = (result_nodes(&first)[0], result_nodes(&first)[1]);
+
+    let twice = post(
+        server.addr,
+        &format!("/feedback/{}", sessions[0]),
+        &format!("{{\"objects\": [{a},{b},{a}], \"k\": 10}}"),
+    );
+    let once = post(
+        server.addr,
+        &format!("/feedback/{}", sessions[1]),
+        &format!("{{\"objects\": [{a},{b}], \"k\": 10}}"),
+    );
+    assert_eq!((twice.status, once.status), (200, 200));
+    assert_eq!(
+        twice.body.replacen(
+            &format!("\"session\":{}", sessions[0]),
+            &format!("\"session\":{}", sessions[1]),
+            1
+        ),
+        once.body,
+        "same body apart from the session id"
+    );
+}
+
+/// Every feedback object costs a full explanation on the handler's
+/// thread; a list past the bound is refused before any runs.
+#[test]
+fn oversized_feedback_list_is_refused_and_leaves_the_session_alone() {
+    let _guard = serial();
+    let (system, keyword) = fixture();
+    let server = TestServer::spawn_default();
+    let query = post(
+        server.addr,
+        "/query",
+        &format!("{{\"query\": \"{keyword}\"}}"),
+    )
+    .json();
+    let session = query.get("session").and_then(Value::as_u64).unwrap();
+    assert!(system.graph().node_count() > 65);
+    let feedback = |ids: std::ops::Range<u32>| {
+        let ids: Vec<String> = ids.map(|id| id.to_string()).collect();
+        post(
+            server.addr,
+            &format!("/feedback/{session}"),
+            &format!("{{\"objects\": [{}]}}", ids.join(",")),
+        )
+    };
+
+    let refused = feedback(0..65);
+    assert_eq!(refused.status, 400);
+    assert!(
+        refused.body.contains("too many feedback objects"),
+        "{:?}",
+        refused.body
+    );
+    // No round ran: the next call is the session's first.
+    let a = result_nodes(&query)[0] as u32;
+    let next = feedback(a..a + 1);
+    assert_eq!(next.status, 200, "{:?}", next.body);
+    assert_eq!(next.json().get("round").and_then(Value::as_u64), Some(1));
+}
+
 /// Transport-level rejections (malformed request lines, oversized
 /// bodies, the connection cap, unknown routes and methods) are covered
 /// once for server and router by `orex-router`'s
