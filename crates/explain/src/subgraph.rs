@@ -5,10 +5,10 @@
 //! authority reached `v`. It is built in two stages (Figure 8):
 //!
 //! 1. **Construction**: a radius-`L` breadth-first search *backwards* from
-//!    `v` over the authority transfer data graph collects every node and
-//!    edge that can carry authority to `v` within `L` hops; a forward BFS
-//!    from the base-set nodes then keeps only the part actually fed by the
-//!    base set.
+//!    `v` over the authority transfer data graph measures every node's
+//!    distance to `v`; a forward search from the base-set nodes then keeps
+//!    each edge it meets whose head lies within `L − 1` hops of `v` — the
+//!    edges that carry base-set authority to `v` within `L` hops.
 //! 2. **Flow adjustment**: the "original" edge flows
 //!    `Flow_0(vi -> vj) = d · alpha(vi -> vj) · r^Q(vi)` (Equation 5)
 //!    over-count, because part of each node's outgoing authority leaks to
@@ -183,24 +183,17 @@ impl Explanation {
         // radius-3 subgraphs of hub targets touch millions of edges, and
         // hashing dominated the construction stage.
         let n_global = graph.node_count();
+        let radius = params.radius as u32;
         let mut dist = vec![u32::MAX; n_global];
         dist[target.index()] = 0;
         let mut frontier = vec![target.raw()];
-        // Candidate edges: all positive-alpha edges (u -> w) discovered
-        // while expanding w at depth < L, keyed by source for the forward
-        // pass.
-        let mut candidates: Vec<(u32, u32)> = Vec::new(); // (src, edge)
         let telemetry = orex_telemetry::global();
         let frontier_size = telemetry.histogram("explain.bfs.frontier_size");
-        for depth in 0..params.radius as u32 {
+        for depth in 0..radius {
             let mut next = Vec::new();
             for &w in &frontier {
                 for (u, e) in graph.in_transfer(NodeId::new(w)) {
-                    if weights[e] <= 0.0 {
-                        continue;
-                    }
-                    candidates.push((u.raw(), e as u32));
-                    if dist[u.index()] == u32::MAX {
+                    if weights[e] > 0.0 && dist[u.index()] == u32::MAX {
                         dist[u.index()] = depth + 1;
                         next.push(u.raw());
                     }
@@ -214,56 +207,57 @@ impl Explanation {
         }
 
         // --- Construction stage, forward pass ---------------------------
-        // Group candidate edges by source (sort once), then DFS from the
-        // base-set nodes inside the backward cone.
-        candidates.sort_unstable();
-        let mut reachable = vec![false; n_global];
-        let mut stack: Vec<u32> = base
+        // Search from the base-set nodes inside the backward cone. A
+        // positive-alpha edge u -> w can carry authority to the target
+        // within L hops iff the backward pass expanded w, i.e. dist[w] < L;
+        // the search keeps every such edge out of every node it reaches.
+        // `found` lists each reached node once. It is exactly the node set:
+        // a reached base-set node other than the target owns the edge the
+        // backward pass discovered it by, and every other reached node is
+        // the head of a kept edge.
+        const FOUND: u8 = 1;
+        const SOURCE: u8 = 2;
+        let mut state = vec![0u8; n_global];
+        let mut found: Vec<u32> = base
             .nodes()
             .filter(|&n| dist[n as usize] != u32::MAX)
             .collect();
-        for &n in &stack {
-            reachable[n as usize] = true;
+        for &n in &found {
+            state[n as usize] = SOURCE;
         }
         let mut kept_edges: Vec<usize> = Vec::new();
-        while let Some(u) = stack.pop() {
-            let start = candidates.partition_point(|&(s, _)| s < u);
-            for &(s, e) in &candidates[start..] {
-                if s != u {
-                    break;
-                }
-                kept_edges.push(e as usize);
-                let (_, w) = graph.edge_endpoints(e as usize);
-                if !reachable[w.index()] {
-                    reachable[w.index()] = true;
-                    stack.push(w.raw());
+        let mut cursor = 0;
+        while let Some(&u) = found.get(cursor) {
+            cursor += 1;
+            for (w, e) in graph.out_transfer(NodeId::new(u)) {
+                if weights[e] > 0.0 && dist[w.index()] < radius {
+                    kept_edges.push(e);
+                    if state[w.index()] == 0 {
+                        state[w.index()] = FOUND;
+                        found.push(w.raw());
+                    }
                 }
             }
         }
-        kept_edges.sort_unstable();
-        kept_edges.dedup();
-        if !reachable[target.index()] {
+        if state[target.index()] == 0 {
             return Err(ExplainError::TargetUnreachable(target));
         }
+        kept_edges.sort_unstable();
 
         // --- Assemble local structure -----------------------------------
-        // Keep exactly the nodes incident to kept edges, plus the target.
-        let mut node_set: Vec<u32> = kept_edges
-            .iter()
-            .flat_map(|&e| {
-                let (s, t) = graph.edge_endpoints(e);
-                [s.raw(), t.raw()]
-            })
-            .chain(std::iter::once(target.raw()))
-            .collect();
+        let mut node_set = found;
         node_set.sort_unstable();
-        node_set.dedup();
         let n_local = node_set.len();
-        // Every id looked up below is in `node_set`, so the partition
-        // point is its position.
-        let local = |id: NodeId| node_set.partition_point(|&n| n < id.raw());
         let dist_to_target: Vec<u32> = node_set.iter().map(|&n| dist[n as usize]).collect();
-        let is_source: Vec<bool> = node_set.iter().map(|&n| base.contains(n)).collect();
+        let is_source: Vec<bool> = node_set
+            .iter()
+            .map(|&n| state[n as usize] == SOURCE)
+            .collect();
+        // Distances are read off; `dist` becomes the global -> local map.
+        let mut local = dist;
+        for (i, &n) in node_set.iter().enumerate() {
+            local[n as usize] = i as u32;
+        }
 
         let d = params.damping;
         let mut edges: Vec<ExplainEdge> = kept_edges
@@ -286,7 +280,7 @@ impl Explanation {
         // ascending edge order.
         let mut endpoints: Vec<(u32, u32)> = edges
             .iter()
-            .map(|e| (local(e.source) as u32, local(e.target) as u32))
+            .map(|e| (local[e.source.index()], local[e.target.index()]))
             .collect();
         let out_adj = Csr::from_edges(n_local, &endpoints);
         for pair in &mut endpoints {
@@ -303,7 +297,10 @@ impl Explanation {
         let adjustment_start = std::time::Instant::now();
 
         // --- Flow adjustment stage: the Equation 10 fixpoint ------------
-        let target_local = local(target);
+        let target_local = local[target.index()] as usize;
+        // `alpha` per out-CSR slot, so the inner loop reads flat arrays.
+        let slot_alpha: Vec<f64> = out_adj.1.iter().map(|&e| edges[e as usize].alpha).collect();
+        let heads = out_adj.0.targets();
         let mut h = vec![1.0f64; n_local];
         let mut h_new = vec![0.0f64; n_local];
         let mut iterations = 0;
@@ -318,8 +315,8 @@ impl Explanation {
                     continue;
                 }
                 let mut acc = 0.0;
-                for (head, e) in row(&out_adj, k) {
-                    acc += h[head] * edges[e].alpha;
+                for slot in out_adj.0.range(k) {
+                    acc += h[heads[slot] as usize] * slot_alpha[slot];
                 }
                 h_new[k] = acc;
                 delta = delta.max((acc - h[k]).abs());
@@ -338,7 +335,7 @@ impl Explanation {
         // Equation 7: adjust every edge by the reduction factor of its
         // *head*; edges into the target keep their original flow
         // (h(target) = 1).
-        for (&head, &e) in out_adj.0.targets().iter().zip(&out_adj.1) {
+        for (&head, &e) in heads.iter().zip(&out_adj.1) {
             let e = &mut edges[e as usize];
             e.adjusted_flow = h[head as usize] * e.original_flow;
         }
@@ -550,6 +547,14 @@ pub(crate) mod tests {
     /// One explanation on a random schema-conformant graph, with the
     /// graph's node count and the base set; `None` when the roll's target
     /// is unreachable.
+    pub(crate) fn random_explanation(case: &RandomCase) -> Option<(usize, BaseSet, Explanation)> {
+        let (g, rates, base, target) = random_graph(case);
+        let (_, _, _, base, explanation) =
+            run(&g, &rates, &base, target, &ExplainParams::default());
+        Some((g.node_count(), base, explanation.ok()?))
+    }
+
+    /// The graph, rates, base-set nodes and target of a [`RandomCase`].
     ///
     /// Papers cite and extend papers — two edge types over one pair of
     /// node types, so an ordered pair of papers can carry parallel edges
@@ -559,9 +564,9 @@ pub(crate) mod tests {
     /// rates roll gives `cites` and `extends` the same rates (equal flows
     /// across types wherever the out-degrees agree); every fourth target
     /// roll puts the target inside the base set.
-    pub(crate) fn random_explanation(
+    fn random_graph(
         ((papers, authors), edge_rolls, base_rolls, (target_roll, rates_roll)): &RandomCase,
-    ) -> Option<(usize, BaseSet, Explanation)> {
+    ) -> (DataGraph, TransferRates, Vec<u32>, u32) {
         let mut schema = SchemaGraph::new();
         let p = schema.add_node_type("Paper").unwrap();
         let a = schema.add_node_type("Author").unwrap();
@@ -609,9 +614,7 @@ pub(crate) mod tests {
         } else {
             target_roll % n as u32
         };
-        let (_, _, _, base, explanation) =
-            run(&g, &rates, &base, target, &ExplainParams::default());
-        Some((n, base, explanation.ok()?))
+        (g, rates, base, target)
     }
 
     /// Chain with a side branch:
@@ -905,6 +908,224 @@ pub(crate) mod tests {
                 let h = expl.reduction_factor(e.target).unwrap();
                 prop_assert_eq!((h * e.original_flow).to_bits(), e.adjusted_flow.to_bits());
             }
+        }
+
+        /// `explain` is bit-identical to the candidate-list construction
+        /// it replaced at radii 1–4, with or without zero-alpha edges, and
+        /// fails with the same variant where that fails.
+        #[test]
+        fn matches_the_candidate_list_reference(
+            case in random_case(),
+            radius in 1usize..5,
+            zero_extends_back in any::<bool>(),
+        ) {
+            let (g, mut rates, base_nodes, target) = random_graph(&case);
+            if zero_extends_back {
+                let extends = orex_graph::EdgeTypeId::new(1);
+                rates.set(TransferTypeId::backward(extends), 0.0).unwrap();
+            }
+            let params = ExplainParams { radius, ..ExplainParams::default() };
+            let (tg, weights, scores, base, _) = run(&g, &rates, &base_nodes, target, &params);
+            let out_of_range = NodeId::new(tg.node_count() as u32 + target % 3);
+            for target in [NodeId::new(target), out_of_range] {
+                let got = Explanation::explain(&tg, &weights, &scores, &base, target, &params);
+                let want = reference::explain(&tg, &weights, &scores, &base, target, &params);
+                match (got, want) {
+                    (Ok(got), Ok(want)) => {
+                        prop_assert_eq!(&got.node_ids, &want.node_ids);
+                        prop_assert_eq!(&got.dist_to_target, &want.dist_to_target);
+                        prop_assert_eq!(&got.is_source, &want.is_source);
+                        let bits = |h: &[f64]| h.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        prop_assert_eq!(bits(&got.h), bits(&want.h));
+                        prop_assert_eq!(got.edges.len(), want.edges.len());
+                        for (a, b) in got.edges.iter().zip(&want.edges) {
+                            prop_assert_eq!(
+                                (a.transfer_edge, a.source, a.target),
+                                (b.transfer_edge, b.source, b.target)
+                            );
+                            prop_assert_eq!(
+                                bits(&[a.alpha, a.original_flow, a.adjusted_flow]),
+                                bits(&[b.alpha, b.original_flow, b.adjusted_flow])
+                            );
+                        }
+                        for (a, b) in [(&got.out_adj, &want.out_adj), (&got.in_adj, &want.in_adj)] {
+                            prop_assert_eq!(a.0.row_offsets(), b.0.row_offsets());
+                            prop_assert_eq!(a.0.targets(), b.0.targets());
+                            prop_assert_eq!(&a.1, &b.1);
+                        }
+                        prop_assert_eq!(got.iterations, want.iterations);
+                        prop_assert_eq!(got.converged, want.converged);
+                    }
+                    (got, want) => prop_assert_eq!(got.err(), want.err()),
+                }
+            }
+        }
+    }
+
+    /// `Explanation::explain` as it stood before construction dropped its
+    /// candidate list: the backward BFS collects every `(source, edge)`
+    /// it expands, the forward DFS binary-searches the sorted list per
+    /// node, and the assembly binary-searches the node set per edge. Kept
+    /// verbatim apart from its spans, metrics, log line and stage timers
+    /// as the oracle for `matches_the_candidate_list_reference`.
+    mod reference {
+        use super::super::*;
+
+        pub fn explain(
+            graph: &TransferGraph,
+            weights: &[f64],
+            scores: &[f64],
+            base: &BaseSet,
+            target: NodeId,
+            params: &ExplainParams,
+        ) -> Result<Explanation, ExplainError> {
+            assert_eq!(weights.len(), graph.transfer_edge_count());
+            assert_eq!(scores.len(), graph.node_count());
+            if target.index() >= graph.node_count() {
+                return Err(ExplainError::TargetOutOfRange(target));
+            }
+            let n_global = graph.node_count();
+            let mut dist = vec![u32::MAX; n_global];
+            dist[target.index()] = 0;
+            let mut frontier = vec![target.raw()];
+            let mut candidates: Vec<(u32, u32)> = Vec::new(); // (src, edge)
+            for depth in 0..params.radius as u32 {
+                let mut next = Vec::new();
+                for &w in &frontier {
+                    for (u, e) in graph.in_transfer(NodeId::new(w)) {
+                        if weights[e] <= 0.0 {
+                            continue;
+                        }
+                        candidates.push((u.raw(), e as u32));
+                        if dist[u.index()] == u32::MAX {
+                            dist[u.index()] = depth + 1;
+                            next.push(u.raw());
+                        }
+                    }
+                }
+                frontier = next;
+                if frontier.is_empty() {
+                    break;
+                }
+            }
+
+            candidates.sort_unstable();
+            let mut reachable = vec![false; n_global];
+            let mut stack: Vec<u32> = base
+                .nodes()
+                .filter(|&n| dist[n as usize] != u32::MAX)
+                .collect();
+            for &n in &stack {
+                reachable[n as usize] = true;
+            }
+            let mut kept_edges: Vec<usize> = Vec::new();
+            while let Some(u) = stack.pop() {
+                let start = candidates.partition_point(|&(s, _)| s < u);
+                for &(s, e) in &candidates[start..] {
+                    if s != u {
+                        break;
+                    }
+                    kept_edges.push(e as usize);
+                    let (_, w) = graph.edge_endpoints(e as usize);
+                    if !reachable[w.index()] {
+                        reachable[w.index()] = true;
+                        stack.push(w.raw());
+                    }
+                }
+            }
+            kept_edges.sort_unstable();
+            kept_edges.dedup();
+            if !reachable[target.index()] {
+                return Err(ExplainError::TargetUnreachable(target));
+            }
+
+            let mut node_set: Vec<u32> = kept_edges
+                .iter()
+                .flat_map(|&e| {
+                    let (s, t) = graph.edge_endpoints(e);
+                    [s.raw(), t.raw()]
+                })
+                .chain(std::iter::once(target.raw()))
+                .collect();
+            node_set.sort_unstable();
+            node_set.dedup();
+            let n_local = node_set.len();
+            let local = |id: NodeId| node_set.partition_point(|&n| n < id.raw());
+            let dist_to_target: Vec<u32> = node_set.iter().map(|&n| dist[n as usize]).collect();
+            let is_source: Vec<bool> = node_set.iter().map(|&n| base.contains(n)).collect();
+
+            let d = params.damping;
+            let mut edges: Vec<ExplainEdge> = kept_edges
+                .iter()
+                .map(|&e| {
+                    let (src, dst) = graph.edge_endpoints(e);
+                    let alpha = weights[e];
+                    ExplainEdge {
+                        transfer_edge: e,
+                        source: src,
+                        target: dst,
+                        alpha,
+                        original_flow: d * alpha * scores[src.index()],
+                        adjusted_flow: 0.0,
+                    }
+                })
+                .collect();
+            let mut endpoints: Vec<(u32, u32)> = edges
+                .iter()
+                .map(|e| (local(e.source) as u32, local(e.target) as u32))
+                .collect();
+            let out_adj = Csr::from_edges(n_local, &endpoints);
+            for pair in &mut endpoints {
+                *pair = (pair.1, pair.0);
+            }
+            let in_adj = Csr::from_edges(n_local, &endpoints);
+
+            let target_local = local(target);
+            let mut h = vec![1.0f64; n_local];
+            let mut h_new = vec![0.0f64; n_local];
+            let mut iterations = 0;
+            let mut converged = false;
+            for _ in 0..params.max_iterations {
+                iterations += 1;
+                let mut delta: f64 = 0.0;
+                for k in 0..n_local {
+                    if k == target_local {
+                        h_new[k] = 1.0;
+                        continue;
+                    }
+                    let mut acc = 0.0;
+                    for (head, e) in row(&out_adj, k) {
+                        acc += h[head] * edges[e].alpha;
+                    }
+                    h_new[k] = acc;
+                    delta = delta.max((acc - h[k]).abs());
+                }
+                std::mem::swap(&mut h, &mut h_new);
+                if delta < params.epsilon {
+                    converged = true;
+                    break;
+                }
+            }
+
+            for (&head, &e) in out_adj.0.targets().iter().zip(&out_adj.1) {
+                let e = &mut edges[e as usize];
+                e.adjusted_flow = h[head as usize] * e.original_flow;
+            }
+
+            Ok(Explanation {
+                target,
+                node_ids: node_set,
+                dist_to_target,
+                is_source,
+                h,
+                edges,
+                out_adj,
+                in_adj,
+                iterations,
+                converged,
+                construction_time: std::time::Duration::ZERO,
+                adjustment_time: std::time::Duration::ZERO,
+            })
         }
     }
 }

@@ -24,7 +24,6 @@ mod dot;
 mod error;
 mod ids;
 mod schema;
-mod stats;
 mod subgraph;
 mod transfer;
 
@@ -34,6 +33,5 @@ pub use dot::{data_to_dot, escape_label, schema_to_dot};
 pub use error::{GraphError, Result};
 pub use ids::{Direction, EdgeId, EdgeTypeId, NodeId, NodeTypeId, TransferTypeId};
 pub use schema::{EdgeType, SchemaGraph};
-pub use stats::GraphStats;
 pub use subgraph::{induced_subgraph, neighborhood, SubgraphResult};
 pub use transfer::{TransferGraph, TransferRates};

@@ -18,8 +18,7 @@
 //! (Equation 12).
 
 use orex_explain::Explanation;
-use orex_ir::{InvertedIndex, QueryVector};
-use std::collections::HashMap;
+use orex_ir::{InvertedIndex, QueryVector, TermId};
 
 /// Parameters of content-based reformulation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -57,7 +56,21 @@ pub fn expansion_term_weights(
     index: &InvertedIndex,
     params: &ContentParams,
 ) -> Vec<(String, f64)> {
-    let mut weights: HashMap<&str, f64> = HashMap::new();
+    let mut weights = vec![0.0; index.vocabulary_size()];
+    let mut terms = Vec::new();
+    harvest(explanation, index, params, &mut weights, &mut terms);
+    heaviest(&weights, terms, index, usize::MAX)
+}
+
+/// Adds `w'(t)` of Equation 11 for one explaining subgraph into
+/// `weights`, a dense array indexed by [`TermId`], through [`add_weight`].
+pub(crate) fn harvest(
+    explanation: &Explanation,
+    index: &InvertedIndex,
+    params: &ContentParams,
+    weights: &mut [f64],
+    terms: &mut Vec<TermId>,
+) {
     let target = explanation.target();
     for node in explanation.nodes() {
         let node_weight = if node == target {
@@ -77,15 +90,44 @@ pub fn expansion_term_weights(
             continue;
         }
         for &(term, _tf) in index.doc_terms(node.raw()) {
-            *weights.entry(index.term_text(term)).or_insert(0.0) += node_weight;
+            add_weight(weights, terms, term, node_weight);
         }
     }
-    let mut out: Vec<(String, f64)> = weights
+}
+
+/// `weights[term] += weight`, listing `term` in `terms` on its first
+/// addition. Every weight added is positive, so a term is new exactly when
+/// its entry is still zero.
+pub(crate) fn add_weight(weights: &mut [f64], terms: &mut Vec<TermId>, term: TermId, weight: f64) {
+    let slot = &mut weights[term as usize];
+    if *slot == 0.0 {
+        terms.push(term);
+    }
+    *slot += weight;
+}
+
+/// The `z` heaviest of `terms` with their weights, in descending weight
+/// order with ties broken alphabetically; only those `z` get a `String`.
+pub(crate) fn heaviest(
+    weights: &[f64],
+    mut terms: Vec<TermId>,
+    index: &InvertedIndex,
+    z: usize,
+) -> Vec<(String, f64)> {
+    let order = |a: &TermId, b: &TermId| {
+        weights[*b as usize]
+            .total_cmp(&weights[*a as usize])
+            .then_with(|| index.term_text(*a).cmp(index.term_text(*b)))
+    };
+    if z < terms.len() {
+        terms.select_nth_unstable_by(z, order);
+        terms.truncate(z);
+    }
+    terms.sort_unstable_by(order);
+    terms
         .into_iter()
-        .map(|(t, w)| (t.to_string(), w))
-        .collect();
-    out.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    out
+        .map(|t| (index.term_text(t).to_string(), weights[t as usize]))
+        .collect()
 }
 
 /// Selects the top-`z` terms and normalizes their weights per Section 5.1:
@@ -128,26 +170,10 @@ pub fn apply_expansion(
     out
 }
 
-/// One-shot content reformulation for a single feedback object:
-/// Equation 11 term harvest, top-`z` selection, normalization and
-/// Equation 12 application.
-pub fn content_reformulate(
-    query: &QueryVector,
-    explanation: &Explanation,
-    index: &InvertedIndex,
-    params: &ContentParams,
-) -> QueryVector {
-    if params.expansion_factor == 0.0 {
-        return query.clone();
-    }
-    let raw = expansion_term_weights(explanation, index, params);
-    let normalized = select_and_normalize(&raw, query, params.top_terms);
-    apply_expansion(query, &normalized, params.expansion_factor)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{reformulate, ReformulateParams};
     use orex_authority::{power_iteration, BaseSet, RankParams, TransitionMatrix};
     use orex_explain::ExplainParams;
     use orex_graph::{
@@ -157,8 +183,15 @@ mod tests {
 
     /// source("olap survey") -> mid("data cube analysis") -> target("range
     /// queries cubes"), plus an off-path node("irrelevant topic") hanging
-    /// off mid.
-    fn setup() -> (Explanation, InvertedIndex) {
+    /// off mid. Returns the explanation of the target, the index, and the
+    /// schema, graph and rates `reformulate` takes.
+    fn setup() -> (
+        Explanation,
+        InvertedIndex,
+        SchemaGraph,
+        TransferGraph,
+        TransferRates,
+    ) {
         let mut schema = SchemaGraph::new();
         let p = schema.add_node_type("Paper").unwrap();
         let r = schema.add_edge_type(p, p, "cites").unwrap();
@@ -207,12 +240,21 @@ mod tests {
         for node in g.nodes() {
             ib.add_document(node.raw(), &g.node_text(node));
         }
-        (expl, ib.build())
+        (expl, ib.build(), g.schema().clone(), tg, rates)
+    }
+
+    /// `reformulate` on the setup's explanation, content component only.
+    fn content_only(query: &QueryVector, expansion_factor: f64) -> QueryVector {
+        let (expl, idx, schema, graph, rates) = setup();
+        let params = ReformulateParams::content_only(expansion_factor);
+        let out = reformulate(query, &rates, &schema, &graph, &idx, &[&expl], &params);
+        assert_eq!(out.rates, rates);
+        out.query
     }
 
     #[test]
     fn target_terms_get_highest_weight() {
-        let (expl, idx) = setup();
+        let (expl, idx, ..) = setup();
         let raw = expansion_term_weights(&expl, &idx, &ContentParams::default());
         assert!(!raw.is_empty());
         // The feedback object's own terms lead thanks to C_d^0 and the
@@ -224,7 +266,7 @@ mod tests {
 
     #[test]
     fn off_path_terms_excluded() {
-        let (expl, idx) = setup();
+        let (expl, idx, ..) = setup();
         let raw = expansion_term_weights(&expl, &idx, &ContentParams::default());
         assert!(
             !raw.iter().any(|(t, _)| t == "irrelev" || t == "topic"),
@@ -234,7 +276,7 @@ mod tests {
 
     #[test]
     fn distance_decays_weights() {
-        let (expl, idx) = setup();
+        let (expl, idx, ..) = setup();
         let raw = expansion_term_weights(&expl, &idx, &ContentParams::default());
         let get = |t: &str| raw.iter().find(|(x, _)| x == t).map(|&(_, w)| w);
         // "olap" is 2 hops from the target and decayed twice; "cube"
@@ -247,7 +289,7 @@ mod tests {
 
     #[test]
     fn normalization_ties_max_to_query_mean() {
-        let (expl, idx) = setup();
+        let (expl, idx, ..) = setup();
         let raw = expansion_term_weights(&expl, &idx, &ContentParams::default());
         let q = QueryVector::from_weights([("olap", 2.0), ("data", 4.0)]); // mean 3
         let norm = select_and_normalize(&raw, &q, 5);
@@ -269,24 +311,14 @@ mod tests {
 
     #[test]
     fn zero_expansion_factor_is_identity() {
-        let (expl, idx) = setup();
         let a = Analyzer::new();
         let q = QueryVector::initial(&Query::parse("olap"), &a);
-        let out = content_reformulate(
-            &q,
-            &expl,
-            &idx,
-            &ContentParams {
-                expansion_factor: 0.0,
-                ..ContentParams::default()
-            },
-        );
-        assert_eq!(out, q);
+        assert_eq!(content_only(&q, 0.0), q);
     }
 
     #[test]
     fn top_terms_limit_respected() {
-        let (expl, idx) = setup();
+        let (expl, idx, ..) = setup();
         let raw = expansion_term_weights(&expl, &idx, &ContentParams::default());
         let q = QueryVector::from_weights([("olap", 1.0)]);
         let norm = select_and_normalize(&raw, &q, 2);
@@ -295,10 +327,9 @@ mod tests {
 
     #[test]
     fn full_reformulation_grows_query() {
-        let (expl, idx) = setup();
         let a = Analyzer::new();
         let q = QueryVector::initial(&Query::parse("olap"), &a);
-        let out = content_reformulate(&q, &expl, &idx, &ContentParams::default());
+        let out = content_only(&q, ContentParams::default().expansion_factor);
         assert!(out.len() > q.len());
         // olap keeps at least its original weight.
         assert!(out.weight("olap") >= 1.0);
@@ -306,7 +337,7 @@ mod tests {
 
     #[test]
     fn deterministic_order_on_ties() {
-        let (expl, idx) = setup();
+        let (expl, idx, ..) = setup();
         let r1 = expansion_term_weights(&expl, &idx, &ContentParams::default());
         let r2 = expansion_term_weights(&expl, &idx, &ContentParams::default());
         assert_eq!(r1, r2);

@@ -10,7 +10,7 @@
 //! its surveys.
 
 use crate::content::{
-    apply_expansion, expansion_term_weights, select_and_normalize, ContentParams,
+    add_weight, apply_expansion, harvest, heaviest, select_and_normalize, ContentParams,
 };
 use crate::structure::{
     edge_type_flows, edge_type_flows_pruned, structure_reformulate, StructureParams,
@@ -18,7 +18,6 @@ use crate::structure::{
 use orex_explain::Explanation;
 use orex_graph::{SchemaGraph, TransferGraph, TransferRates};
 use orex_ir::{InvertedIndex, QueryVector};
-use std::collections::HashMap;
 
 /// Full reformulation configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
@@ -111,15 +110,21 @@ pub fn reformulate(
 
     // --- Content component (Eq. 11, aggregated by Eq. 14) --------------
     let (new_query, expansion_terms) = if params.content.expansion_factor > 0.0 {
-        let mut agg: HashMap<String, f64> = HashMap::new();
+        // Each object's raw weights are summed on their own, then added
+        // into the aggregate object by object: `(w1 + w2) + w3`, not one
+        // running sum over every object's nodes, whose rounding differs.
+        let vocabulary = index.vocabulary_size();
+        let (mut agg, mut agg_terms) = (vec![0.0; vocabulary], Vec::new());
+        let (mut one, mut one_terms) = (vec![0.0; vocabulary], Vec::new());
         for expl in explanations {
-            for (term, w) in expansion_term_weights(expl, index, &params.content) {
-                *agg.entry(term).or_insert(0.0) += w;
+            harvest(expl, index, &params.content, &mut one, &mut one_terms);
+            for term in one_terms.drain(..) {
+                let w = std::mem::take(&mut one[term as usize]);
+                add_weight(&mut agg, &mut agg_terms, term, w);
             }
         }
-        let mut raw: Vec<(String, f64)> = agg.into_iter().collect();
-        raw.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        let normalized = select_and_normalize(&raw, query, params.content.top_terms);
+        let top = heaviest(&agg, agg_terms, index, params.content.top_terms);
+        let normalized = select_and_normalize(&top, query, params.content.top_terms);
         let q = apply_expansion(query, &normalized, params.content.expansion_factor);
         (q, normalized)
     } else {
@@ -168,6 +173,7 @@ pub fn reformulate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::content::expansion_term_weights;
     use orex_authority::{power_iteration, BaseSet, RankParams, TransitionMatrix};
     use orex_explain::ExplainParams;
     use orex_graph::{DataGraphBuilder, EdgeTypeId, NodeId, TransferTypeId};
@@ -359,5 +365,164 @@ mod tests {
             &[],
             &ReformulateParams::default(),
         );
+    }
+
+    /// Titles are drawn from eight words with eight distinct stems, so
+    /// subgraphs share terms, and the terms of a title that no other node
+    /// carries tie in weight and are ordered by their text.
+    const WORDS: [&str; 8] = [
+        "olap", "cube", "range", "scan", "mining", "graph", "index", "storage",
+    ];
+
+    /// `(term, weight bits)` pairs, for bit-exact comparison.
+    fn bits<'a>(terms: impl IntoIterator<Item = (&'a str, f64)>) -> Vec<(String, u64)> {
+        terms
+            .into_iter()
+            .map(|(t, w)| (t.to_string(), w.to_bits()))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The `TermId`-keyed harvest gives bit-identical expansion terms
+        /// and query to the string-keyed one it replaced, for one to three
+        /// feedback objects and `z` of 0, 1, 5 and past the vocabulary;
+        /// `expansion_term_weights` returns the same full sorted list.
+        #[test]
+        fn matches_the_string_keyed_reference(
+            titles in proptest::collection::vec(proptest::collection::vec(0usize..8, 1..4), 3..9),
+            edge_rolls in proptest::collection::vec((0usize..9, 0usize..9), 1..20),
+            base_rolls in proptest::collection::vec(0u32..9, 1..3),
+            target_rolls in proptest::collection::vec(0u32..9, 1..4),
+            (query_word, z_roll) in (0usize..8, 0usize..4),
+        ) {
+            let mut schema = SchemaGraph::new();
+            let p = schema.add_node_type("Paper").unwrap();
+            let cites = schema.add_edge_type(p, p, "cites").unwrap();
+            let mut b = DataGraphBuilder::new(schema);
+            let papers: Vec<_> = titles
+                .iter()
+                .map(|words| {
+                    let title: Vec<&str> = words.iter().map(|&w| WORDS[w]).collect();
+                    b.add_node_with(p, &[("Title", &title.join(" "))]).unwrap()
+                })
+                .collect();
+            for &(s, t) in &edge_rolls {
+                b.add_edge(papers[s % papers.len()], papers[t % papers.len()], cites).unwrap();
+            }
+            let g = b.freeze();
+            let schema = g.schema().clone();
+            let mut rates = TransferRates::uniform(&schema, 0.3);
+            rates.set(TransferTypeId::backward(EdgeTypeId::new(0)), 0.2).unwrap();
+            let graph = TransferGraph::build(&g);
+            let mut ib = IndexBuilder::new(Analyzer::new());
+            for node in g.nodes() {
+                ib.add_document(node.raw(), &g.node_text(node));
+            }
+            let index = ib.build();
+            let query = QueryVector::initial(&Query::parse(WORDS[query_word]), index.analyzer());
+            let n = papers.len() as u32;
+            let base = BaseSet::uniform(base_rolls.iter().map(|&r| r % n)).unwrap();
+            let rank = power_iteration(
+                &TransitionMatrix::new(&graph, &rates),
+                &base,
+                &RankParams { epsilon: 1e-12, max_iterations: 2000, threads: 1, ..RankParams::default() },
+                None,
+            );
+            let weights = graph.weights(&rates);
+            let explanations: Vec<Explanation> = target_rolls
+                .iter()
+                .filter_map(|&t| {
+                    let target = NodeId::new(t % n);
+                    let params = ExplainParams::default();
+                    Explanation::explain(&graph, &weights, &rank.scores, &base, target, &params).ok()
+                })
+                .collect();
+            if explanations.is_empty() {
+                return Ok(());
+            }
+            let top_terms = [0, 1, 5, 100][z_roll];
+            let content = ContentParams { top_terms, ..ContentParams::default() };
+            for expl in &explanations {
+                let got = expansion_term_weights(expl, &index, &content);
+                let want = reference::expansion_term_weights(expl, &index, &content);
+                proptest::prop_assert_eq!(
+                    bits(got.iter().map(|(t, w)| (t.as_str(), *w))),
+                    bits(want.iter().map(|(t, w)| (t.as_str(), *w)))
+                );
+            }
+            let feedback: Vec<&Explanation> = explanations.iter().collect();
+            let params = ReformulateParams { content, ..ReformulateParams::default() };
+            let out = reformulate(&query, &rates, &schema, &graph, &index, &feedback, &params);
+            let (want_query, want_terms) = reference::content(&query, &index, &feedback, &content);
+            proptest::prop_assert_eq!(
+                bits(out.expansion_terms.iter().map(|(t, w)| (t.as_str(), *w))),
+                bits(want_terms.iter().map(|(t, w)| (t.as_str(), *w)))
+            );
+            proptest::prop_assert_eq!(bits(out.query.iter()), bits(want_query.iter()));
+        }
+    }
+
+    /// The content component as it stood before the harvest was keyed by
+    /// `TermId`: one `&str`-keyed map per explanation, a `String` per
+    /// distinct term, a `String`-keyed map across explanations and a full
+    /// sort before the top `z` are taken. Kept verbatim as the oracle for
+    /// `matches_the_string_keyed_reference`.
+    mod reference {
+        use crate::content::{apply_expansion, select_and_normalize, ContentParams};
+        use orex_explain::Explanation;
+        use orex_ir::{InvertedIndex, QueryVector};
+        use std::collections::HashMap;
+
+        pub fn expansion_term_weights(
+            explanation: &Explanation,
+            index: &InvertedIndex,
+            params: &ContentParams,
+        ) -> Vec<(String, f64)> {
+            let mut weights: HashMap<&str, f64> = HashMap::new();
+            let target = explanation.target();
+            for node in explanation.nodes() {
+                let node_weight = if node == target {
+                    params.damping * explanation.inflow(node)
+                } else {
+                    let d = explanation
+                        .distance(node)
+                        .expect("subgraph node has a distance");
+                    params.decay.powi(d as i32) * explanation.outflow(node)
+                };
+                if node_weight <= 0.0 {
+                    continue;
+                }
+                for &(term, _tf) in index.doc_terms(node.raw()) {
+                    *weights.entry(index.term_text(term)).or_insert(0.0) += node_weight;
+                }
+            }
+            let mut out: Vec<(String, f64)> = weights
+                .into_iter()
+                .map(|(t, w)| (t.to_string(), w))
+                .collect();
+            out.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            out
+        }
+
+        pub fn content(
+            query: &QueryVector,
+            index: &InvertedIndex,
+            explanations: &[&Explanation],
+            params: &ContentParams,
+        ) -> (QueryVector, Vec<(String, f64)>) {
+            let mut agg: HashMap<String, f64> = HashMap::new();
+            for expl in explanations {
+                for (term, w) in expansion_term_weights(expl, index, params) {
+                    *agg.entry(term).or_insert(0.0) += w;
+                }
+            }
+            let mut raw: Vec<(String, f64)> = agg.into_iter().collect();
+            raw.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            let normalized = select_and_normalize(&raw, query, params.top_terms);
+            let q = apply_expansion(query, &normalized, params.expansion_factor);
+            (q, normalized)
+        }
     }
 }

@@ -24,10 +24,7 @@ mod content;
 mod driver;
 mod structure;
 
-pub use content::{
-    apply_expansion, content_reformulate, expansion_term_weights, select_and_normalize,
-    ContentParams,
-};
+pub use content::{apply_expansion, expansion_term_weights, select_and_normalize, ContentParams};
 pub use driver::{reformulate, ReformulateParams, Reformulation};
 pub use structure::{
     edge_type_flows, edge_type_flows_pruned, structure_reformulate, StructureParams,
