@@ -23,7 +23,7 @@
 
 use crate::base_set::BaseSet;
 use orex_graph::{TransferGraph, TransferRates};
-use orex_telemetry::{logger, CounterHandle, HistogramHandle, Level, RateLimit};
+use orex_telemetry::{logger, Counter, HistogramHandle, Level, RateLimit};
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -48,12 +48,12 @@ const BLOCK_EDGES: u32 = 8192;
 struct PowerMetrics {
     iter_us: HistogramHandle,
     batch_sweep_us: HistogramHandle,
-    runs: CounterHandle,
-    iterations: CounterHandle,
-    converged: CounterHandle,
-    batch_runs: CounterHandle,
-    batch_vectors: CounterHandle,
-    batch_sweeps: CounterHandle,
+    runs: Counter,
+    iterations: Counter,
+    converged: Counter,
+    batch_runs: Counter,
+    batch_vectors: Counter,
+    batch_sweeps: Counter,
 }
 
 fn power_metrics() -> &'static PowerMetrics {
@@ -63,12 +63,12 @@ fn power_metrics() -> &'static PowerMetrics {
         PowerMetrics {
             iter_us: t.histogram("authority.power.iteration_us"),
             batch_sweep_us: t.histogram("authority.power.batch_sweep_us"),
-            runs: t.counter_handle("authority.power.runs"),
-            iterations: t.counter_handle("authority.power.iterations"),
-            converged: t.counter_handle("authority.power.converged"),
-            batch_runs: t.counter_handle("authority.power.batch_runs"),
-            batch_vectors: t.counter_handle("authority.power.batch_vectors"),
-            batch_sweeps: t.counter_handle("authority.power.batch_sweeps"),
+            runs: t.counter("authority.power.runs"),
+            iterations: t.counter("authority.power.iterations"),
+            converged: t.counter("authority.power.converged"),
+            batch_runs: t.counter("authority.power.batch_runs"),
+            batch_vectors: t.counter("authority.power.batch_vectors"),
+            batch_sweeps: t.counter("authority.power.batch_sweeps"),
         }
     })
 }

@@ -2,16 +2,17 @@
 //!
 //! The served dataset comes from a generator preset (same `--preset` /
 //! `--scale` vocabulary as `orex trace`), so a full interactive-loop
-//! deployment is one command:
+//! deployment is one command; it serves one dataset named `default`,
+//! built before the server binds:
 //!
 //! ```text
 //! orex serve --addr 127.0.0.1:7474 --preset dblp-top --scale 0.1
 //! ```
 //!
 //! Repeatable `--dataset NAME=PRESET:SCALE[:PRECOMPUTE]` flags serve
-//! several named datasets from one process instead (the registry path);
-//! clients pick one with the `dataset` field of `POST /query`. Datasets
-//! build lazily on first use unless `--eager` builds them all upfront:
+//! several named datasets from one process instead; clients pick one
+//! with the `dataset` field of `POST /query`. Datasets build lazily on
+//! first use unless `--eager` builds them all upfront:
 //!
 //! ```text
 //! orex serve --dataset dblp=dblp-top:0.05 --dataset bio=ds7-cancer:0.02 --eager
@@ -20,11 +21,9 @@
 //! SIGTERM/ctrl-c drain in-flight requests before exit (see
 //! `orex_server::install_signal_handlers`).
 
-use orex_core::{ObjectRankSystem, SystemConfig};
 use orex_datagen::Preset;
 use orex_server::{install_signal_handlers, DatasetSpec, Server, ServerConfig, SystemRegistry};
 use std::io::Write;
-use std::sync::Arc;
 use std::time::Duration;
 
 use crate::subcommands::SUBCOMMAND_HELP;
@@ -48,6 +47,21 @@ fn flag_values(args: &[String], flag: &str) -> Vec<String> {
         .filter(|(_, a)| *a == flag)
         .filter_map(|(i, _)| args.get(i + 1).cloned())
         .collect()
+}
+
+/// The dataset `--preset` (default dblp-top), `--scale` (default 0.05)
+/// and `--precompute` describe when no `--dataset` is given.
+fn default_dataset(args: &[String]) -> Result<DatasetSpec, String> {
+    let preset_name = flag::<String>(args, "--preset")?.unwrap_or_else(|| "dblp-top".into());
+    let preset = Preset::parse(&preset_name).ok_or_else(|| {
+        format!("serve: unknown preset '{preset_name}' (dblp-top, dblp-complete, ds7, ds7-cancer)")
+    })?;
+    Ok(DatasetSpec {
+        name: "default".into(),
+        preset,
+        scale: flag(args, "--scale")?.unwrap_or(0.05),
+        precompute: flag::<String>(args, "--precompute")?.map(Into::into),
+    })
 }
 
 /// `orex serve [--addr A] [--preset NAME] [--scale F]
@@ -104,9 +118,6 @@ pub fn run_serve(
         if let Some(ms) = flag::<u64>(args, "--slow-ms")? {
             config.slow_request = Duration::from_millis(ms.max(1));
         }
-        if let Some(path) = flag::<String>(args, "--precompute")? {
-            config.precompute_path = Some(path.into());
-        }
         if args.iter().any(|a| a == "--no-backfill") {
             config.backfill = false;
         }
@@ -117,18 +128,20 @@ pub fn run_serve(
         return Ok(2);
     }
 
-    let preset_name = flag::<String>(args, "--preset")
-        .unwrap_or_default()
-        .unwrap_or_else(|| "dblp-top".into());
-    let Some(preset) = Preset::parse(&preset_name) else {
-        writeln!(
-            err,
-            "serve: unknown preset '{preset_name}' (dblp-top, dblp-complete, ds7, ds7-cancer)"
-        )?;
-        return Ok(2);
+    let dataset_flags = flag_values(args, "--dataset");
+    let specs = if dataset_flags.is_empty() {
+        default_dataset(args).map(|spec| vec![spec])
+    } else {
+        dataset_flags
+            .iter()
+            .map(|raw| DatasetSpec::parse(raw).map_err(|msg| format!("serve: {msg}")))
+            .collect()
     };
-    let scale = match flag::<f64>(args, "--scale") {
-        Ok(v) => v.unwrap_or(0.05),
+    let registry = match specs.and_then(|specs| {
+        SystemRegistry::new(specs, config.cache_entries, config.backfill)
+            .map_err(|msg| format!("serve: {msg}"))
+    }) {
+        Ok(r) => r,
         Err(msg) => {
             writeln!(err, "{msg}")?;
             return Ok(2);
@@ -156,63 +169,33 @@ pub fn run_serve(
         }
     }
 
-    let dataset_flags = flag_values(args, "--dataset");
+    // The default dataset is built before the bind. `--eager` datasets
+    // build after it: a fleet's health probes then queue on the bound
+    // port and are answered the moment serving starts.
+    let default_only = dataset_flags.is_empty();
     let eager = args.iter().any(|a| a == "--eager");
-    let server = if dataset_flags.is_empty() {
-        let dataset = preset.generate(scale);
-        let (nodes, edges) = dataset.sizes();
-        writeln!(
-            err,
-            "[serve] {} at scale {scale}: {nodes} nodes, {edges} edges",
-            preset.name()
-        )?;
-        let system = Arc::new(ObjectRankSystem::new(
-            dataset.graph,
-            dataset.ground_truth,
-            SystemConfig::default(),
-        ));
-        match Server::bind(Arc::clone(&system), config.clone()) {
-            Ok(s) => s,
-            Err(e) => {
-                writeln!(err, "serve: binding {}: {e}", config.addr)?;
-                return Ok(1);
-            }
+    if default_only {
+        if let Err(e) = registry.build_all() {
+            writeln!(err, "serve: building the dataset: {e}")?;
+            return Ok(1);
         }
-    } else {
-        let mut specs = Vec::with_capacity(dataset_flags.len());
-        for raw in &dataset_flags {
-            match DatasetSpec::parse(raw) {
-                Ok(spec) => specs.push(spec),
-                Err(msg) => {
-                    writeln!(err, "serve: {msg}")?;
-                    return Ok(2);
-                }
-            }
+    }
+    writeln!(
+        err,
+        "[serve] datasets: {} (default {}; {})",
+        registry.names().join(", "),
+        registry.default_name(),
+        if default_only || eager {
+            "built eagerly"
+        } else {
+            "built lazily on first use"
         }
-        let registry = match SystemRegistry::new(specs, config.cache_entries, config.backfill) {
-            Ok(r) => r,
-            Err(msg) => {
-                writeln!(err, "serve: {msg}")?;
-                return Ok(2);
-            }
-        };
-        writeln!(
-            err,
-            "[serve] datasets: {} (default {}; {})",
-            registry.names().join(", "),
-            registry.default_name(),
-            if eager {
-                "built eagerly"
-            } else {
-                "built lazily on first use"
-            }
-        )?;
-        match Server::bind_registry(registry, config.clone()) {
-            Ok(s) => s,
-            Err(e) => {
-                writeln!(err, "serve: binding {}: {e}", config.addr)?;
-                return Ok(1);
-            }
+    )?;
+    let server = match Server::bind_registry(registry, config.clone()) {
+        Ok(s) => s,
+        Err(e) => {
+            writeln!(err, "serve: binding {}: {e}", config.addr)?;
+            return Ok(1);
         }
     };
     if eager {
@@ -278,6 +261,29 @@ mod tests {
             assert_eq!(code, 2, "args {bad:?} must be rejected");
             assert!(!err.is_empty());
         }
+    }
+
+    #[test]
+    fn preset_flags_describe_the_default_dataset() {
+        let args = argv(&[
+            "--preset",
+            "ds7-cancer",
+            "--scale",
+            "0.02",
+            "--precompute",
+            "x.bin",
+        ]);
+        let spec = default_dataset(&args).unwrap();
+        assert_eq!(spec.name, "default");
+        assert_eq!(spec.preset, Preset::Ds7Cancer);
+        assert_eq!(spec.scale, 0.02);
+        assert_eq!(
+            spec.precompute.as_deref(),
+            Some(std::path::Path::new("x.bin"))
+        );
+        let spec = default_dataset(&[]).unwrap();
+        assert_eq!((spec.preset, spec.scale), (Preset::DblpTop, 0.05));
+        assert!(spec.precompute.is_none());
     }
 
     #[test]

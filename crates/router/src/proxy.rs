@@ -652,3 +652,47 @@ fn to_response(response: &ClientResponse) -> Response {
     };
     Response::new(response.status, content_type, response.body.clone())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn snap(worker: usize, text: &str) -> Vec<(usize, String)> {
+        vec![(worker, text.to_string())]
+    }
+
+    #[test]
+    fn retro_traces_evict_oldest_first() {
+        let retro = RetroTraces::new(2);
+        retro.insert(1, snap(0, "a"));
+        retro.insert(2, snap(1, "b"));
+        retro.insert(3, snap(0, "c"));
+        assert_eq!(retro.len(), 2);
+        assert!(retro.get(1).is_empty());
+        assert_eq!(retro.get(2), snap(1, "b"));
+        assert_eq!(retro.get(3), snap(0, "c"));
+    }
+
+    #[test]
+    fn retro_reinsert_replaces_and_keeps_eviction_position() {
+        let retro = RetroTraces::new(2);
+        retro.insert(1, snap(0, "old"));
+        retro.insert(2, snap(1, "b"));
+        retro.insert(1, snap(1, "new"));
+        assert_eq!(retro.len(), 2);
+        assert_eq!(retro.get(1), snap(1, "new"));
+        // Trace 1 is still the oldest stored, so it goes first.
+        retro.insert(3, snap(0, "c"));
+        assert!(retro.get(1).is_empty());
+        assert_eq!(retro.get(2), snap(1, "b"));
+    }
+
+    #[test]
+    fn retro_ignores_empty_snapshots_and_unknown_ids_read_empty() {
+        let retro = RetroTraces::new(4);
+        retro.insert(7, Vec::new());
+        assert!(retro.is_empty());
+        assert!(retro.get(7).is_empty());
+        assert!(retro.get(42).is_empty());
+    }
+}

@@ -26,7 +26,7 @@
 
 use crate::http::{is_timeout, read_request, ParseError, Request, Response};
 use crate::traces::TraceArchive;
-use orex_telemetry::{CounterHandle, HistogramHandle, TraceContext};
+use orex_telemetry::{Counter, HistogramHandle, TraceContext};
 use std::io::{self, BufRead, BufReader, Read};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -262,19 +262,19 @@ struct Job {
 
 /// Pre-resolved handles for the metrics every request touches.
 struct Meters {
-    connections: CounterHandle,
-    overload_503: CounterHandle,
-    requests: CounterHandle,
-    keepalive_reuses: CounterHandle,
-    keepalive_idle_closed: CounterHandle,
-    request_timeouts: CounterHandle,
+    connections: Counter,
+    overload_503: Counter,
+    requests: Counter,
+    keepalive_reuses: Counter,
+    keepalive_idle_closed: Counter,
+    request_timeouts: Counter,
     request_us: HistogramHandle,
 }
 
 impl Meters {
     fn new(prefix: &str) -> Self {
         let telemetry = orex_telemetry::global();
-        let counter = |name: &str| telemetry.counter_handle(&format!("{prefix}.{name}"));
+        let counter = |name: &str| telemetry.counter(&format!("{prefix}.{name}"));
         Self {
             connections: counter("connections"),
             overload_503: counter("overload_503"),

@@ -2,15 +2,17 @@
 //!
 //! Every engine crate records into a [`Recorder`] — counters, gauges,
 //! histograms, and scoped [`Span`] timers — and anything holding a
-//! recorder can export a point-in-time [`Snapshot`] as JSON. The hot-path
-//! cost is one `RwLock` read + hash lookup per op and a handful of atomic
-//! adds; a disabled recorder hands out no-op handles so instrumented code
-//! pays only a branch.
+//! recorder can export a point-in-time [`Snapshot`] as JSON. Resolving a
+//! metric by name costs one `RwLock` read + hash lookup; a resolved
+//! handle holds the metric's storage and costs only its own atomics, so
+//! hot loops resolve once and keep the handle. A recorder is enabled or
+//! disabled for life; a disabled one hands out no-op handles, so
+//! instrumented code pays only a branch.
 //!
 //! Engines use the process-wide [`global()`] recorder so instrumentation
-//! never changes public engine signatures; tests and overhead
-//! measurements construct private recorders or toggle
-//! [`Recorder::set_enabled`].
+//! never changes public engine signatures; tests construct private
+//! recorders, and overhead measurements start the process with
+//! `OREX_TELEMETRY=0`.
 //!
 //! Naming convention: `crate.component.metric`, lowercase, with the unit
 //! as a suffix where one applies (`session.rank_us`). Span timers record
@@ -44,8 +46,8 @@ pub use trace::{
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
 /// Number of exponential histogram buckets; bucket `i` holds values in
@@ -77,7 +79,6 @@ pub fn prom_label_value(v: &str) -> String {
 // Each variant holds its storage behind its own `Arc`, so resolving a
 // metric once yields a typed handle that bumps a bare atomic with no
 // registry lock, hash, or enum match on the hot path.
-#[derive(Clone)]
 enum Metric {
     Counter(Arc<AtomicU64>),
     /// Last-written f64, stored as bits.
@@ -229,164 +230,19 @@ fn update_f64(bits: &AtomicU64, f: impl Fn(f64) -> f64) {
 }
 
 struct Registry {
-    enabled: AtomicBool,
-    /// Bumped on every [`Recorder::reset`] and on re-enabling, so
-    /// pre-resolved handles ([`CounterHandle`], [`HistogramHandle`]) know
-    /// to re-resolve instead of going permanently stale in a long-lived
-    /// process; see [`HandleCore`].
-    generation: AtomicU64,
     metrics: RwLock<HashMap<String, Metric>>,
 }
 
-impl Registry {
-    /// Looks a metric up, registering it when absent. `None` while the
-    /// registry is disabled.
-    fn resolve(&self, name: &str, make: fn() -> Metric) -> Option<Metric> {
-        // ORDERING: on/off flag only — all shared metric state is
-        // reached through the RwLock below, which does its own
-        // synchronization; a momentarily stale flag read just delays
-        // the switch by one resolve.
-        if !self.enabled.load(Ordering::Relaxed) {
-            return None;
-        }
-        // A poisoned registry lock is recovered everywhere in this
-        // crate: the map is structurally sound (inserts happen-or-don't
-        // under the guard) and telemetry must keep working after an
-        // unrelated thread panicked mid-resolve.
-        if let Some(m) = self
-            .metrics
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(name)
-        {
-            return Some(m.clone());
-        }
-        let mut metrics = self.metrics.write().unwrap_or_else(PoisonError::into_inner);
-        Some(metrics.entry(name.to_string()).or_insert_with(make).clone())
-    }
-}
-
-/// Shared core of the pre-resolved handle types: a raw pointer to the
-/// metric's storage plus the registry generation it was resolved under.
-/// When the generation moves ([`Recorder::reset`] or re-enabling after
-/// [`Recorder::set_enabled`]`(false)`), the next operation re-resolves
-/// through the registry — so a handle cached in a `OnceLock` by a
-/// long-lived server keeps recording across resets instead of silently
-/// going stale. The fast path is two atomic loads, a compare, and the
-/// metric update itself.
-struct HandleCore<T> {
-    registry: Arc<Registry>,
-    name: String,
-    resolve: fn(&Registry, &str) -> Option<Arc<T>>,
-    dummy: fn() -> Arc<T>,
-    /// Registry generation `target` was resolved under.
-    generation: AtomicU64,
-    /// True when `target` points at registry-owned storage (samples show
-    /// up in snapshots), false when it points at a detached dummy.
-    live: AtomicBool,
-    target: AtomicPtr<T>,
-    /// Every storage Arc this handle has ever pointed at, kept alive so
-    /// the raw `target` pointer stays valid without per-op locking.
-    /// Generations only move on reset/re-enable, so this stays tiny.
-    retained: Mutex<Vec<Arc<T>>>,
-}
-
-impl<T> HandleCore<T> {
-    fn new(
-        registry: Arc<Registry>,
-        name: String,
-        resolve: fn(&Registry, &str) -> Option<Arc<T>>,
-        dummy: fn() -> Arc<T>,
-    ) -> Self {
-        let core = Self {
-            registry,
-            name,
-            resolve,
-            dummy,
-            generation: AtomicU64::new(0),
-            live: AtomicBool::new(false),
-            target: AtomicPtr::new(std::ptr::null_mut()),
-            retained: Mutex::new(Vec::new()),
-        };
-        core.re_resolve();
-        core
-    }
-
-    #[inline]
-    fn check_generation(&self) {
-        let gen = self.registry.generation.load(Ordering::Acquire);
-        if gen != self.generation.load(Ordering::Acquire) {
-            self.re_resolve();
-        }
-    }
-
-    /// The current storage target, re-resolving first when the registry
-    /// generation moved. A detached handle's target is a private dummy
-    /// no snapshot ever reads.
-    #[inline]
-    fn target(&self) -> &T {
-        self.check_generation();
-        // SAFETY: `target` always points into an Arc held by `retained`
-        // for as long as this core lives (see `re_resolve`).
-        unsafe { &*self.target.load(Ordering::Acquire) }
-    }
-
-    /// The target only when live — lets callers skip building samples
-    /// for a detached handle.
-    #[inline]
-    fn live_target(&self) -> Option<&T> {
-        self.check_generation();
-        if !self.live.load(Ordering::Acquire) {
-            return None;
-        }
-        // SAFETY: as in `target`.
-        Some(unsafe { &*self.target.load(Ordering::Acquire) })
-    }
-
-    /// True when operations reach registry-owned storage.
-    fn is_live(&self) -> bool {
-        self.check_generation();
-        self.live.load(Ordering::Acquire)
-    }
-
-    #[cold]
-    fn re_resolve(&self) {
-        // Poison recovery: the Vec is only ever pushed to under the
-        // guard, so it is structurally sound, and a handle that stops
-        // re-resolving would silently drop samples forever.
-        let mut retained = self.retained.lock().unwrap_or_else(PoisonError::into_inner);
-        let gen = self.registry.generation.load(Ordering::Acquire);
-        // Another thread may have re-resolved while we waited on the
-        // lock; the null check covers the very first resolution.
-        if gen == self.generation.load(Ordering::Acquire)
-            && !self.target.load(Ordering::Acquire).is_null()
-        {
-            return;
-        }
-        let (arc, live) = match (self.resolve)(&self.registry, &self.name) {
-            Some(arc) => (arc, true),
-            None => ((self.dummy)(), false),
-        };
-        // Publish target before generation: a fast path that observes the
-        // new generation (Acquire) is therefore guaranteed to also see
-        // the new target.
-        self.target
-            .store(Arc::as_ptr(&arc) as *mut T, Ordering::Release);
-        self.live.store(live, Ordering::Release);
-        retained.push(arc);
-        self.generation.store(gen, Ordering::Release);
-    }
-}
-
-/// A cheaply cloneable handle to a metric registry.
+/// A cheaply cloneable handle to a metric registry, enabled or disabled
+/// for life.
 ///
 /// Handles returned by [`counter`](Recorder::counter) /
 /// [`gauge`](Recorder::gauge) / [`histogram`](Recorder::histogram) /
-/// [`span`](Recorder::span) are no-ops when the recorder is (or was, at
-/// handle creation) disabled.
+/// [`span`](Recorder::span) hold the metric's storage directly, so they
+/// never go stale; a disabled recorder's handles are no-ops.
 #[derive(Clone)]
 pub struct Recorder {
-    registry: Arc<Registry>,
+    registry: Option<Arc<Registry>>,
 }
 
 impl Default for Recorder {
@@ -399,97 +255,81 @@ impl Recorder {
     /// A fresh, enabled recorder.
     pub fn new() -> Self {
         Self {
-            registry: Arc::new(Registry {
-                enabled: AtomicBool::new(true),
-                generation: AtomicU64::new(1),
+            registry: Some(Arc::new(Registry {
                 metrics: RwLock::new(HashMap::new()),
-            }),
+            })),
         }
     }
 
-    /// A fresh recorder that starts disabled: every handle it hands out
-    /// is a no-op and its snapshot stays empty until re-enabled.
+    /// A recorder that records nothing: every handle it hands out is a
+    /// no-op and its snapshot is always empty.
     pub fn disabled() -> Self {
-        let r = Self::new();
-        r.set_enabled(false);
-        r
+        Self { registry: None }
     }
 
-    /// Turns recording on or off. Off, the recorder hands out no-op
-    /// handles; already-issued live handles keep recording. Enabling
-    /// bumps the handle generation, so pre-resolved handles that were
-    /// minted while disabled attach to real storage on their next op.
-    pub fn set_enabled(&self, enabled: bool) {
-        // ORDERING: on/off flag; nothing is published under it (see
-        // `Registry::resolve`). The generation bump below carries its
-        // own Release.
-        self.registry.enabled.store(enabled, Ordering::Relaxed);
-        if enabled {
-            self.registry.generation.fetch_add(1, Ordering::Release);
+    /// False for a [`Recorder::disabled`] recorder.
+    pub fn is_enabled(&self) -> bool {
+        self.registry.is_some()
+    }
+
+    /// The storage of metric `name`, registered through `make` when
+    /// absent; `None` on a disabled recorder. `storage` picks the
+    /// caller's kind out of an entry.
+    ///
+    /// The storage `Arc` is cloned once, straight from the map entry:
+    /// its count shares a cache line with the metric's own atomics, so
+    /// every extra clone is a contended write on the request path.
+    ///
+    /// # Panics
+    /// Panics if `name` is already registered as a different metric kind.
+    fn resolve<T>(
+        &self,
+        name: &str,
+        make: fn() -> Metric,
+        storage: fn(&Metric) -> Option<&Arc<T>>,
+    ) -> Option<Arc<T>> {
+        let registry = self.registry.as_ref()?;
+        let take = |m: &Metric| storage(m).map(Arc::clone).ok_or(m.kind());
+        // A poisoned registry lock is recovered everywhere in this
+        // crate: the map is structurally sound (inserts happen-or-don't
+        // under the guard) and telemetry must keep working after an
+        // unrelated thread panicked mid-resolve.
+        let found = registry
+            .metrics
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(name)
+            .map(take);
+        let found = found.unwrap_or_else(|| {
+            let mut metrics = registry
+                .metrics
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
+            take(metrics.entry(name.to_string()).or_insert_with(make))
+        });
+        match found {
+            Ok(v) => Some(v),
+            // orex::allow(ORX002): documented `# Panics` contract — a
+            // kind collision is a programmer error at the call site, not
+            // a runtime condition, and every caller passes a literal.
+            Err(kind) => panic!("telemetry metric {name:?} already registered as a {kind}"),
         }
     }
 
-    /// Whether new handles will record.
-    pub fn is_enabled(&self) -> bool {
-        // ORDERING: on/off flag, as in `set_enabled`.
-        self.registry.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Drops every registered metric and bumps the handle generation:
-    /// pre-resolved [`CounterHandle`]s / [`HistogramHandle`]s re-resolve
-    /// (and re-register their metric) on their next operation instead of
-    /// recording into orphaned storage forever.
-    pub fn reset(&self) {
-        self.registry
-            .metrics
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        self.registry.generation.fetch_add(1, Ordering::Release);
-    }
-
-    fn metric(&self, name: &str, make: fn() -> Metric) -> Option<Metric> {
-        self.registry.resolve(name, make)
-    }
-
-    /// A monotonically increasing counter.
+    /// A monotonically increasing counter. Resolve it once (e.g. in a
+    /// `OnceLock`) for hot loops: each op is then one atomic add.
     ///
     /// # Panics
     /// Panics if `name` is already registered as a different metric kind.
     pub fn counter(&self, name: &str) -> Counter {
-        match self.metric(name, || Metric::Counter(Arc::new(AtomicU64::new(0)))) {
-            Some(Metric::Counter(v)) => Counter(Some(v)),
-            // orex::allow(ORX002): documented `# Panics` contract — a
-            // kind collision is a programmer error at the call site, not
-            // a runtime condition, and every caller passes a literal.
-            Some(m) => panic!(
-                "telemetry metric {name:?} already registered as a {}",
-                m.kind()
-            ),
-            None => Counter(None),
-        }
-    }
-
-    /// A pre-resolved counter for hot loops: bumping it is a generation
-    /// check (two atomic loads and a compare) plus one atomic add — no
-    /// registry lock, hash, or enum match. While the recorder is disabled
-    /// the handle bumps a private dummy atomic that no snapshot reads.
-    ///
-    /// Resolve once (e.g. in a `OnceLock`) and reuse. The handle never
-    /// goes permanently stale: after [`Recorder::reset`], or when a
-    /// handle minted while disabled sees recording re-enabled, the next
-    /// op transparently re-resolves (re-registering the metric if
-    /// needed) — the property a long-lived server front end relies on.
-    ///
-    /// # Panics
-    /// Panics if `name` is already registered as a different metric kind.
-    pub fn counter_handle(&self, name: &str) -> CounterHandle {
-        CounterHandle(Arc::new(HandleCore::new(
-            Arc::clone(&self.registry),
-            name.to_string(),
-            resolve_counter,
-            || Arc::new(AtomicU64::new(0)),
-        )))
+        Counter(self.resolve(
+            name,
+            || Metric::Counter(Arc::new(AtomicU64::new(0))),
+            |m| match m {
+                Metric::Counter(v) => Some(v),
+                _ => None,
+            },
+        ))
     }
 
     /// A last-value-wins gauge.
@@ -497,35 +337,30 @@ impl Recorder {
     /// # Panics
     /// Panics if `name` is already registered as a different metric kind.
     pub fn gauge(&self, name: &str) -> Gauge {
-        match self.metric(name, || {
-            Metric::Gauge(Arc::new(AtomicU64::new(0f64.to_bits())))
-        }) {
-            Some(Metric::Gauge(v)) => Gauge(Some(v)),
-            // orex::allow(ORX002): documented `# Panics` contract, as in
-            // `counter`.
-            Some(m) => panic!(
-                "telemetry metric {name:?} already registered as a {}",
-                m.kind()
-            ),
-            None => Gauge(None),
-        }
+        Gauge(self.resolve(
+            name,
+            || Metric::Gauge(Arc::new(AtomicU64::new(0f64.to_bits()))),
+            |m| match m {
+                Metric::Gauge(v) => Some(v),
+                _ => None,
+            },
+        ))
     }
 
-    /// A distribution of non-negative samples. The returned handle is
-    /// pre-resolved: recording costs a generation check plus a handful of
-    /// atomic ops, with no registry lock or hash on the hot path, and —
-    /// like [`Recorder::counter_handle`] — it re-resolves transparently
-    /// after [`Recorder::reset`] or re-enabling instead of going stale.
+    /// A distribution of non-negative samples. Recording into the handle
+    /// is a handful of atomic ops, with no registry lock or hash.
     ///
     /// # Panics
     /// Panics if `name` is already registered as a different metric kind.
     pub fn histogram(&self, name: &str) -> HistogramHandle {
-        HistogramHandle(Arc::new(HandleCore::new(
-            Arc::clone(&self.registry),
-            name.to_string(),
-            resolve_histogram,
-            || Arc::new(Histogram::new()),
-        )))
+        HistogramHandle(self.resolve(
+            name,
+            || Metric::Histogram(Arc::new(Histogram::new())),
+            |m| match m {
+                Metric::Histogram(h) => Some(h),
+                _ => None,
+            },
+        ))
     }
 
     /// Starts a scoped timer; on drop it records elapsed microseconds
@@ -541,8 +376,10 @@ impl Recorder {
     /// A point-in-time copy of every metric.
     pub fn snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::default();
-        let metrics = self
-            .registry
+        let Some(registry) = &self.registry else {
+            return snap;
+        };
+        let metrics = registry
             .metrics
             .read()
             .unwrap_or_else(PoisonError::into_inner);
@@ -589,53 +426,6 @@ impl Counter {
     }
 }
 
-/// Pre-resolved counter handle; see [`Recorder::counter_handle`]. Every
-/// op is a generation check plus one atomic add — a detached handle
-/// bumps a private dummy, and a stale handle re-resolves itself.
-#[derive(Clone)]
-pub struct CounterHandle(Arc<HandleCore<AtomicU64>>);
-
-impl CounterHandle {
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        // ORDERING: monotonic statistic, as in `Counter::add`; the
-        // target pointer itself was acquired in `HandleCore::target`.
-        self.0.target().fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-}
-
-fn resolve_counter(registry: &Registry, name: &str) -> Option<Arc<AtomicU64>> {
-    match registry.resolve(name, || Metric::Counter(Arc::new(AtomicU64::new(0))))? {
-        Metric::Counter(v) => Some(v),
-        // orex::allow(ORX002): documented `# Panics` contract of
-        // `Recorder::counter_handle` — kind collision is programmer
-        // error.
-        m => panic!(
-            "telemetry metric {name:?} already registered as a {}",
-            m.kind()
-        ),
-    }
-}
-
-fn resolve_histogram(registry: &Registry, name: &str) -> Option<Arc<Histogram>> {
-    match registry.resolve(name, || Metric::Histogram(Arc::new(Histogram::new())))? {
-        Metric::Histogram(h) => Some(h),
-        // orex::allow(ORX002): documented `# Panics` contract of
-        // `Recorder::histogram` — kind collision is programmer error.
-        m => panic!(
-            "telemetry metric {name:?} already registered as a {}",
-            m.kind()
-        ),
-    }
-}
-
 /// Gauge handle; see [`Recorder::gauge`].
 #[derive(Clone)]
 pub struct Gauge(Option<Arc<AtomicU64>>);
@@ -652,24 +442,23 @@ impl Gauge {
     }
 }
 
-/// Pre-resolved histogram handle; see [`Recorder::histogram`]. Recording
-/// touches the histogram's atomics directly — no lock, hash, or match —
-/// after a generation check that re-resolves a stale handle.
+/// Histogram handle; see [`Recorder::histogram`]. Recording touches the
+/// histogram's atomics directly — no lock, hash, or match.
 #[derive(Clone)]
-pub struct HistogramHandle(Arc<HandleCore<Histogram>>);
+pub struct HistogramHandle(Option<Arc<Histogram>>);
 
 impl HistogramHandle {
     /// True when samples go somewhere — lets hot loops skip building the
     /// sample (e.g. reading the clock) on disabled recorders.
     #[inline]
     pub fn is_recording(&self) -> bool {
-        self.0.is_live()
+        self.0.is_some()
     }
 
     /// Records one sample.
     #[inline]
     pub fn record(&self, value: f64) {
-        if let Some(h) = self.0.live_target() {
+        if let Some(h) = &self.0 {
             h.record(value);
         }
     }
@@ -679,7 +468,7 @@ impl HistogramHandle {
     /// concrete trace id.
     #[inline]
     pub fn record_with_exemplar(&self, value: f64, trace: Option<u64>) {
-        if let Some(h) = self.0.live_target() {
+        if let Some(h) = &self.0 {
             h.record_with_exemplar(value, trace);
         }
     }
@@ -999,14 +788,9 @@ fn json_object<'a, V: 'a>(
             out.push(',');
         }
         newline_indent(out, indent.map(|d| d + 1));
-        // Metric names are restricted to a JSON-safe alphabet by
-        // convention; escape the two structural characters anyway.
-        let _ = write!(
-            out,
-            "\"{}\":{}",
-            key.replace('\\', "\\\\").replace('"', "\\\""),
-            json_space(indent)
-        );
+        out.push('"');
+        export::escape_json(key, out);
+        let _ = write!(out, "\":{}", json_space(indent));
         write_value(out, value, indent.map(|d| d + 1));
     }
     newline_indent(out, indent);
@@ -1024,10 +808,10 @@ pub(crate) fn env_disabled() -> bool {
 }
 
 /// The process-wide recorder the engine crates record into. Enabled by
-/// default; disable with `global().set_enabled(false)`, or set the
-/// `OREX_TELEMETRY` environment variable to `0`, `off`, or `false` to
-/// start the process with recording off (handy for overhead A/B runs).
-/// The same variable also disables the global [`tracer`].
+/// default; set the `OREX_TELEMETRY` environment variable to `0`, `off`,
+/// or `false` to run the process with recording off for life (handy for
+/// overhead A/B runs). The same variable also disables the global
+/// [`tracer`].
 pub fn global() -> &'static Recorder {
     GLOBAL.get_or_init(|| {
         if env_disabled() {
@@ -1102,10 +886,6 @@ mod tests {
         r.histogram("h").record(2.0);
         drop(r.span("s"));
         assert!(r.snapshot().is_empty(), "disabled recorder must stay empty");
-        // Re-enabled, the same recorder starts collecting.
-        r.set_enabled(true);
-        r.counter("c").incr();
-        assert_eq!(r.snapshot().counters["c"], 1);
     }
 
     #[test]
@@ -1155,15 +935,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_metrics() {
-        let r = Recorder::new();
-        r.counter("c").incr();
-        assert!(!r.snapshot().is_empty());
-        r.reset();
-        assert!(r.snapshot().is_empty());
-    }
-
-    #[test]
     #[should_panic(expected = "already registered")]
     fn kind_mismatch_panics() {
         let r = Recorder::new();
@@ -1178,82 +949,17 @@ mod tests {
     }
 
     #[test]
-    fn counter_handle_is_live_and_survives_disable() {
+    fn counter_is_live_and_a_disabled_one_is_a_noop() {
         let r = Recorder::new();
-        let h = r.counter_handle("hot.ops");
+        let h = r.counter("hot.ops");
         h.add(2);
         h.incr();
         assert_eq!(r.snapshot().counters["hot.ops"], 3);
-        // A handle resolved while disabled bumps a detached dummy.
+        // A disabled recorder's counter records nowhere.
         let d = Recorder::disabled();
-        let dead = d.counter_handle("hot.ops");
+        let dead = d.counter("hot.ops");
         dead.add(100);
         assert!(d.snapshot().is_empty());
-    }
-
-    #[test]
-    fn handles_re_resolve_after_reset() {
-        let r = Recorder::new();
-        let c = r.counter_handle("hot.ops");
-        let h = r.histogram("hot.us");
-        c.add(5);
-        h.record(1.0);
-        r.reset();
-        assert!(r.snapshot().is_empty());
-        // The pre-reset handles re-attach (re-registering the metrics)
-        // instead of recording into orphaned storage forever.
-        c.add(2);
-        h.record(3.0);
-        let snap = r.snapshot();
-        assert_eq!(snap.counters["hot.ops"], 2);
-        assert_eq!(snap.histograms["hot.us"].count, 1);
-        assert_eq!(snap.histograms["hot.us"].sum, 3.0);
-    }
-
-    #[test]
-    fn handles_resolved_while_disabled_attach_on_enable() {
-        let r = Recorder::disabled();
-        let c = r.counter_handle("late.ops");
-        let h = r.histogram("late.us");
-        c.incr();
-        h.record(1.0);
-        assert!(!h.is_recording());
-        assert!(r.snapshot().is_empty());
-        r.set_enabled(true);
-        c.add(3);
-        h.record(2.0);
-        assert!(h.is_recording());
-        let snap = r.snapshot();
-        assert_eq!(snap.counters["late.ops"], 3);
-        assert_eq!(snap.histograms["late.us"].count, 1);
-    }
-
-    #[test]
-    fn concurrent_handle_re_resolution_is_safe() {
-        let r = Recorder::new();
-        let c = r.counter_handle("contended.ops");
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let c = c.clone();
-                scope.spawn(move || {
-                    for _ in 0..2_000 {
-                        c.incr();
-                    }
-                });
-            }
-            let r = r.clone();
-            scope.spawn(move || {
-                for _ in 0..10 {
-                    r.reset();
-                    std::thread::yield_now();
-                }
-            });
-        });
-        // Post-reset increments all land in the *current* registration;
-        // exact counts depend on interleaving, but the final add must be
-        // visible and the metric re-registered.
-        c.add(1);
-        assert!(r.snapshot().counters["contended.ops"] >= 1);
     }
 
     #[test]
@@ -1315,6 +1021,26 @@ mod tests {
         // Label-value escaping covers backslash, quote, and newline.
         assert_eq!(prom_label_value("a\\b\"c\nd"), "a\\\\b\\\"c\\nd");
         assert_eq!(prom_label_value("plain-123"), "plain-123");
+    }
+
+    #[test]
+    fn json_escapes_hostile_metric_names() {
+        let names = [
+            "evil\"name\nwith\\stuff",
+            "another evil{label=\"x\"}",
+            "bad\nhist",
+        ];
+        let r = Recorder::new();
+        r.counter(names[0]).incr();
+        r.gauge(names[1]).set(1.0);
+        r.histogram(names[2]).record(2.0);
+        let json = r.snapshot().to_json();
+        assert!(!json.chars().any(|c| c.is_control()), "{json:?}");
+        let doc: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+        for (section, name) in ["counters", "gauges", "histograms"].iter().zip(names) {
+            let entry = doc.get(section).and_then(|s| s.get(name));
+            assert!(entry.is_some(), "{section} lacks {name:?}");
+        }
     }
 
     #[test]
