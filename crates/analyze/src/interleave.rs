@@ -10,9 +10,9 @@
 //! generation mismatches), not memory-ordering bugs, which the Miri and
 //! TSan CI jobs cover on the real concurrent code.
 //!
-//! Used by `crates/analyze/tests/ring_interleave.rs` to model-check the
-//! telemetry trace ring's push/drain/evict protocol, and available to
-//! any crate that dev-depends on `orex-analyze`.
+//! Nothing outside this module's own unit tests uses it: the telemetry
+//! store it was written to model-check takes a lock instead of swapping
+//! slot pointers, so there is no protocol left to explore.
 
 /// Which thread a step belongs to, passed to the trace callback.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

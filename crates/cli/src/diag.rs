@@ -231,11 +231,11 @@ fn render_status(addr: &str, doc: &serde_json::Value) -> String {
         let _ = writeln!(out);
         let _ = writeln!(
             out,
-            "  occupancy: sessions {}  cache {}  precompute {}  traces {}  logs {}",
+            "  occupancy: sessions {}  cache {}  precompute {}  spans {}  logs {}",
             g("sessions"),
             g("cache"),
             g("precompute_terms"),
-            g("traces"),
+            g("spans"),
             g("logs"),
         );
     }
@@ -604,7 +604,7 @@ mod tests {
                      "errors_5xx":0,"p50_us":1500.0,"p95_us":2500000.0}
                 ],
                 "occupancy": {"sessions":4,"cache":7,"precompute_terms":0,
-                              "traces":12,"logs":300},
+                              "spans":12,"logs":300},
                 "slos": [
                     {"name":"request-availability","objective":0.999,
                      "burn_short":0.0,"burn_long":0.0,"burning":false},

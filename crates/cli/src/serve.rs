@@ -68,9 +68,8 @@ fn default_dataset(args: &[String]) -> Result<DatasetSpec, String> {
 /// [--dataset NAME=PRESET:SCALE[:PRECOMPUTE]]... [--eager] [--threads N]
 /// [--cache-entries N] [--session-ttl SECS] [--max-sessions N]
 /// [--max-body-kb N] [--timeout-ms N] [--trace-sample N]
-/// [--trace-slow-ms N] [--max-traces N] [--max-logs N] [--slow-ms N]
-/// [--profile-hz N] [--status-interval-ms N] [--precompute FILE]
-/// [--no-backfill]` — serve the interactive loop over HTTP, optionally
+/// [--trace-slow-ms N] [--slow-ms N] [--profile-hz N]
+/// [--status-interval-ms N] [--precompute FILE] [--no-backfill]` — serve the interactive loop over HTTP, optionally
 /// combining precomputed rank vectors from an `orex precompute`
 /// artifact; `--profile-hz` tunes the continuous profiler's sampling
 /// rate (0 disables it, `OREX_PROFILE_HZ` overrides). Returns the
@@ -102,12 +101,6 @@ pub fn run_serve(
         }
         if let Some(ms) = flag::<u64>(args, "--timeout-ms")? {
             config.io_timeout = Duration::from_millis(ms.max(1));
-        }
-        if let Some(max) = flag::<usize>(args, "--max-traces")? {
-            config.max_traces = max;
-        }
-        if let Some(max) = flag::<usize>(args, "--max-logs")? {
-            config.max_logs = max;
         }
         if let Some(hz) = flag::<u64>(args, "--profile-hz")? {
             config.profile_hz = hz;
@@ -248,7 +241,7 @@ mod tests {
             vec!["--scale", "huge"],
             vec!["--preset", "nope"],
             vec!["--timeout-ms"],
-            vec!["--max-traces", "lots"],
+            vec!["--max-sessions", "lots"],
             vec!["--profile-hz", "fast"],
             vec!["--status-interval-ms", "-2"],
             vec!["--dataset", "missing-equals"],

@@ -38,8 +38,8 @@ usage:
              [--threads N]
              [--cache-entries N] [--session-ttl SECS] [--max-sessions N]
              [--max-body-kb N] [--timeout-ms N] [--trace-sample N]
-             [--trace-slow-ms N] [--max-traces N] [--max-logs N]
-             [--slow-ms N] [--profile-hz N] [--status-interval-ms N]
+             [--trace-slow-ms N] [--slow-ms N] [--profile-hz N]
+             [--status-interval-ms N]
              [--precompute FILE] [--no-backfill]
                              serve the interactive query/explain/feedback
                              loop over HTTP (POST /query, GET /explain/

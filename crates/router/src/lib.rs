@@ -140,7 +140,6 @@ impl Router {
             &Surface::ROUTER,
             &limits,
             &self.stop,
-            &ctx.traces,
             |request, _fields| proxy::route(request, &ctx),
         );
         self.fleet.shutdown();

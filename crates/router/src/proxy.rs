@@ -15,21 +15,20 @@
 //! `X-Orex-Trace` context when the client sent one, else making the
 //! sampling decision here), every proxied hop opens a child span and
 //! injects its context so worker spans join the same trace, and
-//! `GET /trace/<id>` stitches the router's own archive together with
-//! every worker's into one per-process-lane Chrome export.
+//! `GET /trace/<id>` stitches the router's own spans (read in place from
+//! its tracer) together with every worker's into one per-process-lane
+//! Chrome export.
 
 use crate::fleet::{Fleet, Worker};
 use orex_server::frontend::unrouted;
-use orex_server::{ClientResponse, Request, Response, TraceArchive};
+use orex_server::{ClientResponse, Request, Response};
 use orex_telemetry::export::{parse_wire, to_chrome_trace_stitched, to_wire, ProcessLane};
-use orex_telemetry::TraceContext;
+use orex_telemetry::{TraceContext, TraceId};
 use serde_json::Value;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-/// Traces retained in the router's own span archive.
-const MAX_ROUTER_TRACES: usize = 256;
 /// Promoted-trace snapshots retained for retro-stitching.
 const MAX_RETRO_TRACES: usize = 64;
 
@@ -41,22 +40,18 @@ pub struct RouterContext {
     pub started: Instant,
     /// The router's own bound address (shown in status).
     pub addr: String,
-    /// The router's own completed spans, the router lane of a stitched
-    /// fleet trace.
-    pub traces: TraceArchive,
     /// Wire-format snapshots of fleet-promoted slow traces, fetched
-    /// from the workers before their archives evict them.
+    /// from the workers before their tracers evict them.
     pub retro: RetroTraces,
 }
 
 impl RouterContext {
-    /// Context for `fleet` with the trace archive and retro store ready.
+    /// Context for `fleet` with an empty retro store.
     pub fn new(fleet: Arc<Fleet>, started: Instant, addr: String) -> Self {
         Self {
             fleet,
             started,
             addr,
-            traces: TraceArchive::new(MAX_ROUTER_TRACES),
             retro: RetroTraces::new(MAX_RETRO_TRACES),
         }
     }
@@ -65,7 +60,7 @@ impl RouterContext {
 /// Bounded store of per-worker wire-format trace snapshots, keyed by
 /// trace id — how a slow trace promoted on one worker survives long
 /// enough for `GET /trace/<id>` to stitch its sibling spans after the
-/// workers' own archives move on. Oldest trace evicted first.
+/// workers' own tracers move on. Oldest trace evicted first.
 pub struct RetroTraces {
     inner: Mutex<RetroInner>,
     max_traces: usize,
@@ -162,7 +157,7 @@ pub fn route(request: &Request, ctx: &RouterContext) -> Response {
 /// whose context is injected as `X-Orex-Trace` so the worker's spans
 /// parent under it. A worker that reports fleet-promoted slow traces
 /// via `X-Orex-Promoted` triggers a retro-fetch of their sibling spans
-/// before the worker archives evict them.
+/// before the workers' tracers evict them.
 fn traced_hop(
     ctx: &RouterContext,
     worker: &Worker,
@@ -525,7 +520,7 @@ fn handle_logs(ctx: &RouterContext, query: &str) -> Response {
 }
 
 /// `GET /trace/<id>`: stitches one fleet-wide trace. The router's own
-/// archived spans form lane `pid 1`; every worker is asked for its
+/// retained spans form lane `pid 1`; every worker is asked for its
 /// share in the wire format and becomes lane `pid index + 2`, its
 /// timestamps shifted onto the router's clock by the health-probe
 /// offset estimate. A worker that already evicted the trace (or is
@@ -535,11 +530,9 @@ fn handle_trace(ctx: &RouterContext, id: &str) -> Response {
     let Ok(trace_id) = id.parse::<u64>() else {
         return Response::error(400, "trace id must be an integer");
     };
-    // The router's own spans may still sit in the tracer ring (the
-    // front end absorbs a request's spans only after it is routed).
-    ctx.traces.absorb(orex_telemetry::tracer().drain());
     let mut lanes = Vec::new();
-    if let Some(spans) = ctx.traces.get(trace_id) {
+    let spans = orex_telemetry::tracer().spans_of(TraceId(trace_id));
+    if !spans.is_empty() {
         lanes.push(ProcessLane {
             pid: 1,
             label: format!("router {}", ctx.addr),

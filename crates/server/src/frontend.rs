@@ -5,8 +5,8 @@
 //! loop and its stop flags, the connection cap with its inline `503`,
 //! the keep-alive/pipelining connection loop with one
 //! parse-error→status table, the drain protocol, and the per-request
-//! envelope (trace adoption, metrics, the access record, trace
-//! archiving). A caller supplies a [`Surface`] (the names it reports
+//! envelope (trace adoption, metrics, the access record, slow-trace
+//! promotion ids). A caller supplies a [`Surface`] (the names it reports
 //! under), [`Limits`], and the route function — nothing else differs
 //! between the two binaries.
 //!
@@ -25,7 +25,6 @@
 //! joins the threads.
 
 use crate::http::{is_timeout, read_request, ParseError, Request, Response};
-use crate::traces::TraceArchive;
 use orex_telemetry::{Counter, HistogramHandle, TraceContext};
 use std::io::{self, BufRead, BufReader, Read};
 use std::net::{TcpListener, TcpStream};
@@ -198,14 +197,13 @@ pub fn unrouted(method: &str, segments: &[&str]) -> Response {
 
 /// Serves `listener` until `stop` (or an installed signal handler)
 /// requests shutdown, then drains and returns: every parsed request is
-/// passed to `route` inside the request envelope, and completed spans
-/// are absorbed into `traces`.
+/// passed to `route` inside the request envelope. Completed spans stay
+/// in the tracer's own ring, where `GET /trace/<id>` reads them.
 pub fn serve<R>(
     listener: &TcpListener,
     surface: &Surface,
     limits: &Limits,
     stop: &ShutdownHandle,
-    traces: &TraceArchive,
     route: R,
 ) -> io::Result<()>
 where
@@ -214,7 +212,6 @@ where
     let front = Frontend {
         surface,
         limits,
-        traces,
         route,
         meters: Meters::new(surface.prefix),
         live: AtomicUsize::new(0),
@@ -301,7 +298,6 @@ impl Drop for Slot<'_> {
 struct Frontend<'a, R> {
     surface: &'a Surface,
     limits: &'a Limits,
-    traces: &'a TraceArchive,
     route: R,
     meters: Meters,
     /// Connections that currently own a thread.
@@ -569,15 +565,16 @@ where
             .header(TraceContext::HEADER)
             .and_then(TraceContext::parse);
         // Handler spans nest under this root. It is dropped before the
-        // ring is drained below so the archive sees the complete trace.
+        // promotions are taken below, so a slow root has promoted its
+        // trace by then.
         let response = {
             let mut span = tracer.span_with_context(self.surface.request_span, context);
             if span.is_recording() {
                 span.attr_str("method", &request.method);
                 span.attr_str("path", &request.path);
             }
-            // Only sampled traces reach the archive, so only those make
-            // honest exemplars — an unsampled id would 404 on
+            // Only sampled traces reach the tracer's ring, so only those
+            // make honest exemplars — an unsampled id would 404 on
             // `GET /trace/<id>`.
             let exemplar = span
                 .trace_id()
@@ -590,7 +587,6 @@ where
             self.account(Some(request), &response, &fields, start.elapsed(), exemplar);
             response
         };
-        self.traces.absorb(tracer.drain());
         // Slow-trace promotions ride back to the ingress edge on the
         // response so it can retro-fetch sibling spans fleet-wide
         // before they evict.
@@ -695,7 +691,6 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let limits = limits(2);
         let stop = ShutdownHandle::default();
-        let traces = TraceArchive::new(4);
         let running = AtomicUsize::new(0);
         let high_water = AtomicUsize::new(0);
         let pair = Barrier::new(2);
@@ -707,8 +702,7 @@ mod tests {
             Response::text(200, "ok\n")
         };
         std::thread::scope(|scope| {
-            let server =
-                scope.spawn(|| serve(&listener, &Surface::SERVER, &limits, &stop, &traces, route));
+            let server = scope.spawn(|| serve(&listener, &Surface::SERVER, &limits, &stop, route));
             let clients: Vec<_> = (0..4)
                 .map(|_| {
                     scope.spawn(move || {
@@ -743,11 +737,9 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let limits = limits(1);
         let stop = ShutdownHandle::default();
-        let traces = TraceArchive::new(4);
         let route = |_: &Request, _: &mut AccessFields| Response::json(200, r#"{"ok":true}"#);
         let mut round_trips = std::thread::scope(|scope| {
-            let server =
-                scope.spawn(|| serve(&listener, &Surface::SERVER, &limits, &stop, &traces, route));
+            let server = scope.spawn(|| serve(&listener, &Surface::SERVER, &limits, &stop, route));
             let client = crate::client::HttpClient::new(addr.to_string());
             let round_trips: Vec<Duration> = (0..20)
                 .map(|_| {

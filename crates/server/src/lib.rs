@@ -27,7 +27,7 @@
 //! | `POST /feedback/<session>` | `{"objects": [ids]}` → reformulated top-k (warm start) |
 //! | `GET /healthz` | liveness probe |
 //! | `GET /metrics` | Prometheus text exposition of the global recorder |
-//! | `GET /trace/<id>` | Chrome trace-event JSON of an archived request trace |
+//! | `GET /trace/<id>` | Chrome trace-event JSON of a retained request trace |
 //! | `GET /logs?level=&since=&limit=` | JSON-lines tail of captured log records |
 //! | `GET /profile?seconds=&format=folded\|chrome` | continuous-profiler folded stacks / Chrome trace |
 //! | `GET /debug/status` | operator dashboard (HTML, or `?format=json`) with RED rows, occupancy, SLO burn rates |
@@ -46,7 +46,9 @@
 //! in-flight requests before exit.
 //! Every response — including parse failures and 5xx errors — emits one
 //! structured access-log record (`server.access`) stamped with the
-//! request's trace id, served back by `GET /logs`.
+//! request's trace id, served back by `GET /logs`. `GET /trace/<id>`
+//! and `GET /logs` read the process-wide tracer's and logger's own
+//! bounded rings in place; the server keeps no copy of either.
 
 #![warn(missing_docs)]
 
@@ -55,23 +57,19 @@ pub mod client;
 pub mod error;
 pub mod frontend;
 pub mod http;
-pub mod logs;
 pub mod ranks;
 pub mod registry;
 pub mod server;
 pub mod sessions;
 pub mod status;
-pub mod traces;
 
 pub use cache::ResultCache;
 pub use client::{ClientResponse, HttpClient};
 pub use error::ServerError;
 pub use frontend::{install_signal_handlers, ShutdownHandle};
 pub use http::{Request, Response};
-pub use logs::LogArchive;
 pub use ranks::{rates_fingerprint, CombineOutcome, RankStore};
 pub use registry::{DatasetService, DatasetSpec, SystemRegistry};
 pub use server::{Server, ServerConfig};
 pub use sessions::SessionTable;
 pub use status::{sparkline, Occupancy, StatusBoard};
-pub use traces::TraceArchive;

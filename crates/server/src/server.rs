@@ -9,16 +9,14 @@
 use crate::error::ServerError;
 use crate::frontend::{self, AccessFields, Limits, ShutdownHandle, Surface};
 use crate::http::{Request, Response};
-use crate::logs::LogArchive;
 use crate::ranks::CombineOutcome;
 use crate::registry::{DatasetService, SystemRegistry};
 use crate::sessions::SessionTable;
 use crate::status::{Occupancy, StatusBoard};
-use crate::traces::TraceArchive;
 use orex_core::{ObjectRankSystem, QuerySession, SessionError, SessionSnapshot};
 use orex_graph::NodeId;
 use orex_ir::{Query, QueryVector};
-use orex_telemetry::Level;
+use orex_telemetry::{Level, TraceId};
 use serde_json::Value;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -49,11 +47,6 @@ pub struct ServerConfig {
     /// to start arriving, and the bound on reading the rest of any
     /// request and on writing its response.
     pub io_timeout: Duration,
-    /// Traces retained for `GET /trace/<id>`.
-    pub max_traces: usize,
-    /// Log records retained for `GET /logs` (the server-side archive on
-    /// top of the logger's own ring).
-    pub max_logs: usize,
     /// Requests at least this slow additionally log a `server.slow`
     /// WARN record.
     pub slow_request: Duration,
@@ -95,8 +88,6 @@ impl Default for ServerConfig {
             max_sessions: 1024,
             max_body_bytes: 64 * 1024,
             io_timeout: Duration::from_secs(5),
-            max_traces: 256,
-            max_logs: 4096,
             slow_request: Duration::from_millis(500),
             precompute_path: None,
             backfill: true,
@@ -113,8 +104,6 @@ impl Default for ServerConfig {
 struct ServerState {
     registry: SystemRegistry,
     sessions: SessionTable,
-    traces: TraceArchive,
-    logs: LogArchive,
     status: StatusBoard,
 }
 
@@ -154,8 +143,6 @@ impl Server {
         let state = ServerState {
             registry,
             sessions: SessionTable::new(config.session_ttl, config.max_sessions),
-            traces: TraceArchive::new(config.max_traces),
-            logs: LogArchive::new(config.max_logs),
             status: StatusBoard::new(),
         };
         Ok(Self {
@@ -238,7 +225,6 @@ impl Server {
                 &Surface::SERVER,
                 &limits,
                 &stop,
-                &state.traces,
                 |request, fields| route(request, &state, fields),
             );
             // Close the backfill queues after the drain (drained requests
@@ -299,8 +285,8 @@ fn route(request: &Request, state: &ServerState, fields: &mut AccessFields) -> R
         ("POST", ["feedback", sid]) => {
             respond("feedback", handle_feedback(request, state, sid, fields))
         }
-        ("GET", ["trace", id]) => respond("trace", handle_trace(state, id, query)),
-        ("GET", ["logs"]) => respond("logs", handle_logs(state, query)),
+        ("GET", ["trace", id]) => respond("trace", handle_trace(id, query)),
+        ("GET", ["logs"]) => respond("logs", handle_logs(query)),
         ("GET", ["profile"]) => respond("profile", handle_profile(query)),
         ("GET", ["debug", "status"]) => respond("status", handle_status(state, query)),
         (method, segments) => frontend::unrouted(method, segments),
@@ -618,11 +604,11 @@ fn handle_feedback(
     ))
 }
 
-/// `GET /trace/<id>[?format=chrome|wire]`: one archived trace, as a
+/// `GET /trace/<id>[?format=chrome|wire]`: one retained trace, as a
 /// Chrome trace-event JSON document (the default, for humans) or in the
 /// line-oriented wire format (for a stitching ingress edge assembling a
 /// fleet-wide view).
-fn handle_trace(state: &ServerState, id: &str, query: &str) -> Result<Response, ServerError> {
+fn handle_trace(id: &str, query: &str) -> Result<Response, ServerError> {
     let telemetry = orex_telemetry::global();
     let _span = telemetry.span("server.trace_us");
     telemetry.counter("server.trace_requests").incr();
@@ -643,26 +629,24 @@ fn handle_trace(state: &ServerState, id: &str, query: &str) -> Result<Response, 
             }
         }
     }
-    // The requested trace may still sit in the ring (e.g. traced by
-    // another worker that hasn't drained yet): absorb before lookup.
-    state.traces.absorb(orex_telemetry::tracer().drain());
-    match state.traces.get(id) {
-        Some(spans) if wire => Ok(Response::text(200, orex_telemetry::export::to_wire(&spans))),
-        Some(spans) => Ok(Response::json(
-            200,
-            orex_telemetry::export::to_chrome_trace(&spans),
-        )),
-        None => Err(ServerError::NotFound("no such trace (evicted?)".into())),
+    let spans = orex_telemetry::tracer().spans_of(TraceId(id));
+    if spans.is_empty() {
+        return Err(ServerError::NotFound("no such trace (evicted?)".into()));
     }
+    Ok(if wire {
+        Response::text(200, orex_telemetry::export::to_wire(&spans))
+    } else {
+        Response::json(200, orex_telemetry::export::to_chrome_trace(&spans))
+    })
 }
 
-/// `GET /logs?level=&since=&limit=&trace=`: tails the captured log ring
+/// `GET /logs?level=&since=&limit=&trace=`: tails the logger's ring
 /// as JSON-lines. `level` keeps records at that severity or worse,
 /// `since` keeps records with a capture sequence strictly greater (the
 /// `seq` field of each served line, for polling), `limit` keeps the
 /// newest N, `trace` keeps records stamped with that trace id — the
 /// logs leg of metrics → trace → logs correlation.
-fn handle_logs(state: &ServerState, query: &str) -> Result<Response, ServerError> {
+fn handle_logs(query: &str) -> Result<Response, ServerError> {
     let telemetry = orex_telemetry::global();
     let _span = telemetry.span("server.logs_us");
     telemetry.counter("server.logs_requests").incr();
@@ -680,19 +664,16 @@ fn handle_logs(state: &ServerState, query: &str) -> Result<Response, ServerError
             _ => trace = Some(unsigned(key, value)?),
         }
     }
-    // Records may still sit in the logger's ring (emitted by workers
-    // that haven't been drained): absorb before serving. The archive
-    // keeps them for subsequent (and `since=`-cursored) reads.
-    state.logs.absorb(orex_telemetry::logger().drain());
+    let logger = orex_telemetry::logger();
     // Every response advertises the newest capture sequence so pollers
     // always hold a valid cursor. A `since` beyond that cursor (stale
-    // cursor from before a ring reset / server restart) serves an empty
-    // page rather than stalling forever or replaying from the start —
-    // the client resets its cursor from the header.
-    let newest = state.logs.newest_seq().unwrap_or(0);
+    // cursor from before a server restart) serves an empty page rather
+    // than stalling forever or replaying from the start — the client
+    // resets its cursor from the header.
+    let newest = logger.newest_seq().unwrap_or(0);
     let records = match since {
         Some(s) if s > newest => Vec::new(),
-        _ => state.logs.query(level, since, limit, trace),
+        _ => logger.query(level, since, limit, trace),
     };
     Ok(Response::new(
         200,
@@ -760,7 +741,6 @@ fn handle_status(state: &ServerState, query: &str) -> Result<Response, ServerErr
     // Top up history so the page is fresh even between collector ticks
     // (and deterministic in tests, which poll faster than the cadence).
     state.status.collect_if_stale(Duration::from_millis(250));
-    state.logs.absorb(orex_telemetry::logger().drain());
     let mut cache = 0usize;
     let mut precompute_terms = 0usize;
     for name in state.registry.names() {
@@ -769,13 +749,14 @@ fn handle_status(state: &ServerState, query: &str) -> Result<Response, ServerErr
             precompute_terms += svc.ranks().precomputed_terms();
         }
     }
+    let logger = orex_telemetry::logger();
     let occupancy = Occupancy {
         sessions: state.sessions.len(),
         cache,
         precompute_terms,
-        traces: state.traces.len(),
-        logs: state.logs.len(),
-        recent_errors: state.logs.query(Some(Level::Error), None, None, None).len(),
+        spans: orex_telemetry::tracer().retained(),
+        logs: logger.retained(),
+        recent_errors: logger.query(Some(Level::Error), None, None, None).len(),
     };
     Ok(if json {
         Response::json(200, state.status.render_json(occupancy))

@@ -102,13 +102,17 @@ impl SessionTable {
 
     /// Replaces the snapshot for `id` (after a feedback round). Returns
     /// false if the session vanished (expired/evicted) in the meantime;
-    /// it is not revived, so the next call on `id` is a 404.
+    /// it is not revived, so the next call on `id` is a 404. An entry
+    /// idle for at least the TTL counts as expired here too, even when
+    /// no sweep has removed it yet.
     pub fn update(&self, id: u64, snapshot: SessionSnapshot) -> Result<bool, ServerError> {
+        let now = Instant::now();
         let mut entries = self.locked()?;
+        Self::sweep(&mut entries, now, self.ttl);
         Ok(match entries.get_mut(&id) {
             Some(entry) => {
                 entry.snapshot = snapshot;
-                entry.last_used = Instant::now();
+                entry.last_used = now;
                 true
             }
             None => false,
@@ -193,6 +197,18 @@ mod tests {
             "expired session must vanish"
         );
         assert!(table.is_empty());
+    }
+
+    #[test]
+    fn update_does_not_revive_an_expired_session() {
+        let table = SessionTable::new(Duration::from_millis(20), 8);
+        let id = table.insert("d", snapshot()).unwrap();
+        std::thread::sleep(Duration::from_millis(40));
+        assert!(
+            !table.update(id, snapshot()).unwrap(),
+            "an entry idle past its TTL is gone, not refreshed"
+        );
+        assert!(table.get(id).unwrap().is_none());
     }
 
     #[test]

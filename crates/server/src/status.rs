@@ -74,11 +74,11 @@ pub struct Occupancy {
     pub cache: usize,
     /// Precomputed rank vectors loaded (0 when serving live-only).
     pub precompute_terms: usize,
-    /// Traces retained for `GET /trace/<id>`.
-    pub traces: usize,
-    /// Log records retained for `GET /logs`.
+    /// Spans the tracer retains for `GET /trace/<id>`.
+    pub spans: usize,
+    /// Log records the logger retains for `GET /logs`.
     pub logs: usize,
-    /// ERROR records currently in the log archive.
+    /// ERROR records the logger currently retains.
     pub recent_errors: usize,
 }
 
@@ -281,7 +281,7 @@ impl StatusBoard {
                 "sessions": occupancy.sessions,
                 "cache": occupancy.cache,
                 "precompute_terms": occupancy.precompute_terms,
-                "traces": occupancy.traces,
+                "spans": occupancy.spans,
                 "logs": occupancy.logs,
             }),
             "recent_errors": occupancy.recent_errors,
@@ -332,14 +332,14 @@ impl StatusBoard {
         if rows.is_empty() {
             out.push_str("<tr><td colspan=\"6\">no traffic yet</td></tr>");
         }
-        out.push_str("</table><h2>occupancy</h2><table><tr><th>sessions</th><th>cache</th><th>precompute terms</th><th>traces</th><th>logs</th><th>recent errors</th></tr>");
+        out.push_str("</table><h2>occupancy</h2><table><tr><th>sessions</th><th>cache</th><th>precompute terms</th><th>spans</th><th>logs</th><th>recent errors</th></tr>");
         let _ = write!(
             out,
             "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr></table>",
             occupancy.sessions,
             occupancy.cache,
             occupancy.precompute_terms,
-            occupancy.traces,
+            occupancy.spans,
             occupancy.logs,
             occupancy.recent_errors
         );

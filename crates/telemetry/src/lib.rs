@@ -20,13 +20,15 @@
 //!
 //! Beyond aggregates, the [`trace`] module provides per-query
 //! hierarchical tracing — a [`Tracer`] minting nested spans collected
-//! into a bounded lock-free ring buffer — and the [`log`] module the
-//! third pillar: a [`Logger`] capturing leveled, structured
-//! [`LogRecord`]s into the same kind of ring, each stamped with the
-//! trace/span ids active on the logging thread (`OREX_LOG` configures
-//! its per-target filter). [`export`] renders drained traces as Chrome
-//! trace-event JSON or folded flamegraph stacks, and drained logs as
-//! JSON-lines or human-readable text.
+//! into one bounded ring it owns — and the [`log`] module the third
+//! pillar: a [`Logger`] capturing leveled, structured [`LogRecord`]s
+//! into the same kind of ring, each stamped with the trace/span ids
+//! active on the logging thread (`OREX_LOG` configures its per-target
+//! filter). Both rings are read in place ([`Tracer::spans_of`],
+//! [`Logger::query`]); nothing has to drain them to serve a read.
+//! [`export`] renders spans as Chrome trace-event JSON or folded
+//! flamegraph stacks, and log records as JSON-lines or human-readable
+//! text.
 
 #![warn(missing_docs)]
 

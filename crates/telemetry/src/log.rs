@@ -3,11 +3,11 @@
 //! The third observability pillar next to the metrics [`crate::Recorder`]
 //! and the [`crate::trace`] module: a [`Logger`] captures leveled
 //! [`LogRecord`]s — a message plus typed key=value fields — into the same
-//! bounded lock-free ring the tracer uses (drop-oldest, no blocking, no
-//! allocation for records the filter rejects). Every record is stamped
-//! with the trace and span ids of the innermost span open on the logging
-//! thread, so a log line, the trace it belongs to, and the metrics of the
-//! same window cross-reference by id.
+//! kind of bounded ring the tracer owns (drop-oldest, no allocation for
+//! records the filter rejects), read in place by [`Logger::query`].
+//! Every record is stamped with the trace and span ids of the innermost
+//! span open on the logging thread, so a log line, the trace it belongs
+//! to, and the metrics of the same window cross-reference by id.
 //!
 //! Filtering is per target (the `crate.component` the record came from)
 //! with a default level, configured programmatically via
@@ -22,7 +22,7 @@
 //!
 //! Hot loops rate-limit their callsites with [`RateLimit`] (e.g. the
 //! power iteration logs its residual at most once every N iterations).
-//! Render drained records with [`crate::export::log_json_lines`] or
+//! Render records with [`crate::export::log_json_lines`] or
 //! [`crate::export::log_text`].
 
 use std::str::FromStr;
@@ -137,7 +137,7 @@ impl std::fmt::Display for FieldValue {
     }
 }
 
-/// One captured log event, drained from the ring.
+/// One captured log event, as the logger's ring retains it.
 #[derive(Clone, Debug)]
 pub struct LogRecord {
     /// Severity.
@@ -160,9 +160,9 @@ pub struct LogRecord {
     /// Logical id of the logging thread (shared with
     /// [`crate::SpanRecord::tid`]).
     pub tid: u64,
-    /// Capture order: the ring ticket assigned on push. [`Logger::drain`]
-    /// returns records sorted by this, and `GET /logs?since=` cursors
-    /// over it.
+    /// Capture order: the ring ticket assigned on push. [`Logger::query`]
+    /// and [`Logger::drain`] return records in this order, and
+    /// `GET /logs?since=` cursors over it.
     pub seq: u64,
 }
 
@@ -411,6 +411,11 @@ impl Logger {
         self.inner.as_ref().map_or(0, |i| i.ring.capacity())
     }
 
+    /// Records currently retained (0 when disabled).
+    pub fn retained(&self) -> usize {
+        self.inner.as_ref().map_or(0, |i| i.ring.len())
+    }
+
     /// Replaces the filter. No-op on a disabled logger.
     pub fn set_filter(&self, filter: LogFilter) {
         if let Some(inner) = &self.inner {
@@ -477,7 +482,7 @@ impl Logger {
             Some((t, s)) => (Some(t), Some(s)),
             None => (None, None),
         };
-        let record = Box::new(LogRecord {
+        let record = LogRecord {
             level,
             target,
             message: message.into(),
@@ -487,7 +492,7 @@ impl Logger {
             unix_ns: unix_now_ns(),
             tid: crate::trace::current_tid(),
             seq: 0,
-        });
+        };
         RecordBuilder {
             pending: Some((inner, record)),
         }
@@ -518,6 +523,41 @@ impl Logger {
         self.record(Level::Trace, target, message)
     }
 
+    /// Copies of the retained records passing the filters, oldest first,
+    /// leaving the ring as it was: at most `level` severity rank (e.g.
+    /// `Level::Warn` selects WARN and ERROR), capture sequence strictly
+    /// greater than `since`, records stamped with trace id `trace`
+    /// (records without a trace never match), and when `limit` is given
+    /// only the *newest* `limit` survivors.
+    pub fn query(
+        &self,
+        level: Option<Level>,
+        since: Option<u64>,
+        limit: Option<usize>,
+        trace: Option<u64>,
+    ) -> Vec<LogRecord> {
+        let Some(inner) = &self.inner else {
+            return Vec::new();
+        };
+        let mut out = inner.ring.filtered(|r| {
+            level.is_none_or(|max| r.level <= max)
+                && since.is_none_or(|s| r.seq > s)
+                && trace.is_none_or(|t| r.trace.map(|id| id.0) == Some(t))
+        });
+        if let Some(limit) = limit {
+            if out.len() > limit {
+                out.drain(..out.len() - limit);
+            }
+        }
+        out
+    }
+
+    /// Capture sequence of the newest retained record — the cursor a
+    /// poller should resume from. `None` when nothing is retained.
+    pub fn newest_seq(&self) -> Option<u64> {
+        self.inner.as_ref().and_then(|i| i.ring.newest_seq())
+    }
+
     /// Removes and returns every captured record, oldest first.
     pub fn drain(&self) -> Vec<LogRecord> {
         self.inner
@@ -542,7 +582,7 @@ fn unix_now_ns() -> u64 {
 /// a bare `logger().info(...).field_u64(...);` statement logs at the
 /// semicolon.
 pub struct RecordBuilder<'a> {
-    pending: Option<(&'a Arc<LoggerInner>, Box<LogRecord>)>,
+    pending: Option<(&'a Arc<LoggerInner>, LogRecord)>,
 }
 
 impl RecordBuilder<'_> {
@@ -790,6 +830,92 @@ mod tests {
         l.set_filter(LogFilter::off().with_target("only", Some(Level::Debug)));
         assert!(l.enabled(Level::Debug, "only.this"));
         assert!(!l.enabled(Level::Error, "other"));
+    }
+
+    fn emit_numbered(logger: &Logger, range: std::ops::Range<u64>) {
+        for i in range {
+            logger.info("t", format!("m{i}")).field_u64("i", i).emit();
+        }
+    }
+
+    #[test]
+    fn query_preserves_order_and_evicts_oldest() {
+        let l = Logger::new(3);
+        emit_numbered(&l, 0..2);
+        emit_numbered(&l, 2..5);
+        assert_eq!(l.retained(), 3);
+        let all = l.query(None, None, None, None);
+        let messages: Vec<_> = all.iter().map(|r| r.message.as_str()).collect();
+        assert_eq!(messages, ["m2", "m3", "m4"], "last three survive");
+        assert!(all.windows(2).all(|w| w[0].seq < w[1].seq));
+        assert_eq!(l.retained(), 3, "query leaves the ring as it was");
+    }
+
+    #[test]
+    fn query_filters_by_level_since_and_limit() {
+        let l = Logger::new(64);
+        l.set_filter(LogFilter::at(Level::Debug));
+        l.error("t", "boom").emit();
+        l.warn("t", "odd").emit();
+        l.info("t", "fine").emit();
+        l.debug("t", "detail").emit();
+
+        assert_eq!(l.query(None, None, None, None).len(), 4);
+        let severe = l.query(Some(Level::Warn), None, None, None);
+        assert_eq!(severe.len(), 2);
+        assert!(severe.iter().all(|r| r.level <= Level::Warn));
+
+        let first_seq = l.query(None, None, None, None)[0].seq;
+        let after = l.query(None, Some(first_seq), None, None);
+        assert_eq!(after.len(), 3, "since is exclusive");
+
+        let newest = l.query(None, None, Some(2), None);
+        assert_eq!(newest.len(), 2);
+        assert_eq!(newest[1].message, "detail", "limit keeps the newest");
+    }
+
+    #[test]
+    fn query_filters_by_trace_id() {
+        let l = Logger::new(64);
+        let traced_id;
+        {
+            let span = crate::tracer().span("t.request");
+            traced_id = span.trace_id().map(|t| t.0);
+            l.info("t", "inside").emit();
+        }
+        l.info("t", "outside").emit();
+
+        if let Some(id) = traced_id {
+            let matched = l.query(None, None, None, Some(id));
+            assert_eq!(matched.len(), 1);
+            assert_eq!(matched[0].message, "inside");
+        }
+        // A trace id nothing was stamped with matches no records —
+        // including the untraced "outside" record.
+        assert!(l.query(None, None, None, Some(u64::MAX)).is_empty());
+    }
+
+    #[test]
+    fn empty_logger_queries_empty() {
+        for l in [Logger::new(4), Logger::disabled()] {
+            assert_eq!(l.retained(), 0);
+            assert!(l
+                .query(Some(Level::Error), Some(7), Some(1), None)
+                .is_empty());
+            assert_eq!(l.newest_seq(), None);
+        }
+    }
+
+    #[test]
+    fn newest_seq_tracks_the_latest_record() {
+        let l = Logger::new(4);
+        assert_eq!(l.newest_seq(), None);
+        emit_numbered(&l, 0..3);
+        let newest = l.newest_seq().unwrap();
+        let all = l.query(None, None, None, None);
+        assert_eq!(newest, all.last().unwrap().seq);
+        // A cursor past the newest seq matches nothing.
+        assert!(l.query(None, Some(newest + 100), None, None).is_empty());
     }
 
     #[test]

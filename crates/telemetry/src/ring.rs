@@ -1,85 +1,93 @@
-//! Bounded lock-free record sink shared by the trace and log modules.
+//! The bounded record ring behind the tracer and the logger.
 //!
-//! Each slot is an `AtomicPtr`; a writer takes a ticket from `head`,
-//! `swap`s its boxed record into `slot[ticket % cap]`, and frees whatever
-//! it displaced — so the ring holds at most `cap` records, eviction is
-//! oldest-first by construction, and neither `push` nor `drain` ever
-//! blocks. Records carry their ticket (a global sequence number) so a
-//! drain can restore completion order after the per-slot swaps.
+//! A `Mutex` over a `VecDeque` plus a sequence counter: `push` stamps
+//! the next sequence number, appends, and evicts the oldest record once
+//! the ring is over capacity — so it holds at most `capacity` records,
+//! oldest first and in sequence order. Readers clone out what they need
+//! in place ([`Ring::filtered`]); only [`Ring::drain`] empties it.
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// A record type that stores the ring ticket assigned on push.
+/// A record type that stores the sequence number assigned on push.
 pub(crate) trait Sequenced {
-    /// Stamps the assigned ticket into the record.
+    /// Stamps the assigned sequence number into the record.
     fn set_seq(&mut self, seq: u64);
-    /// The ticket stamped by [`Sequenced::set_seq`].
+    /// The sequence number stamped by [`Sequenced::set_seq`].
     fn seq(&self) -> u64;
 }
 
-/// Bounded lock-free sink; see the module docs.
-pub(crate) struct Ring<T> {
-    head: AtomicU64,
-    slots: Box<[AtomicPtr<T>]>,
+struct Inner<T> {
+    records: VecDeque<T>,
+    next_seq: u64,
 }
 
-impl<T: Sequenced> Ring<T> {
+/// Bounded sequence-ordered ring; see the module docs.
+pub(crate) struct Ring<T> {
+    inner: Mutex<Inner<T>>,
+    capacity: usize,
+}
+
+impl<T: Sequenced + Clone> Ring<T> {
     pub(crate) fn new(capacity: usize) -> Self {
-        let slots: Vec<AtomicPtr<T>> = (0..capacity.max(1))
-            .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-            .collect();
         Self {
-            head: AtomicU64::new(0),
-            slots: slots.into_boxed_slice(),
+            inner: Mutex::new(Inner {
+                records: VecDeque::new(),
+                next_seq: 0,
+            }),
+            capacity: capacity.max(1),
         }
     }
 
     pub(crate) fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
-    pub(crate) fn push(&self, mut record: Box<T>) {
-        // ORDERING: Relaxed — the ticket is a pure sequence number; the
-        // record itself is published by the AcqRel `swap` below, which
-        // is what a draining thread synchronizes with.
-        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-        record.set_seq(ticket);
-        let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
-        let old = slot.swap(Box::into_raw(record), Ordering::AcqRel);
-        if !old.is_null() {
-            // SAFETY: every pointer stored in a slot came from
-            // `Box::into_raw`, and `swap` transfers exclusive ownership
-            // to whoever extracts it — nobody else can see `old` now.
-            drop(unsafe { Box::from_raw(old) });
-        }
+    /// Best-effort telemetry: a poisoned lock is recovered rather than
+    /// surfaced — every mutation below completes or never starts, so
+    /// the deque stays valid, and a span guard's `Drop` must not panic.
+    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    pub(crate) fn push(&self, mut record: T) {
+        let mut inner = self.lock();
+        record.set_seq(inner.next_seq);
+        inner.next_seq += 1;
+        inner.records.push_back(record);
+        let evicted = if inner.records.len() > self.capacity {
+            inner.records.pop_front()
+        } else {
+            None
+        };
+        // Unlock before the evicted record's buffers are freed.
+        drop(inner);
+        drop(evicted);
+    }
+
+    /// Removes and returns every record, oldest first.
     pub(crate) fn drain(&self) -> Vec<T> {
-        let mut out = self.take_all();
-        out.sort_by_key(Sequenced::seq);
-        out
+        self.lock().records.drain(..).collect()
     }
-}
 
-impl<T> Ring<T> {
-    /// Extracts every record without restoring completion order; the
-    /// unordered core of `drain`, and all `Drop` needs.
-    fn take_all(&self) -> Vec<T> {
-        let mut out = Vec::new();
-        for slot in self.slots.iter() {
-            let p = slot.swap(std::ptr::null_mut(), Ordering::AcqRel);
-            if !p.is_null() {
-                // SAFETY: as in `push`, the swap hands us sole ownership
-                // of a pointer minted by `Box::into_raw`.
-                out.push(*unsafe { Box::from_raw(p) });
-            }
-        }
-        out
+    /// Number of records held.
+    pub(crate) fn len(&self) -> usize {
+        self.lock().records.len()
     }
-}
 
-impl<T> Drop for Ring<T> {
-    fn drop(&mut self) {
-        self.take_all();
+    /// Sequence number of the newest record held, `None` when empty.
+    pub(crate) fn newest_seq(&self) -> Option<u64> {
+        self.lock().records.back().map(Sequenced::seq)
+    }
+
+    /// Copies of the records `keep` accepts, oldest first; the ring is
+    /// left as it was.
+    pub(crate) fn filtered(&self, mut keep: impl FnMut(&T) -> bool) -> Vec<T> {
+        self.lock()
+            .records
+            .iter()
+            .filter(|r| keep(r))
+            .cloned()
+            .collect()
     }
 }

@@ -4,12 +4,13 @@
 //! child spans under whatever span is active on the current thread, so
 //! engines get parent/child structure without threading context through
 //! public signatures. Completed spans — start/end timestamps, key=value
-//! attributes, instant events — land in a bounded lock-free ring buffer:
-//! steady-state memory is fixed (oldest spans are evicted first) and a
-//! disabled tracer costs exactly one branch per span with no allocation
-//! and no ring write.
+//! attributes, instant events — land in a bounded ring buffer the tracer
+//! owns: steady-state memory is fixed (oldest spans are evicted first)
+//! and a disabled tracer costs exactly one branch per span with no
+//! allocation and no ring write.
 //!
-//! Drain the ring with [`Tracer::drain`] and render it with the
+//! Read one trace in place with [`Tracer::spans_of`], or take every
+//! span with [`Tracer::drain`], and render them with the
 //! [`crate::export`] module (Chrome trace-event JSON or folded
 //! flamegraph stacks).
 //!
@@ -135,7 +136,7 @@ pub struct TraceEvent {
     pub at_ns: u64,
 }
 
-/// A completed span drained from the ring buffer.
+/// A completed span, as the tracer's ring retains it.
 #[derive(Clone, Debug)]
 pub struct SpanRecord {
     /// Trace this span belongs to.
@@ -158,8 +159,8 @@ pub struct SpanRecord {
     /// Logical id of the thread the span ran on (small dense integers,
     /// not OS thread ids).
     pub tid: u64,
-    /// Completion order: the ring ticket assigned when the span ended.
-    /// [`Tracer::drain`] returns records sorted by this.
+    /// Completion order: the ring ticket assigned when the span ended. [`Tracer::spans_of`] and [`Tracer::drain`] return
+    /// records in this order.
     pub ticket: u64,
 }
 
@@ -170,8 +171,8 @@ impl SpanRecord {
     }
 }
 
-// The span sink is the shared bounded lock-free ring (see
-// [`crate::ring`]); records restore completion order via their ticket.
+// The span sink is the bounded ring shared with the logger (see
+// [`crate::ring`]); it stamps each record's ticket.
 impl Sequenced for SpanRecord {
     fn set_seq(&mut self, seq: u64) {
         self.ticket = seq;
@@ -339,6 +340,11 @@ impl Tracer {
         self.inner.as_ref().map_or(0, |i| i.ring.capacity())
     }
 
+    /// Completed spans currently retained (0 when disabled).
+    pub fn retained(&self) -> usize {
+        self.inner.as_ref().map_or(0, |i| i.ring.len())
+    }
+
     /// Samples 1-in-`every` traces: only every `every`-th root span (and
     /// its descendants) commits to the ring; the rest buffer until their
     /// root completes and are discarded — unless promoted by the slow
@@ -489,6 +495,17 @@ impl Tracer {
             })),
             _not_send: PhantomData,
         }
+    }
+
+    /// Copies of the retained spans of `trace`, in completion order,
+    /// leaving the ring as it was. A trace is readable while it is
+    /// still open: each span is retained as it completes, so children
+    /// show up before their root. Empty when nothing of `trace` is
+    /// retained (never recorded, unsampled, or evicted).
+    pub fn spans_of(&self, trace: TraceId) -> Vec<SpanRecord> {
+        self.inner
+            .as_ref()
+            .map_or_else(Vec::new, |i| i.ring.filtered(|r| r.trace == trace))
     }
 
     /// Removes and returns every completed span in the ring, oldest
@@ -717,7 +734,7 @@ impl Drop for ActiveSpan {
             crate::profile::mirror(stack.iter().map(|e| e.name));
         });
         if sampled {
-            tracer.ring.push(Box::new(record));
+            tracer.ring.push(record);
             return;
         }
         if !root {
@@ -755,9 +772,9 @@ impl Drop for ActiveSpan {
         if !no_promote && record.duration_ns() >= tracer.sampling.slow_ns.load(Ordering::Acquire) {
             let trace = record.trace.0;
             for span in buffered.into_iter().flatten() {
-                tracer.ring.push(Box::new(span));
+                tracer.ring.push(span);
             }
-            tracer.ring.push(Box::new(record));
+            tracer.ring.push(record);
             // Queue the id for take_promoted so the ingress edge learns
             // a slow trace was locally promoted. Recovered poison: see
             // above, Drop must not panic.
@@ -1188,6 +1205,53 @@ mod tests {
         if !cfg!(miri) {
             assert_ne!(ta, tb, "independent tracers mint from disjoint ranges");
         }
+    }
+
+    #[test]
+    fn child_span_is_readable_before_its_root_closes() {
+        let t = Tracer::new(64);
+        let trace;
+        {
+            let root = t.span("request");
+            trace = root.trace_id().unwrap();
+            drop(t.span("rank"));
+            let open: Vec<_> = t.spans_of(trace).iter().map(|r| r.name).collect();
+            assert_eq!(open, ["rank"], "the child reads while its root is open");
+        }
+        let spans = t.spans_of(trace);
+        let names: Vec<_> = spans.iter().map(|r| r.name).collect();
+        assert_eq!(names, ["rank", "request"], "completion order");
+        assert!(spans[0].ticket < spans[1].ticket);
+        assert_eq!(
+            t.spans_of(trace).len(),
+            2,
+            "reading leaves the ring as it was"
+        );
+    }
+
+    #[test]
+    fn eviction_drops_oldest_trace() {
+        let t = Tracer::new(4);
+        let ids: Vec<TraceId> = ["a", "b", "c"]
+            .into_iter()
+            .map(|name| {
+                let root = t.span(name);
+                drop(t.span("child"));
+                root.trace_id().unwrap()
+            })
+            .collect();
+        assert_eq!(t.retained(), 4);
+        assert!(t.spans_of(ids[0]).is_empty(), "oldest trace evicted");
+        assert_eq!(t.spans_of(ids[1]).len(), 2);
+        assert_eq!(t.spans_of(ids[2]).len(), 2);
+    }
+
+    #[test]
+    fn unknown_trace_reads_empty() {
+        let t = Tracer::new(2);
+        assert!(t.spans_of(TraceId(42)).is_empty());
+        assert_eq!(t.retained(), 0);
+        assert!(Tracer::disabled().spans_of(TraceId(42)).is_empty());
     }
 
     #[test]
