@@ -1,10 +1,8 @@
 //! # orex-analyze — workspace static analysis and correctness gates
 //!
 //! A dependency-free interprocedural Rust source analyzer enforcing
-//! the project's ten lint rules, plus a bounded two-thread
-//! interleaving explorer used by concurrency tests. The analyzer
-//! powers the `orex analyze` CLI subcommand and the blocking CI
-//! `analyze` job.
+//! the project's ten lint rules. It powers the `orex analyze` CLI
+//! subcommand and the blocking CI `analyze` job.
 //!
 //! ## Rules
 //!
@@ -41,7 +39,6 @@
 pub mod cache;
 pub mod callgraph;
 pub mod diag;
-pub mod interleave;
 pub mod lexer;
 pub mod policy;
 pub mod rules;

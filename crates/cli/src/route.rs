@@ -57,7 +57,7 @@ const FORWARDED_VALUE_FLAGS: &[&str] = &[
     "--trace-sample",
     "--trace-slow-ms",
 ];
-const FORWARDED_SWITCHES: &[&str] = &["--eager", "--no-backfill"];
+const FORWARDED_SWITCHES: &[&str] = &["--eager"];
 
 /// `orex route [--addr A] [--workers N] [--base-port P]
 /// [--worker-addr H:P]... [--health-interval-ms N] [--timeout-ms N]

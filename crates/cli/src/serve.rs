@@ -69,9 +69,10 @@ fn default_dataset(args: &[String]) -> Result<DatasetSpec, String> {
 /// [--cache-entries N] [--session-ttl SECS] [--max-sessions N]
 /// [--max-body-kb N] [--timeout-ms N] [--trace-sample N]
 /// [--trace-slow-ms N] [--slow-ms N] [--profile-hz N]
-/// [--status-interval-ms N] [--precompute FILE] [--no-backfill]` — serve the interactive loop over HTTP, optionally
-/// combining precomputed rank vectors from an `orex precompute`
-/// artifact; `--profile-hz` tunes the continuous profiler's sampling
+/// [--status-interval-ms N] [--precompute FILE]` — serve the interactive
+/// loop over HTTP, optionally combining precomputed rank vectors from an
+/// `orex precompute` artifact (backfilling the terms it lacks);
+/// `--profile-hz` tunes the continuous profiler's sampling
 /// rate (0 disables it, `OREX_PROFILE_HZ` overrides). Returns the
 /// process exit code.
 pub fn run_serve(
@@ -80,6 +81,7 @@ pub fn run_serve(
     err: &mut dyn Write,
 ) -> std::io::Result<i32> {
     let mut config = ServerConfig::default();
+    let mut cache_entries = 256;
     let parsed: Result<(), String> = (|| {
         if let Some(addr) = flag::<String>(args, "--addr")? {
             config.addr = addr;
@@ -88,7 +90,7 @@ pub fn run_serve(
             config.threads = threads.max(1);
         }
         if let Some(entries) = flag::<usize>(args, "--cache-entries")? {
-            config.cache_entries = entries;
+            cache_entries = entries;
         }
         if let Some(secs) = flag::<u64>(args, "--session-ttl")? {
             config.session_ttl = Duration::from_secs(secs.max(1));
@@ -111,9 +113,6 @@ pub fn run_serve(
         if let Some(ms) = flag::<u64>(args, "--slow-ms")? {
             config.slow_request = Duration::from_millis(ms.max(1));
         }
-        if args.iter().any(|a| a == "--no-backfill") {
-            config.backfill = false;
-        }
         Ok(())
     })();
     if let Err(msg) = parsed {
@@ -131,8 +130,7 @@ pub fn run_serve(
             .collect()
     };
     let registry = match specs.and_then(|specs| {
-        SystemRegistry::new(specs, config.cache_entries, config.backfill)
-            .map_err(|msg| format!("serve: {msg}"))
+        SystemRegistry::new(specs, cache_entries).map_err(|msg| format!("serve: {msg}"))
     }) {
         Ok(r) => r,
         Err(msg) => {
@@ -184,7 +182,7 @@ pub fn run_serve(
             "built lazily on first use"
         }
     )?;
-    let server = match Server::bind_registry(registry, config.clone()) {
+    let server = match Server::bind(registry, config.clone()) {
         Ok(s) => s,
         Err(e) => {
             writeln!(err, "serve: binding {}: {e}", config.addr)?;
@@ -202,7 +200,7 @@ pub fn run_serve(
     writeln!(
         out,
         "serving on http://{addr} ({} workers, cache {} entries, session ttl {:?})",
-        config.threads, config.cache_entries, config.session_ttl
+        config.threads, cache_entries, config.session_ttl
     )?;
     writeln!(
         out,

@@ -40,7 +40,7 @@ usage:
              [--max-body-kb N] [--timeout-ms N] [--trace-sample N]
              [--trace-slow-ms N] [--slow-ms N] [--profile-hz N]
              [--status-interval-ms N]
-             [--precompute FILE] [--no-backfill]
+             [--precompute FILE]
                              serve the interactive query/explain/feedback
                              loop over HTTP (POST /query, GET /explain/
                              <session>/<node>, POST /feedback/<session>,
@@ -55,9 +55,9 @@ usage:
                              with --precompute, covered queries are
                              answered by exact linear combination of the
                              artifact's vectors and uncovered terms are
-                             backfilled in the background (--no-backfill
-                             disables); --profile-hz tunes the continuous
-                             profiler's sampling rate (0 disables it);
+                             backfilled in the background; --profile-hz
+                             tunes the continuous profiler's sampling
+                             rate (0 disables it);
                              SIGTERM or ctrl-c drains in-flight requests
   orex route [--addr A] [--workers N] [--base-port P]
              [--worker-addr H:P]... [--health-interval-ms N]

@@ -348,8 +348,8 @@ impl Drop for Running {
 fn spawn_server(config: ServerConfig) -> Running {
     // Lazy registry: nothing is built, no case issues a query.
     let specs = vec![DatasetSpec::parse("dblp=dblp-top:0.02").expect("spec")];
-    let registry = SystemRegistry::new(specs, 8, false).expect("registry");
-    let server = Server::bind_registry(registry, config).expect("bind server");
+    let registry = SystemRegistry::new(specs, 8).expect("registry");
+    let server = Server::bind(registry, config).expect("bind server");
     Running {
         addr: server.local_addr().expect("addr").to_string(),
         stop: server.shutdown_handle(),

@@ -30,8 +30,8 @@ fn spawn_worker() -> TestWorker {
         DatasetSpec::parse("dblp=dblp-top:0.02").expect("spec"),
         DatasetSpec::parse("bio=ds7-cancer:0.02").expect("spec"),
     ];
-    let registry = SystemRegistry::new(specs, 64, false).expect("registry");
-    let server = Server::bind_registry(
+    let registry = SystemRegistry::new(specs, 64).expect("registry");
+    let server = Server::bind(
         registry,
         ServerConfig {
             addr: "127.0.0.1:0".into(),

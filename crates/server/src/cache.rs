@@ -9,6 +9,12 @@
 //! under the lock, not |V| scores, and every hit on one entry ranks off
 //! the same memo. Hits and misses land in the telemetry counters
 //! `server.cache_hits` / `server.cache_misses`.
+//!
+//! Each dataset owns one cache, and it holds initial-query answers
+//! only: `POST /query` is its one writer, and every snapshot it stores
+//! ran under the system's initial rates. Feedback-trained state lives
+//! only in the session table, so the normalized query alone is a
+//! sufficient key.
 
 use crate::error::ServerError;
 use orex_core::SessionSnapshot;

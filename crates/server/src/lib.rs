@@ -9,7 +9,10 @@
 //!
 //! One process serves *many* datasets through a [`SystemRegistry`]
 //! (`POST /query` takes a `dataset` field; sessions remember their
-//! owning dataset). The transport is the [`frontend`] module, the one
+//! owning dataset), the one thing [`Server::bind`] serves. Each dataset
+//! owns its rank vectors: a result cache and, when built with an
+//! artifact, a [`PrecomputeTier`] that combines covered queries and
+//! backfills missing terms. The transport is the [`frontend`] module, the one
 //! HTTP front end this server and the `orex-router` proxy both run on:
 //! a thread per persistent HTTP/1.1 connection (keep-alive, pipelining)
 //! under a connection cap, handlers on [`ServerConfig::threads`]
@@ -34,8 +37,8 @@
 //!
 //! Sessions are stored as [`SessionSnapshot`](orex_core::SessionSnapshot)s
 //! in a TTL + LRU table and resumed per request; results of identical
-//! normalized queries come from an LRU cache that skips the power
-//! iteration entirely. A snapshot's score vector and memoised top-k are
+//! normalized initial queries come from an LRU cache that skips the
+//! power iteration entirely. A snapshot's score vector and memoised top-k are
 //! shared between the cache entry, the session-table entries and the
 //! sessions resumed from them, so a cache hit costs O(k) — no |V|-sized
 //! copy, no |E|-sized weight derivation, no rescan — and a feedback
@@ -68,7 +71,7 @@ pub use client::{ClientResponse, HttpClient};
 pub use error::ServerError;
 pub use frontend::{install_signal_handlers, ShutdownHandle};
 pub use http::{Request, Response};
-pub use ranks::{rates_fingerprint, CombineOutcome, RankStore};
+pub use ranks::{CombineOutcome, PrecomputeTier};
 pub use registry::{DatasetService, DatasetSpec, SystemRegistry};
 pub use server::{Server, ServerConfig};
 pub use sessions::SessionTable;

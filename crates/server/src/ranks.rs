@@ -1,147 +1,122 @@
-//! The unified serving-path rank store.
+//! A dataset's precompute tier: the rank vectors of an `orex precompute`
+//! artifact, and the background builder that adds the terms it lacks.
 //!
-//! Before this module, the server had two disjoint caches that could
-//! disagree: the LRU [`ResultCache`] of converged session snapshots, and
-//! `orex-store`'s precomputed rank vectors — keyed but never consulted
-//! on the result path. [`RankStore`] is the single lookup the query
-//! handler goes through, with two invariants:
+//! On a result-cache miss, a query whose terms the tier covers is
+//! answered by the exact linear combination of their single-keyword
+//! vectors (the paper's Linearity property, see
+//! [`PrecomputedRanks::combine`]) instead of a live power iteration. A
+//! query with uncovered terms runs live, and [`PrecomputeTier::combine`]
+//! queues those terms for the builder so the *next* occurrence combines.
 //!
-//! 1. **Rates-stamped result keys.** Every snapshot is cached under the
-//!    normalized query *and* an FNV-1a fingerprint of its transfer
-//!    rates. A feedback round trains the rates, so a reformulated
-//!    session's snapshot can never be served to a fresh initial query
-//!    that normalizes to the same term/weight key — the contradictory
-//!    entry the old scheme permitted.
-//! 2. **Precompute-before-iterate.** On a result-cache miss, a query
-//!    whose terms are covered by the precomputed store is answered by
-//!    the exact linear combination (the paper's Linearity property, see
-//!    [`PrecomputedRanks::combine`]) instead of a live power iteration;
-//!    uncovered terms are queued for background backfill so the *next*
-//!    occurrence combines.
+//! The tier exists only for a dataset served with an artifact. It is
+//! built and validated where the artifact is loaded
+//! ([`PrecomputeTier::load`]), which is also the one place its builder
+//! thread is spawned; [`PrecomputeTier::close`] ends that thread.
 
-use crate::cache::ResultCache;
-use crate::error::ServerError;
-use orex_core::SessionSnapshot;
-use orex_graph::TransferRates;
+use orex_core::ObjectRankSystem;
 use orex_ir::{InvertedIndex, QueryVector, Scorer};
-use orex_store::{fnv1a, PrecomputedRanks};
+use orex_store::PrecomputedRanks;
 use std::collections::HashSet;
-use std::sync::mpsc::Sender;
-use std::sync::{Mutex, PoisonError, RwLock};
+use std::path::Path;
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::thread::JoinHandle;
 
 /// One queued backfill batch: the uncovered terms plus the trace
 /// context of the request that discovered them, so the builder thread's
 /// work shows up as part of that request's (distributed) trace instead
 /// of running untraced.
-pub struct BackfillJob {
+struct BackfillJob {
     /// Terms to build vectors for.
-    pub terms: Vec<String>,
+    terms: Vec<String>,
     /// Context of the originating request span, if one was open when
     /// the miss was queued.
-    pub context: Option<orex_telemetry::TraceContext>,
+    context: Option<orex_telemetry::TraceContext>,
 }
 
 /// Outcome of consulting the precomputed vectors for a query.
 pub enum CombineOutcome {
     /// Covered: the exact combined score vector.
     Hit(Vec<f64>),
-    /// Not covered: the index-matching terms that lack vectors (queued
-    /// for backfill by the caller via [`RankStore::request_backfill`]).
-    Miss(Vec<String>),
-    /// No precomputed store is loaded (or the query has no usable terms).
-    Unavailable,
+    /// Not covered: the terms that lack vectors were queued for backfill.
+    Miss,
+    /// Covered, but no query term occurs in the corpus, so there is
+    /// nothing to combine. The live path reports such a query as an
+    /// empty base set.
+    Uncombinable,
 }
 
-/// One stop for every way the serving path can obtain scores without a
-/// live power iteration.
-pub struct RankStore {
-    results: ResultCache,
-    precomputed: RwLock<Option<PrecomputedRanks>>,
-    /// Fingerprint of the system's initial rates — the rates every
-    /// initial query runs under.
-    initial_fingerprint: u64,
-    /// Backfill queue to the builder thread; `None` until the server
-    /// starts one (or after shutdown).
-    backfill: Mutex<Option<Sender<BackfillJob>>>,
+/// The loaded vectors plus everything that grows them; see the module
+/// docs.
+pub struct PrecomputeTier {
+    ranks: RwLock<PrecomputedRanks>,
     /// Terms already queued, so repeated misses don't re-queue work the
     /// builder hasn't finished yet.
     in_flight: Mutex<HashSet<String>>,
+    /// Queue to the builder thread; `None` once closed.
+    queue: Mutex<Option<Sender<BackfillJob>>>,
+    builder: Mutex<Option<JoinHandle<()>>>,
 }
 
-/// Stable fingerprint of a rates vector (order is the schema's transfer
-/// type order, so equal rates hash equal).
-pub fn rates_fingerprint(rates: &TransferRates) -> u64 {
-    let mut bytes = Vec::with_capacity(rates.as_slice().len() * 8);
-    for &r in rates.as_slice() {
-        bytes.extend_from_slice(&r.to_le_bytes());
+impl PrecomputeTier {
+    /// Loads the artifact at `path`, checks it against `system` (graph
+    /// hash, node count, damping, epsilon — a mismatched artifact is an
+    /// error, not a silent mis-ranking) and spawns the tier's backfill
+    /// builder.
+    pub fn load(
+        dataset: &str,
+        path: &Path,
+        system: &Arc<ObjectRankSystem>,
+    ) -> Result<Arc<Self>, String> {
+        let ranks = PrecomputedRanks::load(path).map_err(|e| e.to_string())?;
+        validate_precompute(&ranks, system)?;
+        orex_telemetry::logger()
+            .info("server.precompute", "precomputed ranks loaded")
+            .field_str("dataset", dataset)
+            .field_str("path", path.to_string_lossy())
+            .field_u64("terms", ranks.len() as u64)
+            .field_u64("dataset_hash", ranks.dataset_hash())
+            .emit();
+        let (tier, rx) = Self::with_queue(ranks);
+        let builder = {
+            let tier = Arc::clone(&tier);
+            let system = Arc::clone(system);
+            let dataset = dataset.to_string();
+            std::thread::Builder::new()
+                .name(format!("orex-backfill-{dataset}"))
+                .spawn(move || tier.backfill_loop(&dataset, &system, rx))
+                .map_err(|e| format!("spawning the backfill builder: {e}"))?
+        };
+        *tier.builder.lock().unwrap_or_else(PoisonError::into_inner) = Some(builder);
+        Ok(tier)
     }
-    fnv1a(&bytes)
-}
 
-impl RankStore {
-    /// A store with an LRU result cache of `capacity` snapshots, keyed
-    /// against `initial_rates`.
-    pub fn new(capacity: usize, initial_rates: &TransferRates) -> Self {
-        Self {
-            results: ResultCache::new(capacity),
-            precomputed: RwLock::new(None),
-            initial_fingerprint: rates_fingerprint(initial_rates),
-            backfill: Mutex::new(None),
-            in_flight: Mutex::new(HashSet::new()),
-        }
-    }
-
-    /// Cache key for a query under a specific rates fingerprint.
-    fn key(fingerprint: u64, query: &QueryVector) -> String {
-        format!("{fingerprint:016x}|{}", ResultCache::key(query))
-    }
-
-    /// Installs (or replaces) the precomputed vector store.
-    pub fn set_precomputed(&self, store: PrecomputedRanks) {
-        let telemetry = orex_telemetry::global();
-        telemetry
+    /// A tier over `ranks` and the receiving end of its queue, with no
+    /// builder attached yet.
+    fn with_queue(ranks: PrecomputedRanks) -> (Arc<Self>, Receiver<BackfillJob>) {
+        orex_telemetry::global()
             .gauge("server.precompute_terms")
-            .set(store.len() as f64);
-        *self
-            .precomputed
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = Some(store);
+            .set(ranks.len() as f64);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let tier = Self {
+            ranks: RwLock::new(ranks),
+            in_flight: Mutex::new(HashSet::new()),
+            queue: Mutex::new(Some(tx)),
+            builder: Mutex::new(None),
+        };
+        (Arc::new(tier), rx)
     }
 
-    /// Number of precomputed term vectors currently loaded.
-    pub fn precomputed_terms(&self) -> usize {
-        self.precomputed
+    /// Number of term vectors currently held.
+    pub fn term_count(&self) -> usize {
+        self.ranks
             .read()
             .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .map_or(0, PrecomputedRanks::len)
+            .len()
     }
 
-    /// Looks up the cached snapshot of an *initial* query (initial-rates
-    /// key). Feedback-trained snapshots live under their own fingerprint
-    /// and cannot satisfy this lookup.
-    pub fn lookup_initial(
-        &self,
-        query: &QueryVector,
-    ) -> Result<Option<SessionSnapshot>, ServerError> {
-        self.results
-            .get(&Self::key(self.initial_fingerprint, query))
-    }
-
-    /// Caches a snapshot under the fingerprint of *its own* rates: an
-    /// initial-query snapshot becomes visible to [`Self::lookup_initial`],
-    /// a feedback-trained one is keyed apart and never conflated.
-    pub fn store(
-        &self,
-        query: &QueryVector,
-        snapshot: &SessionSnapshot,
-    ) -> Result<(), ServerError> {
-        let fingerprint = rates_fingerprint(snapshot.rates());
-        self.results
-            .put(Self::key(fingerprint, query), snapshot.clone())
-    }
-
-    /// Consults the precomputed vectors for an exact combined answer.
+    /// Consults the vectors for an exact combined answer, queueing the
+    /// terms they lack for backfill.
     pub fn combine(
         &self,
         query: &QueryVector,
@@ -149,49 +124,31 @@ impl RankStore {
         scorer: &dyn Scorer,
     ) -> CombineOutcome {
         let telemetry = orex_telemetry::global();
-        let guard = self
-            .precomputed
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        let Some(store) = guard.as_ref() else {
-            return CombineOutcome::Unavailable;
-        };
-        let missing = store.missing_terms(query, index);
-        if missing.is_empty() {
-            if let Some(scores) = store.combine(query, scorer) {
-                telemetry.counter("server.precompute_hits").incr();
-                return CombineOutcome::Hit(scores);
+        let missing = {
+            let ranks = self.ranks.read().unwrap_or_else(PoisonError::into_inner);
+            let missing = ranks.missing_terms(query, index);
+            if missing.is_empty() {
+                return match ranks.combine(query, scorer) {
+                    Some(scores) => {
+                        telemetry.counter("server.precompute_hits").incr();
+                        CombineOutcome::Hit(scores)
+                    }
+                    None => CombineOutcome::Uncombinable,
+                };
             }
-            // Covered but nothing combinable: no query term occurs in
-            // the corpus, which the live path reports as an empty base
-            // set — let it.
-            return CombineOutcome::Unavailable;
-        }
+            missing
+        };
         telemetry.counter("server.precompute_misses").incr();
-        CombineOutcome::Miss(missing)
+        self.request_backfill(missing);
+        CombineOutcome::Miss
     }
 
-    /// Hands the backfill queue to the store. The server calls this when
-    /// it spawns the builder thread.
-    pub fn set_backfill_sender(&self, sender: Sender<BackfillJob>) {
-        *self.backfill.lock().unwrap_or_else(PoisonError::into_inner) = Some(sender);
-    }
-
-    /// Drops the backfill queue so the builder thread's `recv` ends —
-    /// part of graceful shutdown.
-    pub fn close_backfill(&self) {
-        self.backfill
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-    }
-
-    /// Queues uncovered terms for background building, capturing the
-    /// calling thread's trace context so the builder's span joins the
+    /// Queues uncovered terms for the builder, capturing the calling
+    /// thread's trace context so the builder's span joins the
     /// originating request's trace. Terms already in flight are
-    /// skipped; returns how many were newly queued.
-    pub fn request_backfill(&self, terms: Vec<String>) -> usize {
-        let telemetry = orex_telemetry::global();
+    /// skipped, and a term is marked in flight only once its job is
+    /// queued; returns how many were newly queued.
+    fn request_backfill(&self, terms: Vec<String>) -> usize {
         let mut in_flight = self
             .in_flight
             .lock()
@@ -203,57 +160,50 @@ impl RankStore {
         if fresh.is_empty() {
             return 0;
         }
-        let guard = self.backfill.lock().unwrap_or_else(PoisonError::into_inner);
-        let Some(sender) = guard.as_ref() else {
+        let queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        let Some(sender) = queue.as_ref() else {
             return 0;
         };
-        let count = fresh.len();
-        for t in &fresh {
-            in_flight.insert(t.clone());
-        }
         let job = BackfillJob {
-            terms: fresh,
+            terms: fresh.clone(),
             context: orex_telemetry::tracer().current_context(),
         };
         if sender.send(job).is_err() {
             // Builder already gone; nothing will be built.
             return 0;
         }
-        telemetry
+        let count = fresh.len();
+        in_flight.extend(fresh);
+        orex_telemetry::global()
             .counter("server.backfill_requests")
             .add(count as u64);
         count
     }
 
-    /// Installs vectors the builder thread finished, clearing their
-    /// in-flight marks.
-    pub fn insert_backfilled(&self, built: Vec<(String, f64, Vec<f64>)>) {
+    /// Installs vectors the builder finished, clearing their in-flight
+    /// marks. Locks `ranks` before `in_flight`, the order `combine`
+    /// takes them in.
+    fn insert_backfilled(&self, built: Vec<(String, f64, Vec<f64>)>) {
         let telemetry = orex_telemetry::global();
+        let mut ranks = self.ranks.write().unwrap_or_else(PoisonError::into_inner);
         let mut in_flight = self
             .in_flight
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let mut guard = self
-            .precomputed
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        let Some(store) = guard.as_mut() else {
-            return;
-        };
         let count = built.len() as u64;
         for (term, mass, scores) in built {
-            store.insert(term.clone(), mass, &scores);
+            ranks.insert(term.clone(), mass, &scores);
             in_flight.remove(&term);
         }
         telemetry.counter("server.backfill_built").add(count);
         telemetry
             .gauge("server.precompute_terms")
-            .set(store.len() as f64);
+            .set(ranks.len() as f64);
     }
 
     /// Clears in-flight marks for terms the builder skipped (e.g. empty
     /// base sets), so a later request may retry them.
-    pub fn clear_in_flight(&self, terms: &[String]) {
+    fn clear_in_flight(&self, terms: &[String]) {
         let mut in_flight = self
             .in_flight
             .lock()
@@ -263,126 +213,157 @@ impl RankStore {
         }
     }
 
-    /// Result-cache entry count (observability).
-    pub fn cached_results(&self) -> usize {
-        self.results.len()
+    /// Drops the queue, so the builder's `recv` ends once it has built
+    /// what was already queued, and joins the builder. Part of graceful
+    /// shutdown; later misses queue nothing.
+    pub fn close(&self) {
+        self.queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        let builder = self
+            .builder
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(builder) = builder {
+            if builder.join().is_err() {
+                orex_telemetry::logger()
+                    .error("server.backfill", "backfill builder panicked")
+                    .emit();
+            }
+        }
     }
+
+    /// The backfill builder: drains term batches from the queue, runs
+    /// them through the batched kernel (global warm start, same
+    /// parameters as the offline build) and installs the finished
+    /// vectors. Exits when the queue is closed.
+    fn backfill_loop(&self, dataset: &str, system: &ObjectRankSystem, rx: Receiver<BackfillJob>) {
+        let scorer = &system.config().okapi;
+        let params = system.config().rank;
+        while let Ok(job) = rx.recv() {
+            let terms = job.terms;
+            // The builder's work joins the trace of the request that queued
+            // it (a remote-parent root on this thread), so a fleet trace
+            // shows the deferred backfill a miss triggered, not just the
+            // miss itself.
+            let mut tspan =
+                orex_telemetry::tracer().span_with_context("server.backfill", job.context);
+            if tspan.is_recording() {
+                tspan.attr_str("reason", "precompute_miss");
+                tspan.attr_u64("terms", terms.len() as u64);
+            }
+            let _span = orex_telemetry::global().span("server.backfill_us");
+            let matrix =
+                orex_authority::TransitionMatrix::new(system.transfer(), system.initial_rates());
+            let mut kept: Vec<(String, f64)> = Vec::with_capacity(terms.len());
+            let mut bases = Vec::with_capacity(terms.len());
+            let mut skipped: Vec<String> = Vec::new();
+            for term in terms {
+                match orex_store::term_base(system.index(), scorer, &term) {
+                    Some((mass, base)) => {
+                        kept.push((term, mass));
+                        bases.push(base);
+                    }
+                    None => skipped.push(term),
+                }
+            }
+            // Terms without base sets can never combine; unmark them so a
+            // rebuilt index could retry, and skip the kernel entirely.
+            self.clear_in_flight(&skipped);
+            if bases.is_empty() {
+                continue;
+            }
+            let results = orex_authority::power_iteration_batch(
+                &matrix,
+                &bases,
+                &params,
+                system.global_scores(),
+            );
+            let built: Vec<(String, f64, Vec<f64>)> = kept
+                .into_iter()
+                .zip(results)
+                .map(|((term, mass), result)| (term, mass, result.scores))
+                .collect();
+            orex_telemetry::logger()
+                .info("server.backfill", "backfilled precomputed vectors")
+                .field_str("dataset", dataset)
+                .field_u64("terms", built.len() as u64)
+                .field_bool("backfill", true)
+                .emit();
+            self.insert_backfilled(built);
+        }
+    }
+}
+
+/// Checks a precompute artifact against the served system: the graph
+/// hash, node count, and convergence parameters must match — a
+/// mismatched artifact is a build error, not a silent mis-ranking.
+fn validate_precompute(store: &PrecomputedRanks, system: &ObjectRankSystem) -> Result<(), String> {
+    let graph_hash = orex_store::fnv1a(&orex_store::encode_graph(system.graph()));
+    if store.dataset_hash() != graph_hash {
+        return Err(format!(
+            "precompute artifact was built for a different dataset \
+             (artifact {:#x}, serving {:#x})",
+            store.dataset_hash(),
+            graph_hash
+        ));
+    }
+    if store.node_count() != system.graph().node_count() {
+        return Err(format!(
+            "precompute artifact has {} nodes, graph has {}",
+            store.node_count(),
+            system.graph().node_count()
+        ));
+    }
+    let rank = &system.config().rank;
+    if store.damping() != rank.damping || store.epsilon() != rank.epsilon {
+        return Err(format!(
+            "precompute artifact converged under damping {} / epsilon {}, \
+             system runs damping {} / epsilon {}",
+            store.damping(),
+            store.epsilon(),
+            rank.damping,
+            rank.epsilon
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orex_core::{ObjectRankSystem, QuerySession, SystemConfig};
-    use orex_ir::Query;
-    use std::sync::Arc;
-
-    fn system() -> Arc<ObjectRankSystem> {
-        let d = orex_datagen::Preset::DblpTop.generate(0.02);
-        Arc::new(ObjectRankSystem::new(
-            d.graph,
-            d.ground_truth,
-            SystemConfig::default(),
-        ))
-    }
-
-    fn rankable_keyword(system: &ObjectRankSystem) -> String {
-        let index = system.index();
-        (0..index.vocabulary_size() as u32)
-            .map(|t| index.term_text(t).to_string())
-            .find(|kw| QuerySession::start(system, &Query::parse(kw)).is_ok())
-            .expect("some keyword ranks")
-    }
-
-    #[test]
-    fn initial_snapshot_roundtrips_through_lookup() {
-        let system = system();
-        let store = RankStore::new(8, system.initial_rates());
-        let kw = rankable_keyword(&system);
-        let query = Query::parse(&kw);
-        let qv = QueryVector::initial(&query, system.index().analyzer());
-        assert!(store.lookup_initial(&qv).unwrap().is_none());
-        let session = QuerySession::start(&system, &query).unwrap();
-        store.store(&qv, &session.snapshot()).unwrap();
-        let hit = store.lookup_initial(&qv).unwrap().expect("cached");
-        assert_eq!(hit.scores(), session.scores());
-    }
-
-    /// The regression the unification exists for: a feedback round trains
-    /// the rates, and its snapshot — even when the reformulated query
-    /// normalizes to the *same* key — must not satisfy an initial-query
-    /// lookup.
-    #[test]
-    fn feedback_trained_snapshot_does_not_shadow_initial_entry() {
-        let system = system();
-        let store = RankStore::new(8, system.initial_rates());
-        let kw = rankable_keyword(&system);
-        let query = Query::parse(&kw);
-        let qv = QueryVector::initial(&query, system.index().analyzer());
-
-        let mut session = QuerySession::start(&system, &query).unwrap();
-        let initial_snapshot = session.snapshot();
-        store.store(&qv, &initial_snapshot).unwrap();
-
-        // One feedback round: rates are trained away from the initial
-        // vector (structure-only reformulation keeps the query vector as
-        // hostile as possible to the keying scheme).
-        let top = session.top_k(3);
-        let objects: Vec<_> = top.iter().map(|r| r.node).collect();
-        session.feedback(&objects).unwrap();
-        let trained_snapshot = session.snapshot();
-        assert_ne!(
-            rates_fingerprint(trained_snapshot.rates()),
-            rates_fingerprint(initial_snapshot.rates()),
-            "feedback must actually train the rates for this test to bite"
-        );
-        // Store it under the session's *current* query vector.
-        store
-            .store(session.query_vector(), &trained_snapshot)
-            .unwrap();
-
-        // A fresh initial query still gets the initial-rates snapshot.
-        let hit = store.lookup_initial(&qv).unwrap().expect("still cached");
-        assert_eq!(hit.scores(), initial_snapshot.scores());
-        // And the trained snapshot is reachable only under its own rates.
-        let trained_key = RankStore::key(
-            rates_fingerprint(trained_snapshot.rates()),
-            session.query_vector(),
-        );
-        assert_ne!(
-            trained_key,
-            RankStore::key(
-                rates_fingerprint(initial_snapshot.rates()),
-                session.query_vector()
-            )
-        );
-    }
-
-    #[test]
-    fn combine_unavailable_without_precomputed_store() {
-        let system = system();
-        let store = RankStore::new(4, system.initial_rates());
-        let qv = QueryVector::from_weights([("data", 1.0)]);
-        assert!(matches!(
-            store.combine(&qv, system.index(), &system.config().okapi),
-            CombineOutcome::Unavailable
-        ));
-    }
 
     #[test]
     fn backfill_queue_dedups_in_flight_terms() {
-        let system = system();
-        let store = RankStore::new(4, system.initial_rates());
-        let (tx, rx) = std::sync::mpsc::channel();
-        store.set_backfill_sender(tx);
+        let (tier, rx) = PrecomputeTier::with_queue(PrecomputedRanks::new(0, 4, 0.85, 1e-6));
         assert_eq!(
-            store.request_backfill(vec!["alpha".into(), "beta".into()]),
+            tier.request_backfill(vec!["alpha".into(), "beta".into()]),
             2
         );
-        assert_eq!(store.request_backfill(vec!["alpha".into()]), 0, "in flight");
+        assert_eq!(tier.request_backfill(vec!["alpha".into()]), 0, "in flight");
         assert_eq!(rx.try_recv().unwrap().terms.len(), 2);
-        store.clear_in_flight(&["alpha".to_string()]);
-        assert_eq!(store.request_backfill(vec!["alpha".into()]), 1);
-        store.close_backfill();
-        assert_eq!(store.request_backfill(vec!["gamma".into()]), 0, "closed");
+        // The builder skipped "alpha": it may be queued again.
+        tier.clear_in_flight(&["alpha".to_string()]);
+        assert_eq!(tier.request_backfill(vec!["alpha".into()]), 1);
+        tier.close();
+        assert_eq!(tier.request_backfill(vec!["gamma".into()]), 0, "closed");
+        assert!(rx.try_recv().is_ok(), "the re-queued alpha job");
+        assert!(rx.try_recv().is_err(), "nothing queued after close");
+    }
+
+    /// A send the builder can no longer receive queues nothing, so it
+    /// must not leave the term marked in flight for good.
+    #[test]
+    fn failed_send_leaves_no_in_flight_mark() {
+        let (tier, rx) = PrecomputeTier::with_queue(PrecomputedRanks::new(0, 4, 0.85, 1e-6));
+        drop(rx);
+        assert_eq!(tier.request_backfill(vec!["alpha".into()]), 0);
+        assert!(tier
+            .in_flight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .is_empty());
     }
 }

@@ -3,8 +3,12 @@
 //! One server process can serve many datasets: the registry maps a
 //! dataset *name* to a generator preset, a scale, and an optional
 //! precompute artifact, and builds the corresponding
-//! [`ObjectRankSystem`] plus its per-dataset [`RankStore`] lazily on
-//! first use (or eagerly at startup). Each loaded dataset accounts its
+//! [`ObjectRankSystem`] lazily on first use (or eagerly at startup).
+//! Each built dataset is the one owner of its rank vectors: a
+//! [`ResultCache`] of initial-query answers and, when an artifact was
+//! given, a [`PrecomputeTier`] with its backfill builder. The registry
+//! is also the one place their settings live (the cache capacity and
+//! each dataset's artifact path). Each loaded dataset accounts its
 //! approximate resident memory, surfaced by `GET /datasets` and the
 //! status document, so an operator can see what a process holds before
 //! pointing more traffic at it.
@@ -13,13 +17,14 @@
 //! ([`ServerError::NotFound`]), a failed build is a sticky 503 — never
 //! a panic or a silent fallback to the wrong dataset.
 
+use crate::cache::ResultCache;
 use crate::error::ServerError;
-use crate::ranks::RankStore;
+use crate::ranks::PrecomputeTier;
 use orex_core::{ObjectRankSystem, SystemConfig};
 use orex_datagen::Preset;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// What to build for one named dataset.
@@ -74,15 +79,19 @@ impl DatasetSpec {
     }
 }
 
-/// One loaded dataset: the shared system, its rank store (result cache
-/// + precomputed vectors), and bookkeeping for the datasets listing.
+/// One loaded dataset: the shared system, its rank vectors (result
+/// cache + optional precompute tier), and bookkeeping for the datasets
+/// listing.
 pub struct DatasetService {
     name: String,
     preset: Preset,
     scale: f64,
     system: Arc<ObjectRankSystem>,
-    ranks: RankStore,
-    memory_bytes: u64,
+    results: ResultCache,
+    precompute: Option<Arc<PrecomputeTier>>,
+    /// Resident bytes that do not change after the build: graph, index
+    /// and global scores.
+    fixed_memory_bytes: u64,
     build_ms: u64,
     queries: AtomicU64,
 }
@@ -93,7 +102,7 @@ impl std::fmt::Debug for DatasetService {
             .field("name", &self.name)
             .field("preset", &self.preset)
             .field("scale", &self.scale)
-            .field("memory_bytes", &self.memory_bytes)
+            .field("memory_bytes", &self.memory_bytes())
             .finish_non_exhaustive()
     }
 }
@@ -109,14 +118,29 @@ impl DatasetService {
         &self.system
     }
 
-    /// The per-dataset result cache + precomputed vector store.
-    pub fn ranks(&self) -> &RankStore {
-        &self.ranks
+    /// The LRU cache of initial-query answers.
+    pub fn results(&self) -> &ResultCache {
+        &self.results
     }
 
-    /// Approximate resident bytes of graph + index + precompute.
+    /// The precompute tier, present only when the dataset was built
+    /// with an artifact.
+    pub fn precompute(&self) -> Option<&PrecomputeTier> {
+        self.precompute.as_deref()
+    }
+
+    /// Precomputed term vectors currently held (0 without an artifact).
+    pub fn precompute_terms(&self) -> usize {
+        self.precompute().map_or(0, PrecomputeTier::term_count)
+    }
+
+    /// Approximate resident bytes of graph + index + precomputed
+    /// vectors, counting the vectors backfill has added so far.
     pub fn memory_bytes(&self) -> u64 {
-        self.memory_bytes
+        let nodes = self.system.graph().node_count() as u64;
+        // Precomputed vectors are stored as f32.
+        let vector_bytes = nodes * std::mem::size_of::<f32>() as u64;
+        self.fixed_memory_bytes + self.precompute_terms() as u64 * vector_bytes
     }
 
     /// Counts one query against this dataset (feeds `/datasets` and the
@@ -129,9 +153,10 @@ impl DatasetService {
             .incr();
     }
 
-    /// Wraps an already-built system (the single-dataset `Server::bind`
-    /// path and in-process tests). The precompute artifact, when given,
-    /// is loaded and validated exactly like the lazy build path.
+    /// Wraps an already-built system (the lazy build path and
+    /// in-process tests): a result cache of `cache_entries` answers and,
+    /// when `precompute` names an artifact, the precompute tier loaded
+    /// from it.
     pub fn from_system(
         name: &str,
         preset: Preset,
@@ -141,27 +166,17 @@ impl DatasetService {
         precompute: Option<&Path>,
     ) -> Result<Arc<Self>, String> {
         let start = Instant::now();
-        let ranks = RankStore::new(cache_entries, system.initial_rates());
-        if let Some(path) = precompute {
-            let store = orex_store::PrecomputedRanks::load(path).map_err(|e| e.to_string())?;
-            validate_precompute(&store, &system)?;
-            orex_telemetry::logger()
-                .info("server.precompute", "precomputed ranks loaded")
-                .field_str("dataset", name)
-                .field_str("path", path.to_string_lossy())
-                .field_u64("terms", store.len() as u64)
-                .field_u64("dataset_hash", store.dataset_hash())
-                .emit();
-            ranks.set_precomputed(store);
-        }
-        let memory_bytes = estimate_memory(&system, ranks.precomputed_terms());
+        let precompute = precompute
+            .map(|path| PrecomputeTier::load(name, path, &system))
+            .transpose()?;
         Ok(Arc::new(Self {
             name: name.to_string(),
             preset,
             scale,
+            fixed_memory_bytes: fixed_memory(&system),
             system,
-            ranks,
-            memory_bytes,
+            results: ResultCache::new(cache_entries),
+            precompute,
             build_ms: start.elapsed().as_millis() as u64,
             queries: AtomicU64::new(0),
         }))
@@ -197,53 +212,17 @@ impl DatasetService {
             .field_str("preset", spec.preset.name())
             .field_u64("nodes", nodes as u64)
             .field_u64("edges", edges as u64)
-            .field_u64("memory_bytes", service.memory_bytes)
+            .field_u64("memory_bytes", service.memory_bytes())
             .field_u64("build_ms", start.elapsed().as_millis() as u64)
             .emit();
         Ok(service)
     }
 }
 
-/// Checks a precompute artifact against the served system: the graph
-/// hash, node count, and convergence parameters must match — a
-/// mismatched artifact is a build error, not a silent mis-ranking.
-pub fn validate_precompute(
-    store: &orex_store::PrecomputedRanks,
-    system: &ObjectRankSystem,
-) -> Result<(), String> {
-    let graph_hash = orex_store::fnv1a(&orex_store::encode_graph(system.graph()));
-    if store.dataset_hash() != graph_hash {
-        return Err(format!(
-            "precompute artifact was built for a different dataset \
-             (artifact {:#x}, serving {:#x})",
-            store.dataset_hash(),
-            graph_hash
-        ));
-    }
-    if store.node_count() != system.graph().node_count() {
-        return Err(format!(
-            "precompute artifact has {} nodes, graph has {}",
-            store.node_count(),
-            system.graph().node_count()
-        ));
-    }
-    let rank = &system.config().rank;
-    if store.damping() != rank.damping || store.epsilon() != rank.epsilon {
-        return Err(format!(
-            "precompute artifact converged under damping {} / epsilon {}, \
-             system runs damping {} / epsilon {}",
-            store.damping(),
-            store.epsilon(),
-            rank.damping,
-            rank.epsilon
-        ));
-    }
-    Ok(())
-}
-
-/// Rough resident-set estimate for one loaded dataset; the point is
-/// relative magnitude on `/datasets`, not allocator-exact bytes.
-fn estimate_memory(system: &ObjectRankSystem, precompute_terms: usize) -> u64 {
+/// Rough resident-set estimate of what one loaded dataset holds for
+/// life; the point is relative magnitude on `/datasets`, not
+/// allocator-exact bytes.
+fn fixed_memory(system: &ObjectRankSystem) -> u64 {
     let nodes = system.graph().node_count() as u64;
     let edges = system.graph().edge_count() as u64;
     let index = system.index();
@@ -252,13 +231,8 @@ fn estimate_memory(system: &ObjectRankSystem, precompute_terms: usize) -> u64 {
         postings += u64::from(index.df(t as orex_ir::TermId));
     }
     // Graph adjacency + labels, transfer weights, index postings +
-    // vocabulary, precomputed f64 vectors, and the global-scores vector.
-    nodes * 64
-        + edges * 24
-        + postings * 12
-        + index.vocabulary_size() as u64 * 48
-        + precompute_terms as u64 * nodes * 8
-        + nodes * 8
+    // vocabulary, and the global-scores vector.
+    nodes * 64 + edges * 24 + postings * 12 + index.vocabulary_size() as u64 * 48 + nodes * 8
 }
 
 /// A slot holds the spec plus a once-built service. A failed build is
@@ -273,20 +247,15 @@ struct Slot {
 /// Name → dataset map for one server process; see the module docs.
 pub struct SystemRegistry {
     slots: Vec<Slot>,
+    /// Result-cache capacity of every dataset this registry builds.
     cache_entries: usize,
-    /// Spawn a backfill builder for datasets with precompute artifacts.
-    backfill: bool,
-    backfill_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl SystemRegistry {
     /// A registry over `specs` (first entry is the default dataset for
-    /// requests that don't name one). Names must be unique.
-    pub fn new(
-        specs: Vec<DatasetSpec>,
-        cache_entries: usize,
-        backfill: bool,
-    ) -> Result<Self, String> {
+    /// requests that don't name one), each built with a result cache of
+    /// `cache_entries` answers. Names must be unique.
+    pub fn new(specs: Vec<DatasetSpec>, cache_entries: usize) -> Result<Self, String> {
         if specs.is_empty() {
             return Err("registry needs at least one dataset spec".into());
         }
@@ -304,14 +273,12 @@ impl SystemRegistry {
                 })
                 .collect(),
             cache_entries,
-            backfill,
-            backfill_threads: Mutex::new(Vec::new()),
         })
     }
 
-    /// A single-dataset registry around an already-built service (the
-    /// `Server::bind` compatibility path).
-    pub fn single(service: Arc<DatasetService>, backfill: bool) -> Self {
+    /// A single-dataset registry around an already-built service
+    /// (in-process tests).
+    pub fn single(service: Arc<DatasetService>) -> Self {
         let slot = Slot {
             spec: DatasetSpec {
                 name: service.name().to_string(),
@@ -324,11 +291,8 @@ impl SystemRegistry {
         let registry = Self {
             slots: vec![slot],
             cache_entries: 0,
-            backfill,
-            backfill_threads: Mutex::new(Vec::new()),
         };
-        let _ = registry.slots[0].service.set(Ok(Arc::clone(&service)));
-        registry.spawn_backfill(&service);
+        let _ = registry.slots[0].service.set(Ok(service));
         registry
     }
 
@@ -351,18 +315,11 @@ impl SystemRegistry {
                 self.names().join(", ")
             )));
         };
-        let mut built_now = false;
-        let result = slot.service.get_or_init(|| {
-            built_now = true;
-            DatasetService::build(&slot.spec, self.cache_entries)
-        });
-        match result {
-            Ok(service) => {
-                if built_now {
-                    self.spawn_backfill(service);
-                }
-                Ok(Arc::clone(service))
-            }
+        match slot
+            .service
+            .get_or_init(|| DatasetService::build(&slot.spec, self.cache_entries))
+        {
+            Ok(service) => Ok(Arc::clone(service)),
             Err(why) => Err(ServerError::Unavailable(format!(
                 "dataset {name:?} failed to build: {why}"
             ))),
@@ -396,7 +353,7 @@ impl SystemRegistry {
             .iter()
             .filter_map(|s| s.service.get())
             .filter_map(|r| r.as_ref().ok())
-            .map(|svc| svc.memory_bytes)
+            .map(|svc| svc.memory_bytes())
             .sum()
     }
 
@@ -418,10 +375,10 @@ impl SystemRegistry {
                         "loaded": true,
                         "nodes": svc.system.graph().node_count() as u64,
                         "edges": svc.system.graph().edge_count() as u64,
-                        "memory_bytes": svc.memory_bytes,
+                        "memory_bytes": svc.memory_bytes(),
                         "build_ms": svc.build_ms,
-                        "precompute_terms": svc.ranks.precomputed_terms() as u64,
-                        "cached_results": svc.ranks.cached_results() as u64,
+                        "precompute_terms": svc.precompute_terms() as u64,
+                        "cached_results": svc.results.len() as u64,
                         // ORDERING: statistics read, no synchronization role.
                         "queries": svc.queries.load(Ordering::Relaxed),
                     }),
@@ -443,104 +400,17 @@ impl SystemRegistry {
         })
     }
 
-    /// Spawns the backfill builder for `service` when it holds a
-    /// precompute store and backfill is enabled.
-    fn spawn_backfill(&self, service: &Arc<DatasetService>) {
-        if !self.backfill || service.ranks.precomputed_terms() == 0 {
-            return;
-        }
-        let (tx, rx) = std::sync::mpsc::channel::<crate::ranks::BackfillJob>();
-        service.ranks.set_backfill_sender(tx);
-        let service = Arc::clone(service);
-        let spawned = std::thread::Builder::new()
-            .name(format!("orex-backfill-{}", service.name))
-            .spawn(move || backfill_loop(&service, rx));
-        if let Ok(handle) = spawned {
-            self.backfill_threads
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(handle);
-        }
-    }
-
-    /// Closes every backfill queue and joins the builders. Called once
-    /// on server drain, after in-flight requests finished (they may
-    /// still enqueue).
+    /// Closes every loaded dataset's precompute tier, joining its
+    /// backfill builder. Called once on server drain, after in-flight
+    /// requests finished (they may still enqueue).
     pub fn shutdown(&self) {
         for slot in &self.slots {
             if let Some(Ok(svc)) = slot.service.get() {
-                svc.ranks.close_backfill();
-            }
-        }
-        let handles: Vec<_> = self
-            .backfill_threads
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .drain(..)
-            .collect();
-        for handle in handles {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// The backfill builder: drains term batches from the queue, runs them
-/// through the batched kernel (global warm start, same parameters as the
-/// offline build) and installs the finished vectors. Exits when every
-/// sender is dropped (server shutdown).
-fn backfill_loop(
-    service: &DatasetService,
-    rx: std::sync::mpsc::Receiver<crate::ranks::BackfillJob>,
-) {
-    let system = service.system();
-    let scorer = &system.config().okapi;
-    let params = system.config().rank;
-    while let Ok(job) = rx.recv() {
-        let terms = job.terms;
-        // The builder's work joins the trace of the request that queued
-        // it (a remote-parent root on this thread), so a fleet trace
-        // shows the deferred backfill a miss triggered, not just the
-        // miss itself.
-        let mut tspan = orex_telemetry::tracer().span_with_context("server.backfill", job.context);
-        if tspan.is_recording() {
-            tspan.attr_str("reason", "precompute_miss");
-            tspan.attr_u64("terms", terms.len() as u64);
-        }
-        let _span = orex_telemetry::global().span("server.backfill_us");
-        let matrix =
-            orex_authority::TransitionMatrix::new(system.transfer(), system.initial_rates());
-        let mut kept: Vec<(String, f64)> = Vec::with_capacity(terms.len());
-        let mut bases = Vec::with_capacity(terms.len());
-        let mut skipped: Vec<String> = Vec::new();
-        for term in terms {
-            match orex_store::term_base(system.index(), scorer, &term) {
-                Some((mass, base)) => {
-                    kept.push((term, mass));
-                    bases.push(base);
+                if let Some(tier) = svc.precompute() {
+                    tier.close();
                 }
-                None => skipped.push(term),
             }
         }
-        // Terms without base sets can never combine; unmark them so a
-        // rebuilt index could retry, and skip the kernel entirely.
-        service.ranks().clear_in_flight(&skipped);
-        if bases.is_empty() {
-            continue;
-        }
-        let results =
-            orex_authority::power_iteration_batch(&matrix, &bases, &params, system.global_scores());
-        let built: Vec<(String, f64, Vec<f64>)> = kept
-            .into_iter()
-            .zip(results)
-            .map(|((term, mass), result)| (term, mass, result.scores))
-            .collect();
-        orex_telemetry::logger()
-            .info("server.backfill", "backfilled precomputed vectors")
-            .field_str("dataset", service.name())
-            .field_u64("terms", built.len() as u64)
-            .field_bool("backfill", true)
-            .emit();
-        service.ranks().insert_backfilled(built);
     }
 }
 
@@ -578,12 +448,8 @@ mod tests {
 
     #[test]
     fn unknown_dataset_is_typed_not_found() {
-        let registry = SystemRegistry::new(
-            vec![DatasetSpec::parse("a=dblp-top:0.01").unwrap()],
-            16,
-            false,
-        )
-        .unwrap();
+        let registry =
+            SystemRegistry::new(vec![DatasetSpec::parse("a=dblp-top:0.01").unwrap()], 16).unwrap();
         match registry.get("nope") {
             Err(ServerError::NotFound(msg)) => assert!(msg.contains("nope"), "{msg}"),
             other => panic!("expected NotFound, got {other:?}"),
@@ -598,7 +464,6 @@ mod tests {
                 DatasetSpec::parse("b=ds7:0.01").unwrap(),
             ],
             16,
-            false,
         )
         .unwrap();
         assert_eq!(registry.default_name(), "a");
@@ -634,8 +499,64 @@ mod tests {
                 DatasetSpec::parse("a=ds7:0.01").unwrap(),
             ],
             16,
-            false,
         );
         assert!(err.is_err());
+    }
+
+    fn system() -> Arc<ObjectRankSystem> {
+        let d = Preset::DblpTop.generate(0.01);
+        Arc::new(ObjectRankSystem::new(
+            d.graph,
+            d.ground_truth,
+            SystemConfig::default(),
+        ))
+    }
+
+    #[test]
+    fn service_without_artifact_has_no_precompute_tier() {
+        let service =
+            DatasetService::from_system("d", Preset::DblpTop, 0.01, system(), 4, None).unwrap();
+        assert!(service.precompute().is_none());
+        let doc = SystemRegistry::single(service).list_json();
+        let row = &doc.get("datasets").and_then(|d| d.as_array()).unwrap()[0];
+        assert_eq!(
+            row.get("precompute_terms").and_then(|t| t.as_u64()),
+            Some(0)
+        );
+    }
+
+    /// Precomputed vectors are stored as f32: one term costs 4 bytes per
+    /// node on `/datasets`.
+    #[test]
+    fn memory_counts_four_bytes_per_node_per_precomputed_term() {
+        let system = system();
+        let nodes = system.graph().node_count();
+        let rank = system.config().rank;
+        let hash = orex_store::fnv1a(&orex_store::encode_graph(system.graph()));
+        let mut artifact =
+            orex_store::PrecomputedRanks::new(hash, nodes, rank.damping, rank.epsilon);
+        artifact.insert("term", 1.0, &vec![0.0; nodes]);
+        let path =
+            std::env::temp_dir().join(format!("orex-registry-memory-{}.bin", std::process::id()));
+        artifact.save(&path).unwrap();
+        let with = DatasetService::from_system(
+            "d",
+            Preset::DblpTop,
+            0.01,
+            Arc::clone(&system),
+            4,
+            Some(&path),
+        );
+        let _ = std::fs::remove_file(&path);
+        let with = with.unwrap();
+        let without =
+            DatasetService::from_system("d", Preset::DblpTop, 0.01, system, 4, None).unwrap();
+        let tier = with.precompute().expect("artifact loaded");
+        assert_eq!(tier.term_count(), 1);
+        assert_eq!(
+            with.memory_bytes() - without.memory_bytes(),
+            nodes as u64 * 4
+        );
+        tier.close();
     }
 }

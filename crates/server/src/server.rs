@@ -6,6 +6,7 @@
 //! module binds the listener, owns the state handlers work against,
 //! and supplies the route function.
 
+use crate::cache::ResultCache;
 use crate::error::ServerError;
 use crate::frontend::{self, AccessFields, Limits, ShutdownHandle, Surface};
 use crate::http::{Request, Response};
@@ -13,14 +14,13 @@ use crate::ranks::CombineOutcome;
 use crate::registry::{DatasetService, SystemRegistry};
 use crate::sessions::SessionTable;
 use crate::status::{Occupancy, StatusBoard};
-use orex_core::{ObjectRankSystem, QuerySession, SessionError, SessionSnapshot};
+use orex_core::{QuerySession, SessionError, SessionSnapshot};
 use orex_graph::NodeId;
 use orex_ir::{Query, QueryVector};
 use orex_telemetry::{Level, TraceId};
 use serde_json::Value;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -34,9 +34,6 @@ pub struct ServerConfig {
     /// threads, so that many handlers run at once however many
     /// connections are open.
     pub threads: usize,
-    /// LRU result-cache capacity (distinct normalized queries), per
-    /// dataset.
-    pub cache_entries: usize,
     /// Session idle TTL.
     pub session_ttl: Duration,
     /// Max live sessions before LRU eviction.
@@ -50,15 +47,6 @@ pub struct ServerConfig {
     /// Requests at least this slow additionally log a `server.slow`
     /// WARN record.
     pub slow_request: Duration,
-    /// Precomputed rank-vector artifact (from `orex precompute`) to
-    /// answer covered queries by linear combination. Validated against
-    /// the served dataset at bind time. Single-dataset
-    /// ([`Server::bind`]) path only.
-    pub precompute_path: Option<PathBuf>,
-    /// Build vectors for uncovered query terms in a background thread so
-    /// later occurrences combine. Only meaningful with a precompute
-    /// artifact loaded.
-    pub backfill: bool,
     /// Continuous-profiler sampling rate in Hz; 0 leaves the sampler
     /// off (`GET /profile` then answers 503). The first component to
     /// touch the global profiler fixes its rate, and `OREX_PROFILE_HZ`
@@ -83,14 +71,11 @@ impl Default for ServerConfig {
         Self {
             addr: "127.0.0.1:7474".to_string(),
             threads: 8,
-            cache_entries: 256,
             session_ttl: Duration::from_secs(600),
             max_sessions: 1024,
             max_body_bytes: 64 * 1024,
             io_timeout: Duration::from_secs(5),
             slow_request: Duration::from_millis(500),
-            precompute_path: None,
-            backfill: true,
             profile_hz: orex_telemetry::profile::DEFAULT_HZ,
             status_interval: Duration::from_secs(2),
             max_connections: 1024,
@@ -116,28 +101,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `config.addr` serving the single `system` as the dataset
-    /// named `default`. When a precompute artifact is configured it is
-    /// loaded and validated against the served dataset (graph hash,
-    /// node count, damping, epsilon) — a mismatched artifact is a bind
-    /// error, not a silent mis-ranking.
-    pub fn bind(system: Arc<ObjectRankSystem>, config: ServerConfig) -> io::Result<Self> {
-        let service = DatasetService::from_system(
-            "default",
-            orex_datagen::Preset::DblpTop,
-            0.0,
-            system,
-            config.cache_entries,
-            config.precompute_path.as_deref(),
-        )
-        .map_err(|why| io::Error::new(io::ErrorKind::InvalidData, why))?;
-        let registry = SystemRegistry::single(service, config.backfill);
-        Self::bind_registry(registry, config)
-    }
-
     /// Binds `config.addr` serving every dataset in `registry`. The
     /// first registered dataset answers requests that don't name one.
-    pub fn bind_registry(registry: SystemRegistry, config: ServerConfig) -> io::Result<Self> {
+    pub fn bind(registry: SystemRegistry, config: ServerConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let state = ServerState {
@@ -227,8 +193,8 @@ impl Server {
                 &stop,
                 |request, fields| route(request, &state, fields),
             );
-            // Close the backfill queues after the drain (drained requests
-            // may still enqueue) and wait for the builders to finish.
+            // Close the precompute tiers after the drain (drained requests
+            // may still enqueue backfill) and wait for their builders.
             state.registry.shutdown();
             let (lock, cv) = &collector_stop;
             *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
@@ -381,39 +347,41 @@ fn handle_query(
     telemetry.counter("server.query_requests").incr();
 
     let system = service.system();
-    let ranks = service.ranks();
     // Normalize before consulting the cache, so equivalent spellings of
     // one query share an entry.
     let query = Query::parse(query_text);
     let qv = QueryVector::initial(&query, system.index().analyzer());
+    let key = ResultCache::key(&qv);
 
     let mut combined = false;
-    let (snapshot, cached) = match ranks.lookup_initial(&qv)? {
+    let (snapshot, cached) = match service.results().get(&key)? {
         Some(snapshot) => (snapshot, true),
         // Result-cache miss: prefer the exact linear combination of
         // precomputed single-keyword vectors (Linearity, Section 6.2);
-        // fall back to a live power iteration and queue the uncovered
-        // terms for background backfill.
-        None => match ranks.combine(&qv, system.index(), &system.config().okapi) {
-            CombineOutcome::Hit(scores) => {
-                combined = true;
-                flags.precompute_hit = Some(true);
-                let snapshot =
-                    SessionSnapshot::from_parts(qv.clone(), system.initial_rates().clone(), scores);
-                ranks.store(&qv, &snapshot)?;
-                (snapshot, false)
-            }
-            outcome => {
-                if let CombineOutcome::Miss(missing) = outcome {
-                    flags.precompute_hit = Some(false);
-                    ranks.request_backfill(missing);
+        // fall back to a live power iteration (the tier has queued the
+        // uncovered terms for background backfill).
+        None => {
+            let outcome = service
+                .precompute()
+                .map(|tier| tier.combine(&qv, system.index(), &system.config().okapi));
+            let snapshot = match outcome {
+                Some(CombineOutcome::Hit(scores)) => {
+                    combined = true;
+                    flags.precompute_hit = Some(true);
+                    SessionSnapshot::from_parts(qv, system.initial_rates().clone(), scores)
                 }
-                let session = QuerySession::start(system, &query).map_err(|e| session_error(&e))?;
-                let snapshot = session.snapshot();
-                ranks.store(&qv, &snapshot)?;
-                (snapshot, false)
-            }
-        },
+                outcome => {
+                    if let Some(CombineOutcome::Miss) = outcome {
+                        flags.precompute_hit = Some(false);
+                    }
+                    QuerySession::start(system, &query)
+                        .map_err(|e| session_error(&e))?
+                        .snapshot()
+                }
+            };
+            service.results().put(key, snapshot.clone())?;
+            (snapshot, false)
+        }
     };
     flags.cache_hit = Some(cached);
     // The request's trace, so the client can ask `GET /trace/<id>` for it.
@@ -745,8 +713,8 @@ fn handle_status(state: &ServerState, query: &str) -> Result<Response, ServerErr
     let mut precompute_terms = 0usize;
     for name in state.registry.names() {
         if let Some(svc) = state.registry.get_if_loaded(name) {
-            cache += svc.ranks().cached_results();
-            precompute_terms += svc.ranks().precomputed_terms();
+            cache += svc.results().len();
+            precompute_terms += svc.precompute_terms();
         }
     }
     let logger = orex_telemetry::logger();

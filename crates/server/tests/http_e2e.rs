@@ -6,11 +6,13 @@
 //! produce.
 
 use orex_core::{ObjectRankSystem, QuerySession, SystemConfig};
+use orex_datagen::Preset;
 use orex_ir::Query;
-use orex_server::{Server, ServerConfig, ShutdownHandle};
+use orex_server::{DatasetService, Server, ServerConfig, ShutdownHandle, SystemRegistry};
 use serde_json::Value;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -20,12 +22,18 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Generator scale of the fixture dataset.
+const SCALE: f64 = 0.02;
+
+/// Result-cache capacity of the served fixture dataset.
+const CACHE_ENTRIES: usize = 256;
+
 /// The system under test plus a keyword guaranteed to rank.
 fn fixture() -> (Arc<ObjectRankSystem>, String) {
     static FIXTURE: OnceLock<(Arc<ObjectRankSystem>, String)> = OnceLock::new();
     FIXTURE
         .get_or_init(|| {
-            let d = orex_datagen::Preset::DblpTop.generate(0.02);
+            let d = Preset::DblpTop.generate(SCALE);
             let keywords = d.suggested_keywords.clone();
             let system = Arc::new(ObjectRankSystem::new(
                 d.graph,
@@ -48,10 +56,32 @@ struct TestServer {
     thread: Option<std::thread::JoinHandle<std::io::Result<()>>>,
 }
 
+/// The fixture system as the dataset `default`, with the precompute
+/// artifact at `precompute` if one is given.
+fn fixture_service(precompute: Option<&Path>) -> Result<Arc<DatasetService>, String> {
+    DatasetService::from_system(
+        "default",
+        Preset::DblpTop,
+        SCALE,
+        fixture().0,
+        CACHE_ENTRIES,
+        precompute,
+    )
+}
+
 impl TestServer {
     fn spawn(config: ServerConfig) -> Self {
-        let (system, _) = fixture();
-        let server = Server::bind(system, config).expect("bind ephemeral port");
+        Self::spawn_with(config, None)
+    }
+
+    /// Serves the fixture dataset, loading `precompute` if given.
+    fn spawn_with(config: ServerConfig, precompute: Option<&Path>) -> Self {
+        let service = fixture_service(precompute).expect("load the fixture dataset");
+        Self::bind(SystemRegistry::single(service), config)
+    }
+
+    fn bind(registry: SystemRegistry, config: ServerConfig) -> Self {
+        let server = Server::bind(registry, config).expect("bind ephemeral port");
         let addr = server.local_addr().unwrap();
         let handle = server.shutdown_handle();
         let thread = std::thread::spawn(move || server.run());
@@ -379,6 +409,8 @@ fn feedback_on_a_session_leaves_the_cached_answer_untouched() {
 
     let first = post(server.addr, "/query", &body).json();
     assert_eq!(first.get("cached").and_then(Value::as_bool), Some(false));
+    let cached_before = default_dataset(server.addr).get("cached_results").cloned();
+    assert_eq!(cached_before, Some(Value::from(1u64)));
     let session_id = first.get("session").and_then(Value::as_u64).unwrap();
     let nodes = result_nodes(&first);
     let picks = &nodes[..2.min(nodes.len())];
@@ -390,6 +422,12 @@ fn feedback_on_a_session_leaves_the_cached_answer_untouched() {
     )
     .json();
     assert_eq!(advanced.get("round").and_then(Value::as_u64), Some(1));
+    // Only `/query` writes the result cache: the feedback round added
+    // nothing to it.
+    assert_eq!(
+        default_dataset(server.addr).get("cached_results").cloned(),
+        cached_before
+    );
 
     let second = post(server.addr, "/query", &body).json();
     assert_eq!(second.get("cached").and_then(Value::as_bool), Some(true));
@@ -821,6 +859,19 @@ fn stable_top_terms(system: &Arc<ObjectRankSystem>) -> Vec<String> {
         .collect()
 }
 
+/// The `default` dataset's row of `GET /datasets`.
+fn default_dataset(addr: SocketAddr) -> Value {
+    let doc = get(addr, "/datasets").json();
+    doc.get("datasets")
+        .and_then(Value::as_array)
+        .and_then(|rows| {
+            rows.iter()
+                .find(|r| r.get("name").and_then(Value::as_str) == Some("default"))
+        })
+        .cloned()
+        .expect("a default dataset row")
+}
+
 fn metric_value(metrics: &str, name: &str) -> Option<f64> {
     metrics
         .lines()
@@ -851,9 +902,13 @@ fn covered_queries_combine_precomputed_vectors_and_misses_backfill() {
     let path = std::env::temp_dir().join(format!("orex-e2e-precompute-{}.bin", std::process::id()));
     store.save(&path).expect("save artifact");
 
-    let mut config = TestServer::config();
-    config.precompute_path = Some(path.clone());
-    let server = TestServer::spawn(config);
+    let server = TestServer::spawn_with(TestServer::config(), Some(&path));
+    let loaded = default_dataset(server.addr);
+    assert_eq!(
+        loaded.get("precompute_terms").and_then(Value::as_u64),
+        Some(2)
+    );
+    let memory_loaded = loaded.get("memory_bytes").and_then(Value::as_u64).unwrap();
 
     // A multi-keyword query fully covered by the artifact is answered by
     // the exact linear combination — no live iteration.
@@ -906,6 +961,16 @@ fn covered_queries_combine_precomputed_vectors_and_misses_backfill() {
         );
         std::thread::sleep(Duration::from_millis(50));
     }
+    // The listing counts the backfilled vector, as f32 per node.
+    let backfilled = default_dataset(server.addr);
+    assert_eq!(
+        backfilled.get("precompute_terms").and_then(Value::as_u64),
+        Some(3)
+    );
+    assert_eq!(
+        backfilled.get("memory_bytes").and_then(Value::as_u64),
+        Some(memory_loaded + system.graph().node_count() as u64 * 4)
+    );
     let after = post(
         server.addr,
         "/query",
@@ -926,8 +991,8 @@ fn covered_queries_combine_precomputed_vectors_and_misses_backfill() {
 fn mismatched_precompute_artifact_is_refused_at_bind() {
     let _guard = serial();
     let (system, _) = fixture();
-    // Right dimensions, wrong dataset hash: bind must fail loudly
-    // rather than serve rankings computed for another graph.
+    // Right dimensions, wrong dataset hash: loading the dataset must
+    // fail loudly rather than serve rankings computed for another graph.
     let store = orex_store::PrecomputedRanks::new(
         0x0BAD_CAFE,
         system.graph().node_count(),
@@ -936,13 +1001,8 @@ fn mismatched_precompute_artifact_is_refused_at_bind() {
     );
     let path = std::env::temp_dir().join(format!("orex-e2e-badhash-{}.bin", std::process::id()));
     store.save(&path).expect("save artifact");
-    let mut config = TestServer::config();
-    config.precompute_path = Some(path.clone());
-    let err = match Server::bind(fixture().0, config) {
-        Ok(_) => panic!("bind must refuse the artifact"),
-        Err(e) => e,
-    };
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let err = fixture_service(Some(&path)).expect_err("the artifact must be refused");
+    assert!(err.contains("different dataset"), "{err}");
     let _ = std::fs::remove_file(&path);
 }
 
@@ -1368,19 +1428,8 @@ fn registry_serves_datasets_by_name_and_404s_unknown_ones() {
         orex_server::DatasetSpec::parse("dblp=dblp-top:0.02").expect("spec"),
         orex_server::DatasetSpec::parse("bio=ds7-cancer:0.02").expect("spec"),
     ];
-    let registry = orex_server::SystemRegistry::new(specs, 64, false).expect("registry");
-    let server = {
-        let config = TestServer::config();
-        let server = Server::bind_registry(registry, config).expect("bind");
-        let addr = server.local_addr().unwrap();
-        let handle = server.shutdown_handle();
-        let thread = std::thread::spawn(move || server.run());
-        TestServer {
-            addr,
-            handle,
-            thread: Some(thread),
-        }
-    };
+    let registry = SystemRegistry::new(specs, 64).expect("registry");
+    let server = TestServer::bind(registry, TestServer::config());
 
     // Lazy: nothing is built until first use.
     let listing = get(server.addr, "/datasets");

@@ -1,7 +1,6 @@
 //! Real-thread exercises of the trace ring, sized to run under Miri
 //! (the CI `miri` job) and ThreadSanitizer (the CI `tsan` job) as well
-//! as natively. The exhaustive protocol-level counterpart lives in
-//! `crates/analyze/tests/ring_interleave.rs`.
+//! as natively.
 
 use orex_telemetry::trace::Tracer;
 use std::collections::HashSet;
