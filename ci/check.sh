@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# The whole gate, runnable anywhere the toolchain is: no arguments, no
-# environment switches, no network. .github/workflows/ci.yml runs exactly
-# this script; what is not in here is not gated.
+# The whole stable-toolchain gate, runnable anywhere the toolchain is: no
+# arguments, no environment switches, no network. .github/workflows/ci.yml
+# runs this script as its `check` job; its only other jobs are `miri` and
+# `tsan`, the Miri and ThreadSanitizer runs, which need a nightly
+# toolchain and are not in here.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 

@@ -11,6 +11,16 @@
 //! hop (a standard diverse-k heuristic — exact k-widest enumeration is
 //! not needed for display purposes).
 //!
+//! The k searches of one call share a *source frontier*. Every search
+//! starts at all base-set nodes with width +∞, which can never improve,
+//! so popping them leaves each other node with its widest unmasked
+//! in-edge from the base set — a function of the masked hops alone. That
+//! frontier is computed once per call, and a mask changes it only when
+//! the masked hop leaves a base-set node, and then only at that hop's
+//! head. Each search starts from it, so a search costs what it explores
+//! beyond the base set, not the base set's size, and finds the same path
+//! bit for bit as one that seeds and pops every base-set node.
+//!
 //! A path names the edge that carries each hop ([`FlowPath::edges`]), so
 //! its readers look the hop up instead of rescanning the parallel edges
 //! between its nodes.
@@ -51,10 +61,19 @@ impl FlowPath {
 /// Extracts up to `k` high-flow paths from the explanation's base-set
 /// nodes to its target, strongest first.
 pub fn top_paths(explanation: &Explanation, k: usize) -> Vec<FlowPath> {
-    let mut masked = vec![false; explanation.edge_count()];
-    std::iter::from_fn(|| widest_path(explanation, &mut masked))
-        .take(k)
-        .collect()
+    let mut span = orex_telemetry::tracer().span("explain.top_paths");
+    let _timer = orex_telemetry::global().span("explain.top_paths_us");
+    let paths: Vec<FlowPath> = match Searches::new(explanation) {
+        Some(mut searches) => std::iter::from_fn(|| searches.widest_path())
+            .take(k)
+            .collect(),
+        None => Vec::new(),
+    };
+    if span.is_recording() {
+        span.attr_u64("k", k as u64);
+        span.attr_u64("paths", paths.len() as u64);
+    }
+    paths
 }
 
 /// Total-ordered `f64` key for the search heap.
@@ -75,89 +94,162 @@ impl PartialOrd for Width {
     }
 }
 
-/// Max-bottleneck Dijkstra from all base-set nodes to the target,
-/// ignoring `masked` edges. The found path's bottleneck hop is masked
-/// before returning, so the next search diverges from it.
-fn widest_path(explanation: &Explanation, masked: &mut [bool]) -> Option<FlowPath> {
-    const NO_PARENT: u32 = u32::MAX;
-    let edges = explanation.edges();
-    let flow = |e: usize| edges[e].adjusted_flow;
-    let n = explanation.node_count();
-    let target = explanation.local(explanation.target())?;
-    // width[n] = best bottleneck achievable from any source to n.
-    let mut width = vec![0.0f64; n];
-    let mut parent = vec![NO_PARENT; n];
-    // Local order is global id order, so ties on width pop by node id.
-    let mut heap: BinaryHeap<(Width, u32)> = BinaryHeap::new();
-    for source in (0..n).filter(|&i| explanation.is_source_at(i)) {
-        // The target may itself be in the base set; it is still the path
-        // *destination*, never a path start (a zero-length path explains
-        // nothing), so it is not seeded.
-        if source != target {
-            width[source] = f64::INFINITY;
-            heap.push((Width(f64::INFINITY), source as u32));
-        }
-    }
-    while let Some((Width(w), u)) = heap.pop() {
-        let u = u as usize;
-        if width[u] > w {
-            continue; // stale entry
-        }
-        if u == target {
-            break; // never seeded, so it was reached over at least one hop
-        }
-        for (v, e) in explanation.out_local(u) {
-            if masked[e] || flow(e) <= 0.0 {
-                continue;
+const NO_PARENT: u32 = u32::MAX;
+
+/// What the k searches of one [`top_paths`] call share.
+struct Searches<'a> {
+    explanation: &'a Explanation,
+    /// The target's local index.
+    target: usize,
+    /// Per local node: whether searches start there. The target may
+    /// itself be in the base set; it is still the path *destination*,
+    /// never a path start (a zero-length path explains nothing), so it is
+    /// not seeded.
+    seeded: Vec<bool>,
+    /// Per edge: masked by an earlier path.
+    masked: Vec<bool>,
+    /// The source frontier: `width` and `parent` as popping every seeded
+    /// node leaves them. A seeded node has +∞ and no parent; any other
+    /// node has the flow and tail of its widest unmasked in-edge from a
+    /// seeded node, or 0 and no parent without one.
+    frontier_width: Vec<f64>,
+    frontier_parent: Vec<u32>,
+    /// One search's tables, refilled from the frontier by every search:
+    /// `width[n]` is the best bottleneck found from any seeded node to `n`.
+    width: Vec<f64>,
+    parent: Vec<u32>,
+}
+
+impl<'a> Searches<'a> {
+    fn new(explanation: &'a Explanation) -> Option<Self> {
+        let n = explanation.node_count();
+        let target = explanation.local(explanation.target())?;
+        let mut searches = Self {
+            explanation,
+            target,
+            seeded: (0..n)
+                .map(|v| v != target && explanation.is_source_at(v))
+                .collect(),
+            masked: vec![false; explanation.edge_count()],
+            // Every seeded node is at +∞ before any entry is computed, so
+            // an edge between two of them never gives one a parent.
+            frontier_width: vec![f64::INFINITY; n],
+            frontier_parent: vec![NO_PARENT; n],
+            width: vec![0.0; n],
+            parent: vec![NO_PARENT; n],
+        };
+        for v in 0..n {
+            if !searches.seeded[v] {
+                searches.refresh_frontier(v);
             }
-            let cand = w.min(flow(e));
-            if cand > width[v] {
-                width[v] = cand;
-                parent[v] = u as u32;
-                heap.push((Width(cand), v as u32));
+        }
+        Some(searches)
+    }
+
+    /// Recomputes the frontier entry of the unseeded node `v`. Of equally
+    /// wide in-edges the one whose tail has the larger local index wins:
+    /// the max-heap pops that tail first, and only a strictly wider
+    /// candidate replaces a parent.
+    fn refresh_frontier(&mut self, v: usize) {
+        let edges = self.explanation.edges();
+        let (mut width, mut parent) = (0.0, NO_PARENT);
+        for (u, e) in self.explanation.in_local(v) {
+            let (flow, u) = (edges[e].adjusted_flow, u as u32);
+            let wider = flow > width || (flow == width && u > parent);
+            if wider && flow > 0.0 && self.seeded[u as usize] && !self.masked[e] {
+                (width, parent) = (flow, u);
             }
         }
-    }
-    if parent[target] == NO_PARENT {
-        return None;
-    }
-
-    // Reconstruct, target first. The strongest of the parallel edges
-    // between a hop's two nodes carries the hop; `max_by` keeps the last
-    // of several equally strong ones.
-    let mut nodes = vec![explanation.target()];
-    let mut hops = Vec::new();
-    let mut cur = target;
-    while parent[cur] != NO_PARENT {
-        let prev = parent[cur] as usize;
-        let hop = explanation
-            .out_local(prev)
-            .filter(|&(v, _)| v == cur)
-            .map(|(_, e)| e)
-            .max_by(|&a, &b| flow(a).total_cmp(&flow(b)))?;
-        nodes.push(edges[hop].source);
-        hops.push(hop);
-        cur = prev;
-    }
-    nodes.reverse();
-    hops.reverse();
-
-    // Mask the bottleneck hop — the first of the weakest — together with
-    // every edge parallel to it.
-    let weakest = hops
-        .iter()
-        .map(|&e| &edges[e])
-        .min_by(|a, b| a.adjusted_flow.total_cmp(&b.adjusted_flow))?;
-    for (_, e) in explanation.out_local(explanation.local(weakest.source)?) {
-        masked[e] |= edges[e].target == weakest.target;
+        self.frontier_width[v] = width;
+        self.frontier_parent[v] = parent;
     }
 
-    Some(FlowPath {
-        nodes,
-        bottleneck: width[target],
-        total_flow: hops.iter().fold(0.0, |total, &e| total + flow(e)),
-        edges: hops,
-    })
+    /// Max-bottleneck Dijkstra from the seeded nodes to the target,
+    /// ignoring masked edges. The found path's bottleneck hop is masked
+    /// before returning, so the next search diverges from it.
+    fn widest_path(&mut self) -> Option<FlowPath> {
+        let explanation = self.explanation;
+        let edges = explanation.edges();
+        let flow = |e: usize| edges[e].adjusted_flow;
+        let target = self.target;
+        let (width, parent, masked) = (&mut self.width, &mut self.parent, &mut self.masked);
+        // Start where popping every seeded node leaves the search: at the
+        // frontier, with the nodes it reaches on the heap. Local order is
+        // global id order, so ties on width pop by node id.
+        width.copy_from_slice(&self.frontier_width);
+        parent.copy_from_slice(&self.frontier_parent);
+        let reached: Vec<(Width, u32)> = (0..width.len())
+            .filter(|&v| parent[v] != NO_PARENT)
+            .map(|v| (Width(width[v]), v as u32))
+            .collect();
+        let mut heap = BinaryHeap::from(reached);
+        while let Some((Width(w), u)) = heap.pop() {
+            let u = u as usize;
+            if width[u] > w {
+                continue; // stale entry
+            }
+            if u == target {
+                break; // never seeded, so it was reached over at least one hop
+            }
+            for (v, e) in explanation.out_local(u) {
+                if masked[e] || flow(e) <= 0.0 {
+                    continue;
+                }
+                let cand = w.min(flow(e));
+                if cand > width[v] {
+                    width[v] = cand;
+                    parent[v] = u as u32;
+                    heap.push((Width(cand), v as u32));
+                }
+            }
+        }
+        if parent[target] == NO_PARENT {
+            return None;
+        }
+
+        // Reconstruct, target first. The strongest of the parallel edges
+        // between a hop's two nodes carries the hop; `max_by` keeps the last
+        // of several equally strong ones.
+        let mut nodes = vec![explanation.target()];
+        let mut hops = Vec::new();
+        let mut cur = target;
+        while parent[cur] != NO_PARENT {
+            let prev = parent[cur] as usize;
+            let hop = explanation
+                .out_local(prev)
+                .filter(|&(v, _)| v == cur)
+                .map(|(_, e)| e)
+                .max_by(|&a, &b| flow(a).total_cmp(&flow(b)))?;
+            nodes.push(edges[hop].source);
+            hops.push(hop);
+            cur = prev;
+        }
+        nodes.reverse();
+        hops.reverse();
+
+        // Mask the bottleneck hop — the first of the weakest — together with
+        // every edge parallel to it.
+        let weakest = hops
+            .iter()
+            .map(|&e| &edges[e])
+            .min_by(|a, b| a.adjusted_flow.total_cmp(&b.adjusted_flow))?;
+        let tail = explanation.local(weakest.source)?;
+        for (_, e) in explanation.out_local(tail) {
+            masked[e] |= edges[e].target == weakest.target;
+        }
+        let path = FlowPath {
+            nodes,
+            bottleneck: width[target],
+            total_flow: hops.iter().fold(0.0, |total, &e| total + flow(e)),
+            edges: hops,
+        };
+        // Only a hop out of a seeded node is part of the frontier, and
+        // masking it can change no entry but its head's.
+        if self.seeded[tail] {
+            self.refresh_frontier(explanation.local(weakest.target)?);
+        }
+        Some(path)
+    }
 }
 
 #[cfg(test)]
@@ -167,53 +259,49 @@ mod tests {
     use orex_authority::{power_iteration, BaseSet, RankParams, TransitionMatrix};
     use orex_graph::{DataGraphBuilder, SchemaGraph, TransferGraph, TransferRates, TransferTypeId};
 
-    /// Diamond: s -> a -> t and s -> b -> t, with a-branch carrying more
-    /// flow (a also feeds t via a second parallel structure is avoided;
-    /// instead b leaks half its flow to x).
-    fn diamond() -> (TransferGraph, Vec<f64>, Vec<f64>, BaseSet) {
+    /// The explanation of `target` on a one-type graph of `nodes` nodes
+    /// with the given edges, each transferring 0.8 forward and nothing
+    /// back, under a uniform base set.
+    fn explain_edges(nodes: u32, edges: &[(u32, u32)], base: &[u32], target: u32) -> Explanation {
         let mut schema = SchemaGraph::new();
         let p = schema.add_node_type("P").unwrap();
         let r = schema.add_edge_type(p, p, "r").unwrap();
         let mut bld = DataGraphBuilder::new(schema);
-        let n: Vec<_> = (0..6).map(|_| bld.add_node(p, vec![]).unwrap()).collect();
-        bld.add_edge(n[0], n[1], r).unwrap(); // s -> a
-        bld.add_edge(n[0], n[2], r).unwrap(); // s -> b
-        bld.add_edge(n[1], n[3], r).unwrap(); // a -> t
-        bld.add_edge(n[2], n[3], r).unwrap(); // b -> t
-        bld.add_edge(n[2], n[4], r).unwrap(); // b -> x (leak)
-        bld.add_edge(n[5], n[3], r).unwrap(); // y -> t (y not reached)
+        let n: Vec<_> = (0..nodes)
+            .map(|_| bld.add_node(p, vec![]).unwrap())
+            .collect();
+        for &(s, t) in edges {
+            bld.add_edge(n[s as usize], n[t as usize], r).unwrap();
+        }
         let g = bld.freeze();
         let mut rates = TransferRates::zero(g.schema());
         rates.set(TransferTypeId::forward(r), 0.8).unwrap();
         let tg = TransferGraph::build(&g);
-        let weights = tg.weights(&rates);
-        let m = TransitionMatrix::new(&tg, &rates);
-        let base = BaseSet::uniform([0]).unwrap();
-        let rank = power_iteration(
-            &m,
-            &base,
-            &RankParams {
-                epsilon: 1e-14,
-                max_iterations: 5000,
-                threads: 1,
-                ..RankParams::default()
-            },
-            None,
-        );
-        (tg, weights, rank.scores, base)
-    }
-
-    fn explanation() -> Explanation {
-        let (tg, weights, scores, base) = diamond();
+        let base = BaseSet::uniform(base.iter().copied()).unwrap();
+        let params = RankParams {
+            epsilon: 1e-14,
+            max_iterations: 5000,
+            threads: 1,
+            ..RankParams::default()
+        };
+        let rank = power_iteration(&TransitionMatrix::new(&tg, &rates), &base, &params, None);
         Explanation::explain(
             &tg,
-            &weights,
-            &scores,
+            &tg.weights(&rates),
+            &rank.scores,
             &base,
-            orex_graph::NodeId::new(3),
+            NodeId::new(target),
             &ExplainParams::default(),
         )
         .unwrap()
+    }
+
+    /// Diamond: s(0) -> a(1) -> t(3) and s -> b(2) -> t, where b leaks
+    /// half its flow to x(4), and y(5) -> t is never reached.
+    const DIAMOND: [(u32, u32); 6] = [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (5, 3)];
+
+    fn explanation() -> Explanation {
+        explain_edges(6, &DIAMOND, &[0], 3)
     }
 
     #[test]
@@ -264,42 +352,11 @@ mod tests {
         // Regression: when the target itself matches the query (is a
         // base-set node), paths from the *other* sources must still be
         // found — a zero-length self-path used to block them.
-        let (tg, weights, _, _) = diamond();
-        let base = BaseSet::uniform([0, 3]).unwrap(); // target 3 in base set
-        let m = TransitionMatrix::new(&tg, &tg_rates());
-        let rank = power_iteration(
-            &m,
-            &base,
-            &RankParams {
-                epsilon: 1e-14,
-                max_iterations: 5000,
-                threads: 1,
-                ..RankParams::default()
-            },
-            None,
-        );
-        let expl = Explanation::explain(
-            &tg,
-            &weights,
-            &rank.scores,
-            &base,
-            orex_graph::NodeId::new(3),
-            &ExplainParams::default(),
-        )
-        .unwrap();
+        let expl = explain_edges(6, &DIAMOND, &[0, 3], 3); // target 3 in base set
         let paths = top_paths(&expl, 3);
         assert!(!paths.is_empty(), "paths from node 0 must be found");
         assert!(!paths[0].is_empty());
         assert_eq!(*paths[0].nodes.last().unwrap(), expl.target());
-    }
-
-    fn tg_rates() -> orex_graph::TransferRates {
-        let mut schema = SchemaGraph::new();
-        let p = schema.add_node_type("P").unwrap();
-        let r = schema.add_edge_type(p, p, "r").unwrap();
-        let mut rates = TransferRates::zero(&schema);
-        rates.set(TransferTypeId::forward(r), 0.8).unwrap();
-        rates
     }
 
     #[test]
@@ -315,6 +372,65 @@ mod tests {
                 .fold(0.0, f64::max);
         }
         assert!((p.total_flow - sum).abs() < 1e-12);
+    }
+
+    /// The node ids of the first `k` paths, after checking those paths
+    /// against the rescanning reference bit for bit.
+    fn paths_checked_against_reference(expl: &Explanation, k: usize) -> Vec<Vec<u32>> {
+        let got = top_paths(expl, k);
+        let want = reference::top_paths(expl, k);
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.nodes, w.nodes);
+            assert_eq!(g.bottleneck.to_bits(), w.bottleneck.to_bits());
+            assert_eq!(g.total_flow.to_bits(), w.total_flow.to_bits());
+        }
+        got.iter()
+            .map(|p| p.nodes.iter().map(|n| n.raw()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn equally_wide_source_edges_go_to_the_larger_local_index() {
+        // Sources 0 and 1 have the same score and one out-edge each, so
+        // 0 -> 2 and 1 -> 2 carry bit-equal flows; either is the bottleneck
+        // of its path (2 -> 3 carries both sources' authority).
+        let expl = explain_edges(4, &[(0, 2), (1, 2), (2, 3)], &[0, 1], 3);
+        let [a, b] = [0, 1].map(|s| expl.out_edges(NodeId::new(s)).next().unwrap());
+        assert_eq!(a.adjusted_flow.to_bits(), b.adjusted_flow.to_bits());
+        assert_eq!(
+            paths_checked_against_reference(&expl, 8),
+            vec![vec![1, 2, 3], vec![0, 2, 3]]
+        );
+    }
+
+    #[test]
+    fn masking_a_source_hop_falls_back_to_the_heads_next_source_edge() {
+        // Source 0 leaks half its authority to 4, which cannot reach the
+        // target, so 0 -> 2 is weaker than 1 -> 2; 1 -> 2 is the first
+        // path's bottleneck, and once it is masked node 2 must be reached
+        // over 0 -> 2.
+        let expl = explain_edges(5, &[(0, 2), (0, 4), (1, 2), (2, 3)], &[0, 1], 3);
+        let flow = |s: u32| expl.out_edges(NodeId::new(s)).next().unwrap().adjusted_flow;
+        assert!(flow(0) < flow(1));
+        let paths = top_paths(&expl, 1);
+        assert_eq!(paths[0].bottleneck.to_bits(), flow(1).to_bits());
+        assert_eq!(
+            paths_checked_against_reference(&expl, 8),
+            vec![vec![1, 2, 3], vec![0, 2, 3]]
+        );
+    }
+
+    #[test]
+    fn a_target_in_the_base_set_is_patched_like_any_head() {
+        // The target 2 is a base-set node and the head of both source
+        // hops; masking the stronger one leaves the weaker one.
+        let expl = explain_edges(4, &[(0, 2), (0, 3), (1, 2)], &[0, 1, 2], 2);
+        assert!(expl.is_source(NodeId::new(2)));
+        assert_eq!(
+            paths_checked_against_reference(&expl, 8),
+            vec![vec![1, 2], vec![0, 2]]
+        );
     }
 
     /// `top_paths` as it stood before a path named its edges: hash-keyed

@@ -458,6 +458,12 @@ impl Explanation {
         row(&self.out_adj, local)
     }
 
+    /// `(tail's local index, index into edges())` per incoming edge of
+    /// the node at a local index, in ascending edge order.
+    pub(crate) fn in_local(&self, local: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        row(&self.in_adj, local)
+    }
+
     /// True if the node is part of the subgraph.
     pub fn contains(&self, node: NodeId) -> bool {
         self.local(node).is_some()
@@ -535,7 +541,7 @@ pub(crate) mod tests {
         (
             (2usize..10, 1usize..3),
             proptest::collection::vec((0u32..64, 0u32..64, 0u8..3), 1..40),
-            proptest::collection::vec(0u32..64, 1..4),
+            proptest::collection::vec(0u32..64, 1..24),
             (0u32..64, 0u8..2),
         )
     }
