@@ -14,7 +14,7 @@ use orex_explain::{ExplainError, Explanation};
 use orex_graph::{NodeId, TransferRates};
 use orex_ir::{Query, QueryVector};
 use orex_reformulate::{reformulate, ReformulateParams};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A ranked result with its display name.
@@ -42,11 +42,17 @@ pub struct StepStats {
     /// Whether ObjectRank2 converged within the threshold.
     pub rank_converged: bool,
     /// Explaining-subgraph construction wall time (zero for the initial
-    /// query).
+    /// query). A feedback object whose explanation the round reused from
+    /// an earlier [`QuerySession::explain`] on the same state adds
+    /// nothing: that time was spent, and recorded, by the call that built
+    /// it.
     pub explain_construction_time: Duration,
-    /// Explaining-ObjectRank2 (flow-adjustment fixpoint) wall time.
+    /// Explaining-ObjectRank2 (flow-adjustment fixpoint) wall time; a
+    /// reused explanation adds nothing, as above.
     pub explain_adjustment_time: Duration,
-    /// Mean fixpoint iterations across the feedback objects (Table 3).
+    /// Mean fixpoint iterations across the feedback objects (Table 3),
+    /// reused explanations included: the count is a property of the
+    /// explanation, not of the call that built it.
     pub explain_iterations: f64,
     /// Query reformulation wall time.
     pub reformulate_time: Duration,
@@ -127,13 +133,16 @@ impl RankedScores {
 }
 
 /// A captured session state (see [`QuerySession::snapshot`]). Cloning
-/// one shares its score vector rather than copying it.
+/// one shares its score vector and its last explanation rather than
+/// copying them.
 #[derive(Clone, Debug)]
 pub struct SessionSnapshot {
     query: QueryVector,
     rates: TransferRates,
     scores: Arc<RankedScores>,
     history: Vec<StepStats>,
+    /// The last explanation built on this state, if any.
+    explained: Option<Arc<Explanation>>,
 }
 
 impl SessionSnapshot {
@@ -151,6 +160,7 @@ impl SessionSnapshot {
             rates,
             scores: RankedScores::new(scores),
             history: vec![StepStats::default()],
+            explained: None,
         }
     }
 
@@ -168,6 +178,23 @@ impl SessionSnapshot {
     pub fn rates(&self) -> &TransferRates {
         &self.rates
     }
+
+    /// The last explanation built on this state, if one was kept.
+    pub fn explained(&self) -> Option<&Explanation> {
+        self.explained.as_deref()
+    }
+
+    /// Drops the kept explanation; the state itself is unchanged.
+    pub fn forget_explanation(&mut self) {
+        self.explained = None;
+    }
+
+    /// Whether both snapshots hold the same ranking: the one score
+    /// vector a session state shares with every snapshot of it. A
+    /// feedback round always installs a new one.
+    pub fn same_ranking(&self, other: &SessionSnapshot) -> bool {
+        Arc::ptr_eq(&self.scores, &other.scores)
+    }
 }
 
 /// One user's evolving query interaction.
@@ -183,6 +210,8 @@ pub struct QuerySession<'s> {
     scores: Arc<RankedScores>,
     /// Stats per step: index 0 is the initial query.
     history: Vec<StepStats>,
+    /// The last explanation built on this state (see [`Self::explain`]).
+    explained: Mutex<Option<Arc<Explanation>>>,
 }
 
 /// Ranks `query` under `rates` from `warm_start`: the execution step of
@@ -270,6 +299,7 @@ impl<'s> QuerySession<'s> {
             weights: OnceLock::new(),
             scores,
             history: vec![stats],
+            explained: Mutex::new(None),
         })
     }
 
@@ -280,9 +310,11 @@ impl<'s> QuerySession<'s> {
     /// outlive any single borrow of the system: keep the [`SessionSnapshot`]
     /// (plain owned data, `Send`) between requests and resume it against
     /// the shared system when the next request arrives. The converged
-    /// scores are shared with the snapshot and the edge weights wait for
-    /// the first explanation, so resuming is O(1): reading a top-k off a
-    /// resumed session never touches |V| or |E|.
+    /// scores and the last explanation are shared with the snapshot, and
+    /// the edge weights wait for the first explanation that must be
+    /// built, so resuming is O(1): reading a top-k off a resumed session
+    /// never touches |V| or |E|, and explaining the target the snapshot
+    /// already explained builds nothing.
     ///
     /// # Panics
     /// Panics if the snapshot comes from a different graph (score
@@ -300,6 +332,7 @@ impl<'s> QuerySession<'s> {
             weights: OnceLock::new(),
             scores: snapshot.scores,
             history: snapshot.history,
+            explained: Mutex::new(snapshot.explained),
         }
     }
 
@@ -349,18 +382,27 @@ impl<'s> QuerySession<'s> {
     }
 
     /// Captures the session's full state — query vector, rates, scores,
-    /// history — so a later [`Self::restore`] can undo feedback rounds
-    /// (users change their minds about what was relevant). The snapshot
-    /// shares the session's score vector (and its memoised top-k); a
-    /// later feedback round gives the session a new vector and leaves
-    /// the snapshot's untouched.
+    /// history, last explanation — so a later [`Self::restore`] can undo
+    /// feedback rounds (users change their minds about what was
+    /// relevant). The snapshot shares the session's score vector (and its
+    /// memoised top-k) and explanation; a later feedback round gives the
+    /// session new ones and leaves the snapshot's untouched.
     pub fn snapshot(&self) -> SessionSnapshot {
         SessionSnapshot {
             query: self.query.clone(),
             rates: self.rates.clone(),
             scores: Arc::clone(&self.scores),
             history: self.history.clone(),
+            explained: self.explained_slot().clone(),
         }
+    }
+
+    /// The last-explanation slot. It is replaced whole, so a poisoned
+    /// lock still guards a consistent value.
+    fn explained_slot(&self) -> MutexGuard<'_, Option<Arc<Explanation>>> {
+        self.explained
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Restores a previously captured state.
@@ -379,6 +421,7 @@ impl<'s> QuerySession<'s> {
         self.rates = snapshot.rates;
         self.scores = snapshot.scores;
         self.history = snapshot.history;
+        self.explained = Mutex::new(snapshot.explained);
     }
 
     /// The top-`k` results, best first.
@@ -399,8 +442,26 @@ impl<'s> QuerySession<'s> {
     }
 
     /// Explains why `target` received its current score (Section 4).
-    pub fn explain(&self, target: NodeId) -> Result<Explanation, SessionError> {
-        self.explain_from(&self.current_base_set()?, target)
+    ///
+    /// The session keeps the last explanation it built: asking for the
+    /// same target again, or giving it as feedback, returns that one
+    /// instead of building it anew. Any other target is built and
+    /// replaces it.
+    pub fn explain(&self, target: NodeId) -> Result<Arc<Explanation>, SessionError> {
+        if let Some(kept) = self.kept_explanation(target) {
+            return Ok(kept);
+        }
+        let built = Arc::new(self.explain_from(&self.current_base_set()?, target)?);
+        *self.explained_slot() = Some(Arc::clone(&built));
+        Ok(built)
+    }
+
+    /// The kept explanation, when it explains `target`.
+    fn kept_explanation(&self, target: NodeId) -> Option<Arc<Explanation>> {
+        self.explained_slot()
+            .as_ref()
+            .filter(|e| e.target() == target)
+            .map(Arc::clone)
     }
 
     /// Explains `target` against the current rates and scores, given the
@@ -471,22 +532,32 @@ impl<'s> QuerySession<'s> {
             round_span.attr_u64("feedback_objects", objects.len() as u64);
         }
 
-        // Stage 1 + 2: explain every feedback object.
+        // Stage 1 + 2: explain every feedback object, reusing the one an
+        // earlier `explain` on this state already built.
         let base = self.current_base_set()?;
         let mut explanations = Vec::with_capacity(objects.len());
         let mut construction = Duration::ZERO;
         let mut adjustment = Duration::ZERO;
         let mut fixpoint_iters = 0usize;
         for &obj in objects {
-            let e = self.explain_from(&base, obj)?;
-            construction += e.construction_time();
-            adjustment += e.adjustment_time();
+            let e = match self.kept_explanation(obj) {
+                Some(kept) => {
+                    telemetry.counter("session.explanations_reused").incr();
+                    kept
+                }
+                None => {
+                    let e = self.explain_from(&base, obj)?;
+                    construction += e.construction_time();
+                    adjustment += e.adjustment_time();
+                    Arc::new(e)
+                }
+            };
             fixpoint_iters += e.iterations();
             explanations.push(e);
         }
 
         // Stage 3: reformulate.
-        let refs: Vec<&Explanation> = explanations.iter().collect();
+        let refs: Vec<&Explanation> = explanations.iter().map(|e| &**e).collect();
         let t = Instant::now();
         let outcome = reformulate(
             &self.query,
@@ -525,11 +596,12 @@ impl<'s> QuerySession<'s> {
 
         self.query = outcome.query;
         self.rates = outcome.rates;
-        // Always a fresh vector and a fresh memo: snapshots taken before
-        // this round keep the scores and top-k they captured.
+        // Always a fresh vector, a fresh memo and no explanation yet:
+        // snapshots taken before this round keep what they captured.
         self.weights = OnceLock::new();
         self.scores = scores;
         self.history.push(stats);
+        self.explained = Mutex::new(None);
         Ok(stats)
     }
 }
@@ -802,6 +874,88 @@ mod tests {
                 proptest::prop_assert_eq!(shared.top_k(k), top_k(&values, k, 0.0));
             }
         }
+    }
+
+    fn score_bits(session: &QuerySession<'_>) -> Vec<u64> {
+        session.scores().iter().map(|s| s.to_bits()).collect()
+    }
+
+    /// The same subgraph, flow for flow.
+    fn assert_same_explanation(a: &Explanation, b: &Explanation) {
+        assert_eq!(a.target(), b.target());
+        assert_eq!(a.iterations(), b.iterations());
+        assert_eq!(a.target_inflow().to_bits(), b.target_inflow().to_bits());
+        assert_eq!(a.edges(), b.edges());
+    }
+
+    #[test]
+    fn feedback_reuses_what_explain_built_and_lands_where_a_rebuild_lands() {
+        let sys = system();
+        let mut explained = QuerySession::start(&sys, &Query::parse("data")).unwrap();
+        let mut twin = QuerySession::start(&sys, &Query::parse("data")).unwrap();
+        let top = explained.top_k(2);
+        let (t, u) = (top[0].node, top[1].node);
+
+        let first = explained.explain(t).unwrap();
+        assert!(
+            Arc::ptr_eq(&first, &explained.explain(t).unwrap()),
+            "a second explain of the same target on one state builds nothing"
+        );
+        explained.feedback(&[t, u]).unwrap();
+        twin.feedback(&[t, u]).unwrap();
+        assert_eq!(explained.query_vector(), twin.query_vector());
+        assert_eq!(explained.rates(), twin.rates());
+        assert_eq!(score_bits(&explained), score_bits(&twin));
+    }
+
+    #[test]
+    fn the_kept_explanation_belongs_to_the_state_that_built_it() {
+        let sys = system();
+        let mut session = QuerySession::start(&sys, &Query::parse("data")).unwrap();
+        let top = session.top_k(2);
+        let (t, u) = (top[0].node, top[1].node);
+        let before = session.explain(t).unwrap();
+        let checkpoint = session.snapshot();
+        assert!(Arc::ptr_eq(
+            &before,
+            &QuerySession::resume(&sys, checkpoint.clone())
+                .explain(t)
+                .unwrap()
+        ));
+
+        // A kept `t` is never taken for `u`.
+        let stats = session.feedback(&[u]).unwrap();
+        let mut bare = checkpoint.clone();
+        bare.forget_explanation();
+        let twin_u = QuerySession::resume(&sys, bare).explain(u).unwrap();
+        assert!(stats.explain_construction_time > Duration::ZERO);
+        assert_eq!(stats.explain_iterations, twin_u.iterations() as f64);
+
+        // The round leaves no explanation behind; the next one is built
+        // on the new state, exactly as a fresh session there builds it.
+        let advanced = session.snapshot();
+        assert!(advanced.explained().is_none());
+        let after = session.explain(t).unwrap();
+        assert!(!Arc::ptr_eq(&before, &after));
+        let fresh = QuerySession::resume(&sys, advanced).explain(t).unwrap();
+        assert!(!Arc::ptr_eq(&after, &fresh));
+        assert_same_explanation(&after, &fresh);
+
+        // Restoring the older state brings its explanation back.
+        session.restore(checkpoint);
+        assert!(Arc::ptr_eq(&before, &session.explain(t).unwrap()));
+    }
+
+    #[test]
+    fn a_reused_explanation_adds_iterations_but_no_time_to_the_round() {
+        let sys = system();
+        let mut session = QuerySession::start(&sys, &Query::parse("data")).unwrap();
+        let t = session.top_k(1)[0].node;
+        let built = session.explain(t).unwrap();
+        let stats = session.feedback(&[t]).unwrap();
+        assert_eq!(stats.explain_construction_time, Duration::ZERO);
+        assert_eq!(stats.explain_adjustment_time, Duration::ZERO);
+        assert_eq!(stats.explain_iterations, built.iterations() as f64);
     }
 
     #[test]

@@ -14,10 +14,8 @@ mod bio;
 mod dblp;
 mod presets;
 mod text;
-mod workload;
 
 pub use bio::{bio_ground_truth, bio_schema, generate_bio, BioConfig, BioEdgeTypes};
 pub use dblp::{dblp_ground_truth, dblp_schema, generate_dblp, Dataset, DblpConfig, DblpEdgeTypes};
 pub use presets::Preset;
 pub use text::{synthetic_word, TextConfig, TextGen, Zipf, DOMAIN_KEYWORDS};
-pub use workload::{generate_workload, Workload, WorkloadConfig};

@@ -437,6 +437,23 @@ impl Explanation {
         self.converged
     }
 
+    /// Bytes the explanation holds on the heap: its per-node arrays, its
+    /// edges and both adjacencies. What a store that keeps explanations
+    /// charges against its memory budget.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let adjacency = |(csr, slots): &Adjacency| {
+            (csr.row_offsets().len() + csr.targets().len() + slots.capacity()) * size_of::<u32>()
+        };
+        self.node_ids.capacity() * size_of::<u32>()
+            + self.dist_to_target.capacity() * size_of::<u32>()
+            + self.is_source.capacity() * size_of::<bool>()
+            + self.h.capacity() * size_of::<f64>()
+            + self.edges.capacity() * size_of::<ExplainEdge>()
+            + adjacency(&self.out_adj)
+            + adjacency(&self.in_adj)
+    }
+
     /// The subgraph's nodes (global ids, ascending).
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.node_ids.iter().map(|&n| NodeId::new(n))

@@ -475,6 +475,9 @@ fn handle_explain(
     let session = QuerySession::resume(system, snapshot);
     let target = NodeId::new(node);
     let explanation = session.explain(target).map_err(|e| session_error(&e))?;
+    // Kept for the `/feedback` that usually follows; refused if one
+    // already moved the session on.
+    state.sessions.keep_explanation(sid, session.snapshot())?;
     let summary = orex_explain::summarize(&explanation, system.transfer(), system.graph(), 8);
     let meta_paths: Vec<Value> = summary
         .iter()
@@ -505,7 +508,9 @@ fn handle_explain(
 
 /// Most distinct objects one `/feedback` round accepts. Every object
 /// costs a full explanation on the handler's thread, so like the body
-/// size this bounds what one outside request can ask for.
+/// size this bounds what one outside request can ask for. The object
+/// the session's last `/explain` built costs nothing: the round reuses
+/// that explanation.
 const MAX_FEEDBACK_OBJECTS: usize = 64;
 
 fn handle_feedback(

@@ -510,6 +510,111 @@ fn repeated_feedback_object_votes_once() {
     );
 }
 
+/// `/feedback` reuses the explanation the session's `/explain` just
+/// built, and answers exactly as a session that never explained. Only
+/// the session-table entry keeps it: a later session opened from the
+/// cached answer reuses nothing.
+#[test]
+fn feedback_after_explain_reuses_its_explanation_and_answers_the_same() {
+    let _guard = serial();
+    let (_, keyword) = fixture();
+    let server = TestServer::spawn_default();
+    let body = format!("{{\"query\": \"{keyword}\", \"k\": 10}}");
+    let open = || {
+        post(server.addr, "/query", &body)
+            .json()
+            .get("session")
+            .and_then(Value::as_u64)
+            .unwrap()
+    };
+    let first = post(server.addr, "/query", &body).json();
+    let explained = first.get("session").and_then(Value::as_u64).unwrap();
+    let plain = open();
+    let (t, u) = (result_nodes(&first)[0], result_nodes(&first)[1]);
+    let metric = |name| metric_value(&get(server.addr, "/metrics").body, name).unwrap_or(0.0);
+    let reused = || metric("orex_session_explanations_reused");
+    let feedback = |sid: u64| {
+        let reply = post(
+            server.addr,
+            &format!("/feedback/{sid}"),
+            &format!("{{\"objects\": [{t},{u}], \"k\": 10}}"),
+        );
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        reply
+            .body
+            .replacen(&format!("\"session\":{sid}"), "\"session\":_", 1)
+    };
+    let before = reused();
+
+    assert_eq!(
+        get(server.addr, &format!("/explain/{explained}/{t}")).status,
+        200
+    );
+    assert!(metric("orex_server_sessions_explained_bytes") > 0.0);
+    let after_explain = feedback(explained);
+    assert_eq!(reused(), before + 1.0, "the round reused one explanation");
+    assert_eq!(metric("orex_server_sessions_explained_bytes"), 0.0);
+    assert_eq!(
+        after_explain,
+        feedback(plain),
+        "same body apart from the session id"
+    );
+    assert_eq!(reused(), before + 1.0);
+
+    let third = open();
+    assert_eq!(after_explain, feedback(third));
+    assert_eq!(
+        reused(),
+        before + 1.0,
+        "the cached answer kept no explanation"
+    );
+}
+
+/// `/explain` and `/feedback` racing on one session: the explanation
+/// write-back never undoes a feedback round, so the rounds count up one
+/// by one and the session ends in the last round's state.
+#[test]
+fn racing_explain_never_undoes_a_feedback_round() {
+    const ROUNDS: u64 = 50;
+    let _guard = serial();
+    let (_, keyword) = fixture();
+    let server = TestServer::spawn_default();
+    let addr = server.addr;
+    let query = post(
+        addr,
+        "/query",
+        &format!("{{\"query\": \"{keyword}\", \"k\": 10}}"),
+    )
+    .json();
+    let sid = query.get("session").and_then(Value::as_u64).unwrap();
+    let (a, b) = (result_nodes(&query)[0], result_nodes(&query)[1]);
+    let feedback = move || {
+        let reply = post(
+            addr,
+            &format!("/feedback/{sid}"),
+            &format!("{{\"objects\": [{a},{b}]}}"),
+        );
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        reply.json().get("round").and_then(Value::as_u64).unwrap()
+    };
+    let gate = std::sync::Barrier::new(2);
+    let rounds: Vec<u64> = std::thread::scope(|scope| {
+        let explainer = scope.spawn(|| {
+            gate.wait();
+            for _ in 0..ROUNDS {
+                let reply = get(addr, &format!("/explain/{sid}/{a}"));
+                assert!(reply.status < 500, "{}: {}", reply.status, reply.body);
+            }
+        });
+        gate.wait();
+        let rounds = (0..ROUNDS).map(|_| feedback()).collect();
+        explainer.join().unwrap();
+        rounds
+    });
+    assert_eq!(rounds, (1..=ROUNDS).collect::<Vec<_>>());
+    assert_eq!(feedback(), ROUNDS + 1);
+}
+
 /// Every feedback object costs a full explanation on the handler's
 /// thread; a list past the bound is refused before any runs.
 #[test]
