@@ -4,11 +4,13 @@
 //! explaining subgraph `G_v^Q` shows the user the paths along which
 //! authority reached `v`. It is built in two stages (Figure 8):
 //!
-//! 1. **Construction**: a radius-`L` breadth-first search *backwards* from
-//!    `v` over the authority transfer data graph measures every node's
-//!    distance to `v`; a forward search from the base-set nodes then keeps
-//!    each edge it meets whose head lies within `L − 1` hops of `v` — the
-//!    edges that carry base-set authority to `v` within `L` hops.
+//! 1. **Construction**: a breadth-first search *backwards* from `v` over
+//!    the authority transfer data graph measures the distance to `v` of
+//!    every node within `L − 1` hops, and each other base-set node with an
+//!    edge into that cone is labelled `L`; a forward search from the
+//!    labelled base-set nodes then keeps each edge it meets whose head
+//!    lies within `L − 1` hops of `v` — the edges that carry base-set
+//!    authority to `v` within `L` hops.
 //! 2. **Flow adjustment**: the "original" edge flows
 //!    `Flow_0(vi -> vj) = d · alpha(vi -> vj) · r^Q(vi)` (Equation 5)
 //!    over-count, because part of each node's outgoing authority leaks to
@@ -116,6 +118,20 @@ fn row(adj: &Adjacency, local: usize) -> impl Iterator<Item = (usize, usize)> + 
         .map(|(neighbour, slot)| (neighbour as usize, adj.1[slot] as usize))
 }
 
+/// The indices of the set bits of `words`, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(i, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                i * 64 + bit
+            })
+        })
+    })
+}
+
 /// The explaining subgraph `G_v^Q` of a target object.
 ///
 /// Dense arrays throughout, no hash maps: a node's *local index* is its
@@ -181,57 +197,81 @@ impl Explanation {
         // edges with positive alpha. dist[u] = hops from u to target
         // (sentinel u32::MAX): on the paper's full-scale graphs (Table 1)
         // radius-3 subgraphs of hub targets touch millions of edges, and
-        // hashing dominated the construction stage.
+        // hashing dominated the construction stage. The distance is tested
+        // before the weight, so the random gather into `weights` happens
+        // only for edges whose tail is still unlabelled.
+        //
+        // The search expands depths 0..L−1 only, labelling every node
+        // within L − 1 hops. Construction reads a node's distance only if
+        // the node is a base-set node (a source, at any distance ≤ L) or
+        // the head of a kept edge (distance < L), so of the nodes exactly
+        // L hops away only the base-set ones need a label. They are
+        // labelled below from their own out-edges: expanding the last
+        // level would scan the in-edges of most of a radius-L cone.
         let n_global = graph.node_count();
         let radius = params.radius as u32;
         let mut dist = vec![u32::MAX; n_global];
         dist[target.index()] = 0;
         let mut frontier = vec![target.raw()];
-        let telemetry = orex_telemetry::global();
-        let frontier_size = telemetry.histogram("explain.bfs.frontier_size");
-        for depth in 0..radius {
+        for depth in 0..radius.saturating_sub(1) {
             let mut next = Vec::new();
             for &w in &frontier {
                 for (u, e) in graph.in_transfer(NodeId::new(w)) {
-                    if weights[e] > 0.0 && dist[u.index()] == u32::MAX {
+                    if dist[u.index()] == u32::MAX && weights[e] > 0.0 {
                         dist[u.index()] = depth + 1;
                         next.push(u.raw());
                     }
                 }
             }
             frontier = next;
-            frontier_size.record(frontier.len() as f64);
             if frontier.is_empty() {
                 break;
             }
         }
 
         // --- Construction stage, forward pass ---------------------------
-        // Search from the base-set nodes inside the backward cone. A
-        // positive-alpha edge u -> w can carry authority to the target
-        // within L hops iff the backward pass expanded w, i.e. dist[w] < L;
-        // the search keeps every such edge out of every node it reaches.
-        // `found` lists each reached node once. It is exactly the node set:
-        // a reached base-set node other than the target owns the edge the
-        // backward pass discovered it by, and every other reached node is
-        // the head of a kept edge.
+        // The sources are the base-set nodes within L hops. A still
+        // unlabelled one is exactly L hops away iff one of its own
+        // positive-alpha out-edges reaches a node within L − 1 hops (one
+        // nearer would have labelled it already). At L = 0 no node lies
+        // within L − 1 hops, so none is labelled.
+        //
+        // Then the search runs from the sources inside the backward cone.
+        // A positive-alpha edge u -> w can carry authority to the target
+        // within L hops iff dist[w] < L; the search keeps every such edge
+        // out of every node it reaches, in an |E|-bit set: each node is
+        // reached once, so each edge is met once, from its only tail, and
+        // reading the set word by word yields the kept edges in ascending
+        // order without a sort. `found` lists each reached node once. It
+        // is exactly the node set: a reached base-set node other than the
+        // target owns an edge into the cone, and every other reached node
+        // is the head of a kept edge.
         const FOUND: u8 = 1;
         const SOURCE: u8 = 2;
         let mut state = vec![0u8; n_global];
-        let mut found: Vec<u32> = base
-            .nodes()
-            .filter(|&n| dist[n as usize] != u32::MAX)
-            .collect();
-        for &n in &found {
-            state[n as usize] = SOURCE;
+        let mut found: Vec<u32> = Vec::new();
+        for n in base.nodes() {
+            if dist[n as usize] == u32::MAX
+                && graph
+                    .out_transfer(NodeId::new(n))
+                    .any(|(w, e)| dist[w.index()] < radius && weights[e] > 0.0)
+            {
+                dist[n as usize] = radius;
+            }
+            if dist[n as usize] != u32::MAX {
+                state[n as usize] = SOURCE;
+                found.push(n);
+            }
         }
-        let mut kept_edges: Vec<usize> = Vec::new();
+        let mut kept = vec![0u64; graph.transfer_edge_count().div_ceil(64)];
+        let mut kept_count = 0;
         let mut cursor = 0;
         while let Some(&u) = found.get(cursor) {
             cursor += 1;
             for (w, e) in graph.out_transfer(NodeId::new(u)) {
-                if weights[e] > 0.0 && dist[w.index()] < radius {
-                    kept_edges.push(e);
+                if dist[w.index()] < radius && weights[e] > 0.0 {
+                    kept[e / 64] |= 1 << (e % 64);
+                    kept_count += 1;
                     if state[w.index()] == 0 {
                         state[w.index()] = FOUND;
                         found.push(w.raw());
@@ -242,7 +282,6 @@ impl Explanation {
         if state[target.index()] == 0 {
             return Err(ExplainError::TargetUnreachable(target));
         }
-        kept_edges.sort_unstable();
 
         // --- Assemble local structure -----------------------------------
         let mut node_set = found;
@@ -260,22 +299,20 @@ impl Explanation {
         }
 
         let d = params.damping;
-        let mut edges: Vec<ExplainEdge> = kept_edges
-            .iter()
-            .map(|&e| {
-                let (src, dst) = graph.edge_endpoints(e);
-                let alpha = weights[e];
-                ExplainEdge {
-                    transfer_edge: e,
-                    source: src,
-                    target: dst,
-                    alpha,
-                    // Equation 5.
-                    original_flow: d * alpha * scores[src.index()],
-                    adjusted_flow: 0.0,
-                }
-            })
-            .collect();
+        let mut edges: Vec<ExplainEdge> = Vec::with_capacity(kept_count);
+        edges.extend(set_bits(&kept).map(|e| {
+            let (src, dst) = graph.edge_endpoints(e);
+            let alpha = weights[e];
+            ExplainEdge {
+                transfer_edge: e,
+                source: src,
+                target: dst,
+                alpha,
+                // Equation 5.
+                original_flow: d * alpha * scores[src.index()],
+                adjusted_flow: 0.0,
+            }
+        }));
         // `Csr::from_edges` sorts stably, so each row lists its edges in
         // ascending edge order.
         let mut endpoints: Vec<(u32, u32)> = edges
@@ -314,9 +351,10 @@ impl Explanation {
                     h_new[k] = 1.0;
                     continue;
                 }
+                let slots = out_adj.0.range(k);
                 let mut acc = 0.0;
-                for slot in out_adj.0.range(k) {
-                    acc += h[heads[slot] as usize] * slot_alpha[slot];
+                for (&head, &alpha) in heads[slots.clone()].iter().zip(&slot_alpha[slots]) {
+                    acc += h[head as usize] * alpha;
                 }
                 h_new[k] = acc;
                 delta = delta.max((acc - h[k]).abs());
@@ -340,6 +378,7 @@ impl Explanation {
             e.adjusted_flow = h[head as usize] * e.original_flow;
         }
 
+        let telemetry = orex_telemetry::global();
         telemetry.counter("explain.runs").incr();
         telemetry
             .counter("explain.fixpoint_rounds")
@@ -457,6 +496,23 @@ impl Explanation {
     /// The subgraph's nodes (global ids, ascending).
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.node_ids.iter().map(|&n| NodeId::new(n))
+    }
+
+    /// `(node, BFS distance to the target, outflow)` per subgraph node, in
+    /// ascending node order: what [`nodes`](Self::nodes),
+    /// [`distance`](Self::distance) and [`outflow`](Self::outflow) give,
+    /// walked by local index instead of looked up node by node.
+    pub fn nodes_with_outflow(&self) -> impl Iterator<Item = (NodeId, usize, f64)> + '_ {
+        self.node_ids
+            .iter()
+            .zip(&self.dist_to_target)
+            .enumerate()
+            .map(|(i, (&node, &d))| {
+                let outflow = row(&self.out_adj, i)
+                    .map(|(_, e)| self.edges[e].adjusted_flow)
+                    .sum();
+                (NodeId::new(node), d as usize, outflow)
+            })
     }
 
     /// The local index of `node`, when it is part of the subgraph.
@@ -877,6 +933,72 @@ pub(crate) mod tests {
         assert!(!expl.is_source(NodeId::new(1)));
     }
 
+    /// `s(0) -q-> a(1) -r-> t(2)` and `y(3) -r-> a(1)`: at radius 2, `s`
+    /// and `y` are both exactly `L` hops from `t`. `r` transfers at 0.8
+    /// and `q` at `q_rate`.
+    fn two_hop_graph(q_rate: f64) -> (DataGraph, TransferRates) {
+        let mut schema = SchemaGraph::new();
+        let p = schema.add_node_type("P").unwrap();
+        let q = schema.add_edge_type(p, p, "q").unwrap();
+        let r = schema.add_edge_type(p, p, "r").unwrap();
+        let mut b = DataGraphBuilder::new(schema);
+        let n: Vec<_> = (0..4).map(|_| b.add_node(p, vec![]).unwrap()).collect();
+        b.add_edge(n[0], n[1], q).unwrap();
+        b.add_edge(n[1], n[2], r).unwrap();
+        b.add_edge(n[3], n[1], r).unwrap();
+        let g = b.freeze();
+        let mut rates = TransferRates::zero(g.schema());
+        rates.set(TransferTypeId::forward(q), q_rate).unwrap();
+        rates.set(TransferTypeId::forward(r), 0.8).unwrap();
+        (g, rates)
+    }
+
+    fn radius_2() -> ExplainParams {
+        ExplainParams {
+            radius: 2,
+            ..ExplainParams::default()
+        }
+    }
+
+    #[test]
+    fn a_base_node_exactly_l_hops_away_is_a_source() {
+        let (g, rates) = two_hop_graph(0.5);
+        let (tg, _, _, _, expl) = run(&g, &rates, &[0], 2, &radius_2());
+        let expl = expl.unwrap();
+        assert!(expl.is_source(NodeId::new(0)));
+        assert_eq!(expl.distance(NodeId::new(0)), Some(2));
+        let kept: Vec<_> = expl.out_edges(NodeId::new(0)).collect();
+        assert_eq!(kept.len(), 1);
+        assert_eq!(
+            tg.edge_endpoints(kept[0].transfer_edge),
+            (NodeId::new(0), NodeId::new(1))
+        );
+    }
+
+    #[test]
+    fn a_base_node_whose_only_hop_has_zero_alpha_is_not_a_source() {
+        let (g, rates) = two_hop_graph(0.0);
+        let (_, _, _, _, expl) = run(&g, &rates, &[0, 1], 2, &radius_2());
+        let expl = expl.unwrap();
+        assert!(!expl.contains(NodeId::new(0)));
+        assert_eq!(expl.distance(NodeId::new(1)), Some(1));
+        let (_, _, _, _, expl) = run(&g, &rates, &[0], 2, &radius_2());
+        assert_eq!(
+            expl.err(),
+            Some(ExplainError::TargetUnreachable(NodeId::new(2)))
+        );
+    }
+
+    #[test]
+    fn a_non_base_node_exactly_l_hops_away_is_left_out() {
+        let (g, rates) = two_hop_graph(0.5);
+        let (_, _, _, _, expl) = run(&g, &rates, &[0], 2, &radius_2());
+        let expl = expl.unwrap();
+        assert!(!expl.contains(NodeId::new(3)));
+        assert_eq!(expl.node_count(), 3);
+        assert_eq!(expl.edge_count(), 2);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -925,6 +1047,16 @@ pub(crate) mod tests {
                     ids(expl.edges().iter().filter(|e| e.target == node).collect())
                 );
             }
+            // The per-local-index walk is the per-node lookups, bit for bit.
+            let walked: Vec<(NodeId, usize, u64)> = expl
+                .nodes_with_outflow()
+                .map(|(node, d, outflow)| (node, d, outflow.to_bits()))
+                .collect();
+            let looked_up: Vec<(NodeId, usize, u64)> = nodes
+                .iter()
+                .map(|&node| (node, expl.distance(node).unwrap(), expl.outflow(node).to_bits()))
+                .collect();
+            prop_assert_eq!(walked, looked_up);
             // Equation 7 ties every edge's flows to its head's factor.
             prop_assert_eq!(expl.reduction_factor(expl.target()), Some(1.0));
             for e in expl.edges() {
@@ -934,12 +1066,12 @@ pub(crate) mod tests {
         }
 
         /// `explain` is bit-identical to the candidate-list construction
-        /// it replaced at radii 1–4, with or without zero-alpha edges, and
+        /// it replaced at radii 0–4, with or without zero-alpha edges, and
         /// fails with the same variant where that fails.
         #[test]
         fn matches_the_candidate_list_reference(
             case in random_case(),
-            radius in 1usize..5,
+            radius in 0usize..5,
             zero_extends_back in any::<bool>(),
         ) {
             let (g, mut rates, base_nodes, target) = random_graph(&case);

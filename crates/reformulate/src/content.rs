@@ -72,19 +72,13 @@ pub(crate) fn harvest(
     terms: &mut Vec<TermId>,
 ) {
     let target = explanation.target();
-    for node in explanation.nodes() {
+    for (node, d, outflow) in explanation.nodes_with_outflow() {
         let node_weight = if node == target {
             // The target's outgoing flow is not defined in the subgraph;
             // use d * inflow (Section 5.1).
             params.damping * explanation.inflow(node)
         } else {
-            let d = explanation
-                .distance(node)
-                // orex::allow(ORX008): every node in an explanation
-                // subgraph is discovered by the BFS that assigns its
-                // distance, so the invariant holds by construction.
-                .expect("subgraph node has a distance");
-            params.decay.powi(d as i32) * explanation.outflow(node)
+            params.decay.powi(d as i32) * outflow
         };
         if node_weight <= 0.0 {
             continue;
