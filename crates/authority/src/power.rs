@@ -23,9 +23,9 @@
 
 use crate::base_set::BaseSet;
 use orex_graph::{TransferGraph, TransferRates};
-use orex_telemetry::{logger, Counter, HistogramHandle, Level, RateLimit};
+use orex_telemetry::{logger, Counter, Gauge, HistogramHandle, Level, RateLimit};
 use std::ops::Range;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Log target of the power-iteration engine.
 const LOG_TARGET: &str = "authority.power";
@@ -54,6 +54,7 @@ struct PowerMetrics {
     batch_runs: Counter,
     batch_vectors: Counter,
     batch_sweeps: Counter,
+    last_residual: Gauge,
 }
 
 fn power_metrics() -> &'static PowerMetrics {
@@ -69,6 +70,7 @@ fn power_metrics() -> &'static PowerMetrics {
             batch_runs: t.counter("authority.power.batch_runs"),
             batch_vectors: t.counter("authority.power.batch_vectors"),
             batch_sweeps: t.counter("authority.power.batch_sweeps"),
+            last_residual: t.gauge("authority.power.last_residual"),
         }
     })
 }
@@ -116,8 +118,20 @@ pub struct RankResult {
 /// transfer-graph topology with per-edge `alpha` weights derived from a
 /// rates vector, pre-aligned to the in-CSR slots for the pull loop, plus
 /// the cache-block boundaries the sweeps iterate over.
+///
+/// A matrix is a graph reference plus a shared handle on its graph-free
+/// [`MatrixStorage`], so pairing kept storage with its graph again
+/// ([`Self::with_storage`]) is O(1).
 pub struct TransitionMatrix<'g> {
     graph: &'g TransferGraph,
+    storage: Arc<MatrixStorage>,
+}
+
+/// The part of a [`TransitionMatrix`] that does not borrow its graph:
+/// what an owner of the graph keeps to hand out views of one matrix for
+/// life (16 bytes per transfer edge plus 4 per cache-block boundary).
+#[derive(Debug)]
+pub struct MatrixStorage {
     /// Per transfer-edge `alpha` (Equation 1), edge-indexed.
     edge_weights: Vec<f64>,
     /// `alpha` aligned with the in-CSR slots.
@@ -126,6 +140,14 @@ pub struct TransitionMatrix<'g> {
     /// each block spanning at most [`BLOCK_EDGES`] in-edges (single rows
     /// over the budget get a block of their own).
     blocks: Vec<u32>,
+}
+
+impl MatrixStorage {
+    /// Per-transfer-edge `alpha` weights (edge-indexed).
+    #[inline]
+    pub fn edge_weights(&self) -> &[f64] {
+        &self.edge_weights
+    }
 }
 
 impl<'g> TransitionMatrix<'g> {
@@ -152,10 +174,38 @@ impl<'g> TransitionMatrix<'g> {
         let blocks = cache_blocks(graph.in_csr().row_offsets(), graph.node_count());
         Self {
             graph,
-            edge_weights,
-            in_slot_weights,
-            blocks,
+            storage: Arc::new(MatrixStorage {
+                edge_weights,
+                in_slot_weights,
+                blocks,
+            }),
         }
+    }
+
+    /// Pairs storage kept from an earlier matrix with its graph again:
+    /// the O(1) view an owner of both hands out.
+    ///
+    /// # Panics
+    /// Panics if `storage` was built for a graph with another node or
+    /// transfer-edge count.
+    pub fn with_storage(graph: &'g TransferGraph, storage: Arc<MatrixStorage>) -> Self {
+        assert_eq!(
+            storage.edge_weights.len(),
+            graph.transfer_edge_count(),
+            "matrix storage belongs to a graph with another edge count"
+        );
+        assert_eq!(
+            storage.blocks.last().map_or(0, |&n| n as usize),
+            graph.node_count(),
+            "matrix storage belongs to a graph with another node count"
+        );
+        Self { graph, storage }
+    }
+
+    /// The graph-free storage, shared with every view paired from it.
+    #[inline]
+    pub fn storage(&self) -> &Arc<MatrixStorage> {
+        &self.storage
     }
 
     /// Number of nodes.
@@ -173,13 +223,13 @@ impl<'g> TransitionMatrix<'g> {
     /// Per-transfer-edge `alpha` weights (edge-indexed).
     #[inline]
     pub fn edge_weights(&self) -> &[f64] {
-        &self.edge_weights
+        self.storage.edge_weights()
     }
 
     /// Number of cache blocks the row space is partitioned into.
     #[inline]
     pub fn cache_block_count(&self) -> usize {
-        self.blocks.len() - 1
+        self.storage.blocks.len() - 1
     }
 
     /// Computes `out[i] = damping * Σ_{j -> i} alpha(j -> i) * r[j] + add[i]`
@@ -196,13 +246,14 @@ impl<'g> TransitionMatrix<'g> {
         let csr = self.graph.in_csr();
         let offsets = csr.row_offsets();
         let targets = csr.targets();
+        let weights = &self.storage.in_slot_weights;
         for (local, i) in range.clone().enumerate() {
             let lo = offsets[i] as usize;
             let hi = offsets[i + 1] as usize;
             let mut acc = 0.0;
-            for slot in lo..hi {
-                // `targets` of the in-CSR are the *sources* j of edges j->i.
-                acc += self.in_slot_weights[slot] * r[targets[slot] as usize];
+            // `targets` of the in-CSR are the *sources* j of edges j->i.
+            for (&w, &src) in weights[lo..hi].iter().zip(&targets[lo..hi]) {
+                acc += w * r[src as usize];
             }
             out[local] = damping * acc + add[i];
         }
@@ -213,9 +264,10 @@ impl<'g> TransitionMatrix<'g> {
     /// `rows` must be block-aligned (it comes from [`Self::thread_ranges`]).
     fn pull_rows(&self, r: &[f64], out: &mut [f64], rows: Range<usize>, damping: f64, add: &[f64]) {
         let mut row = rows.start;
-        let mut bi = self.blocks.partition_point(|&b| (b as usize) <= rows.start);
+        let blocks = &self.storage.blocks;
+        let mut bi = blocks.partition_point(|&b| (b as usize) <= rows.start);
         while row < rows.end {
-            let block_end = (self.blocks[bi] as usize).min(rows.end);
+            let block_end = (blocks[bi] as usize).min(rows.end);
             let lo = row - rows.start;
             let hi = block_end - rows.start;
             self.pull_range(r, &mut out[lo..hi], row..block_end, damping, add);
@@ -244,7 +296,10 @@ impl<'g> TransitionMatrix<'g> {
             let lo = offsets[i] as usize;
             let hi = offsets[i + 1] as usize;
             acc[..width].fill(0.0);
-            for (&w, &src) in self.in_slot_weights[lo..hi].iter().zip(&targets[lo..hi]) {
+            for (&w, &src) in self.storage.in_slot_weights[lo..hi]
+                .iter()
+                .zip(&targets[lo..hi])
+            {
                 let src = src as usize;
                 for (a, col) in acc[..width].iter_mut().zip(cols.iter()) {
                     *a += w * col.r[src];
@@ -270,7 +325,7 @@ impl<'g> TransitionMatrix<'g> {
         let target = total.div_ceil(threads).max(1);
         let mut ranges = Vec::with_capacity(threads);
         let mut row_start = 0usize;
-        for w in self.blocks.windows(2) {
+        for w in self.storage.blocks.windows(2) {
             if ranges.len() + 1 == threads {
                 break;
             }
@@ -469,14 +524,12 @@ pub fn power_iteration(
     if converged {
         metrics.converged.incr();
     }
-    orex_telemetry::global()
-        .gauge("authority.power.last_residual")
-        .set(residuals.last().copied().unwrap_or(0.0));
+    let last_residual = residuals.last().copied().unwrap_or(0.0);
+    metrics.last_residual.set(last_residual);
     if run_span.is_recording() {
         run_span.attr_u64("iterations", iterations as u64);
         run_span.attr_u64("converged", u64::from(converged));
     }
-    let last_residual = residuals.last().copied().unwrap_or(0.0);
     if converged {
         logger()
             .info(LOG_TARGET, "converged")
@@ -957,6 +1010,29 @@ mod tests {
                 "oversized multi-row block: {blocks:?}"
             );
         }
+    }
+
+    #[test]
+    fn kept_storage_pairs_with_its_graph_again() {
+        let (tg, rates) = ring_graph();
+        let built = TransitionMatrix::new(&tg, &rates);
+        let view = TransitionMatrix::with_storage(&tg, Arc::clone(built.storage()));
+        assert!(Arc::ptr_eq(built.storage(), view.storage()));
+        let base = BaseSet::uniform([0]).unwrap();
+        let a = power_iteration(&built, &base, &tight(), None);
+        let b = power_iteration(&view, &base, &tight(), None);
+        assert_eq!(a.scores, b.scores);
+    }
+
+    #[test]
+    #[should_panic(expected = "another edge count")]
+    fn storage_of_another_graph_is_rejected() {
+        let (ring, rates) = ring_graph();
+        let (skewed, _) = skewed_graph(4);
+        assert_eq!(ring.node_count(), skewed.node_count());
+        assert_ne!(ring.transfer_edge_count(), skewed.transfer_edge_count());
+        let storage = Arc::clone(TransitionMatrix::new(&ring, &rates).storage());
+        let _ = TransitionMatrix::with_storage(&skewed, storage);
     }
 
     #[test]

@@ -202,8 +202,9 @@ pub struct QuerySession<'s> {
     system: &'s ObjectRankSystem,
     query: QueryVector,
     rates: TransferRates,
-    /// Per-transfer-edge alpha weights for `rates`, derived on the first
-    /// explanation that needs them (see [`Self::weights`]).
+    /// Per-transfer-edge alpha weights for `rates` when they are not the
+    /// system's initial ones, derived on the first explanation that needs
+    /// them (see [`Self::weights`]).
     weights: OnceLock<Vec<f64>>,
     /// Converged ObjectRank2 scores of the current query, shared with
     /// every snapshot taken of them.
@@ -215,9 +216,10 @@ pub struct QuerySession<'s> {
 }
 
 /// Ranks `query` under `rates` from `warm_start`: the execution step of
-/// the initial query and of every feedback round. The edge weights
-/// derived for the ranking go into its transition matrix and are dropped
-/// with it. The returned stats carry the rank fields only.
+/// the initial query and of every feedback round. Under the system's
+/// initial rates it ranks on the matrix the system keeps; any other rates
+/// get a matrix of their own, dropped with the ranking. The returned
+/// stats carry the rank fields only.
 fn rank(
     system: &ObjectRankSystem,
     rates: &TransferRates,
@@ -225,8 +227,11 @@ fn rank(
     warm_start: Option<&[f64]>,
 ) -> Result<(Arc<RankedScores>, StepStats), SessionError> {
     let telemetry = orex_telemetry::global();
-    let weights = system.transfer().weights(rates);
-    let matrix = TransitionMatrix::from_edge_weights(system.transfer(), weights);
+    let matrix = if rates == system.initial_rates() {
+        system.initial_matrix()
+    } else {
+        TransitionMatrix::new(system.transfer(), rates)
+    };
     let start = Instant::now();
     let rank_span = telemetry.span("session.rank_us");
     let mut rank_tspan = orex_telemetry::tracer().span("session.rank");
@@ -260,9 +265,10 @@ impl<'s> QuerySession<'s> {
     }
 
     /// Executes the initial query with explicit starting rates (used by
-    /// the training experiments, which initialize all rates to 0.3). The
-    /// session derives its own edge weights only if an explanation is
-    /// asked for.
+    /// the training experiments, which initialize all rates to 0.3). Rates
+    /// other than the system's initial ones rank on a matrix built for
+    /// them, and the session derives its own edge weights only if an
+    /// explanation is asked for.
     pub fn start_with(
         system: &'s ObjectRankSystem,
         query: &Query,
@@ -361,9 +367,13 @@ impl<'s> QuerySession<'s> {
     }
 
     /// The per-transfer-edge alpha weights of the current rates
-    /// (Equation 1) — |E| work, paid once per session state and only by
-    /// a session that explains.
+    /// (Equation 1). Under the initial rates they are the system's kept
+    /// matrix's; otherwise they are |E| work, paid once per session state
+    /// and only by a session that explains.
     fn weights(&self) -> &[f64] {
+        if self.rates == *self.system.initial_rates() {
+            return self.system.initial_edge_weights();
+        }
         self.weights
             .get_or_init(|| self.system.transfer().weights(&self.rates))
     }
@@ -956,6 +966,106 @@ mod tests {
         assert_eq!(stats.explain_construction_time, Duration::ZERO);
         assert_eq!(stats.explain_adjustment_time, Duration::ZERO);
         assert_eq!(stats.explain_iterations, built.iterations() as f64);
+    }
+
+    /// What a session ranked under `rates` must equal: `object_rank2` on
+    /// a matrix built afresh for them, from the global warm start.
+    fn fresh_rank_bits(
+        sys: &ObjectRankSystem,
+        rates: &TransferRates,
+        qv: &QueryVector,
+    ) -> Vec<u64> {
+        let fresh = TransitionMatrix::new(sys.transfer(), rates);
+        let config = sys.config();
+        let result = object_rank2(
+            &fresh,
+            sys.index(),
+            qv,
+            &config.okapi,
+            &config.rank,
+            sys.global_scores(),
+        )
+        .unwrap();
+        result.scores.iter().map(|s| s.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_round_zero_session_ranks_on_the_kept_matrix_like_a_fresh_build() {
+        let sys = system();
+        let fresh = TransitionMatrix::new(sys.transfer(), sys.initial_rates());
+        assert_eq!(sys.initial_matrix().edge_weights(), fresh.edge_weights());
+        assert!(Arc::ptr_eq(
+            sys.initial_matrix().storage(),
+            sys.initial_matrix().storage()
+        ));
+        let session = QuerySession::start(&sys, &Query::parse("data")).unwrap();
+        assert_eq!(
+            score_bits(&session),
+            fresh_rank_bits(&sys, sys.initial_rates(), session.query_vector())
+        );
+    }
+
+    #[test]
+    fn other_starting_rates_rank_on_their_own_matrix_like_a_fresh_build() {
+        let sys = system();
+        let rates = TransferRates::normalized_uniform(sys.graph().schema(), 0.3);
+        assert_ne!(&rates, sys.initial_rates());
+        let session = QuerySession::start_with(&sys, &Query::parse("data"), rates.clone()).unwrap();
+        let bits = score_bits(&session);
+        assert_eq!(bits, fresh_rank_bits(&sys, &rates, session.query_vector()));
+        let initial = QuerySession::start(&sys, &Query::parse("data")).unwrap();
+        assert_ne!(bits, score_bits(&initial), "the rates must matter");
+        assert_explains_like_a_fresh_derivation(&session);
+    }
+
+    /// The session's explanation of its top result equals one built from
+    /// weights derived afresh for the session's rates.
+    fn assert_explains_like_a_fresh_derivation(session: &QuerySession<'_>) {
+        let sys = session.system();
+        let target = session.top_k(1)[0].node;
+        let weights = sys.transfer().weights(session.rates());
+        let fresh = Explanation::explain(
+            sys.transfer(),
+            &weights,
+            session.scores(),
+            &session.current_base_set().unwrap(),
+            target,
+            &sys.config().explain,
+        )
+        .unwrap();
+        assert_same_explanation(&session.explain(target).unwrap(), &fresh);
+    }
+
+    #[test]
+    fn a_round_zero_explanation_reads_the_kept_weights_like_a_fresh_derivation() {
+        let sys = system();
+        let session = QuerySession::start(&sys, &Query::parse("data")).unwrap();
+        assert_explains_like_a_fresh_derivation(&session);
+    }
+
+    /// Round-0 sessions on several threads share the system's one matrix
+    /// and rank exactly as a single thread does.
+    #[test]
+    fn concurrent_round_zero_sessions_agree_bitwise() {
+        let sys = system();
+        let queries = ["data", "query", "data query"];
+        let expected: Vec<Vec<u64>> = queries
+            .iter()
+            .map(|q| score_bits(&QuerySession::start(&sys, &Query::parse(q)).unwrap()))
+            .collect();
+        let gate = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let (gate, sys, expected) = (&gate, &sys, &expected);
+                scope.spawn(move || {
+                    gate.wait();
+                    for (q, want) in queries.iter().zip(expected) {
+                        let session = QuerySession::start(sys, &Query::parse(q)).unwrap();
+                        assert_eq!(&score_bits(&session), want, "query {q:?}");
+                    }
+                });
+            }
+        });
     }
 
     #[test]

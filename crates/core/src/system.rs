@@ -7,11 +7,12 @@
 //! the programmatic equivalent of the system the paper deployed at
 //! `http://dbir.cis.fiu.edu/ObjectRankReformulation/`.
 
-use orex_authority::{global_object_rank, RankParams, TransitionMatrix};
+use orex_authority::{global_object_rank, MatrixStorage, RankParams, TransitionMatrix};
 use orex_explain::ExplainParams;
 use orex_graph::{DataGraph, NodeId, TransferGraph, TransferRates};
 use orex_ir::{Analyzer, IndexBuilder, InvertedIndex, Okapi};
 use orex_reformulate::ReformulateParams;
+use std::sync::Arc;
 
 /// System-wide configuration.
 #[derive(Clone, Copy, Debug)]
@@ -49,6 +50,10 @@ pub struct ObjectRankSystem {
     transfer: TransferGraph,
     index: InvertedIndex,
     initial_rates: TransferRates,
+    /// The transition matrix of `initial_rates`, built once and kept for
+    /// life: every round-0 session ranks on it (see
+    /// [`Self::initial_matrix`]).
+    initial_matrix: Arc<MatrixStorage>,
     config: SystemConfig,
     /// Global ObjectRank scores under `initial_rates`, used to warm-start
     /// initial queries. `None` when disabled.
@@ -57,7 +62,8 @@ pub struct ObjectRankSystem {
 
 impl ObjectRankSystem {
     /// Builds the system: derives the transfer graph, indexes every node's
-    /// attribute text, and (optionally) precomputes global ObjectRank.
+    /// attribute text, builds the initial-rates transition matrix it keeps,
+    /// and (optionally) precomputes global ObjectRank on that matrix.
     ///
     /// # Panics
     /// Panics if `initial_rates` is invalid for the graph's schema.
@@ -75,17 +81,17 @@ impl ObjectRankSystem {
             builder.add_document(node.raw(), &graph.node_text(node));
         }
         let index = builder.build();
-        let global_scores = if config.global_warm_start {
-            let matrix = TransitionMatrix::new(&transfer, &initial_rates);
-            Some(global_object_rank(&matrix, &config.rank).scores)
-        } else {
-            None
-        };
+        let matrix = TransitionMatrix::new(&transfer, &initial_rates);
+        let global_scores = config
+            .global_warm_start
+            .then(|| global_object_rank(&matrix, &config.rank).scores);
+        let initial_matrix = Arc::clone(matrix.storage());
         Self {
             graph,
             transfer,
             index,
             initial_rates,
+            initial_matrix,
             config,
             global_scores,
         }
@@ -113,6 +119,19 @@ impl ObjectRankSystem {
     #[inline]
     pub fn initial_rates(&self) -> &TransferRates {
         &self.initial_rates
+    }
+
+    /// The transition matrix of [`Self::initial_rates`]: an O(1) view of
+    /// the one the system built at construction. Whoever ranks under the
+    /// initial rates reads it instead of rebuilding |E| weights.
+    pub fn initial_matrix(&self) -> TransitionMatrix<'_> {
+        TransitionMatrix::with_storage(&self.transfer, Arc::clone(&self.initial_matrix))
+    }
+
+    /// The edge weights of [`Self::initial_matrix`], borrowed for as
+    /// long as the system lives.
+    pub(crate) fn initial_edge_weights(&self) -> &[f64] {
+        self.initial_matrix.edge_weights()
     }
 
     /// The configuration.

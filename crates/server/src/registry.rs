@@ -20,6 +20,7 @@
 use crate::cache::ResultCache;
 use crate::error::ServerError;
 use crate::ranks::PrecomputeTier;
+use orex_authority::RankParams;
 use orex_core::{ObjectRankSystem, SystemConfig};
 use orex_datagen::Preset;
 use std::path::{Path, PathBuf};
@@ -89,8 +90,8 @@ pub struct DatasetService {
     system: Arc<ObjectRankSystem>,
     results: ResultCache,
     precompute: Option<Arc<PrecomputeTier>>,
-    /// Resident bytes that do not change after the build: graph, index
-    /// and global scores.
+    /// Resident bytes that do not change after the build: graph, index,
+    /// global scores and the kept initial-rates matrix.
     fixed_memory_bytes: u64,
     build_ms: u64,
     queries: AtomicU64,
@@ -183,7 +184,7 @@ impl DatasetService {
     }
 
     /// Builds the dataset from its spec: generate, index, wrap, load
-    /// precompute.
+    /// precompute. The system is built with [`served_config`].
     fn build(spec: &DatasetSpec, cache_entries: usize) -> Result<Arc<Self>, String> {
         let start = Instant::now();
         // orex::allow(ORX008): preset generation runs once per dataset
@@ -196,7 +197,7 @@ impl DatasetService {
         let system = Arc::new(ObjectRankSystem::new(
             dataset.graph,
             dataset.ground_truth,
-            SystemConfig::default(),
+            served_config(),
         ));
         let service = Self::from_system(
             &spec.name,
@@ -219,10 +220,36 @@ impl DatasetService {
     }
 }
 
+/// The configuration of every system the registry builds: the defaults,
+/// except that a ranking runs on one thread.
+///
+/// This is the server's thread policy. Its parallelism is the `--threads`
+/// handler pool, which is at least the core count wherever orex is
+/// served, so a kernel that fanned out to every core from inside a
+/// handler would only oversubscribe them. The kernel is bitwise identical
+/// at any thread count, so the policy moves no answer. In-process tools
+/// (the figure binaries, `orex precompute`, the examples) keep the
+/// automatic choice.
+fn served_config() -> SystemConfig {
+    SystemConfig {
+        rank: RankParams {
+            threads: 1,
+            ..RankParams::default()
+        },
+        ..SystemConfig::default()
+    }
+}
+
 /// Rough resident-set estimate of what one loaded dataset holds for
 /// life; the point is relative magnitude on `/datasets`, not
 /// allocator-exact bytes.
 fn fixed_memory(system: &ObjectRankSystem) -> u64 {
+    graph_and_index_memory(system) + kept_matrix_memory(system)
+}
+
+/// Graph adjacency + labels, transfer weights, index postings +
+/// vocabulary, and the global-scores vector.
+fn graph_and_index_memory(system: &ObjectRankSystem) -> u64 {
     let nodes = system.graph().node_count() as u64;
     let edges = system.graph().edge_count() as u64;
     let index = system.index();
@@ -230,9 +257,15 @@ fn fixed_memory(system: &ObjectRankSystem) -> u64 {
     for t in 0..index.vocabulary_size() {
         postings += u64::from(index.df(t as orex_ir::TermId));
     }
-    // Graph adjacency + labels, transfer weights, index postings +
-    // vocabulary, and the global-scores vector.
     nodes * 64 + edges * 24 + postings * 12 + index.vocabulary_size() as u64 * 48 + nodes * 8
+}
+
+/// The system's kept initial-rates matrix: edge-indexed and in-slot
+/// `alpha` (two f64 per transfer edge) plus the u32 cache-block table.
+fn kept_matrix_memory(system: &ObjectRankSystem) -> u64 {
+    let transfer_edges = system.transfer().transfer_edge_count() as u64;
+    let blocks = system.initial_matrix().cache_block_count() as u64 + 1;
+    transfer_edges * 16 + blocks * 4
 }
 
 /// A slot holds the spec plus a once-built service. A failed build is
@@ -522,6 +555,38 @@ mod tests {
         assert_eq!(
             row.get("precompute_terms").and_then(|t| t.as_u64()),
             Some(0)
+        );
+    }
+
+    /// The kept initial-rates matrix costs 16 bytes per transfer edge
+    /// plus 4 per cache-block boundary on `/datasets`.
+    #[test]
+    fn memory_counts_sixteen_bytes_per_transfer_edge_for_the_kept_matrix() {
+        let system = system();
+        let transfer_edges = system.transfer().transfer_edge_count() as u64;
+        let boundaries = system.initial_matrix().cache_block_count() as u64 + 1;
+        let base = graph_and_index_memory(&system);
+        let service =
+            DatasetService::from_system("d", Preset::DblpTop, 0.01, system, 4, None).unwrap();
+        assert_eq!(
+            service.memory_bytes() - base,
+            transfer_edges * 16 + boundaries * 4
+        );
+    }
+
+    /// The thread policy: whatever the registry builds ranks on its
+    /// handler's thread.
+    #[test]
+    fn a_registry_built_dataset_ranks_on_one_thread() {
+        let registry =
+            SystemRegistry::new(vec![DatasetSpec::parse("a=dblp-top:0.01").unwrap()], 4).unwrap();
+        let rank = registry.get("a").unwrap().system().config().rank;
+        assert_eq!(
+            rank,
+            RankParams {
+                threads: 1,
+                ..RankParams::default()
+            }
         );
     }
 
