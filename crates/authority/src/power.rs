@@ -129,12 +129,10 @@ pub struct TransitionMatrix<'g> {
 
 /// The part of a [`TransitionMatrix`] that does not borrow its graph:
 /// what an owner of the graph keeps to hand out views of one matrix for
-/// life (16 bytes per transfer edge plus 4 per cache-block boundary).
+/// life (8 bytes per transfer edge plus 4 per cache-block boundary).
 #[derive(Debug)]
 pub struct MatrixStorage {
-    /// Per transfer-edge `alpha` (Equation 1), edge-indexed.
-    edge_weights: Vec<f64>,
-    /// `alpha` aligned with the in-CSR slots.
+    /// `alpha` (Equation 1) aligned with the in-CSR slots.
     in_slot_weights: Vec<f64>,
     /// Cache-block row boundaries: `blocks[0] = 0`, `blocks.last() = n`,
     /// each block spanning at most [`BLOCK_EDGES`] in-edges (single rows
@@ -142,21 +140,15 @@ pub struct MatrixStorage {
     blocks: Vec<u32>,
 }
 
-impl MatrixStorage {
-    /// Per-transfer-edge `alpha` weights (edge-indexed).
-    #[inline]
-    pub fn edge_weights(&self) -> &[f64] {
-        &self.edge_weights
-    }
-}
-
 impl<'g> TransitionMatrix<'g> {
-    /// Builds the matrix for a rates vector.
+    /// Builds the matrix for a rates vector: one streaming pass over the
+    /// in-slot arrays the graph keeps ([`TransferGraph::in_slot_weights`]).
     pub fn new(graph: &'g TransferGraph, rates: &TransferRates) -> Self {
-        Self::from_edge_weights(graph, graph.weights(rates))
+        Self::from_in_slot_weights(graph, graph.in_slot_weights(rates))
     }
 
-    /// Builds the matrix from precomputed per-edge weights (edge-indexed).
+    /// Builds the matrix from precomputed per-edge weights (edge-indexed),
+    /// gathering them into in-slot order.
     ///
     /// # Panics
     /// Panics if `edge_weights` does not have one entry per transfer edge.
@@ -171,11 +163,14 @@ impl<'g> TransitionMatrix<'g> {
             .iter()
             .map(|&e| edge_weights[e as usize])
             .collect();
+        Self::from_in_slot_weights(graph, in_slot_weights)
+    }
+
+    fn from_in_slot_weights(graph: &'g TransferGraph, in_slot_weights: Vec<f64>) -> Self {
         let blocks = cache_blocks(graph.in_csr().row_offsets(), graph.node_count());
         Self {
             graph,
             storage: Arc::new(MatrixStorage {
-                edge_weights,
                 in_slot_weights,
                 blocks,
             }),
@@ -190,7 +185,7 @@ impl<'g> TransitionMatrix<'g> {
     /// transfer-edge count.
     pub fn with_storage(graph: &'g TransferGraph, storage: Arc<MatrixStorage>) -> Self {
         assert_eq!(
-            storage.edge_weights.len(),
+            storage.in_slot_weights.len(),
             graph.transfer_edge_count(),
             "matrix storage belongs to a graph with another edge count"
         );
@@ -218,12 +213,6 @@ impl<'g> TransitionMatrix<'g> {
     #[inline]
     pub fn graph(&self) -> &'g TransferGraph {
         self.graph
-    }
-
-    /// Per-transfer-edge `alpha` weights (edge-indexed).
-    #[inline]
-    pub fn edge_weights(&self) -> &[f64] {
-        self.storage.edge_weights()
     }
 
     /// Number of cache blocks the row space is partitioned into.
@@ -825,7 +814,7 @@ mod tests {
         assert!(res.converged);
         // Verify r = d A r + (1-d) s componentwise by a manual pull.
         let n = tg.node_count();
-        let w = m.edge_weights();
+        let w = tg.weights(&rates);
         for i in 0..n {
             let mut acc = 0.0;
             for (src, e) in tg.in_transfer(orex_graph::NodeId::from_usize(i)) {
@@ -1061,6 +1050,44 @@ mod tests {
                 assert_eq!(solo.residuals, got.residuals, "residual streams differ");
                 for (a, b) in solo.scores.iter().zip(&got.scores) {
                     assert_eq!(a, b, "batched sweep must be bitwise identical");
+                }
+            }
+        }
+    }
+
+    /// The streaming in-slot build and the edge-indexed gather are two
+    /// routes to one matrix: every ranking on them agrees bit for bit.
+    #[test]
+    fn a_matrix_from_rates_ranks_like_one_from_gathered_edge_weights() {
+        let (tg, rates) = skewed_graph(120);
+        let mut other = rates.clone();
+        other.as_mut_slice()[1] = 0.0;
+        let bases = vec![
+            BaseSet::uniform([0]).unwrap(),
+            BaseSet::weighted([(7, 3.0), (90, 1.0)]).unwrap(),
+            BaseSet::global(120).unwrap(),
+        ];
+        let bits = |r: &RankResult| r.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        for rates in [rates, other] {
+            let streamed = TransitionMatrix::new(&tg, &rates);
+            let gathered = TransitionMatrix::from_edge_weights(&tg, tg.weights(&rates));
+            for threads in [1, 3] {
+                let params = RankParams {
+                    threads,
+                    epsilon: 1e-10,
+                    max_iterations: 500,
+                    ..RankParams::default()
+                };
+                for base in &bases {
+                    let a = power_iteration(&streamed, base, &params, None);
+                    let b = power_iteration(&gathered, base, &params, None);
+                    assert_eq!(a.iterations, b.iterations);
+                    assert_eq!(bits(&a), bits(&b), "solo, {threads} threads");
+                }
+                let a = power_iteration_batch(&streamed, &bases, &params, None);
+                let b = power_iteration_batch(&gathered, &bases, &params, None);
+                for (a, b) in a.iter().zip(&b) {
+                    assert_eq!(bits(a), bits(b), "batched, {threads} threads");
                 }
             }
         }

@@ -61,7 +61,7 @@ proptest! {
         let base = BaseSet::uniform([base_node % n as u32]).unwrap();
         let res = power_iteration(&m, &base, &tight(), None);
         prop_assert!(res.converged);
-        let w = m.edge_weights();
+        let w = tg.weights(&rates);
         let d = 0.85;
         for i in 0..n {
             let mut acc = 0.0;

@@ -367,9 +367,10 @@ impl<'s> QuerySession<'s> {
     }
 
     /// The per-transfer-edge alpha weights of the current rates
-    /// (Equation 1). Under the initial rates they are the system's kept
-    /// matrix's; otherwise they are |E| work, paid once per session state
-    /// and only by a session that explains.
+    /// (Equation 1). Under the initial rates they are the system's, which
+    /// it derives once for every round-0 state; otherwise they are |E|
+    /// work, paid once per session state and only by a session that
+    /// explains.
     fn weights(&self) -> &[f64] {
         if self.rates == *self.system.initial_rates() {
             return self.system.initial_edge_weights();
@@ -969,13 +970,15 @@ mod tests {
     }
 
     /// What a session ranked under `rates` must equal: `object_rank2` on
-    /// a matrix built afresh for them, from the global warm start.
+    /// a matrix gathered afresh from their edge-indexed weights (not the
+    /// in-slot route sessions take), from the global warm start.
     fn fresh_rank_bits(
         sys: &ObjectRankSystem,
         rates: &TransferRates,
         qv: &QueryVector,
     ) -> Vec<u64> {
-        let fresh = TransitionMatrix::new(sys.transfer(), rates);
+        let fresh =
+            TransitionMatrix::from_edge_weights(sys.transfer(), sys.transfer().weights(rates));
         let config = sys.config();
         let result = object_rank2(
             &fresh,
@@ -992,8 +995,6 @@ mod tests {
     #[test]
     fn a_round_zero_session_ranks_on_the_kept_matrix_like_a_fresh_build() {
         let sys = system();
-        let fresh = TransitionMatrix::new(sys.transfer(), sys.initial_rates());
-        assert_eq!(sys.initial_matrix().edge_weights(), fresh.edge_weights());
         assert!(Arc::ptr_eq(
             sys.initial_matrix().storage(),
             sys.initial_matrix().storage()
@@ -1040,7 +1041,56 @@ mod tests {
     fn a_round_zero_explanation_reads_the_kept_weights_like_a_fresh_derivation() {
         let sys = system();
         let session = QuerySession::start(&sys, &Query::parse("data")).unwrap();
+        assert!(!sys.holds_initial_edge_weights(), "ranking derives none");
         assert_explains_like_a_fresh_derivation(&session);
+        assert!(sys.holds_initial_edge_weights());
+        assert_eq!(
+            sys.initial_edge_weights(),
+            sys.transfer().weights(sys.initial_rates())
+        );
+    }
+
+    /// Two threads resume one snapshot and summarize its kept
+    /// explanation at different `k`, racing on the explanation's path
+    /// memo; each gets what a single thread gets from an explanation
+    /// asked for that `k` alone.
+    #[test]
+    fn concurrent_summaries_of_one_kept_explanation_agree() {
+        let sys = system();
+        let session = QuerySession::start(&sys, &Query::parse("data")).unwrap();
+        let target = session.top_k(1)[0].node;
+        let bare = session.snapshot();
+        session.explain(target).unwrap();
+        let kept = session.snapshot();
+        let rows = |summary: Vec<orex_explain::MetaPath>| {
+            summary
+                .into_iter()
+                .map(|m| (m.signature, m.count, m.total_flow.to_bits(), m.example))
+                .collect::<Vec<_>>()
+        };
+        let ks = [2usize, 8, 5, 12, 1];
+        let expected: Vec<_> = ks
+            .iter()
+            .map(|&k| {
+                let alone = QuerySession::resume(&sys, bare.clone());
+                rows(alone.explain_summary(target, k).unwrap())
+            })
+            .collect();
+        let gate = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for thread in 0..2 {
+                let (gate, sys, kept, expected) = (&gate, &sys, kept.clone(), &expected);
+                scope.spawn(move || {
+                    let resumed = QuerySession::resume(sys, kept);
+                    gate.wait();
+                    for round in 0..ks.len() {
+                        let i = (round + thread * 2) % ks.len();
+                        let got = rows(resumed.explain_summary(target, ks[i]).unwrap());
+                        assert_eq!(got, expected[i], "k = {}", ks[i]);
+                    }
+                });
+            }
+        });
     }
 
     /// Round-0 sessions on several threads share the system's one matrix

@@ -24,10 +24,17 @@
 //! A path names the edge that carries each hop ([`FlowPath::edges`]), so
 //! its readers look the hop up instead of rescanning the parallel edges
 //! between its nodes.
+//!
+//! An explanation keeps the longest list asked of it so far. The searches
+//! run in sequence, each masking what the ones before it found, so the
+//! list for `k` is a prefix of the list for any larger `k`: a summary and
+//! the reformulation that reads the same explanation share one search.
 
 use crate::subgraph::Explanation;
 use orex_graph::NodeId;
 use std::collections::BinaryHeap;
+use std::mem::size_of;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One extracted flow path.
 #[derive(Clone, Debug, PartialEq)]
@@ -60,20 +67,67 @@ impl FlowPath {
 
 /// Extracts up to `k` high-flow paths from the explanation's base-set
 /// nodes to its target, strongest first.
+///
+/// The explanation memoises the longest list asked for so far and
+/// answers any `k` it covers from it; a memoised list shorter than the
+/// `k` it was searched for holds every path there is and answers every
+/// `k`. Only a search records into `explain.top_paths_us`; an answer
+/// from the memo counts in `explain.top_paths_reused`.
 pub fn top_paths(explanation: &Explanation, k: usize) -> Vec<FlowPath> {
-    let mut span = orex_telemetry::tracer().span("explain.top_paths");
-    let _timer = orex_telemetry::global().span("explain.top_paths_us");
-    let paths: Vec<FlowPath> = match Searches::new(explanation) {
-        Some(mut searches) => std::iter::from_fn(|| searches.widest_path())
-            .take(k)
-            .collect(),
-        None => Vec::new(),
-    };
-    if span.is_recording() {
-        span.attr_u64("k", k as u64);
-        span.attr_u64("paths", paths.len() as u64);
+    let mut memo = explanation.path_memo().lock();
+    if k > memo.0 && memo.1.len() == memo.0 {
+        let mut span = orex_telemetry::tracer().span("explain.top_paths");
+        let _timer = orex_telemetry::global().span("explain.top_paths_us");
+        let paths: Vec<FlowPath> = match Searches::new(explanation) {
+            Some(mut searches) => std::iter::from_fn(|| searches.widest_path())
+                .take(k)
+                .collect(),
+            None => Vec::new(),
+        };
+        if span.is_recording() {
+            span.attr_u64("k", k as u64);
+            span.attr_u64("paths", paths.len() as u64);
+        }
+        *memo = (k, paths);
+    } else {
+        orex_telemetry::global()
+            .counter("explain.top_paths_reused")
+            .incr();
     }
-    paths
+    memo.1[..k.min(memo.1.len())].to_vec()
+}
+
+/// The memo [`top_paths`] keeps in an [`Explanation`]: `(k, paths)` for
+/// the largest `k` searched so far.
+#[derive(Debug, Default)]
+pub(crate) struct PathMemo(Mutex<(usize, Vec<FlowPath>)>);
+
+impl Clone for PathMemo {
+    fn clone(&self) -> Self {
+        Self(Mutex::new(self.lock().clone()))
+    }
+}
+
+impl PathMemo {
+    /// The memo is replaced whole, so a poisoned lock still guards a
+    /// consistent pair.
+    fn lock(&self) -> MutexGuard<'_, (usize, Vec<FlowPath>)> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Bytes the memoised paths hold on the heap.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let memo = self.lock();
+        let paths = &memo.1;
+        paths.capacity() * size_of::<FlowPath>()
+            + paths
+                .iter()
+                .map(|p| {
+                    p.nodes.capacity() * size_of::<NodeId>()
+                        + p.edges.capacity() * size_of::<usize>()
+                })
+                .sum::<usize>()
+    }
 }
 
 /// Total-ordered `f64` key for the search heap.
@@ -342,6 +396,15 @@ mod tests {
     }
 
     #[test]
+    fn heap_bytes_count_the_memoised_paths() {
+        let expl = explanation();
+        let bare = expl.heap_bytes();
+        let paths = top_paths(&expl, 3);
+        assert!(!paths.is_empty());
+        assert!(expl.heap_bytes() > bare);
+    }
+
+    #[test]
     fn k_zero_returns_nothing() {
         let expl = explanation();
         assert!(top_paths(&expl, 0).is_empty());
@@ -607,6 +670,20 @@ mod tests {
                 prop_assert_eq!(path.bottleneck.to_bits(), min.to_bits());
                 prop_assert_eq!(path.total_flow.to_bits(), sum.to_bits());
             }
+        }
+
+        /// A memoised explanation answers as a fresh one does: a smaller
+        /// `k` gets a prefix of what a larger one searched, and widening
+        /// the memo finds what a freshly built twin finds.
+        #[test]
+        fn memoised_paths_answer_like_a_fresh_search(case in random_case()) {
+            let Some((_, _, expl)) = random_explanation(&case) else {
+                return Ok(());
+            };
+            let eight = top_paths(&expl, 8);
+            prop_assert_eq!(&top_paths(&expl, 3)[..], &eight[..eight.len().min(3)]);
+            let (_, _, twin) = random_explanation(&case).expect("built once already");
+            prop_assert_eq!(top_paths(&expl, 12), top_paths(&twin, 12));
         }
     }
 }

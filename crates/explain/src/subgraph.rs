@@ -25,6 +25,7 @@
 //!    are explaining, so they are *not* adjusted). The adjusted flow of an
 //!    edge is `Flow(vi -> vk) = h(v_k) · Flow_0(vi -> vk)` (Equation 7).
 
+use crate::paths::PathMemo;
 use orex_authority::BaseSet;
 use orex_graph::{Csr, NodeId, TransferGraph};
 use std::fmt;
@@ -162,6 +163,8 @@ pub struct Explanation {
     construction_time: std::time::Duration,
     /// Wall time of the flow-adjustment stage.
     adjustment_time: std::time::Duration,
+    /// The widest paths [`crate::top_paths`] found so far.
+    paths: PathMemo,
 }
 
 impl Explanation {
@@ -428,6 +431,7 @@ impl Explanation {
             converged,
             construction_time,
             adjustment_time,
+            paths: PathMemo::default(),
         })
     }
 
@@ -477,8 +481,8 @@ impl Explanation {
     }
 
     /// Bytes the explanation holds on the heap: its per-node arrays, its
-    /// edges and both adjacencies. What a store that keeps explanations
-    /// charges against its memory budget.
+    /// edges, both adjacencies and the paths memoised so far. What a
+    /// store that keeps explanations charges against its memory budget.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let adjacency = |(csr, slots): &Adjacency| {
@@ -491,6 +495,12 @@ impl Explanation {
             + self.edges.capacity() * size_of::<ExplainEdge>()
             + adjacency(&self.out_adj)
             + adjacency(&self.in_adj)
+            + self.paths.heap_bytes()
+    }
+
+    /// The memo behind [`crate::top_paths`].
+    pub(crate) fn path_memo(&self) -> &PathMemo {
+        &self.paths
     }
 
     /// The subgraph's nodes (global ids, ascending).
@@ -1280,6 +1290,7 @@ pub(crate) mod tests {
                 converged,
                 construction_time: std::time::Duration::ZERO,
                 adjustment_time: std::time::Duration::ZERO,
+                paths: PathMemo::default(),
             })
         }
     }

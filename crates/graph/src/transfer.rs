@@ -21,7 +21,8 @@
 //! where `OutDeg(u, tt)` counts `u`'s outgoing transfer edges of type `tt`.
 //! The topology is built once; [`TransferGraph::weights`] re-derives the
 //! `alpha` array for any rates vector, so reformulation iterations never
-//! rebuild adjacency.
+//! rebuild adjacency. [`TransferGraph::in_slot_weights`] derives the same
+//! array in the order the pull-based power iteration reads it.
 
 use crate::csr::Csr;
 use crate::data::DataGraph;
@@ -255,6 +256,10 @@ pub struct TransferGraph {
     edge_origin: Vec<u32>,
     /// Per transfer edge: `1 / OutDeg(src, type)` (Equation 1 denominator).
     inv_out_deg: Vec<f64>,
+    /// `edge_type` gathered into in-CSR slot order.
+    in_slot_type: Vec<u16>,
+    /// `inv_out_deg` gathered into in-CSR slot order.
+    in_slot_inv_out_deg: Vec<f64>,
     transfer_type_count: usize,
 }
 
@@ -305,6 +310,17 @@ impl TransferGraph {
         let (out_csr, out_slot_edge) = Csr::from_edges(n, &pairs);
         let rev_pairs: Vec<(u32, u32)> = pairs.iter().map(|&(s, d)| (d, s)).collect();
         let (in_csr, in_slot_edge) = Csr::from_edges(n, &rev_pairs);
+        // The rates-free half of Equation 1 in the order the pull sweep
+        // reads it, so a rates vector becomes in-slot alpha in one
+        // streaming pass ([`Self::in_slot_weights`]).
+        let in_slot_type = in_slot_edge
+            .iter()
+            .map(|&e| edge_type[e as usize])
+            .collect();
+        let in_slot_inv_out_deg = in_slot_edge
+            .iter()
+            .map(|&e| inv_out_deg[e as usize])
+            .collect();
 
         Self {
             node_count: n,
@@ -317,6 +333,8 @@ impl TransferGraph {
             edge_type,
             edge_origin,
             inv_out_deg,
+            in_slot_type,
+            in_slot_inv_out_deg,
             transfer_type_count: tt_count,
         }
     }
@@ -343,15 +361,27 @@ impl TransferGraph {
     ///
     /// The returned vector is indexed by transfer-edge index.
     pub fn weights(&self, rates: &TransferRates) -> Vec<f64> {
+        self.alpha(rates, &self.edge_type, &self.inv_out_deg)
+    }
+
+    /// The `alpha` weights of [`Self::weights`] in in-CSR slot order:
+    /// `in_slot_weights(r)[s] == weights(r)[in_slot_edges()[s]]`, bit for
+    /// bit, built in one streaming pass with no gather.
+    pub fn in_slot_weights(&self, rates: &TransferRates) -> Vec<f64> {
+        self.alpha(rates, &self.in_slot_type, &self.in_slot_inv_out_deg)
+    }
+
+    /// Equation 1 over parallel type and `1 / OutDeg` arrays.
+    fn alpha(&self, rates: &TransferRates, types: &[u16], inv_out_deg: &[f64]) -> Vec<f64> {
         assert_eq!(
             rates.len(),
             self.transfer_type_count,
             "rates dimension mismatch"
         );
         let dense = rates.as_slice();
-        self.edge_type
+        types
             .iter()
-            .zip(&self.inv_out_deg)
+            .zip(inv_out_deg)
             .map(|(&tt, &inv)| dense[tt as usize] * inv)
             .collect()
     }
@@ -397,12 +427,6 @@ impl TransferGraph {
         EdgeId::new(self.edge_origin[edge])
     }
 
-    /// `1 / OutDeg(src, type)` of a transfer edge (Equation 1 denominator).
-    #[inline]
-    pub fn edge_inv_out_deg(&self, edge: usize) -> f64 {
-        self.inv_out_deg[edge]
-    }
-
     /// Raw CSR of the forward orientation, for hot loops (power iteration).
     #[inline]
     pub fn out_csr(&self) -> &Csr {
@@ -428,25 +452,28 @@ impl TransferGraph {
         &self.in_slot_edge
     }
 
-    /// Checks the structural invariant that the per-node sum of outgoing
-    /// `alpha` weights never exceeds the per-type rate sum (and hence 1 for
-    /// validated rates): Equation 1 divides each type's rate evenly among
-    /// same-type edges.
+    /// Checks Equation 1's identity: for every node and every transfer
+    /// type among its out-edges, the `alpha` of those edges sums to that
+    /// type's rate (relative tolerance 1e-9).
     pub fn verify_weight_invariant(&self, rates: &TransferRates) -> bool {
         let weights = self.weights(rates);
-        let mut ok = true;
+        let dense = rates.as_slice();
+        let mut sums = vec![0.0; self.transfer_type_count];
+        let mut present = vec![false; self.transfer_type_count];
         for node in 0..self.node_count {
-            let sum: f64 = self
-                .out_transfer(NodeId::from_usize(node))
-                .map(|(_, e)| weights[e])
-                .sum();
-            // Sum of rates over *distinct* types present is <= sum of all
-            // rates; with validated rates that is <= 1 per schema node type.
-            if sum > rates.as_slice().iter().sum::<f64>() + 1e-9 {
-                ok = false;
+            sums.fill(0.0);
+            present.fill(false);
+            for (_, e) in self.out_transfer(NodeId::from_usize(node)) {
+                let tt = self.edge_type[e] as usize;
+                sums[tt] += weights[e];
+                present[tt] = true;
+            }
+            let off = |tt: usize| (sums[tt] - dense[tt]).abs() > 1e-9 * dense[tt].abs();
+            if (0..self.transfer_type_count).any(|tt| present[tt] && off(tt)) {
+                return false;
             }
         }
-        ok
+        true
     }
 }
 
@@ -631,6 +658,22 @@ mod tests {
         assert!((sums[0] - 0.9).abs() < 1e-12);
         // Author: by_b 0.2
         assert!((sums[1] - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn in_slot_weights_are_the_edge_weights_in_slot_order() {
+        let g = tiny_graph();
+        let tg = TransferGraph::build(&g);
+        let mut rates = dblp_rates(g.schema());
+        for _ in 0..2 {
+            let w = tg.weights(&rates);
+            let slots = tg.in_slot_weights(&rates);
+            assert_eq!(slots.len(), tg.transfer_edge_count());
+            for (&alpha, &e) in slots.iter().zip(tg.in_slot_edges()) {
+                assert_eq!(alpha.to_bits(), w[e as usize].to_bits());
+            }
+            rates.ensure_bidirectional(1e-4);
+        }
     }
 
     #[test]

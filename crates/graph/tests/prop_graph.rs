@@ -140,6 +140,37 @@ proptest! {
         prop_assert_eq!(out_set, in_set);
     }
 
+    /// The streaming in-slot weights are the edge-indexed weights
+    /// gathered into in-slot order, bit for bit, and Equation 1's
+    /// per-type identity holds, for any rates: zero ones included, and
+    /// after `ensure_bidirectional` fills them.
+    #[test]
+    fn slot_aligned_weights_are_the_gathered_edge_weights(
+        papers in 1usize..20,
+        authors in 1usize..10,
+        cite_pairs in proptest::collection::vec((0u32..100, 0u32..100), 0..60),
+        by_pairs in proptest::collection::vec((0u32..100, 0u32..100), 0..40),
+        dense in proptest::collection::vec(prop_oneof![Just(0.0), 0.0f64..0.25], 4..5),
+        bidirectional in any::<bool>(),
+    ) {
+        let g = random_data_graph(papers, authors, &cite_pairs, &by_pairs);
+        let tg = TransferGraph::build(&g);
+        let mut rates = TransferRates::from_dense(g.schema(), dense).unwrap();
+        if bidirectional {
+            rates.ensure_bidirectional(1e-4);
+        }
+        rates.validate(g.schema()).unwrap();
+        let edge_indexed = tg.weights(&rates);
+        let gathered: Vec<u64> = tg
+            .in_slot_edges()
+            .iter()
+            .map(|&e| edge_indexed[e as usize].to_bits())
+            .collect();
+        let streamed: Vec<u64> = tg.in_slot_weights(&rates).iter().map(|w| w.to_bits()).collect();
+        prop_assert_eq!(streamed, gathered);
+        prop_assert!(tg.verify_weight_invariant(&rates));
+    }
+
     /// Conformance re-verification succeeds for builder-constructed graphs.
     #[test]
     fn builder_graphs_conform(

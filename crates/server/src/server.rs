@@ -475,10 +475,13 @@ fn handle_explain(
     let session = QuerySession::resume(system, snapshot);
     let target = NodeId::new(node);
     let explanation = session.explain(target).map_err(|e| session_error(&e))?;
-    // Kept for the `/feedback` that usually follows; refused if one
-    // already moved the session on.
-    state.sessions.keep_explanation(sid, session.snapshot())?;
+    // Summarized first, so the paths it searches are memoised in the
+    // explanation before the session table charges its bytes.
     let summary = orex_explain::summarize(&explanation, system.transfer(), system.graph(), 8);
+    // Kept for the `/feedback` that usually follows, which reuses the
+    // explanation and its paths; refused if one already moved the
+    // session on.
+    state.sessions.keep_explanation(sid, session.snapshot())?;
     let meta_paths: Vec<Value> = summary
         .iter()
         .map(|m| {

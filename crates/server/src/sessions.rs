@@ -379,6 +379,27 @@ mod tests {
         assert_eq!(table.locked().unwrap().explained_bytes, 0);
     }
 
+    /// `/explain` summarizes before it keeps, so the charge covers the
+    /// paths the summary memoised in the explanation.
+    #[test]
+    fn a_kept_explanation_is_charged_its_bytes_after_summarize() {
+        let (system, snap) = ranked();
+        let session = QuerySession::resume(&system, snap.clone());
+        let explanation = session.explain(session.top_k(1)[0].node).unwrap();
+        let bare = explanation.heap_bytes();
+        orex_explain::summarize(&explanation, system.transfer(), system.graph(), 8);
+        assert!(
+            explanation.heap_bytes() > bare,
+            "the summary memoised paths"
+        );
+        let table = SessionTable::new(Duration::from_secs(60), 8);
+        let id = table.insert("d", snap).unwrap();
+        assert!(table.keep_explanation(id, session.snapshot()).unwrap());
+        let entries = table.locked().unwrap();
+        assert_eq!(entries.map[&id].explained_bytes, explanation.heap_bytes());
+        assert_eq!(entries.explained_bytes, explanation.heap_bytes());
+    }
+
     #[test]
     fn insert_get_update_roundtrip() {
         let table = SessionTable::new(Duration::from_secs(60), 8);

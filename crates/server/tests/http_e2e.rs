@@ -1013,7 +1013,6 @@ fn covered_queries_combine_precomputed_vectors_and_misses_backfill() {
         loaded.get("precompute_terms").and_then(Value::as_u64),
         Some(2)
     );
-    let memory_loaded = loaded.get("memory_bytes").and_then(Value::as_u64).unwrap();
 
     // A multi-keyword query fully covered by the artifact is answered by
     // the exact linear combination — no live iteration.
@@ -1030,6 +1029,12 @@ fn covered_queries_combine_precomputed_vectors_and_misses_backfill() {
     let session = payload.get("session").and_then(Value::as_u64).unwrap();
     let explain = get(server.addr, &format!("/explain/{session}/{}", nodes[0]));
     assert_eq!(explain.status, 200, "{}", explain.body);
+    // Read after the first explanation, which derives the initial edge
+    // weights the listing then counts, and before anything is backfilled.
+    let memory_loaded = default_dataset(server.addr)
+        .get("memory_bytes")
+        .and_then(Value::as_u64)
+        .unwrap();
 
     // Re-asking is a plain result-cache hit, not a second combination.
     let again = post(server.addr, "/query", &covered).json();
