@@ -1,23 +1,16 @@
-//! The `orex profile` and `orex top` subcommands: operator views over a
-//! running server's continuous profiler and status board.
+//! The `orex top` subcommand: an operator view over a running
+//! server's status board.
 //!
-//! `orex profile` pulls folded span stacks from `GET /profile` (or reads
-//! a previously captured folded file) and renders a top-N hot-span
-//! table, the raw folded text for flamegraph tooling, or Chrome
-//! trace-event JSON. `orex top` polls `GET /debug/status?format=json`
-//! and renders the RED rows, occupancy, and SLO burn rates as a
-//! terminal dashboard:
+//! `orex top` polls `GET /debug/status?format=json` and renders the RED
+//! rows, occupancy, and SLO burn rates as a terminal dashboard:
 //!
 //! ```text
-//! orex profile --addr 127.0.0.1:7474 --seconds 30 --top 10
-//! orex profile --addr 127.0.0.1:7474 --format folded --out profile.folded
 //! orex top --addr 127.0.0.1:7474 --interval-ms 1000
 //! ```
 
 use orex_server::{sparkline, HttpClient};
-use orex_telemetry::ProfileSnapshot;
 use std::fmt::Write as _;
-use std::io::{Read as _, Write};
+use std::io::Write;
 use std::time::Duration;
 
 use crate::subcommands::SUBCOMMAND_HELP;
@@ -48,127 +41,6 @@ fn fetch(client: &HttpClient, path: &str) -> Result<String, String> {
             "fetching {path} from {addr}: {e}\n\n{SUBCOMMAND_HELP}"
         )),
     }
-}
-
-/// Renders the top-`n` hot spans of a snapshot as an aligned table.
-fn render_hot(snapshot: &ProfileSnapshot, n: usize) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{} samples", snapshot.samples);
-    // Folded text carries no rate/window metadata, so a parsed snapshot
-    // has hz = seconds = 0; only print what is actually known.
-    if snapshot.seconds > 0 {
-        let _ = write!(out, " over {}s", snapshot.seconds);
-    }
-    if snapshot.hz > 0 {
-        let _ = write!(out, " at {} Hz", snapshot.hz);
-    }
-    let _ = writeln!(out, " ({} distinct stacks)", snapshot.folded.len());
-    if snapshot.samples == 0 {
-        let _ = writeln!(
-            out,
-            "no samples collected (is the workload idle, or the window empty?)"
-        );
-        return out;
-    }
-    let _ = writeln!(
-        out,
-        "{:>8} {:>6}  {:>8} {:>6}  span",
-        "self", "self%", "total", "total%"
-    );
-    let total = snapshot.samples as f64;
-    for h in snapshot.hot(n) {
-        let _ = writeln!(
-            out,
-            "{:>8} {:>5.1}%  {:>8} {:>5.1}%  {}",
-            h.self_samples,
-            h.self_samples as f64 / total * 100.0,
-            h.total_samples,
-            h.total_samples as f64 / total * 100.0,
-            h.name
-        );
-    }
-    out
-}
-
-/// `orex profile [--addr A] [--in FILE] [--seconds N]
-/// [--format text|folded|chrome] [--top N] [--out FILE]` — fetch the
-/// continuous profiler's folded stacks from a running server (or read a
-/// captured folded file / stdin with `--in`) and render them. Returns
-/// the process exit code.
-pub fn run_profile(
-    args: &[String],
-    out: &mut dyn Write,
-    err: &mut dyn Write,
-) -> std::io::Result<i32> {
-    let format = flag_value(args, "--format").unwrap_or_else(|| "text".into());
-    if !matches!(format.as_str(), "text" | "folded" | "chrome") {
-        writeln!(
-            err,
-            "profile: unknown format '{format}' (text|folded|chrome)"
-        )?;
-        return Ok(2);
-    }
-    let seconds: u64 = match flag_value(args, "--seconds").map(|s| s.parse()) {
-        None => 10,
-        Some(Ok(v)) => v,
-        Some(Err(_)) => {
-            writeln!(err, "profile: --seconds expects an unsigned integer")?;
-            return Ok(2);
-        }
-    };
-    let top: usize = match flag_value(args, "--top").map(|s| s.parse()) {
-        None => 15,
-        Some(Ok(v)) => v,
-        Some(Err(_)) => {
-            writeln!(err, "profile: --top expects an unsigned integer")?;
-            return Ok(2);
-        }
-    };
-
-    // `--in` reads a captured folded file ('-' = stdin); otherwise the
-    // stacks come live from `GET /profile` on `--addr`.
-    let folded = match flag_value(args, "--in") {
-        Some(path) if path != "-" => match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                writeln!(err, "profile: reading {path}: {e}")?;
-                return Ok(2);
-            }
-        },
-        Some(_) => {
-            let mut buf = String::new();
-            std::io::stdin().read_to_string(&mut buf)?;
-            buf
-        }
-        None => {
-            let addr = flag_value(args, "--addr").unwrap_or_else(|| DEFAULT_ADDR.into());
-            let path = format!("/profile?seconds={seconds}&format=folded");
-            match fetch(&HttpClient::new(addr), &path) {
-                Ok(body) => body,
-                Err(msg) => {
-                    writeln!(err, "profile: {msg}")?;
-                    return Ok(1);
-                }
-            }
-        }
-    };
-
-    let snapshot = ProfileSnapshot::from_folded(&folded);
-    let rendered = match format.as_str() {
-        "folded" => snapshot.to_folded(),
-        "chrome" => snapshot.to_chrome(),
-        _ => render_hot(&snapshot, top),
-    };
-    match flag_value(args, "--out") {
-        Some(path) if path != "-" => {
-            std::fs::write(&path, rendered.as_bytes()).map_err(|e| {
-                std::io::Error::new(e.kind(), format!("profile: writing {path}: {e}"))
-            })?;
-            writeln!(err, "[profile] wrote {path}")?;
-        }
-        _ => write!(out, "{rendered}")?,
-    }
-    Ok(0)
 }
 
 fn fmt_count(v: f64) -> String {
@@ -466,76 +338,6 @@ mod tests {
         let mut err = Vec::new();
         let code = f(&mut out, &mut err).unwrap();
         (code, String::from_utf8(out).unwrap())
-    }
-
-    fn folded_fixture(name: &str) -> String {
-        let dir = std::env::temp_dir().join("orex-cli-diag-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(name);
-        std::fs::write(
-            &path,
-            "server.request;server.query_us 30\nserver.request 10\nauthority.power 60\n",
-        )
-        .unwrap();
-        path.display().to_string()
-    }
-
-    #[test]
-    fn profile_renders_top_table_from_folded_file() {
-        let path = folded_fixture("table.folded");
-        let (code, out) = run(|o, e| run_profile(&args(&["--in", &path]), o, e));
-        assert_eq!(code, 0, "{out}");
-        assert!(out.contains("100 samples"), "{out}");
-        // authority.power: 60 self of 100 total samples.
-        assert!(out.contains("60.0%"), "{out}");
-        assert!(out.contains("authority.power"), "{out}");
-        // server.request: 10 self, 40 on-stack.
-        assert!(out.contains("server.request"), "{out}");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn profile_reemits_folded_and_chrome_views() {
-        let path = folded_fixture("formats.folded");
-        let (code, out) =
-            run(|o, e| run_profile(&args(&["--in", &path, "--format", "folded"]), o, e));
-        assert_eq!(code, 0);
-        assert!(out.contains("server.request;server.query_us 30"), "{out}");
-
-        let (code, out) =
-            run(|o, e| run_profile(&args(&["--in", &path, "--format", "chrome"]), o, e));
-        assert_eq!(code, 0);
-        let parsed: serde_json::Value = serde_json::from_str(&out).expect("valid JSON");
-        assert!(
-            parsed
-                .get("traceEvents")
-                .and_then(|e| e.as_array())
-                .is_some_and(|e| !e.is_empty()),
-            "{out}"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn profile_rejects_bad_flags() {
-        for bad in [
-            vec!["--format", "svg"],
-            vec!["--seconds", "soon"],
-            vec!["--top", "-1"],
-            vec!["--in", "/nonexistent/orex.folded"],
-        ] {
-            let list: Vec<&str> = bad.clone();
-            let (code, _) = run(|o, e| run_profile(&args(&list), o, e));
-            assert_eq!(code, 2, "args {bad:?} must be rejected");
-        }
-    }
-
-    #[test]
-    fn profile_unreachable_server_exits_1() {
-        // Port 9 (discard) on loopback is not listening in the test
-        // environment; connect fails fast.
-        let (code, _) = run(|o, e| run_profile(&args(&["--addr", "127.0.0.1:9"]), o, e));
-        assert_eq!(code, 1);
     }
 
     #[test]

@@ -21,7 +21,7 @@ mod subcommands;
 
 pub use app::App;
 pub use command::{parse, Command, ParseError, HELP};
-pub use diag::{run_profile, run_top};
+pub use diag::run_top;
 pub use logs::run_logs;
 pub use precompute::run_precompute;
 pub use route::run_route;

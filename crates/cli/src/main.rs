@@ -2,8 +2,8 @@
 //! dispatched from argv, falling back to the interactive shell.
 
 use orex_cli::{
-    parse, run_logs, run_precompute, run_profile, run_route, run_serve, run_stats, run_top,
-    run_trace, App, SUBCOMMAND_HELP,
+    parse, run_logs, run_precompute, run_route, run_serve, run_stats, run_top, run_trace, App,
+    SUBCOMMAND_HELP,
 };
 use std::io::{BufRead, Write};
 
@@ -44,14 +44,6 @@ fn main() {
         }
         Some("precompute") => {
             let code = run_precompute(&args[1..], &mut std::io::stdout(), &mut std::io::stderr())
-                .unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    1
-                });
-            std::process::exit(code);
-        }
-        Some("profile") => {
-            let code = run_profile(&args[1..], &mut std::io::stdout(), &mut std::io::stderr())
                 .unwrap_or_else(|e| {
                     eprintln!("{e}");
                     1

@@ -179,6 +179,18 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Every flag the router forwards is one `orex serve` accepts, so a
+    /// spawned worker never exits 2 on its argv.
+    #[test]
+    fn forwarded_flags_are_ones_serve_accepts() {
+        for name in FORWARDED_VALUE_FLAGS {
+            assert!(crate::serve::VALUE_FLAGS.contains(name), "{name}");
+        }
+        for name in FORWARDED_SWITCHES {
+            assert!(crate::serve::SWITCHES.contains(name), "{name}");
+        }
+    }
+
     #[test]
     fn bad_flag_values_exit_2() {
         for bad in [

@@ -40,6 +40,42 @@ fn flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, 
         .map_err(|_| format!("serve: {flag} got invalid value '{raw}'"))
 }
 
+/// Every flag `run_serve` reads that takes the argument after it.
+pub(crate) const VALUE_FLAGS: &[&str] = &[
+    "--addr",
+    "--preset",
+    "--scale",
+    "--precompute",
+    "--dataset",
+    "--threads",
+    "--cache-entries",
+    "--session-ttl",
+    "--max-sessions",
+    "--max-body-kb",
+    "--timeout-ms",
+    "--status-interval-ms",
+    "--slow-ms",
+    "--trace-sample",
+    "--trace-slow-ms",
+];
+/// Every flag `run_serve` reads that stands alone.
+pub(crate) const SWITCHES: &[&str] = &["--eager"];
+
+/// Fails on the first argument that is neither a known flag nor the
+/// value after a known value flag, so a mistyped flag is an error
+/// rather than silently ignored.
+fn reject_unknown(args: &[String]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            rest.next();
+        } else if !SWITCHES.contains(&arg.as_str()) {
+            return Err(format!("serve: unknown argument '{arg}'"));
+        }
+    }
+    Ok(())
+}
+
 /// Every value following any occurrence of `flag` (repeatable flags).
 fn flag_values(args: &[String], flag: &str) -> Vec<String> {
     args.iter()
@@ -68,13 +104,11 @@ fn default_dataset(args: &[String]) -> Result<DatasetSpec, String> {
 /// [--dataset NAME=PRESET:SCALE[:PRECOMPUTE]]... [--eager] [--threads N]
 /// [--cache-entries N] [--session-ttl SECS] [--max-sessions N]
 /// [--max-body-kb N] [--timeout-ms N] [--trace-sample N]
-/// [--trace-slow-ms N] [--slow-ms N] [--profile-hz N]
-/// [--status-interval-ms N] [--precompute FILE]` — serve the interactive
-/// loop over HTTP, optionally combining precomputed rank vectors from an
-/// `orex precompute` artifact (backfilling the terms it lacks);
-/// `--profile-hz` tunes the continuous profiler's sampling
-/// rate (0 disables it, `OREX_PROFILE_HZ` overrides). Returns the
-/// process exit code.
+/// [--trace-slow-ms N] [--slow-ms N] [--status-interval-ms N]
+/// [--precompute FILE]` — serve the interactive loop over HTTP,
+/// optionally combining precomputed rank vectors from an
+/// `orex precompute` artifact (backfilling the terms it lacks). Any
+/// other argument exits 2. Returns the process exit code.
 pub fn run_serve(
     args: &[String],
     out: &mut dyn Write,
@@ -83,6 +117,7 @@ pub fn run_serve(
     let mut config = ServerConfig::default();
     let mut cache_entries = 256;
     let parsed: Result<(), String> = (|| {
+        reject_unknown(args)?;
         if let Some(addr) = flag::<String>(args, "--addr")? {
             config.addr = addr;
         }
@@ -103,9 +138,6 @@ pub fn run_serve(
         }
         if let Some(ms) = flag::<u64>(args, "--timeout-ms")? {
             config.io_timeout = Duration::from_millis(ms.max(1));
-        }
-        if let Some(hz) = flag::<u64>(args, "--profile-hz")? {
-            config.profile_hz = hz;
         }
         if let Some(ms) = flag::<u64>(args, "--status-interval-ms")? {
             config.status_interval = Duration::from_millis(ms.max(100));
@@ -241,6 +273,8 @@ mod tests {
             vec!["--timeout-ms"],
             vec!["--max-sessions", "lots"],
             vec!["--profile-hz", "fast"],
+            vec!["--profile-hz", "97"],
+            vec!["--thread", "4"],
             vec!["--status-interval-ms", "-2"],
             vec!["--dataset", "missing-equals"],
             vec!["--dataset", "d=nope:0.05"],

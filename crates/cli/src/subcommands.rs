@@ -38,14 +38,14 @@ usage:
              [--threads N]
              [--cache-entries N] [--session-ttl SECS] [--max-sessions N]
              [--max-body-kb N] [--timeout-ms N] [--trace-sample N]
-             [--trace-slow-ms N] [--slow-ms N] [--profile-hz N]
+             [--trace-slow-ms N] [--slow-ms N]
              [--status-interval-ms N]
              [--precompute FILE]
                              serve the interactive query/explain/feedback
                              loop over HTTP (POST /query, GET /explain/
                              <session>/<node>, POST /feedback/<session>,
                              GET /healthz|/metrics|/trace/<id>|/logs|
-                             /profile|/debug/status|/datasets);
+                             /debug/status|/datasets);
                              repeatable --dataset flags serve several
                              named datasets from one registry (clients
                              pick one via the \"dataset\" field of POST
@@ -55,9 +55,7 @@ usage:
                              with --precompute, covered queries are
                              answered by exact linear combination of the
                              artifact's vectors and uncovered terms are
-                             backfilled in the background; --profile-hz
-                             tunes the continuous profiler's sampling
-                             rate (0 disables it);
+                             backfilled in the background;
                              SIGTERM or ctrl-c drains in-flight requests
   orex route [--addr A] [--workers N] [--base-port P]
              [--worker-addr H:P]... [--health-interval-ms N]
@@ -78,14 +76,6 @@ usage:
                              fronts already-running servers instead of
                              spawning; SIGTERM or ctrl-c drains the
                              router then cascades the drain to workers
-  orex profile [--addr A] [--in FILE] [--seconds N]
-               [--format text|folded|chrome] [--top N] [--out FILE]
-                             fetch the continuous profiler's folded span
-                             stacks from a running server (or read a
-                             captured folded file / stdin with --in) and
-                             render a top-N hot-span table, raw folded
-                             stacks for flamegraph tooling, or Chrome
-                             trace-event JSON
   orex top [--addr A] [--interval-ms N] [--once]
                              poll GET /debug/status on a running server
                              and render per-endpoint RED metrics,

@@ -146,7 +146,6 @@ pub fn route(request: &Request, ctx: &RouterContext) -> Response {
         ("GET", ["metrics"]) => handle_metrics(ctx),
         ("GET", ["logs"]) => handle_logs(ctx, query),
         ("GET", ["trace", id]) => handle_trace(ctx, id),
-        ("GET", ["profile"]) => proxy_any(ctx, &request.path),
         ("GET", ["debug", "status"]) => handle_status(ctx, query),
         (method, segments) => unrouted(method, segments),
     }

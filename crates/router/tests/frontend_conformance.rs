@@ -113,6 +113,15 @@ const CASES: &[Case] = &[
         then_idle_close: false,
     },
     Case {
+        name: "removed /profile endpoint is an unknown route",
+        send: b"GET /profile HTTP/1.1\r\nHost: t\r\n\r\n",
+        over_cap: false,
+        statuses: &[404],
+        retry_after: None,
+        closes: false,
+        then_idle_close: false,
+    },
+    Case {
         name: "PUT /query is a method error",
         send: b"PUT /query HTTP/1.1\r\nHost: t\r\n\r\n",
         over_cap: false,

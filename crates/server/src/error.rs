@@ -20,8 +20,8 @@ pub enum ServerError {
     /// The referenced resource does not exist (expired session, evicted
     /// trace): 404.
     NotFound(String),
-    /// The feature is switched off in this process (e.g. `/profile` with
-    /// the sampler disabled): 503.
+    /// The resource exists but cannot serve (a registered dataset whose
+    /// build failed): 503.
     Unavailable(String),
 }
 

@@ -169,7 +169,7 @@ pub fn install_signal_handlers() {
 /// The public route set — first path segment and the method it
 /// answers — shared so a worker and the router in front of it agree on
 /// `404` versus `405` for everything neither routes.
-const ROUTES: [(&str, &str); 10] = [
+const ROUTES: [(&str, &str); 9] = [
     ("healthz", "GET"),
     ("metrics", "GET"),
     ("query", "POST"),
@@ -178,7 +178,6 @@ const ROUTES: [(&str, &str); 10] = [
     ("feedback", "POST"),
     ("trace", "GET"),
     ("logs", "GET"),
-    ("profile", "GET"),
     ("debug", "GET"),
 ];
 
@@ -676,6 +675,7 @@ mod tests {
         assert_eq!(unrouted("PUT", &["query"]).status, 405);
         assert_eq!(unrouted("GET", &["query"]).status, 405);
         assert_eq!(unrouted("GET", &["explain", "1"]).status, 404);
+        assert_eq!(unrouted("GET", &["profile"]).status, 404);
         assert_eq!(unrouted("GET", &["no", "such", "route"]).status, 404);
         assert_eq!(unrouted("GET", &[]).status, 404);
     }

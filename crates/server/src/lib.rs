@@ -32,7 +32,6 @@
 //! | `GET /metrics` | Prometheus text exposition of the global recorder |
 //! | `GET /trace/<id>` | Chrome trace-event JSON of a retained request trace |
 //! | `GET /logs?level=&since=&limit=` | JSON-lines tail of captured log records |
-//! | `GET /profile?seconds=&format=folded\|chrome` | continuous-profiler folded stacks / Chrome trace |
 //! | `GET /debug/status` | operator dashboard (HTML, or `?format=json`) with RED rows, occupancy, SLO burn rates |
 //!
 //! Sessions are stored as [`SessionSnapshot`](orex_core::SessionSnapshot)s

@@ -47,11 +47,6 @@ pub struct ServerConfig {
     /// Requests at least this slow additionally log a `server.slow`
     /// WARN record.
     pub slow_request: Duration,
-    /// Continuous-profiler sampling rate in Hz; 0 leaves the sampler
-    /// off (`GET /profile` then answers 503). The first component to
-    /// touch the global profiler fixes its rate, and `OREX_PROFILE_HZ`
-    /// overrides both.
-    pub profile_hz: u64,
     /// Cadence of the background status collector that feeds
     /// `/debug/status` history and evaluates SLO burn rates.
     pub status_interval: Duration,
@@ -76,7 +71,6 @@ impl Default for ServerConfig {
             max_body_bytes: 64 * 1024,
             io_timeout: Duration::from_secs(5),
             slow_request: Duration::from_millis(500),
-            profile_hz: orex_telemetry::profile::DEFAULT_HZ,
             status_interval: Duration::from_secs(2),
             max_connections: 1024,
             keepalive_requests: 1000,
@@ -148,11 +142,6 @@ impl Server {
             config,
             stop,
         } = self;
-        // Continuous profiling: sample every thread's span stack so
-        // `GET /profile` always has recent history.
-        if config.profile_hz > 0 {
-            orex_telemetry::profiler_at(config.profile_hz).start();
-        }
         let limits = Limits {
             max_connections: config.max_connections,
             handlers: Some(config.threads),
@@ -253,7 +242,6 @@ fn route(request: &Request, state: &ServerState, fields: &mut AccessFields) -> R
         }
         ("GET", ["trace", id]) => respond("trace", handle_trace(id, query)),
         ("GET", ["logs"]) => respond("logs", handle_logs(query)),
-        ("GET", ["profile"]) => respond("profile", handle_profile(query)),
         ("GET", ["debug", "status"]) => respond("status", handle_status(state, query)),
         (method, segments) => frontend::unrouted(method, segments),
     }
@@ -657,42 +645,6 @@ fn handle_logs(query: &str) -> Result<Response, ServerError> {
         orex_telemetry::export::log_json_lines(&records).into_bytes(),
     )
     .with_header("X-Orex-Log-Cursor", newest.to_string()))
-}
-
-/// `GET /profile?seconds=&format=folded|chrome`: folded span stacks (or
-/// a Chrome trace-event view) aggregated from the continuous profiler's
-/// rolling windows. `seconds=0` (the default) covers all retained
-/// history. 503 when the sampler is off (`profile_hz = 0` and no
-/// `OREX_PROFILE_HZ`).
-fn handle_profile(query: &str) -> Result<Response, ServerError> {
-    let telemetry = orex_telemetry::global();
-    let _span = telemetry.span("server.profile_us");
-    telemetry.counter("server.profile_requests").incr();
-    let mut seconds = 0u64;
-    let mut format = "folded";
-    for param in query_params(query, &["seconds", "format"]) {
-        match param? {
-            (key @ "seconds", value) => seconds = unsigned(key, value)?,
-            (_, "folded") => format = "folded",
-            (_, "chrome") => format = "chrome",
-            _ => {
-                return Err(ServerError::BadRequest(
-                    "format must be folded or chrome".into(),
-                ));
-            }
-        }
-    }
-    let profiler = orex_telemetry::profiler();
-    if !profiler.is_running() {
-        return Err(ServerError::Unavailable(
-            "profiler is not running (start the server with a nonzero profile rate)".into(),
-        ));
-    }
-    let snapshot = profiler.snapshot(seconds);
-    Ok(match format {
-        "chrome" => Response::json(200, snapshot.to_chrome()),
-        _ => Response::text(200, snapshot.to_folded()),
-    })
 }
 
 /// `GET /debug/status[?format=json]`: the operator dashboard. HTML by

@@ -1217,74 +1217,6 @@ fn debug_status_serves_red_rows_occupancy_and_slos() {
 }
 
 #[test]
-fn profile_endpoint_serves_folded_and_chrome_views() {
-    let _guard = serial();
-    let (_, keyword) = fixture();
-    let server = TestServer::spawn_default();
-
-    // Work that opens spans while the sampler runs; keep it going long
-    // enough for the ~10ms sampling period to land a few ticks. A cache
-    // hit is over in microseconds, so each pass also runs a feedback
-    // round (explain + reformulate + re-rank) on the session it opened.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let mut folded = String::new();
-    while std::time::Instant::now() < deadline {
-        let reply = post(
-            server.addr,
-            "/query",
-            &format!("{{\"query\": \"{keyword}\"}}"),
-        );
-        assert_eq!(reply.status, 200);
-        let query = reply.json();
-        let session = query.get("session").and_then(Value::as_u64).unwrap();
-        let reply = post(
-            server.addr,
-            &format!("/feedback/{session}"),
-            &format!("{{\"objects\": [{}]}}", result_nodes(&query)[0]),
-        );
-        assert_eq!(reply.status, 200, "{}", reply.body);
-        let profile = get(server.addr, "/profile?seconds=60");
-        assert_eq!(profile.status, 200, "{}", profile.body);
-        if !profile.body.trim().is_empty() {
-            folded = profile.body;
-            break;
-        }
-    }
-    assert!(
-        !folded.trim().is_empty(),
-        "continuous profiler captured no samples in 10s"
-    );
-    // Folded lines are `path;path;... count` rooted at the request span.
-    for line in folded.lines().filter(|l| !l.is_empty()) {
-        let (stack, count) = line.rsplit_once(' ').expect("folded line");
-        assert!(count.parse::<u64>().is_ok(), "{line:?}");
-        assert!(!stack.is_empty());
-    }
-    assert!(
-        folded.contains("server.request"),
-        "request spans dominate: {folded}"
-    );
-
-    // Chrome view parses as trace-event JSON.
-    let chrome = get(server.addr, "/profile?format=chrome");
-    assert_eq!(chrome.status, 200);
-    assert!(
-        chrome
-            .json()
-            .get("traceEvents")
-            .and_then(Value::as_array)
-            .is_some(),
-        "{}",
-        chrome.body
-    );
-
-    // Parameter validation.
-    assert_eq!(get(server.addr, "/profile?format=svg").status, 400);
-    assert_eq!(get(server.addr, "/profile?seconds=x").status, 400);
-    assert_eq!(get(server.addr, "/profile?nope=1").status, 400);
-}
-
-#[test]
 fn request_histogram_exemplars_resolve_to_served_traces() {
     let _guard = serial();
     let (_, keyword) = fixture();

@@ -34,13 +34,11 @@
 
 pub mod export;
 pub mod log;
-pub mod profile;
 mod ring;
 pub mod slo;
 pub mod trace;
 
 pub use log::{logger, FieldValue, Level, LogFilter, LogRecord, Logger, RateLimit, RecordBuilder};
-pub use profile::{profiler, profiler_at, HotSpan, ProfileSnapshot, Profiler};
 pub use slo::{default_slos, SloKind, SloSpec, SloStatus, SloTracker, SloWindows};
 pub use trace::{
     tracer, ActiveSpan, AttrValue, SpanId, SpanRecord, TraceContext, TraceEvent, TraceId, Tracer,

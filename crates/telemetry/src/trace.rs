@@ -264,9 +264,6 @@ struct StackEntry {
     tracer: u64,
     trace: u64,
     span: u64,
-    /// Span name, mirrored to the continuous profiler's per-thread
-    /// slot (see [`crate::profile`]) on every push/pop.
-    name: &'static str,
     /// Whether this trace won the 1-in-N sampling draw (children
     /// inherit the root's decision).
     sampled: bool,
@@ -466,11 +463,9 @@ impl Tracer {
                 tracer: inner.id,
                 trace: trace.0,
                 span: id.0,
-                name,
                 sampled,
                 no_promote,
             });
-            crate::profile::mirror(stack.iter().map(|e| e.name));
             (trace, parent, sampled, no_promote, root)
         });
         let record = SpanRecord {
@@ -731,7 +726,6 @@ impl Drop for ActiveSpan {
             {
                 stack.remove(pos);
             }
-            crate::profile::mirror(stack.iter().map(|e| e.name));
         });
         if sampled {
             tracer.ring.push(record);
@@ -800,10 +794,6 @@ static GLOBAL_TRACER: OnceLock<Tracer> = OnceLock::new();
 /// root ran at least `T` microseconds.
 pub fn tracer() -> &'static Tracer {
     GLOBAL_TRACER.get_or_init(|| {
-        // Piggy-back continuous profiling on tracer initialization, so
-        // `OREX_PROFILE_HZ=97` profiles any orex process that opens a
-        // span, with no per-binary wiring.
-        crate::profile::init_from_env();
         if crate::env_disabled() {
             Tracer::disabled()
         } else {
