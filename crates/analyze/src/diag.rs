@@ -213,7 +213,7 @@ impl Rule {
 }
 
 /// One violation.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Finding {
     /// Which rule fired.
     pub rule: Rule,
@@ -241,7 +241,7 @@ pub struct Report {
 }
 
 /// Debt census totals across the scanned tree.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default)]
 pub struct Census {
     /// `TODO` markers in comments.
     pub todo: usize,

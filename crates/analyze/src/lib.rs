@@ -33,10 +33,8 @@
 //! are waived inline with `// orex::allow(ORXnnn): reason` attached to
 //! the offending line; an ORX008 waiver anywhere on a call chain
 //! clears every caller upstream of it. Reports render as text, JSON or
-//! SARIF 2.1.0 ([`sarif`]), and [`cache`] persists per-file analyses
-//! keyed by content hash so warm runs only re-analyze what changed.
+//! SARIF 2.1.0 ([`sarif`]).
 
-pub mod cache;
 pub mod callgraph;
 pub mod diag;
 pub mod lexer;
@@ -50,10 +48,8 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use diag::{Census, Finding, Report, Rule};
+use diag::{Finding, Report, Rule};
 use policy::{Policy, PolicyError};
-use rules::{FileScan, LockEdge};
-use summary::FileFacts;
 
 /// Name of the policy file expected at the workspace root.
 pub const POLICY_FILE: &str = "analyze.policy";
@@ -82,93 +78,30 @@ impl std::fmt::Display for AnalyzeError {
 /// contains a `src/` component (production code; `tests/`, `benches/`
 /// and `examples/` are exercise code with different rules), minus
 /// policy excludes. Hidden directories and `target/` are always
-/// skipped.
+/// skipped. Each file is lexed, scanned by the file-local rules and
+/// summarized once; the interprocedural pass then runs over every
+/// file's facts.
 pub fn analyze_workspace(root: &Path, policy: &Policy) -> Result<Report, AnalyzeError> {
-    analyze_workspace_cached(root, policy, None).map(|(r, _)| r)
-}
-
-/// Everything the cross-file passes need from one file. This is the
-/// unit of incremental caching: it is a pure function of the file's
-/// bytes and the policy, so [`cache`] keys it by content hash.
-#[derive(Debug, Default)]
-pub struct FileAnalysis {
-    /// File-local findings, waivers already applied.
-    pub findings: Vec<Finding>,
-    /// Waivers honoured in this file.
-    pub waived: usize,
-    /// Debt census contribution.
-    pub census: Census,
-    /// Intra-file lock-order edges.
-    pub lock_edges: Vec<LockEdge>,
-    /// Per-function summaries for the interprocedural pass.
-    pub facts: FileFacts,
-}
-
-/// Analyzes one file in isolation (lex, file-local rules, fn
-/// summaries). Pure in `(rel, source, policy)`.
-pub fn analyze_file(rel: &str, source: &str, policy: &Policy) -> FileAnalysis {
-    let lexed = lexer::lex(source);
-    let FileScan {
-        findings,
-        waived,
-        census,
-        lock_edges,
-    } = rules::scan_file(rel, &lexed, policy);
-    let mask = rules::test_mask(&lexed.tokens);
-    let facts = summary::extract_facts(rel, &lexed, &mask);
-    FileAnalysis {
-        findings,
-        waived,
-        census,
-        lock_edges,
-        facts,
-    }
-}
-
-/// [`analyze_workspace`] with an optional incremental cache. Returns
-/// the report plus the number of files whose per-file analysis was
-/// reused from the cache (0 on cold runs). The interprocedural pass
-/// always re-runs over the assembled facts — only per-file lexing,
-/// scanning and summarizing is memoized — so a warm run's report is
-/// byte-identical to a cold run's.
-pub fn analyze_workspace_cached(
-    root: &Path,
-    policy: &Policy,
-    mut cache: Option<&mut cache::Cache>,
-) -> Result<(Report, usize), AnalyzeError> {
     let mut files = Vec::new();
     walk(root, root, policy, &mut files)?;
     files.sort();
 
     let mut report = Report::default();
     let mut edges = Vec::new();
-    let mut all_facts: Vec<FileFacts> = Vec::new();
-    let mut cache_hits = 0usize;
+    let mut all_facts = Vec::with_capacity(files.len());
     for rel in &files {
         let full = root.join(rel);
         let source = fs::read_to_string(&full).map_err(|e| AnalyzeError::Io(full.clone(), e))?;
-        let fa_owned;
-        let fa: &FileAnalysis = match cache.as_deref_mut() {
-            Some(c) => {
-                if c.contains(rel, &source) {
-                    cache_hits += 1;
-                } else {
-                    c.insert(rel, &source, analyze_file(rel, &source, policy));
-                }
-                c.get(rel).expect("entry just checked or inserted")
-            }
-            None => {
-                fa_owned = analyze_file(rel, &source, policy);
-                &fa_owned
-            }
-        };
-        report.findings.extend(fa.findings.iter().cloned());
-        report.waived += fa.waived;
-        report.census.todo += fa.census.todo;
-        report.census.fixme += fa.census.fixme;
-        report.census.allow_attr += fa.census.allow_attr;
-        edges.extend(fa.lock_edges.iter().cloned());
-        all_facts.push(fa.facts.clone());
+        let lexed = lexer::lex(&source);
+        let scan = rules::scan_file(rel, &lexed, policy);
+        report.findings.extend(scan.findings);
+        report.waived += scan.waived;
+        report.census.todo += scan.census.todo;
+        report.census.fixme += scan.census.fixme;
+        report.census.allow_attr += scan.census.allow_attr;
+        edges.extend(scan.lock_edges);
+        let mask = rules::test_mask(&lexed.tokens);
+        all_facts.push(summary::extract_facts(rel, &lexed, &mask));
         report.files_scanned += 1;
     }
 
@@ -220,7 +153,7 @@ pub fn analyze_workspace_cached(
     }
 
     report.sort();
-    Ok((report, cache_hits))
+    Ok(report)
 }
 
 fn walk(
@@ -318,14 +251,12 @@ pub enum CliOutcome {
 /// Flags: `--root <dir>` (default `.`), `--format text|json|sarif`
 /// (default text), `--output <file>` (write the report there instead of
 /// `out`; text summary still goes to `err` so CI logs stay useful),
-/// `--cache <file>` (reuse per-file analyses across runs, keyed by
-/// content hash), `--explain ORXnnn` (print a rule's rationale,
-/// example and waiver syntax, then exit without scanning).
+/// `--explain ORXnnn` (print a rule's rationale, example and waiver
+/// syntax, then exit without scanning).
 pub fn run_cli(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> CliOutcome {
     let mut root = PathBuf::from(".");
     let mut format = "text".to_string();
     let mut output: Option<PathBuf> = None;
-    let mut cache_path: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -347,13 +278,6 @@ pub fn run_cli(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Cli
                 Some(v) => output = Some(PathBuf::from(v)),
                 None => {
                     let _ = writeln!(err, "orex analyze: --output needs a value");
-                    return CliOutcome::Error;
-                }
-            },
-            "--cache" => match it.next() {
-                Some(v) => cache_path = Some(PathBuf::from(v)),
-                None => {
-                    let _ = writeln!(err, "orex analyze: --cache needs a file path");
                     return CliOutcome::Error;
                 }
             },
@@ -385,35 +309,13 @@ pub fn run_cli(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Cli
             return CliOutcome::Error;
         }
     };
-    // The cache is keyed by a policy fingerprint: per-file findings
-    // depend on scopes/allows, so a policy edit must invalidate it.
-    let policy_hash = cache::fnv1a64(format!("{policy:?}").as_bytes());
-    let mut file_cache = cache_path
-        .as_ref()
-        .map(|p| cache::Cache::load(p, policy_hash));
-    let (report, cache_hits) = match analyze_workspace_cached(&root, &policy, file_cache.as_mut()) {
+    let report = match analyze_workspace(&root, &policy) {
         Ok(r) => r,
         Err(e) => {
             let _ = writeln!(err, "orex analyze: {e}");
             return CliOutcome::Error;
         }
     };
-    if let (Some(path), Some(c)) = (&cache_path, &file_cache) {
-        if let Err(e) = c.save(path) {
-            let _ = writeln!(
-                err,
-                "orex analyze: cache not saved: {}: {}",
-                path.display(),
-                e
-            );
-            // A cache write failure costs speed, not correctness.
-        }
-        let _ = writeln!(
-            err,
-            "orex analyze: cache: reused {cache_hits}/{} file analyses",
-            report.files_scanned
-        );
-    }
 
     let rendered = match format.as_str() {
         "json" => report.render_json(),

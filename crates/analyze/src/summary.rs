@@ -6,10 +6,9 @@
 //! (ORX002's token set), blocking operations (socket I/O, `accept`,
 //! `Condvar::wait`, sleeps), lock-guard regions and which calls/blocks
 //! happen inside them, call sites with argument-level taint, and
-//! request-tainted allocation sinks. Facts are strictly file-local —
+//! request-tainted allocation sinks. Facts are strictly file-local:
 //! the whole-workspace joins (reachability, lock-set propagation,
-//! parameter-taint fixpoints) happen in [`crate::callgraph`] — which is
-//! what makes per-file facts cacheable by content hash.
+//! parameter-taint fixpoints) happen in [`crate::callgraph`].
 //!
 //! Inline waivers are resolved *here*, where the lexed comments are
 //! still in hand: every recorded site carries the set of rules an
@@ -22,7 +21,7 @@ use crate::rules::is_waived;
 use crate::syntax::{parse_fns, FnItem};
 
 /// Facts for one source file: everything the interprocedural pass needs.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug)]
 pub struct FileFacts {
     /// Workspace-relative path with `/` separators.
     pub path: String,
@@ -31,7 +30,7 @@ pub struct FileFacts {
 }
 
 /// The interprocedural summary of one function.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct FnSummary {
     /// Bare function name.
     pub name: String,
@@ -72,7 +71,7 @@ impl FnSummary {
 
 /// One interesting source position with a description and the inline
 /// waivers attached to its line.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Site {
     /// 1-based line.
     pub line: u32,
@@ -85,7 +84,7 @@ pub struct Site {
 }
 
 /// One outgoing call.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct CallSite {
     /// Callee name (last path segment / method name).
     pub name: String,
@@ -110,7 +109,7 @@ pub struct CallSite {
 }
 
 /// One lock acquisition and the region its guard plausibly covers.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct LockRegion {
     /// Lock name (field/variable receiver of `.lock()`/`.read()`/`.write()`).
     pub lock: String,
@@ -130,7 +129,7 @@ pub struct LockRegion {
 
 /// A `with_capacity`/`reserve`/`vec![_; n]` sink fed by a local taint
 /// source without a bounds clamp.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct TaintSink {
     /// 1-based line of the sink.
     pub line: u32,
@@ -145,7 +144,7 @@ pub struct TaintSink {
 }
 
 /// An allocation sink fed directly by a caller parameter, unclamped.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ParamSink {
     /// Index into the fn's non-`self` parameters.
     pub param: usize,

@@ -96,10 +96,9 @@ usage:
                              stdin — e.g. piped from `curl .../logs`) and
                              render it as text or re-emit JSON lines
   orex analyze [--root DIR] [--format text|json|sarif] [--output FILE]
-               [--cache FILE] [--explain ORXnnn]
+               [--explain ORXnnn]
                              run the workspace static-analysis gate
                              (rules ORX001–ORX010 from analyze.policy);
-                             --cache reuses per-file analyses across runs,
                              --explain prints a rule's rationale and waiver
                              syntax; exits 1 on any finding";
 
