@@ -2,7 +2,7 @@
 //! server's status board.
 //!
 //! `orex top` polls `GET /debug/status?format=json` and renders the RED
-//! rows, occupancy, and SLO burn rates as a terminal dashboard:
+//! rows, occupancy, and request-rate history as a terminal dashboard:
 //!
 //! ```text
 //! orex top --addr 127.0.0.1:7474 --interval-ms 1000
@@ -55,8 +55,8 @@ fn fmt_count(v: f64) -> String {
 
 /// Renders a `/debug/status?format=json` document as a terminal
 /// dashboard. Understands both shapes: a single server's doc (RED
-/// table, occupancy, SLO burn rates, sparklines) and a router's fleet
-/// doc (router summary plus one RED/SLO row per worker).
+/// table, occupancy, sparklines) and a router's fleet doc (router
+/// summary plus one RED row per worker).
 fn render_status(addr: &str, doc: &serde_json::Value) -> String {
     if doc.get("router").is_some() && doc.get("workers").is_some() {
         return render_fleet_status(doc);
@@ -112,29 +112,6 @@ fn render_status(addr: &str, doc: &serde_json::Value) -> String {
         );
     }
 
-    if let Some(slos) = doc.get("slos").and_then(|v| v.as_array()) {
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "  {:<22} {:>9} {:>11} {:>10} state",
-            "slo", "objective", "burn short", "burn long"
-        );
-        for s in slos {
-            let name = s.get("name").and_then(|v| v.as_str()).unwrap_or("?");
-            let f = |k: &str| s.get(k).and_then(|v| v.as_f64()).unwrap_or(0.0);
-            let burning = s.get("burning").and_then(|v| v.as_bool()).unwrap_or(false);
-            let _ = writeln!(
-                out,
-                "  {:<22} {:>9.4} {:>11.2} {:>10.2} {}",
-                name,
-                f("objective"),
-                f("burn_short"),
-                f("burn_long"),
-                if burning { "BURNING" } else { "ok" },
-            );
-        }
-    }
-
     if let Some(history) = doc.get("history") {
         let series = |k: &str| -> Vec<f64> {
             history
@@ -165,7 +142,7 @@ fn render_status(addr: &str, doc: &serde_json::Value) -> String {
 }
 
 /// Renders the router's fleet status doc: a summary line, then one RED
-/// row per worker (requests, rate, 5xx, worst p95, SLO burn) computed
+/// row per worker (requests, rate, 5xx, worst p95) computed
 /// from each worker's inlined status doc.
 fn render_fleet_status(doc: &serde_json::Value) -> String {
     let mut out = String::new();
@@ -196,11 +173,10 @@ fn render_fleet_status(doc: &serde_json::Value) -> String {
     let _ = writeln!(out);
     let _ = writeln!(
         out,
-        "  {:<6} {:<18} {:<6} {:>8} {:>9} {:>8} {:>6} {:>10} slo",
+        "  {:<6} {:<18} {:<6} {:>8} {:>9} {:>8} {:>6} {:>10}",
         "worker", "addr", "health", "restarts", "requests", "req/s", "5xx", "p95(us)"
     );
 
-    let mut burning_names: Vec<String> = Vec::new();
     for row in doc
         .get("workers")
         .and_then(|v| v.as_array())
@@ -219,7 +195,7 @@ fn render_fleet_status(doc: &serde_json::Value) -> String {
         let Some(status) = status.filter(|s| s.as_object().is_some()) else {
             let _ = writeln!(
                 out,
-                "  {index:<6} {worker_addr:<18} {:<6} {restarts:>8} {:>9} {:>8} {:>6} {:>10} -",
+                "  {index:<6} {worker_addr:<18} {:<6} {restarts:>8} {:>9} {:>8} {:>6} {:>10}",
                 if healthy { "ok" } else { "DOWN" },
                 "-",
                 "-",
@@ -245,37 +221,12 @@ fn render_fleet_status(doc: &serde_json::Value) -> String {
             errors_5xx += f("errors_5xx") as u64;
             p95 = p95.max(f("p95_us"));
         }
-        let mut burning = 0usize;
-        for slo in status
-            .get("slos")
-            .and_then(|v| v.as_array())
-            .map(Vec::as_slice)
-            .unwrap_or_default()
-        {
-            if slo.get("burning").and_then(|v| v.as_bool()) == Some(true) {
-                burning += 1;
-                if let Some(name) = slo.get("name").and_then(|v| v.as_str()) {
-                    burning_names.push(format!("worker{index}:{name}"));
-                }
-            }
-        }
         let _ = writeln!(
             out,
-            "  {index:<6} {worker_addr:<18} {:<6} {restarts:>8} {requests:>9} {rate:>8.1} {errors_5xx:>6} {:>10} {}",
+            "  {index:<6} {worker_addr:<18} {:<6} {restarts:>8} {requests:>9} {rate:>8.1} {errors_5xx:>6} {:>10}",
             if healthy { "ok" } else { "DOWN" },
             fmt_count(p95),
-            if burning > 0 {
-                format!("BURNING({burning})")
-            } else {
-                "ok".to_string()
-            },
         );
-    }
-    if !burning_names.is_empty() {
-        let _ = writeln!(out);
-        for name in burning_names {
-            let _ = writeln!(out, "  SLO burning: {name}");
-        }
     }
     out
 }
@@ -283,8 +234,8 @@ fn render_fleet_status(doc: &serde_json::Value) -> String {
 /// `orex top [--addr A] [--interval-ms N] [--once]` — poll a running
 /// server's (or router's) `/debug/status?format=json` and render it as
 /// a terminal dashboard — against `orex route` the frame shows one RED
-/// row per worker plus SLO burn; `--once` prints a single frame and
-/// exits (for scripts and CI). Returns the process exit code.
+/// row per worker; `--once` prints a single frame and exits (for
+/// scripts and CI). Returns the process exit code.
 pub fn run_top(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> std::io::Result<i32> {
     let addr = flag_value(args, "--addr").unwrap_or_else(|| DEFAULT_ADDR.into());
     let interval: u64 = match flag_value(args, "--interval-ms").map(|s| s.parse()) {
@@ -355,9 +306,7 @@ mod tests {
                       "errors_5xx": 0, "p50_us": 100, "p95_us": 900},
                      {"name": "explain", "requests": 10, "rate_per_s": 1.0,
                       "errors_5xx": 1, "p50_us": 50, "p95_us": 400}
-                   ],
-                   "slos": [{"name": "availability", "burning": true,
-                             "objective": 0.999, "burn_short": 2.0, "burn_long": 1.5}]
+                   ]
                  }},
                 {"index": 1, "addr": "127.0.0.1:7481", "healthy": false, "restarts": 2,
                  "status": null}
@@ -372,8 +321,6 @@ mod tests {
         assert!(frame.contains("127.0.0.1:7480"), "{frame}");
         assert!(frame.contains("40"), "{frame}");
         assert!(frame.contains("900"), "{frame}");
-        assert!(frame.contains("BURNING(1)"), "{frame}");
-        assert!(frame.contains("worker0:availability"), "{frame}");
         // Worker 1 is down: dashes, no fabricated numbers.
         assert!(frame.contains("DOWN"), "{frame}");
 
@@ -407,12 +354,6 @@ mod tests {
                 ],
                 "occupancy": {"sessions":4,"cache":7,"precompute_terms":0,
                               "spans":12,"logs":300},
-                "slos": [
-                    {"name":"request-availability","objective":0.999,
-                     "burn_short":0.0,"burn_long":0.0,"burning":false},
-                    {"name":"query-latency","objective":0.99,
-                     "burn_short":12.5,"burn_long":3.2,"burning":true}
-                ],
                 "history": {"samples":3,
                             "requests_per_s":[0.0,2.0,4.0],
                             "request_p95_us":[100.0,200.0,400.0]}
@@ -428,8 +369,6 @@ mod tests {
             "large p95 rendered compactly: {text}"
         );
         assert!(text.contains("sessions 4"), "{text}");
-        assert!(text.contains("BURNING"), "{text}");
-        assert!(text.contains("ok"), "{text}");
         assert!(text.contains("req/s"), "{text}");
         assert!(text.contains('█'), "sparkline present: {text}");
     }

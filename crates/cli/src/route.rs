@@ -153,7 +153,7 @@ pub fn run_route(
     }
     writeln!(
         out,
-        "try: curl -s http://{addr}/healthz ; curl -s http://{addr}/debug/status | orex top --addr {addr} --once"
+        "try: curl -s http://{addr}/healthz ; orex top --addr {addr} --once"
     )?;
     out.flush()?;
     match router.run() {

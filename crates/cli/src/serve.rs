@@ -53,7 +53,6 @@ pub(crate) const VALUE_FLAGS: &[&str] = &[
     "--max-sessions",
     "--max-body-kb",
     "--timeout-ms",
-    "--status-interval-ms",
     "--slow-ms",
     "--trace-sample",
     "--trace-slow-ms",
@@ -104,11 +103,10 @@ fn default_dataset(args: &[String]) -> Result<DatasetSpec, String> {
 /// [--dataset NAME=PRESET:SCALE[:PRECOMPUTE]]... [--eager] [--threads N]
 /// [--cache-entries N] [--session-ttl SECS] [--max-sessions N]
 /// [--max-body-kb N] [--timeout-ms N] [--trace-sample N]
-/// [--trace-slow-ms N] [--slow-ms N] [--status-interval-ms N]
-/// [--precompute FILE]` — serve the interactive loop over HTTP,
-/// optionally combining precomputed rank vectors from an
-/// `orex precompute` artifact (backfilling the terms it lacks). Any
-/// other argument exits 2. Returns the process exit code.
+/// [--trace-slow-ms N] [--slow-ms N] [--precompute FILE]` — serve the
+/// interactive loop over HTTP, optionally combining precomputed rank
+/// vectors from an `orex precompute` artifact (backfilling the terms it
+/// lacks). Any other argument exits 2. Returns the process exit code.
 pub fn run_serve(
     args: &[String],
     out: &mut dyn Write,
@@ -138,9 +136,6 @@ pub fn run_serve(
         }
         if let Some(ms) = flag::<u64>(args, "--timeout-ms")? {
             config.io_timeout = Duration::from_millis(ms.max(1));
-        }
-        if let Some(ms) = flag::<u64>(args, "--status-interval-ms")? {
-            config.status_interval = Duration::from_millis(ms.max(100));
         }
         if let Some(ms) = flag::<u64>(args, "--slow-ms")? {
             config.slow_request = Duration::from_millis(ms.max(1));
@@ -276,6 +271,7 @@ mod tests {
             vec!["--profile-hz", "97"],
             vec!["--thread", "4"],
             vec!["--status-interval-ms", "-2"],
+            vec!["--status-interval-ms", "2000"],
             vec!["--dataset", "missing-equals"],
             vec!["--dataset", "d=nope:0.05"],
             vec!["--dataset", "d=dblp-top:tiny"],

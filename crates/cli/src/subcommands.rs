@@ -39,7 +39,6 @@ usage:
              [--cache-entries N] [--session-ttl SECS] [--max-sessions N]
              [--max-body-kb N] [--timeout-ms N] [--trace-sample N]
              [--trace-slow-ms N] [--slow-ms N]
-             [--status-interval-ms N]
              [--precompute FILE]
                              serve the interactive query/explain/feedback
                              loop over HTTP (POST /query, GET /explain/
@@ -79,9 +78,10 @@ usage:
   orex top [--addr A] [--interval-ms N] [--once]
                              poll GET /debug/status on a running server
                              and render per-endpoint RED metrics,
-                             occupancy, and SLO burn rates as a terminal
-                             dashboard; --once prints a single frame
-                             (for scripts and CI)
+                             occupancy, and request-rate history (one
+                             point per poll) as a terminal dashboard;
+                             --once prints a single frame (for scripts
+                             and CI)
   orex precompute [--preset NAME] [--scale F] [--top N] [--out FILE]
                   [--manifest FILE] [--check K] [--stats FILE]
                              build single-keyword rank vectors for the

@@ -32,7 +32,7 @@
 //! | `GET /metrics` | Prometheus text exposition of the global recorder |
 //! | `GET /trace/<id>` | Chrome trace-event JSON of a retained request trace |
 //! | `GET /logs?level=&since=&limit=` | JSON-lines tail of captured log records |
-//! | `GET /debug/status` | operator dashboard (HTML, or `?format=json`) with RED rows, occupancy, SLO burn rates |
+//! | `GET /debug/status` | operator dashboard (HTML, or `?format=json`) with RED rows, occupancy, and a request-rate history that grows one sample per poll |
 //!
 //! Sessions are stored as [`SessionSnapshot`](orex_core::SessionSnapshot)s
 //! in a TTL + LRU table and resumed per request; results of identical

@@ -21,7 +21,7 @@ use orex_telemetry::{Level, TraceId};
 use serde_json::Value;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Tuning knobs for [`Server::bind`].
@@ -47,9 +47,6 @@ pub struct ServerConfig {
     /// Requests at least this slow additionally log a `server.slow`
     /// WARN record.
     pub slow_request: Duration,
-    /// Cadence of the background status collector that feeds
-    /// `/debug/status` history and evaluates SLO burn rates.
-    pub status_interval: Duration,
     /// Live-connection cap: connections accepted past this limit are
     /// answered `503` + `Retry-After` immediately instead of queueing.
     pub max_connections: usize,
@@ -71,7 +68,6 @@ impl Default for ServerConfig {
             max_body_bytes: 64 * 1024,
             io_timeout: Duration::from_secs(5),
             slow_request: Duration::from_millis(500),
-            status_interval: Duration::from_secs(2),
             max_connections: 1024,
             keepalive_requests: 1000,
             keepalive_idle: Duration::from_secs(5),
@@ -151,45 +147,16 @@ impl Server {
             keepalive_requests: config.keepalive_requests.max(1),
             slow_request: config.slow_request,
         };
-        // Background status collector: snapshots metrics into the status
-        // board's history ring and keeps SLO burn rates (and the
-        // `orex_slo_*` gauges on /metrics) current even when nobody polls
-        // /debug/status. Paced by a condvar so shutdown can interrupt a
-        // sleep (ORX005: no bare thread::sleep in this crate).
-        let collector_stop = (Mutex::new(false), Condvar::new());
-        let served = std::thread::scope(|scope| {
-            // Best effort: without the thread, status is still
-            // collected on demand by `/debug/status`.
-            let _ = std::thread::Builder::new()
-                .name("orex-status".into())
-                .spawn_scoped(scope, || {
-                    let (lock, cv) = &collector_stop;
-                    loop {
-                        state.status.collect();
-                        let guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
-                        let (guard, _timeout) = cv
-                            .wait_timeout(guard, config.status_interval)
-                            .unwrap_or_else(PoisonError::into_inner);
-                        if *guard {
-                            return;
-                        }
-                    }
-                });
-            let served = frontend::serve(
-                &listener,
-                &Surface::SERVER,
-                &limits,
-                &stop,
-                |request, fields| route(request, &state, fields),
-            );
-            // Close the precompute tiers after the drain (drained requests
-            // may still enqueue backfill) and wait for their builders.
-            state.registry.shutdown();
-            let (lock, cv) = &collector_stop;
-            *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
-            cv.notify_all();
-            served
-        });
+        let served = frontend::serve(
+            &listener,
+            &Surface::SERVER,
+            &limits,
+            &stop,
+            |request, fields| route(request, &state, fields),
+        );
+        // Close the precompute tiers after the drain (drained requests
+        // may still enqueue backfill) and wait for their builders.
+        state.registry.shutdown();
         served?;
         orex_telemetry::global()
             .counter("server.clean_shutdowns")
@@ -201,7 +168,7 @@ impl Server {
 /// Renders a handler result, logging every 5xx at ERROR — the request
 /// span is still open here, so the record carries the trace id that
 /// `GET /trace/<id>` serves. `endpoint` feeds the per-endpoint
-/// `server.<endpoint>_5xx` counter the availability SLOs read.
+/// `server.<endpoint>_5xx` counter the status board's RED rows read.
 fn respond(endpoint: &str, result: Result<Response, ServerError>) -> Response {
     result.unwrap_or_else(|e| {
         if e.status() >= 500 {
@@ -666,8 +633,8 @@ fn handle_status(state: &ServerState, query: &str) -> Result<Response, ServerErr
             }
         }
     }
-    // Top up history so the page is fresh even between collector ticks
-    // (and deterministic in tests, which poll faster than the cadence).
+    // Each poll adds one history sample; fast pollers add at most one
+    // per 250 ms so they don't flood the ring.
     state.status.collect_if_stale(Duration::from_millis(250));
     let mut cache = 0usize;
     let mut precompute_terms = 0usize;

@@ -1,21 +1,21 @@
 //! The operator surface behind `GET /debug/status`.
 //!
-//! A [`StatusBoard`] keeps a bounded ring of metric snapshots (fed by
-//! the server's background collector and topped up on demand by the
-//! handler) and an [`SloTracker`] evaluated over the same history. From
-//! those it renders two views of identical content: a zero-dependency
-//! HTML page with per-endpoint RED rows (rate / errors / duration),
-//! occupancy gauges, burn-rate SLO rows and unicode sparklines, and a
-//! JSON document that `orex top` (and CI assertions) consume.
+//! A [`StatusBoard`] keeps a bounded ring of metric snapshots, seeded
+//! with one at construction and topped up by the handler on each poll.
+//! From that history it renders two views of identical content: a
+//! zero-dependency HTML page with per-endpoint RED rows (rate / errors /
+//! duration), occupancy gauges and unicode sparklines, and a JSON
+//! document that `orex top` (and CI assertions) consume.
 
-use orex_telemetry::{default_slos, SloTracker, SloWindows, Snapshot};
+use orex_telemetry::Snapshot;
 use serde_json::Value;
 use std::fmt::Write as _;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Snapshot history retained for sparklines (at the collector's default
-/// 2s cadence this covers ~4 minutes).
+/// Snapshot history retained for sparklines. Samples accrue one per
+/// poll (the HTML page's 2s meta-refresh, or `orex top --interval-ms`),
+/// so at a 2s poll this covers ~4 minutes.
 const MAX_HISTORY: usize = 120;
 
 /// The endpoints the RED table reports, with the metric names each row
@@ -88,15 +88,10 @@ struct Sample {
     snapshot: Snapshot,
 }
 
-struct Inner {
-    history: Vec<Sample>,
-    slo: SloTracker,
-}
-
-/// Bounded snapshot history + SLO evaluation; see the module docs.
+/// Bounded snapshot history; see the module docs.
 pub struct StatusBoard {
     epoch: Instant,
-    inner: Mutex<Inner>,
+    history: Mutex<Vec<Sample>>,
 }
 
 /// One endpoint's RED row.
@@ -116,31 +111,27 @@ impl Default for StatusBoard {
 }
 
 impl StatusBoard {
-    /// A board tracking the default serving SLOs from an empty history.
+    /// A board whose history starts with one snapshot of the global
+    /// recorder, so the first poll rates traffic since construction.
     pub fn new() -> Self {
         Self {
             epoch: Instant::now(),
-            inner: Mutex::new(Inner {
-                history: Vec::new(),
-                slo: SloTracker::new(default_slos(), SloWindows::default()),
-            }),
+            history: Mutex::new(vec![Sample {
+                at: Duration::ZERO,
+                snapshot: orex_telemetry::global().snapshot(),
+            }]),
         }
     }
 
-    /// Takes one snapshot of the global recorder into the history ring,
-    /// advances the SLO tracker, and publishes `slo.*` gauges back into
-    /// the recorder (surfacing as `orex_slo_*` on `/metrics`).
+    /// Takes one snapshot of the global recorder into the history ring.
     pub fn collect(&self) {
-        let recorder = orex_telemetry::global();
         let at = self.epoch.elapsed();
-        let snapshot = recorder.snapshot();
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.slo.observe(at, &snapshot);
-        inner.slo.publish(recorder);
-        inner.history.push(Sample { at, snapshot });
-        if inner.history.len() > MAX_HISTORY {
-            let excess = inner.history.len() - MAX_HISTORY;
-            inner.history.drain(..excess);
+        let snapshot = orex_telemetry::global().snapshot();
+        let mut history = self.history.lock().unwrap_or_else(PoisonError::into_inner);
+        history.push(Sample { at, snapshot });
+        if history.len() > MAX_HISTORY {
+            let excess = history.len() - MAX_HISTORY;
+            history.drain(..excess);
         }
     }
 
@@ -149,8 +140,8 @@ impl StatusBoard {
     /// data without flooding the history under polling.
     pub fn collect_if_stale(&self, max_age: Duration) {
         let stale = {
-            let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            match inner.history.last() {
+            let history = self.history.lock().unwrap_or_else(PoisonError::into_inner);
+            match history.last() {
                 Some(s) => self.epoch.elapsed().saturating_sub(s.at) >= max_age,
                 None => true,
             }
@@ -160,18 +151,18 @@ impl StatusBoard {
         }
     }
 
-    /// RED rows for every endpoint that has seen traffic, newest
-    /// snapshot against a baseline ~`window` earlier for rates.
-    fn red_rows(inner: &Inner, window: Duration) -> Vec<RedRow> {
-        let Some(latest) = inner.history.last() else {
+    /// RED rows for every endpoint that has seen traffic. Rates compare
+    /// the newest snapshot against the newest one at least `window`
+    /// older, or against the oldest retained one if none is.
+    fn red_rows(history: &[Sample], window: Duration) -> Vec<RedRow> {
+        let (Some(oldest), Some(latest)) = (history.first(), history.last()) else {
             return Vec::new();
         };
-        let from = latest.at.saturating_sub(window);
-        let base = inner
-            .history
-            .iter()
-            .find(|s| s.at >= from)
-            .unwrap_or(latest);
+        let base = latest
+            .at
+            .checked_sub(window)
+            .and_then(|from| history.iter().rev().find(|s| s.at <= from))
+            .unwrap_or(oldest);
         let dt = (latest.at.saturating_sub(base.at)).as_secs_f64();
         ENDPOINTS
             .iter()
@@ -206,11 +197,11 @@ impl StatusBoard {
 
     /// Request-rate and request-p95 series across the history ring, for
     /// sparklines: `(requests_per_s, p95_us)` per retained sample.
-    fn history_series(inner: &Inner) -> (Vec<f64>, Vec<f64>) {
-        let mut rates = Vec::with_capacity(inner.history.len());
-        let mut p95s = Vec::with_capacity(inner.history.len());
+    fn history_series(history: &[Sample]) -> (Vec<f64>, Vec<f64>) {
+        let mut rates = Vec::with_capacity(history.len());
+        let mut p95s = Vec::with_capacity(history.len());
         let mut prev: Option<(&Sample, u64)> = None;
-        for s in &inner.history {
+        for s in history {
             let total = s
                 .snapshot
                 .counters
@@ -242,9 +233,9 @@ impl StatusBoard {
 
     /// The machine-readable status document (`?format=json`).
     pub fn render_json(&self, occupancy: Occupancy) -> String {
-        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let rows = Self::red_rows(&inner, Duration::from_secs(60));
-        let (rates, p95s) = Self::history_series(&inner);
+        let history = self.history.lock().unwrap_or_else(PoisonError::into_inner);
+        let rows = Self::red_rows(&history, Duration::from_secs(60));
+        let (rates, p95s) = Self::history_series(&history);
         let endpoints: Vec<Value> = rows
             .iter()
             .map(|r| {
@@ -255,22 +246,6 @@ impl StatusBoard {
                     "errors_5xx": r.errors_5xx,
                     "p50_us": r.p50_us,
                     "p95_us": r.p95_us,
-                })
-            })
-            .collect();
-        let slos: Vec<Value> = inner
-            .slo
-            .statuses()
-            .iter()
-            .map(|s| {
-                serde_json::json!({
-                    "name": s.name,
-                    "objective": s.objective,
-                    "burn_short": s.burn_short,
-                    "burn_long": s.burn_long,
-                    "burning": s.burning,
-                    "good": s.good,
-                    "total": s.total,
                 })
             })
             .collect();
@@ -285,9 +260,8 @@ impl StatusBoard {
                 "logs": occupancy.logs,
             }),
             "recent_errors": occupancy.recent_errors,
-            "slos": slos,
             "history": serde_json::json!({
-                "samples": inner.history.len(),
+                "samples": history.len(),
                 "requests_per_s": rates,
                 "request_p95_us": p95s,
             }),
@@ -297,10 +271,9 @@ impl StatusBoard {
 
     /// The human-readable status page (default format).
     pub fn render_html(&self, occupancy: Occupancy) -> String {
-        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let rows = Self::red_rows(&inner, Duration::from_secs(60));
-        let (rates, p95s) = Self::history_series(&inner);
-        let statuses = inner.slo.statuses();
+        let history = self.history.lock().unwrap_or_else(PoisonError::into_inner);
+        let rows = Self::red_rows(&history, Duration::from_secs(60));
+        let (rates, p95s) = Self::history_series(&history);
         let mut out = String::with_capacity(4096);
         out.push_str(
             "<!DOCTYPE html><html><head><meta charset=\"utf-8\">\
@@ -310,7 +283,6 @@ impl StatusBoard {
              table{border-collapse:collapse;margin:1em 0}\
              td,th{border:1px solid #444;padding:4px 10px;text-align:right}\
              th{background:#222}td:first-child,th:first-child{text-align:left}\
-             .burn{color:#f55;font-weight:bold}.ok{color:#5c5}\
              .spark{font-size:1.2em;letter-spacing:1px}\
              h1{font-size:1.3em}h2{font-size:1.1em;margin-top:1.5em}\
              </style></head><body><h1>orex status</h1>",
@@ -319,7 +291,7 @@ impl StatusBoard {
             out,
             "<p>uptime {:.0}s &middot; {} history samples</p>",
             self.epoch.elapsed().as_secs_f64(),
-            inner.history.len()
+            history.len()
         );
         out.push_str("<h2>endpoints (RED, 60s window)</h2><table><tr><th>endpoint</th><th>req</th><th>rate/s</th><th>5xx</th><th>p50 &micro;s</th><th>p95 &micro;s</th></tr>");
         for r in &rows {
@@ -343,20 +315,7 @@ impl StatusBoard {
             occupancy.logs,
             occupancy.recent_errors
         );
-        out.push_str("<h2>SLOs (burn rates, 1m/5m)</h2><table><tr><th>slo</th><th>objective</th><th>burn 1m</th><th>burn 5m</th><th>state</th></tr>");
-        for s in &statuses {
-            let _ = write!(
-                out,
-                "<tr><td>{}</td><td>{}</td><td>{:.2}</td><td>{:.2}</td><td class=\"{}\">{}</td></tr>",
-                s.name,
-                s.objective,
-                s.burn_short,
-                s.burn_long,
-                if s.burning { "burn" } else { "ok" },
-                if s.burning { "BURNING" } else { "ok" }
-            );
-        }
-        out.push_str("</table><h2>history</h2>");
+        out.push_str("<h2>history</h2>");
         let _ = write!(
             out,
             "<p>req/s <span class=\"spark\">{}</span></p>\
@@ -411,7 +370,6 @@ mod tests {
         let json = board.render_json(Occupancy::default());
         assert!(json.contains("\"endpoints\""), "{json}");
         assert!(json.contains("\"request\""), "{json}");
-        assert!(json.contains("\"slos\""), "{json}");
         let html = board.render_html(Occupancy {
             sessions: 2,
             ..Occupancy::default()
@@ -421,12 +379,26 @@ mod tests {
     }
 
     #[test]
+    fn first_poll_rates_run_from_the_board_start() {
+        let board = StatusBoard::new();
+        let telemetry = orex_telemetry::global();
+        telemetry.counter("server.requests").incr();
+        telemetry.histogram("server.request_us").record(1000.0);
+        std::thread::sleep(Duration::from_millis(20));
+        board.collect();
+        let history = board.history.lock().unwrap();
+        let rows = StatusBoard::red_rows(&history, Duration::from_secs(60));
+        let request = rows.iter().find(|r| r.name == "request").unwrap();
+        assert!(request.rate_per_s > 0.0, "{}", request.rate_per_s);
+    }
+
+    #[test]
     fn collect_if_stale_skips_fresh_history() {
         let board = StatusBoard::new();
+        board.collect_if_stale(Duration::ZERO);
         board.collect_if_stale(Duration::from_secs(60));
-        board.collect_if_stale(Duration::from_secs(60));
-        let inner = board.inner.lock().unwrap();
-        assert_eq!(inner.history.len(), 1, "second collect was fresh-skipped");
+        let history = board.history.lock().unwrap();
+        assert_eq!(history.len(), 2, "second collect was fresh-skipped");
     }
 
     #[test]
@@ -435,7 +407,7 @@ mod tests {
         for _ in 0..(MAX_HISTORY + 50) {
             board.collect();
         }
-        let inner = board.inner.lock().unwrap();
-        assert_eq!(inner.history.len(), MAX_HISTORY);
+        let history = board.history.lock().unwrap();
+        assert_eq!(history.len(), MAX_HISTORY);
     }
 }

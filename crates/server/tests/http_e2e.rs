@@ -787,28 +787,10 @@ fn concurrent_clients_see_no_server_errors() {
         assert_ne!(status, 0, "no dropped connections");
     }
 
-    // The operator surfaces agree with the status codes: nothing logged
-    // at ERROR, and no SLO burning after clean traffic.
+    // The log agrees with the status codes: nothing logged at ERROR.
     let errors = get(addr, "/logs?level=error");
     assert_eq!(errors.status, 200);
     assert_eq!(errors.body.trim(), "", "ERROR records under clean load");
-    let board = get(addr, "/debug/status?format=json");
-    assert_eq!(board.status, 200, "{}", board.body);
-    assert_no_slo_burning(&board.json());
-}
-
-/// Every SLO on a `/debug/status?format=json` document is present and
-/// not burning.
-fn assert_no_slo_burning(doc: &Value) {
-    let slos = doc.get("slos").and_then(Value::as_array).unwrap();
-    assert!(!slos.is_empty());
-    for s in slos {
-        assert_eq!(
-            s.get("burning").and_then(Value::as_bool),
-            Some(false),
-            "clean traffic must not burn: {s:?}"
-        );
-    }
 }
 
 #[test]
@@ -1157,7 +1139,7 @@ fn logs_cursor_past_newest_returns_empty_page_with_current_cursor() {
 }
 
 #[test]
-fn debug_status_serves_red_rows_occupancy_and_slos() {
+fn debug_status_serves_red_rows_and_occupancy() {
     let _guard = serial();
     let (_, keyword) = fixture();
     let server = TestServer::spawn_default();
@@ -1177,9 +1159,8 @@ fn debug_status_serves_red_rows_occupancy_and_slos() {
     assert!(html.body.contains("orex status"), "{}", html.body);
     assert!(html.body.contains("<td>request</td>"), "{}", html.body);
     assert!(html.body.contains("<td>query</td>"), "{}", html.body);
-    assert!(html.body.contains("SLOs"), "{}", html.body);
 
-    // JSON view: endpoints, occupancy, SLO statuses, history series.
+    // JSON view: endpoints and occupancy.
     let reply = get(server.addr, "/debug/status?format=json");
     assert_eq!(reply.status, 200);
     let doc = reply.json();
@@ -1196,16 +1177,13 @@ fn debug_status_serves_red_rows_occupancy_and_slos() {
     }
     let occupancy = doc.get("occupancy").expect("occupancy");
     assert!(occupancy.get("sessions").and_then(Value::as_u64).unwrap() >= 1);
-    assert_no_slo_burning(&doc);
     assert!(doc.get("uptime_s").and_then(Value::as_f64).unwrap() >= 0.0);
 
-    // SLO gauges surface on /metrics as orex_slo_* series.
+    // The board publishes nothing back into /metrics.
     let metrics = get(server.addr, "/metrics");
     assert_prometheus(&metrics.body);
     assert!(
-        metrics
-            .body
-            .contains("orex_slo_request_availability_burning 0"),
+        !metrics.body.lines().any(|l| l.contains("orex_slo_")),
         "{}",
         metrics.body
     );

@@ -35,11 +35,9 @@
 pub mod export;
 pub mod log;
 mod ring;
-pub mod slo;
 pub mod trace;
 
 pub use log::{logger, FieldValue, Level, LogFilter, LogRecord, Logger, RateLimit, RecordBuilder};
-pub use slo::{default_slos, SloKind, SloSpec, SloStatus, SloTracker, SloWindows};
 pub use trace::{
     tracer, ActiveSpan, AttrValue, SpanId, SpanRecord, TraceContext, TraceEvent, TraceId, Tracer,
 };
