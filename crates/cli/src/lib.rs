@@ -12,7 +12,6 @@
 
 mod app;
 mod command;
-mod diag;
 mod logs;
 mod precompute;
 mod route;
@@ -21,7 +20,6 @@ mod subcommands;
 
 pub use app::App;
 pub use command::{parse, Command, ParseError, HELP};
-pub use diag::run_top;
 pub use logs::run_logs;
 pub use precompute::run_precompute;
 pub use route::run_route;

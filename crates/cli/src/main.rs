@@ -2,7 +2,7 @@
 //! dispatched from argv, falling back to the interactive shell.
 
 use orex_cli::{
-    parse, run_logs, run_precompute, run_route, run_serve, run_stats, run_top, run_trace, App,
+    parse, run_logs, run_precompute, run_route, run_serve, run_stats, run_trace, App,
     SUBCOMMAND_HELP,
 };
 use std::io::{BufRead, Write};
@@ -44,14 +44,6 @@ fn main() {
         }
         Some("precompute") => {
             let code = run_precompute(&args[1..], &mut std::io::stdout(), &mut std::io::stderr())
-                .unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    1
-                });
-            std::process::exit(code);
-        }
-        Some("top") => {
-            let code = run_top(&args[1..], &mut std::io::stdout(), &mut std::io::stderr())
                 .unwrap_or_else(|e| {
                     eprintln!("{e}");
                     1

@@ -3,8 +3,8 @@
 //!
 //! One command brings up N `orex serve` worker processes on
 //! consecutive ports plus a router that consistent-hashes queries
-//! across them, supervises crashes, and aggregates `/metrics`, `/logs`,
-//! and `/debug/status` fleet-wide:
+//! across them, supervises crashes, and aggregates `/metrics` and
+//! `/logs` fleet-wide:
 //!
 //! ```text
 //! orex route --addr 127.0.0.1:7470 --workers 3 --base-port 7480 \
@@ -153,7 +153,7 @@ pub fn run_route(
     }
     writeln!(
         out,
-        "try: curl -s http://{addr}/healthz ; orex top --addr {addr} --once"
+        "try: curl -s http://{addr}/healthz ; curl -s http://{addr}/metrics"
     )?;
     out.flush()?;
     match router.run() {

@@ -44,7 +44,7 @@ usage:
                              loop over HTTP (POST /query, GET /explain/
                              <session>/<node>, POST /feedback/<session>,
                              GET /healthz|/metrics|/trace/<id>|/logs|
-                             /debug/status|/datasets);
+                             /datasets);
                              repeatable --dataset flags serve several
                              named datasets from one registry (clients
                              pick one via the \"dataset\" field of POST
@@ -67,21 +67,14 @@ usage:
                              the same (dataset, query) pair stick to one
                              worker's warm cache, session requests follow
                              the worker encoded in their session id, and
-                             /metrics, /logs, and /debug/status aggregate
-                             the whole fleet (each series/record labelled
+                             /metrics and /logs aggregate the whole
+                             fleet (each series/record labelled
                              worker=\"i\"); crashed workers are ejected,
                              relaunched with capped backoff, and
                              readmitted when healthy; --worker-addr
                              fronts already-running servers instead of
                              spawning; SIGTERM or ctrl-c drains the
                              router then cascades the drain to workers
-  orex top [--addr A] [--interval-ms N] [--once]
-                             poll GET /debug/status on a running server
-                             and render per-endpoint RED metrics,
-                             occupancy, and request-rate history (one
-                             point per poll) as a terminal dashboard;
-                             --once prints a single frame (for scripts
-                             and CI)
   orex precompute [--preset NAME] [--scale F] [--top N] [--out FILE]
                   [--manifest FILE] [--check K] [--stats FILE]
                              build single-keyword rank vectors for the

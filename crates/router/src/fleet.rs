@@ -77,12 +77,6 @@ impl Worker {
         self.healthy.load(Ordering::Relaxed)
     }
 
-    /// Times this worker's process was relaunched after a crash.
-    pub fn restarts(&self) -> u64 {
-        // ORDERING: statistics counter, no synchronization role.
-        self.restarts.load(Ordering::Relaxed)
-    }
-
     /// The latest worker-to-router clock-offset estimate, nanoseconds.
     pub fn clock_offset_ns(&self) -> i64 {
         // ORDERING: advisory estimate, no synchronization role.

@@ -23,7 +23,7 @@
 //!   and request envelope a worker runs on. It forwards queries
 //!   (retrying once on an alternate healthy worker when the owner is
 //!   unreachable or saturated), and serves fleet-wide aggregated
-//!   `/metrics`, `/logs`, and `/debug/status`.
+//!   `/metrics` and `/logs`.
 
 #![warn(missing_docs)]
 
@@ -40,7 +40,7 @@ use orex_server::ShutdownHandle;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Router front-end configuration.
 #[derive(Clone, Debug)]
@@ -117,7 +117,6 @@ impl Router {
     pub fn run(self) -> io::Result<()> {
         let ctx = RouterContext::new(
             Arc::clone(&self.fleet),
-            Instant::now(),
             self.local_addr()
                 .map(|a| a.to_string())
                 .unwrap_or_else(|_| self.config.addr.clone()),

@@ -7,8 +7,7 @@
 //! (`global = local * W + worker`), so the worker is recoverable from
 //! the id alone — no routing table to lose. Observability endpoints
 //! aggregate across the fleet: `/metrics` re-labels every worker series
-//! with `worker="i"`, `/logs` stamps each record with its worker, and
-//! `/debug/status` nests per-worker status docs under a router summary.
+//! with `worker="i"` and `/logs` stamps each record with its worker.
 //!
 //! The router is also the fleet's tracing ingress edge: every request
 //! runs under a `router.request` span (adopting an incoming
@@ -27,7 +26,6 @@ use orex_telemetry::{TraceContext, TraceId};
 use serde_json::Value;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
 
 /// Promoted-trace snapshots retained for retro-stitching.
 const MAX_RETRO_TRACES: usize = 64;
@@ -36,9 +34,8 @@ const MAX_RETRO_TRACES: usize = 64;
 pub struct RouterContext {
     /// The supervised worker fleet.
     pub fleet: Arc<Fleet>,
-    /// Router start time, for `/debug/status` uptime.
-    pub started: Instant,
-    /// The router's own bound address (shown in status).
+    /// The router's own bound address (labels its lane in stitched
+    /// traces).
     pub addr: String,
     /// Wire-format snapshots of fleet-promoted slow traces, fetched
     /// from the workers before their tracers evict them.
@@ -47,10 +44,9 @@ pub struct RouterContext {
 
 impl RouterContext {
     /// Context for `fleet` with an empty retro store.
-    pub fn new(fleet: Arc<Fleet>, started: Instant, addr: String) -> Self {
+    pub fn new(fleet: Arc<Fleet>, addr: String) -> Self {
         Self {
             fleet,
-            started,
             addr,
             retro: RetroTraces::new(MAX_RETRO_TRACES),
         }
@@ -146,7 +142,6 @@ pub fn route(request: &Request, ctx: &RouterContext) -> Response {
         ("GET", ["metrics"]) => handle_metrics(ctx),
         ("GET", ["logs"]) => handle_logs(ctx, query),
         ("GET", ["trace", id]) => handle_trace(ctx, id),
-        ("GET", ["debug", "status"]) => handle_status(ctx, query),
         (method, segments) => unrouted(method, segments),
     }
 }
@@ -575,60 +570,6 @@ fn handle_trace(ctx: &RouterContext, id: &str) -> Response {
     Response::json(200, to_chrome_trace_stitched(&lanes))
 }
 
-/// `GET /debug/status`: the fleet view `orex top` renders — a router
-/// summary plus one row per worker with its own status doc inlined.
-fn handle_status(ctx: &RouterContext, query: &str) -> Response {
-    // Only JSON exists; anything else asked for is a client error.
-    if !matches!(query, "" | "format=json") {
-        return Response::error(400, &format!("unknown parameters: {query:?}"));
-    }
-    let snapshot = orex_telemetry::global().snapshot();
-    let counter = |name: &str| snapshot.counters.get(name).copied().unwrap_or(0);
-    let workers: Vec<Value> = ctx
-        .fleet
-        .workers()
-        .iter()
-        .map(|worker| {
-            let status = worker_status(worker);
-            serde_json::json!({
-                "index": worker.index as u64,
-                "addr": worker.addr.clone(),
-                "healthy": worker.is_healthy(),
-                "restarts": worker.restarts(),
-                "status": status,
-            })
-        })
-        .collect();
-    let doc = serde_json::json!({
-        "router": serde_json::json!({
-            "addr": ctx.addr.clone(),
-            "workers": ctx.fleet.len() as u64,
-            "healthy": ctx.fleet.healthy_count() as u64,
-            "requests": counter("router.requests"),
-            "retries": counter("router.retries"),
-            "worker_restarts": counter("router.worker_restarts"),
-            "uptime_s": ctx.started.elapsed().as_secs_f64(),
-        }),
-        "workers": Value::Array(workers),
-    });
-    Response::json(200, serde_json::to_string(&doc).unwrap_or_default())
-}
-
-/// One worker's `/debug/status?format=json` doc, or `Null` when the
-/// worker is down or answers garbage.
-fn worker_status(worker: &Arc<Worker>) -> Value {
-    if !worker.is_healthy() {
-        return Value::Null;
-    }
-    worker
-        .client
-        .get("/debug/status?format=json")
-        .ok()
-        .filter(|r| r.status == 200)
-        .and_then(|r| r.body_str().and_then(|s| serde_json::from_str(s).ok()))
-        .unwrap_or(Value::Null)
-}
-
 /// Converts a worker's [`ClientResponse`] into a front-end [`Response`],
 /// carrying status, content type, and body through.
 fn to_response(response: &ClientResponse) -> Response {
@@ -637,8 +578,6 @@ fn to_response(response: &ClientResponse) -> Response {
         "application/x-ndjson; charset=utf-8"
     } else if declared.contains("json") {
         "application/json"
-    } else if declared.contains("html") {
-        "text/html; charset=utf-8"
     } else {
         "text/plain; charset=utf-8"
     };

@@ -122,6 +122,16 @@ const CASES: &[Case] = &[
         then_idle_close: false,
     },
     Case {
+        name: "removed /debug/status endpoint is an unknown route",
+        send: b"GET /debug/status HTTP/1.1\r\nHost: t\r\n\r\n\
+                GET /debug/status?format=json HTTP/1.1\r\nHost: t\r\n\r\n",
+        over_cap: false,
+        statuses: &[404, 404],
+        retry_after: None,
+        closes: false,
+        then_idle_close: false,
+    },
+    Case {
         name: "PUT /query is a method error",
         send: b"PUT /query HTTP/1.1\r\nHost: t\r\n\r\n",
         over_cap: false,

@@ -1,14 +1,14 @@
 //! A pooled keep-alive HTTP/1.1 client.
 //!
-//! The router's proxy hop and `orex top` both talk to orex servers
-//! over many small requests; paying a TCP connect per request would
-//! dominate their latency. This client keeps finished
-//! connections in a per-target idle pool and reuses them for later
-//! requests, counting connects vs. requests so callers can assert a
-//! reuse ratio. A reused connection that fails mid-request (the server
-//! closed it while idle) is retried once on a fresh connection — new
-//! connections are never retried, so a request is attempted at most
-//! twice and only when the first attempt died on provably stale state.
+//! The router's proxy hop talks to orex servers over many small
+//! requests; paying a TCP connect per request would dominate its
+//! latency. This client keeps finished connections in a per-target
+//! idle pool and reuses them for later requests, counting connects
+//! vs. requests so callers can assert a reuse ratio. A reused
+//! connection that fails mid-request (the server closed it while idle)
+//! is retried once on a fresh connection — new connections are never
+//! retried, so a request is attempted at most twice and only when the
+//! first attempt died on provably stale state.
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};

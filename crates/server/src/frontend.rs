@@ -169,7 +169,7 @@ pub fn install_signal_handlers() {
 /// The public route set — first path segment and the method it
 /// answers — shared so a worker and the router in front of it agree on
 /// `404` versus `405` for everything neither routes.
-const ROUTES: [(&str, &str); 9] = [
+const ROUTES: [(&str, &str); 8] = [
     ("healthz", "GET"),
     ("metrics", "GET"),
     ("query", "POST"),
@@ -178,7 +178,6 @@ const ROUTES: [(&str, &str); 9] = [
     ("feedback", "POST"),
     ("trace", "GET"),
     ("logs", "GET"),
-    ("debug", "GET"),
 ];
 
 /// The response for a request no route arm matched: `405` when the

@@ -226,11 +226,6 @@ impl Response {
         )
     }
 
-    /// An HTML response.
-    pub fn html(status: u16, body: impl Into<String>) -> Self {
-        Self::new(status, "text/html; charset=utf-8", body.into().into_bytes())
-    }
-
     /// Adds one extra response header. Values must not contain CR/LF —
     /// callers only pass values they format themselves.
     pub fn with_header(mut self, name: &'static str, value: impl Into<String>) -> Self {
@@ -447,12 +442,6 @@ mod tests {
                         X-Orex-Promoted: 7,9\r\nRetry-After: 1\r\nConnection: keep-alive\r\n\r\n\
                         {\"results\":[1,2,3]}";
         assert_eq!(String::from_utf8(out.bytes).unwrap(), expected);
-    }
-
-    #[test]
-    fn html_response_sets_content_type() {
-        let r = Response::html(200, "<html></html>");
-        assert_eq!(r.content_type, "text/html; charset=utf-8");
     }
 
     #[test]

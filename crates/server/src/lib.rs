@@ -32,7 +32,6 @@
 //! | `GET /metrics` | Prometheus text exposition of the global recorder |
 //! | `GET /trace/<id>` | Chrome trace-event JSON of a retained request trace |
 //! | `GET /logs?level=&since=&limit=` | JSON-lines tail of captured log records |
-//! | `GET /debug/status` | operator dashboard (HTML, or `?format=json`) with RED rows, occupancy, and a request-rate history that grows one sample per poll |
 //!
 //! Sessions are stored as [`SessionSnapshot`](orex_core::SessionSnapshot)s
 //! in a TTL + LRU table and resumed per request; results of identical
@@ -63,7 +62,6 @@ pub mod ranks;
 pub mod registry;
 pub mod server;
 pub mod sessions;
-pub mod status;
 
 pub use cache::ResultCache;
 pub use client::{ClientResponse, HttpClient};
@@ -74,4 +72,3 @@ pub use ranks::{CombineOutcome, PrecomputeTier};
 pub use registry::{DatasetService, DatasetSpec, SystemRegistry};
 pub use server::{Server, ServerConfig};
 pub use sessions::SessionTable;
-pub use status::{sparkline, Occupancy, StatusBoard};

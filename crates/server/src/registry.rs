@@ -379,18 +379,6 @@ impl SystemRegistry {
         }
     }
 
-    /// The already-built service for `name`, if any; never builds.
-    pub fn get_if_loaded(&self, name: &str) -> Option<Arc<DatasetService>> {
-        self.slots
-            .iter()
-            .find(|s| s.spec.name == name)?
-            .service
-            .get()?
-            .as_ref()
-            .ok()
-            .cloned()
-    }
-
     /// Builds every registered dataset now; the first failure aborts.
     pub fn build_all(&self) -> Result<(), String> {
         for slot in &self.slots {
@@ -531,17 +519,21 @@ mod tests {
         let a = registry.get("a").unwrap();
         assert_eq!(a.name(), "a");
         assert!(a.memory_bytes() > 0);
-        assert!(registry.get_if_loaded("a").is_some());
-        assert!(registry.get_if_loaded("b").is_none());
 
         a.count_query();
         let doc = registry.list_json();
         let rows = doc.get("datasets").and_then(|d| d.as_array()).unwrap();
-        let row_a = rows
-            .iter()
-            .find(|r| r.get("name").and_then(|n| n.as_str()) == Some("a"))
-            .unwrap();
+        let row = |name: &str| {
+            rows.iter()
+                .find(|r| r.get("name").and_then(|n| n.as_str()) == Some(name))
+                .unwrap()
+        };
+        let row_a = row("a");
         assert_eq!(row_a.get("loaded"), Some(&serde_json::Value::Bool(true)));
+        assert_eq!(
+            row("b").get("loaded"),
+            Some(&serde_json::Value::Bool(false))
+        );
         assert_eq!(row_a.get("queries").and_then(|q| q.as_u64()), Some(1));
         assert!(registry.total_memory_bytes() >= a.memory_bytes());
     }

@@ -13,7 +13,6 @@ use crate::http::{Request, Response};
 use crate::ranks::CombineOutcome;
 use crate::registry::{DatasetService, SystemRegistry};
 use crate::sessions::SessionTable;
-use crate::status::{Occupancy, StatusBoard};
 use orex_core::{QuerySession, SessionError, SessionSnapshot};
 use orex_graph::NodeId;
 use orex_ir::{Query, QueryVector};
@@ -79,7 +78,6 @@ impl Default for ServerConfig {
 struct ServerState {
     registry: SystemRegistry,
     sessions: SessionTable,
-    status: StatusBoard,
 }
 
 /// A bound, not-yet-running server; call [`Server::run`] to serve.
@@ -99,7 +97,6 @@ impl Server {
         let state = ServerState {
             registry,
             sessions: SessionTable::new(config.session_ttl, config.max_sessions),
-            status: StatusBoard::new(),
         };
         Ok(Self {
             listener,
@@ -168,7 +165,8 @@ impl Server {
 /// Renders a handler result, logging every 5xx at ERROR — the request
 /// span is still open here, so the record carries the trace id that
 /// `GET /trace/<id>` serves. `endpoint` feeds the per-endpoint
-/// `server.<endpoint>_5xx` counter the status board's RED rows read.
+/// `server.<endpoint>_5xx` counter, which `/metrics` exports beside the
+/// endpoint's `_requests` count and `_us` histogram.
 fn respond(endpoint: &str, result: Result<Response, ServerError>) -> Response {
     result.unwrap_or_else(|e| {
         if e.status() >= 500 {
@@ -209,7 +207,6 @@ fn route(request: &Request, state: &ServerState, fields: &mut AccessFields) -> R
         }
         ("GET", ["trace", id]) => respond("trace", handle_trace(id, query)),
         ("GET", ["logs"]) => respond("logs", handle_logs(query)),
-        ("GET", ["debug", "status"]) => respond("status", handle_status(state, query)),
         (method, segments) => frontend::unrouted(method, segments),
     }
 }
@@ -612,50 +609,4 @@ fn handle_logs(query: &str) -> Result<Response, ServerError> {
         orex_telemetry::export::log_json_lines(&records).into_bytes(),
     )
     .with_header("X-Orex-Log-Cursor", newest.to_string()))
-}
-
-/// `GET /debug/status[?format=json]`: the operator dashboard. HTML by
-/// default (self-refreshing, zero scripts); `format=json` serves the
-/// machine-readable document `orex top` and CI consume.
-fn handle_status(state: &ServerState, query: &str) -> Result<Response, ServerError> {
-    let telemetry = orex_telemetry::global();
-    let _span = telemetry.span("server.status_us");
-    telemetry.counter("server.status_requests").incr();
-    let mut json = false;
-    for param in query_params(query, &["format"]) {
-        match param?.1 {
-            "json" => json = true,
-            "html" => json = false,
-            _ => {
-                return Err(ServerError::BadRequest(
-                    "format must be html or json".into(),
-                ));
-            }
-        }
-    }
-    // Each poll adds one history sample; fast pollers add at most one
-    // per 250 ms so they don't flood the ring.
-    state.status.collect_if_stale(Duration::from_millis(250));
-    let mut cache = 0usize;
-    let mut precompute_terms = 0usize;
-    for name in state.registry.names() {
-        if let Some(svc) = state.registry.get_if_loaded(name) {
-            cache += svc.results().len();
-            precompute_terms += svc.precompute_terms();
-        }
-    }
-    let logger = orex_telemetry::logger();
-    let occupancy = Occupancy {
-        sessions: state.sessions.len(),
-        cache,
-        precompute_terms,
-        spans: orex_telemetry::tracer().retained(),
-        logs: logger.retained(),
-        recent_errors: logger.query(Some(Level::Error), None, None, None).len(),
-    };
-    Ok(if json {
-        Response::json(200, state.status.render_json(occupancy))
-    } else {
-        Response::html(200, state.status.render_html(occupancy))
-    })
 }

@@ -1139,12 +1139,12 @@ fn logs_cursor_past_newest_returns_empty_page_with_current_cursor() {
 }
 
 #[test]
-fn debug_status_serves_red_rows_and_occupancy() {
+fn metrics_serve_red_series_and_occupancy() {
     let _guard = serial();
     let (_, keyword) = fixture();
     let server = TestServer::spawn_default();
 
-    // Traffic so the RED table has rows: queries + a health check.
+    // Traffic so every RED series has samples: a query + a health check.
     let reply = post(
         server.addr,
         "/query",
@@ -1153,45 +1153,24 @@ fn debug_status_serves_red_rows_and_occupancy() {
     assert_eq!(reply.status, 200, "{}", reply.body);
     assert_eq!(get(server.addr, "/healthz").status, 200);
 
-    // HTML view.
-    let html = get(server.addr, "/debug/status");
-    assert_eq!(html.status, 200);
-    assert!(html.body.contains("orex status"), "{}", html.body);
-    assert!(html.body.contains("<td>request</td>"), "{}", html.body);
-    assert!(html.body.contains("<td>query</td>"), "{}", html.body);
-
-    // JSON view: endpoints and occupancy.
-    let reply = get(server.addr, "/debug/status?format=json");
-    assert_eq!(reply.status, 200);
-    let doc = reply.json();
-    let endpoints = doc.get("endpoints").and_then(Value::as_array).unwrap();
-    assert!(
-        endpoints
-            .iter()
-            .any(|e| e.get("name").and_then(Value::as_str) == Some("query")),
-        "{doc:?}"
-    );
-    for e in endpoints {
-        assert!(e.get("requests").and_then(Value::as_u64).unwrap() > 0);
-        assert!(e.get("p95_us").and_then(Value::as_f64).is_some());
-    }
-    let occupancy = doc.get("occupancy").expect("occupancy");
-    assert!(occupancy.get("sessions").and_then(Value::as_u64).unwrap() >= 1);
-    assert!(doc.get("uptime_s").and_then(Value::as_f64).unwrap() >= 0.0);
-
-    // The board publishes nothing back into /metrics.
+    // Rate, errors and duration per endpoint, and occupancy, are plain
+    // /metrics series.
     let metrics = get(server.addr, "/metrics");
+    assert_eq!(metrics.status, 200);
     assert_prometheus(&metrics.body);
+    let at_least_one = |name: &str| {
+        let value = metric_value(&metrics.body, name);
+        assert!(value.unwrap_or(0.0) >= 1.0, "{name}: {value:?}");
+    };
+    at_least_one("orex_server_query_requests");
+    at_least_one("orex_server_query_us_count");
+    at_least_one("orex_server_requests");
+    at_least_one("orex_server_sessions_live");
     assert!(
         !metrics.body.lines().any(|l| l.contains("orex_slo_")),
         "{}",
         metrics.body
     );
-
-    // Unknown parameters are client errors.
-    assert_eq!(get(server.addr, "/debug/status?format=xml").status, 400);
-    assert_eq!(get(server.addr, "/debug/status?nope=1").status, 400);
-    assert_eq!(get(server.addr, "/debug/nothing").status, 404);
 }
 
 #[test]

@@ -6,7 +6,8 @@
 //! [`to_folded_stacks`] emits `root;child;leaf <self-time-µs>` lines for
 //! `flamegraph.pl` / inferno. Drained [`LogRecord`]s render as JSON-lines
 //! ([`log_json_lines`], one self-contained object per line, the format
-//! `GET /logs` serves) or human-readable text ([`log_text`]).
+//! `GET /logs` serves); [`write_utc_timestamp`] formats their capture
+//! time for text renderers such as `orex logs`.
 
 use crate::log::{FieldValue, LogRecord};
 use crate::trace::{AttrValue, SpanId, SpanRecord, TraceId};
@@ -532,35 +533,6 @@ pub fn write_utc_timestamp(unix_ns: u64, out: &mut String) {
     );
 }
 
-/// Renders drained log records as human-readable text, one line per
-/// record: UTC timestamp, level, target, message, `key=value` fields,
-/// and the trace/span ids when present.
-pub fn log_text(records: &[LogRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        write_utc_timestamp(r.unix_ns, &mut out);
-        let _ = write!(out, " {:<5} {} {}", r.level.as_str(), r.target, r.message);
-        for (key, value) in &r.fields {
-            match value {
-                FieldValue::Str(s) if s.is_empty() || s.contains([' ', '"', '=']) => {
-                    let _ = write!(out, " {key}={s:?}");
-                }
-                _ => {
-                    let _ = write!(out, " {key}={value}");
-                }
-            }
-        }
-        if let Some(trace) = r.trace {
-            let _ = write!(out, " trace={}", trace.0);
-        }
-        if let Some(span) = r.span {
-            let _ = write!(out, " span={}", span.0);
-        }
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -749,23 +721,6 @@ mod tests {
         assert!(lines[0].contains("\"cache\":false"), "{jsonl}");
         assert!(lines[0].contains("\"bad\":null"), "non-finite floats null");
         assert!(lines[1].contains("\"fields\":{}"), "{jsonl}");
-    }
-
-    #[test]
-    fn log_text_renders_timestamp_level_and_fields() {
-        let records = sample_logs();
-        let text = log_text(&records);
-        let first = text.lines().next().unwrap();
-        // 2026-08-06T12:34:56.123456Z ...
-        assert_eq!(&first[4..5], "-", "{first}");
-        assert_eq!(&first[10..11], "T", "{first}");
-        assert!(first.contains("INFO  server.access request"), "{first}");
-        assert!(first.contains(" method=GET"), "{first}");
-        assert!(first.contains(" status=200"), "{first}");
-        assert!(
-            first.contains(" path=\"/query?q=\\\"routing\\\"\""),
-            "{first}"
-        );
     }
 
     #[test]

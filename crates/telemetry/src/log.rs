@@ -22,8 +22,7 @@
 //!
 //! Hot loops rate-limit their callsites with [`RateLimit`] (e.g. the
 //! power iteration logs its residual at most once every N iterations).
-//! Render records with [`crate::export::log_json_lines`] or
-//! [`crate::export::log_text`].
+//! Render records with [`crate::export::log_json_lines`].
 
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
