@@ -142,7 +142,7 @@ pub struct MatrixStorage {
 
 impl<'g> TransitionMatrix<'g> {
     /// Builds the matrix for a rates vector: one streaming pass over the
-    /// in-slot arrays the graph keeps ([`TransferGraph::in_slot_weights`]).
+    /// in-slot class ids the graph keeps ([`TransferGraph::in_slot_weights`]).
     pub fn new(graph: &'g TransferGraph, rates: &TransferRates) -> Self {
         Self::from_in_slot_weights(graph, graph.in_slot_weights(rates))
     }

@@ -104,7 +104,6 @@ fn main() {
                     epsilon: 1e-9,
                     ..ExplainParams::default()
                 };
-                let weights = system.transfer().weights(session.rates());
                 let base = orex_authority::BaseSet::weighted(
                     system
                         .index()
@@ -113,7 +112,7 @@ fn main() {
                 .unwrap();
                 match Explanation::explain(
                     system.transfer(),
-                    &weights,
+                    session.rates(),
                     session.scores(),
                     &base,
                     target,
@@ -302,7 +301,6 @@ fn tight_explanation(
     session: &QuerySession<'_>,
     target: NodeId,
 ) -> Option<Explanation> {
-    let weights = system.transfer().weights(session.rates());
     let base = orex_authority::BaseSet::weighted(
         system
             .index()
@@ -311,7 +309,7 @@ fn tight_explanation(
     .ok()?;
     Explanation::explain(
         system.transfer(),
-        &weights,
+        session.rates(),
         session.scores(),
         &base,
         target,

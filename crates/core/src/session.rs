@@ -14,7 +14,7 @@ use orex_explain::{ExplainError, Explanation};
 use orex_graph::{NodeId, TransferRates};
 use orex_ir::{Query, QueryVector};
 use orex_reformulate::{reformulate, ReformulateParams};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A ranked result with its display name.
@@ -202,10 +202,6 @@ pub struct QuerySession<'s> {
     system: &'s ObjectRankSystem,
     query: QueryVector,
     rates: TransferRates,
-    /// Per-transfer-edge alpha weights for `rates` when they are not the
-    /// system's initial ones, derived on the first explanation that needs
-    /// them (see [`Self::weights`]).
-    weights: OnceLock<Vec<f64>>,
     /// Converged ObjectRank2 scores of the current query, shared with
     /// every snapshot taken of them.
     scores: Arc<RankedScores>,
@@ -267,8 +263,8 @@ impl<'s> QuerySession<'s> {
     /// Executes the initial query with explicit starting rates (used by
     /// the training experiments, which initialize all rates to 0.3). Rates
     /// other than the system's initial ones rank on a matrix built for
-    /// them, and the session derives its own edge weights only if an
-    /// explanation is asked for.
+    /// them; an explanation reads its `alpha` from the graph's Equation 1
+    /// class table under any rates.
     pub fn start_with(
         system: &'s ObjectRankSystem,
         query: &Query,
@@ -302,7 +298,6 @@ impl<'s> QuerySession<'s> {
             system,
             query: qv,
             rates,
-            weights: OnceLock::new(),
             scores,
             history: vec![stats],
             explained: Mutex::new(None),
@@ -317,10 +312,10 @@ impl<'s> QuerySession<'s> {
     /// (plain owned data, `Send`) between requests and resume it against
     /// the shared system when the next request arrives. The converged
     /// scores and the last explanation are shared with the snapshot, and
-    /// the edge weights wait for the first explanation that must be
-    /// built, so resuming is O(1): reading a top-k off a resumed session
-    /// never touches |V| or |E|, and explaining the target the snapshot
-    /// already explained builds nothing.
+    /// a session state holds no per-edge array, so resuming is O(1):
+    /// reading a top-k off a resumed session never touches |V| or |E|,
+    /// and explaining the target the snapshot already explained builds
+    /// nothing.
     ///
     /// # Panics
     /// Panics if the snapshot comes from a different graph (score
@@ -335,7 +330,6 @@ impl<'s> QuerySession<'s> {
             system,
             query: snapshot.query,
             rates: snapshot.rates,
-            weights: OnceLock::new(),
             scores: snapshot.scores,
             history: snapshot.history,
             explained: Mutex::new(snapshot.explained),
@@ -364,19 +358,6 @@ impl<'s> QuerySession<'s> {
     #[inline]
     pub fn scores(&self) -> &[f64] {
         &self.scores.values
-    }
-
-    /// The per-transfer-edge alpha weights of the current rates
-    /// (Equation 1). Under the initial rates they are the system's, which
-    /// it derives once for every round-0 state; otherwise they are |E|
-    /// work, paid once per session state and only by a session that
-    /// explains.
-    fn weights(&self) -> &[f64] {
-        if self.rates == *self.system.initial_rates() {
-            return self.system.initial_edge_weights();
-        }
-        self.weights
-            .get_or_init(|| self.system.transfer().weights(&self.rates))
     }
 
     /// Per-step statistics; index 0 is the initial query, subsequent
@@ -427,7 +408,6 @@ impl<'s> QuerySession<'s> {
             self.system.graph().node_count(),
             "snapshot belongs to a different graph"
         );
-        self.weights = OnceLock::new();
         self.query = snapshot.query;
         self.rates = snapshot.rates;
         self.scores = snapshot.scores;
@@ -480,7 +460,7 @@ impl<'s> QuerySession<'s> {
     fn explain_from(&self, base: &BaseSet, target: NodeId) -> Result<Explanation, SessionError> {
         Ok(Explanation::explain(
             self.system.transfer(),
-            self.weights(),
+            &self.rates,
             &self.scores.values,
             base,
             target,
@@ -609,7 +589,6 @@ impl<'s> QuerySession<'s> {
         self.rates = outcome.rates;
         // Always a fresh vector, a fresh memo and no explanation yet:
         // snapshots taken before this round keep what they captured.
-        self.weights = OnceLock::new();
         self.scores = scores;
         self.history.push(stats);
         self.explained = Mutex::new(None);
@@ -1019,35 +998,34 @@ mod tests {
         assert_explains_like_a_fresh_derivation(&session);
     }
 
-    /// The session's explanation of its top result equals one built from
-    /// weights derived afresh for the session's rates.
+    /// The session's explanation of its top result equals one built
+    /// afresh for the session's rates and scores, and every edge's alpha
+    /// is the session rates' edge-indexed Equation 1 weight, bit for bit.
     fn assert_explains_like_a_fresh_derivation(session: &QuerySession<'_>) {
         let sys = session.system();
         let target = session.top_k(1)[0].node;
-        let weights = sys.transfer().weights(session.rates());
         let fresh = Explanation::explain(
             sys.transfer(),
-            &weights,
+            session.rates(),
             session.scores(),
             &session.current_base_set().unwrap(),
             target,
             &sys.config().explain,
         )
         .unwrap();
-        assert_same_explanation(&session.explain(target).unwrap(), &fresh);
+        let explained = session.explain(target).unwrap();
+        assert_same_explanation(&explained, &fresh);
+        let weights = sys.transfer().weights(session.rates());
+        for e in explained.edges() {
+            assert_eq!(e.alpha.to_bits(), weights[e.transfer_edge].to_bits());
+        }
     }
 
     #[test]
-    fn a_round_zero_explanation_reads_the_kept_weights_like_a_fresh_derivation() {
+    fn a_round_zero_explanation_explains_like_a_fresh_derivation() {
         let sys = system();
         let session = QuerySession::start(&sys, &Query::parse("data")).unwrap();
-        assert!(!sys.holds_initial_edge_weights(), "ranking derives none");
         assert_explains_like_a_fresh_derivation(&session);
-        assert!(sys.holds_initial_edge_weights());
-        assert_eq!(
-            sys.initial_edge_weights(),
-            sys.transfer().weights(sys.initial_rates())
-        );
     }
 
     /// Two threads resume one snapshot and summarize its kept

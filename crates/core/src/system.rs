@@ -12,7 +12,7 @@ use orex_explain::ExplainParams;
 use orex_graph::{DataGraph, NodeId, TransferGraph, TransferRates};
 use orex_ir::{Analyzer, IndexBuilder, InvertedIndex, Okapi};
 use orex_reformulate::ReformulateParams;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// System-wide configuration.
 #[derive(Clone, Copy, Debug)]
@@ -54,9 +54,6 @@ pub struct ObjectRankSystem {
     /// life: every round-0 session ranks on it (see
     /// [`Self::initial_matrix`]).
     initial_matrix: Arc<MatrixStorage>,
-    /// Edge-indexed `alpha` of `initial_rates`, derived on the first
-    /// round-0 explanation (see [`Self::initial_edge_weights`]).
-    initial_edge_weights: OnceLock<Vec<f64>>,
     config: SystemConfig,
     /// Global ObjectRank scores under `initial_rates`, used to warm-start
     /// initial queries. `None` when disabled.
@@ -95,7 +92,6 @@ impl ObjectRankSystem {
             index,
             initial_rates,
             initial_matrix,
-            initial_edge_weights: OnceLock::new(),
             config,
             global_scores,
         }
@@ -130,21 +126,6 @@ impl ObjectRankSystem {
     /// initial rates reads it instead of rebuilding |E| weights.
     pub fn initial_matrix(&self) -> TransitionMatrix<'_> {
         TransitionMatrix::with_storage(&self.transfer, Arc::clone(&self.initial_matrix))
-    }
-
-    /// The edge-indexed `alpha` weights of [`Self::initial_rates`],
-    /// which explanations read. Derived once, by the first round-0
-    /// explanation, and borrowed for as long as the system lives: a
-    /// system that never explains never holds them.
-    pub(crate) fn initial_edge_weights(&self) -> &[f64] {
-        self.initial_edge_weights
-            .get_or_init(|| self.transfer.weights(&self.initial_rates))
-    }
-
-    /// Whether [`Self::initial_edge_weights`] have been derived, so a
-    /// memory ledger can count them once they exist.
-    pub fn holds_initial_edge_weights(&self) -> bool {
-        self.initial_edge_weights.get().is_some()
     }
 
     /// The configuration.

@@ -175,7 +175,6 @@ mod tests {
         let mut rates = TransferRates::zero(g.schema());
         rates.set(TransferTypeId::forward(r), rate).unwrap();
         let tg = TransferGraph::build(&g);
-        let weights = tg.weights(&rates);
         let m = TransitionMatrix::new(&tg, &rates);
         let base = BaseSet::uniform([0]).unwrap();
         let rank = power_iteration(
@@ -191,7 +190,7 @@ mod tests {
         );
         let expl = Explanation::explain(
             &tg,
-            &weights,
+            &rates,
             &rank.scores,
             &base,
             NodeId::new(2),
@@ -241,13 +240,12 @@ mod tests {
         let mut rates = TransferRates::zero(g.schema());
         rates.set(TransferTypeId::forward(r), 0.5).unwrap();
         let tg = TransferGraph::build(&g);
-        let weights = tg.weights(&rates);
         let m = TransitionMatrix::new(&tg, &rates);
         let base = BaseSet::uniform([0]).unwrap();
         let rank = power_iteration(&m, &base, &RankParams::default(), None);
         let e2 = Explanation::explain(
             &tg,
-            &weights,
+            &rates,
             &rank.scores,
             &base,
             NodeId::new(1),

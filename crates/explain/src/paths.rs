@@ -341,7 +341,7 @@ mod tests {
         let rank = power_iteration(&TransitionMatrix::new(&tg, &rates), &base, &params, None);
         Explanation::explain(
             &tg,
-            &tg.weights(&rates),
+            &rates,
             &rank.scores,
             &base,
             NodeId::new(target),

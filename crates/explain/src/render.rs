@@ -99,13 +99,12 @@ mod tests {
         let mut rates = TransferRates::zero(g.schema());
         rates.set(TransferTypeId::forward(r), 0.7).unwrap();
         let tg = TransferGraph::build(&g);
-        let weights = tg.weights(&rates);
         let m = TransitionMatrix::new(&tg, &rates);
         let base = BaseSet::uniform([0]).unwrap();
         let rank = power_iteration(&m, &base, &RankParams::default(), None);
         let expl = Explanation::explain(
             &tg,
-            &weights,
+            &rates,
             &rank.scores,
             &base,
             NodeId::new(1),

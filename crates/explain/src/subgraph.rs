@@ -27,7 +27,7 @@
 
 use crate::paths::PathMemo;
 use orex_authority::BaseSet;
-use orex_graph::{Csr, NodeId, TransferGraph};
+use orex_graph::{Csr, NodeId, TransferGraph, TransferRates};
 use std::fmt;
 
 /// Parameters for explanation generation.
@@ -170,18 +170,18 @@ pub struct Explanation {
 impl Explanation {
     /// Builds the explaining subgraph for `target`.
     ///
-    /// `weights` are the per-transfer-edge `alpha` values of the executed
-    /// query; `scores` its converged ObjectRank2 vector `r^Q`; `base` its
-    /// base set.
+    /// `rates` are the authority transfer rates of the executed query, so
+    /// an edge's `alpha` is its Equation 1 class's
+    /// ([`TransferGraph::class_alpha`]); `scores` its converged
+    /// ObjectRank2 vector `r^Q`; `base` its base set.
     pub fn explain(
         graph: &TransferGraph,
-        weights: &[f64],
+        rates: &TransferRates,
         scores: &[f64],
         base: &BaseSet,
         target: NodeId,
         params: &ExplainParams,
     ) -> Result<Self, ExplainError> {
-        assert_eq!(weights.len(), graph.transfer_edge_count());
         assert_eq!(scores.len(), graph.node_count());
         if target.index() >= graph.node_count() {
             return Err(ExplainError::TargetOutOfRange(target));
@@ -200,9 +200,10 @@ impl Explanation {
         // edges with positive alpha. dist[u] = hops from u to target
         // (sentinel u32::MAX): on the paper's full-scale graphs (Table 1)
         // radius-3 subgraphs of hub targets touch millions of edges, and
-        // hashing dominated the construction stage. The distance is tested
-        // before the weight, so the random gather into `weights` happens
-        // only for edges whose tail is still unlabelled.
+        // hashing dominated the construction stage. An edge's alpha is
+        // its Equation 1 class's: the search walks the in-CSR rows with
+        // their in-slot class ids side by side, so it reads no edge index
+        // and gathers from nothing larger than the class table.
         //
         // The search expands depths 0..L−1 only, labelling every node
         // within L − 1 hops. Construction reads a node's distance only if
@@ -211,18 +212,23 @@ impl Explanation {
         // L hops away only the base-set ones need a label. They are
         // labelled below from their own out-edges: expanding the last
         // level would scan the in-edges of most of a radius-L cone.
+        let class_alpha = graph.class_alpha(rates);
+        let edge_class = graph.edge_classes();
+        let alpha_of = |e: usize| class_alpha[usize::from(edge_class[e])];
         let n_global = graph.node_count();
         let radius = params.radius as u32;
         let mut dist = vec![u32::MAX; n_global];
         dist[target.index()] = 0;
         let mut frontier = vec![target.raw()];
+        let (in_csr, in_class) = (graph.in_csr(), graph.in_slot_classes());
         for depth in 0..radius.saturating_sub(1) {
             let mut next = Vec::new();
             for &w in &frontier {
-                for (u, e) in graph.in_transfer(NodeId::new(w)) {
-                    if dist[u.index()] == u32::MAX && weights[e] > 0.0 {
-                        dist[u.index()] = depth + 1;
-                        next.push(u.raw());
+                let slots = in_csr.range(w as usize);
+                for (&u, &c) in in_csr.targets()[slots.clone()].iter().zip(&in_class[slots]) {
+                    if dist[u as usize] == u32::MAX && class_alpha[usize::from(c)] > 0.0 {
+                        dist[u as usize] = depth + 1;
+                        next.push(u);
                     }
                 }
             }
@@ -257,7 +263,7 @@ impl Explanation {
             if dist[n as usize] == u32::MAX
                 && graph
                     .out_transfer(NodeId::new(n))
-                    .any(|(w, e)| dist[w.index()] < radius && weights[e] > 0.0)
+                    .any(|(w, e)| dist[w.index()] < radius && alpha_of(e) > 0.0)
             {
                 dist[n as usize] = radius;
             }
@@ -272,7 +278,7 @@ impl Explanation {
         while let Some(&u) = found.get(cursor) {
             cursor += 1;
             for (w, e) in graph.out_transfer(NodeId::new(u)) {
-                if dist[w.index()] < radius && weights[e] > 0.0 {
+                if dist[w.index()] < radius && alpha_of(e) > 0.0 {
                     kept[e / 64] |= 1 << (e % 64);
                     kept_count += 1;
                     if state[w.index()] == 0 {
@@ -305,7 +311,7 @@ impl Explanation {
         let mut edges: Vec<ExplainEdge> = Vec::with_capacity(kept_count);
         edges.extend(set_bits(&kept).map(|e| {
             let (src, dst) = graph.edge_endpoints(e);
-            let alpha = weights[e];
+            let alpha = alpha_of(e);
             ExplainEdge {
                 transfer_edge: e,
                 source: src,
@@ -752,14 +758,8 @@ pub(crate) mod tests {
             },
             None,
         );
-        let expl = Explanation::explain(
-            &tg,
-            &weights,
-            &rank.scores,
-            &base,
-            NodeId::new(target),
-            params,
-        );
+        let expl =
+            Explanation::explain(&tg, rates, &rank.scores, &base, NodeId::new(target), params);
         (tg, weights, rank.scores, base, expl)
     }
 
@@ -1075,9 +1075,10 @@ pub(crate) mod tests {
             }
         }
 
-        /// `explain` is bit-identical to the candidate-list construction
-        /// it replaced at radii 0–4, with or without zero-alpha edges, and
-        /// fails with the same variant where that fails.
+        /// `explain`, reading alpha from the class table, is bit-identical
+        /// to the candidate-list construction it replaced, reading the
+        /// gathered |E| weights, at radii 0–4, with or without zero-alpha
+        /// edges, and fails with the same variant where that fails.
         #[test]
         fn matches_the_candidate_list_reference(
             case in random_case(),
@@ -1093,7 +1094,7 @@ pub(crate) mod tests {
             let (tg, weights, scores, base, _) = run(&g, &rates, &base_nodes, target, &params);
             let out_of_range = NodeId::new(tg.node_count() as u32 + target % 3);
             for target in [NodeId::new(target), out_of_range] {
-                let got = Explanation::explain(&tg, &weights, &scores, &base, target, &params);
+                let got = Explanation::explain(&tg, &rates, &scores, &base, target, &params);
                 let want = reference::explain(&tg, &weights, &scores, &base, target, &params);
                 match (got, want) {
                     (Ok(got), Ok(want)) => {

@@ -144,7 +144,6 @@ mod tests {
         rates.set(TransferTypeId::forward(by), 0.2).unwrap();
         rates.set(TransferTypeId::backward(by), 0.2).unwrap();
         let tg = TransferGraph::build(&g);
-        let weights = tg.weights(&rates);
         let m = TransitionMatrix::new(&tg, &rates);
         let base = BaseSet::uniform([0]).unwrap();
         let rank = power_iteration(
@@ -160,7 +159,7 @@ mod tests {
         );
         let expl = Explanation::explain(
             &tg,
-            &weights,
+            &rates,
             &rank.scores,
             &base,
             NodeId::new(1),

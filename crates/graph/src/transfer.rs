@@ -19,10 +19,31 @@
 //! ```
 //!
 //! where `OutDeg(u, tt)` counts `u`'s outgoing transfer edges of type `tt`.
-//! The topology is built once; [`TransferGraph::weights`] re-derives the
-//! `alpha` array for any rates vector, so reformulation iterations never
-//! rebuild adjacency. [`TransferGraph::in_slot_weights`] derives the same
-//! array in the order the pull-based power iteration reads it.
+//!
+//! So `alpha` takes one value per *class*, a distinct `(tt, OutDeg)` pair,
+//! and a graph has few of them: 324 on `dblp-top:1.0` (312,060 transfer
+//! edges), 396 on `dblp-complete:0.1` (808,740), 201 on `ds7-cancer:0.5`,
+//! 488 on `ds7:1.0` (7.1M) and 952 on `dblp-complete:1.0` (8.27M). The
+//! graph keeps a `u16` class id per transfer edge, in edge order and in
+//! in-CSR slot order, and one `(tt, 1 / OutDeg)` row per class.
+//! [`TransferGraph::class_alpha`] turns a rates vector into every class's
+//! `alpha` in about a thousand multiplies, and [`TransferGraph::weights`]
+//! and [`TransferGraph::in_slot_weights`] gather the per-edge arrays from
+//! it, so reformulation iterations never rebuild adjacency.
+//!
+//! Bytes per transfer edge ([`TransferGraph::heap_bytes`] adds the two
+//! CSR row-offset arrays, 8 B per node, and the class table, 16 B per
+//! class):
+//!
+//! | array | before the class table | now |
+//! |---|---|---|
+//! | `edge_src`, `edge_dst`, `edge_origin` | 12 | 12 |
+//! | out-CSR target + slot → edge map | 8 | 8 |
+//! | in-CSR target + slot → edge map | 8 | 8 |
+//! | transfer type, edge order + in-slot order | 4 | — |
+//! | `1 / OutDeg`, edge order + in-slot order | 16 | — |
+//! | class id, edge order + in-slot order | — | 4 |
+//! | **total** | **48** | **32** |
 
 use crate::csr::Csr;
 use crate::data::DataGraph;
@@ -230,11 +251,40 @@ impl TransferRates {
     }
 }
 
+/// The most Equation 1 classes a [`TransferGraph`] can hold: class ids
+/// are `u16`.
+const MAX_CLASSES: usize = u16::MAX as usize + 1;
+
+/// The distinct `(transfer type, OutDeg)` keys, ascending: a key's class
+/// id is its position.
+///
+/// # Panics
+/// Panics if there are more than [`MAX_CLASSES`] distinct keys.
+fn class_table(keys: impl IntoIterator<Item = (u16, u32)>) -> Vec<(u16, u32)> {
+    let mut table: Vec<(u16, u32)> = Vec::new();
+    for key in keys {
+        if let Err(at) = table.binary_search(&key) {
+            assert!(
+                table.len() < MAX_CLASSES,
+                "too many Equation 1 classes: more than {MAX_CLASSES} (transfer type, OutDeg) pairs"
+            );
+            table.insert(at, key);
+        }
+    }
+    table
+}
+
+/// The class id of a key [`class_table`] holds: its position.
+fn class_id(table: &[(u16, u32)], key: (u16, u32)) -> u16 {
+    table.partition_point(|&k| k < key) as u16
+}
+
 /// The authority transfer data graph: materialized forward + backward
 /// transfer edges over a data graph, with weight derivation per Equation 1.
 ///
 /// Topology is immutable; `alpha` weights are a function of a
-/// [`TransferRates`] vector, recomputed in one pass by [`Self::weights`].
+/// [`TransferRates`] vector, derived per class by [`Self::class_alpha`]
+/// and gathered per edge by [`Self::weights`].
 #[derive(Clone, Debug)]
 pub struct TransferGraph {
     node_count: usize,
@@ -250,21 +300,24 @@ pub struct TransferGraph {
     edge_src: Vec<u32>,
     /// Per transfer edge: target node.
     edge_dst: Vec<u32>,
-    /// Per transfer edge: dense transfer-type index.
-    edge_type: Vec<u16>,
     /// Per transfer edge: the data edge it was derived from.
     edge_origin: Vec<u32>,
-    /// Per transfer edge: `1 / OutDeg(src, type)` (Equation 1 denominator).
-    inv_out_deg: Vec<f64>,
-    /// `edge_type` gathered into in-CSR slot order.
-    in_slot_type: Vec<u16>,
-    /// `inv_out_deg` gathered into in-CSR slot order.
-    in_slot_inv_out_deg: Vec<f64>,
+    /// Per transfer edge: its Equation 1 class.
+    edge_class: Vec<u16>,
+    /// `edge_class` gathered into in-CSR slot order.
+    in_slot_class: Vec<u16>,
+    /// Per class: dense transfer-type index and `1 / OutDeg(src, type)`,
+    /// the rates-free half of Equation 1.
+    classes: Vec<(u16, f64)>,
     transfer_type_count: usize,
 }
 
 impl TransferGraph {
     /// Builds the authority transfer data graph for `data`.
+    ///
+    /// # Panics
+    /// Panics if the schema has more than 32,768 edge types or the graph
+    /// more than 65,536 distinct `(transfer type, OutDeg)` pairs.
     pub fn build(data: &DataGraph) -> Self {
         let n = data.node_count();
         let m = data.edge_count();
@@ -289,18 +342,30 @@ impl TransferGraph {
             edge_origin.push(eid.raw());
         }
 
-        // OutDeg(u, tt): count per (node, transfer type).
-        let mut out_deg = vec![0u32; n * tt_count];
-        for i in 0..edge_src.len() {
-            out_deg[edge_src[i] as usize * tt_count + edge_type[i] as usize] += 1;
+        // OutDeg(u, tt): count per (node, transfer type), then numbered
+        // in place: each present (node, type) slot holds its class id.
+        let mut slot_class = vec![0u32; n * tt_count];
+        for (&src, &tt) in edge_src.iter().zip(&edge_type) {
+            slot_class[src as usize * tt_count + tt as usize] += 1;
         }
-        let inv_out_deg: Vec<f64> = (0..edge_src.len())
-            .map(|i| {
-                let d = out_deg[edge_src[i] as usize * tt_count + edge_type[i] as usize];
-                1.0 / d as f64
-            })
+        let key = |slot: usize, deg: u32| ((slot % tt_count) as u16, deg);
+        let present = |(slot, &deg): (usize, &u32)| (deg > 0).then(|| key(slot, deg));
+        let table = class_table(slot_class.iter().enumerate().filter_map(present));
+        for (slot, deg) in slot_class.iter_mut().enumerate() {
+            if *deg > 0 {
+                *deg = u32::from(class_id(&table, key(slot, *deg)));
+            }
+        }
+        let classes = table
+            .iter()
+            .map(|&(tt, deg)| (tt, 1.0 / deg as f64))
             .collect();
-        drop(out_deg);
+        let edge_class: Vec<u16> = edge_src
+            .iter()
+            .zip(&edge_type)
+            .map(|(&src, &tt)| slot_class[src as usize * tt_count + tt as usize] as u16)
+            .collect();
+        drop((slot_class, edge_type));
 
         let pairs: Vec<(u32, u32)> = edge_src
             .iter()
@@ -310,16 +375,12 @@ impl TransferGraph {
         let (out_csr, out_slot_edge) = Csr::from_edges(n, &pairs);
         let rev_pairs: Vec<(u32, u32)> = pairs.iter().map(|&(s, d)| (d, s)).collect();
         let (in_csr, in_slot_edge) = Csr::from_edges(n, &rev_pairs);
-        // The rates-free half of Equation 1 in the order the pull sweep
-        // reads it, so a rates vector becomes in-slot alpha in one
-        // streaming pass ([`Self::in_slot_weights`]).
-        let in_slot_type = in_slot_edge
+        // Class ids in the order the pull sweep reads them, so a rates
+        // vector becomes in-slot alpha in one streaming pass
+        // ([`Self::in_slot_weights`]).
+        let in_slot_class = in_slot_edge
             .iter()
-            .map(|&e| edge_type[e as usize])
-            .collect();
-        let in_slot_inv_out_deg = in_slot_edge
-            .iter()
-            .map(|&e| inv_out_deg[e as usize])
+            .map(|&e| edge_class[e as usize])
             .collect();
 
         Self {
@@ -330,11 +391,10 @@ impl TransferGraph {
             in_slot_edge,
             edge_src,
             edge_dst,
-            edge_type,
             edge_origin,
-            inv_out_deg,
-            in_slot_type,
-            in_slot_inv_out_deg,
+            edge_class,
+            in_slot_class,
+            classes,
             transfer_type_count: tt_count,
         }
     }
@@ -357,33 +417,77 @@ impl TransferGraph {
         self.transfer_type_count
     }
 
-    /// Derives the per-edge `alpha` weights for a rates vector (Equation 1).
+    /// Number of Equation 1 classes: distinct `(transfer type, OutDeg)`
+    /// pairs over the graph's transfer edges.
+    #[inline]
+    pub fn class_count(&self) -> usize {
+        self.classes.len()
+    }
+
+    /// Equation 1 per class: `class_alpha(r)[c]` is the `alpha` of every
+    /// transfer edge in class `c` ([`Self::edge_classes`]).
     ///
-    /// The returned vector is indexed by transfer-edge index.
-    pub fn weights(&self, rates: &TransferRates) -> Vec<f64> {
-        self.alpha(rates, &self.edge_type, &self.inv_out_deg)
-    }
-
-    /// The `alpha` weights of [`Self::weights`] in in-CSR slot order:
-    /// `in_slot_weights(r)[s] == weights(r)[in_slot_edges()[s]]`, bit for
-    /// bit, built in one streaming pass with no gather.
-    pub fn in_slot_weights(&self, rates: &TransferRates) -> Vec<f64> {
-        self.alpha(rates, &self.in_slot_type, &self.in_slot_inv_out_deg)
-    }
-
-    /// Equation 1 over parallel type and `1 / OutDeg` arrays.
-    fn alpha(&self, rates: &TransferRates, types: &[u16], inv_out_deg: &[f64]) -> Vec<f64> {
+    /// # Panics
+    /// Panics if `rates` has the wrong dimension for the schema.
+    pub fn class_alpha(&self, rates: &TransferRates) -> Vec<f64> {
         assert_eq!(
             rates.len(),
             self.transfer_type_count,
             "rates dimension mismatch"
         );
         let dense = rates.as_slice();
-        types
+        self.classes
             .iter()
-            .zip(inv_out_deg)
-            .map(|(&tt, &inv)| dense[tt as usize] * inv)
+            .map(|&(tt, inv_out_deg)| dense[tt as usize] * inv_out_deg)
             .collect()
+    }
+
+    /// The class id of every transfer edge, indexed by transfer-edge
+    /// index: `weights(r)[e] == class_alpha(r)[edge_classes()[e]]`.
+    #[inline]
+    pub fn edge_classes(&self) -> &[u16] {
+        &self.edge_class
+    }
+
+    /// The class id of every in-CSR slot: `edge_classes()` gathered into
+    /// in-slot order, so `in_slot_weights(r)[s] ==
+    /// class_alpha(r)[in_slot_classes()[s]]`.
+    #[inline]
+    pub fn in_slot_classes(&self) -> &[u16] {
+        &self.in_slot_class
+    }
+
+    /// Derives the per-edge `alpha` weights for a rates vector (Equation 1).
+    ///
+    /// The returned vector is indexed by transfer-edge index.
+    pub fn weights(&self, rates: &TransferRates) -> Vec<f64> {
+        gather(&self.class_alpha(rates), &self.edge_class)
+    }
+
+    /// The `alpha` weights of [`Self::weights`] in in-CSR slot order:
+    /// `in_slot_weights(r)[s] == weights(r)[in_slot_edges()[s]]`, bit for
+    /// bit, built in one streaming pass over the in-slot class ids.
+    pub fn in_slot_weights(&self, rates: &TransferRates) -> Vec<f64> {
+        gather(&self.class_alpha(rates), &self.in_slot_class)
+    }
+
+    /// Bytes the graph holds on the heap: its CSRs, its per-edge arrays
+    /// and its class table.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let csr = |c: &Csr| (c.row_offsets().len() + c.targets().len()) * size_of::<u32>();
+        let u32s = [
+            &self.out_slot_edge,
+            &self.in_slot_edge,
+            &self.edge_src,
+            &self.edge_dst,
+            &self.edge_origin,
+        ];
+        csr(&self.out_csr)
+            + csr(&self.in_csr)
+            + u32s.iter().map(|v| v.capacity()).sum::<usize>() * size_of::<u32>()
+            + (self.edge_class.capacity() + self.in_slot_class.capacity()) * size_of::<u16>()
+            + self.classes.capacity() * size_of::<(u16, f64)>()
     }
 
     /// Outgoing transfer edges of `node`: `(target, transfer edge index)`.
@@ -418,7 +522,8 @@ impl TransferGraph {
     /// Transfer type of a transfer edge.
     #[inline]
     pub fn edge_transfer_type(&self, edge: usize) -> TransferTypeId {
-        TransferTypeId::from_dense_index(self.edge_type[edge] as usize)
+        let (tt, _) = self.classes[self.edge_class[edge] as usize];
+        TransferTypeId::from_dense_index(tt as usize)
     }
 
     /// The data edge a transfer edge was derived from.
@@ -464,7 +569,7 @@ impl TransferGraph {
             sums.fill(0.0);
             present.fill(false);
             for (_, e) in self.out_transfer(NodeId::from_usize(node)) {
-                let tt = self.edge_type[e] as usize;
+                let tt = self.edge_transfer_type(e).dense_index();
                 sums[tt] += weights[e];
                 present[tt] = true;
             }
@@ -475,6 +580,11 @@ impl TransferGraph {
         }
         true
     }
+}
+
+/// `class_alpha` read through per-edge class ids.
+fn gather(class_alpha: &[f64], classes: &[u16]) -> Vec<f64> {
+    classes.iter().map(|&c| class_alpha[c as usize]).collect()
 }
 
 #[cfg(test)]
@@ -674,6 +784,83 @@ mod tests {
             }
             rates.ensure_bidirectional(1e-4);
         }
+    }
+
+    #[test]
+    fn class_table_numbers_distinct_keys_in_ascending_order() {
+        let table = class_table([(1, 2), (0, 5), (1, 2), (0, 1), (1, 1)]);
+        assert_eq!(table, vec![(0, 1), (0, 5), (1, 1), (1, 2)]);
+        for (id, &key) in table.iter().enumerate() {
+            assert_eq!(class_id(&table, key) as usize, id);
+        }
+        assert!(class_table([]).is_empty());
+    }
+
+    /// `MAX_CLASSES` keys over two transfer types, in the order a
+    /// node-major scan would meet them.
+    fn keys_up_to_the_bound() -> impl Iterator<Item = (u16, u32)> {
+        let half = MAX_CLASSES as u32 / 2;
+        (1..=half).flat_map(|deg| [(0, deg), (1, deg)])
+    }
+
+    #[test]
+    fn class_table_holds_exactly_the_u16_bound() {
+        let table = class_table(keys_up_to_the_bound());
+        assert_eq!(table.len(), MAX_CLASSES);
+        assert_eq!(class_id(&table, (0, 1)), 0);
+        assert_eq!(class_id(&table, (1, MAX_CLASSES as u32 / 2)), u16::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "too many Equation 1 classes: more than 65536")]
+    fn class_table_rejects_one_class_past_the_u16_bound() {
+        let _ = class_table(keys_up_to_the_bound().chain([(2, 1)]));
+    }
+
+    #[test]
+    fn class_alpha_is_rate_over_outdegree_for_every_edge() {
+        let g = tiny_graph();
+        let tg = TransferGraph::build(&g);
+        // (cites_f, 2) at p0; (cites_b, 1) at p1, p2; (by_f, 1) at p0, p1;
+        // (by_b, 2) at a0.
+        assert_eq!(tg.class_count(), 4);
+        let mut rates = dblp_rates(g.schema());
+        for _ in 0..2 {
+            let alpha = tg.class_alpha(&rates);
+            assert_eq!(alpha.len(), tg.class_count());
+            let w = tg.weights(&rates);
+            for node in 0..tg.node_count() {
+                let out: Vec<usize> = tg
+                    .out_transfer(NodeId::from_usize(node))
+                    .map(|(_, e)| e)
+                    .collect();
+                for &e in &out {
+                    let tt = tg.edge_transfer_type(e);
+                    let deg = out
+                        .iter()
+                        .filter(|&&f| tg.edge_transfer_type(f) == tt)
+                        .count();
+                    let eq1 = rates.get(tt) * (1.0 / deg as f64);
+                    assert_eq!(
+                        alpha[tg.edge_classes()[e] as usize].to_bits(),
+                        eq1.to_bits()
+                    );
+                    assert_eq!(w[e].to_bits(), eq1.to_bits());
+                }
+            }
+            rates.ensure_bidirectional(1e-4);
+        }
+    }
+
+    #[test]
+    fn heap_bytes_count_thirty_two_bytes_per_transfer_edge() {
+        let g = tiny_graph();
+        let tg = TransferGraph::build(&g);
+        let (edges, nodes) = (tg.transfer_edge_count(), tg.node_count());
+        assert_eq!(
+            tg.heap_bytes(),
+            32 * edges + 8 * (nodes + 1) + 16 * tg.class_count()
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! transfer-graph structural invariants, and Equation 1 conservation laws.
 
 use orex_graph::{
-    Csr, DataGraph, DataGraphBuilder, NodeId, SchemaGraph, TransferGraph, TransferRates,
+    Csr, DataGraph, DataGraphBuilder, Direction, NodeId, SchemaGraph, TransferGraph, TransferRates,
     TransferTypeId,
 };
 use proptest::prelude::*;
@@ -141,9 +141,12 @@ proptest! {
     }
 
     /// The streaming in-slot weights are the edge-indexed weights
-    /// gathered into in-slot order, bit for bit, and Equation 1's
-    /// per-type identity holds, for any rates: zero ones included, and
-    /// after `ensure_bidirectional` fills them.
+    /// gathered into in-slot order, bit for bit; both are the class
+    /// table's alpha, and that is Equation 1 recomputed from scratch,
+    /// `rate(type) * (1.0 / OutDeg(src, type))` with OutDeg counted from
+    /// `out_transfer`, bit for bit; and Equation 1's per-type identity
+    /// holds. For any rates: zero ones included, and after
+    /// `ensure_bidirectional` fills them.
     #[test]
     fn slot_aligned_weights_are_the_gathered_edge_weights(
         papers in 1usize..20,
@@ -167,8 +170,38 @@ proptest! {
             .map(|&e| edge_indexed[e as usize].to_bits())
             .collect();
         let streamed: Vec<u64> = tg.in_slot_weights(&rates).iter().map(|w| w.to_bits()).collect();
-        prop_assert_eq!(streamed, gathered);
+        prop_assert_eq!(&streamed, &gathered);
         prop_assert!(tg.verify_weight_invariant(&rates));
+
+        let mut eq1 = vec![f64::NAN; tg.transfer_edge_count()];
+        for node in 0..tg.node_count() {
+            let out: Vec<usize> = tg.out_transfer(NodeId::from_usize(node)).map(|(_, e)| e).collect();
+            for &e in &out {
+                // The class table's type is the data edge's, oriented.
+                let tt = tg.edge_transfer_type(e);
+                let rec = g.edge(tg.edge_origin(e));
+                prop_assert_eq!(tt.edge_type, rec.edge_type);
+                let oriented = match tt.direction {
+                    Direction::Forward => (rec.source, rec.target),
+                    Direction::Backward => (rec.target, rec.source),
+                };
+                prop_assert_eq!(tg.edge_endpoints(e), oriented);
+                let out_deg = out.iter().filter(|&&f| tg.edge_transfer_type(f) == tt).count();
+                eq1[e] = rates.get(tt) * (1.0 / out_deg as f64);
+            }
+        }
+        let class_alpha = tg.class_alpha(&rates);
+        let by_class: Vec<u64> = tg
+            .edge_classes()
+            .iter()
+            .map(|&c| class_alpha[c as usize].to_bits())
+            .collect();
+        let scratch: Vec<u64> = eq1.iter().map(|a| a.to_bits()).collect();
+        prop_assert_eq!(&by_class, &scratch);
+        let edge_order: Vec<u64> = edge_indexed.iter().map(|w| w.to_bits()).collect();
+        prop_assert_eq!(&edge_order, &scratch);
+        let scratch_in_slot: Vec<u64> = tg.in_slot_edges().iter().map(|&e| scratch[e as usize]).collect();
+        prop_assert_eq!(streamed, scratch_in_slot);
     }
 
     /// Conformance re-verification succeeds for builder-constructed graphs.

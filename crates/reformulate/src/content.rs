@@ -207,7 +207,6 @@ mod tests {
         let mut rates = TransferRates::zero(g.schema());
         rates.set(TransferTypeId::forward(r), 0.8).unwrap();
         let tg = TransferGraph::build(&g);
-        let weights = tg.weights(&rates);
         let m = TransitionMatrix::new(&tg, &rates);
         let base = BaseSet::uniform([0]).unwrap();
         let rank = power_iteration(
@@ -223,7 +222,7 @@ mod tests {
         );
         let expl = orex_explain::Explanation::explain(
             &tg,
-            &weights,
+            &rates,
             &rank.scores,
             &base,
             NodeId::new(2),

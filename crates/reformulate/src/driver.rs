@@ -216,7 +216,6 @@ mod tests {
         let index = ib.build();
         let query = QueryVector::initial(&Query::parse("olap"), index.analyzer());
 
-        let weights = graph.weights(&rates);
         let m = TransitionMatrix::new(&graph, &rates);
         let base =
             BaseSet::weighted(index.base_set_scores(&query, &orex_ir::Okapi::default())).unwrap();
@@ -234,7 +233,7 @@ mod tests {
         let mk = |t: u32| {
             Explanation::explain(
                 &graph,
-                &weights,
+                &rates,
                 &rank.scores,
                 &base,
                 NodeId::new(t),
@@ -430,13 +429,12 @@ mod tests {
                 &RankParams { epsilon: 1e-12, max_iterations: 2000, threads: 1, ..RankParams::default() },
                 None,
             );
-            let weights = graph.weights(&rates);
             let explanations: Vec<Explanation> = target_rolls
                 .iter()
                 .filter_map(|&t| {
                     let target = NodeId::new(t % n);
                     let params = ExplainParams::default();
-                    Explanation::explain(&graph, &weights, &rank.scores, &base, target, &params).ok()
+                    Explanation::explain(&graph, &rates, &rank.scores, &base, target, &params).ok()
                 })
                 .collect();
             if explanations.is_empty() {

@@ -195,7 +195,6 @@ mod tests {
             .unwrap();
         rates.validate(&schema).unwrap();
         let tg = TransferGraph::build(&g);
-        let weights = tg.weights(&rates);
         let m = TransitionMatrix::new(&tg, &rates);
         let base = BaseSet::uniform([0]).unwrap();
         let rank = power_iteration(
@@ -211,7 +210,7 @@ mod tests {
         );
         let expl = Explanation::explain(
             &tg,
-            &weights,
+            &rates,
             &rank.scores,
             &base,
             NodeId::new(2),
@@ -309,7 +308,6 @@ mod tests {
         // Re-run the full loop: rates -> rank -> explain -> adjust, the
         // inner loop of the Figure 11 training experiment.
         for _ in 0..4 {
-            let weights = tg.weights(&rates);
             let m = TransitionMatrix::new(&tg, &rates);
             let base = BaseSet::uniform([0]).unwrap();
             let rank = power_iteration(
@@ -325,7 +323,7 @@ mod tests {
             );
             let expl = Explanation::explain(
                 &tg,
-                &weights,
+                &rates,
                 &rank.scores,
                 &base,
                 NodeId::new(2),
@@ -366,13 +364,12 @@ mod tests {
         rates.set(TransferTypeId::forward(cites), 0.5).unwrap();
         rates.set(TransferTypeId::forward(extends), 0.2).unwrap();
         let tg = TransferGraph::build(&g);
-        let weights = tg.weights(&rates);
         let m = TransitionMatrix::new(&tg, &rates);
         let base = BaseSet::uniform([s.raw()]).unwrap();
         let rank = power_iteration(&m, &base, &RankParams::default(), None);
         let expl = Explanation::explain(
             &tg,
-            &weights,
+            &rates,
             &rank.scores,
             &base,
             t,

@@ -136,15 +136,12 @@ impl DatasetService {
     }
 
     /// Approximate resident bytes of graph + index + precomputed
-    /// vectors, counting the vectors backfill has added so far and the
-    /// initial edge weights once the first explanation derived them.
+    /// vectors, counting the vectors backfill has added so far.
     pub fn memory_bytes(&self) -> u64 {
         let nodes = self.system.graph().node_count() as u64;
         // Precomputed vectors are stored as f32.
         let vector_bytes = nodes * std::mem::size_of::<f32>() as u64;
-        self.fixed_memory_bytes
-            + self.precompute_terms() as u64 * vector_bytes
-            + initial_weights_memory(&self.system)
+        self.fixed_memory_bytes + self.precompute_terms() as u64 * vector_bytes
     }
 
     /// Counts one query against this dataset (feeds `/datasets` and the
@@ -247,27 +244,23 @@ fn served_config() -> SystemConfig {
 /// life; the point is relative magnitude on `/datasets`, not
 /// allocator-exact bytes.
 fn fixed_memory(system: &ObjectRankSystem) -> u64 {
-    graph_and_index_memory(system) + kept_matrix_memory(system)
+    data_and_index_memory(system)
+        + system.transfer().heap_bytes() as u64
+        + kept_matrix_memory(system)
 }
 
-/// Graph adjacency + labels, transfer weights, the transfer graph's
-/// in-slot type (u16) and `1 / OutDeg` (f64) arrays, index postings +
-/// vocabulary, and the global-scores vector.
-fn graph_and_index_memory(system: &ObjectRankSystem) -> u64 {
+/// Data-graph adjacency + labels, index postings + vocabulary, and the
+/// global-scores vector. The transfer graph is charged at its own
+/// `TransferGraph::heap_bytes` (32 B per transfer edge).
+fn data_and_index_memory(system: &ObjectRankSystem) -> u64 {
     let nodes = system.graph().node_count() as u64;
     let edges = system.graph().edge_count() as u64;
-    let transfer_edges = system.transfer().transfer_edge_count() as u64;
     let index = system.index();
     let mut postings = 0u64;
     for t in 0..index.vocabulary_size() {
         postings += u64::from(index.df(t as orex_ir::TermId));
     }
-    nodes * 64
-        + edges * 24
-        + transfer_edges * 10
-        + postings * 12
-        + index.vocabulary_size() as u64 * 48
-        + nodes * 8
+    nodes * 64 + edges * 24 + postings * 12 + index.vocabulary_size() as u64 * 48 + nodes * 8
 }
 
 /// The system's kept initial-rates matrix: in-slot `alpha` (one f64 per
@@ -276,16 +269,6 @@ fn kept_matrix_memory(system: &ObjectRankSystem) -> u64 {
     let transfer_edges = system.transfer().transfer_edge_count() as u64;
     let blocks = system.initial_matrix().cache_block_count() as u64 + 1;
     transfer_edges * 8 + blocks * 4
-}
-
-/// The edge-indexed initial `alpha` explanations read: one f64 per
-/// transfer edge once the first round-0 explanation derived them.
-fn initial_weights_memory(system: &ObjectRankSystem) -> u64 {
-    if system.holds_initial_edge_weights() {
-        system.transfer().transfer_edge_count() as u64 * 8
-    } else {
-        0
-    }
 }
 
 /// A slot holds the spec plus a once-built service. A failed build is
@@ -572,12 +555,25 @@ mod tests {
         );
     }
 
-    /// The kept initial-rates matrix costs 8 bytes per transfer edge
-    /// plus 4 per cache-block boundary on `/datasets`; the initial edge
-    /// weights cost 8 more per transfer edge once an explanation derived
-    /// them.
+    /// The transfer graph is charged at its heap bytes (32 per transfer
+    /// edge, see `TransferGraph::heap_bytes`), not at a per-edge guess.
     #[test]
-    fn memory_counts_eight_bytes_per_transfer_edge_for_the_kept_matrix_and_eight_once_explained() {
+    fn memory_charges_the_transfer_graph_at_its_heap_bytes() {
+        let system = system();
+        let service =
+            DatasetService::from_system("d", Preset::DblpTop, 0.01, Arc::clone(&system), 4, None)
+                .unwrap();
+        assert_eq!(
+            service.memory_bytes() - data_and_index_memory(&system) - kept_matrix_memory(&system),
+            system.transfer().heap_bytes() as u64
+        );
+    }
+
+    /// The kept initial-rates matrix costs 8 bytes per transfer edge
+    /// plus 4 per cache-block boundary on `/datasets`; an explanation
+    /// derives no per-edge array, so explaining adds nothing.
+    #[test]
+    fn kept_matrix_costs_eight_bytes_per_transfer_edge_and_explaining_none() {
         let d = Preset::DblpTop.generate(0.01);
         let system = Arc::new(ObjectRankSystem::new(
             d.graph,
@@ -586,7 +582,7 @@ mod tests {
         ));
         let transfer_edges = system.transfer().transfer_edge_count() as u64;
         let boundaries = system.initial_matrix().cache_block_count() as u64 + 1;
-        let base = graph_and_index_memory(&system);
+        let base = data_and_index_memory(&system) + system.transfer().heap_bytes() as u64;
         let service =
             DatasetService::from_system("d", Preset::DblpTop, 0.01, Arc::clone(&system), 4, None)
                 .unwrap();
@@ -599,7 +595,7 @@ mod tests {
             .find_map(|kw| QuerySession::start(&system, &Query::parse(kw)).ok())
             .expect("some keyword ranks");
         session.explain(session.top_k(1)[0].node).unwrap();
-        assert_eq!(service.memory_bytes() - base, matrix + transfer_edges * 8);
+        assert_eq!(service.memory_bytes() - base, matrix);
     }
 
     /// The thread policy: whatever the registry builds ranks on its

@@ -1011,8 +1011,8 @@ fn covered_queries_combine_precomputed_vectors_and_misses_backfill() {
     let session = payload.get("session").and_then(Value::as_u64).unwrap();
     let explain = get(server.addr, &format!("/explain/{session}/{}", nodes[0]));
     assert_eq!(explain.status, 200, "{}", explain.body);
-    // Read after the first explanation, which derives the initial edge
-    // weights the listing then counts, and before anything is backfilled.
+    // Read after the first explanation (which adds nothing to the
+    // listing) and before anything is backfilled.
     let memory_loaded = default_dataset(server.addr)
         .get("memory_bytes")
         .and_then(Value::as_u64)

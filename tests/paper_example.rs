@@ -189,10 +189,9 @@ fn explaining_subgraph_of_range_queries_excludes_data_cube() {
     // no path from that paper to v4."
     let f = figure1();
     let (_, scores, base) = run_olap(&f);
-    let weights = f.transfer.weights(&f.rates);
     let expl = Explanation::explain(
         &f.transfer,
-        &weights,
+        &f.rates,
         &scores,
         &base,
         NodeId::new(V4_RANGE_QUERIES),
@@ -226,10 +225,9 @@ fn explanation_paths_lead_from_base_set_to_target() {
     // performance experiments pick; radius 6 covers the whole subset.
     let f = figure1();
     let (_, scores, base) = run_olap(&f);
-    let weights = f.transfer.weights(&f.rates);
     let expl = Explanation::explain(
         &f.transfer,
-        &weights,
+        &f.rates,
         &scores,
         &base,
         NodeId::new(V4_RANGE_QUERIES),
@@ -255,10 +253,9 @@ fn example2_expansion_terms_match_the_paper() {
     // multidimensional and modeling" (we see their stems).
     let f = figure1();
     let (qv, scores, base) = run_olap(&f);
-    let weights = f.transfer.weights(&f.rates);
     let expl = Explanation::explain(
         &f.transfer,
-        &weights,
+        &f.rates,
         &scores,
         &base,
         NodeId::new(V4_RANGE_QUERIES),
@@ -286,10 +283,9 @@ fn example2_expansion_terms_match_the_paper() {
 fn example2_reformulated_query_boosts_olap() {
     let f = figure1();
     let (qv, scores, base) = run_olap(&f);
-    let weights = f.transfer.weights(&f.rates);
     let expl = Explanation::explain(
         &f.transfer,
-        &weights,
+        &f.rates,
         &scores,
         &base,
         NodeId::new(V4_RANGE_QUERIES),
@@ -352,10 +348,9 @@ fn bidirectional_epsilon_keeps_data_cube_explainable() {
     let result = object_rank2(&matrix, &f.index, &qv, &Okapi::default(), &params, None).unwrap();
     let base = orex::authority::BaseSet::weighted(f.index.base_set_scores(&qv, &Okapi::default()))
         .unwrap();
-    let weights = f.transfer.weights(&rates);
     let expl = Explanation::explain(
         &f.transfer,
-        &weights,
+        &rates,
         &result.scores,
         &base,
         NodeId::new(V7_DATA_CUBE),

@@ -105,10 +105,9 @@ proptest! {
             return Ok(());
         };
         let base = BaseSet::weighted(idx.base_set_scores(&q, &Okapi::default())).unwrap();
-        let weights = tg.weights(&rates);
         let target = NodeId::from_usize(target_roll % papers);
         let Ok(expl) = Explanation::explain(
-            &tg, &weights, &result.scores, &base, target,
+            &tg, &rates, &result.scores, &base, target,
             &ExplainParams { epsilon: 1e-12, ..ExplainParams::default() },
         ) else {
             return Ok(()); // unreachable target is a legal outcome
@@ -145,10 +144,9 @@ proptest! {
             return Ok(());
         };
         let base = BaseSet::weighted(idx.base_set_scores(&q, &Okapi::default())).unwrap();
-        let weights = tg.weights(&rates);
         let target = NodeId::from_usize(target_roll % papers);
         let Ok(expl) = Explanation::explain(
-            &tg, &weights, &result.scores, &base, target, &ExplainParams::default(),
+            &tg, &rates, &result.scores, &base, target, &ExplainParams::default(),
         ) else {
             return Ok(());
         };
