@@ -9,7 +9,8 @@
 
 use std::fmt::Write as _;
 
-/// The ten project lint rules.
+/// The project lint rules. IDs are stable and never reused, so ORX007
+/// (now clippy's print lints) leaves a gap.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
     /// `unsafe` without an attached `// SAFETY:` comment.
@@ -24,8 +25,6 @@ pub enum Rule {
     Orx005,
     /// Debt census over budget (`TODO` / `FIXME` / `#[allow]`).
     Orx006,
-    /// Bare `println!`-family / `dbg!` output outside allowlisted crates.
-    Orx007,
     /// A scoped hot path transitively reaches a panic site (call graph).
     Orx008,
     /// A lock guard is held across a blocking call (interprocedural).
@@ -44,7 +43,6 @@ impl Rule {
             Rule::Orx004 => "ORX004",
             Rule::Orx005 => "ORX005",
             Rule::Orx006 => "ORX006",
-            Rule::Orx007 => "ORX007",
             Rule::Orx008 => "ORX008",
             Rule::Orx009 => "ORX009",
             Rule::Orx010 => "ORX010",
@@ -55,14 +53,11 @@ impl Rule {
     pub fn summary(self) -> &'static str {
         match self {
             Rule::Orx001 => "unsafe code must carry an attached `// SAFETY:` comment",
-            Rule::Orx002 => "no unwrap()/expect()/panic! in server/telemetry hot paths",
+            Rule::Orx002 => "no unwrap()/expect()/panic! in serving hot paths (server, router, telemetry, precompute)",
             Rule::Orx003 => "atomic Relaxed/SeqCst orderings need `// ORDERING:` justification",
             Rule::Orx004 => "lock pairs must be acquired in a consistent order",
-            Rule::Orx005 => "no process::exit or thread sleep outside cli/bench",
+            Rule::Orx005 => "no process::exit or thread sleep outside cli/bench/eval",
             Rule::Orx006 => "debt census (TODO/FIXME/#[allow]) exceeds committed budget",
-            Rule::Orx007 => {
-                "no bare println!/eprintln!/dbg! outside cli/bench — use the structured logger"
-            }
             Rule::Orx008 => {
                 "hot-path functions must not transitively reach a panic site (call graph)"
             }
@@ -82,7 +77,6 @@ impl Rule {
             "ORX004" => Some(Rule::Orx004),
             "ORX005" => Some(Rule::Orx005),
             "ORX006" => Some(Rule::Orx006),
-            "ORX007" => Some(Rule::Orx007),
             "ORX008" => Some(Rule::Orx008),
             "ORX009" => Some(Rule::Orx009),
             "ORX010" => Some(Rule::Orx010),
@@ -91,7 +85,7 @@ impl Rule {
     }
 
     /// All rules, for report summaries.
-    pub fn all() -> [Rule; 10] {
+    pub fn all() -> [Rule; 9] {
         [
             Rule::Orx001,
             Rule::Orx002,
@@ -99,7 +93,6 @@ impl Rule {
             Rule::Orx004,
             Rule::Orx005,
             Rule::Orx006,
-            Rule::Orx007,
             Rule::Orx008,
             Rule::Orx009,
             Rule::Orx010,
@@ -130,15 +123,11 @@ impl Rule {
             }
             Rule::Orx005 => {
                 "process::exit skips destructors and sleeps hide scheduling bugs; both are \
-                 confined to the cli/bench binaries where a human is in the loop."
+                 confined to the cli/bench/eval tools where a human is in the loop."
             }
             Rule::Orx006 => {
                 "Debt markers are fine; unbounded debt is not. The census is compared to the \
                  budget committed in analyze.policy so growth is a deliberate, reviewed act."
-            }
-            Rule::Orx007 => {
-                "Bare prints bypass the structured logger, lose severity/fields, and corrupt \
-                 machine-read stdout protocols. Library crates log through orex-telemetry."
             }
             Rule::Orx008 => {
                 "ORX002 catches panics written *in* a hot path; ORX008 walks the workspace \
@@ -177,7 +166,6 @@ impl Rule {
             Rule::Orx004 => "A: a.lock(); b.lock();   B: b.lock(); a.lock();",
             Rule::Orx005 => "std::process::exit(1);               // in a library crate",
             Rule::Orx006 => "// TODO: one marker over the committed budget",
-            Rule::Orx007 => "println!(\"served {n}\");              // in a library crate",
             Rule::Orx008 => {
                 "fn handle() { score(); }  fn score() { cfg().unwrap(); }  // handle is scoped"
             }

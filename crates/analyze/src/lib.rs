@@ -1,8 +1,8 @@
 //! # orex-analyze — workspace static analysis and correctness gates
 //!
 //! A dependency-free interprocedural Rust source analyzer enforcing
-//! the project's ten lint rules. It powers the `orex analyze` CLI
-//! subcommand and the blocking CI `analyze` job.
+//! the project's lint rules that clippy cannot express. It powers the
+//! `orex analyze` CLI subcommand, which `ci/check.sh` runs blocking.
 //!
 //! ## Rules
 //!
@@ -12,14 +12,15 @@
 //! | ORX002 | no `unwrap()`/`expect()`/`panic!` in scoped hot paths |
 //! | ORX003 | `Ordering::Relaxed`/`SeqCst` need `// ORDERING:` justification |
 //! | ORX004 | two-lock acquisition-order inversions (deadlock potential), in-file and across calls |
-//! | ORX005 | no `process::exit`/`thread::sleep` outside cli/bench |
+//! | ORX005 | no `process::exit`/`thread::sleep` outside cli/bench/eval |
 //! | ORX006 | debt census (`TODO`/`FIXME`/`#[allow]`) over committed budget |
-//! | ORX007 | no bare `println!`/`eprintln!`/`dbg!` outside cli/bench |
 //! | ORX008 | scoped hot paths must not transitively reach a panic site |
 //! | ORX009 | no lock guard held across a blocking call or sleep |
 //! | ORX010 | request-derived lengths clamped before sizing an allocation |
 //!
-//! ORX001–ORX007 are file-local token-stream passes ([`rules`]).
+//! ORX001–ORX006 are file-local token-stream passes ([`rules`]).
+//! ORX007 is retired: the print ban is clippy's `print_stdout` and
+//! `print_stderr`, denied at each library crate root.
 //! ORX008–ORX010 run interprocedurally: [`syntax`] parses the token
 //! stream into function items, [`summary`] extracts per-function facts
 //! (panic sites, blocking calls, lock regions, taint sources/sinks),
@@ -32,15 +33,15 @@
 //! workspace root — the single source of policy. Individual findings
 //! are waived inline with `// orex::allow(ORXnnn): reason` attached to
 //! the offending line; an ORX008 waiver anywhere on a call chain
-//! clears every caller upstream of it. Reports render as text, JSON or
-//! SARIF 2.1.0 ([`sarif`]).
+//! clears every caller upstream of it. Reports render as text or JSON.
+
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod callgraph;
 pub mod diag;
 pub mod lexer;
 pub mod policy;
 pub mod rules;
-pub mod sarif;
 pub mod summary;
 pub mod syntax;
 
@@ -214,8 +215,8 @@ pub fn load_policy(root: &Path) -> Result<Policy, AnalyzeError> {
 
 /// Renders `--explain ORXnnn`: the rule's one-liner, rationale,
 /// a minimal firing example and the waiver syntax — all drawn from
-/// [`diag::Rule`], the same source of truth the README table and the
-/// SARIF rule metadata render from.
+/// [`diag::Rule`], the same source of truth the README table renders
+/// from.
 pub fn explain(rule: Rule) -> String {
     format!(
         "{id}: {summary}\n\n{rationale}\n\nexample that fires:\n{example}\n\nwaiver:\n  {waiver}\n",
@@ -244,11 +245,12 @@ pub enum CliOutcome {
 }
 
 /// Entry point for the `orex analyze` subcommand. Reports and errors go
-/// to the caller-supplied `out` / `err` writers (its own ORX007
-/// discipline: this is library code and owns no terminal). Writer
-/// failures are swallowed — a broken pipe must not change the outcome.
+/// to the caller-supplied `out` / `err` writers: this is library code
+/// and owns no terminal (the crate root denies clippy's print lints).
+/// Writer failures are swallowed — a broken pipe must not change the
+/// outcome.
 ///
-/// Flags: `--root <dir>` (default `.`), `--format text|json|sarif`
+/// Flags: `--root <dir>` (default `.`), `--format text|json`
 /// (default text), `--output <file>` (write the report there instead of
 /// `out`; text summary still goes to `err` so CI logs stay useful),
 /// `--explain ORXnnn` (print a rule's rationale, example and waiver
@@ -268,9 +270,9 @@ pub fn run_cli(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Cli
                 }
             },
             "--format" => match it.next().map(String::as_str) {
-                Some(v @ ("text" | "json" | "sarif")) => format = v.to_string(),
+                Some(v @ ("text" | "json")) => format = v.to_string(),
                 _ => {
-                    let _ = writeln!(err, "orex analyze: --format must be text, json or sarif");
+                    let _ = writeln!(err, "orex analyze: --format must be text or json");
                     return CliOutcome::Error;
                 }
             },
@@ -287,10 +289,12 @@ pub fn run_cli(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Cli
                     return CliOutcome::Clean;
                 }
                 None => {
+                    let [first, .., last] = Rule::all();
                     let _ = writeln!(
                         err,
-                        "orex analyze: --explain needs a rule ID (ORX001..ORX{:03})",
-                        Rule::all().len()
+                        "orex analyze: --explain needs a rule ID ({}..{})",
+                        first.id(),
+                        last.id()
                     );
                     return CliOutcome::Error;
                 }
@@ -319,7 +323,6 @@ pub fn run_cli(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Cli
 
     let rendered = match format.as_str() {
         "json" => report.render_json(),
-        "sarif" => sarif::render_sarif(&report),
         _ => report.render_text(),
     };
     match &output {

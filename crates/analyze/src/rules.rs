@@ -1,4 +1,5 @@
-//! The seven lint rules, run over a [`LexedFile`](crate::lexer::LexedFile).
+//! The file-local lint rules (ORX001–ORX006), run over a
+//! [`LexedFile`](crate::lexer::LexedFile).
 //!
 //! Rules are intentionally token-sequence matchers rather than AST
 //! passes: the scanner must stay dependency-free and fast enough to run
@@ -54,7 +55,6 @@ pub fn scan_file(path: &str, lexed: &LexedFile, policy: &Policy) -> FileScan {
     rule_panic_paths(path, lexed, &mask, policy, &mut scan);
     rule_atomic_ordering(path, lexed, &mask, policy, &mut scan);
     rule_exit_sleep(path, lexed, &mask, policy, &mut scan);
-    rule_print_macros(path, lexed, &mask, policy, &mut scan);
     collect_lock_edges(path, lexed, &mask, &mut scan);
 
     scan
@@ -386,53 +386,6 @@ fn rule_exit_sleep(
     }
 }
 
-/// ORX007: bare `println!` / `print!` / `eprintln!` / `eprint!` /
-/// `dbg!` are banned outside allowlisted crates (cli, bench): library
-/// code owns no terminal, and ad-hoc prints bypass the structured
-/// logger's levels, filtering, and trace correlation. `writeln!(out, ..)`
-/// against a caller-supplied writer is fine and does not match.
-fn rule_print_macros(
-    path: &str,
-    lexed: &LexedFile,
-    mask: &[bool],
-    policy: &Policy,
-    scan: &mut FileScan,
-) {
-    if !policy.rule_applies(Rule::Orx007, path) {
-        return;
-    }
-    let toks = &lexed.tokens;
-    for i in 0..toks.len() {
-        if mask[i] {
-            continue;
-        }
-        let t = &toks[i];
-        let is_print = matches!(
-            t.text.as_str(),
-            "println" | "print" | "eprintln" | "eprint" | "dbg"
-        ) && t.kind == TokenKind::Ident
-            && toks.get(i + 1).is_some_and(|n| n.is_punct('!'));
-        if !is_print {
-            continue;
-        }
-        emit(
-            lexed,
-            scan,
-            Finding {
-                rule: Rule::Orx007,
-                file: path.to_string(),
-                line: t.line,
-                col: t.col,
-                message: format!(
-                    "bare `{}!` outside cli/bench — route output through the structured \
-                     logger or a caller-supplied writer",
-                    t.text
-                ),
-            },
-        );
-    }
-}
-
 /// ORX004 raw material: records ordered lock-acquisition pairs per
 /// function. A "lock acquisition" is `.lock()`, `.read()` or
 /// `.write()` with *empty* argument parens — the empty-parens
@@ -631,29 +584,6 @@ mod tests {
         // anything here.
         let ok = scan("fn f(mut r: impl Read) { r.read(&mut buf); }");
         assert!(ok.findings.is_empty());
-    }
-
-    #[test]
-    fn orx007_print_macros() {
-        let s = scan(
-            "fn f() { println!(\"x\"); eprintln!(\"y\"); dbg!(1); print!(\"z\"); eprint!(\"w\"); }",
-        );
-        assert_eq!(s.findings.len(), 5);
-        assert!(s.findings.iter().all(|f| f.rule == Rule::Orx007));
-
-        // writeln!/write! against a caller-supplied writer are fine, as
-        // is an ordinary function named `print` (no `!`).
-        let ok = scan("fn f(out: &mut dyn Write) { writeln!(out, \"x\"); self.print(); }");
-        assert!(ok.findings.is_empty());
-    }
-
-    #[test]
-    fn orx007_waiver_and_test_code() {
-        let s = scan("fn f() {\n    // orex::allow(ORX007): REPL banner\n    println!(\"hi\");\n}");
-        assert!(s.findings.is_empty());
-        assert_eq!(s.waived, 1);
-        let t = scan("#[cfg(test)]\nmod tests {\n    fn t() { println!(\"debug\"); }\n}");
-        assert!(t.findings.is_empty());
     }
 
     #[test]

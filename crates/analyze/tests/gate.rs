@@ -76,6 +76,66 @@ fn the_workspace_scans_clean() {
     assert!(report.files_scanned > 50, "sanity: the walk found the tree");
 }
 
+/// Every `.rs` file under `dir`, recursively, skipping build output.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).expect("source dir readable") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() && !path.ends_with("target") {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The print ban is clippy's `print_stdout`/`print_stderr`, denied at
+/// each library crate root; clippy runs in `ci/check.sh`, not under
+/// `cargo test`, so this pins the scope: the root crate and every crate
+/// under `crates/` carry the attribute, except the three tools that own
+/// their terminal, whose sources must not deny prints anywhere.
+#[test]
+fn library_crate_roots_deny_print_macros() {
+    const DENY: &str = "#![deny(clippy::print_stdout, clippy::print_stderr)]";
+    const TOOLS: [&str; 3] = ["bench", "cli", "eval"];
+    let root = workspace_root();
+    let mut libraries = vec![root.join("src/lib.rs")];
+    let mut tools = Vec::new();
+    for entry in fs::read_dir(root.join("crates")).expect("crates/ readable") {
+        let dir = entry.expect("dir entry").path();
+        let name = dir.file_name().expect("crate dir name").to_string_lossy();
+        if TOOLS.contains(&name.as_ref()) {
+            tools.push(name.into_owned());
+            let mut files = Vec::new();
+            rust_files(&dir.join("src"), &mut files);
+            for file in files {
+                let source = fs::read_to_string(&file).expect("tool source readable");
+                assert!(
+                    !source.contains("clippy::print_stdout"),
+                    "{} owns its terminal and must not deny prints",
+                    file.display()
+                );
+            }
+        } else {
+            libraries.push(dir.join("src/lib.rs"));
+        }
+    }
+    tools.sort();
+    assert_eq!(tools, TOOLS, "the tool crates are where the scope says");
+    assert_eq!(
+        libraries.len(),
+        13,
+        "the root crate and twelve library crates"
+    );
+    for lib in libraries {
+        let source = fs::read_to_string(&lib).expect("library crate root readable");
+        assert!(
+            source.lines().any(|l| l.trim() == DENY),
+            "{} must carry `{DENY}`",
+            lib.display()
+        );
+    }
+}
+
 #[test]
 fn seeded_violations_fail_the_gate() {
     let fixture = Fixture::new(
@@ -116,47 +176,6 @@ pub fn quit() -> u8 {
 }
 
 #[test]
-fn seeded_print_macros_fail_the_gate() {
-    let fixture = Fixture::new(
-        "prints",
-        r#"
-pub fn noisy(x: u32) -> u32 {
-    println!("computing {x}");
-    let doubled = dbg!(x * 2);
-    eprintln!("done");
-    doubled
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn prints_in_tests_are_fine() {
-        println!("tests own their terminal");
-    }
-}
-"#,
-    );
-    let policy = load_policy(&fixture.root).expect("missing policy file is empty policy");
-    let report = analyze_workspace(&fixture.root, &policy).expect("fixture scan succeeds");
-    let orx007: Vec<_> = report
-        .findings
-        .iter()
-        .filter(|f| f.rule == Rule::Orx007)
-        .collect();
-    assert_eq!(
-        orx007.len(),
-        3,
-        "println!, dbg!, eprintln! each flagged once (test code exempt):\n{}",
-        report.render_text()
-    );
-
-    let args = vec!["--root".to_string(), fixture.root.display().to_string()];
-    let (outcome, out, _) = run_cli_captured(&args);
-    assert_eq!(outcome, CliOutcome::Violations);
-    assert!(out.contains("error[ORX007]"), "{out}");
-}
-
-#[test]
 fn waived_fixture_passes_the_gate() {
     let fixture = Fixture::new(
         "waived",
@@ -185,6 +204,10 @@ fn cli_rejects_unknown_flags() {
     let (outcome, _, err) = run_cli_captured(&["--cache".to_string(), "analyze.cache".to_string()]);
     assert_eq!(outcome, CliOutcome::Error);
     assert!(err.contains("unknown flag `--cache`"), "{err}");
+
+    let (outcome, _, err) = run_cli_captured(&["--format".to_string(), "sarif".to_string()]);
+    assert_eq!(outcome, CliOutcome::Error);
+    assert!(err.contains("--format must be text or json"), "{err}");
 }
 
 #[test]
@@ -344,25 +367,6 @@ pub fn alloc_clamped(line: &str) -> Vec<u8> {
 }
 
 #[test]
-fn sarif_output_flag_writes_a_sarif_log() {
-    let fixture = Fixture::new("sarif", "pub fn f(p: *const u8) -> u8 { unsafe { *p } }\n");
-    let out = fixture.root.join("analyze.sarif");
-    let args = vec![
-        "--root".to_string(),
-        fixture.root.display().to_string(),
-        "--format".to_string(),
-        "sarif".to_string(),
-        "--output".to_string(),
-        out.display().to_string(),
-    ];
-    assert_eq!(run_cli_captured(&args).0, CliOutcome::Violations);
-    let sarif = fs::read_to_string(&out).expect("sarif written");
-    assert!(sarif.contains("\"version\": \"2.1.0\""), "{sarif}");
-    assert!(sarif.contains("\"ruleId\": \"ORX001\""), "{sarif}");
-    assert!(sarif.contains("sarif-2.1.0"), "schema uri present: {sarif}");
-}
-
-#[test]
 fn report_is_a_pure_function_of_the_tree() {
     // The call graph is built over hash maps, and every map in a
     // process draws its own hash keys: two runs over the same tree must
@@ -433,9 +437,12 @@ fn explain_flag_prints_rule_card_without_scanning() {
     );
     assert!(out.contains("orex::allow(ORX008)"), "waiver help: {out}");
 
-    let (outcome, _, err) = run_cli_captured(&["--explain".to_string(), "ORX999".to_string()]);
-    assert_eq!(outcome, CliOutcome::Error);
-    assert!(err.contains("needs a rule ID"), "{err}");
+    // ORX999 never existed; ORX007 is retired (the print ban is clippy's).
+    for id in ["ORX999", "ORX007"] {
+        let (outcome, _, err) = run_cli_captured(&["--explain".to_string(), id.to_string()]);
+        assert_eq!(outcome, CliOutcome::Error, "{id}");
+        assert!(err.contains("needs a rule ID (ORX001..ORX010)"), "{err}");
+    }
 }
 
 #[test]
@@ -453,7 +460,7 @@ pub fn read_first(p: *const u8) -> u8 {
 pub fn quit() {
     let v: Option<u8> = None;
     let x = v.unwrap();
-    println!(\"{x}\");
+    std::thread::sleep(std::time::Duration::from_secs(x.into()));
     std::process::exit(0);
 }
 ";

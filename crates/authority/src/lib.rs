@@ -8,6 +8,7 @@
 //! ObjectRank, and PageRank).
 
 #![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![forbid(unsafe_code)]
 
 mod base_set;

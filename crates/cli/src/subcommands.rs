@@ -88,7 +88,7 @@ usage:
                              filter a JSON-lines log capture (a file, or
                              stdin — e.g. piped from `curl .../logs`) and
                              render it as text or re-emit JSON lines
-  orex analyze [--root DIR] [--format text|json|sarif] [--output FILE]
+  orex analyze [--root DIR] [--format text|json] [--output FILE]
                [--explain ORXnnn]
                              run the workspace static-analysis gate
                              (rules ORX001–ORX010 from analyze.policy);

@@ -24,6 +24,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![forbid(unsafe_code)]
 
 mod session;

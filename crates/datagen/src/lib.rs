@@ -8,6 +8,7 @@
 //! experimental behaviour.
 
 #![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![forbid(unsafe_code)]
 
 mod bio;

@@ -15,6 +15,7 @@
 //! hops.
 
 #![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![forbid(unsafe_code)]
 
 mod delta;

@@ -16,6 +16,7 @@
 //! the power-iteration workloads of the downstream crates.
 
 #![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![forbid(unsafe_code)]
 
 mod csr;

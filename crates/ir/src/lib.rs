@@ -10,6 +10,7 @@
 //! facade crate maps graph nodes onto document ids.
 
 #![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![forbid(unsafe_code)]
 
 mod analyzer;

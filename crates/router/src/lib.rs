@@ -26,6 +26,7 @@
 //!   `/metrics` and `/logs`.
 
 #![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod fleet;
 pub mod proxy;

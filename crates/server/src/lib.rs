@@ -52,6 +52,7 @@
 //! bounded rings in place; the server keeps no copy of either.
 
 #![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod cache;
 pub mod client;

@@ -9,6 +9,7 @@
 //! invariants the in-memory builders enforce.
 
 #![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 #![forbid(unsafe_code)]
 
 mod codec;

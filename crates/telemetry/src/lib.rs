@@ -31,6 +31,7 @@
 //! text.
 
 #![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod export;
 pub mod log;

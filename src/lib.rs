@@ -21,6 +21,8 @@
 //!
 //! Start with [`core::ObjectRankSystem`] and the `examples/` directory.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub use orex_authority as authority;
 pub use orex_core as core;
 pub use orex_datagen as datagen;
