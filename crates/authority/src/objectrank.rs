@@ -164,7 +164,9 @@ pub fn modified_object_rank(
 /// Type-oblivious PageRank on the directed data graph: every node spreads
 /// its authority equally over its *forward* transfer edges (the original
 /// data-graph edges); backward edges carry nothing. The jump vector is
-/// uniform over all nodes.
+/// uniform over all nodes. The weights take one value per distinct
+/// forward out-degree, plus 0, so the matrix classes them into that many
+/// classes ([`TransitionMatrix::from_edge_weights`]).
 pub fn page_rank(graph: &TransferGraph, params: &RankParams) -> RankResult {
     let n = graph.node_count();
     // Count forward out-degrees.

@@ -11,8 +11,16 @@
 //! iterations parallelize over disjoint output ranges with no write
 //! contention and bitwise-deterministic results for any thread count.
 //!
+//! The sweep reads `alpha` through Equation 1's class table: each in-CSR
+//! slot carries a `u16` class id ([`TransferGraph::in_slot_classes`]), and
+//! a matrix is that id array plus `class_alpha`, one f64 per class (a few
+//! hundred, so the table stays in L1). A slot's term is
+//! `class_alpha[class[s]] * r[src]`, the same product in the same in-slot
+//! order as a gathered per-edge `alpha` array would give, so no process
+//! keeps or builds one.
+//!
 //! The CSR kernel is organized around *cache blocks*: contiguous row
-//! groups bounded by edge count, so the `targets`/`alpha` slices one block
+//! groups bounded by edge count, so the `targets`/class slices one block
 //! touches stay cache-resident while it is swept. Blocks are also the
 //! unit of thread partitioning — threads claim contiguous block runs
 //! balanced by **edge** count rather than row count, which keeps skewed
@@ -22,10 +30,11 @@
 //! topology once per iteration for the whole batch.
 
 use crate::base_set::BaseSet;
-use orex_graph::{TransferGraph, TransferRates};
+use orex_graph::{class_id, class_table, TransferGraph, TransferRates};
 use orex_telemetry::{logger, Counter, Gauge, HistogramHandle, Level, RateLimit};
+use std::borrow::Cow;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Log target of the power-iteration engine.
 const LOG_TARGET: &str = "authority.power";
@@ -35,8 +44,8 @@ const LOG_TARGET: &str = "authority.power";
 /// flood the ring on large graphs.
 const RESIDUAL_LOG_EVERY: u64 = 32;
 
-/// Edge budget of one cache block. At 12 bytes of CSR structure per edge
-/// (u32 target + f64 alpha) a full block touches ~96 KiB — comfortably
+/// Edge budget of one cache block. At 6 bytes of CSR structure per edge
+/// (u32 target + u16 class id) a full block touches ~48 KiB — comfortably
 /// inside L2 — so re-walking a block for every column of a batched sweep
 /// hits warm lines instead of DRAM.
 const BLOCK_EDGES: u32 = 8192;
@@ -115,25 +124,20 @@ pub struct RankResult {
 }
 
 /// The transition structure `d`-independent part of Equation 4: the
-/// transfer-graph topology with per-edge `alpha` weights derived from a
-/// rates vector, pre-aligned to the in-CSR slots for the pull loop, plus
-/// the cache-block boundaries the sweeps iterate over.
+/// transfer-graph topology, a class id per in-CSR slot and each class's
+/// `alpha` under one rates vector, plus the cache-block boundaries the
+/// sweeps iterate over.
 ///
-/// A matrix is a graph reference plus a shared handle on its graph-free
-/// [`MatrixStorage`], so pairing kept storage with its graph again
-/// ([`Self::with_storage`]) is O(1).
+/// The class ids are the graph's own ([`TransferGraph::in_slot_classes`]),
+/// borrowed; only [`Self::from_edge_weights`] owns a class array. Building
+/// a matrix costs the class table (a few hundred multiplies) and the
+/// block table (one pass over the row offsets).
 pub struct TransitionMatrix<'g> {
     graph: &'g TransferGraph,
-    storage: Arc<MatrixStorage>,
-}
-
-/// The part of a [`TransitionMatrix`] that does not borrow its graph:
-/// what an owner of the graph keeps to hand out views of one matrix for
-/// life (8 bytes per transfer edge plus 4 per cache-block boundary).
-#[derive(Debug)]
-pub struct MatrixStorage {
-    /// `alpha` (Equation 1) aligned with the in-CSR slots.
-    in_slot_weights: Vec<f64>,
+    /// `alpha` (Equation 1) per class.
+    class_alpha: Vec<f64>,
+    /// The class of each in-CSR slot.
+    in_slot_class: Cow<'g, [u16]>,
     /// Cache-block row boundaries: `blocks[0] = 0`, `blocks.last() = n`,
     /// each block spanning at most [`BLOCK_EDGES`] in-edges (single rows
     /// over the budget get a block of their own).
@@ -141,66 +145,49 @@ pub struct MatrixStorage {
 }
 
 impl<'g> TransitionMatrix<'g> {
-    /// Builds the matrix for a rates vector: one streaming pass over the
-    /// in-slot class ids the graph keeps ([`TransferGraph::in_slot_weights`]).
+    /// Builds the matrix for a rates vector: the graph's class table under
+    /// `rates` ([`TransferGraph::class_alpha`]) read through its in-slot
+    /// class ids.
     pub fn new(graph: &'g TransferGraph, rates: &TransferRates) -> Self {
-        Self::from_in_slot_weights(graph, graph.in_slot_weights(rates))
+        let class_alpha = graph.class_alpha(rates);
+        Self::from_classes(graph, class_alpha, Cow::Borrowed(graph.in_slot_classes()))
     }
 
-    /// Builds the matrix from precomputed per-edge weights (edge-indexed),
-    /// gathering them into in-slot order.
+    /// Builds the matrix from precomputed per-edge weights (edge-indexed):
+    /// each distinct f64 bit pattern becomes one class, so every slot reads
+    /// back exactly its edge's weight.
     ///
     /// # Panics
-    /// Panics if `edge_weights` does not have one entry per transfer edge.
+    /// Panics if `edge_weights` does not have one entry per transfer edge,
+    /// or holds more than [`orex_graph::MAX_CLASSES`] distinct values.
     pub fn from_edge_weights(graph: &'g TransferGraph, edge_weights: Vec<f64>) -> Self {
         assert_eq!(
             edge_weights.len(),
             graph.transfer_edge_count(),
             "edge weight vector length mismatch"
         );
-        let in_slot_weights = graph
+        let bits = edge_weights.iter().map(|w| w.to_bits());
+        let table = class_table(bits, "distinct edge weights");
+        let in_slot_class = graph
             .in_slot_edges()
             .iter()
-            .map(|&e| edge_weights[e as usize])
+            .map(|&e| class_id(&table, &edge_weights[e as usize].to_bits()))
             .collect();
-        Self::from_in_slot_weights(graph, in_slot_weights)
+        let class_alpha = table.into_iter().map(f64::from_bits).collect();
+        Self::from_classes(graph, class_alpha, Cow::Owned(in_slot_class))
     }
 
-    fn from_in_slot_weights(graph: &'g TransferGraph, in_slot_weights: Vec<f64>) -> Self {
-        let blocks = cache_blocks(graph.in_csr().row_offsets(), graph.node_count());
+    fn from_classes(
+        graph: &'g TransferGraph,
+        class_alpha: Vec<f64>,
+        in_slot_class: Cow<'g, [u16]>,
+    ) -> Self {
         Self {
             graph,
-            storage: Arc::new(MatrixStorage {
-                in_slot_weights,
-                blocks,
-            }),
+            class_alpha,
+            in_slot_class,
+            blocks: cache_blocks(graph.in_csr().row_offsets(), graph.node_count()),
         }
-    }
-
-    /// Pairs storage kept from an earlier matrix with its graph again:
-    /// the O(1) view an owner of both hands out.
-    ///
-    /// # Panics
-    /// Panics if `storage` was built for a graph with another node or
-    /// transfer-edge count.
-    pub fn with_storage(graph: &'g TransferGraph, storage: Arc<MatrixStorage>) -> Self {
-        assert_eq!(
-            storage.in_slot_weights.len(),
-            graph.transfer_edge_count(),
-            "matrix storage belongs to a graph with another edge count"
-        );
-        assert_eq!(
-            storage.blocks.last().map_or(0, |&n| n as usize),
-            graph.node_count(),
-            "matrix storage belongs to a graph with another node count"
-        );
-        Self { graph, storage }
-    }
-
-    /// The graph-free storage, shared with every view paired from it.
-    #[inline]
-    pub fn storage(&self) -> &Arc<MatrixStorage> {
-        &self.storage
     }
 
     /// Number of nodes.
@@ -218,12 +205,12 @@ impl<'g> TransitionMatrix<'g> {
     /// Number of cache blocks the row space is partitioned into.
     #[inline]
     pub fn cache_block_count(&self) -> usize {
-        self.storage.blocks.len() - 1
+        self.blocks.len() - 1
     }
 
     /// Computes `out[i] = damping * Σ_{j -> i} alpha(j -> i) * r[j] + add[i]`
     /// for `i` in `range`, writing into `out` (which must be the slice for
-    /// exactly that range).
+    /// exactly that range). `alpha(j -> i)` is its slot's class `alpha`.
     fn pull_range(
         &self,
         r: &[f64],
@@ -235,14 +222,15 @@ impl<'g> TransitionMatrix<'g> {
         let csr = self.graph.in_csr();
         let offsets = csr.row_offsets();
         let targets = csr.targets();
-        let weights = &self.storage.in_slot_weights;
+        let alpha = &self.class_alpha[..];
+        let classes = &self.in_slot_class[..];
         for (local, i) in range.clone().enumerate() {
             let lo = offsets[i] as usize;
             let hi = offsets[i + 1] as usize;
             let mut acc = 0.0;
             // `targets` of the in-CSR are the *sources* j of edges j->i.
-            for (&w, &src) in weights[lo..hi].iter().zip(&targets[lo..hi]) {
-                acc += w * r[src as usize];
+            for (&c, &src) in classes[lo..hi].iter().zip(&targets[lo..hi]) {
+                acc += alpha[c as usize] * r[src as usize];
             }
             out[local] = damping * acc + add[i];
         }
@@ -253,7 +241,7 @@ impl<'g> TransitionMatrix<'g> {
     /// `rows` must be block-aligned (it comes from [`Self::thread_ranges`]).
     fn pull_rows(&self, r: &[f64], out: &mut [f64], rows: Range<usize>, damping: f64, add: &[f64]) {
         let mut row = rows.start;
-        let blocks = &self.storage.blocks;
+        let blocks = &self.blocks;
         let mut bi = blocks.partition_point(|&b| (b as usize) <= rows.start);
         while row < rows.end {
             let block_end = (blocks[bi] as usize).min(rows.end);
@@ -280,15 +268,15 @@ impl<'g> TransitionMatrix<'g> {
         let csr = self.graph.in_csr();
         let offsets = csr.row_offsets();
         let targets = csr.targets();
+        let alpha = &self.class_alpha[..];
+        let classes = &self.in_slot_class[..];
         let width = cols.len();
         for (local, i) in rows.clone().enumerate() {
             let lo = offsets[i] as usize;
             let hi = offsets[i + 1] as usize;
             acc[..width].fill(0.0);
-            for (&w, &src) in self.storage.in_slot_weights[lo..hi]
-                .iter()
-                .zip(&targets[lo..hi])
-            {
+            for (&c, &src) in classes[lo..hi].iter().zip(&targets[lo..hi]) {
+                let w = alpha[c as usize];
                 let src = src as usize;
                 for (a, col) in acc[..width].iter_mut().zip(cols.iter()) {
                     *a += w * col.r[src];
@@ -314,7 +302,7 @@ impl<'g> TransitionMatrix<'g> {
         let target = total.div_ceil(threads).max(1);
         let mut ranges = Vec::with_capacity(threads);
         let mut row_start = 0usize;
-        for w in self.storage.blocks.windows(2) {
+        for w in self.blocks.windows(2) {
             if ranges.len() + 1 == threads {
                 break;
             }
@@ -551,7 +539,7 @@ pub fn power_iteration(
 /// single-vector run would use, so each returned [`RankResult`] is
 /// *bitwise identical* to `power_iteration(matrix, &bases[k], params,
 /// warm_start)` — batching only amortizes the CSR structure traffic (u32
-/// target + f64 alpha per edge) across the batch.
+/// target + u16 class id, 6 B per edge) across the batch.
 ///
 /// Columns converge independently: once a column's residual drops under
 /// `epsilon` it is frozen and later sweeps skip it, exactly as its
@@ -1001,27 +989,102 @@ mod tests {
         }
     }
 
+    /// A matrix from rates borrows the graph's in-slot class ids rather
+    /// than copying them, and every slot reads back its edge's Equation 1
+    /// weight, bit for bit.
     #[test]
-    fn kept_storage_pairs_with_its_graph_again() {
-        let (tg, rates) = ring_graph();
-        let built = TransitionMatrix::new(&tg, &rates);
-        let view = TransitionMatrix::with_storage(&tg, Arc::clone(built.storage()));
-        assert!(Arc::ptr_eq(built.storage(), view.storage()));
-        let base = BaseSet::uniform([0]).unwrap();
-        let a = power_iteration(&built, &base, &tight(), None);
-        let b = power_iteration(&view, &base, &tight(), None);
-        assert_eq!(a.scores, b.scores);
+    fn class_kernel_borrows_the_graphs_class_ids() {
+        let (tg, rates) = skewed_graph(40);
+        let m = TransitionMatrix::new(&tg, &rates);
+        assert!(matches!(m.in_slot_class, Cow::Borrowed(_)));
+        assert_eq!(m.in_slot_class.as_ptr(), tg.in_slot_classes().as_ptr());
+        assert_eq!(m.class_alpha.len(), tg.class_count());
+        let w = tg.weights(&rates);
+        for (&c, &e) in m.in_slot_class.iter().zip(tg.in_slot_edges()) {
+            assert_eq!(m.class_alpha[c as usize].to_bits(), w[e as usize].to_bits());
+        }
+    }
+
+    /// `from_edge_weights` makes one class per distinct bit pattern (so
+    /// `0.0` and `-0.0` stay apart) and every slot reads back its own
+    /// edge's weight.
+    #[test]
+    fn class_kernel_classes_edge_weights_by_bit_pattern() {
+        let (tg, _) = ring_graph();
+        let weights = vec![0.5, -0.0, 0.0, 0.5, 1.0 / 3.0, 0.0, 0.5, 0.25];
+        assert_eq!(weights.len(), tg.transfer_edge_count());
+        let m = TransitionMatrix::from_edge_weights(&tg, weights.clone());
+        assert!(matches!(m.in_slot_class, Cow::Owned(_)));
+        assert_eq!(m.class_alpha.len(), 5);
+        for (&c, &e) in m.in_slot_class.iter().zip(tg.in_slot_edges()) {
+            assert_eq!(
+                m.class_alpha[c as usize].to_bits(),
+                weights[e as usize].to_bits()
+            );
+        }
+    }
+
+    /// One sweep over class ids equals a pull over per-slot `alpha`
+    /// gathered from the edge-indexed weights, bit for bit, on one
+    /// thread range and on several.
+    #[test]
+    fn class_kernel_sweeps_like_a_pull_over_gathered_alpha() {
+        let (tg, rates) = skewed_graph(3000);
+        let n = tg.node_count();
+        let w = tg.weights(&rates);
+        let r: Vec<f64> = (0..n).map(|i| 1.0 / (i + 1) as f64).collect();
+        let add: Vec<f64> = (0..n).map(|i| (i % 7) as f64 * 1e-3).collect();
+        let (offsets, sources) = (tg.in_csr().row_offsets(), tg.in_csr().targets());
+        let expect: Vec<u64> = (0..n)
+            .map(|i| {
+                let mut acc = 0.0;
+                for s in offsets[i] as usize..offsets[i + 1] as usize {
+                    acc += w[tg.in_slot_edges()[s] as usize] * r[sources[s] as usize];
+                }
+                (0.85 * acc + add[i]).to_bits()
+            })
+            .collect();
+        for m in [
+            TransitionMatrix::new(&tg, &rates),
+            TransitionMatrix::from_edge_weights(&tg, w.clone()),
+        ] {
+            assert!(m.cache_block_count() >= 2);
+            for threads in [1, 2, 3] {
+                let ranges = m.thread_ranges(threads);
+                assert_eq!(ranges.len(), threads.min(2));
+                let mut out = vec![0.0; n];
+                m.sweep(&r, &mut out, 0.85, &add, &ranges);
+                let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, expect, "{threads} threads");
+            }
+        }
+    }
+
+    /// A chain long enough to carry more transfer edges than class ids.
+    fn long_chain() -> TransferGraph {
+        let (tg, _) = skewed_graph(orex_graph::MAX_CLASSES / 4 + 2);
+        assert!(tg.transfer_edge_count() > orex_graph::MAX_CLASSES);
+        tg
     }
 
     #[test]
-    #[should_panic(expected = "another edge count")]
-    fn storage_of_another_graph_is_rejected() {
-        let (ring, rates) = ring_graph();
-        let (skewed, _) = skewed_graph(4);
-        assert_eq!(ring.node_count(), skewed.node_count());
-        assert_ne!(ring.transfer_edge_count(), skewed.transfer_edge_count());
-        let storage = Arc::clone(TransitionMatrix::new(&ring, &rates).storage());
-        let _ = TransitionMatrix::with_storage(&skewed, storage);
+    fn from_edge_weights_holds_exactly_the_u16_bound() {
+        let tg = long_chain();
+        let bound = orex_graph::MAX_CLASSES;
+        let weights = (0..tg.transfer_edge_count())
+            .map(|e| (e % bound) as f64)
+            .collect();
+        let m = TransitionMatrix::from_edge_weights(&tg, weights);
+        assert_eq!(m.class_alpha.len(), bound);
+        assert_eq!(m.class_alpha[bound - 1], (bound - 1) as f64);
+    }
+
+    #[test]
+    #[should_panic(expected = "too many distinct edge weights: more than 65536")]
+    fn from_edge_weights_rejects_one_weight_past_the_u16_bound() {
+        let tg = long_chain();
+        let weights = (0..tg.transfer_edge_count()).map(|e| e as f64).collect();
+        let _ = TransitionMatrix::from_edge_weights(&tg, weights);
     }
 
     #[test]
@@ -1055,8 +1118,8 @@ mod tests {
         }
     }
 
-    /// The streaming in-slot build and the edge-indexed gather are two
-    /// routes to one matrix: every ranking on them agrees bit for bit.
+    /// The graph's class ids and edge weights classed by bit pattern are
+    /// two routes to one matrix: every ranking on them agrees bit for bit.
     #[test]
     fn a_matrix_from_rates_ranks_like_one_from_gathered_edge_weights() {
         let (tg, rates) = skewed_graph(120);

@@ -1,9 +1,10 @@
 //! Property-based tests for the ranking engines: Equation 4 fixpoint
-//! identities, damping behaviour, top-k consistency, HITS invariants.
+//! identities, damping behaviour, top-k consistency, HITS invariants, and
+//! the class-table kernel against a pull over gathered per-slot alpha.
 
 use orex_authority::{
     base_subgraph, hits, power_iteration, power_iteration_batch, top_k, BaseSet, HitsParams,
-    RankParams, TransitionMatrix,
+    RankParams, RankResult, TransitionMatrix,
 };
 use orex_graph::{
     DataGraphBuilder, NodeId, SchemaGraph, TransferGraph, TransferRates, TransferTypeId,
@@ -16,20 +17,101 @@ fn build_graph(
     fwd: f64,
     bwd: f64,
 ) -> (TransferGraph, TransferRates) {
+    build_fanned_graph(n, edges, 0, fwd, bwd)
+}
+
+/// `build_graph` plus a fan of `fan` extra nodes, each citing one of the
+/// first `n` nodes and its predecessor in the fan: enough transfer edges
+/// (4 per fan node) for several cache blocks once `fan` passes ~2,050.
+fn build_fanned_graph(
+    n: usize,
+    edges: &[(u32, u32)],
+    fan: usize,
+    fwd: f64,
+    bwd: f64,
+) -> (TransferGraph, TransferRates) {
     let mut schema = SchemaGraph::new();
     let p = schema.add_node_type("P").unwrap();
     let r = schema.add_edge_type(p, p, "r").unwrap();
     let mut b = DataGraphBuilder::new(schema);
-    let nodes: Vec<_> = (0..n).map(|_| b.add_node(p, vec![]).unwrap()).collect();
+    let nodes: Vec<_> = (0..n + fan)
+        .map(|_| b.add_node(p, vec![]).unwrap())
+        .collect();
     for &(s, t) in edges {
         b.add_edge(nodes[s as usize % n], nodes[t as usize % n], r)
             .unwrap();
+    }
+    for j in 0..fan {
+        b.add_edge(nodes[n + j], nodes[j % n], r).unwrap();
+        if j > 0 {
+            b.add_edge(nodes[n + j], nodes[n + j - 1], r).unwrap();
+        }
     }
     let g = b.freeze();
     let mut rates = TransferRates::zero(g.schema());
     rates.set(TransferTypeId::forward(r), fwd).unwrap();
     rates.set(TransferTypeId::backward(r), bwd).unwrap();
     (TransferGraph::build(&g), rates)
+}
+
+/// The reference kernel: Equation 4 by Jacobi sweeps that pull over a
+/// per-slot f64 alpha array gathered from the edge-indexed weights, in
+/// in-slot order, with the engine's residual and stopping rule.
+fn reference_rank(
+    tg: &TransferGraph,
+    edge_weights: &[f64],
+    base: &BaseSet,
+    params: &RankParams,
+) -> RankResult {
+    let n = tg.node_count();
+    let alpha: Vec<f64> = tg
+        .in_slot_edges()
+        .iter()
+        .map(|&e| edge_weights[e as usize])
+        .collect();
+    let (offsets, sources) = (tg.in_csr().row_offsets(), tg.in_csr().targets());
+    let d = params.damping;
+    let mut jump = base.to_dense(n);
+    for p in &mut jump {
+        *p *= 1.0 - d;
+    }
+    let mut r = base.to_dense(n);
+    let mut r_new = vec![0.0; n];
+    let mut residuals = Vec::new();
+    let mut converged = false;
+    for _ in 0..params.max_iterations {
+        for i in 0..n {
+            let mut acc = 0.0;
+            for s in offsets[i] as usize..offsets[i + 1] as usize {
+                acc += alpha[s] * r[sources[s] as usize];
+            }
+            r_new[i] = d * acc + jump[i];
+        }
+        let residual: f64 = r_new.iter().zip(&r).map(|(&a, &b)| (a - b).abs()).sum();
+        residuals.push(residual);
+        std::mem::swap(&mut r, &mut r_new);
+        if residual < params.epsilon {
+            converged = true;
+            break;
+        }
+    }
+    RankResult {
+        scores: r,
+        iterations: residuals.len(),
+        converged,
+        residuals,
+    }
+}
+
+/// Scores and residuals as bit patterns, plus the iteration count and
+/// convergence flag: what "bit for bit" compares.
+fn bits(r: &RankResult) -> (Vec<u64>, Vec<u64>, usize, bool) {
+    (
+        r.scores.iter().map(|v| v.to_bits()).collect(),
+        r.residuals.iter().map(|v| v.to_bits()).collect(),
+        r.iterations,
+        r.converged,
+    )
 }
 
 fn tight() -> RankParams {
@@ -178,6 +260,63 @@ proptest! {
             }
             for (b, s) in batch.scores.iter().zip(&solo.scores) {
                 prop_assert_eq!(b.to_bits(), s.to_bits());
+            }
+        }
+    }
+
+    /// The class-table kernel ranks exactly as a pull over gathered
+    /// per-slot f64 alpha: scores, residuals and iteration counts bit for
+    /// bit, solo at 1, 2 and 3 threads and batched, for a matrix from rates
+    /// and one from `from_edge_weights(tg.weights(r))`. Rates may be zero,
+    /// and `ensure_bidirectional` may fill the zeros.
+    #[test]
+    fn class_kernel_ranks_like_a_gathered_alpha_pull(
+        n in 1usize..16,
+        edges in proptest::collection::vec((0u32..16, 0u32..16), 0..40),
+        fan in prop_oneof![Just(0usize), 2100usize..2400],
+        bases in proptest::collection::vec(
+            proptest::collection::vec((0u32..16, 0.1f64..10.0), 1..4),
+            1..4,
+        ),
+        fwd_pct in prop_oneof![Just(0u8), 1u8..=45],
+        bwd_pct in prop_oneof![Just(0u8), 1u8..=45],
+        bidirectional in any::<bool>(),
+    ) {
+        let (tg, mut rates) =
+            build_fanned_graph(n, &edges, fan, fwd_pct as f64 / 100.0, bwd_pct as f64 / 100.0);
+        if bidirectional {
+            rates.ensure_bidirectional(1e-4);
+        }
+        let weights = tg.weights(&rates);
+        let base_sets: Vec<BaseSet> = bases
+            .iter()
+            .map(|ws| {
+                BaseSet::weighted(ws.iter().map(|&(i, w)| (i % n as u32, w))).unwrap()
+            })
+            .collect();
+        let params = RankParams {
+            epsilon: 1e-9,
+            max_iterations: 300,
+            ..RankParams::default()
+        };
+        let want: Vec<_> = base_sets
+            .iter()
+            .map(|base| bits(&reference_rank(&tg, &weights, base, &params)))
+            .collect();
+        for m in [
+            TransitionMatrix::new(&tg, &rates),
+            TransitionMatrix::from_edge_weights(&tg, weights.clone()),
+        ] {
+            for threads in 1..=3 {
+                let params = RankParams { threads, ..params };
+                for (base, want) in base_sets.iter().zip(&want) {
+                    let got = bits(&power_iteration(&m, base, &params, None));
+                    prop_assert_eq!(&got, want, "solo, {} threads", threads);
+                }
+                let batched = power_iteration_batch(&m, &base_sets, &params, None);
+                for (got, want) in batched.iter().zip(&want) {
+                    prop_assert_eq!(&bits(got), want, "batched, {} threads", threads);
+                }
             }
         }
     }

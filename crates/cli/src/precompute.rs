@@ -111,7 +111,7 @@ pub fn run_precompute(
     let params: RankParams = system.config().rank;
     let terms = top_terms(&system, top);
     let dataset_hash = fnv1a(&encode_graph(system.graph()));
-    let matrix = system.initial_matrix();
+    let matrix = TransitionMatrix::new(system.transfer(), system.initial_rates());
 
     let build_start = Instant::now();
     let store = PrecomputedRanks::build(

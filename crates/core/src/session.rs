@@ -212,10 +212,10 @@ pub struct QuerySession<'s> {
 }
 
 /// Ranks `query` under `rates` from `warm_start`: the execution step of
-/// the initial query and of every feedback round. Under the system's
-/// initial rates it ranks on the matrix the system keeps; any other rates
-/// get a matrix of their own, dropped with the ranking. The returned
-/// stats carry the rank fields only.
+/// the initial query and of every feedback round. The matrix reads alpha
+/// from the graph's Equation 1 class table under `rates`, so building it
+/// costs the class table and the cache-block table, not a per-edge array.
+/// The returned stats carry the rank fields only.
 fn rank(
     system: &ObjectRankSystem,
     rates: &TransferRates,
@@ -223,11 +223,7 @@ fn rank(
     warm_start: Option<&[f64]>,
 ) -> Result<(Arc<RankedScores>, StepStats), SessionError> {
     let telemetry = orex_telemetry::global();
-    let matrix = if rates == system.initial_rates() {
-        system.initial_matrix()
-    } else {
-        TransitionMatrix::new(system.transfer(), rates)
-    };
+    let matrix = TransitionMatrix::new(system.transfer(), rates);
     let start = Instant::now();
     let rank_span = telemetry.span("session.rank_us");
     let mut rank_tspan = orex_telemetry::tracer().span("session.rank");
@@ -261,9 +257,9 @@ impl<'s> QuerySession<'s> {
     }
 
     /// Executes the initial query with explicit starting rates (used by
-    /// the training experiments, which initialize all rates to 0.3). Rates
-    /// other than the system's initial ones rank on a matrix built for
-    /// them; an explanation reads its `alpha` from the graph's Equation 1
+    /// the training experiments, which initialize all rates to 0.3). Any
+    /// rates rank on a matrix built for them, as the initial ones do; an
+    /// explanation reads its `alpha` from the graph's Equation 1
     /// class table under any rates.
     pub fn start_with(
         system: &'s ObjectRankSystem,
@@ -949,8 +945,9 @@ mod tests {
     }
 
     /// What a session ranked under `rates` must equal: `object_rank2` on
-    /// a matrix gathered afresh from their edge-indexed weights (not the
-    /// in-slot route sessions take), from the global warm start.
+    /// a matrix built from their edge-indexed weights, classed by bit
+    /// pattern (not the graph's class ids sessions read), from the global
+    /// warm start.
     fn fresh_rank_bits(
         sys: &ObjectRankSystem,
         rates: &TransferRates,
@@ -972,12 +969,8 @@ mod tests {
     }
 
     #[test]
-    fn a_round_zero_session_ranks_on_the_kept_matrix_like_a_fresh_build() {
+    fn a_round_zero_session_ranks_like_a_fresh_build() {
         let sys = system();
-        assert!(Arc::ptr_eq(
-            sys.initial_matrix().storage(),
-            sys.initial_matrix().storage()
-        ));
         let session = QuerySession::start(&sys, &Query::parse("data")).unwrap();
         assert_eq!(
             score_bits(&session),
@@ -1071,8 +1064,8 @@ mod tests {
         });
     }
 
-    /// Round-0 sessions on several threads share the system's one matrix
-    /// and rank exactly as a single thread does.
+    /// Round-0 sessions on several threads share the system's graph and
+    /// its class ids, and rank exactly as a single thread does.
     #[test]
     fn concurrent_round_zero_sessions_agree_bitwise() {
         let sys = system();

@@ -7,12 +7,11 @@
 //! the programmatic equivalent of the system the paper deployed at
 //! `http://dbir.cis.fiu.edu/ObjectRankReformulation/`.
 
-use orex_authority::{global_object_rank, MatrixStorage, RankParams, TransitionMatrix};
+use orex_authority::{global_object_rank, RankParams, TransitionMatrix};
 use orex_explain::ExplainParams;
 use orex_graph::{DataGraph, NodeId, TransferGraph, TransferRates};
 use orex_ir::{Analyzer, IndexBuilder, InvertedIndex, Okapi};
 use orex_reformulate::ReformulateParams;
-use std::sync::Arc;
 
 /// System-wide configuration.
 #[derive(Clone, Copy, Debug)]
@@ -50,10 +49,6 @@ pub struct ObjectRankSystem {
     transfer: TransferGraph,
     index: InvertedIndex,
     initial_rates: TransferRates,
-    /// The transition matrix of `initial_rates`, built once and kept for
-    /// life: every round-0 session ranks on it (see
-    /// [`Self::initial_matrix`]).
-    initial_matrix: Arc<MatrixStorage>,
     config: SystemConfig,
     /// Global ObjectRank scores under `initial_rates`, used to warm-start
     /// initial queries. `None` when disabled.
@@ -62,8 +57,8 @@ pub struct ObjectRankSystem {
 
 impl ObjectRankSystem {
     /// Builds the system: derives the transfer graph, indexes every node's
-    /// attribute text, builds the initial-rates transition matrix it keeps,
-    /// and (optionally) precomputes global ObjectRank on that matrix.
+    /// attribute text, and (optionally) precomputes global ObjectRank under
+    /// the initial rates.
     ///
     /// # Panics
     /// Panics if `initial_rates` is invalid for the graph's schema.
@@ -81,17 +76,15 @@ impl ObjectRankSystem {
             builder.add_document(node.raw(), &graph.node_text(node));
         }
         let index = builder.build();
-        let matrix = TransitionMatrix::new(&transfer, &initial_rates);
-        let global_scores = config
-            .global_warm_start
-            .then(|| global_object_rank(&matrix, &config.rank).scores);
-        let initial_matrix = Arc::clone(matrix.storage());
+        let global_scores = config.global_warm_start.then(|| {
+            let matrix = TransitionMatrix::new(&transfer, &initial_rates);
+            global_object_rank(&matrix, &config.rank).scores
+        });
         Self {
             graph,
             transfer,
             index,
             initial_rates,
-            initial_matrix,
             config,
             global_scores,
         }
@@ -119,13 +112,6 @@ impl ObjectRankSystem {
     #[inline]
     pub fn initial_rates(&self) -> &TransferRates {
         &self.initial_rates
-    }
-
-    /// The transition matrix of [`Self::initial_rates`]: an O(1) view of
-    /// the one the system built at construction. Whoever ranks under the
-    /// initial rates reads it instead of rebuilding |E| weights.
-    pub fn initial_matrix(&self) -> TransitionMatrix<'_> {
-        TransitionMatrix::with_storage(&self.transfer, Arc::clone(&self.initial_matrix))
     }
 
     /// The configuration.

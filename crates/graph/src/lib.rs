@@ -33,4 +33,4 @@ pub use dot::{data_to_dot, escape_label, schema_to_dot};
 pub use error::{GraphError, Result};
 pub use ids::{Direction, EdgeId, EdgeTypeId, NodeId, NodeTypeId, TransferTypeId};
 pub use schema::{EdgeType, SchemaGraph};
-pub use transfer::{TransferGraph, TransferRates};
+pub use transfer::{class_id, class_table, TransferGraph, TransferRates, MAX_CLASSES};

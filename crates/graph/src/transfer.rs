@@ -27,9 +27,13 @@
 //! graph keeps a `u16` class id per transfer edge, in edge order and in
 //! in-CSR slot order, and one `(tt, 1 / OutDeg)` row per class.
 //! [`TransferGraph::class_alpha`] turns a rates vector into every class's
-//! `alpha` in about a thousand multiplies, and [`TransferGraph::weights`]
-//! and [`TransferGraph::in_slot_weights`] gather the per-edge arrays from
-//! it, so reformulation iterations never rebuild adjacency.
+//! `alpha` in about a thousand multiplies. Every reader of `alpha` goes
+//! through that table: the power sweep reads `class_alpha[c]` for each
+//! in-slot class id ([`TransferGraph::in_slot_classes`]), an explanation
+//! for each edge's ([`TransferGraph::edge_classes`]), and only
+//! [`TransferGraph::weights`] gathers an edge-indexed array. No per-edge
+//! `alpha` array is kept, and reformulation iterations never rebuild
+//! adjacency.
 //!
 //! Bytes per transfer edge ([`TransferGraph::heap_bytes`] adds the two
 //! CSR row-offset arrays, 8 B per node, and the class table, 16 B per
@@ -251,22 +255,24 @@ impl TransferRates {
     }
 }
 
-/// The most Equation 1 classes a [`TransferGraph`] can hold: class ids
-/// are `u16`.
-const MAX_CLASSES: usize = u16::MAX as usize + 1;
+/// The most classes a [`class_table`] can hold: class ids are `u16`.
+pub const MAX_CLASSES: usize = u16::MAX as usize + 1;
 
-/// The distinct `(transfer type, OutDeg)` keys, ascending: a key's class
-/// id is its position.
+/// The distinct keys, ascending: a key's `u16` class id is its position
+/// ([`class_id`]). The graph classes its transfer edges by `(transfer
+/// type, OutDeg)`; a matrix built from arbitrary edge weights classes
+/// them by bit pattern.
 ///
 /// # Panics
-/// Panics if there are more than [`MAX_CLASSES`] distinct keys.
-fn class_table(keys: impl IntoIterator<Item = (u16, u32)>) -> Vec<(u16, u32)> {
-    let mut table: Vec<(u16, u32)> = Vec::new();
+/// Panics, naming `what` is being classed, if there are more than
+/// [`MAX_CLASSES`] distinct keys.
+pub fn class_table<K: Ord>(keys: impl IntoIterator<Item = K>, what: &str) -> Vec<K> {
+    let mut table: Vec<K> = Vec::new();
     for key in keys {
         if let Err(at) = table.binary_search(&key) {
             assert!(
                 table.len() < MAX_CLASSES,
-                "too many Equation 1 classes: more than {MAX_CLASSES} (transfer type, OutDeg) pairs"
+                "too many {what}: more than {MAX_CLASSES} distinct keys"
             );
             table.insert(at, key);
         }
@@ -275,9 +281,12 @@ fn class_table(keys: impl IntoIterator<Item = (u16, u32)>) -> Vec<(u16, u32)> {
 }
 
 /// The class id of a key [`class_table`] holds: its position.
-fn class_id(table: &[(u16, u32)], key: (u16, u32)) -> u16 {
-    table.partition_point(|&k| k < key) as u16
+pub fn class_id<K: Ord>(table: &[K], key: &K) -> u16 {
+    table.partition_point(|k| k < key) as u16
 }
+
+/// What [`TransferGraph::build`] classes: `(transfer type, OutDeg)` pairs.
+const EQUATION_1_CLASSES: &str = "Equation 1 classes";
 
 /// The authority transfer data graph: materialized forward + backward
 /// transfer edges over a data graph, with weight derivation per Equation 1.
@@ -350,10 +359,13 @@ impl TransferGraph {
         }
         let key = |slot: usize, deg: u32| ((slot % tt_count) as u16, deg);
         let present = |(slot, &deg): (usize, &u32)| (deg > 0).then(|| key(slot, deg));
-        let table = class_table(slot_class.iter().enumerate().filter_map(present));
+        let table = class_table(
+            slot_class.iter().enumerate().filter_map(present),
+            EQUATION_1_CLASSES,
+        );
         for (slot, deg) in slot_class.iter_mut().enumerate() {
             if *deg > 0 {
-                *deg = u32::from(class_id(&table, key(slot, *deg)));
+                *deg = u32::from(class_id(&table, &key(slot, *deg)));
             }
         }
         let classes = table
@@ -375,9 +387,8 @@ impl TransferGraph {
         let (out_csr, out_slot_edge) = Csr::from_edges(n, &pairs);
         let rev_pairs: Vec<(u32, u32)> = pairs.iter().map(|&(s, d)| (d, s)).collect();
         let (in_csr, in_slot_edge) = Csr::from_edges(n, &rev_pairs);
-        // Class ids in the order the pull sweep reads them, so a rates
-        // vector becomes in-slot alpha in one streaming pass
-        // ([`Self::in_slot_weights`]).
+        // Class ids in the order the pull sweep reads them: it reads each
+        // slot's alpha from the class table.
         let in_slot_class = in_slot_edge
             .iter()
             .map(|&e| edge_class[e as usize])
@@ -450,8 +461,9 @@ impl TransferGraph {
     }
 
     /// The class id of every in-CSR slot: `edge_classes()` gathered into
-    /// in-slot order, so `in_slot_weights(r)[s] ==
-    /// class_alpha(r)[in_slot_classes()[s]]`.
+    /// in-slot order, so `weights(r)[in_slot_edges()[s]] ==
+    /// class_alpha(r)[in_slot_classes()[s]]`. The power sweep reads
+    /// `alpha` through these.
     #[inline]
     pub fn in_slot_classes(&self) -> &[u16] {
         &self.in_slot_class
@@ -461,14 +473,11 @@ impl TransferGraph {
     ///
     /// The returned vector is indexed by transfer-edge index.
     pub fn weights(&self, rates: &TransferRates) -> Vec<f64> {
-        gather(&self.class_alpha(rates), &self.edge_class)
-    }
-
-    /// The `alpha` weights of [`Self::weights`] in in-CSR slot order:
-    /// `in_slot_weights(r)[s] == weights(r)[in_slot_edges()[s]]`, bit for
-    /// bit, built in one streaming pass over the in-slot class ids.
-    pub fn in_slot_weights(&self, rates: &TransferRates) -> Vec<f64> {
-        gather(&self.class_alpha(rates), &self.in_slot_class)
+        let class_alpha = self.class_alpha(rates);
+        self.edge_class
+            .iter()
+            .map(|&c| class_alpha[c as usize])
+            .collect()
     }
 
     /// Bytes the graph holds on the heap: its CSRs, its per-edge arrays
@@ -580,11 +589,6 @@ impl TransferGraph {
         }
         true
     }
-}
-
-/// `class_alpha` read through per-edge class ids.
-fn gather(class_alpha: &[f64], classes: &[u16]) -> Vec<f64> {
-    classes.iter().map(|&c| class_alpha[c as usize]).collect()
 }
 
 #[cfg(test)]
@@ -771,16 +775,19 @@ mod tests {
     }
 
     #[test]
-    fn in_slot_weights_are_the_edge_weights_in_slot_order() {
+    fn in_slot_classes_are_the_edge_classes_in_slot_order() {
         let g = tiny_graph();
         let tg = TransferGraph::build(&g);
         let mut rates = dblp_rates(g.schema());
+        assert_eq!(tg.in_slot_classes().len(), tg.transfer_edge_count());
+        for (&c, &e) in tg.in_slot_classes().iter().zip(tg.in_slot_edges()) {
+            assert_eq!(c, tg.edge_classes()[e as usize]);
+        }
         for _ in 0..2 {
             let w = tg.weights(&rates);
-            let slots = tg.in_slot_weights(&rates);
-            assert_eq!(slots.len(), tg.transfer_edge_count());
-            for (&alpha, &e) in slots.iter().zip(tg.in_slot_edges()) {
-                assert_eq!(alpha.to_bits(), w[e as usize].to_bits());
+            let alpha = tg.class_alpha(&rates);
+            for (&c, &e) in tg.in_slot_classes().iter().zip(tg.in_slot_edges()) {
+                assert_eq!(alpha[c as usize].to_bits(), w[e as usize].to_bits());
             }
             rates.ensure_bidirectional(1e-4);
         }
@@ -788,12 +795,12 @@ mod tests {
 
     #[test]
     fn class_table_numbers_distinct_keys_in_ascending_order() {
-        let table = class_table([(1, 2), (0, 5), (1, 2), (0, 1), (1, 1)]);
+        let table = class_table([(1, 2), (0, 5), (1, 2), (0, 1), (1, 1)], EQUATION_1_CLASSES);
         assert_eq!(table, vec![(0, 1), (0, 5), (1, 1), (1, 2)]);
-        for (id, &key) in table.iter().enumerate() {
+        for (id, key) in table.iter().enumerate() {
             assert_eq!(class_id(&table, key) as usize, id);
         }
-        assert!(class_table([]).is_empty());
+        assert!(class_table::<(u16, u32)>([], EQUATION_1_CLASSES).is_empty());
     }
 
     /// `MAX_CLASSES` keys over two transfer types, in the order a
@@ -805,16 +812,16 @@ mod tests {
 
     #[test]
     fn class_table_holds_exactly_the_u16_bound() {
-        let table = class_table(keys_up_to_the_bound());
+        let table = class_table(keys_up_to_the_bound(), EQUATION_1_CLASSES);
         assert_eq!(table.len(), MAX_CLASSES);
-        assert_eq!(class_id(&table, (0, 1)), 0);
-        assert_eq!(class_id(&table, (1, MAX_CLASSES as u32 / 2)), u16::MAX);
+        assert_eq!(class_id(&table, &(0, 1)), 0);
+        assert_eq!(class_id(&table, &(1, MAX_CLASSES as u32 / 2)), u16::MAX);
     }
 
     #[test]
     #[should_panic(expected = "too many Equation 1 classes: more than 65536")]
     fn class_table_rejects_one_class_past_the_u16_bound() {
-        let _ = class_table(keys_up_to_the_bound().chain([(2, 1)]));
+        let _ = class_table(keys_up_to_the_bound().chain([(2, 1)]), EQUATION_1_CLASSES);
     }
 
     #[test]

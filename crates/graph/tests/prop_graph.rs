@@ -140,9 +140,10 @@ proptest! {
         prop_assert_eq!(out_set, in_set);
     }
 
-    /// The streaming in-slot weights are the edge-indexed weights
-    /// gathered into in-slot order, bit for bit; both are the class
-    /// table's alpha, and that is Equation 1 recomputed from scratch,
+    /// The in-slot alpha the power sweep reads, `class_alpha` through
+    /// `in_slot_classes`, is the edge-indexed weights gathered into
+    /// in-slot order, bit for bit; both are the class table's alpha, and
+    /// that is Equation 1 recomputed from scratch,
     /// `rate(type) * (1.0 / OutDeg(src, type))` with OutDeg counted from
     /// `out_transfer`, bit for bit; and Equation 1's per-type identity
     /// holds. For any rates: zero ones included, and after
@@ -169,8 +170,13 @@ proptest! {
             .iter()
             .map(|&e| edge_indexed[e as usize].to_bits())
             .collect();
-        let streamed: Vec<u64> = tg.in_slot_weights(&rates).iter().map(|w| w.to_bits()).collect();
-        prop_assert_eq!(&streamed, &gathered);
+        let class_alpha = tg.class_alpha(&rates);
+        let through_classes: Vec<u64> = tg
+            .in_slot_classes()
+            .iter()
+            .map(|&c| class_alpha[c as usize].to_bits())
+            .collect();
+        prop_assert_eq!(&through_classes, &gathered);
         prop_assert!(tg.verify_weight_invariant(&rates));
 
         let mut eq1 = vec![f64::NAN; tg.transfer_edge_count()];
@@ -190,7 +196,6 @@ proptest! {
                 eq1[e] = rates.get(tt) * (1.0 / out_deg as f64);
             }
         }
-        let class_alpha = tg.class_alpha(&rates);
         let by_class: Vec<u64> = tg
             .edge_classes()
             .iter()
@@ -201,7 +206,7 @@ proptest! {
         let edge_order: Vec<u64> = edge_indexed.iter().map(|w| w.to_bits()).collect();
         prop_assert_eq!(&edge_order, &scratch);
         let scratch_in_slot: Vec<u64> = tg.in_slot_edges().iter().map(|&e| scratch[e as usize]).collect();
-        prop_assert_eq!(streamed, scratch_in_slot);
+        prop_assert_eq!(through_classes, scratch_in_slot);
     }
 
     /// Conformance re-verification succeeds for builder-constructed graphs.

@@ -255,7 +255,8 @@ impl PrecomputeTier {
                 tspan.attr_u64("terms", terms.len() as u64);
             }
             let _span = orex_telemetry::global().span("server.backfill_us");
-            let matrix = system.initial_matrix();
+            let matrix =
+                orex_authority::TransitionMatrix::new(system.transfer(), system.initial_rates());
             let mut kept: Vec<(String, f64)> = Vec::with_capacity(terms.len());
             let mut bases = Vec::with_capacity(terms.len());
             let mut skipped: Vec<String> = Vec::new();

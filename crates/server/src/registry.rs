@@ -90,8 +90,8 @@ pub struct DatasetService {
     system: Arc<ObjectRankSystem>,
     results: ResultCache,
     precompute: Option<Arc<PrecomputeTier>>,
-    /// Resident bytes that do not change after the build: graph, index,
-    /// global scores and the kept initial-rates matrix.
+    /// Resident bytes that do not change after the build: graph, transfer
+    /// graph, index and global scores.
     fixed_memory_bytes: u64,
     build_ms: u64,
     queries: AtomicU64,
@@ -244,9 +244,7 @@ fn served_config() -> SystemConfig {
 /// life; the point is relative magnitude on `/datasets`, not
 /// allocator-exact bytes.
 fn fixed_memory(system: &ObjectRankSystem) -> u64 {
-    data_and_index_memory(system)
-        + system.transfer().heap_bytes() as u64
-        + kept_matrix_memory(system)
+    data_and_index_memory(system) + system.transfer().heap_bytes() as u64
 }
 
 /// Data-graph adjacency + labels, index postings + vocabulary, and the
@@ -261,14 +259,6 @@ fn data_and_index_memory(system: &ObjectRankSystem) -> u64 {
         postings += u64::from(index.df(t as orex_ir::TermId));
     }
     nodes * 64 + edges * 24 + postings * 12 + index.vocabulary_size() as u64 * 48 + nodes * 8
-}
-
-/// The system's kept initial-rates matrix: in-slot `alpha` (one f64 per
-/// transfer edge) plus the u32 cache-block table.
-fn kept_matrix_memory(system: &ObjectRankSystem) -> u64 {
-    let transfer_edges = system.transfer().transfer_edge_count() as u64;
-    let blocks = system.initial_matrix().cache_block_count() as u64 + 1;
-    transfer_edges * 8 + blocks * 4
 }
 
 /// A slot holds the spec plus a once-built service. A failed build is
@@ -564,38 +554,40 @@ mod tests {
             DatasetService::from_system("d", Preset::DblpTop, 0.01, Arc::clone(&system), 4, None)
                 .unwrap();
         assert_eq!(
-            service.memory_bytes() - data_and_index_memory(&system) - kept_matrix_memory(&system),
+            service.memory_bytes() - data_and_index_memory(&system),
             system.transfer().heap_bytes() as u64
         );
     }
 
-    /// The kept initial-rates matrix costs 8 bytes per transfer edge
-    /// plus 4 per cache-block boundary on `/datasets`; an explanation
-    /// derives no per-edge array, so explaining adds nothing.
+    /// No matrix is kept: every ranking reads alpha from the transfer
+    /// graph's class table and an explanation derives no per-edge array,
+    /// so a query, an explain and a feedback each add nothing to
+    /// `/datasets`.
     #[test]
-    fn kept_matrix_costs_eight_bytes_per_transfer_edge_and_explaining_none() {
+    fn a_query_an_explain_and_a_feedback_each_add_no_bytes() {
         let d = Preset::DblpTop.generate(0.01);
         let system = Arc::new(ObjectRankSystem::new(
             d.graph,
             d.ground_truth,
             SystemConfig::default(),
         ));
-        let transfer_edges = system.transfer().transfer_edge_count() as u64;
-        let boundaries = system.initial_matrix().cache_block_count() as u64 + 1;
-        let base = data_and_index_memory(&system) + system.transfer().heap_bytes() as u64;
         let service =
             DatasetService::from_system("d", Preset::DblpTop, 0.01, Arc::clone(&system), 4, None)
                 .unwrap();
-        let matrix = transfer_edges * 8 + boundaries * 4;
-        assert_eq!(service.memory_bytes() - base, matrix);
+        let fixed = data_and_index_memory(&system) + system.transfer().heap_bytes() as u64;
+        assert_eq!(service.memory_bytes(), fixed);
 
-        let session = d
+        let mut session = d
             .suggested_keywords
             .iter()
             .find_map(|kw| QuerySession::start(&system, &Query::parse(kw)).ok())
             .expect("some keyword ranks");
-        session.explain(session.top_k(1)[0].node).unwrap();
-        assert_eq!(service.memory_bytes() - base, matrix);
+        assert_eq!(service.memory_bytes(), fixed, "after a query");
+        let top = session.top_k(1)[0].node;
+        session.explain(top).unwrap();
+        assert_eq!(service.memory_bytes(), fixed, "after an explain");
+        session.feedback(&[top]).unwrap();
+        assert_eq!(service.memory_bytes(), fixed, "after a feedback");
     }
 
     /// The thread policy: whatever the registry builds ranks on its
