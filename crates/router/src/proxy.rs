@@ -6,25 +6,28 @@
 //! router encodes the owning worker into the session id it hands out
 //! (`global = local * W + worker`), so the worker is recoverable from
 //! the id alone — no routing table to lose. Observability endpoints
-//! aggregate across the fleet: `/metrics` re-labels every worker series
-//! with `worker="i"` and `/logs` stamps each record with its worker.
+//! fan one GET out to every healthy worker and merge the answers:
+//! `/metrics` declares each family once, re-labelling every worker
+//! series with `worker="i"`, and `/logs` stamps each record with its
+//! worker.
 //!
 //! The router is also the fleet's tracing ingress edge: every request
 //! runs under a `router.request` span (adopting an incoming
 //! `X-Orex-Trace` context when the client sent one, else making the
 //! sampling decision here), every proxied hop opens a child span and
 //! injects its context so worker spans join the same trace, and
-//! `GET /trace/<id>` stitches the router's own spans (read in place from
-//! its tracer) together with every worker's into one per-process-lane
-//! Chrome export.
+//! `GET /trace/<id>` merges the Chrome document of the router's own
+//! spans with the one every worker serves for that id, one labelled
+//! `pid` lane per process on the router's clock.
 
 use crate::fleet::{Fleet, Worker};
 use orex_server::frontend::unrouted;
 use orex_server::{ClientResponse, Request, Response};
-use orex_telemetry::export::{parse_wire, to_chrome_trace_stitched, to_wire, ProcessLane};
+use orex_telemetry::export::to_chrome_trace;
 use orex_telemetry::{TraceContext, TraceId};
-use serde_json::Value;
+use serde_json::{json, Map, Value};
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Promoted-trace snapshots retained for retro-stitching.
@@ -37,8 +40,8 @@ pub struct RouterContext {
     /// The router's own bound address (labels its lane in stitched
     /// traces).
     pub addr: String,
-    /// Wire-format snapshots of fleet-promoted slow traces, fetched
-    /// from the workers before their tracers evict them.
+    /// Chrome-document snapshots of fleet-promoted slow traces,
+    /// fetched from the workers before their tracers evict them.
     pub retro: RetroTraces,
 }
 
@@ -53,7 +56,7 @@ impl RouterContext {
     }
 }
 
-/// Bounded store of per-worker wire-format trace snapshots, keyed by
+/// Bounded store of each worker's `GET /trace/<id>` document, keyed by
 /// trace id — how a slow trace promoted on one worker survives long
 /// enough for `GET /trace/<id>` to stitch its sibling spans after the
 /// workers' own tracers move on. Oldest trace evicted first.
@@ -65,7 +68,7 @@ pub struct RetroTraces {
 struct RetroInner {
     /// Trace ids in first-stored order, driving eviction.
     order: VecDeque<u64>,
-    /// Per-trace `(worker index, wire text)` snapshots.
+    /// Per-trace `(worker index, Chrome document)` snapshots.
     traces: HashMap<u64, Vec<(usize, String)>>,
 }
 
@@ -97,7 +100,8 @@ impl RetroTraces {
         }
     }
 
-    /// The stored `(worker, wire text)` snapshots of `trace`, if any.
+    /// The stored `(worker, Chrome document)` snapshots of `trace`, if
+    /// any.
     pub fn get(&self, trace: u64) -> Vec<(usize, String)> {
         self.inner
             .lock()
@@ -132,12 +136,14 @@ pub fn route(request: &Request, ctx: &RouterContext) -> Response {
     match (request.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz"]) => handle_healthz(ctx),
         ("POST", ["query"]) => handle_query(request, ctx),
-        ("GET", ["explain", sid, node]) => {
-            handle_session(ctx, "GET", sid, |local| format!("/explain/{local}/{node}"))
-        }
-        ("POST", ["feedback", sid]) => handle_session_with_body(ctx, sid, &request.body, |local| {
-            format!("/feedback/{local}")
+        ("GET", ["explain", sid, node]) => handle_session(ctx, "GET", sid, None, |local| {
+            format!("/explain/{local}/{node}")
         }),
+        ("POST", ["feedback", sid]) => {
+            handle_session(ctx, "POST", sid, Some(&request.body), |local| {
+                format!("/feedback/{local}")
+            })
+        }
         ("GET", ["datasets"]) => proxy_any(ctx, "/datasets"),
         ("GET", ["metrics"]) => handle_metrics(ctx),
         ("GET", ["logs"]) => handle_logs(ctx, query),
@@ -187,38 +193,21 @@ fn traced_hop(
 }
 
 /// Acts on a worker's `X-Orex-Promoted` response header: for every
-/// reported trace id, snapshots the wire-format spans from every
-/// healthy worker into the retro store. Promotions only happen for
-/// slow traces, so the extra fan-out is rare by construction.
+/// reported trace id, snapshots every healthy worker's Chrome document
+/// of it into the retro store. Promotions only happen for slow traces,
+/// so the extra fan-out is rare by construction.
 fn note_promotions(ctx: &RouterContext, response: &ClientResponse) {
     let Some(value) = response.header("x-orex-promoted") else {
         return;
     };
-    let ids: Vec<u64> = value
+    for id in value
         .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
-    for id in ids {
+        .filter_map(|s| s.trim().parse::<u64>().ok())
+    {
         orex_telemetry::global()
             .counter("router.trace_promotions")
             .incr();
-        let mut snapshots = Vec::new();
-        for worker in ctx.fleet.workers() {
-            if !worker.is_healthy() {
-                continue;
-            }
-            let Ok(reply) = worker.client.get(&format!("/trace/{id}?format=wire")) else {
-                continue;
-            };
-            if reply.status != 200 {
-                continue;
-            }
-            if let Some(text) = reply.body_str() {
-                if !text.is_empty() {
-                    snapshots.push((worker.index, text.to_string()));
-                }
-            }
-        }
+        let snapshots = fan_out_ok(ctx, &format!("/trace/{id}")).collect();
         ctx.retro.insert(id, snapshots);
     }
 }
@@ -314,32 +303,20 @@ fn handle_query(request: &Request, ctx: &RouterContext) -> Response {
     }
 }
 
-/// Session-sticky GET (`/explain`): decode the owning worker from the
-/// id, forward with the worker-local id, restore the global id in the
-/// response.
+/// Session-sticky request (`/explain`, `/feedback`): decode the owning
+/// worker from the id, forward with the worker-local id, restore the
+/// global id in the response.
 fn handle_session(
     ctx: &RouterContext,
     method: &str,
     sid: &str,
+    body: Option<&[u8]>,
     local_path: impl Fn(u64) -> String,
 ) -> Response {
     let Some((worker, local, global)) = decode_session(ctx, sid) else {
         return Response::error(400, "session id must be an integer");
     };
-    forward_session(ctx, worker, method, &local_path(local), None, global)
-}
-
-/// Session-sticky POST (`/feedback`).
-fn handle_session_with_body(
-    ctx: &RouterContext,
-    sid: &str,
-    body: &[u8],
-    local_path: impl Fn(u64) -> String,
-) -> Response {
-    let Some((worker, local, global)) = decode_session(ctx, sid) else {
-        return Response::error(400, "session id must be an integer");
-    };
-    forward_session(ctx, worker, "POST", &local_path(local), Some(body), global)
+    forward_session(ctx, worker, method, &local_path(local), body, global)
 }
 
 /// Splits a global session id into `(worker index, worker-local id,
@@ -395,51 +372,94 @@ fn rewrite_session(response: &ClientResponse, encode: impl Fn(u64) -> u64) -> Op
     Some(Response::json(200, body))
 }
 
-/// Forwards `path` (with its query string) to the first healthy worker.
-fn proxy_any(ctx: &RouterContext, path: &str) -> Response {
-    for worker in ctx.fleet.workers() {
-        if !worker.is_healthy() {
-            continue;
-        }
-        if let Ok(response) = worker.client.get(path) {
-            return to_response(&response);
-        }
-    }
-    no_healthy_workers()
+/// GETs `path` from every healthy worker, in worker order, yielding
+/// each answer; a worker that is down or unreachable is skipped. Lazy:
+/// a caller that stops early contacts no further worker.
+fn fan_out<'a>(
+    ctx: &'a RouterContext,
+    path: &'a str,
+) -> impl Iterator<Item = (usize, ClientResponse)> + 'a {
+    ctx.fleet
+        .workers()
+        .iter()
+        .filter(|worker| worker.is_healthy())
+        .filter_map(move |worker| Some((worker.index, worker.client.get(path).ok()?)))
 }
 
-/// `GET /metrics`: the router's own series (with `# TYPE` comments),
-/// then every healthy worker's series re-labelled `worker="i"` (their
-/// comment lines dropped so types aren't re-declared per worker).
+/// [`fan_out`] narrowed to the `200` answers with UTF-8 bodies.
+fn fan_out_ok<'a>(
+    ctx: &'a RouterContext,
+    path: &'a str,
+) -> impl Iterator<Item = (usize, String)> + 'a {
+    fan_out(ctx, path)
+        .filter(|(_, response)| response.status == 200)
+        .filter_map(|(index, response)| Some((index, response.body_str()?.to_string())))
+}
+
+/// Forwards `path` (with its query string) to the first healthy worker.
+fn proxy_any(ctx: &RouterContext, path: &str) -> Response {
+    fan_out(ctx, path)
+        .next()
+        .map_or_else(no_healthy_workers, |(_, response)| to_response(&response))
+}
+
+/// `GET /metrics`: the router's own exposition merged with every
+/// healthy worker's, see [`merge_exposition`].
 fn handle_metrics(ctx: &RouterContext) -> Response {
-    let mut out = orex_telemetry::global().snapshot().to_prometheus();
-    for worker in ctx.fleet.workers() {
-        if !worker.is_healthy() {
-            continue;
-        }
-        let Ok(response) = worker.client.get("/metrics") else {
-            continue;
-        };
-        if response.status != 200 {
-            continue;
-        }
-        let Some(text) = response.body_str() else {
-            continue;
-        };
-        for line in text.lines() {
-            if line.is_empty() || line.starts_with('#') {
+    let own = orex_telemetry::global().snapshot().to_prometheus();
+    let workers: Vec<_> = fan_out_ok(ctx, "/metrics").collect();
+    let text = merge_exposition(&own, &workers);
+    Response::new(200, "text/plain; version=0.0.4; charset=utf-8", text)
+}
+
+/// Merges Prometheus texts into one exposition that declares each
+/// family once, as one contiguous group: its `# TYPE` line from
+/// whichever text declared it first, then the router's series, then
+/// each worker's re-labelled `worker="i"`, in worker order. Families
+/// keep the order they were first seen in; other comment lines drop.
+fn merge_exposition(own: &str, workers: &[(usize, String)]) -> String {
+    // Per family, in first-seen order: its `# TYPE` line and its series.
+    let mut families: Vec<(String, String)> = Vec::new();
+    let mut slots: HashMap<&str, usize> = HashMap::new();
+    let sources = std::iter::once((None, own)).chain(
+        workers
+            .iter()
+            .map(|(index, text)| (Some(*index), text.as_str())),
+    );
+    for (worker, text) in sources {
+        let mut family = None;
+        for line in text.lines().filter(|line| !line.is_empty()) {
+            let declared = line
+                .strip_prefix("# TYPE ")
+                .and_then(|d| d.split(' ').next());
+            if declared.is_none() && line.starts_with('#') {
                 continue;
             }
-            relabel_series(line, worker.index, &mut out);
+            family = declared.or(family);
+            // A series before any `# TYPE` is its own family.
+            let name = family.unwrap_or_else(|| line.split(['{', ' ']).next().unwrap_or(line));
+            let slot = *slots.entry(name).or_insert_with(|| {
+                families.push((String::new(), String::new()));
+                families.len() - 1
+            });
+            let (head, series) = &mut families[slot];
+            match (declared, worker) {
+                (Some(_), _) if head.is_empty() => head.extend([line, "\n"]),
+                (Some(_), _) => {}
+                (None, Some(index)) => relabel_series(line, index, series),
+                (None, None) => series.extend([line, "\n"]),
+            }
         }
     }
-    Response::new(200, "text/plain; version=0.0.4; charset=utf-8", out)
+    families
+        .into_iter()
+        .flat_map(|(head, series)| [head, series])
+        .collect()
 }
 
 /// Injects `worker="i"` as the first label of a Prometheus series line,
 /// preserving any ` # {...} v` exemplar suffix.
 fn relabel_series(line: &str, worker: usize, out: &mut String) {
-    use std::fmt::Write as _;
     let (series, exemplar) = match line.split_once(" # ") {
         Some((series, exemplar)) => (series, Some(exemplar)),
         None => (line, None),
@@ -475,35 +495,17 @@ fn relabel_series(line: &str, worker: usize, out: &mut String) {
 /// each NDJSON record with its `"worker"` index. Parameter errors from
 /// a worker (400) pass through so validation behaves like one server.
 fn handle_logs(ctx: &RouterContext, query: &str) -> Response {
-    let path = if query.is_empty() {
-        "/logs".to_string()
-    } else {
-        format!("/logs?{query}")
-    };
     let mut out = String::new();
     let mut served_any = false;
-    for worker in ctx.fleet.workers() {
-        if !worker.is_healthy() {
-            continue;
+    for (index, response) in fan_out(ctx, &format!("/logs?{query}")) {
+        match response.status {
+            400 => return to_response(&response),
+            200 => served_any = true,
+            _ => continue,
         }
-        let Ok(response) = worker.client.get(&path) else {
-            continue;
-        };
-        if response.status == 400 {
-            return to_response(&response);
-        }
-        if response.status != 200 {
-            continue;
-        }
-        served_any = true;
-        let Some(text) = response.body_str() else {
-            continue;
-        };
-        for line in text.lines() {
+        for line in response.body_str().unwrap_or_default().lines() {
             if let Some(rest) = line.strip_prefix('{') {
-                out.push_str(&format!("{{\"worker\":{},", worker.index));
-                out.push_str(rest);
-                out.push('\n');
+                let _ = writeln!(out, "{{\"worker\":{index},{rest}");
             }
         }
     }
@@ -513,61 +515,102 @@ fn handle_logs(ctx: &RouterContext, query: &str) -> Response {
     Response::new(200, "application/x-ndjson; charset=utf-8", out)
 }
 
+/// One process's share of a stitched trace.
+struct Lane {
+    /// Chrome `pid`: 1 for the router, worker index + 2 for a worker.
+    pid: u64,
+    /// `process_name` label, e.g. `worker-0 127.0.0.1:7510`.
+    label: String,
+    /// Added to every timestamp to move the process's tracer clock onto
+    /// the router's (estimated from health-probe round trips).
+    offset_ns: i64,
+    /// The process's Chrome document of the trace.
+    doc: String,
+}
+
 /// `GET /trace/<id>`: stitches one fleet-wide trace. The router's own
-/// retained spans form lane `pid 1`; every worker is asked for its
-/// share in the wire format and becomes lane `pid index + 2`, its
-/// timestamps shifted onto the router's clock by the health-probe
-/// offset estimate. A worker that already evicted the trace (or is
-/// down) falls back to the retro store's snapshot, so fleet-promoted
-/// slow traces stitch even after worker-side eviction.
+/// retained spans form lane `pid 1`; every worker's `GET /trace/<id>`
+/// document becomes lane `pid index + 2`, shifted onto the router's
+/// clock. A worker that already evicted the trace (or is down) falls
+/// back to the retro store's snapshot, so fleet-promoted slow traces
+/// stitch even after worker-side eviction.
 fn handle_trace(ctx: &RouterContext, id: &str) -> Response {
     let Ok(trace_id) = id.parse::<u64>() else {
         return Response::error(400, "trace id must be an integer");
     };
-    let mut lanes = Vec::new();
-    let spans = orex_telemetry::tracer().spans_of(TraceId(trace_id));
-    if !spans.is_empty() {
-        lanes.push(ProcessLane {
-            pid: 1,
-            label: format!("router {}", ctx.addr),
-            offset_ns: 0,
-            spans: parse_wire(&to_wire(&spans)),
-        });
-    }
-    let retro = ctx.retro.get(trace_id);
+    // A live document replaces the worker's retro snapshot.
+    let mut docs: HashMap<usize, String> = ctx.retro.get(trace_id).into_iter().collect();
+    docs.extend(fan_out_ok(ctx, &format!("/trace/{trace_id}")));
+    let mut lanes = vec![Lane {
+        pid: 1,
+        label: format!("router {}", ctx.addr),
+        offset_ns: 0,
+        doc: to_chrome_trace(&orex_telemetry::tracer().spans_of(TraceId(trace_id))),
+    }];
     for worker in ctx.fleet.workers() {
-        let live = if worker.is_healthy() {
-            worker
-                .client
-                .get(&format!("/trace/{trace_id}?format=wire"))
-                .ok()
-                .filter(|r| r.status == 200)
-                .and_then(|r| r.body_str().map(String::from))
-        } else {
-            None
-        };
-        let text = live.or_else(|| {
-            retro
-                .iter()
-                .find(|(index, _)| *index == worker.index)
-                .map(|(_, text)| text.clone())
-        });
-        let Some(text) = text else { continue };
-        let spans = parse_wire(&text);
-        if spans.is_empty() {
-            continue;
+        if let Some(doc) = docs.remove(&worker.index) {
+            lanes.push(Lane {
+                pid: worker.index as u64 + 2,
+                label: format!("worker-{} {}", worker.index, worker.addr),
+                offset_ns: worker.clock_offset_ns(),
+                doc,
+            });
         }
-        lanes.push(ProcessLane {
-            pid: worker.index as u64 + 2,
-            label: format!("worker-{} {}", worker.index, worker.addr),
-            offset_ns: worker.clock_offset_ns(),
-            spans,
-        });
     }
-    if lanes.is_empty() {
-        return Response::error(404, "no process holds that trace");
+    match merge_chrome_traces(&lanes) {
+        Some(json) => Response::json(200, json),
+        None => Response::error(404, "no process holds that trace"),
     }
-    Response::json(200, to_chrome_trace_stitched(&lanes))
+}
+
+/// Merges per-process Chrome documents into one trace: each lane opens
+/// with a `process_name` metadata event, and every event of its
+/// document moves to the lane's `pid` with `ts` shifted by the lane's
+/// offset. A document that does not parse, or holds no events, adds no
+/// lane; `None` when no lane is left.
+fn merge_chrome_traces(lanes: &[Lane]) -> Option<String> {
+    let mut merged = Vec::new();
+    for lane in lanes {
+        let Some(events) = lane_events(lane).filter(|events| !events.is_empty()) else {
+            continue;
+        };
+        merged.push(json!({
+            "name": "process_name",
+            "ph": "M",
+            "pid": lane.pid,
+            "tid": 0u64,
+            "args": json!({ "name": lane.label.as_str() }),
+        }));
+        merged.extend(events);
+    }
+    if merged.is_empty() {
+        return None;
+    }
+    serde_json::to_string(&json!({ "traceEvents": merged, "displayTimeUnit": "ms" })).ok()
+}
+
+/// The events of `lane`'s document moved onto the lane; `None` unless
+/// the document is `{"traceEvents":[…]}` with every event an object.
+fn lane_events(lane: &Lane) -> Option<Vec<Value>> {
+    let doc: Value = serde_json::from_str(&lane.doc).ok()?;
+    let shift_us = lane.offset_ns as f64 / 1e3;
+    let moved = |event: &Value| {
+        let mut out = Map::new();
+        for (key, value) in event.as_object()?.iter() {
+            let value = match (key.as_str(), value.as_f64()) {
+                ("pid", _) => Value::from(lane.pid),
+                ("ts", Some(ts)) => Value::from(ts + shift_us),
+                _ => value.clone(),
+            };
+            out.insert(key.clone(), value);
+        }
+        Some(Value::Object(out))
+    };
+    doc.get("traceEvents")?
+        .as_array()?
+        .iter()
+        .map(moved)
+        .collect()
 }
 
 /// Converts a worker's [`ClientResponse`] into a front-end [`Response`],
@@ -587,6 +630,192 @@ fn to_response(response: &ClientResponse) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orex_telemetry::Tracer;
+    use proptest::prelude::*;
+
+    #[test]
+    fn merged_exposition_declares_each_family_once_and_contiguously() {
+        let router = "# TYPE orex_router_requests counter\n\
+                      orex_router_requests 5\n\
+                      # TYPE orex_server_sessions_live gauge\n\
+                      orex_server_sessions_live 9\n";
+        let worker0 = "# TYPE orex_server_request_us histogram\n\
+                       orex_server_request_us_bucket{le=\"100\"} 2 # {trace_id=\"77\"} 42\n\
+                       orex_server_request_us_bucket{le=\"+Inf\"} 3\n\
+                       orex_server_request_us_sum 250\n\
+                       orex_server_request_us_count 3\n\
+                       # TYPE orex_server_sessions_live gauge\n\
+                       orex_server_sessions_live 4\n";
+        let worker1 = "# TYPE orex_server_sessions_live gauge\n\
+                       orex_server_sessions_live 6\n\
+                       # TYPE orex_server_request_us histogram\n\
+                       orex_server_request_us_bucket{le=\"+Inf\"} 1\n\
+                       orex_server_request_us_sum 90\n\
+                       orex_server_request_us_count 1\n";
+        let merged = merge_exposition(router, &[(0, worker0.into()), (1, worker1.into())]);
+        assert_eq!(
+            merged,
+            "# TYPE orex_router_requests counter\n\
+             orex_router_requests 5\n\
+             # TYPE orex_server_sessions_live gauge\n\
+             orex_server_sessions_live 9\n\
+             orex_server_sessions_live{worker=\"0\"} 4\n\
+             orex_server_sessions_live{worker=\"1\"} 6\n\
+             # TYPE orex_server_request_us histogram\n\
+             orex_server_request_us_bucket{worker=\"0\",le=\"100\"} 2 # {trace_id=\"77\"} 42\n\
+             orex_server_request_us_bucket{worker=\"0\",le=\"+Inf\"} 3\n\
+             orex_server_request_us_sum{worker=\"0\"} 250\n\
+             orex_server_request_us_count{worker=\"0\"} 3\n\
+             orex_server_request_us_bucket{worker=\"1\",le=\"+Inf\"} 1\n\
+             orex_server_request_us_sum{worker=\"1\"} 90\n\
+             orex_server_request_us_count{worker=\"1\"} 1\n"
+        );
+        // The worker-only histogram is typed exactly once, and its
+        // series sit in one run right after that declaration.
+        assert_eq!(
+            merged
+                .matches("# TYPE orex_server_request_us histogram")
+                .count(),
+            1
+        );
+        let lines: Vec<&str> = merged.lines().collect();
+        let of_family: Vec<usize> = (0..lines.len())
+            .filter(|&i| lines[i].starts_with("orex_server_request_us"))
+            .collect();
+        let declared = lines
+            .iter()
+            .position(|l| *l == "# TYPE orex_server_request_us histogram")
+            .unwrap();
+        assert_eq!(of_family, (declared + 1..declared + 8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn series_without_a_type_line_group_under_their_own_name() {
+        let merged = merge_exposition(
+            "",
+            &[(0, "# HELP up a\nup 1\n".into()), (1, "up 0\n".into())],
+        );
+        assert_eq!(merged, "up{worker=\"0\"} 1\nup{worker=\"1\"} 0\n");
+    }
+
+    /// Span names are `&'static str`; index into a fixed pool.
+    const NAMES: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
+
+    /// Documents that must add no lane.
+    const MALFORMED: [&str; 6] = [
+        "",
+        "not json",
+        "[]",
+        "{\"traceEvents\":7}",
+        "{\"traceEvents\":[1,2]}",
+        "{\"traceEvents\":[{\"ph\":\"B\",\"ts\":1}",
+    ];
+
+    /// Interprets a byte program against a fresh tracer — each byte
+    /// opens a child span, closes the innermost one, or records an
+    /// instant event on it — and renders what it recorded.
+    fn chrome_doc(program: &[u8]) -> String {
+        let tracer = Tracer::new(1024);
+        let mut open = Vec::new();
+        for &op in program {
+            match op % 3 {
+                0 => open.push(tracer.span(NAMES[usize::from(op / 3) % NAMES.len()])),
+                1 => drop(open.pop()),
+                _ => {
+                    if let Some(span) = open.last_mut() {
+                        span.event("tick");
+                    }
+                }
+            }
+        }
+        // Close innermost-first so every parent outlives its children.
+        while open.pop().is_some() {}
+        to_chrome_trace(&tracer.drain())
+    }
+
+    fn events(doc: &str) -> Vec<Value> {
+        serde_json::from_str(doc)
+            .ok()
+            .and_then(|d: Value| d.get("traceEvents")?.as_array().cloned())
+            .unwrap_or_default()
+    }
+
+    proptest! {
+        /// Merging 1–3 documents (the router's and up to two workers')
+        /// gives each non-empty one a labelled lane on its own pid, keeps
+        /// its events in order with `ts` shifted by the lane's offset,
+        /// keeps every `B`/`E` pair on one `(pid, tid)`, and gives a
+        /// malformed document no lane.
+        #[test]
+        fn merged_lanes_are_labelled_shifted_and_balanced(
+            programs in proptest::collection::vec(
+                proptest::collection::vec(any::<u8>(), 0..48),
+                1..4,
+            ),
+            offsets in proptest::collection::vec(-5_000_000_000i64..5_000_000_000, 3..4),
+            malformed in (0usize..4, 0usize..MALFORMED.len() + 1),
+        ) {
+            let mut lanes: Vec<Lane> = programs
+                .iter()
+                .enumerate()
+                .map(|(i, program)| Lane {
+                    // Lane 0 is the router (pid 1), lane i is worker i-1.
+                    pid: if i == 0 { 1 } else { i as u64 + 1 },
+                    label: if i == 0 { "router".into() } else { format!("worker-{}", i - 1) },
+                    offset_ns: if i == 0 { 0 } else { offsets[i] },
+                    doc: chrome_doc(program),
+                })
+                .collect();
+            let (at, which) = malformed;
+            if let Some(doc) = MALFORMED.get(which) {
+                let lane = Lane { pid: 9, label: "bad".into(), offset_ns: 0, doc: doc.to_string() };
+                lanes.insert(at.min(lanes.len()), lane);
+            }
+            let expected: Vec<(&Lane, Vec<Value>)> = lanes
+                .iter()
+                .map(|lane| (lane, events(&lane.doc)))
+                .filter(|(lane, source)| lane.pid != 9 && !source.is_empty())
+                .collect();
+            let Some(merged) = merge_chrome_traces(&lanes) else {
+                prop_assert!(expected.is_empty(), "a lane with events was dropped");
+                return Ok(());
+            };
+            let merged = events(&merged);
+            prop_assert_eq!(
+                merged.len(),
+                expected.iter().map(|(_, source)| source.len() + 1).sum::<usize>()
+            );
+            let mut at = merged.iter();
+            let mut open: HashMap<(u64, u64), Vec<String>> = HashMap::new();
+            for (lane, source) in &expected {
+                let label = at.next().unwrap();
+                prop_assert_eq!(label.get("ph").and_then(Value::as_str), Some("M"));
+                prop_assert_eq!(label.get("pid").and_then(Value::as_u64), Some(lane.pid));
+                prop_assert_eq!(
+                    label.get("args").and_then(|a| a.get("name")).and_then(Value::as_str),
+                    Some(lane.label.as_str())
+                );
+                for original in source {
+                    let event = at.next().unwrap();
+                    prop_assert_eq!(event.get("pid").and_then(Value::as_u64), Some(lane.pid));
+                    for key in ["name", "ph", "tid", "args"] {
+                        prop_assert_eq!(event.get(key), original.get(key), "{}", key);
+                    }
+                    let ts = |e: &Value| e.get("ts").and_then(Value::as_f64).unwrap();
+                    prop_assert_eq!(ts(event), ts(original) + lane.offset_ns as f64 / 1e3);
+                    let name = event.get("name").and_then(Value::as_str).unwrap().to_string();
+                    let tid = event.get("tid").and_then(Value::as_u64).unwrap();
+                    let stack = open.entry((lane.pid, tid)).or_default();
+                    match event.get("ph").and_then(Value::as_str) {
+                        Some("B") => stack.push(name),
+                        Some("E") => prop_assert_eq!(stack.pop(), Some(name)),
+                        _ => {}
+                    }
+                }
+            }
+            prop_assert!(open.values().all(Vec::is_empty), "unclosed spans: {:?}", open);
+        }
+    }
 
     fn snap(worker: usize, text: &str) -> Vec<(usize, String)> {
         vec![(worker, text.to_string())]

@@ -369,7 +369,7 @@ fn router_stitches_one_trace_across_its_own_and_worker_spans() {
     );
     let span_names: Vec<&str> = events
         .iter()
-        .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
+        .filter(|e| e.get("ph").and_then(Value::as_str) == Some("B"))
         .filter_map(|e| e.get("name").and_then(Value::as_str))
         .collect();
     for expected in ["router.request", "router.proxy", "server.request"] {

@@ -371,9 +371,12 @@ fn query_params<'q>(
         if expected.contains(&key) {
             Ok((key, value))
         } else {
+            let expected = match expected {
+                [] => "none".to_string(),
+                keys => keys.join("|"),
+            };
             Err(ServerError::BadRequest(format!(
-                "unknown query parameter {key:?} (expected {})",
-                expected.join("|")
+                "unknown query parameter {key:?} (expected {expected})"
             )))
         }
     })
@@ -532,10 +535,9 @@ fn handle_feedback(
     ))
 }
 
-/// `GET /trace/<id>[?format=chrome|wire]`: one retained trace, as a
-/// Chrome trace-event JSON document (the default, for humans) or in the
-/// line-oriented wire format (for a stitching ingress edge assembling a
-/// fleet-wide view).
+/// `GET /trace/<id>`: one retained trace as a Chrome trace-event JSON
+/// document — the document a stitching router merges into its fleet
+/// view, too. It takes no query parameters.
 fn handle_trace(id: &str, query: &str) -> Result<Response, ServerError> {
     let telemetry = orex_telemetry::global();
     let _span = telemetry.span("server.trace_us");
@@ -545,27 +547,17 @@ fn handle_trace(id: &str, query: &str) -> Result<Response, ServerError> {
             "trace id must be an integer".into(),
         ));
     };
-    let mut wire = false;
-    for param in query_params(query, &["format"]) {
-        match param?.1 {
-            "chrome" => wire = false,
-            "wire" => wire = true,
-            _ => {
-                return Err(ServerError::BadRequest(
-                    "format must be chrome or wire".into(),
-                ));
-            }
-        }
+    for param in query_params(query, &[]) {
+        param?;
     }
     let spans = orex_telemetry::tracer().spans_of(TraceId(id));
     if spans.is_empty() {
         return Err(ServerError::NotFound("no such trace (evicted?)".into()));
     }
-    Ok(if wire {
-        Response::text(200, orex_telemetry::export::to_wire(&spans))
-    } else {
-        Response::json(200, orex_telemetry::export::to_chrome_trace(&spans))
-    })
+    Ok(Response::json(
+        200,
+        orex_telemetry::export::to_chrome_trace(&spans),
+    ))
 }
 
 /// `GET /logs?level=&since=&limit=&trace=`: tails the logger's ring

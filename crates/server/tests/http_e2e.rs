@@ -1274,25 +1274,51 @@ fn propagated_trace_context_is_adopted_and_controls_sampling() {
         Some(0xABCD_1234),
         "response reports the propagated trace id"
     );
-    // The archive serves it in both renderings, and the root span's
-    // parent is the caller's span id — stitchable across processes.
+    // The archive serves it as a Chrome document whose every span
+    // belongs to the propagated trace, and the root span's parent is the
+    // caller's span id — the link a stitching router reads across
+    // processes.
     let chrome = get(server.addr, "/trace/2882343476");
     assert_eq!(chrome.status, 200, "{}", chrome.body);
-    assert!(chrome.body.contains("server.request"), "{}", chrome.body);
-    let wire = get(server.addr, "/trace/2882343476?format=wire");
-    assert_eq!(wire.status, 200, "{}", wire.body);
-    for line in wire.body.lines().filter(|l| !l.is_empty()) {
-        assert!(line.starts_with("2882343476\t"), "foreign span in {line:?}");
+    let doc: Value = serde_json::from_str(&chrome.body).expect("chrome JSON");
+    let begins: Vec<&Value> = doc
+        .get("traceEvents")
+        .and_then(Value::as_array)
+        .expect("traceEvents")
+        .iter()
+        .filter(|e| e.get("ph").and_then(Value::as_str) == Some("B"))
+        .collect();
+    for begin in &begins {
+        assert_eq!(
+            begin
+                .get("args")
+                .and_then(|a| a.get("trace"))
+                .and_then(Value::as_u64),
+            Some(2_882_343_476),
+            "foreign span in {begin:?}"
+        );
     }
-    assert!(
-        wire.body.lines().any(|l| {
-            let mut f = l.split('\t');
-            f.next();
-            f.next();
-            f.next() == Some("153") // 0x99: the remote parent
-        }),
+    let request = begins
+        .iter()
+        .find(|e| e.get("name").and_then(Value::as_str) == Some("server.request"))
+        .unwrap_or_else(|| panic!("server.request span in {}", chrome.body));
+    assert_eq!(
+        request
+            .get("args")
+            .and_then(|a| a.get("parent"))
+            .and_then(Value::as_u64),
+        Some(153), // 0x99: the remote parent
         "root span links to the remote parent:\n{}",
-        wire.body
+        chrome.body
+    );
+    // The Chrome document is the only rendering: a format knob is an
+    // unknown parameter like any other.
+    let knob = get(server.addr, "/trace/2882343476?format=wire");
+    assert_eq!(knob.status, 400, "{}", knob.body);
+    assert!(
+        knob.body.contains("unknown query parameter"),
+        "{}",
+        knob.body
     );
     // Log records stamped with the shared id filter by ?trace=.
     let logs = get(server.addr, "/logs?trace=2882343476");

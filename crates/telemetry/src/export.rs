@@ -2,7 +2,9 @@
 //!
 //! [`to_chrome_trace`] emits the Chrome trace-event JSON format —
 //! `{"traceEvents":[...]}` with matched `B`/`E` duration pairs and `i`
-//! instant events — loadable in `chrome://tracing` or Perfetto.
+//! instant events — loadable in `chrome://tracing` or Perfetto. It is
+//! also the one span format that crosses a process: a router merges the
+//! documents its workers serve into one lane per process.
 //! [`to_folded_stacks`] emits `root;child;leaf <self-time-µs>` lines for
 //! `flamegraph.pl` / inferno. Drained [`LogRecord`]s render as JSON-lines
 //! ([`log_json_lines`], one self-contained object per line, the format
@@ -109,7 +111,9 @@ fn write_event(
 /// Renders completed spans as Chrome trace-event JSON. Every span
 /// becomes a matched `B`/`E` pair (children emitted strictly inside
 /// their parent), instant events become `ph:"i"` scoped to the thread,
-/// and span attributes plus the trace id ride along in `args`.
+/// and span attributes plus the trace id ride along in `args`. A span
+/// whose parent is not among `records` (a remote caller's span, or one
+/// evicted from the ring) keeps that link as `args.parent`.
 pub fn to_chrome_trace(records: &[SpanRecord]) -> String {
     let (roots, children) = build_tree(records);
     let mut out = String::from("{\"traceEvents\":[\n");
@@ -117,16 +121,20 @@ pub fn to_chrome_trace(records: &[SpanRecord]) -> String {
     // Iterative depth-first emit: open the span, interleave its instant
     // events and children by timestamp, then close it.
     for root in roots {
-        emit_span(records, &children, root, &mut out, &mut first);
+        let parent = records[root].parent;
+        emit_span(records, &children, root, parent, &mut out, &mut first);
     }
     out.push_str("\n],\"displayTimeUnit\":\"ms\"}");
     out
 }
 
+/// `absent_parent` is the parent id of a root whose parent was not
+/// rendered; children pass `None`.
 fn emit_span(
     records: &[SpanRecord],
     children: &ChildIndex,
     idx: usize,
+    absent_parent: Option<SpanId>,
     out: &mut String,
     first: &mut bool,
 ) {
@@ -140,6 +148,9 @@ fn emit_span(
         r.tid,
         |out| {
             let _ = write!(out, ",\"args\":{{\"trace\":{}", r.trace.0);
+            if let Some(parent) = absent_parent {
+                let _ = write!(out, ",\"parent\":{}", parent.0);
+            }
             for (key, value) in &r.attrs {
                 out.push_str(",\"");
                 escape_json(key, out);
@@ -166,7 +177,7 @@ fn emit_span(
     items.sort_by_key(|(ts, _)| *ts);
     for (_, item) in items {
         match item {
-            Item::Child(k) => emit_span(records, children, k, out, first),
+            Item::Child(k) => emit_span(records, children, k, None, out, first),
             Item::Event(e) => write_event(
                 out,
                 first,
@@ -187,209 +198,6 @@ fn emit_span(
         r.tid,
         |_| {},
     );
-}
-
-/// A span in the line-oriented wire format served by
-/// `GET /trace/<id>?format=wire` — the owned-string twin of
-/// [`SpanRecord`] (whose `&'static str` name cannot cross a process
-/// boundary), carrying its attributes pre-rendered as the Chrome
-/// `args` JSON object.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WireSpan {
-    /// Trace id.
-    pub trace: u64,
-    /// Span id.
-    pub id: u64,
-    /// Parent span id, `None` for roots.
-    pub parent: Option<u64>,
-    /// Start time, nanoseconds since the *origin process's* tracer
-    /// epoch (each process has its own; stitching aligns them).
-    pub start_ns: u64,
-    /// End time, same clock as `start_ns`.
-    pub end_ns: u64,
-    /// Logical thread id in the origin process.
-    pub tid: u64,
-    /// Span name.
-    pub name: String,
-    /// The Chrome `args` object as rendered JSON, e.g.
-    /// `{"trace":7,"worker":1}`.
-    pub args_json: String,
-}
-
-/// Escapes the wire format's field separators inside a free-form field.
-fn escape_wire(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-}
-
-fn unescape_wire(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some(c) => out.push(c),
-            None => break,
-        }
-    }
-    out
-}
-
-/// Renders the Chrome `args` object for one span: the trace id plus
-/// every attribute.
-fn span_args_json(r: &SpanRecord) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{{\"trace\":{}", r.trace.0);
-    for (key, value) in &r.attrs {
-        out.push_str(",\"");
-        escape_json(key, &mut out);
-        out.push_str("\":");
-        write_attr_value(&mut out, value);
-    }
-    out.push('}');
-    out
-}
-
-/// Serializes spans in the cross-process wire format: one span per
-/// line, tab-separated —
-/// `trace  id  parent|-  start_ns  end_ns  tid  name  args_json`
-/// with tabs/newlines/backslashes escaped inside `name` and
-/// `args_json`. Instant events are not carried; the stitched fleet view
-/// is about cross-process structure, and the origin process's own
-/// `GET /trace/<id>` still renders them.
-pub fn to_wire(records: &[SpanRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        let _ = write!(out, "{}\t{}\t", r.trace.0, r.id.0);
-        match r.parent {
-            Some(p) => {
-                let _ = write!(out, "{}", p.0);
-            }
-            None => out.push('-'),
-        }
-        let _ = write!(out, "\t{}\t{}\t{}\t", r.start_ns, r.end_ns, r.tid);
-        escape_wire(r.name, &mut out);
-        out.push('\t');
-        escape_wire(&span_args_json(r), &mut out);
-        out.push('\n');
-    }
-    out
-}
-
-/// Parses the [`to_wire`] format back into owned spans. Malformed lines
-/// are skipped — a stitching ingress must render what it can, not 500
-/// on one worker's bad byte.
-pub fn parse_wire(text: &str) -> Vec<WireSpan> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        let mut fields = line.splitn(8, '\t');
-        let (Some(trace), Some(id), Some(parent), Some(start), Some(end), Some(tid)) = (
-            fields.next().and_then(|f| f.parse::<u64>().ok()),
-            fields.next().and_then(|f| f.parse::<u64>().ok()),
-            fields.next().map(|f| {
-                if f == "-" {
-                    Ok(None)
-                } else {
-                    f.parse::<u64>().map(Some)
-                }
-            }),
-            fields.next().and_then(|f| f.parse::<u64>().ok()),
-            fields.next().and_then(|f| f.parse::<u64>().ok()),
-            fields.next().and_then(|f| f.parse::<u64>().ok()),
-        ) else {
-            continue;
-        };
-        let Ok(parent) = parent else { continue };
-        let (Some(name), Some(args)) = (fields.next(), fields.next()) else {
-            continue;
-        };
-        out.push(WireSpan {
-            trace,
-            id,
-            parent,
-            start_ns: start,
-            end_ns: end,
-            tid,
-            name: unescape_wire(name),
-            args_json: unescape_wire(args),
-        });
-    }
-    out
-}
-
-/// One process's share of a stitched fleet trace.
-#[derive(Clone, Debug)]
-pub struct ProcessLane {
-    /// Chrome `pid` for this lane (distinct per process in the export).
-    pub pid: u64,
-    /// Human label, rendered via `process_name` metadata (e.g.
-    /// `router 127.0.0.1:7500` or `worker-1 127.0.0.1:7511`).
-    pub label: String,
-    /// Clock alignment: added to every span timestamp to translate the
-    /// origin process's tracer clock into the stitching process's
-    /// clock (estimated from health-probe round trips; may be
-    /// negative).
-    pub offset_ns: i64,
-    /// The spans this process contributed.
-    pub spans: Vec<WireSpan>,
-}
-
-/// Renders a stitched multi-process trace as Chrome trace-event JSON:
-/// one `pid` lane per process, labelled with `process_name` metadata
-/// events, every span a `ph:"X"` complete event whose timestamps are
-/// shifted onto the stitching process's clock by the lane's offset.
-/// Perfetto nests `X` events by time containment, so the cross-process
-/// parent/child structure reads directly off the lanes.
-pub fn to_chrome_trace_stitched(lanes: &[ProcessLane]) -> String {
-    let mut out = String::from("{\"traceEvents\":[\n");
-    let mut first = true;
-    for lane in lanes {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "  {{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\"args\":{{\"name\":\"",
-            lane.pid
-        );
-        escape_json(&lane.label, &mut out);
-        out.push_str("\"}}");
-        for s in &lane.spans {
-            let start = s.start_ns.saturating_add_signed(lane.offset_ns);
-            let dur = s.end_ns.saturating_sub(s.start_ns);
-            out.push_str(",\n  {\"name\":\"");
-            escape_json(&s.name, &mut out);
-            let _ = write!(
-                out,
-                "\",\"cat\":\"orex\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{}",
-                start as f64 / 1e3,
-                dur as f64 / 1e3,
-                lane.pid,
-                s.tid,
-                if s.args_json.is_empty() { "{}" } else { &s.args_json }
-            );
-            out.push('}');
-        }
-    }
-    out.push_str("\n],\"displayTimeUnit\":\"ms\"}");
-    out
 }
 
 /// Renders completed spans as folded flamegraph stacks: one
@@ -555,82 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_roundtrips_spans_including_escaped_fields() {
-        let t = Tracer::new(64);
-        {
-            let mut root = t.span("session.query");
-            root.attr_str("query", "tab\there\nand \"quotes\"");
-            let _child = t.span("session.rank");
-        }
-        let records = t.drain();
-        let wire = to_wire(&records);
-        let parsed = parse_wire(&wire);
-        assert_eq!(parsed.len(), records.len());
-        let root = parsed.iter().find(|s| s.parent.is_none()).unwrap();
-        let child = parsed.iter().find(|s| s.parent.is_some()).unwrap();
-        assert_eq!(root.name, "session.query");
-        assert_eq!(child.parent, Some(root.id));
-        assert_eq!(child.trace, root.trace);
-        assert!(
-            root.args_json.contains("tab\\there\\nand \\\"quotes\\\""),
-            "{}",
-            root.args_json
-        );
-        // Escapes keep the format line-oriented: 2 spans, 2 lines.
-        assert_eq!(wire.lines().count(), 2);
-    }
-
-    #[test]
-    fn wire_parser_skips_malformed_lines() {
-        let text = "7\t1\t-\t0\t10\t0\ta\t{}\nnot a span\n7\t2\t1\t2\t8\t0\tb\t{}\n";
-        let parsed = parse_wire(text);
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[1].parent, Some(1));
-    }
-
-    #[test]
-    fn stitched_trace_has_one_labelled_lane_per_process_with_shifted_clocks() {
-        let span = |id: u64, start: u64, end: u64| WireSpan {
-            trace: 7,
-            id,
-            parent: None,
-            start_ns: start,
-            end_ns: end,
-            tid: 0,
-            name: format!("span{id}"),
-            args_json: String::from("{\"trace\":7}"),
-        };
-        let lanes = [
-            ProcessLane {
-                pid: 1,
-                label: String::from("router 127.0.0.1:7500"),
-                offset_ns: 0,
-                spans: vec![span(1, 1_000, 9_000)],
-            },
-            ProcessLane {
-                pid: 2,
-                label: String::from("worker-0 127.0.0.1:7510"),
-                offset_ns: 2_000,
-                spans: vec![span(2, 1_500, 7_500)],
-            },
-        ];
-        let json = to_chrome_trace_stitched(&lanes);
-        assert_eq!(json.matches("\"ph\":\"M\"").count(), 2);
-        assert_eq!(json.matches("\"ph\":\"X\"").count(), 2);
-        assert!(
-            json.contains("\"name\":\"router 127.0.0.1:7500\""),
-            "{json}"
-        );
-        assert!(
-            json.contains("\"name\":\"worker-0 127.0.0.1:7510\""),
-            "{json}"
-        );
-        // Worker timestamps shift by its offset: (1500+2000)/1e3 µs.
-        assert!(json.contains("\"ts\":3.5,\"dur\":6,\"pid\":2"), "{json}");
-        assert!(json.contains("\"ts\":1,\"dur\":8,\"pid\":1"), "{json}");
-    }
-
-    #[test]
     fn chrome_trace_has_matched_pairs_in_nesting_order() {
         let json = to_chrome_trace(&sample_records());
         assert!(json.starts_with("{\"traceEvents\":["), "{json}");
@@ -655,11 +387,32 @@ mod tests {
     #[test]
     fn orphaned_children_become_roots() {
         let mut records = sample_records();
+        let root = records
+            .iter()
+            .find(|r| r.name == "session.query")
+            .map(|r| r.id)
+            .unwrap();
         // Drop the root record: its child must still render.
         records.retain(|r| r.name != "session.query");
         let json = to_chrome_trace(&records);
         assert_eq!(json.matches("\"ph\":\"B\"").count(), 2);
         assert_eq!(json.matches("\"ph\":\"E\"").count(), 2);
+        // The promoted root keeps its absent parent's id in `args`; its
+        // child, whose parent is rendered, carries none.
+        let doc = serde_json::from_str(&json).unwrap();
+        let parent_of = |name: &str| {
+            let events = doc.get("traceEvents").and_then(|e| e.as_array()).unwrap();
+            let begin = events
+                .iter()
+                .find(|e| {
+                    e.get("name").and_then(|n| n.as_str()) == Some(name)
+                        && e.get("ph").and_then(|p| p.as_str()) == Some("B")
+                })
+                .unwrap();
+            begin.get("args").unwrap().get("parent").map(|p| p.as_u64())
+        };
+        assert_eq!(parent_of("session.rank"), Some(Some(root.0)), "{json}");
+        assert_eq!(parent_of("authority.power.iteration"), None, "{json}");
     }
 
     #[test]
