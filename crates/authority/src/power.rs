@@ -11,25 +11,31 @@
 //! iterations parallelize over disjoint output ranges with no write
 //! contention and bitwise-deterministic results for any thread count.
 //!
-//! The sweep reads `alpha` through Equation 1's class table: each in-CSR
-//! slot carries a `u16` class id ([`TransferGraph::in_slot_classes`]), and
-//! a matrix is that id array plus `class_alpha`, one f64 per class (a few
-//! hundred, so the table stays in L1). A slot's term is
-//! `class_alpha[class[s]] * r[src]`, the same product in the same in-slot
-//! order as a gathered per-edge `alpha` array would give, so no process
-//! keeps or builds one.
+//! The sweep reads `alpha` through Equation 1's class table: each in-slot
+//! carries a `u16` class id ([`orex_graph::InSlices::classes`]), and a
+//! matrix is that id array plus `class_alpha`, one f64 per class (a few
+//! hundred, so the table stays in L1) and a trailing `0.0` for the
+//! padding class. A slot's term is `class_alpha[class[s]] * r[src]`, the
+//! same product as a gathered per-edge `alpha` array would give, so no
+//! process keeps or builds one.
 //!
-//! The CSR kernel is organized around *cache blocks*: contiguous row
-//! groups bounded by edge count, so the `targets`/class slices one block
-//! touches stay cache-resident while it is swept. Blocks are also the
-//! unit of thread partitioning — threads claim contiguous block runs
-//! balanced by **edge** count rather than row count, which keeps skewed
-//! in-degree distributions (DBLP's papers-vs-years) from serializing on
-//! one unlucky worker. [`power_iteration_batch`] advances many base-set
-//! vectors through one shared sweep of that structure, reading the CSR
-//! topology once per iteration for the whole batch.
+//! The sweep walks the graph's in-adjacency as four-row slices
+//! ([`orex_graph::slices`]): a chunk of four rows of similar in-degree,
+//! stored step-major, so one pass over the chunk advances four
+//! independent sums, `[f64; 4]`, instead of one serial chain of adds per
+//! row. Each row's slots are in ascending edge order and its padding
+//! terms are `±0.0`, so every sum is bit-identical to a row-by-row pull
+//! over in-edges in ascending edge order, on any thread count.
+//! Windows of 4,096 rows are the unit of thread partitioning: threads
+//! claim contiguous window runs balanced by **slot** count rather than
+//! row count, which keeps skewed in-degree distributions (DBLP's
+//! papers-vs-years) from serializing on one unlucky worker.
+//! [`power_iteration_batch`] advances many base-set vectors through one
+//! shared sweep of the slices, reading the topology once per iteration
+//! for the whole batch.
 
 use crate::base_set::BaseSet;
+use orex_graph::slices::{CHUNK_ROWS, NO_ROW, PAD_EDGE, WINDOW_ROWS};
 use orex_graph::{class_id, class_table, TransferGraph, TransferRates};
 use orex_telemetry::{logger, Counter, Gauge, HistogramHandle, Level, RateLimit};
 use std::borrow::Cow;
@@ -43,12 +49,6 @@ const LOG_TARGET: &str = "authority.power";
 /// every this many iterations, so turning residual logging on cannot
 /// flood the ring on large graphs.
 const RESIDUAL_LOG_EVERY: u64 = 32;
-
-/// Edge budget of one cache block. At 6 bytes of CSR structure per edge
-/// (u32 target + u16 class id) a full block touches ~48 KiB — comfortably
-/// inside L2 — so re-walking a block for every column of a batched sweep
-/// hits warm lines instead of DRAM.
-const BLOCK_EDGES: u32 = 8192;
 
 /// Pre-resolved handles for the per-iteration metrics: the power loop is
 /// the system's hottest path, so it must not pay the registry's RwLock
@@ -124,24 +124,18 @@ pub struct RankResult {
 }
 
 /// The transition structure `d`-independent part of Equation 4: the
-/// transfer-graph topology, a class id per in-CSR slot and each class's
-/// `alpha` under one rates vector, plus the cache-block boundaries the
-/// sweeps iterate over.
+/// transfer-graph topology, a class id per in-slot and each class's
+/// `alpha` under one rates vector.
 ///
-/// The class ids are the graph's own ([`TransferGraph::in_slot_classes`]),
+/// The class ids are the graph's own ([`orex_graph::InSlices::classes`]),
 /// borrowed; only [`Self::from_edge_weights`] owns a class array. Building
-/// a matrix costs the class table (a few hundred multiplies) and the
-/// block table (one pass over the row offsets).
+/// a matrix from rates costs the class table, a few hundred multiplies.
 pub struct TransitionMatrix<'g> {
     graph: &'g TransferGraph,
-    /// `alpha` (Equation 1) per class.
+    /// `alpha` (Equation 1) per class, then `0.0` for the padding class.
     class_alpha: Vec<f64>,
-    /// The class of each in-CSR slot.
+    /// The class of each in-slot.
     in_slot_class: Cow<'g, [u16]>,
-    /// Cache-block row boundaries: `blocks[0] = 0`, `blocks.last() = n`,
-    /// each block spanning at most [`BLOCK_EDGES`] in-edges (single rows
-    /// over the budget get a block of their own).
-    blocks: Vec<u32>,
 }
 
 impl<'g> TransitionMatrix<'g> {
@@ -149,13 +143,21 @@ impl<'g> TransitionMatrix<'g> {
     /// `rates` ([`TransferGraph::class_alpha`]) read through its in-slot
     /// class ids.
     pub fn new(graph: &'g TransferGraph, rates: &TransferRates) -> Self {
-        let class_alpha = graph.class_alpha(rates);
-        Self::from_classes(graph, class_alpha, Cow::Borrowed(graph.in_slot_classes()))
+        let mut class_alpha = graph.class_alpha(rates);
+        // The padding class, id `graph.class_count()`.
+        class_alpha.push(0.0);
+        Self {
+            graph,
+            class_alpha,
+            in_slot_class: Cow::Borrowed(graph.in_slices().classes()),
+        }
     }
 
     /// Builds the matrix from precomputed per-edge weights (edge-indexed):
     /// each distinct f64 bit pattern becomes one class, so every slot reads
-    /// back exactly its edge's weight.
+    /// back exactly its edge's weight. Each edge gets its class id once,
+    /// in edge order ([`class_by_bits`]), and the ids are gathered into
+    /// slot order.
     ///
     /// # Panics
     /// Panics if `edge_weights` does not have one entry per transfer edge,
@@ -166,27 +168,24 @@ impl<'g> TransitionMatrix<'g> {
             graph.transfer_edge_count(),
             "edge weight vector length mismatch"
         );
-        let bits = edge_weights.iter().map(|w| w.to_bits());
-        let table = class_table(bits, "distinct edge weights");
+        let (table, edge_class) = class_by_bits(&edge_weights);
+        drop(edge_weights);
+        let pad_class = table.len() as u16;
         let in_slot_class = graph
-            .in_slot_edges()
+            .in_slices()
+            .edges()
             .iter()
-            .map(|&e| class_id(&table, &edge_weights[e as usize].to_bits()))
+            .map(|&e| match e {
+                PAD_EDGE => pad_class,
+                e => edge_class[e as usize],
+            })
             .collect();
-        let class_alpha = table.into_iter().map(f64::from_bits).collect();
-        Self::from_classes(graph, class_alpha, Cow::Owned(in_slot_class))
-    }
-
-    fn from_classes(
-        graph: &'g TransferGraph,
-        class_alpha: Vec<f64>,
-        in_slot_class: Cow<'g, [u16]>,
-    ) -> Self {
+        let mut class_alpha: Vec<f64> = table.into_iter().map(f64::from_bits).collect();
+        class_alpha.push(0.0);
         Self {
             graph,
             class_alpha,
-            in_slot_class,
-            blocks: cache_blocks(graph.in_csr().row_offsets(), graph.node_count()),
+            in_slot_class: Cow::Owned(in_slot_class),
         }
     }
 
@@ -202,94 +201,76 @@ impl<'g> TransitionMatrix<'g> {
         self.graph
     }
 
-    /// Number of cache blocks the row space is partitioned into.
-    #[inline]
-    pub fn cache_block_count(&self) -> usize {
-        self.blocks.len() - 1
-    }
-
     /// Computes `out[i] = damping * Σ_{j -> i} alpha(j -> i) * r[j] + add[i]`
-    /// for `i` in `range`, writing into `out` (which must be the slice for
-    /// exactly that range). `alpha(j -> i)` is its slot's class `alpha`.
-    fn pull_range(
-        &self,
-        r: &[f64],
-        out: &mut [f64],
-        range: Range<usize>,
-        damping: f64,
-        add: &[f64],
-    ) {
-        let csr = self.graph.in_csr();
-        let offsets = csr.row_offsets();
-        let targets = csr.targets();
-        let alpha = &self.class_alpha[..];
-        let classes = &self.in_slot_class[..];
-        for (local, i) in range.clone().enumerate() {
-            let lo = offsets[i] as usize;
-            let hi = offsets[i + 1] as usize;
-            let mut acc = 0.0;
-            // `targets` of the in-CSR are the *sources* j of edges j->i.
-            for (&c, &src) in classes[lo..hi].iter().zip(&targets[lo..hi]) {
-                acc += alpha[c as usize] * r[src as usize];
-            }
-            out[local] = damping * acc + add[i];
-        }
-    }
-
-    /// [`Self::pull_range`] over `rows`, walking the cache blocks that
-    /// cover it one at a time so each block's CSR slice stays resident.
-    /// `rows` must be block-aligned (it comes from [`Self::thread_ranges`]).
+    /// for `i` in `rows`, writing into `out` (which must be the slice for
+    /// exactly those rows). `alpha(j -> i)` is its slot's class `alpha`.
+    /// `rows` must be window-aligned (it comes from [`Self::thread_ranges`]).
     fn pull_rows(&self, r: &[f64], out: &mut [f64], rows: Range<usize>, damping: f64, add: &[f64]) {
-        let mut row = rows.start;
-        let blocks = &self.blocks;
-        let mut bi = blocks.partition_point(|&b| (b as usize) <= rows.start);
-        while row < rows.end {
-            let block_end = (blocks[bi] as usize).min(rows.end);
-            let lo = row - rows.start;
-            let hi = block_end - rows.start;
-            self.pull_range(r, &mut out[lo..hi], row..block_end, damping, add);
-            row = block_end;
-            bi += 1;
+        let slices = self.graph.in_slices();
+        let alpha = &self.class_alpha[..];
+        let (sources, classes) = (slices.sources(), &self.in_slot_class[..]);
+        for c in slices.chunks_of(rows.clone()) {
+            let slots = slices.chunk_slots(c);
+            let (steps, _) = sources[slots.clone()].as_chunks::<CHUNK_ROWS>();
+            let (step_classes, _) = classes[slots].as_chunks::<CHUNK_ROWS>();
+            // One sum per lane, each advanced in its row's slot order.
+            let mut acc = [0.0f64; CHUNK_ROWS];
+            for (src, class) in steps.iter().zip(step_classes) {
+                for lane in 0..CHUNK_ROWS {
+                    acc[lane] += alpha[class[lane] as usize] * r[src[lane] as usize];
+                }
+            }
+            for (row, acc) in slices.chunk_rows(c).into_iter().zip(acc) {
+                if row != NO_ROW {
+                    let row = row as usize;
+                    out[row - rows.start] = damping * acc + add[row];
+                }
+            }
         }
     }
 
-    /// One shared sweep over the rows in `rows` for *all* columns: the CSR
-    /// structure of each row is read once, and every column's accumulator
-    /// advances in in-slot order — the identical floating-point op
-    /// sequence a single-vector sweep performs, so batching cannot perturb
-    /// results. `acc` is a scratch buffer of at least `cols.len()`.
+    /// One shared sweep over the rows in `rows` for *all* columns: the
+    /// slices of each chunk are read once, and every column's four sums
+    /// advance in slot order — the identical floating-point op sequence a
+    /// single-vector sweep performs, so batching cannot perturb results.
+    /// `acc` is a scratch buffer of at least `cols.len()`.
     fn pull_rows_batch(
         &self,
         cols: &mut [BatchColumn<'_>],
         rows: Range<usize>,
         damping: f64,
-        acc: &mut [f64],
+        acc: &mut [[f64; CHUNK_ROWS]],
     ) {
-        let csr = self.graph.in_csr();
-        let offsets = csr.row_offsets();
-        let targets = csr.targets();
+        let slices = self.graph.in_slices();
         let alpha = &self.class_alpha[..];
-        let classes = &self.in_slot_class[..];
-        let width = cols.len();
-        for (local, i) in rows.clone().enumerate() {
-            let lo = offsets[i] as usize;
-            let hi = offsets[i + 1] as usize;
-            acc[..width].fill(0.0);
-            for (&c, &src) in classes[lo..hi].iter().zip(&targets[lo..hi]) {
-                let w = alpha[c as usize];
-                let src = src as usize;
-                for (a, col) in acc[..width].iter_mut().zip(cols.iter()) {
-                    *a += w * col.r[src];
+        let (sources, classes) = (slices.sources(), &self.in_slot_class[..]);
+        let acc = &mut acc[..cols.len()];
+        for c in slices.chunks_of(rows.clone()) {
+            let slots = slices.chunk_slots(c);
+            let (steps, _) = sources[slots.clone()].as_chunks::<CHUNK_ROWS>();
+            let (step_classes, _) = classes[slots].as_chunks::<CHUNK_ROWS>();
+            acc.fill([0.0; CHUNK_ROWS]);
+            for (src, class) in steps.iter().zip(step_classes) {
+                let w = class.map(|c| alpha[c as usize]);
+                for (a, col) in acc.iter_mut().zip(cols.iter()) {
+                    for lane in 0..CHUNK_ROWS {
+                        a[lane] += w[lane] * col.r[src[lane] as usize];
+                    }
                 }
             }
-            for (a, col) in acc[..width].iter().zip(cols.iter_mut()) {
-                col.out[local] = damping * *a + col.add[i];
+            for (lane, row) in slices.chunk_rows(c).into_iter().enumerate() {
+                if row != NO_ROW {
+                    let row = row as usize;
+                    for (a, col) in acc.iter().zip(cols.iter_mut()) {
+                        col.out[row - rows.start] = damping * a[lane] + col.add[row];
+                    }
+                }
             }
         }
     }
 
     /// Splits the row space into at most `threads` contiguous,
-    /// block-aligned ranges with balanced **edge** counts. Row-count
+    /// window-aligned ranges with balanced **slot** counts. Row-count
     /// chunking is what it replaces: on skewed in-degree distributions a
     /// uniform row split leaves one thread holding most of the edges.
     fn thread_ranges(&self, threads: usize) -> Vec<Range<usize>> {
@@ -297,19 +278,17 @@ impl<'g> TransitionMatrix<'g> {
         if threads <= 1 || n == 0 {
             return std::iter::once(0..n).collect();
         }
-        let offsets = self.graph.in_csr().row_offsets();
-        let total = offsets[n] as usize;
-        let target = total.div_ceil(threads).max(1);
+        let slices = self.graph.in_slices();
+        let target = slices.slot_count().div_ceil(threads).max(1);
         let mut ranges = Vec::with_capacity(threads);
         let mut row_start = 0usize;
-        for w in self.blocks.windows(2) {
+        for window_end in (WINDOW_ROWS..n).step_by(WINDOW_ROWS).chain([n]) {
             if ranges.len() + 1 == threads {
                 break;
             }
-            let block_end = w[1] as usize;
-            if (offsets[block_end] - offsets[row_start]) as usize >= target {
-                ranges.push(row_start..block_end);
-                row_start = block_end;
+            if slices.slots_of(row_start..window_end).len() >= target {
+                ranges.push(row_start..window_end);
+                row_start = window_end;
             }
         }
         if row_start < n || ranges.is_empty() {
@@ -344,23 +323,41 @@ impl<'g> TransitionMatrix<'g> {
     }
 }
 
-/// Greedy row grouping: close a block as soon as adding the next row would
-/// push it past [`BLOCK_EDGES`] (rows bigger than the budget get their own
-/// block).
-fn cache_blocks(offsets: &[u32], n: usize) -> Vec<u32> {
-    let mut blocks = Vec::with_capacity(n / 64 + 2);
-    blocks.push(0u32);
-    let mut i = 0usize;
-    while i < n {
-        let start = offsets[i];
-        let mut j = i + 1;
-        while j < n && offsets[j + 1] - start <= BLOCK_EDGES {
-            j += 1;
+/// Classes weights by bit pattern: the distinct patterns, ascending (a
+/// [`class_table`]), and each weight's class id. A direct-mapped memo of
+/// recently seen patterns skips most repeats, so the table is sorted from
+/// a few hundred candidates rather than from every weight, and only a
+/// memo miss binary-searches it.
+fn class_by_bits(weights: &[f64]) -> (Vec<u64>, Vec<u16>) {
+    const MEMO_SLOTS: usize = 1 << 10;
+    let slot = |bits: u64| (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 54) as usize;
+    let mut seen: Vec<Option<u64>> = vec![None; MEMO_SLOTS];
+    let mut candidates = Vec::new();
+    for bits in weights.iter().map(|w| w.to_bits()) {
+        let memo = &mut seen[slot(bits)];
+        if *memo != Some(bits) {
+            *memo = Some(bits);
+            candidates.push(bits);
         }
-        blocks.push(j as u32);
-        i = j;
     }
-    blocks
+    let table = class_table(candidates, "distinct edge weights");
+    let mut ids: Vec<Option<(u64, u16)>> = vec![None; MEMO_SLOTS];
+    let edge_class = weights
+        .iter()
+        .map(|w| {
+            let bits = w.to_bits();
+            let memo = &mut ids[slot(bits)];
+            match *memo {
+                Some((seen, id)) if seen == bits => id,
+                _ => {
+                    let id = class_id(&table, &bits);
+                    *memo = Some((bits, id));
+                    id
+                }
+            }
+        })
+        .collect();
+    (table, edge_class)
 }
 
 /// One thread's view of one batch column over a row range.
@@ -690,7 +687,7 @@ fn sweep_batch_views(
     let width = views.len();
     if ranges.len() <= 1 {
         let n = matrix.node_count();
-        let mut acc = vec![0.0; width];
+        let mut acc = vec![[0.0; CHUNK_ROWS]; width];
         let mut cols: Vec<BatchColumn<'_>> = views
             .iter_mut()
             .map(|c| BatchColumn {
@@ -719,7 +716,7 @@ fn sweep_batch_views(
     std::thread::scope(|scope| {
         for (mut cols, range) in per_thread.into_iter().zip(ranges.iter().cloned()) {
             scope.spawn(move || {
-                let mut acc = vec![0.0; cols.len()];
+                let mut acc = vec![[0.0; CHUNK_ROWS]; cols.len()];
                 matrix.pull_rows_batch(&mut cols, range, damping, &mut acc);
             });
         }
@@ -755,6 +752,18 @@ mod tests {
             max_iterations: 2000,
             ..RankParams::default()
         }
+    }
+
+    /// The reference pull, straight from the edge list: each row sums
+    /// `weights[e] * r[src(e)]` over the edges into it, in ascending edge
+    /// id, with no in-adjacency involved.
+    fn edge_list_pull(tg: &TransferGraph, weights: &[f64], r: &[f64]) -> Vec<f64> {
+        let mut acc = vec![0.0; tg.node_count()];
+        for (e, w) in weights.iter().enumerate() {
+            let (src, dst) = tg.edge_endpoints(e);
+            acc[dst.index()] += w * r[src.index()];
+        }
+        acc
     }
 
     #[test]
@@ -801,13 +810,8 @@ mod tests {
         let res = power_iteration(&m, &base, &params, None);
         assert!(res.converged);
         // Verify r = d A r + (1-d) s componentwise by a manual pull.
-        let n = tg.node_count();
-        let w = tg.weights(&rates);
-        for i in 0..n {
-            let mut acc = 0.0;
-            for (src, e) in tg.in_transfer(orex_graph::NodeId::from_usize(i)) {
-                acc += w[e] * res.scores[src.index()];
-            }
+        let pulled = edge_list_pull(&tg, &tg.weights(&rates), &res.scores);
+        for (i, acc) in pulled.into_iter().enumerate() {
             let expect = params.damping * acc + (1.0 - params.damping) * base.probability(i as u32);
             assert!((res.scores[i] - expect).abs() < 1e-9);
         }
@@ -955,53 +959,38 @@ mod tests {
 
     #[test]
     fn thread_ranges_cover_rows_exactly_once() {
-        let (tg, rates) = skewed_graph(200);
-        let m = TransitionMatrix::new(&tg, &rates);
-        for threads in [1, 2, 3, 7] {
-            let ranges = m.thread_ranges(threads);
-            assert!(ranges.len() <= threads);
-            assert_eq!(ranges[0].start, 0);
-            assert_eq!(ranges.last().unwrap().end, m.node_count());
-            for pair in ranges.windows(2) {
-                assert_eq!(pair[0].end, pair[1].start, "ranges must tile");
+        for n in [200, 3 * WINDOW_ROWS + 5] {
+            let (tg, rates) = skewed_graph(n);
+            let m = TransitionMatrix::new(&tg, &rates);
+            for threads in [1, 2, 3, 7] {
+                let ranges = m.thread_ranges(threads);
+                assert!(ranges.len() <= threads);
+                assert_eq!(ranges[0].start, 0);
+                assert_eq!(ranges.last().unwrap().end, m.node_count());
+                for pair in ranges.windows(2) {
+                    assert_eq!(pair[0].end, pair[1].start, "ranges must tile");
+                    assert_eq!(pair[0].end % WINDOW_ROWS, 0, "ranges are window-aligned");
+                }
             }
         }
     }
 
-    #[test]
-    fn cache_blocks_tile_the_row_space() {
-        let (tg, rates) = skewed_graph(150);
-        let m = TransitionMatrix::new(&tg, &rates);
-        assert!(m.cache_block_count() >= 1);
-        // Synthetic check of the block builder itself on a skewed CSR.
-        let offsets: Vec<u32> = vec![0, 9000, 9001, 9002, 17000, 17001];
-        let blocks = cache_blocks(&offsets, 5);
-        assert_eq!(*blocks.first().unwrap(), 0);
-        assert_eq!(*blocks.last().unwrap(), 5);
-        for pair in blocks.windows(2) {
-            assert!(pair[0] < pair[1], "blocks must advance: {blocks:?}");
-            let edges = offsets[pair[1] as usize] - offsets[pair[0] as usize];
-            let rows = pair[1] - pair[0];
-            assert!(
-                edges <= BLOCK_EDGES || rows == 1,
-                "oversized multi-row block: {blocks:?}"
-            );
-        }
-    }
-
     /// A matrix from rates borrows the graph's in-slot class ids rather
-    /// than copying them, and every slot reads back its edge's Equation 1
-    /// weight, bit for bit.
+    /// than copying them, every slot reads back its edge's Equation 1
+    /// weight, bit for bit, and every padding slot reads `0.0`.
     #[test]
     fn class_kernel_borrows_the_graphs_class_ids() {
         let (tg, rates) = skewed_graph(40);
         let m = TransitionMatrix::new(&tg, &rates);
+        let slices = tg.in_slices();
         assert!(matches!(m.in_slot_class, Cow::Borrowed(_)));
-        assert_eq!(m.in_slot_class.as_ptr(), tg.in_slot_classes().as_ptr());
-        assert_eq!(m.class_alpha.len(), tg.class_count());
+        assert_eq!(m.in_slot_class.as_ptr(), slices.classes().as_ptr());
+        assert_eq!(m.class_alpha.len(), tg.class_count() + 1);
         let w = tg.weights(&rates);
-        for (&c, &e) in m.in_slot_class.iter().zip(tg.in_slot_edges()) {
-            assert_eq!(m.class_alpha[c as usize].to_bits(), w[e as usize].to_bits());
+        assert!(slices.edges().contains(&PAD_EDGE));
+        for (&c, &e) in m.in_slot_class.iter().zip(slices.edges()) {
+            let want = if e == PAD_EDGE { 0.0 } else { w[e as usize] };
+            assert_eq!(m.class_alpha[c as usize].to_bits(), want.to_bits());
         }
     }
 
@@ -1015,8 +1004,9 @@ mod tests {
         assert_eq!(weights.len(), tg.transfer_edge_count());
         let m = TransitionMatrix::from_edge_weights(&tg, weights.clone());
         assert!(matches!(m.in_slot_class, Cow::Owned(_)));
-        assert_eq!(m.class_alpha.len(), 5);
-        for (&c, &e) in m.in_slot_class.iter().zip(tg.in_slot_edges()) {
+        // Five distinct patterns and the padding class.
+        assert_eq!(m.class_alpha.len(), 6);
+        for (&c, &e) in m.in_slot_class.iter().zip(tg.in_slices().edges()) {
             assert_eq!(
                 m.class_alpha[c as usize].to_bits(),
                 weights[e as usize].to_bits()
@@ -1024,31 +1014,24 @@ mod tests {
         }
     }
 
-    /// One sweep over class ids equals a pull over per-slot `alpha`
-    /// gathered from the edge-indexed weights, bit for bit, on one
-    /// thread range and on several.
+    /// One sweep over class ids equals the edge-list pull, bit for bit,
+    /// on one thread range and on several.
     #[test]
     fn class_kernel_sweeps_like_a_pull_over_gathered_alpha() {
-        let (tg, rates) = skewed_graph(3000);
+        let (tg, rates) = skewed_graph(2 * WINDOW_ROWS + 100);
         let n = tg.node_count();
         let w = tg.weights(&rates);
         let r: Vec<f64> = (0..n).map(|i| 1.0 / (i + 1) as f64).collect();
         let add: Vec<f64> = (0..n).map(|i| (i % 7) as f64 * 1e-3).collect();
-        let (offsets, sources) = (tg.in_csr().row_offsets(), tg.in_csr().targets());
-        let expect: Vec<u64> = (0..n)
-            .map(|i| {
-                let mut acc = 0.0;
-                for s in offsets[i] as usize..offsets[i + 1] as usize {
-                    acc += w[tg.in_slot_edges()[s] as usize] * r[sources[s] as usize];
-                }
-                (0.85 * acc + add[i]).to_bits()
-            })
+        let expect: Vec<u64> = edge_list_pull(&tg, &w, &r)
+            .iter()
+            .zip(&add)
+            .map(|(acc, add)| (0.85 * acc + add).to_bits())
             .collect();
         for m in [
             TransitionMatrix::new(&tg, &rates),
             TransitionMatrix::from_edge_weights(&tg, w.clone()),
         ] {
-            assert!(m.cache_block_count() >= 2);
             for threads in [1, 2, 3] {
                 let ranges = m.thread_ranges(threads);
                 assert_eq!(ranges.len(), threads.min(2));
@@ -1057,6 +1040,22 @@ mod tests {
                 let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(got, expect, "{threads} threads");
             }
+        }
+    }
+
+    /// More distinct patterns than memo slots, each met many times and
+    /// `-0.0` apart from `0.0`: every weight gets its own pattern's id.
+    #[test]
+    fn class_by_bits_ids_every_weight_by_its_pattern() {
+        let weights: Vec<f64> = (0..20_000u64)
+            .map(|i| ((i * 7919) % 3001) as f64 * 0.5)
+            .chain([-0.0, 0.0])
+            .collect();
+        let (table, ids) = class_by_bits(&weights);
+        assert_eq!(table.len(), 3002);
+        assert!(table.windows(2).all(|p| p[0] < p[1]));
+        for (w, &id) in weights.iter().zip(&ids) {
+            assert_eq!(table[id as usize], w.to_bits());
         }
     }
 
@@ -1075,12 +1074,13 @@ mod tests {
             .map(|e| (e % bound) as f64)
             .collect();
         let m = TransitionMatrix::from_edge_weights(&tg, weights);
-        assert_eq!(m.class_alpha.len(), bound);
+        assert_eq!(m.class_alpha.len(), bound + 1);
         assert_eq!(m.class_alpha[bound - 1], (bound - 1) as f64);
+        assert_eq!(m.class_alpha[bound].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
-    #[should_panic(expected = "too many distinct edge weights: more than 65536")]
+    #[should_panic(expected = "too many distinct edge weights: more than 65535")]
     fn from_edge_weights_rejects_one_weight_past_the_u16_bound() {
         let tg = long_chain();
         let weights = (0..tg.transfer_edge_count()).map(|e| e as f64).collect();

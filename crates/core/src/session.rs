@@ -214,7 +214,7 @@ pub struct QuerySession<'s> {
 /// Ranks `query` under `rates` from `warm_start`: the execution step of
 /// the initial query and of every feedback round. The matrix reads alpha
 /// from the graph's Equation 1 class table under `rates`, so building it
-/// costs the class table and the cache-block table, not a per-edge array.
+/// costs the class table, not a per-edge array.
 /// The returned stats carry the rank fields only.
 fn rank(
     system: &ObjectRankSystem,

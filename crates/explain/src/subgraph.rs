@@ -201,9 +201,9 @@ impl Explanation {
         // (sentinel u32::MAX): on the paper's full-scale graphs (Table 1)
         // radius-3 subgraphs of hub targets touch millions of edges, and
         // hashing dominated the construction stage. An edge's alpha is
-        // its Equation 1 class's: the search walks the in-CSR rows with
-        // their in-slot class ids side by side, so it reads no edge index
-        // and gathers from nothing larger than the class table.
+        // its Equation 1 class's: the search walks each node's lane of the
+        // in-slices, reading its sources and in-slot class ids side by
+        // side, and gathers from nothing larger than the class table.
         //
         // The search expands depths 0..L−1 only, labelling every node
         // within L − 1 hops. Construction reads a node's distance only if
@@ -220,12 +220,13 @@ impl Explanation {
         let mut dist = vec![u32::MAX; n_global];
         dist[target.index()] = 0;
         let mut frontier = vec![target.raw()];
-        let (in_csr, in_class) = (graph.in_csr(), graph.in_slot_classes());
+        let slices = graph.in_slices();
+        let (in_source, in_class) = (slices.sources(), slices.classes());
         for depth in 0..radius.saturating_sub(1) {
             let mut next = Vec::new();
             for &w in &frontier {
-                let slots = in_csr.range(w as usize);
-                for (&u, &c) in in_csr.targets()[slots.clone()].iter().zip(&in_class[slots]) {
+                for slot in slices.lane(w as usize) {
+                    let (u, c) = (in_source[slot], in_class[slot]);
                     if dist[u as usize] == u32::MAX && class_alpha[usize::from(c)] > 0.0 {
                         dist[u as usize] = depth + 1;
                         next.push(u);

@@ -10,7 +10,8 @@
 //!   schema graph (Figure 3) — the vector structure-based reformulation
 //!   learns;
 //! - [`TransferGraph`]: the authority transfer data graph (Figure 5) with
-//!   per-edge weights derived by Equation 1.
+//!   per-edge weights derived by Equation 1, and its in-adjacency as
+//!   four-row [`InSlices`] for the power sweep.
 //!
 //! The crate is dependency-free; all storage is flat CSR arrays tuned for
 //! the power-iteration workloads of the downstream crates.
@@ -25,6 +26,7 @@ mod dot;
 mod error;
 mod ids;
 mod schema;
+pub mod slices;
 mod transfer;
 
 pub use csr::Csr;
@@ -33,4 +35,5 @@ pub use dot::{data_to_dot, escape_label, schema_to_dot};
 pub use error::{GraphError, Result};
 pub use ids::{Direction, EdgeId, EdgeTypeId, NodeId, NodeTypeId, TransferTypeId};
 pub use schema::{EdgeType, SchemaGraph};
+pub use slices::InSlices;
 pub use transfer::{class_id, class_table, TransferGraph, TransferRates, MAX_CLASSES};

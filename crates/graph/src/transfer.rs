@@ -25,35 +25,42 @@
 //! edges), 396 on `dblp-complete:0.1` (808,740), 201 on `ds7-cancer:0.5`,
 //! 488 on `ds7:1.0` (7.1M) and 952 on `dblp-complete:1.0` (8.27M). The
 //! graph keeps a `u16` class id per transfer edge, in edge order and in
-//! in-CSR slot order, and one `(tt, 1 / OutDeg)` row per class.
-//! [`TransferGraph::class_alpha`] turns a rates vector into every class's
-//! `alpha` in about a thousand multiplies. Every reader of `alpha` goes
-//! through that table: the power sweep reads `class_alpha[c]` for each
-//! in-slot class id ([`TransferGraph::in_slot_classes`]), an explanation
-//! for each edge's ([`TransferGraph::edge_classes`]), and only
+//! the in-adjacency's slot order, and one `(tt, 1 / OutDeg)` row per
+//! class. [`TransferGraph::class_alpha`] turns a rates vector into every
+//! class's `alpha` in about a thousand multiplies. Every reader of
+//! `alpha` goes through that table: the power sweep reads `class_alpha[c]`
+//! for each in-slot class id ([`InSlices::classes`]), an explanation for
+//! each edge's ([`TransferGraph::edge_classes`]), and only
 //! [`TransferGraph::weights`] gathers an edge-indexed array. No per-edge
 //! `alpha` array is kept, and reformulation iterations never rebuild
 //! adjacency.
 //!
-//! Bytes per transfer edge ([`TransferGraph::heap_bytes`] adds the two
-//! CSR row-offset arrays, 8 B per node, and the class table, 16 B per
+//! The in-adjacency is one [`InSlices`]: four-row slices the power sweep
+//! walks four sums at a time (see [`crate::slices`]). Its padding slots
+//! carry the padding class, id [`TransferGraph::class_count`], one past
+//! the last Equation 1 class; a sweep reads its `alpha` as `0.0`.
+//!
+//! Bytes per transfer edge ([`TransferGraph::heap_bytes`] adds 4 B per
+//! node for the out-CSR row offsets, 4 B per node and 4 B per chunk of
+//! four for the slices' lane maps, 10 B per padding slot, and 16 B per
 //! class):
 //!
-//! | array | before the class table | now |
-//! |---|---|---|
-//! | `edge_src`, `edge_dst`, `edge_origin` | 12 | 12 |
-//! | out-CSR target + slot → edge map | 8 | 8 |
-//! | in-CSR target + slot → edge map | 8 | 8 |
-//! | transfer type, edge order + in-slot order | 4 | — |
-//! | `1 / OutDeg`, edge order + in-slot order | 16 | — |
-//! | class id, edge order + in-slot order | — | 4 |
-//! | **total** | **48** | **32** |
+//! | array | before the class table | in-CSR + class table | slices |
+//! |---|---|---|---|
+//! | `edge_src`, `edge_dst`, `edge_origin` | 12 | 12 | 12 |
+//! | out-CSR target + slot → edge map | 8 | 8 | 8 |
+//! | in-adjacency source + slot → edge map | 8 | 8 | 8 |
+//! | transfer type, edge order + in-slot order | 4 | — | — |
+//! | `1 / OutDeg`, edge order + in-slot order | 16 | — | — |
+//! | class id, edge order + in-slot order | — | 4 | 4 |
+//! | **total** | **48** | **32** | **32** |
 
 use crate::csr::Csr;
 use crate::data::DataGraph;
 use crate::error::{GraphError, Result};
 use crate::ids::{EdgeId, NodeId, TransferTypeId};
 use crate::schema::SchemaGraph;
+use crate::slices::InSlices;
 
 /// The authority transfer rates of an authority transfer schema graph:
 /// one rate per transfer-edge type (`2 * |schema edge types|` entries,
@@ -255,8 +262,9 @@ impl TransferRates {
     }
 }
 
-/// The most classes a [`class_table`] can hold: class ids are `u16`.
-pub const MAX_CLASSES: usize = u16::MAX as usize + 1;
+/// The most classes a [`class_table`] can hold: class ids are `u16`, and
+/// the id past the last class is the in-adjacency's padding class.
+pub const MAX_CLASSES: usize = u16::MAX as usize;
 
 /// The distinct keys, ascending: a key's `u16` class id is its position
 /// ([`class_id`]). The graph classes its transfer edges by `(transfer
@@ -267,16 +275,14 @@ pub const MAX_CLASSES: usize = u16::MAX as usize + 1;
 /// Panics, naming `what` is being classed, if there are more than
 /// [`MAX_CLASSES`] distinct keys.
 pub fn class_table<K: Ord>(keys: impl IntoIterator<Item = K>, what: &str) -> Vec<K> {
-    let mut table: Vec<K> = Vec::new();
-    for key in keys {
-        if let Err(at) = table.binary_search(&key) {
-            assert!(
-                table.len() < MAX_CLASSES,
-                "too many {what}: more than {MAX_CLASSES} distinct keys"
-            );
-            table.insert(at, key);
-        }
-    }
+    let mut table: Vec<K> = keys.into_iter().collect();
+    table.sort_unstable();
+    table.dedup();
+    assert!(
+        table.len() <= MAX_CLASSES,
+        "too many {what}: more than {MAX_CLASSES} distinct keys"
+    );
+    table.shrink_to_fit();
     table
 }
 
@@ -301,10 +307,8 @@ pub struct TransferGraph {
     out_csr: Csr,
     /// For each out-CSR slot, the transfer-edge index it stores.
     out_slot_edge: Vec<u32>,
-    /// Reverse CSR (in-adjacency of the transfer graph).
-    in_csr: Csr,
-    /// For each in-CSR slot, the transfer-edge index it stores.
-    in_slot_edge: Vec<u32>,
+    /// In-adjacency of the transfer graph, as four-row slices.
+    in_slices: InSlices,
     /// Per transfer edge: source node.
     edge_src: Vec<u32>,
     /// Per transfer edge: target node.
@@ -313,8 +317,6 @@ pub struct TransferGraph {
     edge_origin: Vec<u32>,
     /// Per transfer edge: its Equation 1 class.
     edge_class: Vec<u16>,
-    /// `edge_class` gathered into in-CSR slot order.
-    in_slot_class: Vec<u16>,
     /// Per class: dense transfer-type index and `1 / OutDeg(src, type)`,
     /// the rates-free half of Equation 1.
     classes: Vec<(u16, f64)>,
@@ -326,7 +328,7 @@ impl TransferGraph {
     ///
     /// # Panics
     /// Panics if the schema has more than 32,768 edge types or the graph
-    /// more than 65,536 distinct `(transfer type, OutDeg)` pairs.
+    /// more than 65,535 distinct `(transfer type, OutDeg)` pairs.
     pub fn build(data: &DataGraph) -> Self {
         let n = data.node_count();
         let m = data.edge_count();
@@ -385,26 +387,19 @@ impl TransferGraph {
             .map(|(&s, &d)| (s, d))
             .collect();
         let (out_csr, out_slot_edge) = Csr::from_edges(n, &pairs);
-        let rev_pairs: Vec<(u32, u32)> = pairs.iter().map(|&(s, d)| (d, s)).collect();
-        let (in_csr, in_slot_edge) = Csr::from_edges(n, &rev_pairs);
-        // Class ids in the order the pull sweep reads them: it reads each
-        // slot's alpha from the class table.
-        let in_slot_class = in_slot_edge
-            .iter()
-            .map(|&e| edge_class[e as usize])
-            .collect();
+        drop(pairs);
+        let pad_class = table.len() as u16;
+        let in_slices = InSlices::build(n, &edge_src, &edge_dst, &edge_class, pad_class);
 
         Self {
             node_count: n,
             out_csr,
             out_slot_edge,
-            in_csr,
-            in_slot_edge,
+            in_slices,
             edge_src,
             edge_dst,
             edge_origin,
             edge_class,
-            in_slot_class,
             classes,
             transfer_type_count: tt_count,
         }
@@ -429,7 +424,8 @@ impl TransferGraph {
     }
 
     /// Number of Equation 1 classes: distinct `(transfer type, OutDeg)`
-    /// pairs over the graph's transfer edges.
+    /// pairs over the graph's transfer edges. It is also the id of the
+    /// in-adjacency's padding class.
     #[inline]
     pub fn class_count(&self) -> usize {
         self.classes.len()
@@ -460,13 +456,14 @@ impl TransferGraph {
         &self.edge_class
     }
 
-    /// The class id of every in-CSR slot: `edge_classes()` gathered into
-    /// in-slot order, so `weights(r)[in_slot_edges()[s]] ==
-    /// class_alpha(r)[in_slot_classes()[s]]`. The power sweep reads
-    /// `alpha` through these.
+    /// The in-adjacency as four-row slices. Its class ids are
+    /// `edge_classes()` gathered into slot order, so
+    /// `weights(r)[edges()[s]] == class_alpha(r)[classes()[s]]` for every
+    /// slot but padding, whose class is [`Self::class_count`]. The power
+    /// sweep reads `alpha` through these.
     #[inline]
-    pub fn in_slot_classes(&self) -> &[u16] {
-        &self.in_slot_class
+    pub fn in_slices(&self) -> &InSlices {
+        &self.in_slices
     }
 
     /// Derives the per-edge `alpha` weights for a rates vector (Equation 1).
@@ -480,22 +477,22 @@ impl TransferGraph {
             .collect()
     }
 
-    /// Bytes the graph holds on the heap: its CSRs, its per-edge arrays
-    /// and its class table.
+    /// Bytes the graph holds on the heap: its out-CSR, its in-slices,
+    /// its per-edge arrays and its class table.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        let csr = |c: &Csr| (c.row_offsets().len() + c.targets().len()) * size_of::<u32>();
+        let out = &self.out_csr;
         let u32s = [
+            out.row_offsets(),
+            out.targets(),
             &self.out_slot_edge,
-            &self.in_slot_edge,
             &self.edge_src,
             &self.edge_dst,
             &self.edge_origin,
         ];
-        csr(&self.out_csr)
-            + csr(&self.in_csr)
-            + u32s.iter().map(|v| v.capacity()).sum::<usize>() * size_of::<u32>()
-            + (self.edge_class.capacity() + self.in_slot_class.capacity()) * size_of::<u16>()
+        u32s.iter().map(|v| v.len()).sum::<usize>() * size_of::<u32>()
+            + self.in_slices.heap_bytes()
+            + self.edge_class.capacity() * size_of::<u16>()
             + self.classes.capacity() * size_of::<(u16, f64)>()
     }
 
@@ -506,11 +503,14 @@ impl TransferGraph {
             .map(|(t, slot)| (NodeId::new(t), self.out_slot_edge[slot] as usize))
     }
 
-    /// Incoming transfer edges of `node`: `(source, transfer edge index)`.
+    /// Incoming transfer edges of `node`, in ascending edge order:
+    /// `(source, transfer edge index)`.
     pub fn in_transfer(&self, node: NodeId) -> impl Iterator<Item = (NodeId, usize)> + '_ {
-        self.in_csr
-            .neighbors(node.index())
-            .map(|(s, slot)| (NodeId::new(s), self.in_slot_edge[slot] as usize))
+        let slices = &self.in_slices;
+        slices.lane(node.index()).map(|slot| {
+            let source = NodeId::new(slices.sources()[slot]);
+            (source, slices.edges()[slot] as usize)
+        })
     }
 
     /// Out-degree in the transfer graph.
@@ -551,19 +551,6 @@ impl TransferGraph {
     #[inline]
     pub fn out_slot_edges(&self) -> &[u32] {
         &self.out_slot_edge
-    }
-
-    /// Raw CSR of the reverse orientation (in-adjacency), for pull-based
-    /// power iteration.
-    #[inline]
-    pub fn in_csr(&self) -> &Csr {
-        &self.in_csr
-    }
-
-    /// For each in-CSR slot, the transfer-edge index it stores.
-    #[inline]
-    pub fn in_slot_edges(&self) -> &[u32] {
-        &self.in_slot_edge
     }
 
     /// Checks Equation 1's identity: for every node and every transfer
@@ -779,15 +766,26 @@ mod tests {
         let g = tiny_graph();
         let tg = TransferGraph::build(&g);
         let mut rates = dblp_rates(g.schema());
-        assert_eq!(tg.in_slot_classes().len(), tg.transfer_edge_count());
-        for (&c, &e) in tg.in_slot_classes().iter().zip(tg.in_slot_edges()) {
-            assert_eq!(c, tg.edge_classes()[e as usize]);
+        let slices = tg.in_slices();
+        let pad = tg.class_count() as u16;
+        let mut edges = 0;
+        for (&c, &e) in slices.classes().iter().zip(slices.edges()) {
+            if e == crate::slices::PAD_EDGE {
+                assert_eq!(c, pad);
+            } else {
+                assert_eq!(c, tg.edge_classes()[e as usize]);
+                edges += 1;
+            }
         }
+        assert_eq!(edges, tg.transfer_edge_count());
         for _ in 0..2 {
             let w = tg.weights(&rates);
             let alpha = tg.class_alpha(&rates);
-            for (&c, &e) in tg.in_slot_classes().iter().zip(tg.in_slot_edges()) {
-                assert_eq!(alpha[c as usize].to_bits(), w[e as usize].to_bits());
+            for node in 0..tg.node_count() {
+                for slot in slices.lane(node) {
+                    let (c, e) = (slices.classes()[slot], slices.edges()[slot]);
+                    assert_eq!(alpha[c as usize].to_bits(), w[e as usize].to_bits());
+                }
             }
             rates.ensure_bidirectional(1e-4);
         }
@@ -804,22 +802,25 @@ mod tests {
     }
 
     /// `MAX_CLASSES` keys over two transfer types, in the order a
-    /// node-major scan would meet them.
+    /// node-major scan would meet them, each twice.
     fn keys_up_to_the_bound() -> impl Iterator<Item = (u16, u32)> {
-        let half = MAX_CLASSES as u32 / 2;
-        (1..=half).flat_map(|deg| [(0, deg), (1, deg)])
+        let keys = (0..MAX_CLASSES as u32).map(|i| ((i % 2) as u16, i / 2 + 1));
+        keys.clone().chain(keys)
     }
 
+    /// The last id, `u16::MAX`, stays free for the padding class.
     #[test]
     fn class_table_holds_exactly_the_u16_bound() {
         let table = class_table(keys_up_to_the_bound(), EQUATION_1_CLASSES);
         assert_eq!(table.len(), MAX_CLASSES);
         assert_eq!(class_id(&table, &(0, 1)), 0);
-        assert_eq!(class_id(&table, &(1, MAX_CLASSES as u32 / 2)), u16::MAX);
+        let last = (1, MAX_CLASSES as u32 / 2);
+        assert_eq!(table.last(), Some(&last));
+        assert_eq!(class_id(&table, &last), u16::MAX - 1);
     }
 
     #[test]
-    #[should_panic(expected = "too many Equation 1 classes: more than 65536")]
+    #[should_panic(expected = "too many Equation 1 classes: more than 65535")]
     fn class_table_rejects_one_class_past_the_u16_bound() {
         let _ = class_table(keys_up_to_the_bound().chain([(2, 1)]), EQUATION_1_CLASSES);
     }
@@ -864,9 +865,17 @@ mod tests {
         let g = tiny_graph();
         let tg = TransferGraph::build(&g);
         let (edges, nodes) = (tg.transfer_edge_count(), tg.node_count());
+        let slices = tg.in_slices();
+        let (padding, chunks) = (slices.slot_count() - edges, slices.chunk_count());
         assert_eq!(
             tg.heap_bytes(),
-            32 * edges + 8 * (nodes + 1) + 16 * tg.class_count()
+            32 * edges
+                + 10 * padding
+                + 4 * (nodes + 1)
+                + 2 * nodes
+                + 2 * 4 * chunks
+                + 4 * (chunks + 1)
+                + 16 * tg.class_count()
         );
     }
 

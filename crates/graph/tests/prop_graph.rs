@@ -1,6 +1,8 @@
 //! Property-based tests for the graph substrate: CSR round-trips,
-//! transfer-graph structural invariants, and Equation 1 conservation laws.
+//! transfer-graph structural invariants, the in-slices layout, and
+//! Equation 1 conservation laws.
 
+use orex_graph::slices::{CHUNK_ROWS, NO_ROW, PAD_EDGE, WINDOW_ROWS};
 use orex_graph::{
     Csr, DataGraph, DataGraphBuilder, Direction, NodeId, SchemaGraph, TransferGraph, TransferRates,
     TransferTypeId,
@@ -140,9 +142,9 @@ proptest! {
         prop_assert_eq!(out_set, in_set);
     }
 
-    /// The in-slot alpha the power sweep reads, `class_alpha` through
-    /// `in_slot_classes`, is the edge-indexed weights gathered into
-    /// in-slot order, bit for bit; both are the class table's alpha, and
+    /// The in-slot alpha the power sweep reads, `class_alpha` through the
+    /// in-slices' class ids, is the edge-indexed weights gathered into
+    /// slot order, bit for bit, and `0.0` for padding slots; both are the class table's alpha, and
     /// that is Equation 1 recomputed from scratch,
     /// `rate(type) * (1.0 / OutDeg(src, type))` with OutDeg counted from
     /// `out_transfer`, bit for bit; and Equation 1's per-type identity
@@ -165,14 +167,16 @@ proptest! {
         }
         rates.validate(g.schema()).unwrap();
         let edge_indexed = tg.weights(&rates);
-        let gathered: Vec<u64> = tg
-            .in_slot_edges()
-            .iter()
-            .map(|&e| edge_indexed[e as usize].to_bits())
-            .collect();
-        let class_alpha = tg.class_alpha(&rates);
-        let through_classes: Vec<u64> = tg
-            .in_slot_classes()
+        let slices = tg.in_slices();
+        let in_slot = |per_edge: &[f64]| -> Vec<u64> {
+            let at = |e: u32| if e == PAD_EDGE { 0.0 } else { per_edge[e as usize] };
+            slices.edges().iter().map(|&e| at(e).to_bits()).collect()
+        };
+        let gathered = in_slot(&edge_indexed);
+        let mut class_alpha = tg.class_alpha(&rates);
+        class_alpha.push(0.0);
+        let through_classes: Vec<u64> = slices
+            .classes()
             .iter()
             .map(|&c| class_alpha[c as usize].to_bits())
             .collect();
@@ -205,8 +209,65 @@ proptest! {
         prop_assert_eq!(&by_class, &scratch);
         let edge_order: Vec<u64> = edge_indexed.iter().map(|w| w.to_bits()).collect();
         prop_assert_eq!(&edge_order, &scratch);
-        let scratch_in_slot: Vec<u64> = tg.in_slot_edges().iter().map(|&e| scratch[e as usize]).collect();
-        prop_assert_eq!(through_classes, scratch_in_slot);
+        prop_assert_eq!(through_classes, in_slot(&eq1));
+    }
+
+    /// The in-slices hold every transfer edge exactly once, under its
+    /// target's lane, with its source; each row's slots are in ascending
+    /// edge order and padding sits only at a lane's tail; `in_transfer`
+    /// yields exactly the edges whose target is that node, in ascending
+    /// order. The graphs have empty rows, node counts that are not a
+    /// multiple of 4 or of the window (a few span two windows), and hub
+    /// rows longer than every other row of their chunk.
+    #[test]
+    fn slices_hold_every_transfer_edge_once_in_ascending_order(
+        papers in prop_oneof![1usize..40, WINDOW_ROWS - 3..WINDOW_ROWS + 9],
+        cite_pairs in proptest::collection::vec((0u32..5000, 0u32..5000), 0..80),
+        hub_citers in 0usize..30,
+    ) {
+        let hubs: Vec<(u32, u32)> = (0..hub_citers as u32).map(|s| (s + 1, 0)).collect();
+        let pairs: Vec<(u32, u32)> = cite_pairs.into_iter().chain(hubs).collect();
+        let g = random_data_graph(papers, 1, &pairs, &[]);
+        let tg = TransferGraph::build(&g);
+        let slices = tg.in_slices();
+        let n = tg.node_count();
+        let edge_count = tg.transfer_edge_count();
+        prop_assert_eq!(slices.chunk_count(), n.div_ceil(CHUNK_ROWS));
+
+        let mut seen = vec![false; edge_count];
+        for c in 0..slices.chunk_count() {
+            let slots = slices.chunk_slots(c);
+            for (lane, row) in slices.chunk_rows(c).into_iter().enumerate() {
+                let lane_slots: Vec<usize> =
+                    (slots.start + lane..slots.end).step_by(CHUNK_ROWS).collect();
+                let edges: Vec<u32> = lane_slots.iter().map(|&s| slices.edges()[s]).collect();
+                let real = edges.iter().take_while(|&&e| e != PAD_EDGE).count();
+                prop_assert!(edges[real..].iter().all(|&e| e == PAD_EDGE), "padding is a tail");
+                if row == NO_ROW {
+                    prop_assert_eq!(real, 0);
+                    continue;
+                }
+                prop_assert!(edges[..real].windows(2).all(|p| p[0] < p[1]), "ascending edges");
+                prop_assert!(slices.lane(row as usize).eq(lane_slots[..real].iter().copied()));
+                for &slot in &lane_slots[..real] {
+                    let e = slices.edges()[slot] as usize;
+                    prop_assert!(!std::mem::replace(&mut seen[e], true), "edge {} twice", e);
+                    let (src, dst) = tg.edge_endpoints(e);
+                    prop_assert_eq!(dst.raw(), row);
+                    prop_assert_eq!(slices.sources()[slot], src.raw());
+                }
+            }
+        }
+        prop_assert!(seen.iter().all(|&s| s), "every edge has a slot");
+
+        for node in 0..n {
+            let want: Vec<(NodeId, usize)> = (0..edge_count)
+                .filter(|&e| tg.edge_endpoints(e).1.index() == node)
+                .map(|e| (tg.edge_endpoints(e).0, e))
+                .collect();
+            let got: Vec<(NodeId, usize)> = tg.in_transfer(NodeId::from_usize(node)).collect();
+            prop_assert_eq!(got, want);
+        }
     }
 
     /// Conformance re-verification succeeds for builder-constructed graphs.

@@ -147,7 +147,7 @@ pub fn route(request: &Request, ctx: &RouterContext) -> Response {
         ("GET", ["datasets"]) => proxy_any(ctx, "/datasets"),
         ("GET", ["metrics"]) => handle_metrics(ctx),
         ("GET", ["logs"]) => handle_logs(ctx, query),
-        ("GET", ["trace", id]) => handle_trace(ctx, id),
+        ("GET", ["trace", id]) => handle_trace(ctx, id, query),
         (method, segments) => unrouted(method, segments),
     }
 }
@@ -533,11 +533,17 @@ struct Lane {
 /// document becomes lane `pid index + 2`, shifted onto the router's
 /// clock. A worker that already evicted the trace (or is down) falls
 /// back to the retro store's snapshot, so fleet-promoted slow traces
-/// stitch even after worker-side eviction.
-fn handle_trace(ctx: &RouterContext, id: &str) -> Response {
+/// stitch even after worker-side eviction. Like a worker's, it takes no
+/// query parameters.
+fn handle_trace(ctx: &RouterContext, id: &str, query: &str) -> Response {
     let Ok(trace_id) = id.parse::<u64>() else {
         return Response::error(400, "trace id must be an integer");
     };
+    if let Some(pair) = query.split('&').find(|p| !p.is_empty()) {
+        let key = pair.split_once('=').map_or(pair, |(key, _)| key);
+        let message = format!("unknown query parameter {key:?} (expected none)");
+        return Response::error(400, &message);
+    }
     // A live document replaces the worker's retro snapshot.
     let mut docs: HashMap<usize, String> = ctx.retro.get(trace_id).into_iter().collect();
     docs.extend(fan_out_ok(ctx, &format!("/trace/{trace_id}")));

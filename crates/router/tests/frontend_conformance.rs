@@ -113,6 +113,15 @@ const CASES: &[Case] = &[
         then_idle_close: false,
     },
     Case {
+        name: "a trace takes no query parameters",
+        send: b"GET /trace/1?format=wire HTTP/1.1\r\nHost: t\r\n\r\n",
+        over_cap: false,
+        statuses: &[400],
+        retry_after: None,
+        closes: false,
+        then_idle_close: false,
+    },
+    Case {
         name: "removed /profile endpoint is an unknown route",
         send: b"GET /profile HTTP/1.1\r\nHost: t\r\n\r\n",
         over_cap: false,
