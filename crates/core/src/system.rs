@@ -70,13 +70,23 @@ impl ObjectRankSystem {
             // schema; every workspace caller builds both from the same
             // preset so the validation cannot fail there.
             .expect("initial rates must be valid");
-        let transfer = TransferGraph::build(&graph);
-        let mut builder = IndexBuilder::new(Analyzer::new());
-        for node in graph.nodes() {
-            builder.add_document(node.raw(), &graph.node_text(node));
-        }
-        let index = builder.build();
+        // One histogram per start-up stage, so `/metrics` shows where a
+        // served dataset's build time went.
+        let telemetry = orex_telemetry::global();
+        let transfer = {
+            let _span = telemetry.span("system.transfer_build_us");
+            TransferGraph::build(&graph)
+        };
+        let index = {
+            let _span = telemetry.span("system.index_build_us");
+            let mut builder = IndexBuilder::new(Analyzer::new());
+            for node in graph.nodes() {
+                builder.add_document(node.raw(), &graph.node_text(node));
+            }
+            builder.build()
+        };
         let global_scores = config.global_warm_start.then(|| {
+            let _span = telemetry.span("system.global_rank_us");
             let matrix = TransitionMatrix::new(&transfer, &initial_rates);
             global_object_rank(&matrix, &config.rank).scores
         });
@@ -165,6 +175,22 @@ mod tests {
         );
         assert!(sys.global_scores().is_some());
         assert_eq!(sys.global_scores().unwrap().len(), sys.graph().node_count());
+    }
+
+    #[test]
+    fn construction_times_its_three_stages() {
+        let _sys = tiny_system();
+        let snap = orex_telemetry::global().snapshot();
+        for stage in [
+            "system.transfer_build_us",
+            "system.index_build_us",
+            "system.global_rank_us",
+        ] {
+            assert!(
+                snap.histograms.get(stage).is_some_and(|h| h.count >= 1),
+                "{stage} recorded"
+            );
+        }
     }
 
     #[test]

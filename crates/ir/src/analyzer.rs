@@ -53,14 +53,32 @@ impl Analyzer {
         self.stemming
     }
 
+    /// The tokenizer, for callers that reuse one lowercase buffer.
+    pub(crate) fn tokenizer(&self) -> &Tokenizer {
+        &self.tokenizer
+    }
+
+    /// The per-word step of the pipeline: the index term of one token
+    /// the tokenizer already lowercased, or `None` for a stopword.
+    pub(crate) fn analyze_token(&self, token: &str) -> Option<String> {
+        if self.stopwords.contains(token) {
+            None
+        } else if self.stemming {
+            Some(stem(token))
+        } else {
+            Some(token.to_owned())
+        }
+    }
+
     /// Analyzes a full text into index terms (duplicates preserved — the
     /// caller counts term frequencies).
     pub fn analyze(&self, text: &str) -> Vec<String> {
+        let mut terms = Vec::new();
         self.tokenizer
-            .tokenize(text)
-            .filter(|t| !self.stopwords.contains(t))
-            .map(|t| if self.stemming { stem(&t) } else { t })
-            .collect()
+            .for_each_token(text, &mut String::new(), |t| {
+                terms.extend(self.analyze_token(t));
+            });
+        terms
     }
 
     /// Analyzes a single query keyword. Returns `None` when the keyword is
@@ -69,8 +87,7 @@ impl Analyzer {
     pub fn analyze_term(&self, keyword: &str) -> Option<String> {
         self.tokenizer
             .tokenize(keyword)
-            .find(|t| !self.stopwords.contains(t))
-            .map(|t| if self.stemming { stem(&t) } else { t })
+            .find_map(|t| self.analyze_token(&t))
     }
 }
 

@@ -12,11 +12,39 @@
 //!
 //! Document lengths are measured in characters, following the paper's
 //! definition of `dl`.
+//!
+//! # Layout
+//!
+//! Postings and the forward index are each one flat CSR pair: term `t`'s
+//! postings are `postings[posting_offsets[t]..posting_offsets[t + 1]]`
+//! and document `d`'s `(term, tf)` pairs are
+//! `doc_entries[doc_offsets[d]..doc_offsets[d + 1]]`. The builder appends
+//! each document's pairs to the forward arrays as it goes; `build` fills
+//! the postings with one counting sort over them (count each term's
+//! documents, prefix-sum the counts into offsets, then walk the
+//! documents in id order, so every postings list comes out sorted by id).
+//!
+//! # Word memo
+//!
+//! The builder analyzes each distinct lowercased word once: a memo maps
+//! every word it has seen to its term id, or to "stopword", so a repeated
+//! word costs one hash lookup instead of a stopword probe, a stem and an
+//! interning. Documents are lowercased into one reused buffer and a
+//! document's terms are counted by sorting its term ids, so indexing
+//! allocates only for words it has not seen before. The memo hashes with FNV-1a, not std's
+//! SipHash: it only ever holds words of the text being indexed, which
+//! the deployment supplies, so it needs no defence against keys chosen
+//! to collide, and FNV-1a hashes a short word in a fraction of SipHash's
+//! time. The query-time dictionary keeps std's hasher, because user
+//! keywords reach it.
 
 use crate::analyzer::Analyzer;
 use crate::query::QueryVector;
 use crate::score::{CollectionStats, Scorer};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::mem::size_of;
+use std::ops::Range;
 
 /// Document identifier — by convention the raw `NodeId` of the graph node.
 pub type DocId = u32;
@@ -32,15 +60,58 @@ pub struct Posting {
     pub tf: u32,
 }
 
+/// 64-bit FNV-1a, the word memo's hasher (see the module docs).
+#[derive(Clone, Copy, Debug)]
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Lowercased word → its term id, `None` for a stopword.
+type WordMemo = HashMap<Box<str>, Option<TermId>, BuildHasherDefault<Fnv1a>>;
+
+/// An offset into one of the flat arrays.
+fn offset(len: usize) -> u32 {
+    // orex::allow(ORX008): a u32 offset overflows only past four billion
+    // postings, far past memory exhaustion for the collections indexed.
+    u32::try_from(len).expect("index offset overflow")
+}
+
+/// The `i`-th row of a CSR offsets array.
+fn row(offsets: &[u32], i: usize) -> Range<usize> {
+    offsets[i] as usize..offsets[i + 1] as usize
+}
+
 /// Incremental index builder.
 #[derive(Debug)]
 pub struct IndexBuilder {
     analyzer: Analyzer,
+    memo: WordMemo,
     dict: HashMap<String, TermId>,
     terms: Vec<String>,
-    postings: Vec<Vec<Posting>>,
+    /// The lowercase buffer every token is written into.
+    word: String,
+    /// The current document's term ids, one per indexed token.
+    doc_term_ids: Vec<TermId>,
     doc_lens: Vec<u32>,
-    doc_terms: Vec<Vec<(TermId, u32)>>,
+    /// Always `doc_lens.len() + 1` long.
+    doc_offsets: Vec<u32>,
+    doc_entries: Vec<(TermId, u32)>,
     total_chars: u64,
     doc_count: u64,
 }
@@ -50,28 +121,17 @@ impl IndexBuilder {
     pub fn new(analyzer: Analyzer) -> Self {
         Self {
             analyzer,
+            memo: WordMemo::default(),
             dict: HashMap::new(),
             terms: Vec::new(),
-            postings: Vec::new(),
+            word: String::new(),
+            doc_term_ids: Vec::new(),
             doc_lens: Vec::new(),
-            doc_terms: Vec::new(),
+            doc_offsets: vec![0],
+            doc_entries: Vec::new(),
             total_chars: 0,
             doc_count: 0,
         }
-    }
-
-    fn intern(&mut self, term: String) -> TermId {
-        if let Some(&id) = self.dict.get(&term) {
-            return id;
-        }
-        // orex::allow(ORX008): TermId is u32; overflowing it would need
-        // four billion distinct terms, far past memory exhaustion for
-        // the dictionaries this index holds.
-        let id = TermId::try_from(self.terms.len()).expect("term id overflow");
-        self.dict.insert(term.clone(), id);
-        self.terms.push(term);
-        self.postings.push(Vec::new());
-        id
     }
 
     /// Indexes a document. Documents must be added with strictly
@@ -85,27 +145,48 @@ impl IndexBuilder {
             "documents must be added in increasing id order"
         );
         self.doc_lens.resize(doc as usize + 1, 0);
-        self.doc_terms.resize(doc as usize + 1, Vec::new());
         let dl = u32::try_from(text.chars().count()).unwrap_or(u32::MAX);
         self.doc_lens[doc as usize] = dl;
         self.total_chars += dl as u64;
         self.doc_count += 1;
 
-        let mut counts: HashMap<TermId, u32> = HashMap::new();
-        for term in self.analyzer.analyze(text) {
-            let id = self.intern(term);
-            *counts.entry(id).or_insert(0) += 1;
+        let Self {
+            analyzer,
+            memo,
+            dict,
+            terms,
+            word,
+            doc_term_ids,
+            ..
+        } = self;
+        doc_term_ids.clear();
+        analyzer.tokenizer().for_each_token(text, word, |w| {
+            let term = match memo.get(w) {
+                Some(&term) => term,
+                None => {
+                    let term = analyzer
+                        .analyze_token(w)
+                        .map(|term| intern(dict, terms, term));
+                    memo.insert(w.into(), term);
+                    term
+                }
+            };
+            doc_term_ids.extend(term);
+        });
+        doc_term_ids.sort_unstable();
+
+        // Gap documents and this one start where the entries end.
+        let start = offset(self.doc_entries.len());
+        self.doc_offsets.resize(doc as usize + 1, start);
+        for run in self.doc_term_ids.chunk_by(|a, b| a == b) {
+            let tf = u32::try_from(run.len()).unwrap_or(u32::MAX);
+            self.doc_entries.push((run[0], tf));
         }
-        let mut fwd: Vec<(TermId, u32)> = counts.into_iter().collect();
-        fwd.sort_unstable_by_key(|&(t, _)| t);
-        for &(term, tf) in &fwd {
-            self.postings[term as usize].push(Posting { doc, tf });
-        }
-        self.doc_terms[doc as usize] = fwd;
+        self.doc_offsets.push(offset(self.doc_entries.len()));
     }
 
     /// Finalizes the index.
-    pub fn build(self) -> InvertedIndex {
+    pub fn build(mut self) -> InvertedIndex {
         let avg_doc_len = if self.doc_count > 0 {
             self.total_chars as f64 / self.doc_count as f64
         } else {
@@ -117,13 +198,44 @@ impl IndexBuilder {
             .field_u64("terms", self.terms.len() as u64)
             .field_f64("avg_doc_len", avg_doc_len)
             .emit();
+
+        // Counting sort of the forward entries by term: each term's
+        // document count lands one slot to its right, the prefix sums
+        // turn the counts into offsets, and a walk in document order
+        // appends each posting at its term's cursor.
+        let vocabulary = self.terms.len();
+        let mut posting_offsets = vec![0u32; vocabulary + 1];
+        for &(term, _) in &self.doc_entries {
+            posting_offsets[term as usize + 1] += 1;
+        }
+        for t in 1..=vocabulary {
+            posting_offsets[t] += posting_offsets[t - 1];
+        }
+        let mut cursor = posting_offsets[..vocabulary].to_vec();
+        let mut postings = vec![Posting { doc: 0, tf: 0 }; self.doc_entries.len()];
+        for d in 0..self.doc_lens.len() {
+            for &(term, tf) in &self.doc_entries[row(&self.doc_offsets, d)] {
+                let slot = &mut cursor[term as usize];
+                postings[*slot as usize] = Posting {
+                    doc: d as DocId,
+                    tf,
+                };
+                *slot += 1;
+            }
+        }
+
+        self.doc_lens.shrink_to_fit();
+        self.doc_offsets.shrink_to_fit();
+        self.doc_entries.shrink_to_fit();
         InvertedIndex {
             analyzer: self.analyzer,
             dict: self.dict,
             terms: self.terms,
-            postings: self.postings,
+            posting_offsets,
+            postings,
             doc_lens: self.doc_lens,
-            doc_terms: self.doc_terms,
+            doc_offsets: self.doc_offsets,
+            doc_entries: self.doc_entries,
             stats: CollectionStats {
                 doc_count: self.doc_count,
                 avg_doc_len,
@@ -132,15 +244,34 @@ impl IndexBuilder {
     }
 }
 
+/// The id of `term`, interned at the end of `terms` if new, so term ids
+/// follow first occurrence.
+fn intern(dict: &mut HashMap<String, TermId>, terms: &mut Vec<String>, term: String) -> TermId {
+    if let Some(&id) = dict.get(&term) {
+        return id;
+    }
+    // orex::allow(ORX008): TermId is u32; overflowing it would need
+    // four billion distinct terms, far past memory exhaustion for
+    // the dictionaries this index holds.
+    let id = TermId::try_from(terms.len()).expect("term id overflow");
+    dict.insert(term.clone(), id);
+    terms.push(term);
+    id
+}
+
 /// The frozen inverted index.
 #[derive(Debug)]
 pub struct InvertedIndex {
     analyzer: Analyzer,
     dict: HashMap<String, TermId>,
     terms: Vec<String>,
-    postings: Vec<Vec<Posting>>,
+    /// `vocabulary_size() + 1` offsets into `postings`.
+    posting_offsets: Vec<u32>,
+    postings: Vec<Posting>,
     doc_lens: Vec<u32>,
-    doc_terms: Vec<Vec<(TermId, u32)>>,
+    /// `doc_lens.len() + 1` offsets into `doc_entries`.
+    doc_offsets: Vec<u32>,
+    doc_entries: Vec<(TermId, u32)>,
     stats: CollectionStats,
 }
 
@@ -172,12 +303,12 @@ impl InvertedIndex {
 
     /// Document frequency of a term.
     pub fn df(&self, id: TermId) -> u32 {
-        self.postings[id as usize].len() as u32
+        self.posting_offsets[id as usize + 1] - self.posting_offsets[id as usize]
     }
 
     /// Postings list of a term, sorted by document id.
     pub fn postings(&self, id: TermId) -> &[Posting] {
-        &self.postings[id as usize]
+        &self.postings[row(&self.posting_offsets, id as usize)]
     }
 
     /// Length (characters) of a document; 0 for unknown ids.
@@ -188,7 +319,11 @@ impl InvertedIndex {
     /// Forward index: the `(term, tf)` pairs of a document, sorted by
     /// term id. Empty for unknown ids.
     pub fn doc_terms(&self, doc: DocId) -> &[(TermId, u32)] {
-        self.doc_terms.get(doc as usize).map_or(&[], Vec::as_slice)
+        if (doc as usize) < self.doc_lens.len() {
+            &self.doc_entries[row(&self.doc_offsets, doc as usize)]
+        } else {
+            &[]
+        }
     }
 
     /// Term frequency of `term` in `doc`.
@@ -197,6 +332,21 @@ impl InvertedIndex {
             .binary_search_by_key(&term, |&(t, _)| t)
             .map(|i| self.doc_terms(doc)[i].1)
             .unwrap_or(0)
+    }
+
+    /// Bytes the index holds on the heap, by capacity: its flat postings
+    /// and forward arrays, document lengths, term texts and the
+    /// query-time dictionary (each slot of its table plus one control
+    /// byte, and a copy of every term text as its key).
+    pub fn heap_bytes(&self) -> usize {
+        let u32s = [&self.posting_offsets, &self.doc_lens, &self.doc_offsets];
+        let texts = self.terms.iter().chain(self.dict.keys());
+        u32s.iter().map(|v| v.capacity()).sum::<usize>() * size_of::<u32>()
+            + self.postings.capacity() * size_of::<Posting>()
+            + self.doc_entries.capacity() * size_of::<(TermId, u32)>()
+            + self.terms.capacity() * size_of::<String>()
+            + self.dict.capacity() * (size_of::<(String, TermId)>() + 1)
+            + texts.map(String::capacity).sum::<usize>()
     }
 
     /// Computes the query base set with IR scores (Sections 3):
@@ -378,6 +528,21 @@ mod tests {
         let idx = small_index();
         let base = idx.base_set_scores(&QueryVector::empty(), &Okapi::default());
         assert!(base.is_empty());
+    }
+
+    #[test]
+    fn heap_bytes_cover_the_flat_arrays_and_both_copies_of_each_term() {
+        let idx = small_index();
+        let postings: usize = (0..idx.vocabulary_size() as TermId)
+            .map(|t| idx.postings(t).len())
+            .sum();
+        let text: usize = (0..idx.vocabulary_size() as TermId)
+            .map(|t| idx.term_text(t).len())
+            .sum();
+        // Every posting is also a forward entry; both are 8 bytes.
+        assert!(idx.heap_bytes() >= 2 * postings * 8 + 2 * text);
+        let empty = IndexBuilder::new(Analyzer::new()).build();
+        assert!(empty.heap_bytes() < idx.heap_bytes());
     }
 
     #[test]

@@ -26,21 +26,39 @@ impl Default for Tokenizer {
 impl Tokenizer {
     /// Splits `text` into lowercase alphanumeric tokens.
     pub fn tokenize<'a>(&'a self, text: &'a str) -> impl Iterator<Item = String> + 'a {
-        text.split(|c: char| !c.is_alphanumeric())
-            .filter(move |t| t.len() >= self.min_len && !t.is_empty())
-            .map(move |t| {
-                let mut s = t.to_lowercase();
-                if s.len() > self.max_len {
-                    s.truncate(
-                        s.char_indices()
-                            .map(|(i, _)| i)
-                            .take_while(|&i| i <= self.max_len)
-                            .last()
-                            .unwrap_or(0),
-                    );
-                }
-                s
-            })
+        let mut tokens = Vec::new();
+        self.for_each_token(text, &mut String::new(), |t| tokens.push(t.to_owned()));
+        tokens.into_iter()
+    }
+
+    /// Calls `f` with each token of `text`, lowercased into `buf`, so a
+    /// caller that reuses `buf` allocates nothing per token. ASCII tokens
+    /// are lowercased in place; any other token goes through
+    /// `str::to_lowercase`, which knows the context rules (a final `Σ`)
+    /// and the mappings that change byte length (`İ`).
+    pub(crate) fn for_each_token(&self, text: &str, buf: &mut String, mut f: impl FnMut(&str)) {
+        for t in text.split(|c: char| !c.is_alphanumeric()) {
+            if t.len() < self.min_len || t.is_empty() {
+                continue;
+            }
+            buf.clear();
+            if t.is_ascii() {
+                buf.push_str(t);
+                buf.make_ascii_lowercase();
+            } else {
+                buf.push_str(&t.to_lowercase());
+            }
+            if buf.len() > self.max_len {
+                buf.truncate(
+                    buf.char_indices()
+                        .map(|(i, _)| i)
+                        .take_while(|&i| i <= self.max_len)
+                        .last()
+                        .unwrap_or(0),
+                );
+            }
+            f(buf);
+        }
     }
 
     /// Tokenizes into an owned vector.

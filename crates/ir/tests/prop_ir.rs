@@ -1,8 +1,12 @@
 //! Property-based tests for the IR substrate: index/analyzer consistency
 //! and scorer sanity over random documents.
 
-use orex_ir::{Analyzer, IndexBuilder, Okapi, PivotedNorm, QueryVector, Scorer, TfIdf};
+use orex_ir::{
+    Analyzer, IndexBuilder, InvertedIndex, Okapi, PivotedNorm, Posting, QueryVector, Scorer,
+    Stopwords, TermId, TfIdf, Tokenizer,
+};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// Strategy: documents over a small closed vocabulary so term overlap is
 /// guaranteed.
@@ -148,5 +152,182 @@ proptest! {
             // mapping at all — those pass through unchanged).
             prop_assert_eq!(term.to_lowercase(), term);
         }
+    }
+}
+
+/// Pieces a reference-test document is glued from, with no separator
+/// added between them: words in mixed case, digits, punctuation runs,
+/// stopwords, non-ASCII letters (a `Σ` that ends a word lowercases to
+/// `ς`; `İ` lowercases to three bytes from two) and tokens longer than
+/// the tokenizer's 64-byte `max_len`, ASCII and not.
+const PIECES: [&str; 24] = [
+    "Data",
+    "CUBES",
+    "olap",
+    "Mining",
+    "queries",
+    "x86",
+    "1997",
+    " ",
+    ", ",
+    "--",
+    "!!!",
+    "\t",
+    "The",
+    "and",
+    "OF",
+    "ΟΔΟΣ",
+    "Σ",
+    "İstanbul",
+    "Gödel",
+    "naïve",
+    "文字",
+    "abcdefghijklmnopqrstuvwxyzabcdefghijklmnopqrstuvwxyzabcdefghijklmnopq",
+    "ÜÜÜÜÜÜÜÜÜÜÜÜÜÜÜÜÜÜÜÜÜÜÜÜÜÜÜÜÜÜÜÜÜÜÜÜ",
+    "İİİİİİİİİİİİİİİİİİİİİİİİ",
+];
+
+/// Strategy: (analyzer variant, documents as (id gap, pieces)).
+fn reference_case() -> impl Strategy<Value = (u8, Vec<(u8, Vec<u8>)>)> {
+    let doc = (
+        0u8..3,
+        proptest::collection::vec(0u8..PIECES.len() as u8, 0..16),
+    );
+    (0u8..3, proptest::collection::vec(doc, 0..20))
+}
+
+/// The analysis pipeline as one iterator chain: split on
+/// non-alphanumerics, lowercase each token with `str::to_lowercase`,
+/// truncate at a char boundary, drop stopwords, stem.
+fn reference_analyze(text: &str, stopwords: &Stopwords, stemming: bool) -> Vec<String> {
+    let tokenizer = Tokenizer::default();
+    text.split(|c: char| !c.is_alphanumeric())
+        .filter(|t| t.len() >= tokenizer.min_len && !t.is_empty())
+        .map(|t| {
+            let mut s = t.to_lowercase();
+            if s.len() > tokenizer.max_len {
+                let cut = (0..=tokenizer.max_len)
+                    .rev()
+                    .find(|&i| s.is_char_boundary(i))
+                    .unwrap_or(0);
+                s.truncate(cut);
+            }
+            s
+        })
+        .filter(|t| !stopwords.contains(t))
+        .map(|t| if stemming { orex_ir::stem(&t) } else { t })
+        .collect()
+}
+
+/// The index as built one document at a time: `Analyzer::analyze` per
+/// document, a `HashMap` of term counts, terms interned in first
+/// occurrence order and postings appended per term.
+#[derive(Default)]
+struct ReferenceIndex {
+    dict: HashMap<String, TermId>,
+    terms: Vec<String>,
+    postings: Vec<Vec<Posting>>,
+    doc_terms: Vec<Vec<(TermId, u32)>>,
+    doc_lens: Vec<u32>,
+    total_chars: u64,
+    doc_count: u64,
+}
+
+impl ReferenceIndex {
+    fn add(&mut self, analyzer: &Analyzer, doc: u32, text: &str) {
+        self.doc_lens.resize(doc as usize + 1, 0);
+        self.doc_terms.resize(doc as usize + 1, Vec::new());
+        let dl = text.chars().count() as u32;
+        self.doc_lens[doc as usize] = dl;
+        self.total_chars += u64::from(dl);
+        self.doc_count += 1;
+        let mut counts: HashMap<TermId, u32> = HashMap::new();
+        for term in analyzer.analyze(text) {
+            let next = self.terms.len() as TermId;
+            let id = *self.dict.entry(term.clone()).or_insert(next);
+            if id == next {
+                self.terms.push(term);
+                self.postings.push(Vec::new());
+            }
+            *counts.entry(id).or_insert(0) += 1;
+        }
+        let mut fwd: Vec<(TermId, u32)> = counts.into_iter().collect();
+        fwd.sort_unstable();
+        for &(term, tf) in &fwd {
+            self.postings[term as usize].push(Posting { doc, tf });
+        }
+        self.doc_terms[doc as usize] = fwd;
+    }
+
+    fn avg_doc_len(&self) -> f64 {
+        if self.doc_count > 0 {
+            self.total_chars as f64 / self.doc_count as f64
+        } else {
+            0.0
+        }
+    }
+
+    fn assert_matches(&self, index: &InvertedIndex) {
+        assert_eq!(index.vocabulary_size(), self.terms.len());
+        for (id, text) in self.terms.iter().enumerate() {
+            let id = id as TermId;
+            assert_eq!(index.term_text(id), text);
+            assert_eq!(index.term_id(text), Some(id));
+            assert_eq!(index.postings(id), self.postings[id as usize].as_slice());
+            assert_eq!(index.df(id), self.postings[id as usize].len() as u32);
+        }
+        // One past the last document reads as unknown on both sides.
+        for doc in 0..=self.doc_lens.len() as u32 {
+            let fwd = self
+                .doc_terms
+                .get(doc as usize)
+                .map_or(&[][..], Vec::as_slice);
+            assert_eq!(index.doc_terms(doc), fwd, "doc {doc}");
+            assert_eq!(
+                index.doc_len(doc),
+                self.doc_lens.get(doc as usize).map_or(0, |&l| l)
+            );
+            for &(term, tf) in fwd {
+                assert_eq!(index.tf(doc, term), tf);
+            }
+        }
+        assert_eq!(index.stats().doc_count, self.doc_count);
+        assert_eq!(
+            index.stats().avg_doc_len.to_bits(),
+            self.avg_doc_len().to_bits()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The builder's index equals the reference's field by field, over
+    /// documents that exercise case folding, non-ASCII lowercasing,
+    /// truncation, stopwords, empty documents and id gaps, under each
+    /// analyzer configuration; and `Analyzer::analyze` equals the
+    /// pipeline written as one iterator chain.
+    #[test]
+    fn index_matches_reference_build((variant, docs) in reference_case()) {
+        let (analyzer, stopwords, stemming) = match variant {
+            0 => (Analyzer::new(), Stopwords::standard(), true),
+            1 => (Analyzer::without_stemming(), Stopwords::standard(), false),
+            _ => (Analyzer::without_stopwords(), Stopwords::none(), true),
+        };
+        let mut builder = IndexBuilder::new(analyzer.clone());
+        let mut reference = ReferenceIndex::default();
+        let mut next = 0u32;
+        for (gap, pieces) in &docs {
+            let doc = next + u32::from(*gap);
+            next = doc + 1;
+            let text: String = pieces.iter().map(|&p| PIECES[p as usize]).collect();
+            prop_assert_eq!(
+                analyzer.analyze(&text),
+                reference_analyze(&text, &stopwords, stemming)
+            );
+            builder.add_document(doc, &text);
+            reference.add(&analyzer, doc, &text);
+        }
+        reference.assert_matches(&builder.build());
     }
 }

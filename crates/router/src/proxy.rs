@@ -144,8 +144,10 @@ pub fn route(request: &Request, ctx: &RouterContext) -> Response {
                 format!("/feedback/{local}")
             })
         }
-        ("GET", ["datasets"]) => proxy_any(ctx, "/datasets"),
-        ("GET", ["metrics"]) => handle_metrics(ctx),
+        ("GET", ["datasets"]) => {
+            no_query_params(query).unwrap_or_else(|| proxy_any(ctx, "/datasets"))
+        }
+        ("GET", ["metrics"]) => no_query_params(query).unwrap_or_else(|| handle_metrics(ctx)),
         ("GET", ["logs"]) => handle_logs(ctx, query),
         ("GET", ["trace", id]) => handle_trace(ctx, id, query),
         (method, segments) => unrouted(method, segments),
@@ -403,6 +405,15 @@ fn proxy_any(ctx: &RouterContext, path: &str) -> Response {
         .map_or_else(no_healthy_workers, |(_, response)| to_response(&response))
 }
 
+/// The 400 a worker answers for a route that takes no query parameters
+/// (`/metrics`, `/datasets`, `/trace/<id>`) when `query` names one.
+fn no_query_params(query: &str) -> Option<Response> {
+    let pair = query.split('&').find(|p| !p.is_empty())?;
+    let key = pair.split_once('=').map_or(pair, |(key, _)| key);
+    let message = format!("unknown query parameter {key:?} (expected none)");
+    Some(Response::error(400, &message))
+}
+
 /// `GET /metrics`: the router's own exposition merged with every
 /// healthy worker's, see [`merge_exposition`].
 fn handle_metrics(ctx: &RouterContext) -> Response {
@@ -539,10 +550,8 @@ fn handle_trace(ctx: &RouterContext, id: &str, query: &str) -> Response {
     let Ok(trace_id) = id.parse::<u64>() else {
         return Response::error(400, "trace id must be an integer");
     };
-    if let Some(pair) = query.split('&').find(|p| !p.is_empty()) {
-        let key = pair.split_once('=').map_or(pair, |(key, _)| key);
-        let message = format!("unknown query parameter {key:?} (expected none)");
-        return Response::error(400, &message);
+    if let Some(rejected) = no_query_params(query) {
+        return rejected;
     }
     // A live document replaces the worker's retro snapshot.
     let mut docs: HashMap<usize, String> = ctx.retro.get(trace_id).into_iter().collect();

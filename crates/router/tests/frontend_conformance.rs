@@ -122,6 +122,24 @@ const CASES: &[Case] = &[
         then_idle_close: false,
     },
     Case {
+        name: "metrics take no query parameters",
+        send: b"GET /metrics?bogus=1 HTTP/1.1\r\nHost: t\r\n\r\n",
+        over_cap: false,
+        statuses: &[400],
+        retry_after: None,
+        closes: false,
+        then_idle_close: false,
+    },
+    Case {
+        name: "datasets take no query parameters",
+        send: b"GET /datasets?bogus=1 HTTP/1.1\r\nHost: t\r\n\r\n",
+        over_cap: false,
+        statuses: &[400],
+        retry_after: None,
+        closes: false,
+        then_idle_close: false,
+    },
+    Case {
         name: "removed /profile endpoint is an unknown route",
         send: b"GET /profile HTTP/1.1\r\nHost: t\r\n\r\n",
         over_cap: false,

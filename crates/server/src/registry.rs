@@ -193,6 +193,7 @@ impl DatasetService {
         // construction bug caught by its test suite, not a
         // request-path hazard.
         let dataset = spec.preset.generate(spec.scale);
+        let generate_ms = start.elapsed().as_millis() as u64;
         let (nodes, edges) = dataset.sizes();
         let system = Arc::new(ObjectRankSystem::new(
             dataset.graph,
@@ -214,6 +215,7 @@ impl DatasetService {
             .field_u64("nodes", nodes as u64)
             .field_u64("edges", edges as u64)
             .field_u64("memory_bytes", service.memory_bytes())
+            .field_u64("generate_ms", generate_ms)
             .field_u64("build_ms", start.elapsed().as_millis() as u64)
             .emit();
         Ok(service)
@@ -247,18 +249,14 @@ fn fixed_memory(system: &ObjectRankSystem) -> u64 {
     data_and_index_memory(system) + system.transfer().heap_bytes() as u64
 }
 
-/// Data-graph adjacency + labels, index postings + vocabulary, and the
-/// global-scores vector. The transfer graph is charged at its own
-/// `TransferGraph::heap_bytes` (32 B per transfer edge).
+/// Data-graph adjacency + labels, the inverted index at its own
+/// `InvertedIndex::heap_bytes`, and the global-scores vector. The
+/// transfer graph is charged at its own `TransferGraph::heap_bytes`
+/// (32 B per transfer edge).
 fn data_and_index_memory(system: &ObjectRankSystem) -> u64 {
     let nodes = system.graph().node_count() as u64;
     let edges = system.graph().edge_count() as u64;
-    let index = system.index();
-    let mut postings = 0u64;
-    for t in 0..index.vocabulary_size() {
-        postings += u64::from(index.df(t as orex_ir::TermId));
-    }
-    nodes * 64 + edges * 24 + postings * 12 + index.vocabulary_size() as u64 * 48 + nodes * 8
+    nodes * 64 + edges * 24 + system.index().heap_bytes() as u64 + nodes * 8
 }
 
 /// A slot holds the spec plus a once-built service. A failed build is

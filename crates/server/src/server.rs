@@ -193,12 +193,9 @@ fn route(request: &Request, state: &ServerState, fields: &mut AccessFields) -> R
             "X-Orex-Clock",
             orex_telemetry::tracer().now_ns().to_string(),
         ),
-        ("GET", ["metrics"]) => {
-            let _span = orex_telemetry::global().span("server.metrics_us");
-            Response::text(200, orex_telemetry::global().snapshot().to_prometheus())
-        }
+        ("GET", ["metrics"]) => respond("metrics", handle_metrics(query)),
         ("POST", ["query"]) => respond("query", handle_query(request, state, fields)),
-        ("GET", ["datasets"]) => respond("datasets", handle_datasets(state)),
+        ("GET", ["datasets"]) => respond("datasets", handle_datasets(state, query)),
         ("GET", ["explain", sid, node]) => {
             respond("explain", handle_explain(state, sid, node, fields))
         }
@@ -257,12 +254,26 @@ fn requested_k(body: &Value) -> usize {
         .map_or(10, |k| (k as usize).clamp(1, 1000))
 }
 
+/// `GET /metrics`: the recorder's snapshot in the Prometheus text format.
+/// Takes no query parameters.
+fn handle_metrics(query: &str) -> Result<Response, ServerError> {
+    let telemetry = orex_telemetry::global();
+    let _span = telemetry.span("server.metrics_us");
+    for param in query_params(query, &[]) {
+        param?;
+    }
+    Ok(Response::text(200, telemetry.snapshot().to_prometheus()))
+}
+
 /// `GET /datasets`: every registered dataset with its load state and
-/// per-dataset memory accounting.
-fn handle_datasets(state: &ServerState) -> Result<Response, ServerError> {
+/// per-dataset memory accounting. Takes no query parameters.
+fn handle_datasets(state: &ServerState, query: &str) -> Result<Response, ServerError> {
     let telemetry = orex_telemetry::global();
     let _span = telemetry.span("server.datasets_us");
     telemetry.counter("server.datasets_requests").incr();
+    for param in query_params(query, &[]) {
+        param?;
+    }
     Ok(Response::json(
         200,
         serde_json::to_string(&state.registry.list_json()).unwrap_or_default(),
