@@ -116,12 +116,13 @@ impl Router {
     /// shutdown to the fleet (SIGTERM to every spawned worker, bounded
     /// wait).
     pub fn run(self) -> io::Result<()> {
-        let ctx = RouterContext::new(
-            Arc::clone(&self.fleet),
-            self.local_addr()
+        let ctx = RouterContext {
+            fleet: Arc::clone(&self.fleet),
+            addr: self
+                .local_addr()
                 .map(|a| a.to_string())
                 .unwrap_or_else(|_| self.config.addr.clone()),
-        );
+        };
         // A proxied request spends its time waiting on a worker, so it
         // runs on its connection's thread and the connection cap is the
         // router's only concurrency gate. The router has no

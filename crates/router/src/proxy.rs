@@ -26,12 +26,9 @@ use orex_server::{ClientResponse, Request, Response};
 use orex_telemetry::export::to_chrome_trace;
 use orex_telemetry::{TraceContext, TraceId};
 use serde_json::{json, Map, Value};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, PoisonError};
-
-/// Promoted-trace snapshots retained for retro-stitching.
-const MAX_RETRO_TRACES: usize = 64;
+use std::sync::Arc;
 
 /// Shared state the connection threads handle requests against.
 pub struct RouterContext {
@@ -40,91 +37,6 @@ pub struct RouterContext {
     /// The router's own bound address (labels its lane in stitched
     /// traces).
     pub addr: String,
-    /// Chrome-document snapshots of fleet-promoted slow traces,
-    /// fetched from the workers before their tracers evict them.
-    pub retro: RetroTraces,
-}
-
-impl RouterContext {
-    /// Context for `fleet` with an empty retro store.
-    pub fn new(fleet: Arc<Fleet>, addr: String) -> Self {
-        Self {
-            fleet,
-            addr,
-            retro: RetroTraces::new(MAX_RETRO_TRACES),
-        }
-    }
-}
-
-/// Bounded store of each worker's `GET /trace/<id>` document, keyed by
-/// trace id — how a slow trace promoted on one worker survives long
-/// enough for `GET /trace/<id>` to stitch its sibling spans after the
-/// workers' own tracers move on. Oldest trace evicted first.
-pub struct RetroTraces {
-    inner: Mutex<RetroInner>,
-    max_traces: usize,
-}
-
-struct RetroInner {
-    /// Trace ids in first-stored order, driving eviction.
-    order: VecDeque<u64>,
-    /// Per-trace `(worker index, Chrome document)` snapshots.
-    traces: HashMap<u64, Vec<(usize, String)>>,
-}
-
-impl RetroTraces {
-    /// A store retaining at most `max_traces` traces (minimum 1).
-    pub fn new(max_traces: usize) -> Self {
-        Self {
-            inner: Mutex::new(RetroInner {
-                order: VecDeque::new(),
-                traces: HashMap::new(),
-            }),
-            max_traces: max_traces.max(1),
-        }
-    }
-
-    /// Stores (or replaces) the snapshots of one trace.
-    pub fn insert(&self, trace: u64, snapshots: Vec<(usize, String)>) {
-        if snapshots.is_empty() {
-            return;
-        }
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if inner.traces.insert(trace, snapshots).is_none() {
-            inner.order.push_back(trace);
-        }
-        while inner.order.len() > self.max_traces {
-            if let Some(victim) = inner.order.pop_front() {
-                inner.traces.remove(&victim);
-            }
-        }
-    }
-
-    /// The stored `(worker, Chrome document)` snapshots of `trace`, if
-    /// any.
-    pub fn get(&self, trace: u64) -> Vec<(usize, String)> {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .traces
-            .get(&trace)
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// Number of stored traces.
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .traces
-            .len()
-    }
-
-    /// True when nothing is stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// The router's route function: dispatches one request to its handler.
@@ -157,11 +69,8 @@ pub fn route(request: &Request, ctx: &RouterContext) -> Response {
 /// One traced proxied hop: a child span of the enclosing
 /// `router.request` (carrying `worker`, `attempt`, and `reason` attrs)
 /// whose context is injected as `X-Orex-Trace` so the worker's spans
-/// parent under it. A worker that reports fleet-promoted slow traces
-/// via `X-Orex-Promoted` triggers a retro-fetch of their sibling spans
-/// before the workers' tracers evict them.
+/// parent under it.
 fn traced_hop(
-    ctx: &RouterContext,
     worker: &Worker,
     method: &str,
     path: &str,
@@ -176,7 +85,7 @@ fn traced_hop(
         span.attr_u64("attempt", attempt);
         span.attr_str("reason", reason);
     }
-    let result = match span.context() {
+    match span.context() {
         Some(hop) => {
             let value = hop.header_value();
             worker.client.request_with_headers(
@@ -187,30 +96,6 @@ fn traced_hop(
             )
         }
         None => worker.client.request(method, path, body),
-    };
-    if let Ok(response) = &result {
-        note_promotions(ctx, response);
-    }
-    result
-}
-
-/// Acts on a worker's `X-Orex-Promoted` response header: for every
-/// reported trace id, snapshots every healthy worker's Chrome document
-/// of it into the retro store. Promotions only happen for slow traces,
-/// so the extra fan-out is rare by construction.
-fn note_promotions(ctx: &RouterContext, response: &ClientResponse) {
-    let Some(value) = response.header("x-orex-promoted") else {
-        return;
-    };
-    for id in value
-        .split(',')
-        .filter_map(|s| s.trim().parse::<u64>().ok())
-    {
-        orex_telemetry::global()
-            .counter("router.trace_promotions")
-            .incr();
-        let snapshots = fan_out_ok(ctx, &format!("/trace/{id}")).collect();
-        ctx.retro.insert(id, snapshots);
     }
 }
 
@@ -263,7 +148,6 @@ fn handle_query(request: &Request, ctx: &RouterContext) -> Response {
     let workers = ctx.fleet.workers();
     let attempt = |index: usize, number: u64, reason: &str| {
         traced_hop(
-            ctx,
             &workers[index],
             "POST",
             "/query",
@@ -344,15 +228,7 @@ fn forward_session(
         // honest 404 for the lost session).
         return no_healthy_workers();
     }
-    match traced_hop(
-        ctx,
-        &workers[worker],
-        method,
-        path,
-        body,
-        1,
-        "session_sticky",
-    ) {
+    match traced_hop(&workers[worker], method, path, body, 1, "session_sticky") {
         Ok(response) => {
             rewrite_session(&response, |_| global_sid).unwrap_or_else(|| to_response(&response))
         }
@@ -542,10 +418,8 @@ struct Lane {
 /// `GET /trace/<id>`: stitches one fleet-wide trace. The router's own
 /// retained spans form lane `pid 1`; every worker's `GET /trace/<id>`
 /// document becomes lane `pid index + 2`, shifted onto the router's
-/// clock. A worker that already evicted the trace (or is down) falls
-/// back to the retro store's snapshot, so fleet-promoted slow traces
-/// stitch even after worker-side eviction. Like a worker's, it takes no
-/// query parameters.
+/// clock. A worker that is down, or no longer holds the trace, adds no
+/// lane. Like a worker's, it takes no query parameters.
 fn handle_trace(ctx: &RouterContext, id: &str, query: &str) -> Response {
     let Ok(trace_id) = id.parse::<u64>() else {
         return Response::error(400, "trace id must be an integer");
@@ -553,25 +427,23 @@ fn handle_trace(ctx: &RouterContext, id: &str, query: &str) -> Response {
     if let Some(rejected) = no_query_params(query) {
         return rejected;
     }
-    // A live document replaces the worker's retro snapshot.
-    let mut docs: HashMap<usize, String> = ctx.retro.get(trace_id).into_iter().collect();
-    docs.extend(fan_out_ok(ctx, &format!("/trace/{trace_id}")));
     let mut lanes = vec![Lane {
         pid: 1,
         label: format!("router {}", ctx.addr),
         offset_ns: 0,
         doc: to_chrome_trace(&orex_telemetry::tracer().spans_of(TraceId(trace_id))),
     }];
-    for worker in ctx.fleet.workers() {
-        if let Some(doc) = docs.remove(&worker.index) {
-            lanes.push(Lane {
-                pid: worker.index as u64 + 2,
-                label: format!("worker-{} {}", worker.index, worker.addr),
-                offset_ns: worker.clock_offset_ns(),
-                doc,
-            });
+    let workers = ctx.fleet.workers();
+    let path = format!("/trace/{trace_id}");
+    lanes.extend(fan_out_ok(ctx, &path).map(|(index, doc)| {
+        let worker = &workers[index];
+        Lane {
+            pid: index as u64 + 2,
+            label: format!("worker-{index} {}", worker.addr),
+            offset_ns: worker.clock_offset_ns(),
+            doc,
         }
-    }
+    }));
     match merge_chrome_traces(&lanes) {
         Some(json) => Response::json(200, json),
         None => Response::error(404, "no process holds that trace"),
@@ -830,44 +702,5 @@ mod tests {
             }
             prop_assert!(open.values().all(Vec::is_empty), "unclosed spans: {:?}", open);
         }
-    }
-
-    fn snap(worker: usize, text: &str) -> Vec<(usize, String)> {
-        vec![(worker, text.to_string())]
-    }
-
-    #[test]
-    fn retro_traces_evict_oldest_first() {
-        let retro = RetroTraces::new(2);
-        retro.insert(1, snap(0, "a"));
-        retro.insert(2, snap(1, "b"));
-        retro.insert(3, snap(0, "c"));
-        assert_eq!(retro.len(), 2);
-        assert!(retro.get(1).is_empty());
-        assert_eq!(retro.get(2), snap(1, "b"));
-        assert_eq!(retro.get(3), snap(0, "c"));
-    }
-
-    #[test]
-    fn retro_reinsert_replaces_and_keeps_eviction_position() {
-        let retro = RetroTraces::new(2);
-        retro.insert(1, snap(0, "old"));
-        retro.insert(2, snap(1, "b"));
-        retro.insert(1, snap(1, "new"));
-        assert_eq!(retro.len(), 2);
-        assert_eq!(retro.get(1), snap(1, "new"));
-        // Trace 1 is still the oldest stored, so it goes first.
-        retro.insert(3, snap(0, "c"));
-        assert!(retro.get(1).is_empty());
-        assert_eq!(retro.get(2), snap(1, "b"));
-    }
-
-    #[test]
-    fn retro_ignores_empty_snapshots_and_unknown_ids_read_empty() {
-        let retro = RetroTraces::new(4);
-        retro.insert(7, Vec::new());
-        assert!(retro.is_empty());
-        assert!(retro.get(7).is_empty());
-        assert!(retro.get(42).is_empty());
     }
 }

@@ -5,10 +5,9 @@
 //! loop and its stop flags, the connection cap with its inline `503`,
 //! the keep-alive/pipelining connection loop with one
 //! parse-error→status table, the drain protocol, and the per-request
-//! envelope (trace adoption, metrics, the access record, slow-trace
-//! promotion ids). A caller supplies a [`Surface`] (the names it reports
-//! under), [`Limits`], and the route function — nothing else differs
-//! between the two binaries.
+//! envelope (trace adoption, metrics, the access record). A caller
+//! supplies a [`Surface`] (the names it reports under), [`Limits`], and
+//! the route function — nothing else differs between the two binaries.
 //!
 //! Connection model: one scoped thread per accepted connection, at
 //! most `max_connections` of them; past the cap a connection is
@@ -558,42 +557,29 @@ where
     /// draw — the ingress edge of the fleet decides, every hop behind
     /// it obeys.
     fn exchange(&self, request: &Request, start: Instant) -> Response {
-        let tracer = orex_telemetry::tracer();
         let context = request
             .header(TraceContext::HEADER)
             .and_then(TraceContext::parse);
-        // Handler spans nest under this root. It is dropped before the
-        // promotions are taken below, so a slow root has promoted its
-        // trace by then.
-        let response = {
-            let mut span = tracer.span_with_context(self.surface.request_span, context);
-            if span.is_recording() {
-                span.attr_str("method", &request.method);
-                span.attr_str("path", &request.path);
-            }
-            // Only sampled traces reach the tracer's ring, so only those
-            // make honest exemplars — an unsampled id would 404 on
-            // `GET /trace/<id>`.
-            let exemplar = span
-                .trace_id()
-                .filter(|_| span.is_sampled())
-                .map(|trace| trace.0);
-            let mut fields = AccessFields::default();
-            let response = (self.route)(request, &mut fields);
-            // Accounted while the span is still open, so the access
-            // record is stamped with this request's trace/span ids.
-            self.account(Some(request), &response, &fields, start.elapsed(), exemplar);
-            response
-        };
-        // Slow-trace promotions ride back to the ingress edge on the
-        // response so it can retro-fetch sibling spans fleet-wide
-        // before they evict.
-        let promoted = tracer.take_promoted();
-        if promoted.is_empty() {
-            return response;
+        // Handler spans nest under this root.
+        let mut span =
+            orex_telemetry::tracer().span_with_context(self.surface.request_span, context);
+        if span.is_recording() {
+            span.attr_str("method", &request.method);
+            span.attr_str("path", &request.path);
         }
-        let ids: Vec<String> = promoted.iter().map(u64::to_string).collect();
-        response.with_header("X-Orex-Promoted", ids.join(","))
+        // Only sampled traces reach the tracer's ring, so only those
+        // make honest exemplars — an unsampled id would 404 on
+        // `GET /trace/<id>`.
+        let exemplar = span
+            .trace_id()
+            .filter(|_| span.is_sampled())
+            .map(|trace| trace.0);
+        let mut fields = AccessFields::default();
+        let response = (self.route)(request, &mut fields);
+        // Accounted while the span is still open, so the access
+        // record is stamped with this request's trace/span ids.
+        self.account(Some(request), &response, &fields, start.elapsed(), exemplar);
+        response
     }
 
     /// What every response reports, whoever produced it: one

@@ -432,14 +432,14 @@ mod tests {
             bytes: Vec::new(),
         };
         Response::json(200, r#"{"results":[1,2,3]}"#)
-            .with_header("X-Orex-Promoted", "7,9")
+            .with_header("X-Orex-Clock", "123456")
             .with_header("Retry-After", "1")
             .write_to(&mut out, true)
             .unwrap();
         assert_eq!(out.writes, 1, "head and body must share one segment");
         let expected =
             "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 19\r\n\
-                        X-Orex-Promoted: 7,9\r\nRetry-After: 1\r\nConnection: keep-alive\r\n\r\n\
+                        X-Orex-Clock: 123456\r\nRetry-After: 1\r\nConnection: keep-alive\r\n\r\n\
                         {\"results\":[1,2,3]}";
         assert_eq!(String::from_utf8(out.bytes).unwrap(), expected);
     }

@@ -166,7 +166,28 @@ impl DatasetService {
         cache_entries: usize,
         precompute: Option<&Path>,
     ) -> Result<Arc<Self>, String> {
-        let start = Instant::now();
+        Self::assemble(
+            name,
+            preset,
+            scale,
+            system,
+            cache_entries,
+            precompute,
+            Instant::now(),
+        )
+    }
+
+    /// [`DatasetService::from_system`] with `build_ms` timed from
+    /// `start`, so a registry build counts its generation too.
+    fn assemble(
+        name: &str,
+        preset: Preset,
+        scale: f64,
+        system: Arc<ObjectRankSystem>,
+        cache_entries: usize,
+        precompute: Option<&Path>,
+        start: Instant,
+    ) -> Result<Arc<Self>, String> {
         let precompute = precompute
             .map(|path| PrecomputeTier::load(name, path, &system))
             .transpose()?;
@@ -200,13 +221,14 @@ impl DatasetService {
             dataset.ground_truth,
             served_config(),
         ));
-        let service = Self::from_system(
+        let service = Self::assemble(
             &spec.name,
             spec.preset,
             spec.scale,
             system,
             cache_entries,
             spec.precompute.as_deref(),
+            start,
         )?;
         orex_telemetry::logger()
             .info("server.registry", "dataset built")
@@ -216,7 +238,7 @@ impl DatasetService {
             .field_u64("edges", edges as u64)
             .field_u64("memory_bytes", service.memory_bytes())
             .field_u64("generate_ms", generate_ms)
-            .field_u64("build_ms", start.elapsed().as_millis() as u64)
+            .field_u64("build_ms", service.build_ms)
             .emit();
         Ok(service)
     }
@@ -528,6 +550,47 @@ mod tests {
             d.ground_truth,
             SystemConfig::default(),
         ))
+    }
+
+    /// A registry build is timed from before generation, and `/datasets`
+    /// reports the same `build_ms` as the `dataset built` log record.
+    #[test]
+    fn registry_build_ms_counts_generation_and_matches_its_log_record() {
+        let registry = SystemRegistry::new(
+            vec![DatasetSpec::parse("build_ms_probe=dblp-top:0.05").unwrap()],
+            4,
+        )
+        .unwrap();
+        let service = registry.get("build_ms_probe").unwrap();
+        let field = |record: &orex_telemetry::LogRecord, key: &str| {
+            record
+                .fields
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.clone())
+        };
+        let record = orex_telemetry::logger()
+            .query(None, None, None, None)
+            .into_iter()
+            .rev()
+            .find(|r| {
+                r.message == "dataset built"
+                    && field(r, "dataset")
+                        == Some(orex_telemetry::FieldValue::Str("build_ms_probe".into()))
+            })
+            .expect("the build logs a dataset built record");
+        let as_u64 = |key| match field(&record, key) {
+            Some(orex_telemetry::FieldValue::U64(v)) => v,
+            other => panic!("{key}: {other:?}"),
+        };
+        assert_eq!(service.build_ms, as_u64("build_ms"));
+        assert!(service.build_ms >= as_u64("generate_ms"));
+        let doc = registry.list_json();
+        let row = &doc.get("datasets").and_then(|d| d.as_array()).unwrap()[0];
+        assert_eq!(
+            row.get("build_ms").and_then(|v| v.as_u64()),
+            Some(service.build_ms)
+        );
     }
 
     #[test]

@@ -1348,69 +1348,51 @@ fn propagated_trace_context_is_adopted_and_controls_sampling() {
         &unsampled.header_value(),
     );
     assert_eq!(reply.status, 200, "{}", reply.body);
-    assert!(
-        reply.header("X-Orex-Promoted").is_none(),
-        "nothing is slow, nothing promotes"
-    );
     assert_eq!(
         get(server.addr, &format!("/trace/{}", 0xBEEF_0001u64)).status,
         404,
         "the propagated unsampled decision wins over the local draw"
     );
 
-    // With a zero slow threshold every trace is "slow": a promotable
-    // unsampled trace is promoted and reported on the response, but a
-    // NO_PROMOTE one must never be resurrected.
+    // With a zero slow threshold every trace is "slow": an unsampled
+    // trace is promoted whole into this process's ring and served like
+    // a sampled one. A flags byte with an unknown bit (`02`) reads as
+    // unsampled and is promoted the same way.
     tracer.set_slow_threshold(Some(Duration::ZERO));
-    let no_promote = TraceContext {
-        trace: TraceId(0xBEEF_0002),
-        parent: SpanId(7),
-        flags: TraceContext::NO_PROMOTE,
-    };
-    let reply = post_traced(
-        server.addr,
-        "/query",
-        &query_body,
-        &no_promote.header_value(),
-    );
-    assert_eq!(reply.status, 200, "{}", reply.body);
-    assert!(
-        reply.header("X-Orex-Promoted").is_none(),
-        "NO_PROMOTE suppresses slow promotion"
-    );
-    assert_eq!(
-        get(server.addr, &format!("/trace/{}", 0xBEEF_0002u64)).status,
-        404,
-        "NO_PROMOTE trace stays out of the archive"
-    );
-
-    let promotable = TraceContext {
-        trace: TraceId(0xBEEF_0003),
-        parent: SpanId(7),
-        flags: 0,
-    };
-    let reply = post_traced(
-        server.addr,
-        "/query",
-        &query_body,
-        &promotable.header_value(),
-    );
+    let mut replies = Vec::new();
+    for (trace, flags) in [(0xBEEF_0002u64, 0x02), (0xBEEF_0003, 0)] {
+        let context = TraceContext {
+            trace: TraceId(trace),
+            parent: SpanId(7),
+            flags,
+        };
+        replies.push(post_traced(
+            server.addr,
+            "/query",
+            &query_body,
+            &context.header_value(),
+        ));
+    }
     tracer.set_slow_threshold(None);
-    assert_eq!(reply.status, 200, "{}", reply.body);
-    let promoted = reply
-        .header("X-Orex-Promoted")
-        .expect("slow unsampled trace reports its promotion");
-    assert!(
-        promoted
-            .split(',')
-            .any(|id| id.parse::<u64>() == Ok(0xBEEF_0003)),
-        "promoted header {promoted:?} carries the trace id"
-    );
-    assert_eq!(
-        get(server.addr, &format!("/trace/{}", 0xBEEF_0003u64)).status,
-        200,
-        "promoted trace is served from the archive"
-    );
+    for (reply, trace) in replies.iter().zip([0xBEEF_0002u64, 0xBEEF_0003]) {
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        let chrome = get(server.addr, &format!("/trace/{trace}"));
+        assert_eq!(chrome.status, 200, "slow trace {trace} is served");
+        assert!(
+            chrome.body.contains("server.request"),
+            "the promoted root is in the ring:\n{}",
+            chrome.body
+        );
+    }
+    // Promotion is local: a response carries the framing headers and
+    // nothing that names promoted traces.
+    for (name, _) in replies.iter().flat_map(|r| &r.headers) {
+        let name = name.to_ascii_lowercase();
+        assert!(
+            ["content-type", "content-length", "connection"].contains(&name.as_str()),
+            "unexpected response header {name}"
+        );
+    }
 }
 
 #[test]

@@ -21,7 +21,9 @@
 //! their spans until the root completes and are then discarded — unless
 //! the root ran at least [`Tracer::set_slow_threshold`]
 //! (`OREX_TRACE_SLOW_US`), in which case the whole trace is promoted to
-//! the ring anyway. Slow outliers are always retained.
+//! the ring anyway. Slow outliers are always retained, in the ring of
+//! the process that ran them; with no slow threshold an unsampled span
+//! is dropped as soon as it closes.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -46,18 +48,11 @@ pub struct SpanId(pub u64);
 /// `<trace:016x>-<parent_span:016x>-<flags:02x>`.
 ///
 /// The flags byte carries the ingress edge's sampling decision so every
-/// process in the request path agrees on it:
-///
-/// - [`TraceContext::SAMPLED`] (0x01): the trace won the sampling draw
-///   at the ingress edge; every hop records unconditionally, overriding
-///   its local 1-in-N draw.
-/// - [`TraceContext::NO_PROMOTE`] (0x02): the trace is *explicitly*
-///   unsampled — a slow span downstream must not resurrect it via the
-///   slow-trace promotion path.
-/// - neither bit: unsampled but promotable — a hop whose root crosses
-///   its slow threshold promotes the trace and reports the id (see
-///   [`Tracer::take_promoted`]) so the ingress edge can retro-fetch
-///   sibling spans.
+/// process in the request path agrees on it: `01`
+/// ([`TraceContext::SAMPLED`]) means the trace won the sampling draw at
+/// the ingress edge and every hop records it, overriding its local
+/// 1-in-N draw; `00` means unsampled, so each hop keeps its part only if
+/// its own root crosses its slow threshold. Other bits are ignored.
 #[derive(Clone, Copy, Debug, Eq, PartialEq)]
 pub struct TraceContext {
     /// Trace the remote caller is inside.
@@ -74,18 +69,10 @@ impl TraceContext {
     pub const HEADER: &'static str = "x-orex-trace";
     /// Flags bit: the ingress edge sampled this trace.
     pub const SAMPLED: u8 = 0x01;
-    /// Flags bit: explicitly unsampled; slow-trace promotion is
-    /// suppressed fleet-wide.
-    pub const NO_PROMOTE: u8 = 0x02;
 
     /// Whether the ingress edge sampled this trace.
     pub fn sampled(&self) -> bool {
         self.flags & Self::SAMPLED != 0
-    }
-
-    /// Whether slow-trace promotion is suppressed for this trace.
-    pub fn no_promote(&self) -> bool {
-        self.flags & Self::NO_PROMOTE != 0
     }
 
     /// Parses a header value of the form
@@ -194,21 +181,14 @@ struct Sampling {
     /// Root spans seen, driving the 1-in-N decision.
     roots: AtomicU64,
     /// Completed spans of still-open *unsampled* traces, keyed by trace
-    /// id and held until their root decides promote-or-discard.
+    /// id and held until their root decides promote-or-discard. Empty
+    /// while no slow threshold is set.
     pending: Mutex<HashMap<u64, Vec<SpanRecord>>>,
-    /// Trace ids promoted by the slow threshold since the last
-    /// [`Tracer::take_promoted`] — how a worker tells its ingress edge
-    /// to retro-fetch sibling spans before they evict.
-    promoted: Mutex<Vec<u64>>,
 }
 
 /// At most this many unsampled traces buffer pending spans at once —
 /// a leak guard, since well-formed traces drain when their root drops.
 const MAX_PENDING_TRACES: usize = 256;
-
-/// At most this many promoted trace ids queue for reporting; beyond it
-/// the oldest unreported id is dropped (the trace stays in the ring).
-const MAX_PROMOTED_IDS: usize = 64;
 
 /// Entropy-derived base for trace ids, so independently started
 /// processes (router and each worker) almost surely mint from disjoint
@@ -267,9 +247,6 @@ struct StackEntry {
     /// Whether this trace won the 1-in-N sampling draw (children
     /// inherit the root's decision).
     sampled: bool,
-    /// Whether slow-trace promotion is suppressed for this trace
-    /// (propagated from an explicitly-unsampled remote context).
-    no_promote: bool,
 }
 
 thread_local! {
@@ -315,7 +292,6 @@ impl Tracer {
                     slow_ns: AtomicU64::new(u64::MAX),
                     roots: AtomicU64::new(0),
                     pending: Mutex::new(HashMap::new()),
-                    promoted: Mutex::new(Vec::new()),
                 },
             })),
         }
@@ -400,10 +376,9 @@ impl Tracer {
     /// the caller's trace, records the caller's span as its parent, and
     /// takes the propagated sampling decision instead of drawing
     /// locally — but it still runs the root-side promote-or-discard
-    /// decision when it closes, so an unsampled-but-promotable remote
-    /// trace whose local work is slow gets promoted (and reported, see
-    /// [`Tracer::take_promoted`]) while a [`TraceContext::NO_PROMOTE`]
-    /// one never is. With `None` this is exactly [`Tracer::span`].
+    /// decision when it closes, so an unsampled remote trace whose local
+    /// work is slow is promoted into this tracer's ring. With `None`
+    /// this is exactly [`Tracer::span`].
     pub fn span_with_context(
         &self,
         name: &'static str,
@@ -421,30 +396,20 @@ impl Tracer {
         };
         // ORDERING: Relaxed — pure id allocation; only uniqueness matters.
         let id = SpanId(inner.next_span.fetch_add(1, Ordering::Relaxed));
-        let (trace, parent, sampled, no_promote, root) = SPAN_STACK.with(|s| {
+        let (trace, parent, sampled, root) = SPAN_STACK.with(|s| {
             let mut stack = s.borrow_mut();
             // A remote context wins over local nesting: it only arrives
             // at ingress points where no local span is open, and the
             // propagated decision must not be re-drawn.
             let decided = match context {
-                Some(ctx) => Some((
-                    ctx.trace,
-                    Some(ctx.parent),
-                    ctx.sampled(),
-                    ctx.no_promote(),
-                    true,
-                )),
-                None => stack.iter().rev().find(|e| e.tracer == inner.id).map(|e| {
-                    (
-                        TraceId(e.trace),
-                        Some(SpanId(e.span)),
-                        e.sampled,
-                        e.no_promote,
-                        false,
-                    )
-                }),
+                Some(ctx) => Some((ctx.trace, Some(ctx.parent), ctx.sampled(), true)),
+                None => stack
+                    .iter()
+                    .rev()
+                    .find(|e| e.tracer == inner.id)
+                    .map(|e| (TraceId(e.trace), Some(SpanId(e.span)), e.sampled, false)),
             };
-            let (trace, parent, sampled, no_promote, root) = decided.unwrap_or_else(|| {
+            let (trace, parent, sampled, root) = decided.unwrap_or_else(|| {
                 // Acquire pairs with the Release store in
                 // `set_sample_every`: a root that sees the new rate also
                 // sees every config write that preceded it.
@@ -455,7 +420,6 @@ impl Tracer {
                     TraceId(inner.next_trace.fetch_add(1, Ordering::Relaxed)), // ORDERING: Relaxed — pure id allocation.
                     None,
                     sampled,
-                    false,
                     true,
                 )
             });
@@ -464,9 +428,8 @@ impl Tracer {
                 trace: trace.0,
                 span: id.0,
                 sampled,
-                no_promote,
             });
-            (trace, parent, sampled, no_promote, root)
+            (trace, parent, sampled, root)
         });
         let record = SpanRecord {
             trace,
@@ -485,7 +448,6 @@ impl Tracer {
                 tracer: Arc::clone(inner),
                 record,
                 sampled,
-                no_promote,
                 root,
             })),
             _not_send: PhantomData,
@@ -518,23 +480,6 @@ impl Tracer {
     /// disabled.
     pub fn now_ns(&self) -> u64 {
         self.inner.as_ref().map_or(0, |i| i.now_ns())
-    }
-
-    /// Removes and returns the trace ids promoted by the slow threshold
-    /// since the last call. A worker surfaces these to its ingress edge
-    /// (the `X-Orex-Promoted` response header) so the router can
-    /// retro-fetch the sibling spans of a fleet-promoted trace before
-    /// they evict.
-    pub fn take_promoted(&self) -> Vec<u64> {
-        self.inner.as_ref().map_or_else(Vec::new, |i| {
-            std::mem::take(
-                &mut *i
-                    .sampling
-                    .promoted
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner),
-            )
-        })
     }
 
     /// The innermost span of this tracer still open on the current
@@ -583,13 +528,7 @@ impl Tracer {
                 .map(|e| TraceContext {
                     trace: TraceId(e.trace),
                     parent: SpanId(e.span),
-                    flags: if e.sampled {
-                        TraceContext::SAMPLED
-                    } else if e.no_promote {
-                        TraceContext::NO_PROMOTE
-                    } else {
-                        0
-                    },
+                    flags: if e.sampled { TraceContext::SAMPLED } else { 0 },
                 })
         })
     }
@@ -605,8 +544,6 @@ struct ActiveInner {
     tracer: Arc<TracerInner>,
     record: SpanRecord,
     sampled: bool,
-    /// Slow-trace promotion suppressed (explicitly-unsampled context).
-    no_promote: bool,
     /// Whether this span runs the root-side promote-or-discard decision
     /// on drop. Local roots have no parent; a *remote-parent* root has
     /// `record.parent == Some(remote span)` yet is still the outermost
@@ -654,13 +591,7 @@ impl ActiveSpan {
         self.inner.as_ref().map(|i| TraceContext {
             trace: i.record.trace,
             parent: i.record.id,
-            flags: if i.sampled {
-                TraceContext::SAMPLED
-            } else if i.no_promote {
-                TraceContext::NO_PROMOTE
-            } else {
-                0
-            },
+            flags: if i.sampled { TraceContext::SAMPLED } else { 0 },
         })
     }
 
@@ -711,7 +642,6 @@ impl Drop for ActiveSpan {
             tracer,
             mut record,
             sampled,
-            no_promote,
             root,
         } = *inner;
         record.end_ns = tracer.now_ns();
@@ -731,7 +661,13 @@ impl Drop for ActiveSpan {
             tracer.ring.push(record);
             return;
         }
+        // Acquire pairs with the Release store in `set_slow_threshold`.
+        let slow_ns = tracer.sampling.slow_ns.load(Ordering::Acquire);
         if !root {
+            if slow_ns == u64::MAX {
+                // Nothing can promote this trace: drop the span now.
+                return;
+            }
             // Unsampled child: hold it until the root decides whether
             // the trace is promoted (slow) or discarded. A poisoned
             // lock is recovered — every mutation of the pending map
@@ -754,32 +690,20 @@ impl Drop for ActiveSpan {
         }
         // Unsampled root (local or remote-parent): this process's part
         // of the trace is complete. Promote everything if the root
-        // crossed the slow threshold — unless the context explicitly
-        // forbids promotion — otherwise drop it all.
+        // crossed the slow threshold, otherwise drop it all. The entry
+        // is removed either way, so a threshold cleared mid-trace
+        // leaves nothing behind.
         let buffered = tracer
             .sampling
             .pending
             .lock()
             .unwrap_or_else(PoisonError::into_inner) // recovered: see above, Drop must not panic
             .remove(&record.trace.0);
-        // Acquire pairs with the Release store in `set_slow_threshold`.
-        if !no_promote && record.duration_ns() >= tracer.sampling.slow_ns.load(Ordering::Acquire) {
-            let trace = record.trace.0;
+        if record.duration_ns() >= slow_ns {
             for span in buffered.into_iter().flatten() {
                 tracer.ring.push(span);
             }
             tracer.ring.push(record);
-            // Queue the id for take_promoted so the ingress edge learns
-            // a slow trace was locally promoted. Recovered poison: see
-            // above, Drop must not panic.
-            let mut promoted = tracer
-                .sampling
-                .promoted
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if promoted.len() < MAX_PROMOTED_IDS {
-                promoted.push(trace);
-            }
         }
     }
 }
@@ -958,13 +882,17 @@ mod tests {
         let t = Tracer::new(64);
         t.set_sample_every(u64::MAX);
         drop(t.span("winner")); // draw 0: sampled
+        let inner = t.inner.as_ref().unwrap();
         {
             let _root = t.span("loser.root");
             drop(t.span("loser.child"));
+            assert!(
+                inner.sampling.pending.lock().unwrap().is_empty(),
+                "with no slow threshold an unsampled child is not buffered"
+            );
         }
         let names: Vec<_> = t.drain().iter().map(|r| r.name).collect();
         assert_eq!(names, ["winner"], "unsampled trace fully discarded");
-        let inner = t.inner.as_ref().unwrap();
         assert!(
             inner.sampling.pending.lock().unwrap().is_empty(),
             "root drop must free the buffered children"
@@ -993,14 +921,10 @@ mod tests {
         assert_eq!(value, "deadbeef12345678-000000000000002a-01");
         assert_eq!(TraceContext::parse(&value), Some(ctx));
         assert!(ctx.sampled());
-        assert!(!ctx.no_promote());
-        let unsampled = TraceContext {
-            flags: TraceContext::NO_PROMOTE,
-            ..ctx
-        };
-        let parsed = TraceContext::parse(&unsampled.header_value()).unwrap();
+        // Unknown bits are kept but ignored: `02` reads as unsampled.
+        let parsed = TraceContext::parse("deadbeef12345678-000000000000002a-02").unwrap();
+        assert_eq!(parsed.flags, 0x02);
         assert!(!parsed.sampled());
-        assert!(parsed.no_promote());
     }
 
     #[test]
@@ -1094,55 +1018,30 @@ mod tests {
     }
 
     #[test]
-    fn slow_promotion_does_not_resurrect_an_explicitly_unsampled_trace() {
-        let t = Tracer::new(64);
-        t.set_slow_threshold(Some(Duration::ZERO)); // everything is "slow"
-        let ctx = TraceContext {
-            trace: TraceId(7000),
-            parent: SpanId(1),
-            flags: TraceContext::NO_PROMOTE,
-        };
-        {
-            let _root = t.span_with_context("remote.request", Some(ctx));
-            drop(t.span("remote.child"));
-        }
-        assert!(
-            t.drain().is_empty(),
-            "an explicitly-unsampled trace must stay discarded"
-        );
-        assert!(t.take_promoted().is_empty());
-        let inner = t.inner.as_ref().unwrap();
-        assert!(inner.sampling.pending.lock().unwrap().is_empty());
-    }
-
-    #[test]
-    fn promotable_remote_trace_promotes_and_reports_its_id() {
+    fn slow_unsampled_remote_trace_is_promoted_into_the_ring() {
         let t = Tracer::new(64);
         t.set_slow_threshold(Some(Duration::ZERO));
         let ctx = TraceContext {
             trace: TraceId(8000),
             parent: SpanId(1),
-            flags: 0, // unsampled but promotable
+            flags: 0, // unsampled
         };
         {
             let _root = t.span_with_context("remote.request", Some(ctx));
-            drop(t.span("remote.child"));
+            let _child = t.span("remote.child");
+            drop(t.span("remote.grandchild"));
         }
-        let names: Vec<_> = t.drain().iter().map(|r| r.name).collect();
-        assert_eq!(names, ["remote.child", "remote.request"]);
-        assert_eq!(t.take_promoted(), vec![8000]);
-        assert!(t.take_promoted().is_empty(), "take drains the queue");
-    }
-
-    #[test]
-    fn local_slow_promotions_report_their_ids_too() {
-        let t = Tracer::new(64);
-        t.set_sample_every(u64::MAX);
-        t.set_slow_threshold(Some(Duration::ZERO));
-        drop(t.span("sampled")); // draw 0 wins: recorded, not "promoted"
-        drop(t.span("slow"));
-        assert_eq!(t.drain().len(), 2);
-        assert_eq!(t.take_promoted().len(), 1);
+        let spans = t.spans_of(TraceId(8000));
+        let names: Vec<_> = spans.iter().map(|r| r.name).collect();
+        assert_eq!(
+            names,
+            ["remote.grandchild", "remote.child", "remote.request"]
+        );
+        assert_eq!(spans[2].parent, Some(SpanId(1)), "remote parent kept");
+        assert_eq!(spans[1].parent, Some(spans[2].id));
+        assert_eq!(spans[0].parent, Some(spans[1].id));
+        let inner = t.inner.as_ref().unwrap();
+        assert!(inner.sampling.pending.lock().unwrap().is_empty());
     }
 
     #[test]
@@ -1159,8 +1058,7 @@ mod tests {
         drop(t.span("consume-draw-0"));
         let loser = t.span("unsampled");
         let ctx = loser.context().unwrap();
-        assert!(!ctx.sampled());
-        assert!(!ctx.no_promote(), "locally-unsampled stays promotable");
+        assert_eq!(ctx.flags, 0, "an unsampled trace propagates 00");
         drop(loser);
 
         let remote = t.span_with_context(
@@ -1168,11 +1066,11 @@ mod tests {
             Some(TraceContext {
                 trace: TraceId(9000),
                 parent: SpanId(3),
-                flags: TraceContext::NO_PROMOTE,
+                flags: 0x02,
             }),
         );
         let ctx = remote.context().unwrap();
-        assert!(ctx.no_promote(), "no-promote propagates downstream");
+        assert_eq!(ctx.flags, 0, "unknown bits are not passed on");
         assert_eq!(ctx.trace, TraceId(9000));
 
         assert!(Tracer::disabled().span("x").context().is_none());

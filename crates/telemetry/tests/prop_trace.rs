@@ -184,7 +184,7 @@ proptest! {
         tracer.set_slow_threshold(None);
         for i in 0..n {
             // Alternate: even spans propagate SAMPLED, odd spans carry
-            // flags 0 (unsampled-but-promotable).
+            // flags 0 (unsampled).
             let context = orex_telemetry::TraceContext {
                 trace: TraceId(trace),
                 parent: SpanId(900 + i as u64),
@@ -196,38 +196,19 @@ proptest! {
         }
         // Exactly the SAMPLED-flagged spans survive, regardless of `every`.
         prop_assert_eq!(tracer.drain().len(), n.div_ceil(2));
-        prop_assert!(tracer.take_promoted().is_empty());
     }
 
-    /// Slow-trace promotion must not resurrect an explicitly-unsampled
-    /// trace: with a zero slow threshold (everything is "slow"), a
-    /// NO_PROMOTE context still discards root and children, while an
-    /// unsampled-but-promotable one is promoted and reported.
+    /// With a zero slow threshold (everything is "slow"), an unsampled
+    /// remote trace is promoted whole into the local ring: the root and
+    /// every child, all under the caller's trace id.
     #[test]
-    fn no_promote_is_never_resurrected_by_slow_promotion(
+    fn slow_unsampled_remote_trace_is_promoted_whole(
         trace in 1u64..u64::MAX,
         children in 0usize..8,
     ) {
         let tracer = Tracer::new(1024);
         tracer.set_sample_every(u64::MAX);
         tracer.set_slow_threshold(Some(std::time::Duration::ZERO));
-
-        // NO_PROMOTE: the caller explicitly opted this trace out.
-        let context = orex_telemetry::TraceContext {
-            trace: TraceId(trace),
-            parent: SpanId(7),
-            flags: orex_telemetry::TraceContext::NO_PROMOTE,
-        };
-        let root = tracer.span_with_context("ingress", Some(context));
-        for _ in 0..children {
-            drop(tracer.span("child"));
-        }
-        drop(root);
-        prop_assert!(tracer.drain().is_empty(), "NO_PROMOTE trace was resurrected");
-        prop_assert!(tracer.take_promoted().is_empty());
-
-        // Control: the same shape without NO_PROMOTE promotes everything
-        // and queues the id for the ingress edge.
         let context = orex_telemetry::TraceContext {
             trace: TraceId(trace),
             parent: SpanId(7),
@@ -238,8 +219,7 @@ proptest! {
             drop(tracer.span("child"));
         }
         drop(root);
-        prop_assert_eq!(tracer.drain().len(), children + 1);
-        prop_assert_eq!(tracer.take_promoted(), vec![trace]);
+        prop_assert_eq!(tracer.spans_of(TraceId(trace)).len(), children + 1);
     }
 }
 
