@@ -11,8 +11,8 @@
 #![forbid(unsafe_code)]
 
 mod app;
+mod argv;
 mod command;
-mod logs;
 mod precompute;
 mod route;
 mod serve;
@@ -20,8 +20,7 @@ mod subcommands;
 
 pub use app::App;
 pub use command::{parse, Command, ParseError, HELP};
-pub use logs::run_logs;
 pub use precompute::run_precompute;
 pub use route::run_route;
 pub use serve::run_serve;
-pub use subcommands::{load_snapshot, run_stats, run_trace, SUBCOMMAND_HELP};
+pub use subcommands::{run_trace, SUBCOMMAND_HELP};

@@ -28,19 +28,19 @@ use orex_store::{encode_graph, fnv1a, PrecomputedRanks};
 use std::io::Write;
 use std::time::Instant;
 
+use crate::argv::{flag, reject_unknown};
 use crate::subcommands::SUBCOMMAND_HELP;
 
-fn flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    let Some(raw) = args.get(i + 1) else {
-        return Err(format!("precompute: {flag} expects a value"));
-    };
-    raw.parse()
-        .map(Some)
-        .map_err(|_| format!("precompute: {flag} got invalid value '{raw}'"))
-}
+/// Every flag `run_precompute` reads; each takes the argument after it.
+const VALUE_FLAGS: &[&str] = &[
+    "--preset",
+    "--scale",
+    "--top",
+    "--out",
+    "--manifest",
+    "--check",
+    "--stats",
+];
 
 /// Vocabulary terms by descending document frequency (ties broken by
 /// text for determinism), the precompute selection order.
@@ -62,14 +62,19 @@ pub fn run_precompute(
     err: &mut dyn Write,
 ) -> std::io::Result<i32> {
     let parsed: Result<_, String> = (|| {
-        let preset_name = flag::<String>(args, "--preset")?.unwrap_or_else(|| "dblp-top".into());
-        let scale = flag::<f64>(args, "--scale")?.unwrap_or(0.05);
-        let top = flag::<usize>(args, "--top")?.unwrap_or(64).max(1);
-        let out_path = flag::<String>(args, "--out")?.unwrap_or_else(|| "precompute.bin".into());
-        let manifest_path = flag::<String>(args, "--manifest")?
+        reject_unknown("precompute", args, VALUE_FLAGS, &[])?;
+        let preset_name =
+            flag::<String>("precompute", args, "--preset")?.unwrap_or_else(|| "dblp-top".into());
+        let scale = flag::<f64>("precompute", args, "--scale")?.unwrap_or(0.05);
+        let top = flag::<usize>("precompute", args, "--top")?
+            .unwrap_or(64)
+            .max(1);
+        let out_path =
+            flag::<String>("precompute", args, "--out")?.unwrap_or_else(|| "precompute.bin".into());
+        let manifest_path = flag::<String>("precompute", args, "--manifest")?
             .unwrap_or_else(|| format!("{out_path}.manifest.json"));
-        let check = flag::<usize>(args, "--check")?.unwrap_or(0);
-        let stats_path = flag::<String>(args, "--stats")?;
+        let check = flag::<usize>("precompute", args, "--check")?.unwrap_or(0);
+        let stats_path = flag::<String>("precompute", args, "--stats")?;
         Ok((
             preset_name,
             scale,
@@ -179,7 +184,7 @@ pub fn run_precompute(
     writeln!(out, "manifest: {manifest_path}")?;
 
     // A full telemetry snapshot (counters + histograms from the batched
-    // kernel) in the layout `orex stats --snapshot` consumes.
+    // kernel), in the JSON layout of the REPL's `stats` command.
     if let Some(path) = stats_path {
         if let Err(e) = std::fs::write(&path, orex_telemetry::global().snapshot().to_json_pretty())
         {
@@ -283,6 +288,8 @@ mod tests {
             vec!["--scale", "-1"],
             vec!["--preset", "nope"],
             vec!["--check"],
+            vec!["--top", "8", "--eager"],
+            vec!["ranks.bin"],
         ] {
             let mut out = Vec::new();
             let mut err = Vec::new();

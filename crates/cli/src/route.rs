@@ -20,28 +20,8 @@ use orex_server::install_signal_handlers;
 use std::io::Write;
 use std::time::Duration;
 
+use crate::argv::{apply_trace_flags, flag, flag_values, reject_unknown};
 use crate::subcommands::SUBCOMMAND_HELP;
-
-fn flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    let Some(raw) = args.get(i + 1) else {
-        return Err(format!("route: {flag} expects a value"));
-    };
-    raw.parse()
-        .map(Some)
-        .map_err(|_| format!("route: {flag} got invalid value '{raw}'"))
-}
-
-/// Every value following any occurrence of `flag`.
-fn flag_values(args: &[String], flag: &str) -> Vec<String> {
-    args.iter()
-        .enumerate()
-        .filter(|(_, a)| *a == flag)
-        .filter_map(|(i, _)| args.get(i + 1).cloned())
-        .collect()
-}
 
 /// Worker flags the router forwards verbatim to every spawned
 /// `orex serve` process.
@@ -59,6 +39,47 @@ const FORWARDED_VALUE_FLAGS: &[&str] = &[
 ];
 const FORWARDED_SWITCHES: &[&str] = &["--eager"];
 
+/// The router's own value flags; it takes no switch of its own.
+const VALUE_FLAGS: &[&str] = &[
+    "--addr",
+    "--workers",
+    "--base-port",
+    "--worker-addr",
+    "--health-interval-ms",
+    "--timeout-ms",
+    "--max-connections",
+];
+
+/// Reads the router's own flags into `config`, applies the trace flags
+/// to this process's tracer, and returns the worker count and base
+/// port. Any argument that is neither a router flag nor a forwarded
+/// worker flag is an error.
+fn parse(args: &[String], config: &mut RouterConfig) -> Result<(usize, u16), String> {
+    let known = [VALUE_FLAGS, FORWARDED_VALUE_FLAGS].concat();
+    reject_unknown("route", args, &known, FORWARDED_SWITCHES)?;
+    if let Some(addr) = flag::<String>("route", args, "--addr")? {
+        config.addr = addr;
+    }
+    if let Some(ms) = flag::<u64>("route", args, "--timeout-ms")? {
+        config.io_timeout = Duration::from_millis(ms.max(1));
+    }
+    if let Some(ms) = flag::<u64>("route", args, "--health-interval-ms")? {
+        config.health_interval = Duration::from_millis(ms.max(50));
+    }
+    if let Some(max) = flag::<usize>("route", args, "--max-connections")? {
+        config.max_connections = max;
+    }
+    let workers = flag::<usize>("route", args, "--workers")?.unwrap_or(2);
+    if workers == 0 {
+        return Err("route: --workers must be at least 1".into());
+    }
+    let base_port = flag::<u16>("route", args, "--base-port")?.unwrap_or(7480);
+    // The router's own tracer draws the sampling fate of every routed
+    // request; the same flags are also forwarded to the workers.
+    apply_trace_flags("route", args)?;
+    Ok((workers, base_port))
+}
+
 /// `orex route [--addr A] [--workers N] [--base-port P]
 /// [--worker-addr H:P]... [--health-interval-ms N] [--timeout-ms N]
 /// [--max-connections N] [<forwarded worker flags>]` — serve the fleet.
@@ -69,39 +90,14 @@ pub fn run_route(
     err: &mut dyn Write,
 ) -> std::io::Result<i32> {
     let mut config = RouterConfig::default();
-    let workers: usize;
-    let base_port: u16;
-    let external: Vec<String> = flag_values(args, "--worker-addr");
-    let parsed: Result<(usize, u16), String> = (|| {
-        if let Some(addr) = flag::<String>(args, "--addr")? {
-            config.addr = addr;
-        }
-        if let Some(ms) = flag::<u64>(args, "--timeout-ms")? {
-            config.io_timeout = Duration::from_millis(ms.max(1));
-        }
-        if let Some(ms) = flag::<u64>(args, "--health-interval-ms")? {
-            config.health_interval = Duration::from_millis(ms.max(50));
-        }
-        if let Some(max) = flag::<usize>(args, "--max-connections")? {
-            config.max_connections = max;
-        }
-        let workers = flag::<usize>(args, "--workers")?.unwrap_or(2);
-        if workers == 0 {
-            return Err("route: --workers must be at least 1".into());
-        }
-        let base_port = flag::<u16>(args, "--base-port")?.unwrap_or(7480);
-        Ok((workers, base_port))
-    })();
-    match parsed {
-        Ok((w, p)) => {
-            workers = w;
-            base_port = p;
-        }
+    let (workers, base_port) = match parse(args, &mut config) {
+        Ok(parsed) => parsed,
         Err(msg) => {
             writeln!(err, "{msg}\n\n{SUBCOMMAND_HELP}")?;
             return Ok(2);
         }
-    }
+    };
+    let external = flag_values(args, "--worker-addr");
 
     let source = if external.is_empty() {
         let exe = std::env::current_exe()?;
@@ -200,6 +196,10 @@ mod tests {
             vec!["--timeout-ms"],
             vec!["--health-interval-ms", "soon"],
             vec!["--max-connections", "-2"],
+            vec!["--trace-sample", "often"],
+            vec!["--trace-slow-ms", "-1"],
+            vec!["--trace-sampel", "10"],
+            vec!["--workers", "2", "stray"],
         ] {
             let mut out = Vec::new();
             let mut err = Vec::new();
@@ -207,6 +207,33 @@ mod tests {
             assert_eq!(code, 2, "args {bad:?} must be rejected");
             assert!(!err.is_empty());
         }
+    }
+
+    /// The argv the serving benchmark starts a fleet with stays accepted.
+    #[test]
+    fn the_benchmark_fleet_argv_is_accepted() {
+        let args = argv(&[
+            "--workers",
+            "2",
+            "--eager",
+            "--base-port",
+            "7481",
+            "--dataset",
+            "dblp=dblp-top:0.05",
+            "--dataset",
+            "bio=ds7-cancer:0.02",
+            "--addr",
+            "127.0.0.1:7480",
+            "--threads",
+            "4",
+            "--cache-entries",
+            "64",
+            "--max-sessions",
+            "100000",
+        ]);
+        let mut config = RouterConfig::default();
+        assert_eq!(parse(&args, &mut config), Ok((2, 7481)));
+        assert_eq!(config.addr, "127.0.0.1:7480");
     }
 
     #[test]

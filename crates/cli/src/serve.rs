@@ -26,19 +26,8 @@ use orex_server::{install_signal_handlers, DatasetSpec, Server, ServerConfig, Sy
 use std::io::Write;
 use std::time::Duration;
 
+use crate::argv::{apply_trace_flags, flag, flag_values, reject_unknown};
 use crate::subcommands::SUBCOMMAND_HELP;
-
-fn flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    let Some(raw) = args.get(i + 1) else {
-        return Err(format!("serve: {flag} expects a value"));
-    };
-    raw.parse()
-        .map(Some)
-        .map_err(|_| format!("serve: {flag} got invalid value '{raw}'"))
-}
 
 /// Every flag `run_serve` reads that takes the argument after it.
 pub(crate) const VALUE_FLAGS: &[&str] = &[
@@ -60,42 +49,19 @@ pub(crate) const VALUE_FLAGS: &[&str] = &[
 /// Every flag `run_serve` reads that stands alone.
 pub(crate) const SWITCHES: &[&str] = &["--eager"];
 
-/// Fails on the first argument that is neither a known flag nor the
-/// value after a known value flag, so a mistyped flag is an error
-/// rather than silently ignored.
-fn reject_unknown(args: &[String]) -> Result<(), String> {
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        if VALUE_FLAGS.contains(&arg.as_str()) {
-            rest.next();
-        } else if !SWITCHES.contains(&arg.as_str()) {
-            return Err(format!("serve: unknown argument '{arg}'"));
-        }
-    }
-    Ok(())
-}
-
-/// Every value following any occurrence of `flag` (repeatable flags).
-fn flag_values(args: &[String], flag: &str) -> Vec<String> {
-    args.iter()
-        .enumerate()
-        .filter(|(_, a)| *a == flag)
-        .filter_map(|(i, _)| args.get(i + 1).cloned())
-        .collect()
-}
-
 /// The dataset `--preset` (default dblp-top), `--scale` (default 0.05)
 /// and `--precompute` describe when no `--dataset` is given.
 fn default_dataset(args: &[String]) -> Result<DatasetSpec, String> {
-    let preset_name = flag::<String>(args, "--preset")?.unwrap_or_else(|| "dblp-top".into());
+    let preset_name =
+        flag::<String>("serve", args, "--preset")?.unwrap_or_else(|| "dblp-top".into());
     let preset = Preset::parse(&preset_name).ok_or_else(|| {
         format!("serve: unknown preset '{preset_name}' (dblp-top, dblp-complete, ds7, ds7-cancer)")
     })?;
     Ok(DatasetSpec {
         name: "default".into(),
         preset,
-        scale: flag(args, "--scale")?.unwrap_or(0.05),
-        precompute: flag::<String>(args, "--precompute")?.map(Into::into),
+        scale: flag("serve", args, "--scale")?.unwrap_or(0.05),
+        precompute: flag::<String>("serve", args, "--precompute")?.map(Into::into),
     })
 }
 
@@ -115,29 +81,29 @@ pub fn run_serve(
     let mut config = ServerConfig::default();
     let mut cache_entries = 256;
     let parsed: Result<(), String> = (|| {
-        reject_unknown(args)?;
-        if let Some(addr) = flag::<String>(args, "--addr")? {
+        reject_unknown("serve", args, VALUE_FLAGS, SWITCHES)?;
+        if let Some(addr) = flag::<String>("serve", args, "--addr")? {
             config.addr = addr;
         }
-        if let Some(threads) = flag::<usize>(args, "--threads")? {
+        if let Some(threads) = flag::<usize>("serve", args, "--threads")? {
             config.threads = threads.max(1);
         }
-        if let Some(entries) = flag::<usize>(args, "--cache-entries")? {
+        if let Some(entries) = flag::<usize>("serve", args, "--cache-entries")? {
             cache_entries = entries;
         }
-        if let Some(secs) = flag::<u64>(args, "--session-ttl")? {
+        if let Some(secs) = flag::<u64>("serve", args, "--session-ttl")? {
             config.session_ttl = Duration::from_secs(secs.max(1));
         }
-        if let Some(max) = flag::<usize>(args, "--max-sessions")? {
+        if let Some(max) = flag::<usize>("serve", args, "--max-sessions")? {
             config.max_sessions = max;
         }
-        if let Some(kb) = flag::<usize>(args, "--max-body-kb")? {
+        if let Some(kb) = flag::<usize>("serve", args, "--max-body-kb")? {
             config.max_body_bytes = kb * 1024;
         }
-        if let Some(ms) = flag::<u64>(args, "--timeout-ms")? {
+        if let Some(ms) = flag::<u64>("serve", args, "--timeout-ms")? {
             config.io_timeout = Duration::from_millis(ms.max(1));
         }
-        if let Some(ms) = flag::<u64>(args, "--slow-ms")? {
+        if let Some(ms) = flag::<u64>("serve", args, "--slow-ms")? {
             config.slow_request = Duration::from_millis(ms.max(1));
         }
         Ok(())
@@ -166,25 +132,9 @@ pub fn run_serve(
         }
     };
 
-    // Trace sampling for the serving workload: 1-in-N requests traced,
-    // slow requests always traced.
-    let tracer = orex_telemetry::tracer();
-    match (
-        flag::<u64>(args, "--trace-sample"),
-        flag::<u64>(args, "--trace-slow-ms"),
-    ) {
-        (Ok(sample), Ok(slow_ms)) => {
-            if let Some(every) = sample {
-                tracer.set_sample_every(every);
-            }
-            if let Some(ms) = slow_ms {
-                tracer.set_slow_threshold(Some(Duration::from_millis(ms)));
-            }
-        }
-        (Err(msg), _) | (_, Err(msg)) => {
-            writeln!(err, "{msg}")?;
-            return Ok(2);
-        }
+    if let Err(msg) = apply_trace_flags("serve", args) {
+        writeln!(err, "{msg}")?;
+        return Ok(2);
     }
 
     // The default dataset is built before the bind. `--eager` datasets
@@ -235,7 +185,7 @@ pub fn run_serve(
     )?;
     writeln!(
         out,
-        "logs: curl -s 'http://{addr}/logs?level=info' | orex logs   (OREX_LOG tunes capture)"
+        "logs: curl -s 'http://{addr}/logs?level=info'   (OREX_LOG tunes capture)"
     )?;
     out.flush()?;
     match server.run() {
@@ -275,6 +225,8 @@ mod tests {
             vec!["--dataset", "missing-equals"],
             vec!["--dataset", "d=nope:0.05"],
             vec!["--dataset", "d=dblp-top:tiny"],
+            vec!["--trace-sample", "often"],
+            vec!["--trace-slow-ms", "-1"],
         ] {
             let mut out = Vec::new();
             let mut err = Vec::new();
@@ -282,6 +234,30 @@ mod tests {
             assert_eq!(code, 2, "args {bad:?} must be rejected");
             assert!(!err.is_empty());
         }
+    }
+
+    /// The argv the serving benchmark starts a server with stays accepted.
+    #[test]
+    fn the_benchmark_server_argv_is_accepted() {
+        let args = argv(&[
+            "--preset",
+            "dblp-top",
+            "--scale",
+            "0.05",
+            "--addr",
+            "127.0.0.1:7474",
+            "--threads",
+            "4",
+            "--cache-entries",
+            "64",
+            "--max-sessions",
+            "100000",
+        ]);
+        assert_eq!(
+            reject_unknown("serve", &args, VALUE_FLAGS, SWITCHES),
+            Ok(())
+        );
+        assert_eq!(default_dataset(&args).unwrap().preset, Preset::DblpTop);
     }
 
     #[test]

@@ -2,18 +2,19 @@
 //!
 //! `orex trace "<query>"` runs one query end-to-end with tracing enabled
 //! and exports the collected span tree (Chrome trace-event JSON or folded
-//! stacks for flamegraph tooling). `orex stats` renders the telemetry
-//! snapshot (JSON or Prometheus text exposition). Both are plumbing
-//! around the `orex-telemetry` APIs; anything ranking-related goes
-//! through the ordinary [`QuerySession`] path so the traces reflect real
-//! production spans.
+//! stacks for flamegraph tooling). It is plumbing around the
+//! `orex-telemetry` APIs; the ranking goes through the ordinary
+//! [`QuerySession`] path so the trace reflects real production spans. A
+//! running server's telemetry is read over HTTP instead: `GET /metrics`,
+//! `GET /logs` and `GET /trace/<id>`.
 
 use orex_core::{ObjectRankSystem, QuerySession, SystemConfig};
 use orex_datagen::Preset;
 use orex_ir::Query;
 use orex_telemetry::export::{to_chrome_trace, to_folded_stacks};
-use orex_telemetry::{Exemplar, HistogramSummary, Snapshot, BUCKETS};
 use std::io::Write;
+
+use crate::argv::{flag_value, positionals};
 
 /// Usage text for the non-interactive subcommands (the REPL has its own
 /// `help`).
@@ -25,14 +26,6 @@ usage:
   orex trace \"<query>\" [--format chrome|folded] [--preset NAME]
                              [--scale F] [--out FILE]
                              run one traced query and export its span tree
-  orex trace --fleet <trace-id> [--addr A] [--out FILE]
-                             fetch GET /trace/<id> from a running router
-                             (or standalone server) and emit the stitched
-                             Chrome trace: one clock-aligned process lane
-                             per router/worker that recorded spans for
-                             that trace id
-  orex stats [--format json|prom] [--snapshot FILE]
-                             dump telemetry, or re-render a saved snapshot
   orex serve [--addr A] [--preset NAME] [--scale F]
              [--dataset NAME=PRESET:SCALE[:PRECOMPUTE]]... [--eager]
              [--threads N]
@@ -83,11 +76,6 @@ usage:
                              them with a manifest for `orex serve
                              --precompute`; --check K compares K combined
                              queries against live iteration
-  orex logs [FILE] [--level L] [--target PREFIX] [--since SEQ]
-            [--limit N] [--trace ID] [--format text|json]
-                             filter a JSON-lines log capture (a file, or
-                             stdin — e.g. piped from `curl .../logs`) and
-                             render it as text or re-emit JSON lines
   orex analyze [--root DIR] [--format text|json] [--output FILE]
                [--explain ORXnnn]
                              run the workspace static-analysis gate
@@ -95,30 +83,8 @@ usage:
                              --explain prints a rule's rationale and waiver
                              syntax; exits 1 on any finding";
 
-/// Returns the value following `flag` in `args`.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// The positional arguments: everything not a flag or a flag's value.
-fn positionals(args: &[String]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if a.starts_with("--") {
-            skip = true;
-            continue;
-        }
-        out.push(a.clone());
-    }
-    out
-}
+/// Every flag `run_trace` reads; each takes the argument after it.
+const TRACE_VALUE_FLAGS: &[&str] = &["--format", "--preset", "--scale", "--out"];
 
 /// `orex trace "<query>" [--format chrome|folded] [--preset NAME]
 /// [--scale F] [--out FILE]` — run one query with tracing on and export
@@ -128,10 +94,13 @@ pub fn run_trace(
     out: &mut dyn Write,
     err: &mut dyn Write,
 ) -> std::io::Result<i32> {
-    if args.iter().any(|a| a == "--fleet") {
-        return run_trace_fleet(args, out, err);
-    }
-    let positional = positionals(args);
+    let positional = match positionals("trace", args, TRACE_VALUE_FLAGS, &[]) {
+        Ok(p) => p,
+        Err(msg) => {
+            writeln!(err, "{msg}\n\n{SUBCOMMAND_HELP}")?;
+            return Ok(2);
+        }
+    };
     let Some(query_text) = positional.first() else {
         writeln!(err, "trace: missing query string\n\n{SUBCOMMAND_HELP}")?;
         return Ok(2);
@@ -207,174 +176,6 @@ pub fn run_trace(
     Ok(0)
 }
 
-/// `orex trace --fleet <trace-id> [--addr A] [--out FILE]` — fetch the
-/// stitched cross-process Chrome trace for one trace id from a running
-/// router (or standalone server) and print it (or write it to `--out`).
-/// The id is accepted in decimal (as printed by `orex logs` and metric
-/// exemplars) or hex (as carried in the `X-Orex-Trace` header).
-fn run_trace_fleet(
-    args: &[String],
-    out: &mut dyn Write,
-    err: &mut dyn Write,
-) -> std::io::Result<i32> {
-    let Some(raw_id) = flag_value(args, "--fleet") else {
-        writeln!(
-            err,
-            "trace: --fleet expects a trace id\n\n{SUBCOMMAND_HELP}"
-        )?;
-        return Ok(2);
-    };
-    let hex = raw_id.strip_prefix("0x").unwrap_or(&raw_id);
-    let id: u64 = match raw_id.parse().or_else(|_| u64::from_str_radix(hex, 16)) {
-        Ok(0) | Err(_) => {
-            writeln!(
-                err,
-                "trace: --fleet expects a decimal or hex trace id, got '{raw_id}'"
-            )?;
-            return Ok(2);
-        }
-        Ok(id) => id,
-    };
-    let addr = flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:7470".into());
-    let client = orex_server::HttpClient::new(addr.clone());
-    let rendered = match client.get(&format!("/trace/{id}")) {
-        Ok(reply) if reply.status == 200 => reply.body_str().unwrap_or_default().to_string(),
-        Ok(reply) => {
-            writeln!(
-                err,
-                "trace: {addr} returned {} for trace {id}: {}",
-                reply.status,
-                reply.body_str().unwrap_or("").trim_end()
-            )?;
-            return Ok(1);
-        }
-        Err(e) => {
-            writeln!(err, "trace: fetching /trace/{id} from {addr}: {e}")?;
-            return Ok(1);
-        }
-    };
-    match flag_value(args, "--out") {
-        Some(path) if path != "-" => {
-            std::fs::write(&path, rendered.as_bytes()).map_err(|e| {
-                std::io::Error::new(e.kind(), format!("trace: writing {path}: {e}"))
-            })?;
-            writeln!(err, "[trace] wrote {path}")?;
-        }
-        _ => writeln!(out, "{rendered}")?,
-    }
-    Ok(0)
-}
-
-/// `orex stats [--format json|prom] [--snapshot FILE]` — dump the
-/// telemetry snapshot of this process, or re-render a saved one.
-/// Returns the process exit code.
-pub fn run_stats(
-    args: &[String],
-    out: &mut dyn Write,
-    err: &mut dyn Write,
-) -> std::io::Result<i32> {
-    let format = flag_value(args, "--format").unwrap_or_else(|| "json".into());
-    if format != "json" && format != "prom" {
-        writeln!(err, "stats: unknown format '{format}' (json|prom)")?;
-        return Ok(2);
-    }
-    let current = match flag_value(args, "--snapshot") {
-        Some(path) => match load_snapshot(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                writeln!(err, "stats: {e}")?;
-                return Ok(2);
-            }
-        },
-        None => orex_telemetry::global().snapshot(),
-    };
-    match format.as_str() {
-        "prom" => write!(out, "{}", current.to_prometheus())?,
-        _ => writeln!(out, "{}", current.to_json_pretty())?,
-    }
-    Ok(0)
-}
-
-/// Loads a telemetry [`Snapshot`] from a JSON file. Accepts both raw
-/// snapshot dumps (`orex stats > f.json`) and bench result artifacts,
-/// whose snapshot lives under a top-level `"telemetry"` key.
-pub fn load_snapshot(path: &str) -> Result<Snapshot, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let value = serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    let root = value.get("telemetry").unwrap_or(&value);
-    snapshot_from_json(root).map_err(|e| format!("parsing {path}: {e}"))
-}
-
-/// Decodes the JSON layout produced by [`Snapshot::to_json_pretty`] (and
-/// mirrored by the bench harness) back into a [`Snapshot`]. Unknown keys
-/// are ignored; missing histogram fields default to zero so older
-/// artifacts without bucket arrays still load.
-pub fn snapshot_from_json(v: &serde_json::Value) -> Result<Snapshot, String> {
-    let obj = v.as_object().ok_or("snapshot is not a JSON object")?;
-    let mut snapshot = Snapshot::default();
-    if let Some(counters) = obj.get("counters").and_then(|c| c.as_object()) {
-        for (name, val) in counters.iter() {
-            let n = val
-                .as_u64()
-                .or_else(|| val.as_f64().map(|f| f as u64))
-                .ok_or_else(|| format!("counter {name:?} is not a number"))?;
-            snapshot.counters.insert(name.clone(), n);
-        }
-    }
-    if let Some(gauges) = obj.get("gauges").and_then(|c| c.as_object()) {
-        for (name, val) in gauges.iter() {
-            let n = val
-                .as_f64()
-                .ok_or_else(|| format!("gauge {name:?} is not a number"))?;
-            snapshot.gauges.insert(name.clone(), n);
-        }
-    }
-    if let Some(histograms) = obj.get("histograms").and_then(|c| c.as_object()) {
-        for (name, val) in histograms.iter() {
-            let h = val
-                .as_object()
-                .ok_or_else(|| format!("histogram {name:?} is not an object"))?;
-            let f = |key: &str| h.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
-            let mut summary = HistogramSummary {
-                count: h.get("count").and_then(|v| v.as_u64()).unwrap_or(0),
-                sum: f("sum"),
-                min: f("min"),
-                max: f("max"),
-                mean: f("mean"),
-                p50: f("p50"),
-                p95: f("p95"),
-                ..HistogramSummary::default()
-            };
-            if let Some(buckets) = h.get("buckets").and_then(|v| v.as_array()) {
-                for (i, b) in buckets.iter().take(BUCKETS).enumerate() {
-                    summary.buckets[i] = b.as_u64().unwrap_or(0);
-                }
-            }
-            // Sparse exemplar array: [{"bucket":i,"trace":t,"value":v}].
-            // Kept so a re-export (`orex stats --snapshot f.json --format
-            // prom`) preserves the trace-id links.
-            if let Some(exemplars) = h.get("exemplars").and_then(|v| v.as_array()) {
-                for e in exemplars {
-                    let Some(i) = e.get("bucket").and_then(|v| v.as_u64()) else {
-                        continue;
-                    };
-                    let Some(trace) = e.get("trace").and_then(|v| v.as_u64()) else {
-                        continue;
-                    };
-                    if let Some(slot) = summary.exemplars.get_mut(i as usize) {
-                        *slot = Some(Exemplar {
-                            trace,
-                            value: e.get("value").and_then(|v| v.as_f64()).unwrap_or(0.0),
-                        });
-                    }
-                }
-            }
-            snapshot.histograms.insert(name.clone(), summary);
-        }
-    }
-    Ok(snapshot)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,29 +199,8 @@ mod tests {
         assert_eq!(code, 2);
         let (code, _) = run(|o, e| run_trace(&args(&["data", "--preset", "nope"]), o, e));
         assert_eq!(code, 2);
-    }
-
-    #[test]
-    fn trace_fleet_rejects_bad_ids_and_reports_unreachable_routers() {
-        // No id value at all (the flag is last, so nothing follows it).
-        let (code, _) = run(|o, e| run_trace(&args(&["--fleet"]), o, e));
+        let (code, _) = run(|o, e| run_trace(&args(&["data", "--trace-sampel", "10"]), o, e));
         assert_eq!(code, 2);
-        // Neither decimal nor hex.
-        let (code, _) = run(|o, e| run_trace(&args(&["--fleet", "not-an-id"]), o, e));
-        assert_eq!(code, 2);
-        // Zero is never a valid trace id.
-        let (code, _) = run(|o, e| run_trace(&args(&["--fleet", "0"]), o, e));
-        assert_eq!(code, 2);
-        // A well-formed id against a dead address is a runtime error (1),
-        // not a usage error (2). Port 9 is discard/refused.
-        let (code, _) = run(|o, e| {
-            run_trace(
-                &args(&["--fleet", "0xdeadbeef", "--addr", "127.0.0.1:9"]),
-                o,
-                e,
-            )
-        });
-        assert_eq!(code, 1);
     }
 
     #[test]
@@ -487,69 +267,5 @@ mod tests {
                 .any(|l| l.starts_with("session.query;session.rank;authority.power")),
             "{out}"
         );
-    }
-
-    #[test]
-    fn stats_prom_format_renders_exposition() {
-        orex_telemetry::global().counter("cli.test.prom").incr();
-        let (code, out) = run(|o, e| run_stats(&args(&["--format", "prom"]), o, e));
-        assert_eq!(code, 0);
-        if orex_telemetry::global().is_enabled() {
-            assert!(out.contains("# TYPE orex_cli_test_prom counter"), "{out}");
-        }
-    }
-
-    #[test]
-    fn stats_snapshot_rerenders_a_bench_artifact() {
-        let path = std::env::temp_dir().join("orex-stats-snapshot-test.json");
-        std::fs::write(
-            &path,
-            r#"{"telemetry":{"counters":{"server.requests":41},"gauges":{},"histograms":{}}}"#,
-        )
-        .unwrap();
-        let file = path.display().to_string();
-        let (code, out) =
-            run(|o, e| run_stats(&args(&["--snapshot", &file, "--format", "prom"]), o, e));
-        assert_eq!(code, 0, "{out}");
-        assert!(out.contains("orex_server_requests 41"), "{out}");
-        let (code, _) = run(|o, e| run_stats(&args(&["--snapshot", "/nonexistent"]), o, e));
-        assert_eq!(code, 2);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn snapshot_roundtrips_through_json() {
-        let recorder = orex_telemetry::Recorder::new();
-        recorder.counter("a.count").add(7);
-        recorder.gauge("b.level").set(2.5);
-        recorder.histogram("c.us").record(12.0);
-        recorder
-            .histogram("c.us")
-            .record_with_exemplar(48.0, Some(901));
-        let snapshot = recorder.snapshot();
-        let parsed =
-            snapshot_from_json(&serde_json::from_str(&snapshot.to_json_pretty()).unwrap()).unwrap();
-        assert_eq!(parsed.counters, snapshot.counters);
-        assert_eq!(parsed.gauges, snapshot.gauges);
-        assert_eq!(
-            parsed.histograms["c.us"].buckets,
-            snapshot.histograms["c.us"].buckets
-        );
-        assert_eq!(
-            parsed.histograms["c.us"].mean,
-            snapshot.histograms["c.us"].mean
-        );
-        // Exemplar trace links survive the roundtrip, so a prom
-        // re-export of a saved snapshot keeps its `# {trace_id=...}`.
-        assert_eq!(
-            parsed.histograms["c.us"].exemplars,
-            snapshot.histograms["c.us"].exemplars
-        );
-        assert!(parsed.histograms["c.us"]
-            .exemplars
-            .iter()
-            .flatten()
-            .any(|e| e.trace == 901 && e.value == 48.0));
-        assert!(parsed.to_prometheus().contains(r#"# {trace_id="901"} 48"#));
     }
 }

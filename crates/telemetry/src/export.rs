@@ -8,8 +8,7 @@
 //! [`to_folded_stacks`] emits `root;child;leaf <self-time-µs>` lines for
 //! `flamegraph.pl` / inferno. Drained [`LogRecord`]s render as JSON-lines
 //! ([`log_json_lines`], one self-contained object per line, the format
-//! `GET /logs` serves); [`write_utc_timestamp`] formats their capture
-//! time for text renderers such as `orex logs`.
+//! `GET /logs` serves).
 
 use crate::log::{FieldValue, LogRecord};
 use crate::trace::{AttrValue, SpanId, SpanRecord, TraceId};
@@ -309,43 +308,11 @@ pub fn log_json_lines(records: &[LogRecord]) -> String {
     out
 }
 
-/// Days-since-epoch to `(year, month, day)` in the proleptic Gregorian
-/// calendar (Howard Hinnant's `civil_from_days`).
-fn civil_from_days(days: i64) -> (i64, u32, u32) {
-    let z = days + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = (doy - (153 * mp + 2) / 5 + 1) as u32;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 } as u32;
-    let y = yoe + era * 400 + i64::from(m <= 2);
-    (y, m, d)
-}
-
-/// Appends `unix_ns` (nanoseconds since the Unix epoch) as an RFC 3339
-/// UTC timestamp with microsecond precision, e.g.
-/// `2025-08-06T14:03:07.000123Z`.
-pub fn write_utc_timestamp(unix_ns: u64, out: &mut String) {
-    let secs = unix_ns / 1_000_000_000;
-    let micros = (unix_ns % 1_000_000_000) / 1_000;
-    let (y, m, d) = civil_from_days((secs / 86_400) as i64);
-    let tod = secs % 86_400;
-    let _ = write!(
-        out,
-        "{y:04}-{m:02}-{d:02}T{:02}:{:02}:{:02}.{micros:06}Z",
-        tod / 3600,
-        (tod % 3600) / 60,
-        tod % 60
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::log::{Level, Logger};
-    use crate::trace::Tracer;
+    use crate::trace::{TraceContext, Tracer};
 
     fn sample_records() -> Vec<SpanRecord> {
         let t = Tracer::new(64);
@@ -416,6 +383,29 @@ mod tests {
     }
 
     #[test]
+    fn a_remote_parent_root_renders_whatever_its_parent_id() {
+        // The remote parent is the router hop, a span of another process
+        // that minted its ids from its own seed. Had this tracer counted
+        // from 1 too, its child would take id 2, the root would be filed
+        // under its own child, and the document would come out empty.
+        let t = Tracer::new(16);
+        let context = TraceContext {
+            trace: TraceId(4242),
+            parent: SpanId(2),
+            flags: TraceContext::SAMPLED,
+        };
+        {
+            let _root = t.span_with_context("worker.request", Some(context));
+            drop(t.span("worker.child"));
+        }
+        let json = to_chrome_trace(&t.spans_of(TraceId(4242)));
+        // Under miri the seed is pinned to 1, so the ids do collide.
+        if !cfg!(miri) {
+            assert!(json.contains("worker.request"), "{json}");
+        }
+    }
+
+    #[test]
     fn folded_stacks_fold_paths() {
         let folded = to_folded_stacks(&sample_records());
         assert!(
@@ -474,16 +464,5 @@ mod tests {
         assert!(lines[0].contains("\"cache\":false"), "{jsonl}");
         assert!(lines[0].contains("\"bad\":null"), "non-finite floats null");
         assert!(lines[1].contains("\"fields\":{}"), "{jsonl}");
-    }
-
-    #[test]
-    fn civil_from_days_matches_known_dates() {
-        assert_eq!(civil_from_days(0), (1970, 1, 1));
-        assert_eq!(civil_from_days(19_723), (2024, 1, 1)); // leap year
-        assert_eq!(civil_from_days(19_723 + 31 + 28), (2024, 2, 29));
-        assert_eq!(civil_from_days(20_306), (2025, 8, 6));
-        let mut ts = String::new();
-        write_utc_timestamp(86_400_000_000_000 + 3_661_000_001_000, &mut ts);
-        assert_eq!(ts, "1970-01-02T01:01:01.000001Z");
     }
 }

@@ -190,13 +190,15 @@ struct Sampling {
 /// a leak guard, since well-formed traces drain when their root drops.
 const MAX_PENDING_TRACES: usize = 256;
 
-/// Entropy-derived base for trace ids, so independently started
-/// processes (router and each worker) almost surely mint from disjoint
-/// ranges — a fleet stitches traces by id, and two processes both
-/// counting up from 1 would collide on every query. SplitMix64 over the
-/// process id and the wall clock; deterministic under miri, which
-/// isolates the clock.
-fn trace_id_seed() -> u64 {
+/// Entropy-derived base for trace and span ids, so independently
+/// started processes (router and each worker) almost surely mint from
+/// disjoint ranges — a fleet stitches traces by id, and two processes
+/// both counting up from 1 would collide on every query, and a worker
+/// span sharing its remote parent's id (the router hop) would file the
+/// worker's root under its own descendant and render an empty trace.
+/// SplitMix64 over the process id and the wall clock; deterministic
+/// under miri, which isolates the clock.
+fn id_seed() -> u64 {
     #[cfg(miri)]
     {
         1
@@ -284,8 +286,8 @@ impl Tracer {
                 // ORDERING: Relaxed — pure id allocation.
                 id: NEXT_TRACER_ID.fetch_add(1, Ordering::Relaxed),
                 epoch: Instant::now(),
-                next_trace: AtomicU64::new(trace_id_seed()),
-                next_span: AtomicU64::new(1),
+                next_trace: AtomicU64::new(id_seed()),
+                next_span: AtomicU64::new(id_seed()),
                 ring: Ring::new(capacity),
                 sampling: Sampling {
                     every: AtomicU64::new(1),
@@ -1086,12 +1088,15 @@ mod tests {
         let b = Tracer::new(4);
         drop(a.span("a"));
         drop(b.span("b"));
-        let ta = a.drain()[0].trace;
-        let tb = b.drain()[0].trace;
-        assert_ne!(ta.0, 0);
-        assert_ne!(tb.0, 0);
+        let (ra, rb) = (a.drain().remove(0), b.drain().remove(0));
+        assert_ne!(ra.trace.0, 0);
+        assert_ne!(rb.trace.0, 0);
         if !cfg!(miri) {
-            assert_ne!(ta, tb, "independent tracers mint from disjoint ranges");
+            assert_ne!(
+                ra.trace, rb.trace,
+                "independent tracers mint from disjoint ranges"
+            );
+            assert_ne!(ra.id, rb.id, "span ids are seeded per tracer too");
         }
     }
 
