@@ -74,10 +74,33 @@ fn parse(args: &[String], config: &mut RouterConfig) -> Result<(usize, u16), Str
         return Err("route: --workers must be at least 1".into());
     }
     let base_port = flag::<u16>("route", args, "--base-port")?.unwrap_or(7480);
+    // A worker reads its flags with serve's own reader; a value it would
+    // reject fails here, before any worker is spawned.
+    let forwarded = forwarded(args);
+    crate::serve::parse_flags(&forwarded)?;
+    crate::serve::dataset_specs(&forwarded)?;
     // The router's own tracer draws the sampling fate of every routed
     // request; the same flags are also forwarded to the workers.
     apply_trace_flags("route", args)?;
     Ok((workers, base_port))
+}
+
+/// The worker flags in `args`, in the order an `orex serve` argv
+/// carries them.
+fn forwarded(args: &[String]) -> Vec<String> {
+    let mut argv = Vec::new();
+    for name in FORWARDED_VALUE_FLAGS {
+        for value in flag_values(args, name) {
+            argv.push((*name).to_string());
+            argv.push(value);
+        }
+    }
+    for name in FORWARDED_SWITCHES {
+        if args.iter().any(|a| a == name) {
+            argv.push((*name).to_string());
+        }
+    }
+    argv
 }
 
 /// `orex route [--addr A] [--workers N] [--base-port P]
@@ -102,17 +125,7 @@ pub fn run_route(
     let source = if external.is_empty() {
         let exe = std::env::current_exe()?;
         let mut argv = vec![exe.to_string_lossy().into_owned(), "serve".to_string()];
-        for name in FORWARDED_VALUE_FLAGS {
-            for value in flag_values(args, name) {
-                argv.push((*name).to_string());
-                argv.push(value);
-            }
-        }
-        for name in FORWARDED_SWITCHES {
-            if args.iter().any(|a| a == name) {
-                argv.push((*name).to_string());
-            }
-        }
+        argv.extend(forwarded(args));
         WorkerSource::Spawn {
             argv,
             base_port,
@@ -200,6 +213,11 @@ mod tests {
             vec!["--trace-slow-ms", "-1"],
             vec!["--trace-sampel", "10"],
             vec!["--workers", "2", "stray"],
+            vec!["--workers", "1", "--threads", "many"],
+            vec!["--cache-entries", "lots"],
+            vec!["--session-ttl", "-3"],
+            vec!["--scale", "huge"],
+            vec!["--dataset", "main=nope:0.03"],
         ] {
             let mut out = Vec::new();
             let mut err = Vec::new();

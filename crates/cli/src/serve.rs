@@ -65,6 +65,54 @@ fn default_dataset(args: &[String]) -> Result<DatasetSpec, String> {
     })
 }
 
+/// The datasets to serve: one per `--dataset` flag, or the default
+/// dataset when there is none.
+pub(crate) fn dataset_specs(args: &[String]) -> Result<Vec<DatasetSpec>, String> {
+    let dataset_flags = flag_values(args, "--dataset");
+    if dataset_flags.is_empty() {
+        return default_dataset(args).map(|spec| vec![spec]);
+    }
+    dataset_flags
+        .iter()
+        .map(|raw| DatasetSpec::parse(raw).map_err(|msg| format!("serve: {msg}")))
+        .collect()
+}
+
+/// Rejects unknown arguments and reads the server's tuning flags into a
+/// [`ServerConfig`] and the result-cache capacity. `orex route` runs it
+/// on the flags it forwards, so a bad value fails before any worker is
+/// spawned.
+pub(crate) fn parse_flags(args: &[String]) -> Result<(ServerConfig, usize), String> {
+    let mut config = ServerConfig::default();
+    let mut cache_entries = 256;
+    reject_unknown("serve", args, VALUE_FLAGS, SWITCHES)?;
+    if let Some(addr) = flag::<String>("serve", args, "--addr")? {
+        config.addr = addr;
+    }
+    if let Some(threads) = flag::<usize>("serve", args, "--threads")? {
+        config.threads = threads.max(1);
+    }
+    if let Some(entries) = flag::<usize>("serve", args, "--cache-entries")? {
+        cache_entries = entries;
+    }
+    if let Some(secs) = flag::<u64>("serve", args, "--session-ttl")? {
+        config.session_ttl = Duration::from_secs(secs.max(1));
+    }
+    if let Some(max) = flag::<usize>("serve", args, "--max-sessions")? {
+        config.max_sessions = max;
+    }
+    if let Some(kb) = flag::<usize>("serve", args, "--max-body-kb")? {
+        config.max_body_bytes = kb * 1024;
+    }
+    if let Some(ms) = flag::<u64>("serve", args, "--timeout-ms")? {
+        config.io_timeout = Duration::from_millis(ms.max(1));
+    }
+    if let Some(ms) = flag::<u64>("serve", args, "--slow-ms")? {
+        config.slow_request = Duration::from_millis(ms.max(1));
+    }
+    Ok((config, cache_entries))
+}
+
 /// `orex serve [--addr A] [--preset NAME] [--scale F]
 /// [--dataset NAME=PRESET:SCALE[:PRECOMPUTE]]... [--eager] [--threads N]
 /// [--cache-entries N] [--session-ttl SECS] [--max-sessions N]
@@ -78,51 +126,16 @@ pub fn run_serve(
     out: &mut dyn Write,
     err: &mut dyn Write,
 ) -> std::io::Result<i32> {
-    let mut config = ServerConfig::default();
-    let mut cache_entries = 256;
-    let parsed: Result<(), String> = (|| {
-        reject_unknown("serve", args, VALUE_FLAGS, SWITCHES)?;
-        if let Some(addr) = flag::<String>("serve", args, "--addr")? {
-            config.addr = addr;
+    let (config, cache_entries) = match parse_flags(args) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            writeln!(err, "{msg}\n\n{SUBCOMMAND_HELP}")?;
+            return Ok(2);
         }
-        if let Some(threads) = flag::<usize>("serve", args, "--threads")? {
-            config.threads = threads.max(1);
-        }
-        if let Some(entries) = flag::<usize>("serve", args, "--cache-entries")? {
-            cache_entries = entries;
-        }
-        if let Some(secs) = flag::<u64>("serve", args, "--session-ttl")? {
-            config.session_ttl = Duration::from_secs(secs.max(1));
-        }
-        if let Some(max) = flag::<usize>("serve", args, "--max-sessions")? {
-            config.max_sessions = max;
-        }
-        if let Some(kb) = flag::<usize>("serve", args, "--max-body-kb")? {
-            config.max_body_bytes = kb * 1024;
-        }
-        if let Some(ms) = flag::<u64>("serve", args, "--timeout-ms")? {
-            config.io_timeout = Duration::from_millis(ms.max(1));
-        }
-        if let Some(ms) = flag::<u64>("serve", args, "--slow-ms")? {
-            config.slow_request = Duration::from_millis(ms.max(1));
-        }
-        Ok(())
-    })();
-    if let Err(msg) = parsed {
-        writeln!(err, "{msg}\n\n{SUBCOMMAND_HELP}")?;
-        return Ok(2);
-    }
+    };
 
     let dataset_flags = flag_values(args, "--dataset");
-    let specs = if dataset_flags.is_empty() {
-        default_dataset(args).map(|spec| vec![spec])
-    } else {
-        dataset_flags
-            .iter()
-            .map(|raw| DatasetSpec::parse(raw).map_err(|msg| format!("serve: {msg}")))
-            .collect()
-    };
-    let registry = match specs.and_then(|specs| {
+    let registry = match dataset_specs(args).and_then(|specs| {
         SystemRegistry::new(specs, cache_entries).map_err(|msg| format!("serve: {msg}"))
     }) {
         Ok(r) => r,

@@ -123,13 +123,14 @@ impl Router {
                 .map(|a| a.to_string())
                 .unwrap_or_else(|_| self.config.addr.clone()),
         };
-        // A proxied request spends its time waiting on a worker, so it
-        // runs on its connection's thread and the connection cap is the
-        // router's only concurrency gate. The router has no
-        // per-connection request limit and no slow-request threshold.
+        // A proxied request spends its time waiting on a worker, so the
+        // route gate has a permit per connection and never waits: the
+        // connection cap is the router's only concurrency gate. The
+        // router has no per-connection request limit and no
+        // slow-request threshold.
         let limits = Limits {
             max_connections: self.config.max_connections,
-            handlers: None,
+            concurrent_routes: self.config.max_connections,
             max_body_bytes: self.config.max_body_bytes,
             io_timeout: self.config.io_timeout,
             keepalive_idle: self.config.keepalive_idle,

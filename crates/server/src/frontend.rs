@@ -13,13 +13,12 @@
 //! most `max_connections` of them; past the cap a connection is
 //! answered `503` + `Retry-After` on the accept thread. A connection
 //! thread blocks in `read` between requests, so idle keep-alive
-//! connections cost a parked thread and nothing else. *Handlers* are
-//! bounded separately: with `Limits::handlers = Some(n)` a parsed
-//! request is handed to one of `n` handler threads, which routes it and
-//! writes the response while the connection thread waits, so at most
-//! `n` route functions run at a time however many connections are
-//! open. With `None` the route function runs on the connection thread
-//! and the connection cap is the only gate. Shutdown stops accepting,
+//! connections cost a parked thread and nothing else. A connection
+//! thread reads, routes and writes each of its requests itself; route
+//! functions are bounded separately by a gate of
+//! `Limits::concurrent_routes` permits, so at most that many run at a
+//! time however many connections are open, and a request past it waits
+//! on its own connection thread for a permit. Shutdown stops accepting,
 //! lets every connection finish the response it is working on, and
 //! joins the threads.
 
@@ -28,8 +27,7 @@ use orex_telemetry::{Counter, HistogramHandle, TraceContext};
 use std::io::{self, BufRead, BufReader, Read};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::Scope;
 use std::time::{Duration, Instant};
 
@@ -74,15 +72,12 @@ pub struct Limits {
     /// Live-connection cap; connections past it get `503` +
     /// `Retry-After` instead of a thread.
     pub max_connections: usize,
-    /// `Some(n)`: route functions run on `n` dedicated handler threads
-    /// (minimum 1), which bounds how many run at once and keeps their
-    /// allocations on a fixed set of threads — per-thread allocator
-    /// arenas otherwise spread a handler's large buffers over as many
-    /// arenas as there are connections (measured: +14 % peak RSS on the
-    /// `cache_hot` benchmark workload). `None`: each request is routed
-    /// on its connection's thread, for route functions that mostly wait
-    /// on someone else.
-    pub handlers: Option<usize>,
+    /// Permits for route functions (minimum 1): at most this many run
+    /// at once, each on its request's connection thread; a request past
+    /// the bound waits for a permit, and the wait counts as request
+    /// latency. A front end whose route functions mostly wait on someone
+    /// else passes `max_connections`, so its gate never waits.
+    pub concurrent_routes: usize,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
     /// Budget for a connection's first request to start arriving, for
@@ -211,47 +206,75 @@ where
         limits,
         route,
         meters: Meters::new(surface.prefix),
+        gate: Gate::new(limits.concurrent_routes),
         live: AtomicUsize::new(0),
         draining: AtomicBool::new(false),
     };
-    let (jobs, queue) = channel::<Job>();
-    let queue = Mutex::new(queue);
     // The scope joins every thread before it returns, which is the
     // drain: idle connections observe the flag within one `IDLE_POLL`,
-    // busy ones after the response they are working on, and handler
-    // threads once the last connection has dropped its queue handle.
+    // busy ones after the response they are working on.
     std::thread::scope(|scope| {
-        let jobs = match limits.handlers {
-            Some(handlers) => {
-                for _ in 0..handlers.max(1) {
-                    std::thread::Builder::new()
-                        .name(format!("orex-{}-handler", surface.prefix))
-                        .spawn_scoped(scope, || front.handler_loop(&queue))?;
-                }
-                Some(jobs)
-            }
-            None => None,
-        };
-        let result = front.accept_loop(scope, listener, stop, jobs);
+        let result = front.accept_loop(scope, listener, stop);
         // ORDERING: Release pairs with the connection loops' Acquire.
         front.draining.store(true, Ordering::Release);
         result
     })
 }
 
-/// One parsed request on its way to a handler thread.
-struct Job {
-    request: Request,
-    /// When the request was in hand; queue wait counts as latency.
-    start: Instant,
-    keep_alive: bool,
-    /// The connection's write half, lent to the handler so the response
-    /// leaves from the thread that built it — a second thread wake-up
-    /// before the write is measurable when every core is ranking.
-    writer: TcpStream,
-    /// Where the connection thread waits to get `writer` back, with
-    /// whether the response was written.
-    done: Sender<(TcpStream, bool)>,
+/// Permits for route functions: at most `permits` run at once.
+struct Gate {
+    state: Mutex<Permits>,
+    freed: Condvar,
+}
+
+struct Permits {
+    free: usize,
+    /// Threads blocked in [`Gate::enter`]; a release only signals the
+    /// condvar when one is, so an uncontended gate makes no syscall.
+    waiting: usize,
+}
+
+impl Gate {
+    fn new(permits: usize) -> Self {
+        Self {
+            state: Mutex::new(Permits {
+                free: permits.max(1),
+                waiting: 0,
+            }),
+            freed: Condvar::new(),
+        }
+    }
+
+    /// Blocks until a permit is free and takes it. A poisoned lock is
+    /// recovered: the counts are only ever changed whole.
+    fn enter(&self) -> Permit<'_> {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        while state.free == 0 {
+            state.waiting += 1;
+            state = self
+                .freed
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            state.waiting -= 1;
+        }
+        state.free -= 1;
+        Permit(self)
+    }
+}
+
+/// A taken permit; dropping it, unwinding included, gives it back.
+struct Permit<'a>(&'a Gate);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.free += 1;
+        let wake = state.waiting > 0;
+        drop(state);
+        if wake {
+            self.0.freed.notify_one();
+        }
+    }
 }
 
 /// Pre-resolved handles for the metrics every request touches.
@@ -263,10 +286,14 @@ struct Meters {
     keepalive_idle_closed: Counter,
     request_timeouts: Counter,
     request_us: HistogramHandle,
+    /// `responses_Nxx` for N = 1..=5, each resolved the first time its
+    /// class occurs, so only classes that occur get a series.
+    responses: [OnceLock<Counter>; 5],
+    prefix: &'static str,
 }
 
 impl Meters {
-    fn new(prefix: &str) -> Self {
+    fn new(prefix: &'static str) -> Self {
         let telemetry = orex_telemetry::global();
         let counter = |name: &str| telemetry.counter(&format!("{prefix}.{name}"));
         Self {
@@ -277,7 +304,23 @@ impl Meters {
             keepalive_idle_closed: counter("keepalive_idle_closed"),
             request_timeouts: counter("request_timeouts"),
             request_us: telemetry.histogram(&format!("{prefix}.request_us")),
+            responses: Default::default(),
+            prefix,
         }
+    }
+
+    /// Counts one response under its status class. A status outside
+    /// 100..=599 is counted under no class.
+    fn response(&self, status: u16) {
+        let class = status / 100;
+        let Some(counter) = self.responses.get(usize::from(class).wrapping_sub(1)) else {
+            return;
+        };
+        counter
+            .get_or_init(|| {
+                orex_telemetry::global().counter(&format!("{}.responses_{class}xx", self.prefix))
+            })
+            .incr();
     }
 }
 
@@ -297,6 +340,7 @@ struct Frontend<'a, R> {
     limits: &'a Limits,
     route: R,
     meters: Meters,
+    gate: Gate,
     /// Connections that currently own a thread.
     live: AtomicUsize,
     /// Set when the accept loop exits: connections close instead of
@@ -313,7 +357,6 @@ where
         scope: &'scope Scope<'scope, '_>,
         listener: &TcpListener,
         stop: &ShutdownHandle,
-        jobs: Option<Sender<Job>>,
     ) -> io::Result<()> {
         // Acquire pairs with the Release stores in `shutdown()` and the
         // signal handler; either flag stopping is sufficient and they
@@ -332,14 +375,13 @@ where
                     // ORDERING: same occupancy gate as the load above.
                     self.live.fetch_add(1, Ordering::Relaxed);
                     let slot = Slot(&self.live);
-                    let jobs = jobs.clone();
                     // A failed spawn drops the closure, and with it the
                     // stream and the slot.
                     let _ = std::thread::Builder::new()
                         .name(format!("orex-{}-conn", self.surface.prefix))
                         .spawn_scoped(scope, move || {
                             let _slot = slot;
-                            self.connection_loop(stream, jobs);
+                            self.connection_loop(stream);
                         });
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -391,7 +433,7 @@ where
     /// buffered reader (so pipelined requests drain back to back) and
     /// answered in the same order, until the client closes, a protocol
     /// error or limit ends the connection, or the front end drains.
-    fn connection_loop(&self, stream: TcpStream, jobs: Option<Sender<Job>>) {
+    fn connection_loop(&self, stream: TcpStream) {
         let limits = self.limits;
         let _ = stream.set_write_timeout(Some(limits.io_timeout));
         // A response is one complete write; holding it back for more
@@ -452,75 +494,16 @@ where
                 self.meters.keepalive_reuses.incr();
             }
             let keep_alive = request.keep_alive() && served + 1 < limits.keepalive_requests;
-            let written = match &jobs {
-                None => self
-                    .exchange(&request, start)
-                    .write_to(&mut writer, keep_alive)
-                    .is_ok(),
-                Some(jobs) => {
-                    // One channel per request: if the handler dies with
-                    // the job, its sender goes too and `recv` returns.
-                    let (done, finished) = channel();
-                    let job = Job {
-                        request,
-                        start,
-                        keep_alive,
-                        writer,
-                        done,
-                    };
-                    if jobs.send(job).is_err() {
-                        return;
-                    }
-                    match finished.recv() {
-                        Ok((returned, written)) => {
-                            writer = returned;
-                            written
-                        }
-                        Err(_) => return,
-                    }
-                }
+            let response = {
+                let _permit = self.gate.enter();
+                self.exchange(&request, start)
             };
+            let written = response.write_to(&mut writer, keep_alive).is_ok();
             if !written || !keep_alive {
                 return;
             }
             served += 1;
             waiting_since = Instant::now();
-        }
-    }
-
-    /// One handler thread: routes queued requests until every
-    /// connection thread and the accept loop have dropped the queue.
-    fn handler_loop(&self, queue: &Mutex<Receiver<Job>>) {
-        loop {
-            // Hold the lock only while waiting for a job, never while
-            // running one, so handlers run concurrently. A poisoned
-            // lock is recovered: the receiver's state lives in the
-            // channel, not the guard.
-            let job = match queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                // orex::allow(ORX009): the mutex exists solely to share
-                // the receiver between handlers — blocking in recv()
-                // while holding it is the intended serialization (only
-                // one idle handler waits at a time), and the guard is
-                // released before the job runs.
-                .recv()
-            {
-                Ok(job) => job,
-                Err(_) => return,
-            };
-            let Job {
-                request,
-                start,
-                keep_alive,
-                mut writer,
-                done,
-            } = job;
-            let written = self
-                .exchange(&request, start)
-                .write_to(&mut writer, keep_alive)
-                .is_ok();
-            let _ = done.send((writer, written));
         }
     }
 
@@ -598,11 +581,7 @@ where
         self.meters
             .request_us
             .record_with_exemplar(elapsed.as_micros() as f64, exemplar);
-        // Resolved by name so only status classes that occur get a series.
-        let class = response.status / 100;
-        orex_telemetry::global()
-            .counter(&format!("{}.responses_{class}xx", self.surface.prefix))
-            .incr();
+        self.meters.response(response.status);
 
         let log = orex_telemetry::logger();
         let method = request.map_or("-", |r| r.method.as_str());
@@ -643,10 +622,10 @@ mod tests {
     use std::io::Write;
     use std::sync::Barrier;
 
-    fn limits(handlers: usize) -> Limits {
+    fn limits(concurrent_routes: usize) -> Limits {
         Limits {
             max_connections: 16,
-            handlers: Some(handlers),
+            concurrent_routes,
             max_body_bytes: 1024,
             io_timeout: Duration::from_secs(10),
             keepalive_idle: Duration::from_secs(10),
@@ -665,12 +644,24 @@ mod tests {
         assert_eq!(unrouted("GET", &[]).status, 404);
     }
 
+    /// Sends one `Connection: close` request to `addr` and returns the
+    /// whole reply.
+    fn get_once(addr: std::net::SocketAddr) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .write_all(b"GET /x HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        reply
+    }
+
     /// Four connections each send one request at a front end with two
-    /// handler threads. The route function rendezvouses at a two-party
-    /// barrier: with fewer than two handlers it would deadlock, and the
-    /// high-water mark shows no third ever ran alongside.
+    /// permits. The route function rendezvouses at a two-party barrier:
+    /// with fewer than two permits it would deadlock, and the high-water
+    /// mark shows no third ever ran alongside.
     #[test]
-    fn handler_threads_bound_concurrent_route_calls() {
+    fn permits_bound_concurrent_route_calls() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
         let addr = listener.local_addr().unwrap();
@@ -689,17 +680,7 @@ mod tests {
         std::thread::scope(|scope| {
             let server = scope.spawn(|| serve(&listener, &Surface::SERVER, &limits, &stop, route));
             let clients: Vec<_> = (0..4)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut stream = TcpStream::connect(addr).unwrap();
-                        stream
-                            .write_all(b"GET /x HTTP/1.1\r\nConnection: close\r\n\r\n")
-                            .unwrap();
-                        let mut reply = String::new();
-                        stream.read_to_string(&mut reply).unwrap();
-                        reply
-                    })
-                })
+                .map(|_| scope.spawn(move || get_once(addr)))
                 .collect();
             for client in clients {
                 let reply = client.join().unwrap();
@@ -709,6 +690,50 @@ mod tests {
             server.join().unwrap().unwrap();
         });
         assert_eq!(high_water.load(Ordering::SeqCst), 2);
+    }
+
+    /// The route function runs on the thread that read the request, not
+    /// on a thread the request was handed to.
+    #[test]
+    fn a_route_runs_on_its_connection_thread() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let limits = limits(1);
+        let stop = ShutdownHandle::default();
+        let seen = Mutex::new(Vec::new());
+        let route = |_: &Request, _: &mut AccessFields| {
+            let name = std::thread::current().name().map(str::to_string);
+            seen.lock().unwrap().push(name);
+            Response::text(200, "ok\n")
+        };
+        std::thread::scope(|scope| {
+            let server = scope.spawn(|| serve(&listener, &Surface::SERVER, &limits, &stop, route));
+            for _ in 0..2 {
+                let reply = get_once(addr);
+                assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+            }
+            stop.shutdown();
+            server.join().unwrap().unwrap();
+        });
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen, vec![Some("orex-server-conn".to_string()); 2]);
+    }
+
+    /// A permit taken by a thread that panics is given back as the
+    /// thread unwinds, so the gate's one permit can be taken again.
+    #[test]
+    fn a_permit_is_released_when_its_holder_unwinds() {
+        let gate = Gate::new(1);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _permit = gate.enter();
+            panic!("route function failed");
+        }));
+        assert!(unwound.is_err());
+        let state = gate.state.lock().unwrap();
+        assert_eq!((state.free, state.waiting), (1, 0));
+        drop(state);
+        drop(gate.enter());
     }
 
     /// Head and body written separately on a socket without

@@ -15,10 +15,10 @@
 //! backfills missing terms. The transport is the [`frontend`] module, the one
 //! HTTP front end this server and the `orex-router` proxy both run on:
 //! a thread per persistent HTTP/1.1 connection (keep-alive, pipelining)
-//! under a connection cap, handlers on [`ServerConfig::threads`]
-//! dedicated threads, and one request envelope of trace, metrics and
-//! access log. A pooled [`HttpClient`] is shared by the router's proxy
-//! hop and the CLI.
+//! under a connection cap, each request routed on its connection's
+//! thread under [`ServerConfig::threads`] route permits, and one request
+//! envelope of trace, metrics and access log. A pooled [`HttpClient`] is
+//! shared by the router's proxy hop and the CLI.
 //!
 //! ## Endpoints
 //!

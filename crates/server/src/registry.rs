@@ -248,9 +248,9 @@ impl DatasetService {
 /// except that a ranking runs on one thread.
 ///
 /// This is the server's thread policy. Its parallelism is the `--threads`
-/// handler pool, which is at least the core count wherever orex is
-/// served, so a kernel that fanned out to every core from inside a
-/// handler would only oversubscribe them. The kernel is bitwise identical
+/// route permits, at least the core count wherever orex is served, so a
+/// kernel that fanned out to every core from inside a route function
+/// would only oversubscribe them. The kernel is bitwise identical
 /// at any thread count, so the policy moves no answer. In-process tools
 /// (the figure binaries, `orex precompute`, the examples) keep the
 /// automatic choice.
