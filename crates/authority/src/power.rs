@@ -30,9 +30,6 @@
 //! claim contiguous window runs balanced by **slot** count rather than
 //! row count, which keeps skewed in-degree distributions (DBLP's
 //! papers-vs-years) from serializing on one unlucky worker.
-//! [`power_iteration_batch`] advances many base-set vectors through one
-//! shared sweep of the slices, reading the topology once per iteration
-//! for the whole batch.
 
 use crate::base_set::BaseSet;
 use orex_graph::slices::{CHUNK_ROWS, NO_ROW, PAD_EDGE, WINDOW_ROWS};
@@ -56,13 +53,9 @@ const RESIDUAL_LOG_EVERY: u64 = 32;
 /// the global recorder.
 struct PowerMetrics {
     iter_us: HistogramHandle,
-    batch_sweep_us: HistogramHandle,
     runs: Counter,
     iterations: Counter,
     converged: Counter,
-    batch_runs: Counter,
-    batch_vectors: Counter,
-    batch_sweeps: Counter,
     last_residual: Gauge,
 }
 
@@ -72,13 +65,9 @@ fn power_metrics() -> &'static PowerMetrics {
         let t = orex_telemetry::global();
         PowerMetrics {
             iter_us: t.histogram("authority.power.iteration_us"),
-            batch_sweep_us: t.histogram("authority.power.batch_sweep_us"),
             runs: t.counter("authority.power.runs"),
             iterations: t.counter("authority.power.iterations"),
             converged: t.counter("authority.power.converged"),
-            batch_runs: t.counter("authority.power.batch_runs"),
-            batch_vectors: t.counter("authority.power.batch_vectors"),
-            batch_sweeps: t.counter("authority.power.batch_sweeps"),
             last_residual: t.gauge("authority.power.last_residual"),
         }
     })
@@ -229,46 +218,6 @@ impl<'g> TransitionMatrix<'g> {
         }
     }
 
-    /// One shared sweep over the rows in `rows` for *all* columns: the
-    /// slices of each chunk are read once, and every column's four sums
-    /// advance in slot order — the identical floating-point op sequence a
-    /// single-vector sweep performs, so batching cannot perturb results.
-    /// `acc` is a scratch buffer of at least `cols.len()`.
-    fn pull_rows_batch(
-        &self,
-        cols: &mut [BatchColumn<'_>],
-        rows: Range<usize>,
-        damping: f64,
-        acc: &mut [[f64; CHUNK_ROWS]],
-    ) {
-        let slices = self.graph.in_slices();
-        let alpha = &self.class_alpha[..];
-        let (sources, classes) = (slices.sources(), &self.in_slot_class[..]);
-        let acc = &mut acc[..cols.len()];
-        for c in slices.chunks_of(rows.clone()) {
-            let slots = slices.chunk_slots(c);
-            let (steps, _) = sources[slots.clone()].as_chunks::<CHUNK_ROWS>();
-            let (step_classes, _) = classes[slots].as_chunks::<CHUNK_ROWS>();
-            acc.fill([0.0; CHUNK_ROWS]);
-            for (src, class) in steps.iter().zip(step_classes) {
-                let w = class.map(|c| alpha[c as usize]);
-                for (a, col) in acc.iter_mut().zip(cols.iter()) {
-                    for lane in 0..CHUNK_ROWS {
-                        a[lane] += w[lane] * col.r[src[lane] as usize];
-                    }
-                }
-            }
-            for (lane, row) in slices.chunk_rows(c).into_iter().enumerate() {
-                if row != NO_ROW {
-                    let row = row as usize;
-                    for (a, col) in acc.iter().zip(cols.iter_mut()) {
-                        col.out[row - rows.start] = damping * a[lane] + col.add[row];
-                    }
-                }
-            }
-        }
-    }
-
     /// Splits the row space into at most `threads` contiguous,
     /// window-aligned ranges with balanced **slot** counts. Row-count
     /// chunking is what it replaces: on skewed in-degree distributions a
@@ -360,20 +309,6 @@ fn class_by_bits(weights: &[f64]) -> (Vec<u64>, Vec<u16>) {
     (table, edge_class)
 }
 
-/// One thread's view of one batch column over a row range.
-struct BatchColumn<'a> {
-    r: &'a [f64],
-    out: &'a mut [f64],
-    add: &'a [f64],
-}
-
-/// Full per-column state of an in-flight batched run.
-struct BatchState {
-    r: Vec<f64>,
-    r_new: Vec<f64>,
-    jump: Vec<f64>,
-}
-
 fn resolve_threads(requested: usize, n: usize) -> usize {
     if requested > 0 {
         return requested;
@@ -386,8 +321,8 @@ fn resolve_threads(requested: usize, n: usize) -> usize {
         .unwrap_or(1)
 }
 
-/// Validates a warm-start vector like [`power_iteration`] does, falling
-/// back to the base-set dense vector on degenerate mass.
+/// The starting vector of [`power_iteration`]: the warm start when it
+/// carries positive, finite mass, else the base-set dense vector.
 fn initial_vector(base: &BaseSet, n: usize, warm_start: Option<&[f64]>) -> Vec<f64> {
     match warm_start {
         Some(w) => {
@@ -528,199 +463,6 @@ pub fn power_iteration(
         converged,
         residuals,
     }
-}
-
-/// Runs Equation 4 for many base sets through **one shared matrix sweep
-/// per iteration**: each row's CSR slots are read once and every column's
-/// accumulator advances in the same in-slot order a dedicated
-/// single-vector run would use, so each returned [`RankResult`] is
-/// *bitwise identical* to `power_iteration(matrix, &bases[k], params,
-/// warm_start)` — batching only amortizes the CSR structure traffic (u32
-/// target + u16 class id, 6 B per edge) across the batch.
-///
-/// Columns converge independently: once a column's residual drops under
-/// `epsilon` it is frozen and later sweeps skip it, exactly as its
-/// dedicated run would have stopped. `warm_start` (typically the global
-/// ObjectRank vector) seeds every column.
-///
-/// Telemetry: each shared sweep records `authority.power.batch_sweep_us`;
-/// runs/vectors/sweeps land in `authority.power.batch_*` counters.
-pub fn power_iteration_batch(
-    matrix: &TransitionMatrix<'_>,
-    bases: &[BaseSet],
-    params: &RankParams,
-    warm_start: Option<&[f64]>,
-) -> Vec<RankResult> {
-    let n = matrix.node_count();
-    assert!(n > 0, "empty graph");
-    assert!(
-        (0.0..1.0).contains(&params.damping),
-        "damping must be in [0, 1)"
-    );
-    if bases.is_empty() {
-        return Vec::new();
-    }
-    let d = params.damping;
-
-    let metrics = power_metrics();
-    metrics.batch_runs.incr();
-    metrics.batch_vectors.add(bases.len() as u64);
-    let tracer = orex_telemetry::tracer();
-    let mut run_span = tracer.span("authority.power.batch");
-    if run_span.is_recording() {
-        run_span.attr_u64("nodes", n as u64);
-        run_span.attr_u64("vectors", bases.len() as u64);
-    }
-
-    let mut cols: Vec<BatchState> = bases
-        .iter()
-        .map(|base| {
-            let mut jump = base.to_dense(n);
-            for p in &mut jump {
-                *p *= 1.0 - d;
-            }
-            BatchState {
-                r: initial_vector(base, n, warm_start),
-                r_new: vec![0.0; n],
-                jump,
-            }
-        })
-        .collect();
-
-    let threads = resolve_threads(params.threads, n);
-    let ranges = matrix.thread_ranges(threads);
-
-    // Per-column bookkeeping; `active` holds indices of still-iterating
-    // columns in ascending order.
-    let mut active: Vec<usize> = (0..cols.len()).collect();
-    let mut results: Vec<RankResult> = cols
-        .iter()
-        .map(|_| RankResult {
-            scores: Vec::new(),
-            iterations: 0,
-            converged: false,
-            residuals: Vec::new(),
-        })
-        .collect();
-
-    let mut sweeps = 0usize;
-    for iter in 0..params.max_iterations {
-        if active.is_empty() {
-            break;
-        }
-        sweeps += 1;
-        let sweep_start = metrics
-            .batch_sweep_us
-            .is_recording()
-            .then(std::time::Instant::now);
-        {
-            // Borrow the active columns as one contiguous working set for
-            // this sweep. Selection preserves ascending column order.
-            let mut views: Vec<&mut BatchState> = Vec::with_capacity(active.len());
-            let mut rest: &mut [BatchState] = &mut cols;
-            let mut consumed = 0usize;
-            for &k in &active {
-                let (_, tail) = rest.split_at_mut(k - consumed);
-                let (head, tail) = tail.split_at_mut(1);
-                views.push(&mut head[0]);
-                rest = tail;
-                consumed = k + 1;
-            }
-            sweep_batch_views(matrix, &mut views, d, &ranges);
-        }
-        if let Some(start) = sweep_start {
-            metrics
-                .batch_sweep_us
-                .record(start.elapsed().as_secs_f64() * 1e6);
-        }
-
-        // Residuals, swaps and freezes — identical order and arithmetic to
-        // the dedicated runs.
-        let mut still_active = Vec::with_capacity(active.len());
-        for &k in &active {
-            let col = &mut cols[k];
-            let residual: f64 = col
-                .r_new
-                .iter()
-                .zip(&col.r)
-                .map(|(&a, &b)| (a - b).abs())
-                .sum();
-            results[k].residuals.push(residual);
-            results[k].iterations = iter + 1;
-            std::mem::swap(&mut col.r, &mut col.r_new);
-            if residual < params.epsilon {
-                results[k].converged = true;
-            } else {
-                still_active.push(k);
-            }
-        }
-        active = still_active;
-    }
-
-    metrics.batch_sweeps.add(sweeps as u64);
-    for (k, col) in cols.into_iter().enumerate() {
-        results[k].scores = col.r;
-        metrics.iterations.add(results[k].iterations as u64);
-    }
-    let converged = results.iter().filter(|r| r.converged).count();
-    if run_span.is_recording() {
-        run_span.attr_u64("sweeps", sweeps as u64);
-        run_span.attr_u64("converged", converged as u64);
-    }
-    logger()
-        .info(LOG_TARGET, "batched run finished")
-        .field_u64("vectors", results.len() as u64)
-        .field_u64("sweeps", sweeps as u64)
-        .field_u64("converged", converged as u64)
-        .emit();
-    results
-}
-
-/// Adapter: runs one shared sweep over a set of *views* into the column
-/// states (the active subset of a batch).
-fn sweep_batch_views(
-    matrix: &TransitionMatrix<'_>,
-    views: &mut [&mut BatchState],
-    damping: f64,
-    ranges: &[Range<usize>],
-) {
-    let width = views.len();
-    if ranges.len() <= 1 {
-        let n = matrix.node_count();
-        let mut acc = vec![[0.0; CHUNK_ROWS]; width];
-        let mut cols: Vec<BatchColumn<'_>> = views
-            .iter_mut()
-            .map(|c| BatchColumn {
-                r: &c.r,
-                out: &mut c.r_new,
-                add: &c.jump,
-            })
-            .collect();
-        matrix.pull_rows_batch(&mut cols, 0..n, damping, &mut acc);
-        return;
-    }
-    let mut per_thread: Vec<Vec<BatchColumn<'_>>> =
-        ranges.iter().map(|_| Vec::with_capacity(width)).collect();
-    for col in views.iter_mut() {
-        let mut rest: &mut [f64] = &mut col.r_new;
-        for (t, range) in ranges.iter().enumerate() {
-            let (head, tail) = rest.split_at_mut(range.len());
-            rest = tail;
-            per_thread[t].push(BatchColumn {
-                r: &col.r,
-                out: head,
-                add: &col.jump,
-            });
-        }
-    }
-    std::thread::scope(|scope| {
-        for (mut cols, range) in per_thread.into_iter().zip(ranges.iter().cloned()) {
-            scope.spawn(move || {
-                let mut acc = vec![[0.0; CHUNK_ROWS]; cols.len()];
-                matrix.pull_rows_batch(&mut cols, range, damping, &mut acc);
-            });
-        }
-    });
 }
 
 #[cfg(test)]
@@ -1087,37 +829,6 @@ mod tests {
         let _ = TransitionMatrix::from_edge_weights(&tg, weights);
     }
 
-    #[test]
-    fn batch_matches_independent_runs_bitwise() {
-        let (tg, rates) = skewed_graph(120);
-        let m = TransitionMatrix::new(&tg, &rates);
-        let bases = vec![
-            BaseSet::uniform([0]).unwrap(),
-            BaseSet::weighted([(3, 2.0), (50, 1.0)]).unwrap(),
-            BaseSet::global(120).unwrap(),
-            BaseSet::weighted([(119, 1.0), (60, 0.25)]).unwrap(),
-        ];
-        for threads in [1, 3] {
-            let params = RankParams {
-                threads,
-                epsilon: 1e-10,
-                max_iterations: 500,
-                ..RankParams::default()
-            };
-            let batch = power_iteration_batch(&m, &bases, &params, None);
-            assert_eq!(batch.len(), bases.len());
-            for (base, got) in bases.iter().zip(&batch) {
-                let solo = power_iteration(&m, base, &params, None);
-                assert_eq!(solo.iterations, got.iterations, "iteration counts differ");
-                assert_eq!(solo.converged, got.converged);
-                assert_eq!(solo.residuals, got.residuals, "residual streams differ");
-                for (a, b) in solo.scores.iter().zip(&got.scores) {
-                    assert_eq!(a, b, "batched sweep must be bitwise identical");
-                }
-            }
-        }
-    }
-
     /// The graph's class ids and edge weights classed by bit pattern are
     /// two routes to one matrix: every ranking on them agrees bit for bit.
     #[test]
@@ -1147,67 +858,7 @@ mod tests {
                     assert_eq!(a.iterations, b.iterations);
                     assert_eq!(bits(&a), bits(&b), "solo, {threads} threads");
                 }
-                let a = power_iteration_batch(&streamed, &bases, &params, None);
-                let b = power_iteration_batch(&gathered, &bases, &params, None);
-                for (a, b) in a.iter().zip(&b) {
-                    assert_eq!(bits(a), bits(b), "batched, {threads} threads");
-                }
             }
-        }
-    }
-
-    #[test]
-    fn batch_with_warm_start_matches_independent_runs() {
-        let (tg, rates) = ring_graph();
-        let m = TransitionMatrix::new(&tg, &rates);
-        let global = power_iteration(&m, &BaseSet::global(4).unwrap(), &tight(), None);
-        let bases = vec![
-            BaseSet::uniform([1]).unwrap(),
-            BaseSet::uniform([2, 3]).unwrap(),
-        ];
-        let params = tight();
-        let batch = power_iteration_batch(&m, &bases, &params, Some(&global.scores));
-        for (base, got) in bases.iter().zip(&batch) {
-            let solo = power_iteration(&m, base, &params, Some(&global.scores));
-            assert_eq!(solo.iterations, got.iterations);
-            for (a, b) in solo.scores.iter().zip(&got.scores) {
-                assert_eq!(a, b);
-            }
-        }
-    }
-
-    #[test]
-    fn batch_of_none_and_one() {
-        let (tg, rates) = ring_graph();
-        let m = TransitionMatrix::new(&tg, &rates);
-        assert!(power_iteration_batch(&m, &[], &tight(), None).is_empty());
-        let base = BaseSet::uniform([0]).unwrap();
-        let one = power_iteration_batch(&m, std::slice::from_ref(&base), &tight(), None);
-        let solo = power_iteration(&m, &base, &tight(), None);
-        assert_eq!(one[0].scores, solo.scores);
-    }
-
-    #[test]
-    fn batch_respects_iteration_cap() {
-        let (tg, rates) = ring_graph();
-        let m = TransitionMatrix::new(&tg, &rates);
-        let bases = vec![
-            BaseSet::uniform([0]).unwrap(),
-            BaseSet::uniform([1]).unwrap(),
-        ];
-        let res = power_iteration_batch(
-            &m,
-            &bases,
-            &RankParams {
-                epsilon: 0.0,
-                max_iterations: 3,
-                ..RankParams::default()
-            },
-            None,
-        );
-        for r in &res {
-            assert_eq!(r.iterations, 3);
-            assert!(!r.converged);
         }
     }
 }

@@ -4,8 +4,8 @@
 //! the edge list.
 
 use orex_authority::{
-    base_subgraph, hits, power_iteration, power_iteration_batch, top_k, BaseSet, HitsParams,
-    RankParams, RankResult, TransitionMatrix,
+    base_subgraph, hits, power_iteration, top_k, BaseSet, HitsParams, RankParams, RankResult,
+    TransitionMatrix,
 };
 use orex_graph::{
     DataGraphBuilder, NodeId, SchemaGraph, TransferGraph, TransferRates, TransferTypeId,
@@ -227,54 +227,11 @@ proptest! {
         prop_assert!((na - 1.0).abs() < 1e-6 || na == 0.0);
     }
 
-    /// The batched kernel is bit-identical to running each base set
-    /// through its own power iteration, for any graph, base-set mix and
-    /// thread count: same scores, same iteration counts, same residuals.
-    #[test]
-    fn batch_bitwise_equals_independent_runs(
-        n in 2usize..16,
-        edges in proptest::collection::vec((0u32..16, 0u32..16), 1..40),
-        bases in proptest::collection::vec(
-            proptest::collection::vec((0u32..16, 0.1f64..10.0), 1..4),
-            1..5,
-        ),
-        threads in 1usize..4,
-        fwd_pct in 10u8..=45,
-        bwd_pct in 0u8..=45,
-    ) {
-        let (tg, rates) = build_graph(n, &edges, fwd_pct as f64 / 100.0, bwd_pct as f64 / 100.0);
-        let m = TransitionMatrix::new(&tg, &rates);
-        let params = RankParams {
-            threads,
-            ..RankParams::default()
-        };
-        let base_sets: Vec<BaseSet> = bases
-            .iter()
-            .map(|ws| {
-                BaseSet::weighted(ws.iter().map(|&(i, w)| (i % n as u32, w))).unwrap()
-            })
-            .collect();
-        let batched = power_iteration_batch(&m, &base_sets, &params, None);
-        prop_assert_eq!(batched.len(), base_sets.len());
-        for (base, batch) in base_sets.iter().zip(&batched) {
-            let solo = power_iteration(&m, base, &params, None);
-            prop_assert_eq!(batch.iterations, solo.iterations);
-            prop_assert_eq!(batch.converged, solo.converged);
-            prop_assert_eq!(batch.residuals.len(), solo.residuals.len());
-            for (b, s) in batch.residuals.iter().zip(&solo.residuals) {
-                prop_assert_eq!(b.to_bits(), s.to_bits());
-            }
-            for (b, s) in batch.scores.iter().zip(&solo.scores) {
-                prop_assert_eq!(b.to_bits(), s.to_bits());
-            }
-        }
-    }
-
     /// The class-table kernel over the in-slices ranks exactly as the
     /// edge-list reference: scores, residuals and iteration counts bit for
-    /// bit, solo at 1, 2 and 3 threads and batched, for a matrix from rates
-    /// and one from `from_edge_weights(tg.weights(r))`. Rates may be zero,
-    /// and `ensure_bidirectional` may fill the zeros.
+    /// bit, at 1, 2 and 3 threads, for a matrix from rates and one from
+    /// `from_edge_weights(tg.weights(r))`. Rates may be zero, and
+    /// `ensure_bidirectional` may fill the zeros.
     #[test]
     fn class_kernel_ranks_like_a_gathered_alpha_pull(
         n in 1usize..16,
@@ -317,11 +274,7 @@ proptest! {
                 let params = RankParams { threads, ..params };
                 for (base, want) in base_sets.iter().zip(&want) {
                     let got = bits(&power_iteration(&m, base, &params, None));
-                    prop_assert_eq!(&got, want, "solo, {} threads", threads);
-                }
-                let batched = power_iteration_batch(&m, &base_sets, &params, None);
-                for (got, want) in batched.iter().zip(&want) {
-                    prop_assert_eq!(&bits(got), want, "batched, {} threads", threads);
+                    prop_assert_eq!(&got, want, "{} threads", threads);
                 }
             }
         }

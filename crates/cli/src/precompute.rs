@@ -4,9 +4,9 @@
 //! Section 6.2 of the paper answers scalability by precomputing
 //! single-keyword ObjectRank2 vectors (following BHP04) and serving
 //! multi-keyword queries as linear combinations. This command selects
-//! the top-N vocabulary terms by document frequency, runs them through
-//! the batched power-iteration kernel (one shared matrix sweep advances
-//! every term's vector), and persists the result with a manifest —
+//! the top-N vocabulary terms by document frequency, runs one power
+//! iteration per term (warm-started from global ObjectRank), and
+//! persists the result with a manifest —
 //! dataset hash, damping, epsilon and term list — that the server
 //! validates at load:
 //!
@@ -143,12 +143,6 @@ pub fn run_precompute(
     let terms_per_sec = store.len() as f64 / build_secs.max(1e-9);
 
     // The manifest doubles as the CI artifact's provenance record.
-    let snapshot = orex_telemetry::global().snapshot();
-    let sweeps = snapshot
-        .counters
-        .get("authority.power.batch_sweeps")
-        .copied()
-        .unwrap_or(0);
     let manifest = serde_json::json!({
         "preset": preset.name(),
         "scale": scale,
@@ -161,7 +155,6 @@ pub fn run_precompute(
         "terms": store.terms(),
         "build_seconds": build_secs,
         "terms_per_second": terms_per_sec,
-        "batch_sweeps": sweeps,
         "artifact_bytes": bytes,
     });
     if let Err(e) = std::fs::write(
@@ -173,18 +166,17 @@ pub fn run_precompute(
     }
     writeln!(
         out,
-        "built {}/{} term vectors in {:.2}s ({:.1} terms/s, {} shared sweeps)",
+        "built {}/{} term vectors in {:.2}s ({:.1} terms/s)",
         store.len(),
         terms.len(),
         build_secs,
-        terms_per_sec,
-        sweeps
+        terms_per_sec
     )?;
     writeln!(out, "artifact: {out_path} ({bytes} bytes)")?;
     writeln!(out, "manifest: {manifest_path}")?;
 
-    // A full telemetry snapshot (counters + histograms from the batched
-    // kernel), in the JSON layout of the REPL's `stats` command.
+    // A full telemetry snapshot (counters + histograms from the power
+    // iterations), in the JSON layout of the REPL's `stats` command.
     if let Some(path) = stats_path {
         if let Err(e) = std::fs::write(&path, orex_telemetry::global().snapshot().to_json_pretty())
         {

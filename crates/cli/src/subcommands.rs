@@ -71,8 +71,8 @@ usage:
   orex precompute [--preset NAME] [--scale F] [--top N] [--out FILE]
                   [--manifest FILE] [--check K] [--stats FILE]
                              build single-keyword rank vectors for the
-                             top-N document-frequency terms through the
-                             batched power-iteration kernel and persist
+                             top-N document-frequency terms, one power
+                             iteration each, and persist
                              them with a manifest for `orex serve
                              --precompute`; --check K compares K combined
                              queries against live iteration

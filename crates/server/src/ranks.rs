@@ -235,9 +235,10 @@ impl PrecomputeTier {
         }
     }
 
-    /// The backfill builder: drains term batches from the queue, runs
-    /// them through the batched kernel (global warm start, same
-    /// parameters as the offline build) and installs the finished
+    /// The backfill builder: drains term batches from the queue, builds
+    /// each term's vector with [`orex_store::term_vector`] (the offline
+    /// build's per-term path, warm-started from the system's global
+    /// scores under its rank parameters) and installs the finished
     /// vectors. Exits when the queue is closed.
     fn backfill_loop(&self, dataset: &str, system: &ObjectRankSystem, rx: Receiver<BackfillJob>) {
         let scorer = &system.config().okapi;
@@ -257,35 +258,27 @@ impl PrecomputeTier {
             let _span = orex_telemetry::global().span("server.backfill_us");
             let matrix =
                 orex_authority::TransitionMatrix::new(system.transfer(), system.initial_rates());
-            let mut kept: Vec<(String, f64)> = Vec::with_capacity(terms.len());
-            let mut bases = Vec::with_capacity(terms.len());
+            let mut built: Vec<(String, f64, Vec<f64>)> = Vec::with_capacity(terms.len());
             let mut skipped: Vec<String> = Vec::new();
             for term in terms {
-                match orex_store::term_base(system.index(), scorer, &term) {
-                    Some((mass, base)) => {
-                        kept.push((term, mass));
-                        bases.push(base);
-                    }
+                match orex_store::term_vector(
+                    &matrix,
+                    system.index(),
+                    scorer,
+                    &term,
+                    &params,
+                    system.global_scores(),
+                ) {
+                    Some((mass, result)) => built.push((term, mass, result.scores)),
                     None => skipped.push(term),
                 }
             }
             // Terms without base sets can never combine; unmark them so a
-            // rebuilt index could retry, and skip the kernel entirely.
+            // rebuilt index could retry.
             self.clear_in_flight(&skipped);
-            if bases.is_empty() {
+            if built.is_empty() {
                 continue;
             }
-            let results = orex_authority::power_iteration_batch(
-                &matrix,
-                &bases,
-                &params,
-                system.global_scores(),
-            );
-            let built: Vec<(String, f64, Vec<f64>)> = kept
-                .into_iter()
-                .zip(results)
-                .map(|((term, mass), result)| (term, mass, result.scores))
-                .collect();
             orex_telemetry::logger()
                 .info("server.backfill", "backfilled precomputed vectors")
                 .field_str("dataset", dataset)

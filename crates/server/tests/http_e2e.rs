@@ -973,8 +973,8 @@ fn covered_queries_combine_precomputed_vectors_and_misses_backfill() {
     let terms = stable_top_terms(&system);
     assert!(terms.len() >= 3, "fixture vocabulary too small");
 
-    // Build an artifact for the served graph: top terms through the
-    // batched kernel, manifest stamped with the dataset hash.
+    // Build an artifact for the served graph: one power iteration per top
+    // term, manifest stamped with the dataset hash.
     let matrix = orex_authority::TransitionMatrix::new(system.transfer(), system.initial_rates());
     let hash = orex_store::fnv1a(&orex_store::encode_graph(system.graph()));
     let store = orex_store::PrecomputedRanks::build(

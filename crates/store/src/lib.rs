@@ -20,7 +20,7 @@ mod text_format;
 
 pub use codec::{fnv1a, Reader, Writer, FORMAT_VERSION};
 pub use error::{Result, StoreError};
-pub use precompute::{term_base, PrecomputedRanks};
+pub use precompute::{term_vector, PrecomputedRanks};
 pub use snapshot::{
     decode_graph, decode_rates, encode_graph, encode_rates, load_graph, load_rates, save_graph,
     save_rates,

@@ -29,7 +29,7 @@ use crate::codec::{Reader, Writer};
 use crate::error::{Result, StoreError};
 use bytes::Bytes;
 use orex_authority::{
-    global_object_rank, power_iteration_batch, BaseSet, RankParams, TransitionMatrix,
+    global_object_rank, power_iteration, BaseSet, RankParams, RankResult, TransitionMatrix,
 };
 use orex_ir::{InvertedIndex, QueryVector, Scorer};
 use std::collections::HashMap;
@@ -61,19 +61,30 @@ pub struct PrecomputedRanks {
     entries: HashMap<String, TermVector>,
 }
 
-/// The raw base-set scores and unit mass of a single term at query
-/// weight 1.0, shared by offline builds and online backfill.
+/// One term's precomputed vector, the one path by which offline builds
+/// and online backfill compute it: the term's unit base mass (the L1
+/// weight of its raw base-set scores at query weight 1.0) and the
+/// [`power_iteration`] run from its base set, warm-started from
+/// `warm_start` (the global ObjectRank vector, in both callers).
 ///
 /// Returns `None` when the term does not occur in the index (its base
 /// set is empty — live ranking would skip it too).
-pub fn term_base(index: &InvertedIndex, scorer: &dyn Scorer, term: &str) -> Option<(f64, BaseSet)> {
+pub fn term_vector(
+    matrix: &TransitionMatrix<'_>,
+    index: &InvertedIndex,
+    scorer: &dyn Scorer,
+    term: &str,
+    params: &RankParams,
+    warm_start: Option<&[f64]>,
+) -> Option<(f64, RankResult)> {
     let qv = QueryVector::from_weights([(term.to_string(), 1.0)]);
     let pairs = index.base_set_scores(&qv, scorer);
     let mass: f64 = pairs.iter().map(|&(_, s)| s.max(0.0)).sum();
     if mass <= 0.0 {
         return None;
     }
-    BaseSet::weighted(pairs).ok().map(|base| (mass, base))
+    let base = BaseSet::weighted(pairs).ok()?;
+    Some((mass, power_iteration(matrix, &base, params, warm_start)))
 }
 
 impl PrecomputedRanks {
@@ -88,11 +99,10 @@ impl PrecomputedRanks {
         }
     }
 
-    /// Builds vectors for `terms` through the batched power-iteration
-    /// kernel: every term's base-set column advances through one shared
-    /// matrix sweep per iteration, warm-started from the global
-    /// ObjectRank vector. Terms that never occur in the index are
-    /// skipped (they contribute nothing to any live base set either).
+    /// Builds vectors for `terms`, one [`term_vector`] each, every run
+    /// warm-started from the global ObjectRank vector. Terms that never
+    /// occur in the index are skipped (they contribute nothing to any live
+    /// base set either).
     pub fn build(
         matrix: &TransitionMatrix<'_>,
         index: &InvertedIndex,
@@ -110,21 +120,15 @@ impl PrecomputedRanks {
             params.epsilon,
         );
         let global = global_object_rank(matrix, params);
-        let mut kept: Vec<(&String, f64)> = Vec::with_capacity(terms.len());
-        let mut bases: Vec<BaseSet> = Vec::with_capacity(terms.len());
-        for term in terms {
-            if let Some((mass, base)) = term_base(index, scorer, term) {
-                kept.push((term, mass));
-                bases.push(base);
-            }
-        }
-        let results = power_iteration_batch(matrix, &bases, params, Some(&global.scores));
+        let warm_start = Some(global.scores.as_slice());
         let mut unconverged = 0usize;
-        for ((term, mass), result) in kept.into_iter().zip(results) {
-            if !result.converged {
-                unconverged += 1;
+        for term in terms {
+            if let Some((mass, result)) =
+                term_vector(matrix, index, scorer, term, params, warm_start)
+            {
+                unconverged += usize::from(!result.converged);
+                store.insert(term.clone(), mass, &result.scores);
             }
-            store.insert(term.clone(), mass, &result.scores);
         }
         telemetry
             .counter("store.precompute.terms_built")
@@ -469,19 +473,48 @@ mod tests {
         let terms = top_terms(&sys, 6);
         let offline =
             PrecomputedRanks::build(&matrix, sys.index(), &Okapi::default(), &terms, &params, 3);
-        // Rebuild one term the way the server backfill does.
-        let term = &terms[0];
-        let (mass, base) = term_base(sys.index(), &Okapi::default(), term).unwrap();
-        let global = global_object_rank(&matrix, &params);
-        let results = power_iteration_batch(&matrix, &[base], &params, Some(&global.scores));
+        assert_eq!(offline.len(), terms.len());
+        // Rebuild every term the way the server backfill does: one
+        // `term_vector` each, warm-started from the system's global scores.
         let mut online =
             PrecomputedRanks::new(3, matrix.node_count(), params.damping, params.epsilon);
-        online.insert(term.clone(), mass, &results[0].scores);
-        assert_eq!(offline.mass(term), online.mass(term));
-        let qv = QueryVector::from_weights([(term.clone(), 1.0)]);
+        for term in &terms {
+            let (mass, result) = term_vector(
+                &matrix,
+                sys.index(),
+                &Okapi::default(),
+                term,
+                &params,
+                sys.global_scores(),
+            )
+            .unwrap();
+            online.insert(term.clone(), mass, &result.scores);
+        }
+        // Every term's mass and every f32 score, bit for bit.
+        assert_eq!(online.encode(), offline.encode());
+    }
+
+    /// The artifact's bytes for a fixed system and term list: any change to
+    /// the kernel's arithmetic, the per-term path or the encoding shows
+    /// here.
+    #[test]
+    fn artifact_bytes_are_pinned() {
+        let sys = system();
+        let matrix = TransitionMatrix::new(sys.transfer(), sys.initial_rates());
+        let terms = top_terms(&sys, 6);
+        let store = PrecomputedRanks::build(
+            &matrix,
+            sys.index(),
+            &Okapi::default(),
+            &terms,
+            &sys.config().rank,
+            11,
+        );
+        assert_eq!(store.len(), 6);
+        let digest = crate::fnv1a(&store.encode());
         assert_eq!(
-            offline.combine(&qv, &Okapi::default()),
-            online.combine(&qv, &Okapi::default())
+            digest, 0xc30a_fce7_0322_a3f9,
+            "artifact digest {digest:#018x}"
         );
     }
 
