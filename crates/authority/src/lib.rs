@@ -21,7 +21,8 @@ mod topk_iteration;
 pub use base_set::{BaseSet, BaseSetError};
 pub use hits::{base_subgraph, hits, HitsParams, HitsResult};
 pub use objectrank::{
-    global_object_rank, modified_object_rank, object_rank, object_rank2, page_rank, RankingError,
+    global_object_rank, modified_object_rank, object_rank, object_rank2, page_rank, query_base_set,
+    RankingError,
 };
 pub use power::{power_iteration, RankParams, RankResult, TransitionMatrix};
 pub use topk::{top_k, Ranked};

@@ -58,18 +58,27 @@ pub fn object_rank2(
     params: &RankParams,
     warm_start: Option<&[f64]>,
 ) -> Result<RankResult, RankingError> {
+    let base = query_base_set(index, query, scorer)?;
+    Ok(power_iteration(matrix, &base, params, warm_start))
+}
+
+/// The ObjectRank2 base set of a query vector: each matching node
+/// weighted by its IR score (Equation 2), normalized. What
+/// [`object_rank2`] ranks from.
+pub fn query_base_set(
+    index: &InvertedIndex,
+    query: &QueryVector,
+    scorer: &dyn Scorer,
+) -> Result<BaseSet, RankingError> {
     if query.is_empty() {
         return Err(RankingError::EmptyQuery);
     }
-    let base = {
-        let mut span = orex_telemetry::tracer().span("authority.base_set");
-        let base = BaseSet::weighted(index.base_set_scores(query, scorer))?;
-        if span.is_recording() {
-            span.attr_u64("base_set_size", base.len() as u64);
-        }
-        base
-    };
-    Ok(power_iteration(matrix, &base, params, warm_start))
+    let mut span = orex_telemetry::tracer().span("authority.base_set");
+    let base = BaseSet::weighted(index.base_set_scores(query, scorer))?;
+    if span.is_recording() {
+        span.attr_u64("base_set_size", base.len() as u64);
+    }
+    Ok(base)
 }
 
 /// Original ObjectRank (BHP04): same random walk, but every base-set node

@@ -19,23 +19,30 @@
 //! same product as a gathered per-edge `alpha` array would give, so no
 //! process keeps or builds one.
 //!
-//! The sweep walks the graph's in-adjacency as four-row slices
+//! A matrix built from rates sweeps only the edges those rates leave
+//! live ([`orex_graph::TransferGraph::live_edges`]): a class whose
+//! `alpha` is `0.0` adds `+0.0` to every sum it touches, so its edges get
+//! no slot. The paper's DBLP rates zero PP-back, which leaves out 35 % of
+//! `dblp-top:1.0`'s slots. A matrix from arbitrary edge weights sweeps
+//! every edge.
+//!
+//! The sweep walks the live in-adjacency as four-row slices
 //! ([`orex_graph::slices`]): a chunk of four rows of similar in-degree,
 //! stored step-major, so one pass over the chunk advances four
 //! independent sums, `[f64; 4]`, instead of one serial chain of adds per
-//! row. Each row's slots are in ascending edge order and its padding
-//! terms are `±0.0`, so every sum is bit-identical to a row-by-row pull
-//! over in-edges in ascending edge order, on any thread count.
+//! row ([`orex_graph::InSlices::chunk_sums`]). Each row's slots are in
+//! ascending edge order and its padding and dropped terms are `+0.0`, so
+//! every sum is bit-identical to a row-by-row pull over all in-edges in
+//! ascending edge order, on any thread count.
 //! Windows of 4,096 rows are the unit of thread partitioning: threads
 //! claim contiguous window runs balanced by **slot** count rather than
 //! row count, which keeps skewed in-degree distributions (DBLP's
 //! papers-vs-years) from serializing on one unlucky worker.
 
 use crate::base_set::BaseSet;
-use orex_graph::slices::{CHUNK_ROWS, NO_ROW, PAD_EDGE, WINDOW_ROWS};
-use orex_graph::{class_id, class_table, TransferGraph, TransferRates};
+use orex_graph::slices::{NO_ROW, PAD_EDGE, WINDOW_ROWS};
+use orex_graph::{class_id, class_table, InSlices, LiveEdges, TransferGraph, TransferRates};
 use orex_telemetry::{logger, Counter, Gauge, HistogramHandle, Level, RateLimit};
-use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -113,40 +120,42 @@ pub struct RankResult {
 }
 
 /// The transition structure `d`-independent part of Equation 4: the
-/// transfer-graph topology, a class id per in-slot and each class's
+/// transfer edges a sweep visits, a class id per in-slot and each class's
 /// `alpha` under one rates vector.
 ///
-/// The class ids are the graph's own ([`orex_graph::InSlices::classes`]),
-/// borrowed; only [`Self::from_edge_weights`] owns a class array. Building
-/// a matrix from rates costs the class table, a few hundred multiplies.
+/// The class ids are the layout's own ([`orex_graph::InSlices::classes`]);
+/// only [`Self::from_edge_weights`] owns a class array. Building a matrix
+/// from rates costs the class table, a few hundred multiplies, and a
+/// lookup of the layout its dead classes select.
 pub struct TransitionMatrix<'g> {
-    graph: &'g TransferGraph,
+    edges: LiveEdges<'g>,
     /// `alpha` (Equation 1) per class, then `0.0` for the padding class.
     class_alpha: Vec<f64>,
-    /// The class of each in-slot.
-    in_slot_class: Cow<'g, [u16]>,
+    /// The class of each in-slot, when it is not the layout's own.
+    slot_class: Option<Vec<u16>>,
 }
 
 impl<'g> TransitionMatrix<'g> {
     /// Builds the matrix for a rates vector: the graph's class table under
-    /// `rates` ([`TransferGraph::class_alpha`]) read through its in-slot
-    /// class ids.
+    /// `rates` ([`TransferGraph::class_alpha`]) read through the in-slot
+    /// class ids of the edges it leaves live.
     pub fn new(graph: &'g TransferGraph, rates: &TransferRates) -> Self {
         let mut class_alpha = graph.class_alpha(rates);
+        let edges = graph.live_edges(&class_alpha);
         // The padding class, id `graph.class_count()`.
         class_alpha.push(0.0);
         Self {
-            graph,
+            edges,
             class_alpha,
-            in_slot_class: Cow::Borrowed(graph.in_slices().classes()),
+            slot_class: None,
         }
     }
 
-    /// Builds the matrix from precomputed per-edge weights (edge-indexed):
-    /// each distinct f64 bit pattern becomes one class, so every slot reads
-    /// back exactly its edge's weight. Each edge gets its class id once,
-    /// in edge order ([`class_by_bits`]), and the ids are gathered into
-    /// slot order.
+    /// Builds the matrix from precomputed per-edge weights (edge-indexed)
+    /// over every transfer edge: each distinct f64 bit pattern becomes one
+    /// class, so every slot reads back exactly its edge's weight. Each
+    /// edge gets its class id once, in edge order ([`class_by_bits`]), and
+    /// the ids are gathered into slot order.
     ///
     /// # Panics
     /// Panics if `edge_weights` does not have one entry per transfer edge,
@@ -160,7 +169,8 @@ impl<'g> TransitionMatrix<'g> {
         let (table, edge_class) = class_by_bits(&edge_weights);
         drop(edge_weights);
         let pad_class = table.len() as u16;
-        let in_slot_class = graph
+        let edges = graph.all_edges();
+        let slot_class = edges
             .in_slices()
             .edges()
             .iter()
@@ -172,22 +182,37 @@ impl<'g> TransitionMatrix<'g> {
         let mut class_alpha: Vec<f64> = table.into_iter().map(f64::from_bits).collect();
         class_alpha.push(0.0);
         Self {
-            graph,
+            edges,
             class_alpha,
-            in_slot_class: Cow::Owned(in_slot_class),
+            slot_class: Some(slot_class),
+        }
+    }
+
+    /// The in-adjacency the sweep walks.
+    #[inline]
+    fn slices(&self) -> &InSlices {
+        self.edges.in_slices()
+    }
+
+    /// The class of each in-slot.
+    #[inline]
+    fn slot_classes(&self) -> &[u16] {
+        match &self.slot_class {
+            Some(owned) => owned,
+            None => self.slices().classes(),
         }
     }
 
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.graph.node_count()
+        self.graph().node_count()
     }
 
     /// The underlying transfer graph.
     #[inline]
     pub fn graph(&self) -> &'g TransferGraph {
-        self.graph
+        self.edges.graph()
     }
 
     /// Computes `out[i] = damping * Σ_{j -> i} alpha(j -> i) * r[j] + add[i]`
@@ -195,20 +220,10 @@ impl<'g> TransitionMatrix<'g> {
     /// exactly those rows). `alpha(j -> i)` is its slot's class `alpha`.
     /// `rows` must be window-aligned (it comes from [`Self::thread_ranges`]).
     fn pull_rows(&self, r: &[f64], out: &mut [f64], rows: Range<usize>, damping: f64, add: &[f64]) {
-        let slices = self.graph.in_slices();
-        let alpha = &self.class_alpha[..];
-        let (sources, classes) = (slices.sources(), &self.in_slot_class[..]);
+        let slices = self.slices();
+        let (alpha, classes) = (&self.class_alpha[..], self.slot_classes());
         for c in slices.chunks_of(rows.clone()) {
-            let slots = slices.chunk_slots(c);
-            let (steps, _) = sources[slots.clone()].as_chunks::<CHUNK_ROWS>();
-            let (step_classes, _) = classes[slots].as_chunks::<CHUNK_ROWS>();
-            // One sum per lane, each advanced in its row's slot order.
-            let mut acc = [0.0f64; CHUNK_ROWS];
-            for (src, class) in steps.iter().zip(step_classes) {
-                for lane in 0..CHUNK_ROWS {
-                    acc[lane] += alpha[class[lane] as usize] * r[src[lane] as usize];
-                }
-            }
+            let acc = slices.chunk_sums(c, classes, alpha, r);
             for (row, acc) in slices.chunk_rows(c).into_iter().zip(acc) {
                 if row != NO_ROW {
                     let row = row as usize;
@@ -227,7 +242,7 @@ impl<'g> TransitionMatrix<'g> {
         if threads <= 1 || n == 0 {
             return std::iter::once(0..n).collect();
         }
-        let slices = self.graph.in_slices();
+        let slices = self.slices();
         let target = slices.slot_count().div_ceil(threads).max(1);
         let mut ranges = Vec::with_capacity(threads);
         let mut row_start = 0usize;
@@ -717,20 +732,20 @@ mod tests {
         }
     }
 
-    /// A matrix from rates borrows the graph's in-slot class ids rather
+    /// A matrix from rates borrows its layout's in-slot class ids rather
     /// than copying them, every slot reads back its edge's Equation 1
     /// weight, bit for bit, and every padding slot reads `0.0`.
     #[test]
     fn class_kernel_borrows_the_graphs_class_ids() {
         let (tg, rates) = skewed_graph(40);
         let m = TransitionMatrix::new(&tg, &rates);
-        let slices = tg.in_slices();
-        assert!(matches!(m.in_slot_class, Cow::Borrowed(_)));
-        assert_eq!(m.in_slot_class.as_ptr(), slices.classes().as_ptr());
+        let slices = m.slices();
+        assert!(m.slot_class.is_none());
+        assert_eq!(m.slot_classes().as_ptr(), slices.classes().as_ptr());
         assert_eq!(m.class_alpha.len(), tg.class_count() + 1);
         let w = tg.weights(&rates);
         assert!(slices.edges().contains(&PAD_EDGE));
-        for (&c, &e) in m.in_slot_class.iter().zip(slices.edges()) {
+        for (&c, &e) in m.slot_classes().iter().zip(slices.edges()) {
             let want = if e == PAD_EDGE { 0.0 } else { w[e as usize] };
             assert_eq!(m.class_alpha[c as usize].to_bits(), want.to_bits());
         }
@@ -745,10 +760,11 @@ mod tests {
         let weights = vec![0.5, -0.0, 0.0, 0.5, 1.0 / 3.0, 0.0, 0.5, 0.25];
         assert_eq!(weights.len(), tg.transfer_edge_count());
         let m = TransitionMatrix::from_edge_weights(&tg, weights.clone());
-        assert!(matches!(m.in_slot_class, Cow::Owned(_)));
+        assert!(m.slot_class.is_some());
+        assert!(m.edges.same_layout(&tg.all_edges()));
         // Five distinct patterns and the padding class.
         assert_eq!(m.class_alpha.len(), 6);
-        for (&c, &e) in m.in_slot_class.iter().zip(tg.in_slices().edges()) {
+        for (&c, &e) in m.slot_classes().iter().zip(m.slices().edges()) {
             assert_eq!(
                 m.class_alpha[c as usize].to_bits(),
                 weights[e as usize].to_bits()

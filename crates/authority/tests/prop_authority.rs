@@ -1,7 +1,8 @@
 //! Property-based tests for the ranking engines: Equation 4 fixpoint
-//! identities, damping behaviour, top-k consistency, HITS invariants, and
-//! the class-table kernel over the in-slices against a pull straight from
-//! the edge list.
+//! identities, damping behaviour, top-k consistency, HITS invariants, the
+//! class-table kernel over the in-slices against a pull straight from
+//! the edge list, and the live-edge layout against the layout of every
+//! edge.
 
 use orex_authority::{
     base_subgraph, hits, power_iteration, top_k, BaseSet, HitsParams, RankParams, RankResult,
@@ -277,6 +278,81 @@ proptest! {
                     prop_assert_eq!(&got, want, "{} threads", threads);
                 }
             }
+        }
+    }
+
+    /// Zero rates drop their edges from the layout a matrix from rates
+    /// sweeps, and nothing else changes: on random schema graphs with at
+    /// least one zero-rate type, `power_iteration` on the live layout
+    /// equals it on the layout of every edge (`from_edge_weights`), bit
+    /// for bit in scores, residuals and iteration count, on one thread
+    /// and on two (two thread ranges once the fan adds a second window).
+    #[test]
+    fn live_layout_ranks_like_the_layout_of_every_edge(
+        type_rolls in proptest::collection::vec((0usize..3, 0usize..3), 1..5),
+        node_types in proptest::collection::vec(0usize..3, 2..30),
+        edge_rolls in proptest::collection::vec((0u32..64, 0u32..64, 0usize..8), 1..80),
+        rate_rolls in proptest::collection::vec(prop_oneof![Just(0u8), 1u8..=100], 10..11),
+        zero_roll in 0usize..10,
+        fan in second_window(),
+        base in proptest::collection::vec((0u32..64, 0.1f64..10.0), 1..4),
+    ) {
+        let mut schema = SchemaGraph::new();
+        let types: Vec<_> = (0..3)
+            .map(|t| schema.add_node_type(format!("T{t}")).unwrap())
+            .collect();
+        let edge_types: Vec<_> = type_rolls
+            .iter()
+            .enumerate()
+            .map(|(i, &(s, t))| schema.add_edge_type(types[s], types[t], format!("e{i}")).unwrap())
+            .collect();
+        let mut b = DataGraphBuilder::new(schema);
+        let mut by_type: Vec<Vec<NodeId>> = vec![Vec::new(); 3];
+        for (i, &t) in node_types.iter().enumerate() {
+            // Every node type gets a node.
+            let t = if i < 3 { i } else { t };
+            by_type[t].push(b.add_node(types[t], vec![]).unwrap());
+        }
+        for &(s, t, ty) in &edge_rolls {
+            let ty = ty % edge_types.len();
+            let (src, dst) = (&by_type[type_rolls[ty].0], &by_type[type_rolls[ty].1]);
+            let (src, dst) = (src[s as usize % src.len()], dst[t as usize % dst.len()]);
+            b.add_edge(src, dst, edge_types[ty]).unwrap();
+        }
+        // The fan: nodes of the first edge type's source type, each linked
+        // to a node of its target type.
+        let (fan_src, fan_dst) = type_rolls[0];
+        for j in 0..fan {
+            let node = b.add_node(types[fan_src], vec![]).unwrap();
+            let targets = &by_type[fan_dst];
+            b.add_edge(node, targets[j % targets.len()], edge_types[0]).unwrap();
+        }
+        let g = b.freeze();
+        let rate_count = 2 * edge_types.len();
+        let mut dense: Vec<f64> =
+            rate_rolls[..rate_count].iter().map(|&r| f64::from(r) / 100.0).collect();
+        dense[zero_roll % rate_count] = 0.0;
+        let mut rates = TransferRates::from_dense(g.schema(), dense).unwrap();
+        rates.rescale_outgoing(g.schema());
+        rates.validate(g.schema()).unwrap();
+        prop_assert!(rates.as_slice().contains(&0.0));
+
+        let tg = TransferGraph::build(&g);
+        let n = tg.node_count() as u32;
+        let base = BaseSet::weighted(base.iter().map(|&(i, w)| (i % n, w))).unwrap();
+        let live = TransitionMatrix::new(&tg, &rates);
+        let every = TransitionMatrix::from_edge_weights(&tg, tg.weights(&rates));
+        let dead_edges = tg.weights(&rates).contains(&0.0);
+        prop_assert_eq!(
+            !tg.live_edges(&tg.class_alpha(&rates)).same_layout(&tg.all_edges()),
+            dead_edges
+        );
+        let params = RankParams { epsilon: 1e-9, max_iterations: 300, ..RankParams::default() };
+        for threads in 1..=2 {
+            let params = RankParams { threads, ..params };
+            let want = bits(&power_iteration(&every, &base, &params, None));
+            let got = bits(&power_iteration(&live, &base, &params, None));
+            prop_assert_eq!(got, want, "{} threads", threads);
         }
     }
 

@@ -114,7 +114,7 @@ fn main() {
                     system.transfer(),
                     session.rates(),
                     session.scores(),
-                    &base,
+                    base.nodes(),
                     target,
                     &params,
                 ) {
@@ -311,7 +311,7 @@ fn tight_explanation(
         system.transfer(),
         session.rates(),
         session.scores(),
-        &base,
+        base.nodes(),
         target,
         &ExplainParams {
             epsilon: 1e-12,

@@ -9,12 +9,14 @@
 //! are recorded so the Figures 14–17 experiments read them off directly.
 
 use crate::system::ObjectRankSystem;
-use orex_authority::{object_rank2, top_k, BaseSet, Ranked, RankingError, TransitionMatrix};
+use orex_authority::{
+    power_iteration, query_base_set, top_k, BaseSet, Ranked, RankingError, TransitionMatrix,
+};
 use orex_explain::{ExplainError, Explanation};
 use orex_graph::{NodeId, TransferRates};
 use orex_ir::{Query, QueryVector};
 use orex_reformulate::{reformulate, ReformulateParams};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A ranked result with its display name.
@@ -93,26 +95,52 @@ impl From<ExplainError> for SessionError {
     }
 }
 
-/// One converged score vector with the memoised head of its ranking.
+/// One converged score vector with the nodes of the base set it was
+/// ranked from and the memoised head of its ranking.
 ///
 /// Built once per ranking and never edited: the session, its snapshots
 /// and every clone of them share one instance, and a feedback round
 /// installs a fresh one. That is what lets a server hand the same
 /// |V|-sized vector to its result cache, its session table and any
-/// number of concurrent requests without copying it.
+/// number of concurrent requests without copying it, and what lets every
+/// explanation and feedback round on a state read its base set instead
+/// of scoring the query again.
 #[derive(Debug)]
 struct RankedScores {
     values: Vec<f64>,
+    /// The nodes of the query's base set, ascending: set by the ranking,
+    /// or on first use when the scores came from elsewhere
+    /// ([`SessionSnapshot::from_parts`]). An explanation reads only which
+    /// nodes are in the base set, so their weights are not kept: 4 B per
+    /// node where the weighted set takes 16, on each of a server's
+    /// sessions.
+    base_nodes: OnceLock<Box<[u32]>>,
     /// `(k, top_k(values, k, 0.0))` for the largest `k` asked for so far.
     top: Mutex<(usize, Vec<Ranked>)>,
 }
 
 impl RankedScores {
-    fn new(values: Vec<f64>) -> Arc<Self> {
+    fn new(values: Vec<f64>, base: Option<&BaseSet>) -> Arc<Self> {
         Arc::new(Self {
             values,
+            base_nodes: base
+                .map(|b| OnceLock::from(b.nodes().collect::<Box<[u32]>>()))
+                .unwrap_or_default(),
             top: Mutex::new((0, Vec::new())),
         })
+    }
+
+    /// The base-set nodes, from `compute` on the first call when the
+    /// ranking did not leave them.
+    fn base_nodes(
+        &self,
+        compute: impl FnOnce() -> Result<BaseSet, RankingError>,
+    ) -> Result<&[u32], SessionError> {
+        if let Some(nodes) = self.base_nodes.get() {
+            return Ok(nodes);
+        }
+        let nodes = compute()?.nodes().collect();
+        Ok(self.base_nodes.get_or_init(|| nodes))
     }
 
     /// `top_k(values, k, 0.0)`, scanning `values` only when `k` exceeds
@@ -158,7 +186,7 @@ impl SessionSnapshot {
         Self {
             query,
             rates,
-            scores: RankedScores::new(scores),
+            scores: RankedScores::new(scores, None),
             history: vec![StepStats::default()],
             explained: None,
         }
@@ -214,8 +242,9 @@ pub struct QuerySession<'s> {
 /// Ranks `query` under `rates` from `warm_start`: the execution step of
 /// the initial query and of every feedback round. The matrix reads alpha
 /// from the graph's Equation 1 class table under `rates`, so building it
-/// costs the class table, not a per-edge array.
-/// The returned stats carry the rank fields only.
+/// costs the class table, not a per-edge array. The returned scores keep
+/// the nodes of the base set they were ranked from; the stats carry the
+/// rank fields only.
 fn rank(
     system: &ObjectRankSystem,
     rates: &TransferRates,
@@ -227,14 +256,8 @@ fn rank(
     let start = Instant::now();
     let rank_span = telemetry.span("session.rank_us");
     let mut rank_tspan = orex_telemetry::tracer().span("session.rank");
-    let result = object_rank2(
-        &matrix,
-        system.index(),
-        query,
-        &system.config().okapi,
-        &system.config().rank,
-        warm_start,
-    )?;
+    let base = query_base_set(system.index(), query, &system.config().okapi)?;
+    let result = power_iteration(&matrix, &base, &system.config().rank, warm_start);
     if rank_tspan.is_recording() {
         rank_tspan.attr_u64("iterations", result.iterations as u64);
         rank_tspan.attr_u64("converged", u64::from(result.converged));
@@ -247,7 +270,7 @@ fn rank(
         rank_converged: result.converged,
         ..StepStats::default()
     };
-    Ok((RankedScores::new(result.scores), stats))
+    Ok((RankedScores::new(result.scores, Some(&base)), stats))
 }
 
 impl<'s> QuerySession<'s> {
@@ -438,7 +461,7 @@ impl<'s> QuerySession<'s> {
         if let Some(kept) = self.kept_explanation(target) {
             return Ok(kept);
         }
-        let built = Arc::new(self.explain_from(&self.current_base_set()?, target)?);
+        let built = Arc::new(self.explain_from(self.base_nodes()?, target)?);
         *self.explained_slot() = Some(Arc::clone(&built));
         Ok(built)
     }
@@ -452,13 +475,13 @@ impl<'s> QuerySession<'s> {
     }
 
     /// Explains `target` against the current rates and scores, given the
-    /// current query's base set.
-    fn explain_from(&self, base: &BaseSet, target: NodeId) -> Result<Explanation, SessionError> {
+    /// current query's base-set nodes.
+    fn explain_from(&self, base: &[u32], target: NodeId) -> Result<Explanation, SessionError> {
         Ok(Explanation::explain(
             self.system.transfer(),
             &self.rates,
             &self.scores.values,
-            base,
+            base.iter().copied(),
             target,
             &self.system.config().explain,
         )?)
@@ -481,15 +504,19 @@ impl<'s> QuerySession<'s> {
         ))
     }
 
-    fn current_base_set(&self) -> Result<BaseSet, SessionError> {
-        let _span = orex_telemetry::global().span("session.ir_lookup_us");
-        let _tspan = orex_telemetry::tracer().span("session.ir_lookup");
-        BaseSet::weighted(
-            self.system
-                .index()
-                .base_set_scores(&self.query, &self.system.config().okapi),
-        )
-        .map_err(|e| SessionError::Ranking(RankingError::EmptyBaseSet(e)))
+    /// The current query's base-set nodes: the ones its ranking kept, or,
+    /// for scores from [`SessionSnapshot::from_parts`], scored once on
+    /// first use and kept with them.
+    fn base_nodes(&self) -> Result<&[u32], SessionError> {
+        self.scores.base_nodes(|| {
+            let _span = orex_telemetry::global().span("session.ir_lookup_us");
+            let _tspan = orex_telemetry::tracer().span("session.ir_lookup");
+            query_base_set(
+                self.system.index(),
+                &self.query,
+                &self.system.config().okapi,
+            )
+        })
     }
 
     /// Marks `objects` as relevant, reformulates the query with the
@@ -521,7 +548,7 @@ impl<'s> QuerySession<'s> {
 
         // Stage 1 + 2: explain every feedback object, reusing the one an
         // earlier `explain` on this state already built.
-        let base = self.current_base_set()?;
+        let base = self.base_nodes()?;
         let mut explanations = Vec::with_capacity(objects.len());
         let mut construction = Duration::ZERO;
         let mut adjustment = Duration::ZERO;
@@ -533,7 +560,7 @@ impl<'s> QuerySession<'s> {
                     kept
                 }
                 None => {
-                    let e = self.explain_from(&base, obj)?;
+                    let e = self.explain_from(base, obj)?;
                     construction += e.construction_time();
                     adjustment += e.adjustment_time();
                     Arc::new(e)
@@ -855,7 +882,7 @@ mod tests {
             ks in proptest::collection::vec(0usize..50, 1..12),
         ) {
             let values: Vec<f64> = levels.iter().map(|&l| f64::from(l) * 0.125).collect();
-            let shared = RankedScores::new(values.clone());
+            let shared = RankedScores::new(values.clone(), None);
             for k in ks {
                 proptest::prop_assert_eq!(shared.top_k(k), top_k(&values, k, 0.0));
             }
@@ -956,7 +983,7 @@ mod tests {
         let fresh =
             TransitionMatrix::from_edge_weights(sys.transfer(), sys.transfer().weights(rates));
         let config = sys.config();
-        let result = object_rank2(
+        let result = orex_authority::object_rank2(
             &fresh,
             sys.index(),
             qv,
@@ -1001,7 +1028,7 @@ mod tests {
             sys.transfer(),
             session.rates(),
             session.scores(),
-            &session.current_base_set().unwrap(),
+            fresh_base_set(session).nodes(),
             target,
             &sys.config().explain,
         )
@@ -1012,6 +1039,73 @@ mod tests {
         for e in explained.edges() {
             assert_eq!(e.alpha.to_bits(), weights[e.transfer_edge].to_bits());
         }
+    }
+
+    /// The current query's base set scored afresh.
+    fn fresh_base_set(session: &QuerySession<'_>) -> BaseSet {
+        let sys = session.system();
+        query_base_set(sys.index(), session.query_vector(), &sys.config().okapi).unwrap()
+    }
+
+    /// A ranked state keeps the nodes of the base set it ranked from,
+    /// equal to those of one scored afresh, through feedback; a state
+    /// from `from_parts` scores them on first use, once, and every resume
+    /// of that snapshot shares them.
+    #[test]
+    fn a_ranked_state_keeps_its_base_set() {
+        let sys = system();
+        let fresh_nodes = |s: &QuerySession<'_>| fresh_base_set(s).nodes().collect::<Vec<_>>();
+        let mut session = QuerySession::start(&sys, &Query::parse("data")).unwrap();
+        for _ in 0..2 {
+            assert_eq!(session.base_nodes().unwrap(), fresh_nodes(&session));
+            let top = session.top_k(1)[0].node;
+            session.feedback(&[top]).unwrap();
+        }
+        assert_eq!(session.base_nodes().unwrap(), fresh_nodes(&session));
+
+        let parts = SessionSnapshot::from_parts(
+            session.query_vector().clone(),
+            session.rates().clone(),
+            session.scores().to_vec(),
+        );
+        assert!(parts.scores.base_nodes.get().is_none());
+        let a = QuerySession::resume(&sys, parts.clone());
+        let b = QuerySession::resume(&sys, parts.clone());
+        let kept = a.base_nodes().unwrap();
+        assert_eq!(kept, fresh_nodes(&a));
+        assert!(std::ptr::eq(kept, b.base_nodes().unwrap()), "scored once");
+        assert!(std::ptr::eq(
+            kept,
+            &**parts.scores.base_nodes.get().unwrap()
+        ));
+    }
+
+    /// Equation 13 multiplies rates, so feedback never changes which
+    /// rates are zero: every round's matrix sweeps the layout the initial
+    /// rates chose (DBLP's PP-back is 0), and no round builds another.
+    #[test]
+    fn feedback_keeps_the_zero_rate_set_and_its_layout() {
+        let sys = system();
+        let transfer = sys.transfer();
+        let zeros = |rates: &TransferRates| -> Vec<usize> {
+            let dense = rates.as_slice();
+            (0..dense.len()).filter(|&t| dense[t] == 0.0).collect()
+        };
+        let initial = sys.initial_rates();
+        assert!(!zeros(initial).is_empty(), "DBLP rates zero PP-back");
+        let layout = transfer.live_edges(&transfer.class_alpha(initial));
+        assert!(!layout.same_layout(&transfer.all_edges()));
+        let bytes = transfer.heap_bytes();
+        let mut session = QuerySession::start(&sys, &Query::parse("data")).unwrap();
+        for round in 0..3 {
+            let top = session.top_k(2);
+            session.feedback(&[top[0].node, top[1].node]).unwrap();
+            assert_ne!(session.rates(), initial, "round {round} trains the rates");
+            assert_eq!(zeros(session.rates()), zeros(initial), "round {round}");
+            let alpha = transfer.class_alpha(session.rates());
+            assert!(transfer.live_edges(&alpha).same_layout(&layout));
+        }
+        assert_eq!(transfer.heap_bytes(), bytes, "no other layout built");
     }
 
     #[test]

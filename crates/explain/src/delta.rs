@@ -192,7 +192,7 @@ mod tests {
             &tg,
             &rates,
             &rank.scores,
-            &base,
+            base.nodes(),
             NodeId::new(2),
             &ExplainParams::default(),
         )
@@ -247,7 +247,7 @@ mod tests {
             &tg,
             &rates,
             &rank.scores,
-            &base,
+            base.nodes(),
             NodeId::new(1),
             &ExplainParams::default(),
         )

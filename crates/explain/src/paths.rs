@@ -343,7 +343,7 @@ mod tests {
             &tg,
             &rates,
             &rank.scores,
-            &base,
+            base.nodes(),
             NodeId::new(target),
             &ExplainParams::default(),
         )

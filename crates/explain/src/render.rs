@@ -106,7 +106,7 @@ mod tests {
             &tg,
             &rates,
             &rank.scores,
-            &base,
+            base.nodes(),
             NodeId::new(1),
             &ExplainParams::default(),
         )

@@ -10,8 +10,10 @@
 //!   schema graph (Figure 3) — the vector structure-based reformulation
 //!   learns;
 //! - [`TransferGraph`]: the authority transfer data graph (Figure 5) with
-//!   per-edge weights derived by Equation 1, and its in-adjacency as
-//!   four-row [`InSlices`] for the power sweep.
+//!   per-edge weights derived by Equation 1, and the edges a rates vector
+//!   leaves live ([`LiveEdges`]): an in-adjacency as four-row [`InSlices`]
+//!   for the power sweep and an out-CSR for the explaining-subgraph walks,
+//!   laid out once per set of zero-`alpha` classes.
 //!
 //! The crate is dependency-free; all storage is flat CSR arrays tuned for
 //! the power-iteration workloads of the downstream crates.
@@ -36,4 +38,4 @@ pub use error::{GraphError, Result};
 pub use ids::{Direction, EdgeId, EdgeTypeId, NodeId, NodeTypeId, TransferTypeId};
 pub use schema::{EdgeType, SchemaGraph};
 pub use slices::InSlices;
-pub use transfer::{class_id, class_table, TransferGraph, TransferRates, MAX_CLASSES};
+pub use transfer::{class_id, class_table, LiveEdges, TransferGraph, TransferRates, MAX_CLASSES};

@@ -1,34 +1,44 @@
-//! The in-adjacency of the authority transfer data graph, laid out for
-//! the pull sweep as four-row slices (SELL-C-σ: Kreutzer, Hager,
-//! Wellein, Fehske and Bishop, SIAM J. Sci. Comput. 2014, with C = 4
-//! and σ = 4,096).
+//! Four-row slices (SELL-C-σ: Kreutzer, Hager, Wellein, Fehske and
+//! Bishop, SIAM J. Sci. Comput. 2014, with C = 4 and σ = 4,096): the
+//! one layout both weighted fixpoints of the paper's cycle sweep.
 //!
-//! A row-by-row pull adds each row's in-edge terms into one sum, a
-//! serial chain of dependent adds about nine slots long on DBLP, and
-//! every row leaves its loop at a different count. The slices let a
-//! sweep advance four independent sums at once instead:
+//! - The power sweep of Equation 4 pulls each node's in-edges: rows are
+//!   targets, sources are tails, and the layout holds the transfer edges
+//!   a rates vector leaves live ([`crate::LiveEdges`]).
+//! - The Equation 10 fixpoint of an explanation pulls each node's
+//!   out-edges: rows are local tails, sources are local heads, and the
+//!   layout holds every edge of the explaining subgraph.
 //!
-//! - Rows (target nodes) are cut into *windows* of [`WINDOW_ROWS`]
-//!   consecutive ids. Inside a window the rows are sorted by in-degree,
-//!   descending, ties by row id. A row's position in that order is its
-//!   *lane*, so lanes `w·σ .. (w+1)·σ` hold exactly the rows of window
-//!   `w`.
+//! Either way a row's sum is `Σ alpha[class] · x[source]` over its edges,
+//! with `alpha` read through a per-class table. A row-by-row pull adds
+//! each row's terms into one sum, a serial chain of dependent adds about
+//! nine slots long on DBLP, and every row leaves its loop at a different
+//! count. The slices let a sweep advance four independent sums at once
+//! instead ([`InSlices::chunk_sums`]):
+//!
+//! - Rows are cut into *windows* of [`WINDOW_ROWS`] consecutive ids.
+//!   Inside a window the rows are sorted by degree, descending, ties by
+//!   row id. A row's position in that order is its *lane*, so lanes
+//!   `w·σ .. (w+1)·σ` hold exactly the rows of window `w`.
 //! - Lanes `4c .. 4c + 4` are *chunk* `c`. A chunk's slots are stored
 //!   column-major: step `j` holds slot `j` of each of its four rows.
 //! - Every row is padded to its chunk's longest row (lane 0) with
 //!   padding slots: edge [`PAD_EDGE`], the padding class, and lane 0's
-//!   row as source, so a padding term reads a score the chunk already
-//!   touches. The sweep reads a padding class's `alpha` as `0.0`, so a
-//!   padding term is `±0.0` for any finite score and leaves a sum's bits
-//!   as they were (a sum that starts at `+0.0` is never `-0.0`).
-//! - Each row keeps its in-edges in ascending edge order.
+//!   row as source, so a padding term reads a value the chunk already
+//!   touches. A sweep reads a padding class's `alpha` as `0.0`.
+//! - Each row keeps its edges in ascending edge order.
+//! - An edge whose class is dead (its `alpha` is `0.0`) gets no slot.
 //!
-//! So four lanes advanced together add the same products in the same
-//! order as a row-by-row pull over in-edges in ascending edge order, and
-//! every score is bit-identical to that pull. Sorting only inside a
-//! window keeps the slices a permutation of nearby rows, so the score
-//! writes of one chunk stay within 4,096 rows; sorting by degree keeps
-//! the padding small (0.47 % of the slots on `dblp-complete:0.1`).
+//! Every value swept is non-negative and finite (scores, reduction
+//! factors, rates), so a padding term or a dropped dead term is `+0.0`,
+//! and adding `+0.0` to a non-negative sum that starts at `+0.0` leaves
+//! its bits as they were. So four lanes advanced together add the same
+//! nonzero products in the same order as a row-by-row pull over every
+//! edge in ascending edge order, and every sum is bit-identical to that
+//! pull. Sorting only inside a window keeps the slices a permutation of
+//! nearby rows, so the writes of one chunk stay within 4,096 rows;
+//! sorting by degree keeps the padding small (0.47 % of the slots on
+//! `dblp-complete:0.1`).
 
 use std::cmp::Reverse;
 use std::ops::Range;
@@ -68,7 +78,7 @@ fn rows_of(lane_row: &[u16], c: usize) -> [u32; CHUNK_ROWS] {
     })
 }
 
-/// The in-adjacency as four-row slices; see the module docs.
+/// An adjacency as four-row slices; see the module docs.
 ///
 /// A window's lanes hold exactly its rows, so lanes and rows share one
 /// index space, and the lane maps store each as an offset into its
@@ -90,21 +100,26 @@ pub struct InSlices {
 }
 
 impl InSlices {
-    /// Lays out the in-edges of `n` nodes, given per transfer edge its
-    /// source, target and class id. Padding slots get `pad_class`.
+    /// Lays out `n` rows, given per edge its source, its row and its
+    /// class id; an edge's index is its position in these arrays. Only
+    /// edges whose class is `live` get a slot. Padding slots get
+    /// `pad_class`.
     ///
     /// # Panics
     /// Panics if an endpoint is `>= n` or the slot count overflows `u32`.
-    pub(crate) fn build(
+    pub fn build(
         n: usize,
         edge_src: &[u32],
-        edge_dst: &[u32],
+        edge_row: &[u32],
         edge_class: &[u16],
         pad_class: u16,
+        live: impl Fn(u16) -> bool,
     ) -> Self {
         let mut degree = vec![0u32; n];
-        for &dst in edge_dst {
-            degree[dst as usize] += 1;
+        for (&row, &class) in edge_row.iter().zip(edge_class) {
+            if live(class) {
+                degree[row as usize] += 1;
+            }
         }
         let mut lane_row: Vec<u16> = Vec::with_capacity(n.next_multiple_of(CHUNK_ROWS));
         let mut row_lane = vec![0u16; n];
@@ -127,6 +142,10 @@ impl InSlices {
         chunk_start.push(0);
         for c in 0..chunks {
             slots += CHUNK_ROWS * degree[rows_of(&lane_row, c)[0] as usize] as usize;
+            // orex::allow(ORX008): the documented `# Panics` bound. A
+            // served dataset lays out its live edges in its start-up
+            // global rank, before it serves, and the graphs the presets
+            // build stay orders of magnitude below 2^32 slots.
             chunk_start.push(u32::try_from(slots).expect("slot count overflows u32"));
         }
 
@@ -144,8 +163,11 @@ impl InSlices {
             let lane = window_start(row) + row_lane[row] as usize;
             *next = chunk_start[lane / CHUNK_ROWS] + (lane % CHUNK_ROWS) as u32;
         }
-        for (e, (&src, &dst)) in edge_src.iter().zip(edge_dst).enumerate() {
-            let next = &mut next_slot[dst as usize];
+        for (e, (&src, &row)) in edge_src.iter().zip(edge_row).enumerate() {
+            if !live(edge_class[e]) {
+                continue;
+            }
+            let next = &mut next_slot[row as usize];
             let slot = *next as usize;
             *next += CHUNK_ROWS as u32;
             sources[slot] = src;
@@ -202,6 +224,32 @@ impl InSlices {
         rows_of(&self.lane_row, c)
     }
 
+    /// The four sums of chunk `c`: lane `l`'s is `Σ alpha[classes[s]] ·
+    /// x[sources[s]]` over the slots `s` of lane `l`, added in slot order
+    /// from `+0.0`. `classes` is one class id per slot: [`Self::classes`],
+    /// or another classing of the same slots. A padding class must read
+    /// `0.0` in `alpha`.
+    #[inline]
+    pub fn chunk_sums(
+        &self,
+        c: usize,
+        classes: &[u16],
+        alpha: &[f64],
+        x: &[f64],
+    ) -> [f64; CHUNK_ROWS] {
+        let slots = self.chunk_slots(c);
+        let (steps, _) = self.sources[slots.clone()].as_chunks::<CHUNK_ROWS>();
+        let (step_classes, _) = classes[slots].as_chunks::<CHUNK_ROWS>();
+        // One sum per lane, each advanced in its row's slot order.
+        let mut acc = [0.0f64; CHUNK_ROWS];
+        for (src, class) in steps.iter().zip(step_classes) {
+            for lane in 0..CHUNK_ROWS {
+                acc[lane] += alpha[class[lane] as usize] * x[src[lane] as usize];
+            }
+        }
+        acc
+    }
+
     /// The slots of `row`, in ascending edge order, padding left out.
     pub fn lane(&self, row: usize) -> impl Iterator<Item = usize> + '_ {
         let lane = window_start(row) + self.row_lane[row] as usize;
@@ -254,7 +302,11 @@ mod tests {
             }
         }
         let classes = vec![0u16; src.len()];
-        (InSlices::build(n, &src, &dst, &classes, 1), src, dst)
+        (
+            InSlices::build(n, &src, &dst, &classes, 1, |_| true),
+            src,
+            dst,
+        )
     }
 
     #[test]
@@ -313,7 +365,7 @@ mod tests {
 
     #[test]
     fn a_graph_without_rows_has_no_chunks() {
-        let slices = InSlices::build(0, &[], &[], &[], 0);
+        let slices = InSlices::build(0, &[], &[], &[], 0, |_| true);
         assert_eq!(slices.chunk_count(), 0);
         assert_eq!(slices.slot_count(), 0);
         assert_eq!(slices.chunks_of(0..0), 0..0);

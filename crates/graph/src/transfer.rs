@@ -35,25 +35,37 @@
 //! `alpha` array is kept, and reformulation iterations never rebuild
 //! adjacency.
 //!
-//! The in-adjacency is one [`InSlices`]: four-row slices the power sweep
-//! walks four sums at a time (see [`crate::slices`]). Its padding slots
-//! carry the padding class, id [`TransferGraph::class_count`], one past
-//! the last Equation 1 class; a sweep reads its `alpha` as `0.0`.
+//! A class whose `alpha` is `0.0` is *dead*: its edges carry no
+//! authority, and `alpha = rate · 1/OutDeg` is `0.0` exactly when the
+//! type's rate is. The paper's DBLP rates set PP-back to 0, so 30.6 % of
+//! `dblp-complete:0.1`'s transfer edges and 35.4 % of `dblp-top:1.0`'s are
+//! dead. The adjacency the hot loops walk is laid out per set of dead
+//! classes ([`TransferGraph::live_edges`], a [`LiveEdges`]) and holds only
+//! the live edges: an in-adjacency of four-row slices the power sweep
+//! walks four sums at a time (see [`crate::slices`]; its padding slots
+//! carry the padding class, id [`TransferGraph::class_count`]) and an
+//! out-CSR the explaining-subgraph walks use. A layout is built on first
+//! use and kept. Equation 13 rescales a rate by multiplying it, so
+//! feedback never turns a zero rate live or a live one zero: a served
+//! process asks for its initial rates' layout only and holds one. The
+//! layout of every edge ([`TransferGraph::all_edges`]) is built only when
+//! something asks for it: a matrix from arbitrary edge weights, HITS,
+//! [`TransferGraph::in_transfer`], or rates without a zero.
 //!
-//! Bytes per transfer edge ([`TransferGraph::heap_bytes`] adds 4 B per
-//! node for the out-CSR row offsets, 4 B per node and 4 B per chunk of
-//! four for the slices' lane maps, 10 B per padding slot, and 16 B per
-//! class):
+//! Bytes per transfer edge ([`TransferGraph::heap_bytes`]; a layout adds
+//! 4 B per node for the out-CSR row offsets, 4 B per node and 4 B per
+//! chunk of four for the slices' lane maps, and 10 B per padding slot;
+//! the class table adds 16 B per class):
 //!
-//! | array | before the class table | in-CSR + class table | slices |
-//! |---|---|---|---|
-//! | `edge_src`, `edge_dst`, `edge_origin` | 12 | 12 | 12 |
-//! | out-CSR target + slot → edge map | 8 | 8 | 8 |
-//! | in-adjacency source + slot → edge map | 8 | 8 | 8 |
-//! | transfer type, edge order + in-slot order | 4 | — | — |
-//! | `1 / OutDeg`, edge order + in-slot order | 16 | — | — |
-//! | class id, edge order + in-slot order | — | 4 | 4 |
-//! | **total** | **48** | **32** | **32** |
+//! | array | per transfer edge | per live edge of a built layout |
+//! |---|---|---|
+//! | `edge_src`, `edge_dst`, `edge_origin` | 12 | — |
+//! | class id | 2 | — |
+//! | out-CSR target + slot → edge map | — | 8 |
+//! | in-slices source + slot → edge map + class id | — | 10 |
+//!
+//! So a graph with the layout of every edge holds 32 B per transfer edge;
+//! one with only `dblp-top:1.0`'s live layout, 14 + 18 × 0.646 = 25.6.
 
 use crate::csr::Csr;
 use crate::data::DataGraph;
@@ -61,6 +73,7 @@ use crate::error::{GraphError, Result};
 use crate::ids::{EdgeId, NodeId, TransferTypeId};
 use crate::schema::SchemaGraph;
 use crate::slices::InSlices;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// The authority transfer rates of an authority transfer schema graph:
 /// one rate per transfer-edge type (`2 * |schema edge types|` entries,
@@ -299,16 +312,16 @@ const EQUATION_1_CLASSES: &str = "Equation 1 classes";
 ///
 /// Topology is immutable; `alpha` weights are a function of a
 /// [`TransferRates`] vector, derived per class by [`Self::class_alpha`]
-/// and gathered per edge by [`Self::weights`].
-#[derive(Clone, Debug)]
+/// and gathered per edge by [`Self::weights`]. The adjacency is laid out
+/// per set of dead classes, on first use ([`Self::live_edges`]).
+#[derive(Debug)]
 pub struct TransferGraph {
     node_count: usize,
-    /// Forward-orientation CSR (adjacency of the transfer graph itself).
-    out_csr: Csr,
-    /// For each out-CSR slot, the transfer-edge index it stores.
-    out_slot_edge: Vec<u32>,
-    /// In-adjacency of the transfer graph, as four-row slices.
-    in_slices: InSlices,
+    /// The layout of every transfer edge.
+    all: Arc<Layout>,
+    /// The layouts of the dead-class sets asked for so far, `all` aside.
+    /// Equation 13 keeps a rates vector's zeros, so there are few.
+    live: Mutex<Vec<Arc<Layout>>>,
     /// Per transfer edge: source node.
     edge_src: Vec<u32>,
     /// Per transfer edge: target node.
@@ -381,21 +394,10 @@ impl TransferGraph {
             .collect();
         drop((slot_class, edge_type));
 
-        let pairs: Vec<(u32, u32)> = edge_src
-            .iter()
-            .zip(&edge_dst)
-            .map(|(&s, &d)| (s, d))
-            .collect();
-        let (out_csr, out_slot_edge) = Csr::from_edges(n, &pairs);
-        drop(pairs);
-        let pad_class = table.len() as u16;
-        let in_slices = InSlices::build(n, &edge_src, &edge_dst, &edge_class, pad_class);
-
         Self {
             node_count: n,
-            out_csr,
-            out_slot_edge,
-            in_slices,
+            all: Arc::new(Layout::new(vec![0; table.len().div_ceil(64)].into())),
+            live: Mutex::new(Vec::new()),
             edge_src,
             edge_dst,
             edge_origin,
@@ -456,14 +458,49 @@ impl TransferGraph {
         &self.edge_class
     }
 
-    /// The in-adjacency as four-row slices. Its class ids are
-    /// `edge_classes()` gathered into slot order, so
-    /// `weights(r)[edges()[s]] == class_alpha(r)[classes()[s]]` for every
-    /// slot but padding, whose class is [`Self::class_count`]. The power
-    /// sweep reads `alpha` through these.
-    #[inline]
-    pub fn in_slices(&self) -> &InSlices {
-        &self.in_slices
+    /// The transfer edges whose class `alpha` is not `0.0`, given one
+    /// `alpha` per class (entries past [`Self::class_count`], such as a
+    /// padding class's, are ignored). Laid out on first use per set of
+    /// dead classes and kept; with no dead class, [`Self::all_edges`].
+    ///
+    /// # Panics
+    /// Panics if `class_alpha` has fewer entries than there are classes.
+    pub fn live_edges(&self, class_alpha: &[f64]) -> LiveEdges<'_> {
+        let classes = self.classes.len();
+        let mut dead = vec![0u64; classes.div_ceil(64)].into_boxed_slice();
+        for (c, _) in class_alpha[..classes]
+            .iter()
+            .enumerate()
+            .filter(|&(_, &alpha)| alpha == 0.0)
+        {
+            dead[c / 64] |= 1 << (c % 64);
+        }
+        if dead.iter().all(|&word| word == 0) {
+            return self.all_edges();
+        }
+        // The memo only ever grows by a whole entry, so a poisoned lock
+        // still guards a consistent list.
+        let mut memo = self.live.lock().unwrap_or_else(PoisonError::into_inner);
+        let layout = match memo.iter().find(|layout| layout.dead == dead) {
+            Some(layout) => Arc::clone(layout),
+            None => {
+                let layout = Arc::new(Layout::new(dead));
+                memo.push(Arc::clone(&layout));
+                layout
+            }
+        };
+        LiveEdges {
+            graph: self,
+            layout,
+        }
+    }
+
+    /// Every transfer edge, laid out on first use and kept.
+    pub fn all_edges(&self) -> LiveEdges<'_> {
+        LiveEdges {
+            graph: self,
+            layout: Arc::clone(&self.all),
+        }
     }
 
     /// Derives the per-edge `alpha` weights for a rates vector (Equation 1).
@@ -477,46 +514,39 @@ impl TransferGraph {
             .collect()
     }
 
-    /// Bytes the graph holds on the heap: its out-CSR, its in-slices,
-    /// its per-edge arrays and its class table.
+    /// Bytes the graph holds on the heap: its per-edge arrays, its class
+    /// table and the layouts built so far.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        let out = &self.out_csr;
-        let u32s = [
-            out.row_offsets(),
-            out.targets(),
-            &self.out_slot_edge,
-            &self.edge_src,
-            &self.edge_dst,
-            &self.edge_origin,
-        ];
-        u32s.iter().map(|v| v.len()).sum::<usize>() * size_of::<u32>()
-            + self.in_slices.heap_bytes()
+        let u32s = [&self.edge_src, &self.edge_dst, &self.edge_origin];
+        let memo = self.live.lock().unwrap_or_else(PoisonError::into_inner);
+        let layouts: usize = std::iter::once(&self.all)
+            .chain(memo.iter())
+            .filter_map(|layout| layout.adjacency.get())
+            .map(Adjacency::heap_bytes)
+            .sum();
+        u32s.iter().map(|v| v.capacity()).sum::<usize>() * size_of::<u32>()
             + self.edge_class.capacity() * size_of::<u16>()
             + self.classes.capacity() * size_of::<(u16, f64)>()
+            + layouts
     }
 
-    /// Outgoing transfer edges of `node`: `(target, transfer edge index)`.
+    /// Outgoing transfer edges of `node`, every class included:
+    /// `(target, transfer edge index)`.
     pub fn out_transfer(&self, node: NodeId) -> impl Iterator<Item = (NodeId, usize)> + '_ {
-        self.out_csr
-            .neighbors(node.index())
-            .map(|(t, slot)| (NodeId::new(t), self.out_slot_edge[slot] as usize))
+        self.all.adjacency(self).out_transfer(node)
     }
 
-    /// Incoming transfer edges of `node`, in ascending edge order:
-    /// `(source, transfer edge index)`.
+    /// Incoming transfer edges of `node`, every class included, in
+    /// ascending edge order: `(source, transfer edge index)`.
     pub fn in_transfer(&self, node: NodeId) -> impl Iterator<Item = (NodeId, usize)> + '_ {
-        let slices = &self.in_slices;
-        slices.lane(node.index()).map(|slot| {
-            let source = NodeId::new(slices.sources()[slot]);
-            (source, slices.edges()[slot] as usize)
-        })
+        self.all.adjacency(self).in_transfer(node)
     }
 
-    /// Out-degree in the transfer graph.
+    /// Out-degree in the transfer graph, every class included.
     #[inline]
     pub fn out_transfer_degree(&self, node: NodeId) -> usize {
-        self.out_csr.degree(node.index())
+        self.all.adjacency(self).out_csr.degree(node.index())
     }
 
     /// `(source, target)` of a transfer edge.
@@ -541,18 +571,6 @@ impl TransferGraph {
         EdgeId::new(self.edge_origin[edge])
     }
 
-    /// Raw CSR of the forward orientation, for hot loops (power iteration).
-    #[inline]
-    pub fn out_csr(&self) -> &Csr {
-        &self.out_csr
-    }
-
-    /// For each out-CSR slot, the transfer-edge index it stores.
-    #[inline]
-    pub fn out_slot_edges(&self) -> &[u32] {
-        &self.out_slot_edge
-    }
-
     /// Checks Equation 1's identity: for every node and every transfer
     /// type among its out-edges, the `alpha` of those edges sums to that
     /// type's rate (relative tolerance 1e-9).
@@ -575,6 +593,135 @@ impl TransferGraph {
             }
         }
         true
+    }
+}
+
+/// The edges one set of dead classes leaves, laid out on first use.
+#[derive(Debug)]
+struct Layout {
+    /// One bit per Equation 1 class, set when the class is dead: its
+    /// edges get no slot.
+    dead: Box<[u64]>,
+    adjacency: OnceLock<Adjacency>,
+}
+
+impl Layout {
+    fn new(dead: Box<[u64]>) -> Self {
+        Self {
+            dead,
+            adjacency: OnceLock::new(),
+        }
+    }
+
+    /// The layout's adjacency, built on the first call.
+    fn adjacency(&self, graph: &TransferGraph) -> &Adjacency {
+        self.adjacency
+            .get_or_init(|| Adjacency::build(graph, &self.dead))
+    }
+}
+
+/// One layout's out-CSR and in-slices.
+#[derive(Debug)]
+struct Adjacency {
+    /// Forward-orientation CSR (adjacency of the transfer graph itself).
+    out_csr: Csr,
+    /// For each out-CSR slot, the transfer-edge index it stores.
+    out_slot_edge: Vec<u32>,
+    /// In-adjacency as four-row slices.
+    in_slices: InSlices,
+}
+
+impl Adjacency {
+    /// Lays out the edges of `graph` whose class is not set in `dead`.
+    fn build(graph: &TransferGraph, dead: &[u64]) -> Self {
+        let live = |c: u16| dead[usize::from(c) / 64] >> (c % 64) & 1 == 0;
+        let n = graph.node_count;
+        let (mut pairs, mut live_edge) = (Vec::new(), Vec::new());
+        for (e, &c) in graph.edge_class.iter().enumerate() {
+            if live(c) {
+                pairs.push((graph.edge_src[e], graph.edge_dst[e]));
+                live_edge.push(e as u32);
+            }
+        }
+        let (out_csr, mut out_slot_edge) = Csr::from_edges(n, &pairs);
+        drop(pairs);
+        for slot_edge in &mut out_slot_edge {
+            *slot_edge = live_edge[*slot_edge as usize];
+        }
+        drop(live_edge);
+        let pad_class = graph.classes.len() as u16;
+        let in_slices = InSlices::build(
+            n,
+            &graph.edge_src,
+            &graph.edge_dst,
+            &graph.edge_class,
+            pad_class,
+            live,
+        );
+        Self {
+            out_csr,
+            out_slot_edge,
+            in_slices,
+        }
+    }
+
+    fn out_transfer(&self, node: NodeId) -> impl Iterator<Item = (NodeId, usize)> + '_ {
+        self.out_csr
+            .neighbors(node.index())
+            .map(|(t, slot)| (NodeId::new(t), self.out_slot_edge[slot] as usize))
+    }
+
+    fn in_transfer(&self, node: NodeId) -> impl Iterator<Item = (NodeId, usize)> + '_ {
+        let slices = &self.in_slices;
+        slices.lane(node.index()).map(|slot| {
+            let source = NodeId::new(slices.sources()[slot]);
+            (source, slices.edges()[slot] as usize)
+        })
+    }
+
+    fn heap_bytes(&self) -> usize {
+        let out = &self.out_csr;
+        let u32s = [out.row_offsets(), out.targets(), &self.out_slot_edge];
+        u32s.iter().map(|v| v.len()).sum::<usize>() * std::mem::size_of::<u32>()
+            + self.in_slices.heap_bytes()
+    }
+}
+
+/// The transfer edges a rates vector leaves live, or every transfer edge
+/// ([`TransferGraph::live_edges`], [`TransferGraph::all_edges`]): what
+/// the power sweep and the explaining-subgraph walks visit.
+#[derive(Debug)]
+pub struct LiveEdges<'g> {
+    graph: &'g TransferGraph,
+    layout: Arc<Layout>,
+}
+
+impl<'g> LiveEdges<'g> {
+    /// The graph the edges belong to.
+    #[inline]
+    pub fn graph(&self) -> &'g TransferGraph {
+        self.graph
+    }
+
+    /// The live in-adjacency as four-row slices. Its class ids are
+    /// `edge_classes()` gathered into slot order, so
+    /// `weights(r)[edges()[s]] == class_alpha(r)[classes()[s]]` for every
+    /// slot but padding, whose class is [`TransferGraph::class_count`].
+    /// The power sweep reads `alpha` through these.
+    #[inline]
+    pub fn in_slices(&self) -> &InSlices {
+        &self.layout.adjacency(self.graph).in_slices
+    }
+
+    /// Live outgoing transfer edges of `node`, in ascending edge order:
+    /// `(target, transfer edge index)`.
+    pub fn out_transfer(&self, node: NodeId) -> impl Iterator<Item = (NodeId, usize)> + '_ {
+        self.layout.adjacency(self.graph).out_transfer(node)
+    }
+
+    /// Whether both hold the same layout: one set of dead classes.
+    pub fn same_layout(&self, other: &LiveEdges<'_>) -> bool {
+        Arc::ptr_eq(&self.layout, &other.layout)
     }
 }
 
@@ -766,7 +913,8 @@ mod tests {
         let g = tiny_graph();
         let tg = TransferGraph::build(&g);
         let mut rates = dblp_rates(g.schema());
-        let slices = tg.in_slices();
+        let all = tg.all_edges();
+        let slices = all.in_slices();
         let pad = tg.class_count() as u16;
         let mut edges = 0;
         for (&c, &e) in slices.classes().iter().zip(slices.edges()) {
@@ -865,7 +1013,10 @@ mod tests {
         let g = tiny_graph();
         let tg = TransferGraph::build(&g);
         let (edges, nodes) = (tg.transfer_edge_count(), tg.node_count());
-        let slices = tg.in_slices();
+        let bare = 14 * edges + 16 * tg.class_count();
+        assert_eq!(tg.heap_bytes(), bare, "no layout is built up front");
+        let all = tg.all_edges();
+        let slices = all.in_slices();
         let (padding, chunks) = (slices.slot_count() - edges, slices.chunk_count());
         assert_eq!(
             tg.heap_bytes(),
@@ -877,6 +1028,59 @@ mod tests {
                 + 4 * (chunks + 1)
                 + 16 * tg.class_count()
         );
+    }
+
+    /// A zero rate kills its classes: the live layout holds exactly the
+    /// other edges, is built once per set of dead classes and counted in
+    /// `heap_bytes`, and rates without a zero get the layout of every
+    /// edge.
+    #[test]
+    fn live_edges_leave_out_dead_classes_and_are_built_once() {
+        let g = tiny_graph();
+        let tg = TransferGraph::build(&g);
+        let rates = dblp_rates(g.schema());
+        let alpha = tg.class_alpha(&rates);
+        let live = tg.live_edges(&alpha);
+        assert!(!live.same_layout(&tg.all_edges()));
+        assert!(live.same_layout(&tg.live_edges(&alpha)), "kept");
+        let bare = tg.heap_bytes();
+        let slices = live.in_slices();
+        let held: Vec<u32> = slices
+            .edges()
+            .iter()
+            .copied()
+            .filter(|&e| e != crate::slices::PAD_EDGE)
+            .collect();
+        let want: Vec<u32> = (0..tg.transfer_edge_count() as u32)
+            .filter(|&e| alpha[tg.edge_classes()[e as usize] as usize] != 0.0)
+            .collect();
+        assert_eq!(
+            want.len(),
+            tg.transfer_edge_count() - 2,
+            "cites back is dead"
+        );
+        let mut sorted = held.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, want);
+        let mut out: Vec<u32> = (0..tg.node_count())
+            .flat_map(|n| {
+                live.out_transfer(NodeId::from_usize(n))
+                    .map(|(_, e)| e as u32)
+            })
+            .collect();
+        out.sort_unstable();
+        assert_eq!(out, want);
+        assert_eq!(tg.heap_bytes() - bare, {
+            let n = tg.node_count();
+            let (slots, chunks) = (slices.slot_count(), slices.chunk_count());
+            8 * want.len() + 4 * (n + 1) + 10 * slots + 2 * n + 2 * 4 * chunks + 4 * (chunks + 1)
+        });
+
+        let mut all_live = rates.clone();
+        all_live.ensure_bidirectional(1e-4);
+        assert!(tg
+            .live_edges(&tg.class_alpha(&all_live))
+            .same_layout(&tg.all_edges()));
     }
 
     #[test]

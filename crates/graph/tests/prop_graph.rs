@@ -143,8 +143,10 @@ proptest! {
     }
 
     /// The in-slot alpha the power sweep reads, `class_alpha` through the
-    /// in-slices' class ids, is the edge-indexed weights gathered into
-    /// slot order, bit for bit, and `0.0` for padding slots; both are the class table's alpha, and
+    /// live in-slices' class ids, is the edge-indexed weights gathered
+    /// into slot order, bit for bit, and `0.0` for padding slots; the
+    /// live slices hold exactly the edges of nonzero weight, once each;
+    /// both are the class table's alpha, and
     /// that is Equation 1 recomputed from scratch,
     /// `rate(type) * (1.0 / OutDeg(src, type))` with OutDeg counted from
     /// `out_transfer`, bit for bit; and Equation 1's per-type identity
@@ -167,14 +169,22 @@ proptest! {
         }
         rates.validate(g.schema()).unwrap();
         let edge_indexed = tg.weights(&rates);
-        let slices = tg.in_slices();
+        let mut class_alpha = tg.class_alpha(&rates);
+        class_alpha.push(0.0);
+        let live = tg.live_edges(&class_alpha);
+        let slices = live.in_slices();
+        let mut held: Vec<u32> =
+            slices.edges().iter().copied().filter(|&e| e != PAD_EDGE).collect();
+        held.sort_unstable();
+        let nonzero: Vec<u32> = (0..tg.transfer_edge_count() as u32)
+            .filter(|&e| edge_indexed[e as usize] != 0.0)
+            .collect();
+        prop_assert_eq!(held, nonzero);
         let in_slot = |per_edge: &[f64]| -> Vec<u64> {
             let at = |e: u32| if e == PAD_EDGE { 0.0 } else { per_edge[e as usize] };
             slices.edges().iter().map(|&e| at(e).to_bits()).collect()
         };
         let gathered = in_slot(&edge_indexed);
-        let mut class_alpha = tg.class_alpha(&rates);
-        class_alpha.push(0.0);
         let through_classes: Vec<u64> = slices
             .classes()
             .iter()
@@ -229,7 +239,8 @@ proptest! {
         let pairs: Vec<(u32, u32)> = cite_pairs.into_iter().chain(hubs).collect();
         let g = random_data_graph(papers, 1, &pairs, &[]);
         let tg = TransferGraph::build(&g);
-        let slices = tg.in_slices();
+        let all = tg.all_edges();
+        let slices = all.in_slices();
         let n = tg.node_count();
         let edge_count = tg.transfer_edge_count();
         prop_assert_eq!(slices.chunk_count(), n.div_ceil(CHUNK_ROWS));

@@ -224,7 +224,7 @@ mod tests {
             &tg,
             &rates,
             &rank.scores,
-            &base,
+            base.nodes(),
             NodeId::new(2),
             &ExplainParams::default(),
         )

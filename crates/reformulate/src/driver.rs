@@ -235,7 +235,7 @@ mod tests {
                 &graph,
                 &rates,
                 &rank.scores,
-                &base,
+                base.nodes(),
                 NodeId::new(t),
                 &ExplainParams::default(),
             )
@@ -434,7 +434,7 @@ mod tests {
                 .filter_map(|&t| {
                     let target = NodeId::new(t % n);
                     let params = ExplainParams::default();
-                    Explanation::explain(&graph, &rates, &rank.scores, &base, target, &params).ok()
+                    Explanation::explain(&graph, &rates, &rank.scores, base.nodes(), target, &params).ok()
                 })
                 .collect();
             if explanations.is_empty() {

@@ -212,7 +212,7 @@ mod tests {
             &tg,
             &rates,
             &rank.scores,
-            &base,
+            base.nodes(),
             NodeId::new(2),
             &ExplainParams::default(),
         )
@@ -325,7 +325,7 @@ mod tests {
                 &tg,
                 &rates,
                 &rank.scores,
-                &base,
+                base.nodes(),
                 NodeId::new(2),
                 &ExplainParams::default(),
             )
@@ -371,7 +371,7 @@ mod tests {
             &tg,
             &rates,
             &rank.scores,
-            &base,
+            base.nodes(),
             t,
             &ExplainParams::default(),
         )
@@ -402,5 +402,40 @@ mod tests {
             whole[TransferTypeId::forward(extends).dense_index()],
             flow(a, t, extends)
         );
+    }
+
+    /// Equation 13 multiplies a rate, and steps 3 and 4 divide every rate
+    /// by one positive number, so a zero rate stays exactly zero and a
+    /// positive one stays positive over any number of rounds, whatever
+    /// flow its type is credited: the set of zero-rate types, and with
+    /// it the live-edge layout a session sweeps, never changes.
+    #[test]
+    fn zero_rates_stay_zero_over_rounds() {
+        let (schema, _, mut rates, _) = setup();
+        let pp_back = TransferTypeId::backward(EdgeTypeId::new(0));
+        rates.set(pp_back, 0.0).unwrap();
+        let zeros =
+            |r: &TransferRates| -> Vec<bool> { r.as_slice().iter().map(|&a| a == 0.0).collect() };
+        let before = zeros(&rates);
+        for round in 0..6 {
+            // Every type credited, the dead one most of all.
+            let flows: Vec<f64> = (0..rates.len())
+                .map(|t| {
+                    if t == pp_back.dense_index() {
+                        5.0
+                    } else {
+                        1.0 + t as f64
+                    }
+                })
+                .collect();
+            let params = StructureParams::unpruned([0.1, 0.5, 1.0][round % 3]);
+            rates = structure_reformulate(&rates, &flows, &schema, &params);
+            assert_eq!(
+                rates.get(pp_back).to_bits(),
+                0.0f64.to_bits(),
+                "round {round}"
+            );
+            assert_eq!(zeros(&rates), before, "round {round}");
+        }
     }
 }

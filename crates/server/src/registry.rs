@@ -90,9 +90,9 @@ pub struct DatasetService {
     system: Arc<ObjectRankSystem>,
     results: ResultCache,
     precompute: Option<Arc<PrecomputeTier>>,
-    /// Resident bytes that do not change after the build: graph, transfer
-    /// graph, index and global scores.
-    fixed_memory_bytes: u64,
+    /// Resident bytes that do not change after the build: graph, index
+    /// and global scores.
+    data_and_index_bytes: u64,
     build_ms: u64,
     queries: AtomicU64,
 }
@@ -135,13 +135,16 @@ impl DatasetService {
         self.precompute().map_or(0, PrecomputeTier::term_count)
     }
 
-    /// Approximate resident bytes of graph + index + precomputed
-    /// vectors, counting the vectors backfill has added so far.
+    /// Approximate resident bytes of graph + index + transfer graph +
+    /// precomputed vectors, counting the edge layouts built and the
+    /// vectors backfill has added so far.
     pub fn memory_bytes(&self) -> u64 {
         let nodes = self.system.graph().node_count() as u64;
         // Precomputed vectors are stored as f32.
         let vector_bytes = nodes * std::mem::size_of::<f32>() as u64;
-        self.fixed_memory_bytes + self.precompute_terms() as u64 * vector_bytes
+        self.data_and_index_bytes
+            + self.system.transfer().heap_bytes() as u64
+            + self.precompute_terms() as u64 * vector_bytes
     }
 
     /// Counts one query against this dataset (feeds `/datasets` and the
@@ -195,7 +198,7 @@ impl DatasetService {
             name: name.to_string(),
             preset,
             scale,
-            fixed_memory_bytes: fixed_memory(&system),
+            data_and_index_bytes: data_and_index_memory(&system),
             system,
             results: ResultCache::new(cache_entries),
             precompute,
@@ -265,16 +268,12 @@ fn served_config() -> SystemConfig {
 }
 
 /// Rough resident-set estimate of what one loaded dataset holds for
-/// life; the point is relative magnitude on `/datasets`, not
-/// allocator-exact bytes.
-fn fixed_memory(system: &ObjectRankSystem) -> u64 {
-    data_and_index_memory(system) + system.transfer().heap_bytes() as u64
-}
-
-/// Data-graph adjacency + labels, the inverted index at its own
-/// `InvertedIndex::heap_bytes`, and the global-scores vector. The
-/// transfer graph is charged at its own `TransferGraph::heap_bytes`
-/// (32 B per transfer edge).
+/// life besides its transfer graph: data-graph adjacency + labels, the
+/// inverted index at its own `InvertedIndex::heap_bytes`, and the
+/// global-scores vector. The point is relative magnitude on `/datasets`,
+/// not allocator-exact bytes. The transfer graph is charged at its own
+/// `TransferGraph::heap_bytes`: 14 B per transfer edge plus the edge
+/// layouts built so far (the live one, 18 B per live edge).
 fn data_and_index_memory(system: &ObjectRankSystem) -> u64 {
     let nodes = system.graph().node_count() as u64;
     let edges = system.graph().edge_count() as u64;
@@ -606,8 +605,9 @@ mod tests {
         );
     }
 
-    /// The transfer graph is charged at its heap bytes (32 per transfer
-    /// edge, see `TransferGraph::heap_bytes`), not at a per-edge guess.
+    /// The transfer graph is charged at its heap bytes, its live layout
+    /// included (see `TransferGraph::heap_bytes`), not at a per-edge
+    /// guess.
     #[test]
     fn memory_charges_the_transfer_graph_at_its_heap_bytes() {
         let system = system();
@@ -622,8 +622,9 @@ mod tests {
 
     /// No matrix is kept: every ranking reads alpha from the transfer
     /// graph's class table and an explanation derives no per-edge array,
-    /// so a query, an explain and a feedback each add nothing to
-    /// `/datasets`.
+    /// and the build's global rank already laid out the live edges every
+    /// later ranking and explanation walks, so a query, an explain and a
+    /// feedback each add nothing to `/datasets`.
     #[test]
     fn a_query_an_explain_and_a_feedback_each_add_no_bytes() {
         let d = Preset::DblpTop.generate(0.01);

@@ -193,7 +193,7 @@ fn explaining_subgraph_of_range_queries_excludes_data_cube() {
         &f.transfer,
         &f.rates,
         &scores,
-        &base,
+        base.nodes(),
         NodeId::new(V4_RANGE_QUERIES),
         &ExplainParams::default(),
     )
@@ -229,7 +229,7 @@ fn explanation_paths_lead_from_base_set_to_target() {
         &f.transfer,
         &f.rates,
         &scores,
-        &base,
+        base.nodes(),
         NodeId::new(V4_RANGE_QUERIES),
         &ExplainParams {
             radius: 6,
@@ -257,7 +257,7 @@ fn example2_expansion_terms_match_the_paper() {
         &f.transfer,
         &f.rates,
         &scores,
-        &base,
+        base.nodes(),
         NodeId::new(V4_RANGE_QUERIES),
         &ExplainParams::default(),
     )
@@ -287,7 +287,7 @@ fn example2_reformulated_query_boosts_olap() {
         &f.transfer,
         &f.rates,
         &scores,
-        &base,
+        base.nodes(),
         NodeId::new(V4_RANGE_QUERIES),
         &ExplainParams::default(),
     )
@@ -352,7 +352,7 @@ fn bidirectional_epsilon_keeps_data_cube_explainable() {
         &f.transfer,
         &rates,
         &result.scores,
-        &base,
+        base.nodes(),
         NodeId::new(V7_DATA_CUBE),
         &ExplainParams::default(),
     )

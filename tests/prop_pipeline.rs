@@ -107,7 +107,7 @@ proptest! {
         let base = BaseSet::weighted(idx.base_set_scores(&q, &Okapi::default())).unwrap();
         let target = NodeId::from_usize(target_roll % papers);
         let Ok(expl) = Explanation::explain(
-            &tg, &rates, &result.scores, &base, target,
+            &tg, &rates, &result.scores, base.nodes(), target,
             &ExplainParams { epsilon: 1e-12, ..ExplainParams::default() },
         ) else {
             return Ok(()); // unreachable target is a legal outcome
@@ -146,7 +146,7 @@ proptest! {
         let base = BaseSet::weighted(idx.base_set_scores(&q, &Okapi::default())).unwrap();
         let target = NodeId::from_usize(target_roll % papers);
         let Ok(expl) = Explanation::explain(
-            &tg, &rates, &result.scores, &base, target, &ExplainParams::default(),
+            &tg, &rates, &result.scores, base.nodes(), target, &ExplainParams::default(),
         ) else {
             return Ok(());
         };
