@@ -93,7 +93,7 @@ pub fn parse_fns(lexed: &LexedFile, mask: &[bool]) -> Vec<FnItem> {
             i += 3;
             continue;
         }
-        if t.is_ident("impl") || t.is_ident("trait") {
+        if (t.is_ident("impl") || t.is_ident("trait")) && starts_item(toks, i) {
             if let Some((qual, body_open)) = scan_scope_qualifier(toks, i) {
                 quals.push((qual, depth + 1));
                 depth += 1;
@@ -120,6 +120,22 @@ pub fn parse_fns(lexed: &LexedFile, mask: &[bool]) -> Vec<FnItem> {
         i += 1;
     }
     items
+}
+
+/// Whether the keyword at `at` begins an item: it is the file's first
+/// token, or follows the end of an item, statement or attribute, a
+/// block's `{`, or a visibility / `unsafe` / `auto` modifier. An
+/// `impl Trait` type follows `:`, `(`, `,`, `&`, `mut` or `->` instead;
+/// read as an `impl` block, its scan would run on to some later `{` and
+/// skip every fn before it.
+fn starts_item(toks: &[Token], at: usize) -> bool {
+    let Some(prev) = at.checked_sub(1).map(|p| &toks[p]) else {
+        return true;
+    };
+    ['}', ';', '{', ']', ')'].iter().any(|&c| prev.is_punct(c))
+        || ["pub", "unsafe", "auto", "default"]
+            .iter()
+            .any(|&w| prev.is_ident(w))
 }
 
 /// At `impl`/`trait` token `at`, finds the implementing type (or trait
@@ -440,6 +456,18 @@ mod tests {
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].name, "real");
         assert_eq!(items[0].params, vec![Some("cb".to_string())]);
+    }
+
+    #[test]
+    fn impl_trait_types_open_no_scope() {
+        let items = fns(
+            "fn total(xs: impl IntoIterator<Item = u32>) -> u32 { xs.into_iter().sum() }\n\
+             fn helper() -> u32 { 7 }\n\
+             fn evens(xs: &[u32]) -> impl Iterator<Item = &u32> + '_ { xs.iter().filter(|x| { **x > 1 }) }\n\
+             impl Cache {\n    fn get(&self) -> u32 { 0 }\n}",
+        );
+        let names: Vec<String> = items.iter().map(FnItem::qualified_name).collect();
+        assert_eq!(names, ["total", "helper", "evens", "Cache::get"]);
     }
 
     #[test]

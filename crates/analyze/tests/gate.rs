@@ -292,6 +292,42 @@ fn seeded_panic_reachability_fires_across_files() {
 }
 
 #[test]
+fn a_panic_after_an_impl_trait_parameter_is_still_reached() {
+    // `impl Trait` in a parameter type is not an `impl` block: read as
+    // one, its scan runs on to the closure's `{` in `pick` and skips
+    // `helper_value` whole, panic site and all.
+    let fixture = Fixture::with_files(
+        "orx008impl",
+        &[
+            (
+                "analyze.policy",
+                "scope ORX002 src/hot*\nscope ORX008 src/hot*\n",
+            ),
+            ("src/hot.rs", "pub fn serve() -> u32 {\n    helper_value()\n}\n"),
+            (
+                "src/util.rs",
+                "pub fn total(values: impl IntoIterator<Item = u32>) -> u32 {\n    values.into_iter().sum()\n}\n\n\
+                 pub fn helper_value() -> u32 {\n    \"7\".parse::<u32>().unwrap()\n}\n\n\
+                 pub fn pick(values: &[u32]) -> Option<u32> {\n    values.iter().copied().find(|v| {\n        *v > 1\n    })\n}\n",
+            ),
+        ],
+    );
+    let policy = load_policy(&fixture.root).expect("fixture policy parses");
+    let report = analyze_workspace(&fixture.root, &policy).expect("fixture scan succeeds");
+    let orx008: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == Rule::Orx008)
+        .collect();
+    assert_eq!(orx008.len(), 1, "{}", report.render_text());
+    assert!(
+        orx008[0].message.contains("helper_value") && orx008[0].message.contains("src/util.rs:6"),
+        "diagnostic carries the call chain: {}",
+        orx008[0].message
+    );
+}
+
+#[test]
 fn seeded_lock_across_blocking_fires_directly_and_through_calls() {
     let fixture = Fixture::new(
         "orx009",

@@ -16,7 +16,6 @@ mod hits;
 mod objectrank;
 mod power;
 mod topk;
-mod topk_iteration;
 
 pub use base_set::{BaseSet, BaseSetError};
 pub use hits::{base_subgraph, hits, HitsParams, HitsResult};
@@ -26,4 +25,3 @@ pub use objectrank::{
 };
 pub use power::{power_iteration, RankParams, RankResult, TransitionMatrix};
 pub use topk::{top_k, Ranked};
-pub use topk_iteration::{power_iteration_topk, TopKParams, TopKResult};

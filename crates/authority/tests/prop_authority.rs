@@ -1,5 +1,6 @@
 //! Property-based tests for the ranking engines: Equation 4 fixpoint
-//! identities, damping behaviour, top-k consistency, HITS invariants, the
+//! identities, the contraction bound on a stopped run's error, damping
+//! behaviour, top-k consistency, HITS invariants, the
 //! class-table kernel over the in-slices against a pull straight from
 //! the edge list, and the live-edge layout against the layout of every
 //! edge.
@@ -163,6 +164,40 @@ proptest! {
         }
         let sum: f64 = res.scores.iter().sum();
         prop_assert!(sum > 0.0 && sum <= 1.0 + 1e-9, "mass {sum}");
+    }
+
+    /// With `‖A‖₁ ≤ 1` (forward + backward rate at most 1) Equation 4
+    /// contracts in L1 by `d`, so a run stopped at the paper's ε (or a
+    /// tighter one) is within `d/(1−d)` times its last residual of the
+    /// fixpoint: `‖r* − r_t‖₁ ≤ d/(1−d)·‖r_t − r_{t−1}‖₁`.
+    #[test]
+    fn stopped_run_is_within_the_contraction_bound_of_the_fixpoint(
+        n in 2usize..25,
+        edges in proptest::collection::vec((0u32..40, 0u32..40), 0..80),
+        base in proptest::collection::vec((0u32..25, 0.1f64..10.0), 1..5),
+        fwd_pct in 0u8..=100,
+        bwd_share in 0u8..=100,
+        tight_epsilon in any::<bool>(),
+    ) {
+        let fwd = f64::from(fwd_pct) / 100.0;
+        let bwd = (1.0 - fwd) * f64::from(bwd_share) / 100.0;
+        let (tg, rates) = build_graph(n, &edges, fwd, bwd);
+        let m = TransitionMatrix::new(&tg, &rates);
+        let base = BaseSet::weighted(base.iter().map(|&(i, w)| (i % n as u32, w))).unwrap();
+        let epsilon = if tight_epsilon { 1e-4 } else { 0.002 };
+        let params = RankParams { epsilon, threads: 1, ..RankParams::default() };
+        let stopped = power_iteration(&m, &base, &params, None);
+        let fixpoint = power_iteration(&m, &base, &tight(), None);
+        prop_assert!(stopped.converged && fixpoint.converged);
+        let d = params.damping;
+        let bound = d / (1.0 - d) * stopped.residuals.last().copied().unwrap_or(0.0);
+        let error: f64 = stopped
+            .scores
+            .iter()
+            .zip(&fixpoint.scores)
+            .map(|(a, b)| (a - b).abs())
+            .sum();
+        prop_assert!(error <= bound + 1e-9, "L1 error {error} > bound {bound}");
     }
 
     /// Lower damping keeps more mass at the base set.

@@ -7,11 +7,16 @@
 //!    (the paper picks L = 3);
 //! 3. warm start on/off for reformulated queries (Section 6.2);
 //! 4. weighted (ObjectRank2) vs 0/1 (ObjectRank) base set: ranking
-//!    divergence.
+//!    divergence;
+//! 5. the served ranking (the paper's ε) against its ε = 1e-12 fixpoint:
+//!    top-10 set and order agreement, the true L1 error against the
+//!    contraction bound d/(1−d)·last residual, and the sweeps each needs.
 //!
 //! Run: `cargo run -p orex-bench --release --bin ablation [-- --scale 0.25]`
 
-use orex_authority::{object_rank, object_rank2, top_k, TransitionMatrix};
+use orex_authority::{
+    object_rank, object_rank2, power_iteration, query_base_set, top_k, RankParams, TransitionMatrix,
+};
 use orex_bench::{build_system, pick_queries, scale_arg, write_json};
 use orex_core::{QuerySession, SystemConfig};
 use orex_datagen::Preset;
@@ -237,57 +242,97 @@ fn main() {
     report.insert("weighted_vs_uniform_base".into(), serde_json::json!(taus));
 
     // ---------------------------------------------------------------
-    // Ablation 5: top-k early termination (BHP04-style interactive
-    // optimization).
+    // Ablation 5: how exact is the served ranking? The paper's ε against
+    // each query's own ε = 1e-12 fixpoint, both from the served warm start.
     // ---------------------------------------------------------------
-    println!("\n[5] Top-k early termination vs full convergence");
-    let mut full_iters = 0.0;
-    let mut early_iters = 0.0;
-    let mut agree = 0usize;
-    let mut total = 0usize;
-    for query in &queries {
-        let qv = QueryVector::initial(query, system.index().analyzer());
-        let matrix = TransitionMatrix::new(system.transfer(), system.initial_rates());
-        let Ok(base) = orex_authority::BaseSet::weighted(
-            system.index().base_set_scores(&qv, &system.config().okapi),
-        ) else {
+    println!(
+        "\n[5] Served ranking (eps {}) vs its eps 1e-12 fixpoint",
+        system.config().rank.epsilon
+    );
+    println!(
+        "    {:<16} {:>4} {:>6} {:>10} {:>10} {:>7} {:>7}",
+        "query", "set", "order", "true L1", "bound", "sweeps", "fixpt"
+    );
+    let served_params = system.config().rank;
+    let fixpoint_params = RankParams {
+        epsilon: 1e-12,
+        max_iterations: 1000,
+        ..served_params
+    };
+    let d = served_params.damping;
+    let top10 =
+        |scores: &[f64]| -> Vec<u32> { top_k(scores, 10, 0.0).iter().map(|r| r.node).collect() };
+    let mut rows = Vec::new();
+    let (mut set_agree, mut order_agree, mut within_bound) = (0usize, 0usize, 0usize);
+    let (mut errors, mut bounds) = (Vec::new(), Vec::new());
+    let (mut served_sweeps, mut fixpoint_sweeps) = (Vec::new(), Vec::new());
+    for query in pick_queries(&system, &keywords, 35) {
+        let qv = QueryVector::initial(&query, system.index().analyzer());
+        let Ok(base) = query_base_set(system.index(), &qv, &system.config().okapi) else {
             continue;
         };
-        let mut tight = system.config().rank;
-        tight.epsilon = 1e-8;
-        tight.max_iterations = 500;
-        let full = orex_authority::power_iteration(&matrix, &base, &tight, None);
-        let early = orex_authority::power_iteration_topk(
-            &matrix,
-            &base,
-            &tight,
-            &orex_authority::TopKParams::default(),
-            None,
-        );
-        full_iters += full.iterations as f64;
-        early_iters += early.result.iterations as f64;
-        let full_top: Vec<u32> = top_k(&full.scores, 10, 0.0)
+        let served = power_iteration(&matrix, &base, &served_params, system.global_scores());
+        let fixpoint = power_iteration(&matrix, &base, &fixpoint_params, system.global_scores());
+        let (top_s, top_f) = (top10(&served.scores), top10(&fixpoint.scores));
+        let same_set = top_s.iter().all(|n| top_f.contains(n)) && top_s.len() == top_f.len();
+        let same_order = top_s == top_f;
+        let true_l1: f64 = served
+            .scores
             .iter()
-            .map(|r| r.node)
-            .collect();
-        let early_top: Vec<u32> = early.top.iter().map(|r| r.node).collect();
-        if full_top == early_top {
-            agree += 1;
-        }
-        total += 1;
+            .zip(&fixpoint.scores)
+            .map(|(a, b)| (a - b).abs())
+            .sum();
+        let bound = d / (1.0 - d) * served.residuals.last().copied().unwrap_or(0.0);
+        set_agree += usize::from(same_set);
+        order_agree += usize::from(same_order);
+        within_bound += usize::from(true_l1 <= bound);
+        errors.push(true_l1);
+        bounds.push(bound);
+        served_sweeps.push(served.iterations as f64);
+        fixpoint_sweeps.push(fixpoint.iterations as f64);
+        println!(
+            "    {:<16} {:>4} {:>6} {true_l1:>10.2e} {bound:>10.2e} {:>7} {:>7}",
+            query.to_string(),
+            if same_set { "yes" } else { "no" },
+            if same_order { "yes" } else { "no" },
+            served.iterations,
+            fixpoint.iterations
+        );
+        rows.push(serde_json::json!({
+            "query": query.to_string(),
+            "top10_set_agrees": same_set,
+            "top10_order_agrees": same_order,
+            "true_l1_error": true_l1,
+            "l1_bound": bound,
+            "served_sweeps": served.iterations,
+            "fixpoint_sweeps": fixpoint.iterations,
+            "fixpoint_converged": fixpoint.converged,
+        }));
     }
-    let n = total.max(1) as f64;
+    let total = rows.len();
+    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     println!(
-        "    avg iterations: full {:.1} vs top-10 stable {:.1}; top-10 identical on {agree}/{total} queries",
-        full_iters / n,
-        early_iters / n
+        "    top-10 set agrees on {set_agree}/{total}, order on {order_agree}/{total}; \
+         true L1 within the bound on {within_bound}/{total} (mean {:.2e} vs {:.2e}); \
+         mean sweeps {:.1} served vs {:.1} fixpoint",
+        mean(&errors),
+        mean(&bounds),
+        mean(&served_sweeps),
+        mean(&fixpoint_sweeps)
     );
     report.insert(
-        "topk_early_termination".into(),
+        "served_vs_fixpoint".into(),
         serde_json::json!({
-            "full_avg_iterations": full_iters / n,
-            "early_avg_iterations": early_iters / n,
-            "topk_agreement": format!("{agree}/{total}"),
+            "served_epsilon": served_params.epsilon,
+            "fixpoint_epsilon": fixpoint_params.epsilon,
+            "top10_set_agreement": format!("{set_agree}/{total}"),
+            "top10_order_agreement": format!("{order_agree}/{total}"),
+            "within_bound": format!("{within_bound}/{total}"),
+            "mean_true_l1_error": mean(&errors),
+            "mean_l1_bound": mean(&bounds),
+            "mean_served_sweeps": mean(&served_sweeps),
+            "mean_fixpoint_sweeps": mean(&fixpoint_sweeps),
+            "queries": rows,
         }),
     );
 

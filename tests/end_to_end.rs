@@ -235,32 +235,3 @@ fn meta_path_summary_explains_dblp_results() {
         assert!(m.total_flow > 0.0);
     }
 }
-
-#[test]
-fn topk_early_termination_agrees_on_pipeline_queries() {
-    let sys = system();
-    let qv = orex::ir::QueryVector::initial(&Query::parse("data"), sys.index().analyzer());
-    let matrix = orex::authority::TransitionMatrix::new(sys.transfer(), sys.initial_rates());
-    let base = BaseSet::weighted(sys.index().base_set_scores(&qv, &sys.config().okapi)).unwrap();
-    let mut params = sys.config().rank;
-    params.epsilon = 1e-9;
-    params.max_iterations = 500;
-    let full = orex::authority::power_iteration(&matrix, &base, &params, None);
-    let early = orex::authority::power_iteration_topk(
-        &matrix,
-        &base,
-        &params,
-        &orex::authority::TopKParams::default(),
-        None,
-    );
-    let full_top: Vec<u32> = orex::authority::top_k(&full.scores, 10, 0.0)
-        .iter()
-        .map(|r| r.node)
-        .collect();
-    let early_top: Vec<u32> = early.top.iter().map(|r| r.node).collect();
-    assert_eq!(
-        full_top, early_top,
-        "early termination must not change the top-10"
-    );
-    assert!(early.result.iterations <= full.iterations);
-}
