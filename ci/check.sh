@@ -4,6 +4,12 @@
 # runs this script as its `check` job; its only other jobs are `miri` and
 # `tsan`, the Miri and ThreadSanitizer runs, which need a nightly
 # toolchain and are not in here.
+#
+# clippy carries the unsafe, panic, exit, sleep, `#[allow]` and print
+# rules (levels in the root Cargo.toml and at the crate roots, the sleep
+# entry in clippy.toml); `orex analyze` keeps the rules that need
+# comments, the call graph or the lock model: ORX003, ORX004, ORX006
+# (the TODO/FIXME census) and ORX008-ORX010.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 

@@ -515,11 +515,12 @@ pub fn interprocedural_findings(facts: &[FileFacts], policy: &Policy) -> InterFi
     let mut out = InterFindings::default();
 
     // ORX008: panic reachability. Roots are unwaived panic sites in
-    // files *outside* the ORX002 scope (in-scope sites are ORX002's
-    // own findings or its deliberate waivers).
+    // files *outside* the ORX008 scope: inside it, clippy's panic lints
+    // (denied at those crate roots) already reject the site or carry
+    // its `#[expect]` waiver.
     let panic_marked = g.reach(
         |id, s| {
-            if policy.rule_applies(Rule::Orx002, g.file(id)) {
+            if policy.rule_applies(Rule::Orx008, g.file(id)) {
                 return None;
             }
             s.panics
@@ -531,7 +532,7 @@ pub fn interprocedural_findings(facts: &[FileFacts], policy: &Policy) -> InterFi
     );
     for id in 0..g.fns.len() {
         let file = g.file(id).to_string();
-        if !policy.rule_applies(Rule::Orx008, &file) || !policy.rule_applies(Rule::Orx002, &file) {
+        if !policy.rule_applies(Rule::Orx008, &file) {
             continue;
         }
         let s = g.summary(id);
@@ -661,6 +662,7 @@ pub fn interprocedural_findings(facts: &[FileFacts], policy: &Policy) -> InterFi
                             file: g.file(id).to_string(),
                             line: c.line,
                             col: c.col,
+                            waived: false,
                         });
                     }
                 }
@@ -737,11 +739,10 @@ mod tests {
     use crate::rules::test_mask;
     use crate::summary::extract_facts;
 
-    /// Policy scoping ORX002 (and the new rules) to `scoped/src/**`.
+    /// Policy scoping ORX008 to `scoped/src/**`.
     fn policy() -> Policy {
         Policy::parse(
-            "scope ORX002 crates/scoped/src/**\n\
-             scope ORX008 crates/scoped/src/**\n\
+            "scope ORX008 crates/scoped/src/**\n\
              scope ORX009 **\n\
              scope ORX010 **\n",
         )
@@ -803,8 +804,9 @@ mod tests {
 
     #[test]
     fn orx008_in_scope_panics_are_orx002s_job_not_orx008s() {
-        // Panic site inside the ORX002 scope: ORX002 flags it already;
-        // ORX008 must not double-report callers within the scope.
+        // Panic site inside the ORX008 scope: clippy's panic lints reject
+        // it there already; ORX008 must not double-report callers within
+        // the scope.
         let scoped = facts_of(
             "crates/scoped/src/lib.rs",
             "fn handle(q: &str) -> u32 {\n    score(q)\n}\n\

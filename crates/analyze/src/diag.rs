@@ -9,21 +9,15 @@
 
 use std::fmt::Write as _;
 
-/// The project lint rules. IDs are stable and never reused, so ORX007
-/// (now clippy's print lints) leaves a gap.
+/// The project lint rules. IDs are stable and never reused: ORX001,
+/// ORX002, ORX005 and ORX007 are clippy lints now and leave gaps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// `unsafe` without an attached `// SAFETY:` comment.
-    Orx001,
-    /// `unwrap()` / `expect()` / `panic!` in a scoped hot path.
-    Orx002,
     /// Atomic-ordering audit: unjustified `Relaxed` or `SeqCst`.
     Orx003,
     /// Inconsistent two-lock acquisition order (deadlock potential).
     Orx004,
-    /// `std::process::exit` / thread sleep outside allowlisted crates.
-    Orx005,
-    /// Debt census over budget (`TODO` / `FIXME` / `#[allow]`).
+    /// Debt census over budget (`TODO` / `FIXME`).
     Orx006,
     /// A scoped hot path transitively reaches a panic site (call graph).
     Orx008,
@@ -34,14 +28,11 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// Stable rule ID, e.g. `ORX001`.
+    /// Stable rule ID, e.g. `ORX003`.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::Orx001 => "ORX001",
-            Rule::Orx002 => "ORX002",
             Rule::Orx003 => "ORX003",
             Rule::Orx004 => "ORX004",
-            Rule::Orx005 => "ORX005",
             Rule::Orx006 => "ORX006",
             Rule::Orx008 => "ORX008",
             Rule::Orx009 => "ORX009",
@@ -52,12 +43,9 @@ impl Rule {
     /// One-line description used in help output and the JSON report.
     pub fn summary(self) -> &'static str {
         match self {
-            Rule::Orx001 => "unsafe code must carry an attached `// SAFETY:` comment",
-            Rule::Orx002 => "no unwrap()/expect()/panic! in serving hot paths (server, router, telemetry, precompute)",
             Rule::Orx003 => "atomic Relaxed/SeqCst orderings need `// ORDERING:` justification",
             Rule::Orx004 => "lock pairs must be acquired in a consistent order",
-            Rule::Orx005 => "no process::exit or thread sleep outside cli/bench/eval",
-            Rule::Orx006 => "debt census (TODO/FIXME/#[allow]) exceeds committed budget",
+            Rule::Orx006 => "debt census (TODO/FIXME) exceeds committed budget",
             Rule::Orx008 => {
                 "hot-path functions must not transitively reach a panic site (call graph)"
             }
@@ -68,14 +56,11 @@ impl Rule {
         }
     }
 
-    /// Parses `ORX001`-style IDs (case-insensitive).
+    /// Parses `ORX003`-style IDs (case-insensitive).
     pub fn parse(s: &str) -> Option<Rule> {
         match s.to_ascii_uppercase().as_str() {
-            "ORX001" => Some(Rule::Orx001),
-            "ORX002" => Some(Rule::Orx002),
             "ORX003" => Some(Rule::Orx003),
             "ORX004" => Some(Rule::Orx004),
-            "ORX005" => Some(Rule::Orx005),
             "ORX006" => Some(Rule::Orx006),
             "ORX008" => Some(Rule::Orx008),
             "ORX009" => Some(Rule::Orx009),
@@ -85,13 +70,10 @@ impl Rule {
     }
 
     /// All rules, for report summaries.
-    pub fn all() -> [Rule; 9] {
+    pub fn all() -> [Rule; 6] {
         [
-            Rule::Orx001,
-            Rule::Orx002,
             Rule::Orx003,
             Rule::Orx004,
-            Rule::Orx005,
             Rule::Orx006,
             Rule::Orx008,
             Rule::Orx009,
@@ -103,15 +85,6 @@ impl Rule {
     /// prints and the README table links to. One source of truth.
     pub fn rationale(self) -> &'static str {
         match self {
-            Rule::Orx001 => {
-                "Every unsafe block is a proof obligation. The attached SAFETY comment is \
-                 where the proof lives; without it, review cannot distinguish a sound block \
-                 from a latent miscompilation."
-            }
-            Rule::Orx002 => {
-                "A panic in a request-serving thread tears down that connection and, under \
-                 some supervisors, the process. Scoped hot paths must return errors instead."
-            }
             Rule::Orx003 => {
                 "Relaxed is correct only under an argued happens-before story and SeqCst is \
                  usually a smell; both need an ORDERING comment explaining the choice."
@@ -121,19 +94,16 @@ impl Rule {
                  builds the acquisition-order graph (intra- and inter-procedurally) and flags \
                  any pair observed in both orders."
             }
-            Rule::Orx005 => {
-                "process::exit skips destructors and sleeps hide scheduling bugs; both are \
-                 confined to the cli/bench/eval tools where a human is in the loop."
-            }
             Rule::Orx006 => {
                 "Debt markers are fine; unbounded debt is not. The census is compared to the \
                  budget committed in analyze.policy so growth is a deliberate, reviewed act."
             }
             Rule::Orx008 => {
-                "ORX002 catches panics written *in* a hot path; ORX008 walks the workspace \
-                 call graph and catches the panic three calls away. A scoped function fails \
-                 if any workspace function it transitively reaches contains an unwaived \
-                 panic site outside the ORX002 scope; the diagnostic prints the call chain. \
+                "Clippy's panic lints, denied at the serving crate roots, catch panics \
+                 written *in* a hot path; ORX008 walks the workspace call graph and catches \
+                 the panic three calls away. A scoped function fails if any workspace \
+                 function it transitively reaches contains an unwaived panic site outside \
+                 the ORX008 scope; the diagnostic prints the call chain. \
                  Calls through trait objects and function pointers are not resolved \
                  (conservative: unresolved calls are assumed panic-free), and macro bodies \
                  other than the panic family are not expanded."
@@ -160,11 +130,8 @@ impl Rule {
     /// A minimal example that fires the rule, for `--explain`.
     pub fn example(self) -> &'static str {
         match self {
-            Rule::Orx001 => "unsafe { ptr.read() }                // no SAFETY comment",
-            Rule::Orx002 => "let v = table.get(k).unwrap();       // in a scoped file",
             Rule::Orx003 => "flag.store(true, Ordering::Relaxed); // no ORDERING comment",
             Rule::Orx004 => "A: a.lock(); b.lock();   B: b.lock(); a.lock();",
-            Rule::Orx005 => "std::process::exit(1);               // in a library crate",
             Rule::Orx006 => "// TODO: one marker over the committed budget",
             Rule::Orx008 => {
                 "fn handle() { score(); }  fn score() { cfg().unwrap(); }  // handle is scoped"
@@ -235,8 +202,6 @@ pub struct Census {
     pub todo: usize,
     /// `FIXME` markers in comments.
     pub fixme: usize,
-    /// `#[allow(...)]` attributes in code.
-    pub allow_attr: usize,
 }
 
 impl Report {
@@ -268,8 +233,8 @@ impl Report {
         );
         let _ = writeln!(
             out,
-            "debt census: {} TODO, {} FIXME, {} #[allow]",
-            self.census.todo, self.census.fixme, self.census.allow_attr
+            "debt census: {} TODO, {} FIXME",
+            self.census.todo, self.census.fixme
         );
         out
     }
@@ -282,8 +247,8 @@ impl Report {
         let _ = writeln!(out, "  \"waived\": {},", self.waived);
         let _ = writeln!(
             out,
-            "  \"census\": {{\"todo\": {}, \"fixme\": {}, \"allow_attr\": {}}},",
-            self.census.todo, self.census.fixme, self.census.allow_attr
+            "  \"census\": {{\"todo\": {}, \"fixme\": {}}},",
+            self.census.todo, self.census.fixme
         );
         // Per-rule counts make CI dashboards trivial.
         out.push_str("  \"counts\": {");
@@ -380,13 +345,13 @@ mod tests {
     #[test]
     fn text_rendering_is_rustc_shaped() {
         let mut r = Report {
-            findings: vec![finding(Rule::Orx002, "crates/server/src/server.rs", 42)],
+            findings: vec![finding(Rule::Orx003, "crates/server/src/server.rs", 42)],
             files_scanned: 3,
             ..Report::default()
         };
         r.sort();
         let text = r.render_text();
-        assert!(text.contains("error[ORX002]:"));
+        assert!(text.contains("error[ORX003]:"));
         assert!(text.contains("--> crates/server/src/server.rs:42:5"));
     }
 
@@ -394,18 +359,18 @@ mod tests {
     fn json_report_counts_and_escapes() {
         let r = Report {
             findings: vec![Finding {
-                rule: Rule::Orx001,
+                rule: Rule::Orx003,
                 file: "a.rs".to_string(),
                 line: 1,
                 col: 1,
-                message: "needs \"SAFETY\"\ncomment".to_string(),
+                message: "needs \"ORDERING\"\ncomment".to_string(),
             }],
             files_scanned: 1,
             ..Report::default()
         };
         let json = r.render_json();
-        assert!(json.contains("\"ORX001\": 1"));
-        assert!(json.contains("\\\"SAFETY\\\"\\ncomment"));
+        assert!(json.contains("\"ORX003\": 1"));
+        assert!(json.contains("\\\"ORDERING\\\"\\ncomment"));
         assert!(json.contains("\"ok\": false"));
     }
 

@@ -8,19 +8,21 @@
 //!
 //! | ID     | Check |
 //! |--------|-------|
-//! | ORX001 | every `unsafe` must carry an attached `// SAFETY:` comment |
-//! | ORX002 | no `unwrap()`/`expect()`/`panic!` in scoped hot paths |
 //! | ORX003 | `Ordering::Relaxed`/`SeqCst` need `// ORDERING:` justification |
 //! | ORX004 | two-lock acquisition-order inversions (deadlock potential), in-file and across calls |
-//! | ORX005 | no `process::exit`/`thread::sleep` outside cli/bench/eval |
-//! | ORX006 | debt census (`TODO`/`FIXME`/`#[allow]`) over committed budget |
+//! | ORX006 | debt census (`TODO`/`FIXME`) over committed budget |
 //! | ORX008 | scoped hot paths must not transitively reach a panic site |
 //! | ORX009 | no lock guard held across a blocking call or sleep |
 //! | ORX010 | request-derived lengths clamped before sizing an allocation |
 //!
-//! ORX001–ORX006 are file-local token-stream passes ([`rules`]).
-//! ORX007 is retired: the print ban is clippy's `print_stdout` and
-//! `print_stderr`, denied at each library crate root.
+//! ORX003, ORX004's in-file pairs and ORX006 are file-local
+//! token-stream passes ([`rules`]). The lexical rules clippy already
+//! has are lint levels, not passes here, and their IDs are not reused:
+//! ORX001 is `undocumented_unsafe_blocks`, ORX002 the panic lints
+//! denied at the serving crate roots, ORX005 `exit` and the
+//! `thread::sleep` entry of `disallowed_methods` denied at every
+//! library crate root, ORX006's old `#[allow]` budget
+//! `allow_attributes`, and ORX007 `print_stdout`/`print_stderr`.
 //! ORX008–ORX010 run interprocedurally: [`syntax`] parses the token
 //! stream into function items, [`summary`] extracts per-function facts
 //! (panic sites, blocking calls, lock regions, taint sources/sinks),
@@ -29,13 +31,14 @@
 //! function pointers, closures and macros are left unresolved and
 //! assumed benign, so these rules under-approximate.
 //!
-//! Scope, allowlists and budgets live in `analyze.policy` at the
+//! Scopes and budgets live in `analyze.policy` at the
 //! workspace root — the single source of policy. Individual findings
 //! are waived inline with `// orex::allow(ORXnnn): reason` attached to
 //! the offending line; an ORX008 waiver anywhere on a call chain
 //! clears every caller upstream of it. Reports render as text or JSON.
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![cfg_attr(not(test), deny(clippy::exit, clippy::disallowed_methods))]
 
 pub mod callgraph;
 pub mod diag;
@@ -99,7 +102,6 @@ pub fn analyze_workspace(root: &Path, policy: &Policy) -> Result<Report, Analyze
         report.waived += scan.waived;
         report.census.todo += scan.census.todo;
         report.census.fixme += scan.census.fixme;
-        report.census.allow_attr += scan.census.allow_attr;
         edges.extend(scan.lock_edges);
         let mask = rules::test_mask(&lexed.tokens);
         all_facts.push(summary::extract_facts(rel, &lexed, &mask));
@@ -120,8 +122,13 @@ pub fn analyze_workspace(root: &Path, policy: &Policy) -> Result<Report, Analyze
     });
 
     // ORX004 needs the cross-file edge set.
-    for f in rules::lock_cycle_findings(&edges) {
-        if policy.rule_applies(Rule::Orx004, &f.file) {
+    for (f, waived) in rules::lock_cycle_findings(&edges) {
+        if !policy.rule_applies(Rule::Orx004, &f.file) {
+            continue;
+        }
+        if waived {
+            report.waived += 1;
+        } else {
             report.findings.push(f);
         }
     }
@@ -130,11 +137,6 @@ pub fn analyze_workspace(root: &Path, policy: &Policy) -> Result<Report, Analyze
     let budgets = [
         ("TODO", report.census.todo, policy.budget_todo),
         ("FIXME", report.census.fixme, policy.budget_fixme),
-        (
-            "#[allow]",
-            report.census.allow_attr,
-            policy.budget_allow_attr,
-        ),
     ];
     for (what, count, budget) in budgets {
         if let Some(max) = budget {

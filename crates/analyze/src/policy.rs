@@ -1,17 +1,15 @@
 //! The `analyze.policy` file: the single source of scanning policy.
 //!
-//! Rather than hard-coding exemptions in the scanner (which would turn
-//! every policy change into a code change), crates opt in and out of
-//! rules through a committed policy file at the workspace root:
+//! Rather than hard-coding scopes in the scanner (which would turn
+//! every policy change into a code change), rules are scoped through a
+//! committed policy file at the workspace root:
 //!
 //! ```text
 //! # comments and blank lines are ignored
 //! exclude vendor/**                 # never scan these paths
-//! scope ORX002 crates/server/src/** # rule fires only inside these globs
-//! allow ORX005 crates/cli/**        # rule is waived for these globs
+//! scope ORX008 crates/server/src/** # rule fires only inside these globs
 //! budget todo 0                     # debt census budgets (ORX006)
 //! budget fixme 0
-//! budget allow-attr 0
 //! ```
 //!
 //! Glob syntax is the minimal `*` (one path segment) / `**` (any number
@@ -28,15 +26,10 @@ pub struct Policy {
     /// Per-rule scope restriction: when present, the rule only fires on
     /// matching paths.
     pub scopes: Vec<(Rule, Vec<String>)>,
-    /// Per-rule allowlist: matching paths never produce findings for
-    /// that rule.
-    pub allows: Vec<(Rule, String)>,
     /// Debt budgets; `None` means unbounded (rule ORX006 silent).
     pub budget_todo: Option<usize>,
     /// FIXME budget.
     pub budget_fixme: Option<usize>,
-    /// `#[allow]` attribute budget.
-    pub budget_allow_attr: Option<usize>,
 }
 
 /// A policy parse problem with its 1-based line number.
@@ -95,13 +88,6 @@ impl Policy {
                     }
                     p.scopes.push((rule, globs));
                 }
-                "allow" => {
-                    let rule = parse_rule(parts.next(), lineno)?;
-                    let glob = parts
-                        .next()
-                        .ok_or_else(|| err("allow needs a glob".into()))?;
-                    p.allows.push((rule, glob.to_string()));
-                }
                 "budget" => {
                     let what = parts
                         .next()
@@ -113,11 +99,8 @@ impl Policy {
                     match what {
                         "todo" => p.budget_todo = Some(n),
                         "fixme" => p.budget_fixme = Some(n),
-                        "allow-attr" => p.budget_allow_attr = Some(n),
                         other => {
-                            return Err(err(format!(
-                                "unknown budget kind `{other}` (todo|fixme|allow-attr)"
-                            )))
+                            return Err(err(format!("unknown budget kind `{other}` (todo|fixme)")))
                         }
                     }
                 }
@@ -138,17 +121,13 @@ impl Policy {
         self.excludes.iter().any(|g| glob_match(g, path))
     }
 
-    /// True when `rule` applies at `path` under scope + allow policy.
+    /// True when `rule` applies at `path`: the rule has no scope, or
+    /// one of its scope globs matches.
     pub fn rule_applies(&self, rule: Rule, path: &str) -> bool {
-        if let Some((_, globs)) = self.scopes.iter().find(|(r, _)| *r == rule) {
-            if !globs.iter().any(|g| glob_match(g, path)) {
-                return false;
-            }
+        match self.scopes.iter().find(|(r, _)| *r == rule) {
+            Some((_, globs)) => globs.iter().any(|g| glob_match(g, path)),
+            None => true,
         }
-        !self
-            .allows
-            .iter()
-            .any(|(r, g)| *r == rule && glob_match(g, path))
     }
 }
 
@@ -236,17 +215,16 @@ mod tests {
         let p = Policy::parse(
             "# header\n\
              exclude vendor/**\n\
-             scope ORX002 crates/server/src/**,crates/telemetry/src/**\n\
-             allow ORX005 crates/cli/**  # tools may exit\n\
+             scope ORX008 crates/server/src/**,crates/telemetry/src/**  # hot paths\n\
              budget todo 3\n",
         )
         .unwrap();
         assert!(p.is_excluded("vendor/rand/src/lib.rs"));
         assert!(!p.is_excluded("crates/server/src/server.rs"));
-        assert!(p.rule_applies(Rule::Orx002, "crates/server/src/server.rs"));
-        assert!(!p.rule_applies(Rule::Orx002, "crates/cli/src/main.rs"));
-        assert!(!p.rule_applies(Rule::Orx005, "crates/cli/src/main.rs"));
-        assert!(p.rule_applies(Rule::Orx005, "crates/server/src/server.rs"));
+        assert!(p.rule_applies(Rule::Orx008, "crates/server/src/server.rs"));
+        assert!(!p.rule_applies(Rule::Orx008, "crates/cli/src/main.rs"));
+        // An unscoped rule applies everywhere.
+        assert!(p.rule_applies(Rule::Orx003, "crates/cli/src/main.rs"));
         assert_eq!(p.budget_todo, Some(3));
         assert_eq!(p.budget_fixme, None);
     }
@@ -255,27 +233,12 @@ mod tests {
     fn empty_globs_are_rejected_not_silently_dead() {
         // "a/**,,b/**" has an empty middle glob — almost certainly a
         // typo that would narrow the gate without anyone noticing.
-        let e = Policy::parse("scope ORX002 a/**,,b/**\n").unwrap_err();
+        let e = Policy::parse("scope ORX008 a/**,,b/**\n").unwrap_err();
         assert!(e.message.contains("empty glob"), "{}", e.message);
-        assert!(Policy::parse("scope ORX002 ,a/**\n").is_err());
-        assert!(Policy::parse("scope ORX002 a/**,\n").is_err());
+        assert!(Policy::parse("scope ORX008 ,a/**\n").is_err());
+        assert!(Policy::parse("scope ORX008 a/**,\n").is_err());
         // And the raw matcher treats "" as matching nothing real.
         assert!(!glob_match("", "crates/server/src/http.rs"));
-    }
-
-    #[test]
-    fn overlapping_scope_and_allow_allow_wins() {
-        // A path inside the scope but also inside an allow is waived:
-        // allow is the finer-grained override.
-        let p = Policy::parse(
-            "scope ORX002 crates/**\n\
-             allow ORX002 crates/cli/**\n",
-        )
-        .unwrap();
-        assert!(p.rule_applies(Rule::Orx002, "crates/server/src/http.rs"));
-        assert!(!p.rule_applies(Rule::Orx002, "crates/cli/src/main.rs"));
-        // The allow does not leak onto other rules at the same path.
-        assert!(p.rule_applies(Rule::Orx001, "crates/cli/src/main.rs"));
     }
 
     #[test]
@@ -311,6 +274,10 @@ mod tests {
         assert!(e.message.contains("unknown directive"));
         assert!(Policy::parse("scope ORX999 x/**\n").is_err());
         assert!(Policy::parse("budget nonsense 2\n").is_err());
+        // The retired `allow` directive and `#[allow]` budget are errors,
+        // not silently dead lines.
+        assert!(Policy::parse("allow ORX003 crates/cli/**\n").is_err());
+        assert!(Policy::parse("budget allow-attr 0\n").is_err());
         assert!(Policy::parse("exclude a/** trailing\n").is_err());
     }
 }

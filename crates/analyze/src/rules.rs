@@ -1,13 +1,17 @@
-//! The file-local lint rules (ORX001–ORX006), run over a
-//! [`LexedFile`](crate::lexer::LexedFile).
+//! The file-local passes, run over a
+//! [`LexedFile`](crate::lexer::LexedFile): ORX003's ordering audit,
+//! ORX004's lock-pair collector and ORX006's TODO/FIXME census. The
+//! lexical rules clippy has (undocumented `unsafe`, hot-path panics,
+//! exit/sleep, `#[allow]`) are lint levels in the workspace manifest
+//! and at the crate roots, not passes here.
 //!
 //! Rules are intentionally token-sequence matchers rather than AST
 //! passes: the scanner must stay dependency-free and fast enough to run
 //! on every CI push, and every rule here is expressible as "this token
 //! pattern, unless annotated". The annotation channel is comments —
-//! `// SAFETY:` for ORX001, `// ORDERING:` for ORX003, and the
-//! universal waiver `// orex::allow(ORXnnn): reason` that downgrades
-//! any finding on its attached line.
+//! `// ORDERING:` for ORX003, and the universal waiver
+//! `// orex::allow(ORXnnn): reason` that downgrades any finding on its
+//! attached line.
 
 use crate::diag::{Census, Finding, Rule};
 use crate::lexer::{LexedFile, Token, TokenKind};
@@ -42,6 +46,9 @@ pub struct LockEdge {
     pub line: u32,
     /// Column of the second acquisition.
     pub col: u32,
+    /// An `orex::allow(ORX004)` waiver is attached to the second
+    /// acquisition.
+    pub waived: bool,
 }
 
 /// Scans one lexed file. `path` is workspace-relative with `/`
@@ -50,29 +57,16 @@ pub fn scan_file(path: &str, lexed: &LexedFile, policy: &Policy) -> FileScan {
     let mut scan = FileScan::default();
     let mask = test_mask(&lexed.tokens);
 
-    census(path, lexed, &mask, &mut scan);
-    rule_unsafe_safety(path, lexed, &mask, policy, &mut scan);
-    rule_panic_paths(path, lexed, &mask, policy, &mut scan);
+    census(lexed, &mut scan);
     rule_atomic_ordering(path, lexed, &mask, policy, &mut scan);
-    rule_exit_sleep(path, lexed, &mask, policy, &mut scan);
     collect_lock_edges(path, lexed, &mask, &mut scan);
 
     scan
 }
 
-/// Emits `finding` unless an attached `// orex::allow(RULE)` waiver
-/// covers it.
-fn emit(lexed: &LexedFile, scan: &mut FileScan, finding: Finding) {
-    if is_waived(lexed, finding.rule, finding.line) {
-        scan.waived += 1;
-    } else {
-        scan.findings.push(finding);
-    }
-}
-
 /// True when the comments attached to `line` contain
 /// `orex::allow(RULE)` for this rule (any surrounding text allowed, so
-/// `// orex::allow(ORX002): reason` reads naturally).
+/// `// orex::allow(ORX003): reason` reads naturally).
 pub fn is_waived(lexed: &LexedFile, rule: Rule, line: u32) -> bool {
     let attached = lexed.attached_comments(line);
     let lower = attached.to_ascii_lowercase();
@@ -150,29 +144,14 @@ pub fn test_mask(tokens: &[Token]) -> Vec<bool> {
     mask
 }
 
-/// ORX006 raw material: counts TODO/FIXME in comments and `#[allow(`
-/// in code. Budget comparison happens at workspace level in
-/// [`crate::analyze_workspace`].
-fn census(_path: &str, lexed: &LexedFile, mask: &[bool], scan: &mut FileScan) {
+/// ORX006 raw material: counts TODO/FIXME in comments. Budget
+/// comparison happens at workspace level in [`crate::analyze_workspace`].
+fn census(lexed: &LexedFile, scan: &mut FileScan) {
     for c in &lexed.comments {
         // A marker is the word immediately followed by `:` or `(owner)`
         // — prose that merely *mentions* the word is not debt.
         scan.census.todo += marker_count(&c.text, "TODO");
         scan.census.fixme += marker_count(&c.text, "FIXME");
-    }
-    let toks = &lexed.tokens;
-    for i in 0..toks.len() {
-        if mask[i] {
-            continue;
-        }
-        // `#` `[` `allow` — cfg_attr(.., allow(..)) also matches, which
-        // is fine: it is still debt.
-        if toks[i].is_punct('#')
-            && toks.get(i + 1).is_some_and(|t| t.is_punct('['))
-            && toks.get(i + 2).is_some_and(|t| t.is_ident("allow"))
-        {
-            scan.census.allow_attr += 1;
-        }
     }
 }
 
@@ -181,95 +160,6 @@ fn marker_count(text: &str, word: &str) -> usize {
     text.match_indices(word)
         .filter(|(i, _)| matches!(text.as_bytes().get(i + word.len()), Some(b':') | Some(b'(')))
         .count()
-}
-
-/// ORX001: every `unsafe` keyword in production code needs an attached
-/// `// SAFETY:` comment.
-fn rule_unsafe_safety(
-    path: &str,
-    lexed: &LexedFile,
-    mask: &[bool],
-    policy: &Policy,
-    scan: &mut FileScan,
-) {
-    if !policy.rule_applies(Rule::Orx001, path) {
-        return;
-    }
-    for (i, t) in lexed.tokens.iter().enumerate() {
-        if mask[i] || !t.is_ident("unsafe") {
-            continue;
-        }
-        // `unsafe` in a trait bound / fn-pointer type (`unsafe fn()` as
-        // a type) still wants justification, so no special-casing.
-        let attached = lexed.attached_comments(t.line);
-        if attached.contains("SAFETY:") {
-            continue;
-        }
-        emit(
-            lexed,
-            scan,
-            Finding {
-                rule: Rule::Orx001,
-                file: path.to_string(),
-                line: t.line,
-                col: t.col,
-                message: "`unsafe` without an attached `// SAFETY:` comment".to_string(),
-            },
-        );
-    }
-}
-
-/// ORX002: `unwrap()` / `expect()` / `panic!` / `unreachable!` /
-/// `assert!` family are banned in scoped hot paths (server request
-/// handling, telemetry). `unwrap_or_*` are distinct idents and never
-/// match.
-fn rule_panic_paths(
-    path: &str,
-    lexed: &LexedFile,
-    mask: &[bool],
-    policy: &Policy,
-    scan: &mut FileScan,
-) {
-    if !policy.rule_applies(Rule::Orx002, path) {
-        return;
-    }
-    let toks = &lexed.tokens;
-    for i in 0..toks.len() {
-        if mask[i] {
-            continue;
-        }
-        let t = &toks[i];
-        let bad = if t.kind != TokenKind::Ident {
-            None
-        } else if (t.text == "unwrap" || t.text == "expect")
-            && toks.get(i.wrapping_sub(1)).is_some_and(|p| p.is_punct('.'))
-            && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-        {
-            Some(format!("`.{}()` can panic in a hot path", t.text))
-        } else if (t.text == "panic"
-            || t.text == "unreachable"
-            || t.text == "todo"
-            || t.text == "unimplemented")
-            && toks.get(i + 1).is_some_and(|n| n.is_punct('!'))
-        {
-            Some(format!("`{}!` aborts the worker thread", t.text))
-        } else {
-            None
-        };
-        if let Some(message) = bad {
-            emit(
-                lexed,
-                scan,
-                Finding {
-                    rule: Rule::Orx002,
-                    file: path.to_string(),
-                    line: t.line,
-                    col: t.col,
-                    message,
-                },
-            );
-        }
-    }
 }
 
 /// ORX003: `Ordering::Relaxed` and `Ordering::SeqCst` both demand an
@@ -321,68 +211,17 @@ fn rule_atomic_ordering(
                   use Acquire/Release unless a total order is really required"
                 .to_string(),
         };
-        emit(
-            lexed,
-            scan,
-            Finding {
-                rule: Rule::Orx003,
-                file: path.to_string(),
-                line: t.line,
-                col: t.col,
-                message,
-            },
-        );
-    }
-}
-
-/// ORX005: `process::exit` and thread sleeps are banned outside
-/// allowlisted crates (cli, bench): a library that exits or sleeps
-/// steals control from the server runtime.
-fn rule_exit_sleep(
-    path: &str,
-    lexed: &LexedFile,
-    mask: &[bool],
-    policy: &Policy,
-    scan: &mut FileScan,
-) {
-    if !policy.rule_applies(Rule::Orx005, path) {
-        return;
-    }
-    let toks = &lexed.tokens;
-    for i in 0..toks.len() {
-        if mask[i] {
+        if is_waived(lexed, Rule::Orx003, t.line) {
+            scan.waived += 1;
             continue;
         }
-        let t = &toks[i];
-        let message = if t.is_ident("exit")
-            && toks.get(i.wrapping_sub(1)).is_some_and(|p| p.is_punct(':'))
-            && toks
-                .get(i.wrapping_sub(3))
-                .is_some_and(|p| p.is_ident("process"))
-        {
-            "`process::exit` outside cli/bench kills in-flight requests"
-        } else if t.is_ident("sleep")
-            && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-            && toks.get(i.wrapping_sub(1)).is_some_and(|p| p.is_punct(':'))
-            && toks
-                .get(i.wrapping_sub(3))
-                .is_some_and(|p| p.is_ident("thread"))
-        {
-            "`thread::sleep` outside cli/bench blocks a worker"
-        } else {
-            continue;
-        };
-        emit(
-            lexed,
-            scan,
-            Finding {
-                rule: Rule::Orx005,
-                file: path.to_string(),
-                line: t.line,
-                col: t.col,
-                message: message.to_string(),
-            },
-        );
+        scan.findings.push(Finding {
+            rule: Rule::Orx003,
+            file: path.to_string(),
+            line: t.line,
+            col: t.col,
+            message,
+        });
     }
 }
 
@@ -479,6 +318,7 @@ fn collect_lock_edges(path: &str, lexed: &LexedFile, mask: &[bool], scan: &mut F
                     file: path.to_string(),
                     line: t.line,
                     col: t.col,
+                    waived: is_waived(lexed, Rule::Orx004, t.line),
                 });
             }
         }
@@ -490,13 +330,14 @@ fn collect_lock_edges(path: &str, lexed: &LexedFile, mask: &[bool], scan: &mut F
 
 /// ORX004 workspace pass: flags every pair of locks acquired in both
 /// orders anywhere in the scanned tree. Waivers attach at the site of
-/// the *second* acquisition of the edge being reported.
-pub fn lock_cycle_findings(edges: &[LockEdge]) -> Vec<Finding> {
+/// the *second* acquisition of the edge being reported; each finding
+/// comes paired with that edge's waiver flag.
+pub fn lock_cycle_findings(edges: &[LockEdge]) -> Vec<(Finding, bool)> {
     let mut findings = Vec::new();
     for (i, e) in edges.iter().enumerate() {
         for other in &edges[i + 1..] {
             if e.first == other.second && e.second == other.first {
-                findings.push(Finding {
+                let finding = Finding {
                     rule: Rule::Orx004,
                     file: e.file.clone(),
                     line: e.line,
@@ -513,7 +354,8 @@ pub fn lock_cycle_findings(edges: &[LockEdge]) -> Vec<Finding> {
                         other.line,
                         other.func
                     ),
-                });
+                };
+                findings.push((finding, e.waived));
             }
         }
     }
@@ -527,37 +369,6 @@ mod tests {
 
     fn scan(src: &str) -> FileScan {
         scan_file("crates/x/src/lib.rs", &lex(src), &Policy::default())
-    }
-
-    #[test]
-    fn orx001_unsafe_needs_safety() {
-        let s = scan("fn f() { unsafe { g() } }");
-        assert_eq!(s.findings.len(), 1);
-        assert_eq!(s.findings[0].rule, Rule::Orx001);
-
-        let ok = scan("fn f() {\n    // SAFETY: g has no preconditions\n    unsafe { g() }\n}");
-        assert!(ok.findings.is_empty());
-    }
-
-    #[test]
-    fn orx002_unwrap_and_panic() {
-        let s = scan("fn f(x: Option<u32>) -> u32 { x.unwrap() }\nfn g() { panic!(\"boom\") }");
-        let rules: Vec<_> = s.findings.iter().map(|f| f.rule).collect();
-        assert_eq!(rules, vec![Rule::Orx002, Rule::Orx002]);
-
-        // unwrap_or_else is a different ident; field named unwrap is not
-        // a call.
-        let ok = scan("fn f(x: Option<u32>) -> u32 { x.unwrap_or_else(|| 0) }");
-        assert!(ok.findings.is_empty());
-    }
-
-    #[test]
-    fn orx002_waiver() {
-        let s = scan(
-            "fn f(x: Option<u32>) -> u32 {\n    // orex::allow(ORX002): startup path, cannot fail\n    x.unwrap()\n}",
-        );
-        assert!(s.findings.is_empty());
-        assert_eq!(s.waived, 1);
     }
 
     #[test]
@@ -576,20 +387,9 @@ mod tests {
     }
 
     #[test]
-    fn orx005_exit_and_sleep() {
-        let s = scan("fn f() { std::process::exit(1); }\nfn g() { std::thread::sleep(d); }");
-        assert_eq!(s.findings.len(), 2);
-        assert!(s.findings.iter().all(|f| f.rule == Rule::Orx005));
-        // Read::read(buf) style calls don't match ORX004's collector or
-        // anything here.
-        let ok = scan("fn f(mut r: impl Read) { r.read(&mut buf); }");
-        assert!(ok.findings.is_empty());
-    }
-
-    #[test]
     fn cfg_test_blocks_are_skipped() {
         let s = scan(
-            "fn f() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { None::<u32>.unwrap(); std::thread::sleep(d); }\n}",
+            "fn f() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t(a: &AtomicU64) { a.load(Ordering::Relaxed); }\n}",
         );
         assert!(s.findings.is_empty());
     }
@@ -606,7 +406,7 @@ mod tests {
         edges.extend(b.lock_edges.clone());
         let cycles = lock_cycle_findings(&edges);
         assert_eq!(cycles.len(), 1);
-        assert!(cycles[0].message.contains("lock order inversion"));
+        assert!(cycles[0].0.message.contains("lock order inversion"));
 
         // Same order twice: no cycle.
         let c = lock_cycle_findings(&a.lock_edges);
@@ -626,10 +426,9 @@ mod tests {
     #[test]
     fn census_counts() {
         let s = scan(
-            "// TODO: one\n/* FIXME: two */\n#[allow(dead_code)]\nfn f() {}\nfn g() { let s = \"TODO not counted\"; }",
+            "// TODO: one\n/* FIXME: two */\n// a TODO in prose\nfn g() { let s = \"TODO: in a string\"; }",
         );
         assert_eq!(s.census.todo, 1);
         assert_eq!(s.census.fixme, 1);
-        assert_eq!(s.census.allow_attr, 1);
     }
 }

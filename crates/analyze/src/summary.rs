@@ -3,7 +3,7 @@
 //!
 //! For every [`FnItem`](crate::syntax::FnItem) this pass records what
 //! ORX008–ORX010 need to reason across calls: direct panic sites
-//! (ORX002's token set), blocking operations (socket I/O, `accept`,
+//! (`.unwrap()`, `.expect()`, `panic!` and kin), blocking operations (socket I/O, `accept`,
 //! `Condvar::wait`, sleeps), lock-guard regions and which calls/blocks
 //! happen inside them, call sites with argument-level taint, and
 //! request-tainted allocation sinks. Facts are strictly file-local:
@@ -44,7 +44,8 @@ pub struct FnSummary {
     pub line: u32,
     /// 1-based column of the `fn` keyword.
     pub col: u32,
-    /// Direct panic sites (ORX002's token set) in this body.
+    /// Direct panic sites (`.unwrap()`, `.expect()`, `panic!` and kin)
+    /// in this body.
     pub panics: Vec<Site>,
     /// Direct blocking operations in this body.
     pub blocking: Vec<Site>,
@@ -249,8 +250,8 @@ fn is_keyword(name: &str) -> bool {
     )
 }
 
-/// The panic-site matcher shared with ORX002's spirit: method panics
-/// need the `.name(` shape, macro panics the `name!` shape.
+/// The panic-site matcher: method panics need the `.name(` shape,
+/// macro panics the `name!` shape.
 fn panic_site(toks: &[Token], i: usize) -> Option<String> {
     let t = &toks[i];
     if t.kind != TokenKind::Ident {

@@ -88,14 +88,18 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// The print ban is clippy's `print_stdout`/`print_stderr`, denied at
-/// each library crate root; clippy runs in `ci/check.sh`, not under
-/// `cargo test`, so this pins the scope: the root crate and every crate
-/// under `crates/` carry the attribute, except the three tools that own
-/// their terminal, whose sources must not deny prints anywhere.
+/// The print ban is clippy's `print_stdout`/`print_stderr`, and the
+/// exit/sleep ban is `clippy::exit` plus the `thread::sleep` entry of
+/// `disallowed_methods`, each denied at every library crate root;
+/// clippy runs in `ci/check.sh`, not under `cargo test`, so this pins
+/// the scope: the root crate and every crate under `crates/` carry both
+/// attributes, except the three tools that own their terminal and their
+/// process, whose sources must deny neither anywhere.
 #[test]
 fn library_crate_roots_deny_print_macros() {
     const DENY: &str = "#![deny(clippy::print_stdout, clippy::print_stderr)]";
+    const DENY_EXIT: &str =
+        "#![cfg_attr(not(test), deny(clippy::exit, clippy::disallowed_methods))]";
     const TOOLS: [&str; 3] = ["bench", "cli", "eval"];
     let root = workspace_root();
     let mut libraries = vec![root.join("src/lib.rs")];
@@ -114,6 +118,11 @@ fn library_crate_roots_deny_print_macros() {
                     "{} owns its terminal and must not deny prints",
                     file.display()
                 );
+                assert!(
+                    !source.contains("clippy::exit") && !source.contains("disallowed_methods"),
+                    "{} owns its process and must not deny exit or sleep",
+                    file.display()
+                );
             }
         } else {
             libraries.push(dir.join("src/lib.rs"));
@@ -128,71 +137,149 @@ fn library_crate_roots_deny_print_macros() {
     );
     for lib in libraries {
         let source = fs::read_to_string(&lib).expect("library crate root readable");
+        for deny in [DENY, DENY_EXIT] {
+            assert!(
+                source.lines().any(|l| l.trim() == deny),
+                "{} must carry `{deny}`",
+                lib.display()
+            );
+        }
+    }
+}
+
+/// `source` with all whitespace removed, so a rustfmt reflow of a long
+/// attribute still matches its one-line spelling.
+fn squeezed(source: &str) -> String {
+    source.chars().filter(|c| !c.is_whitespace()).collect()
+}
+
+/// The rest of the rules that moved from the analyzer to clippy: the
+/// panic lints in the four places ORX002 scoped, the workspace lint
+/// levels for undocumented `unsafe` and `#[allow]`, and the sleep entry
+/// that `disallowed_methods` reads. Like the print ban, none of this is
+/// checked under `cargo test` unless it is pinned here.
+#[test]
+fn clippy_carries_the_retired_analyzer_rules() {
+    const DENY_PANICS: &str = "#![cfg_attr(not(test), deny(clippy::unwrap_used, \
+         clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, \
+         clippy::unimplemented))]";
+    let root = workspace_root();
+    for file in [
+        "crates/server/src/lib.rs",
+        "crates/router/src/lib.rs",
+        "crates/telemetry/src/lib.rs",
+        "crates/store/src/precompute.rs",
+    ] {
+        let source = fs::read_to_string(root.join(file)).expect("serving source readable");
         assert!(
-            source.lines().any(|l| l.trim() == DENY),
-            "{} must carry `{DENY}`",
-            lib.display()
+            squeezed(&source).contains(&squeezed(DENY_PANICS)),
+            "{file} must carry `{DENY_PANICS}`"
         );
     }
+
+    let manifest = fs::read_to_string(root.join("Cargo.toml")).expect("root Cargo.toml");
+    let lints = &manifest[manifest
+        .find("[workspace.lints.clippy]")
+        .expect("workspace clippy lint table")..];
+    let lints = &lints[..lints[1..].find("\n[").map_or(lints.len(), |i| i + 1)];
+    for entry in [
+        "undocumented_unsafe_blocks = \"warn\"",
+        "allow_attributes = \"warn\"",
+        "allow_attributes_without_reason = \"warn\"",
+        "disallowed_methods = \"allow\"",
+    ] {
+        assert!(
+            lints.lines().any(|l| l.trim() == entry),
+            "[workspace.lints.clippy] must set `{entry}`:\n{lints}"
+        );
+    }
+
+    let clippy = fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml");
+    assert!(
+        squeezed(&clippy).contains("disallowed-methods=[{path=\"std::thread::sleep\""),
+        "clippy.toml must disallow std::thread::sleep:\n{clippy}"
+    );
+}
+
+/// A fixture firing every file-local rule and ORX008: an unjustified
+/// `Relaxed`, two locks taken in both orders, a TODO over a budget of
+/// 0, and a scoped function whose helper in another file unwraps.
+/// `annotated` turns each into its clean form: an `// ORDERING:`
+/// comment, one lock order, no TODO, and an inline ORX008 waiver.
+fn gate_fixture(tag: &str, annotated: bool) -> Fixture {
+    let (ordering, second_order, todo, waiver) = if annotated {
+        (
+            "    // ORDERING: a stop flag; no data is published through it.\n",
+            "    let a = cache.lock();\n    let b = sessions.lock();\n",
+            "",
+            "    // orex::allow(ORX008): fixture demonstrating an inline waiver.\n",
+        )
+    } else {
+        (
+            "",
+            "    let b = sessions.lock();\n    let a = cache.lock();\n",
+            "// TODO: pay this down\n",
+            "",
+        )
+    };
+    let hot = format!(
+        "use std::sync::atomic::{{AtomicBool, Ordering}};\nuse std::sync::Mutex;\n\n\
+         pub fn serve() -> u32 {{\n    helper_value()\n}}\n\n\
+         pub fn stop(flag: &AtomicBool) {{\n{ordering}    flag.store(true, Ordering::Relaxed);\n}}\n\n\
+         pub fn first(cache: &Mutex<u32>, sessions: &Mutex<u32>) {{\n    \
+         let a = cache.lock();\n    let b = sessions.lock();\n    drop((a, b));\n}}\n\n\
+         pub fn second(cache: &Mutex<u32>, sessions: &Mutex<u32>) {{\n{second_order}    \
+         drop((a, b));\n}}\n"
+    );
+    let util = format!(
+        "{todo}pub fn helper_value() -> u32 {{\n{waiver}    \"7\".parse::<u32>().unwrap()\n}}\n"
+    );
+    Fixture::with_files(
+        tag,
+        &[
+            ("analyze.policy", "scope ORX008 src/hot*\nbudget todo 0\n"),
+            ("src/hot.rs", &hot),
+            ("src/util.rs", &util),
+        ],
+    )
 }
 
 #[test]
 fn seeded_violations_fail_the_gate() {
-    let fixture = Fixture::new(
-        "seeded",
-        r#"
-pub fn read_first(p: *const u8) -> u8 {
-    unsafe { *p }
-}
-
-pub fn quit() -> u8 {
-    let v: Option<u8> = None;
-    let out = v.unwrap();
-    std::process::exit(out.into());
-}
-"#,
-    );
-    let policy = load_policy(&fixture.root).expect("missing policy file is empty policy");
+    let fixture = gate_fixture("seeded", false);
+    let policy = load_policy(&fixture.root).expect("fixture policy parses");
     let report = analyze_workspace(&fixture.root, &policy).expect("fixture scan succeeds");
     let rules: Vec<Rule> = report.findings.iter().map(|f| f.rule).collect();
     assert!(
-        rules.contains(&Rule::Orx001),
-        "unsafe without SAFETY: {rules:?}"
+        rules.contains(&Rule::Orx003),
+        "Relaxed without ORDERING: {rules:?}"
     );
     assert!(
-        rules.contains(&Rule::Orx002),
-        "unwrap in unscoped policy: {rules:?}"
+        rules.contains(&Rule::Orx004),
+        "locks taken in both orders: {rules:?}"
     );
     assert!(
-        rules.contains(&Rule::Orx005),
-        "process::exit outside cli: {rules:?}"
+        rules.contains(&Rule::Orx006),
+        "TODO over a budget of 0: {rules:?}"
+    );
+    assert!(
+        rules.contains(&Rule::Orx008),
+        "scoped fn reaches an unwrap: {rules:?}"
     );
 
     // And the CLI entry point maps that to a non-zero outcome.
     let args = vec!["--root".to_string(), fixture.root.display().to_string()];
     let (outcome, out, _) = run_cli_captured(&args);
     assert_eq!(outcome, CliOutcome::Violations);
-    assert!(out.contains("error[ORX001]"), "{out}");
+    assert!(out.contains("error[ORX003]"), "{out}");
 }
 
 #[test]
 fn waived_fixture_passes_the_gate() {
-    let fixture = Fixture::new(
-        "waived",
-        r#"
-pub fn read_first(p: *const u8) -> u8 {
-    // SAFETY: caller contract — p is valid for reads (test fixture).
-    unsafe { *p }
-}
-
-pub fn quit() {
-    // orex::allow(ORX005): fixture demonstrating an inline waiver.
-    std::process::exit(0);
-}
-"#,
-    );
+    let fixture = gate_fixture("waived", true);
     let args = vec!["--root".to_string(), fixture.root.display().to_string()];
-    assert_eq!(run_cli_captured(&args).0, CliOutcome::Clean);
+    let (outcome, out, _) = run_cli_captured(&args);
+    assert_eq!(outcome, CliOutcome::Clean, "{out}");
 }
 
 #[test]
@@ -212,7 +299,10 @@ fn cli_rejects_unknown_flags() {
 
 #[test]
 fn json_report_round_trips_key_fields() {
-    let fixture = Fixture::new("json", "pub fn f(p: *const u8) -> u8 { unsafe { *p } }\n");
+    let fixture = Fixture::new(
+        "json",
+        "pub fn f(a: &AtomicU64) -> u64 {\n    a.load(Ordering::SeqCst)\n}\n",
+    );
     let out = fixture.root.join("report.json");
     let args = vec![
         "--root".to_string(),
@@ -225,22 +315,19 @@ fn json_report_round_trips_key_fields() {
     assert_eq!(run_cli_captured(&args).0, CliOutcome::Violations);
     let json = fs::read_to_string(&out).expect("report written");
     assert!(json.contains("\"ok\": false"));
-    assert!(json.contains("ORX001"));
+    assert!(json.contains("\"rule\": \"ORX003\", \"file\": \"src/lib.rs\", \"line\": 2"));
     assert!(json.contains("\"files_scanned\": 1"));
 }
 
 #[test]
 fn seeded_panic_reachability_fires_across_files() {
     // A scoped hot-path function calls, across a file boundary, a
-    // helper whose panic site sits outside the ORX002 scope: only the
+    // helper whose panic site sits outside the ORX008 scope: only the
     // interprocedural pass can see it.
     let fixture = Fixture::with_files(
         "orx008",
         &[
-            (
-                "analyze.policy",
-                "scope ORX002 src/hot*\nscope ORX008 src/hot*\n",
-            ),
+            ("analyze.policy", "scope ORX008 src/hot*\n"),
             (
                 "src/hot.rs",
                 "pub fn serve() -> u32 {\n    helper_value()\n}\n",
@@ -272,9 +359,7 @@ fn seeded_panic_reachability_fires_across_files() {
         "orx008w",
         &[
             (
-                "analyze.policy",
-                "scope ORX002 src/hot*\nscope ORX008 src/hot*\n",
-            ),
+"analyze.policy", "scope ORX008 src/hot*\n"),
             ("src/hot.rs", "pub fn serve() -> u32 {\n    helper_value()\n}\n"),
             (
                 "src/util.rs",
@@ -300,9 +385,7 @@ fn a_panic_after_an_impl_trait_parameter_is_still_reached() {
         "orx008impl",
         &[
             (
-                "analyze.policy",
-                "scope ORX002 src/hot*\nscope ORX008 src/hot*\n",
-            ),
+"analyze.policy", "scope ORX008 src/hot*\n"),
             ("src/hot.rs", "pub fn serve() -> u32 {\n    helper_value()\n}\n"),
             (
                 "src/util.rs",
@@ -411,10 +494,7 @@ fn report_is_a_pure_function_of_the_tree() {
     let fixture = Fixture::with_files(
         "pure",
         &[
-            (
-                "analyze.policy",
-                "scope ORX002 src/hot*\nscope ORX008 src/hot*\n",
-            ),
+            ("analyze.policy", "scope ORX008 src/hot*\n"),
             (
                 "src/hot.rs",
                 "pub fn serve() -> u32 {\n    helper_value()\n}\n",
@@ -438,8 +518,24 @@ pub fn holds_across_call(m: &std::sync::Mutex<u32>) {
 "#,
             ),
             (
-                "src/raw.rs",
-                "pub fn f(p: *const u8) -> u8 { unsafe { *p } }\n",
+                "src/order.rs",
+                r#"
+pub fn stop(flag: &std::sync::atomic::AtomicBool) {
+    flag.store(true, std::sync::atomic::Ordering::Relaxed);
+}
+
+pub fn first(cache: &std::sync::Mutex<u32>, sessions: &std::sync::Mutex<u32>) {
+    let a = cache.lock();
+    let b = sessions.lock();
+    drop((a, b));
+}
+
+pub fn second(cache: &std::sync::Mutex<u32>, sessions: &std::sync::Mutex<u32>) {
+    let b = sessions.lock();
+    let a = cache.lock();
+    drop((a, b));
+}
+"#,
             ),
         ],
     );
@@ -451,8 +547,11 @@ pub fn holds_across_call(m: &std::sync::Mutex<u32>) {
     ];
     let (outcome, first, _) = run_cli_captured(&args);
     assert_eq!(outcome, CliOutcome::Violations);
-    for rule in ["ORX001", "ORX005", "ORX008", "ORX009"] {
-        assert!(first.contains(rule), "fixture fires {rule}:\n{first}");
+    for rule in ["ORX003", "ORX004", "ORX008", "ORX009"] {
+        assert!(
+            first.contains(&format!("\"rule\": \"{rule}\"")),
+            "fixture fires {rule}:\n{first}"
+        );
     }
     let (outcome, second, _) = run_cli_captured(&args);
     assert_eq!(outcome, CliOutcome::Violations);
@@ -473,11 +572,12 @@ fn explain_flag_prints_rule_card_without_scanning() {
     );
     assert!(out.contains("orex::allow(ORX008)"), "waiver help: {out}");
 
-    // ORX999 never existed; ORX007 is retired (the print ban is clippy's).
-    for id in ["ORX999", "ORX007"] {
+    // ORX999 never existed; ORX001, ORX002, ORX005 and ORX007 are
+    // retired (each is a clippy lint now).
+    for id in ["ORX999", "ORX001", "ORX002", "ORX005", "ORX007"] {
         let (outcome, _, err) = run_cli_captured(&["--explain".to_string(), id.to_string()]);
         assert_eq!(outcome, CliOutcome::Error, "{id}");
-        assert!(err.contains("needs a rule ID (ORX001..ORX010)"), "{err}");
+        assert!(err.contains("needs a rule ID (ORX003..ORX010)"), "{err}");
     }
 }
 
@@ -489,15 +589,34 @@ fn property_every_waived_finding_leaves_the_report() {
     // must account for each of them — a waiver that is honoured but
     // still reported (or silently dropped) fails this.
     let source = "\
-pub fn read_first(p: *const u8) -> u8 {
-    unsafe { *p }
+use std::sync::atomic::{AtomicU64, Ordering};
+
+pub fn counters(a: &AtomicU64) -> u64 {
+    a.store(1, Ordering::SeqCst);
+    a.load(Ordering::Relaxed)
 }
 
-pub fn quit() {
-    let v: Option<u8> = None;
-    let x = v.unwrap();
-    std::thread::sleep(std::time::Duration::from_secs(x.into()));
-    std::process::exit(0);
+pub fn first(cache: &std::sync::Mutex<u32>, sessions: &std::sync::Mutex<u32>) {
+    let a = cache.lock();
+    let b = sessions.lock();
+    drop((a, b));
+}
+
+pub fn second(cache: &std::sync::Mutex<u32>, sessions: &std::sync::Mutex<u32>) {
+    let b = sessions.lock();
+    let a = cache.lock();
+    drop((a, b));
+}
+
+pub fn holds_across_sleep(m: &std::sync::Mutex<u32>) {
+    let g = m.lock().unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(1));
+    drop(g);
+}
+
+pub fn alloc_from_request(line: &str) -> Vec<u8> {
+    let n: usize = line.parse().unwrap_or(0);
+    Vec::with_capacity(n)
 }
 ";
     let fixture = Fixture::new("property", source);

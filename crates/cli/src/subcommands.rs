@@ -79,7 +79,7 @@ usage:
   orex analyze [--root DIR] [--format text|json] [--output FILE]
                [--explain ORXnnn]
                              run the workspace static-analysis gate
-                             (rules ORX001–ORX010 from analyze.policy);
+                             (rules ORX003–ORX010 from analyze.policy);
                              --explain prints a rule's rationale and waiver
                              syntax; exits 1 on any finding";
 

@@ -8,11 +8,6 @@
 //! reformulation of Section 5.1 treat them as one term. Only ASCII
 //! lowercase words are stemmed; anything else is returned unchanged.
 
-// The step functions keep the rule tables laid out exactly as in
-// Porter's reference implementation (outer dispatch on the penultimate
-// letter, one `if` chain per group), which trips these stylistic lints.
-#![allow(clippy::collapsible_match, clippy::if_same_then_else)]
-
 /// Stems a single lowercase word. Words shorter than 3 characters or
 /// containing non-ASCII-alphabetic characters are returned unchanged.
 pub fn stem(word: &str) -> String {
@@ -204,6 +199,12 @@ impl Stemmer {
     }
 
     /// Step 2: double suffixes to single ones (measure > 0).
+    #[expect(
+        clippy::collapsible_match,
+        clippy::if_same_then_else,
+        reason = "the rule table keeps Porter's reference layout: outer dispatch on the \
+                  penultimate letter, one `if` chain per group, one rule per branch"
+    )]
     fn step2(&mut self) {
         if self.k == 0 {
             return;
@@ -280,6 +281,11 @@ impl Stemmer {
     }
 
     /// Step 3: -ic-, -full, -ness etc.
+    #[expect(
+        clippy::collapsible_match,
+        reason = "the rule table keeps Porter's reference layout: outer dispatch on the \
+                  last letter, one `if` chain per group"
+    )]
     fn step3(&mut self) {
         match self.b[self.k] {
             b'e' => {

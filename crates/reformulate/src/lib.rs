@@ -19,6 +19,7 @@
 
 #![warn(missing_docs)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![cfg_attr(not(test), deny(clippy::exit, clippy::disallowed_methods))]
 #![forbid(unsafe_code)]
 
 mod content;

@@ -1,8 +1,8 @@
 //! Typed server errors.
 //!
 //! Handlers return `Result<Response, ServerError>` instead of panicking
-//! (the ORX002 rule bans `unwrap()`/`expect()`/`panic!` in this crate's
-//! request paths): a failure renders as a proper HTTP 4xx/5xx response
+//! (the crate root denies clippy's `unwrap_used`, `expect_used` and
+//! `panic` outside tests): a failure renders as a proper HTTP 4xx/5xx response
 //! instead of killing the worker thread that hit it.
 
 use crate::http::Response;

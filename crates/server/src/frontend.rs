@@ -385,10 +385,12 @@ where
                         });
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    // orex::allow(ORX005): the listener is nonblocking so
-                    // this accept loop must pace its own polling to keep
-                    // observing the stop flags; 2ms bounds shutdown
-                    // latency without burning a core.
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the listener is nonblocking, so this accept loop paces its \
+                                  own polling to keep observing the stop flags; 2 ms bounds \
+                                  shutdown latency without burning a core"
+                    )]
                     std::thread::sleep(Duration::from_millis(2));
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}

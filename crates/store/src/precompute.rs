@@ -25,6 +25,18 @@
 //! list, so a serving process can refuse vectors computed for a
 //! different graph or iteration regime.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use crate::codec::{Reader, Writer};
 use crate::error::{Result, StoreError};
 use bytes::Bytes;

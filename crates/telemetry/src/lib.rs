@@ -32,6 +32,18 @@
 
 #![warn(missing_docs)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![cfg_attr(not(test), deny(clippy::exit, clippy::disallowed_methods))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod export;
 pub mod log;
@@ -308,9 +320,12 @@ impl Recorder {
         });
         match found {
             Ok(v) => Some(v),
-            // orex::allow(ORX002): documented `# Panics` contract — a
-            // kind collision is a programmer error at the call site, not
-            // a runtime condition, and every caller passes a literal.
+            #[expect(
+                clippy::panic,
+                reason = "documented `# Panics` contract: a kind collision is a programmer \
+                          error at the call site, not a runtime condition, and every caller \
+                          passes a literal"
+            )]
             Err(kind) => panic!("telemetry metric {name:?} already registered as a {kind}"),
         }
     }

@@ -22,6 +22,7 @@
 //! Start with [`core::ObjectRankSystem`] and the `examples/` directory.
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![cfg_attr(not(test), deny(clippy::exit, clippy::disallowed_methods))]
 
 pub use orex_authority as authority;
 pub use orex_core as core;
